@@ -14,9 +14,8 @@ use fedclust::FedClust;
 use fedclust_bench::scale::{seeds, Scale};
 use fedclust_data::{ClientData, DatasetProfile, FederatedDataset, Partition};
 use fedclust_fl::engine::{init_model, local_train};
-use fedclust_fl::methods::global::{train_global_model, GlobalVariant};
-use fedclust_fl::methods::{Ifca, LgFedAvg, Pacfl, PerFedAvg};
-use fedclust_fl::FlConfig;
+use fedclust_fl::methods::{FedAvg, FedNova, FedProx, Ifca, LgFedAvg, Pacfl, PerFedAvg};
+use fedclust_fl::{run_federation, FlConfig, Method, NoCheckpoints};
 use fedclust_nn::optim::{Sgd, SgdConfig};
 use fedclust_nn::Model;
 use fedclust_tensor::distance::Metric;
@@ -59,6 +58,12 @@ fn personalize_and_eval(
     }
     let (x, y) = nc.test.batch(&idx);
     model.evaluate(x, &y).1
+}
+
+/// What a plain in-process run of `method` leaves on the server.
+fn artifacts<M: Method>(method: &M, fd: &FederatedDataset, cfg: &FlConfig) -> M::Artifacts {
+    let Ok((_, artifacts)) = run_federation(method, fd, cfg, NoCheckpoints, None);
+    artifacts
 }
 
 fn mean(v: &[f32]) -> f64 {
@@ -119,12 +124,11 @@ fn main() {
             record(0, local);
 
             // Global baselines: newcomers evaluate the global model directly.
-            for (mi, variant) in [
-                (1, GlobalVariant::FedAvg),
-                (2, GlobalVariant::FedProx { mu: 0.01 }),
-                (3, GlobalVariant::FedNova),
+            for (mi, global) in [
+                (1, artifacts(&FedAvg, &fd, &cfg)),
+                (2, artifacts(&FedProx { mu: 0.01 }, &fd, &cfg)),
+                (3, artifacts(&FedNova, &fd, &cfg)),
             ] {
-                let global = train_global_model(&fd, &cfg, variant);
                 let vals: Vec<f32> = newcomers
                     .iter()
                     .enumerate()
@@ -135,7 +139,7 @@ fn main() {
 
             // LG: newcomer uses fresh local layers + trained global head.
             {
-                let (_, art) = LgFedAvg::default().run_detailed(&fd, &cfg);
+                let art = artifacts(&LgFedAvg::default(), &fd, &cfg);
                 let mut state = init_state.clone();
                 state[art.split..].copy_from_slice(&art.global_part);
                 let vals: Vec<f32> = newcomers
@@ -150,7 +154,7 @@ fn main() {
 
             // Per-FedAvg: personalize the meta-model.
             {
-                let (_, global) = PerFedAvg::default().run_detailed(&fd, &cfg);
+                let global = artifacts(&PerFedAvg::default(), &fd, &cfg);
                 let vals: Vec<f32> = newcomers
                     .iter()
                     .enumerate()
@@ -163,7 +167,7 @@ fn main() {
 
             // IFCA: newcomer picks the best of the k models by train loss.
             {
-                let (_, states) = Ifca::default().run_detailed(&fd, &cfg);
+                let states = artifacts(&Ifca::default(), &fd, &cfg);
                 let vals: Vec<f32> = newcomers
                     .iter()
                     .enumerate()
@@ -201,7 +205,7 @@ fn main() {
             // PACFL: newcomer's subspace vs member subspaces per cluster.
             {
                 let pacfl = Pacfl::default();
-                let (_, art) = pacfl.run_detailed(&fd, &cfg);
+                let art = artifacts(&pacfl, &fd, &cfg);
                 let nc_fd_bases = {
                     // Compute newcomer bases via a temporary dataset view.
                     let tmp = FederatedDataset {
@@ -237,7 +241,7 @@ fn main() {
 
             // FedClust: Algorithm 2.
             {
-                let (_, federation) = FedClust::default().run_detailed(&fd, &cfg);
+                let federation = artifacts(&FedClust::default(), &fd, &cfg);
                 let outcomes = incorporate_all(
                     &federation,
                     &newcomers,

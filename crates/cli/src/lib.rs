@@ -14,8 +14,9 @@
 use fedclust::FedClust;
 use fedclust_cluster::metrics::adjusted_rand_index;
 use fedclust_data::{DatasetProfile, FederatedDataset, Partition};
+use fedclust_fl::engine::RemoteTrainer;
 use fedclust_fl::methods::{baselines, extended_baselines, FlMethod};
-use fedclust_fl::{Checkpointer, CrashPlan, FaultPlan, FlConfig};
+use fedclust_fl::{run_federation, Checkpointer, CrashPlan, FaultPlan, FlConfig, NoCheckpoints};
 
 pub mod args;
 pub mod chaos;
@@ -25,23 +26,24 @@ pub mod worker;
 
 pub use args::{Args, Command, ParseError};
 
-/// Look up a method by case-insensitive name among the nine baselines, the
-/// extended suite, and FedClust itself.
-pub fn find_method(name: &str) -> Option<Box<dyn FlMethod>> {
+/// The nine baselines, the extended suite, and FedClust itself.
+pub fn all_methods() -> Vec<Box<dyn FlMethod>> {
     let mut methods = baselines();
     methods.extend(extended_baselines());
     methods.push(Box::new(FedClust::default()));
     methods
+}
+
+/// Look up a method by case-insensitive name.
+pub fn find_method(name: &str) -> Option<Box<dyn FlMethod>> {
+    all_methods()
         .into_iter()
         .find(|m| m.name().eq_ignore_ascii_case(name))
 }
 
 /// Names of all available methods.
 pub fn method_names() -> Vec<&'static str> {
-    let mut methods = baselines();
-    methods.extend(extended_baselines());
-    methods.push(Box::new(FedClust::default()));
-    methods.iter().map(|m| m.name()).collect()
+    all_methods().iter().map(|m| m.name()).collect()
 }
 
 /// Parse a dataset name.
@@ -79,8 +81,10 @@ pub fn parse_partition(spec: &str) -> Option<Partition> {
     None
 }
 
-/// Execute a parsed command; returns the text to print.
-pub fn execute(args: &Args) -> Result<String, String> {
+/// Execute a parsed command; returns the text to print. `trainer` is the
+/// worker fleet `run`'s local training is farmed out to (`fedclustd`);
+/// `None` trains in process.
+pub fn execute(args: &Args, trainer: Option<&dyn RemoteTrainer>) -> Result<String, String> {
     // Pin the worker-pool size before any training starts: `--threads`
     // wins, then a strictly validated `FEDCLUST_THREADS`, else the pool's
     // own default (available parallelism). Results are bit-identical at
@@ -96,27 +100,24 @@ pub fn execute(args: &Args) -> Result<String, String> {
             })?;
             let fd = build_dataset(args)?;
             let cfg = build_config(args);
-            let result = match &args.checkpoint_dir {
-                Some(dir) => {
-                    let mut ckpt = Checkpointer::new(dir)
-                        .every(args.checkpoint_every)
-                        .keep(args.keep)
-                        .resume(args.resume)
-                        .crash(CrashPlan {
-                            after_round: args.crash_after,
-                            mid_write: args.crash_mid_write,
-                        });
-                    let result = m
-                        .run_resumable(&fd, &cfg, &mut ckpt)
-                        .map_err(|e| e.to_string())?;
-                    // Diagnostics go to stderr so `--json` stdout stays clean.
-                    for line in ckpt.diagnostics() {
-                        eprintln!("checkpoint: {}", line);
-                    }
-                    result
-                }
-                None => m.run(&fd, &cfg),
+            let mut ckpt = match &args.checkpoint_dir {
+                Some(dir) => Checkpointer::new(dir)
+                    .every(args.checkpoint_every)
+                    .keep(args.keep)
+                    .resume(args.resume)
+                    .crash(CrashPlan {
+                        after_round: args.crash_after,
+                        mid_write: args.crash_mid_write,
+                    }),
+                None => Checkpointer::disabled(),
             };
+            let result = m
+                .run_hosted(&fd, &cfg, &mut ckpt, trainer)
+                .map_err(|e| e.to_string())?;
+            // Diagnostics go to stderr so `--json` stdout stays clean.
+            for line in ckpt.diagnostics() {
+                eprintln!("checkpoint: {}", line);
+            }
             if args.json {
                 serde_json::to_string_pretty(&result).map_err(|e| e.to_string())
             } else {
@@ -153,8 +154,8 @@ pub fn execute(args: &Args) -> Result<String, String> {
         Command::Cluster => {
             let fd = build_dataset(args)?;
             let cfg = build_config(args);
-            let method = FedClust::default();
-            let (_, federation) = method.run_detailed(&fd, &cfg);
+            let Ok((_, federation)) =
+                run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
             let truth = fd.ground_truth_groups();
             let ari = adjusted_rand_index(&federation.labels, &truth);
             let mut out = format!(
@@ -301,7 +302,7 @@ mod tests {
     #[test]
     fn execute_methods_lists_everything() {
         let args = Args::parse(&["methods".into()]).unwrap();
-        let out = execute(&args).unwrap();
+        let out = execute(&args, None).unwrap();
         assert!(out.contains("FedClust"));
         assert!(out.contains("SCAFFOLD"));
     }
@@ -326,7 +327,7 @@ mod tests {
             "10".into(),
         ])
         .unwrap();
-        let out = execute(&args).unwrap();
+        let out = execute(&args, None).unwrap();
         assert!(out.contains("FedAvg"), "{}", out);
         assert!(out.contains("final accuracy"), "{}", out);
     }
@@ -355,7 +356,7 @@ mod tests {
             "0.5".into(),
         ])
         .unwrap();
-        let out = execute(&args).unwrap();
+        let out = execute(&args, None).unwrap();
         assert!(out.contains("final accuracy"), "{}", out);
         assert!(out.contains("faults:"), "{}", out);
     }
@@ -401,13 +402,13 @@ mod tests {
             "topk:0.1".into(),
         ])
         .unwrap();
-        let out = execute(&args).unwrap();
+        let out = execute(&args, None).unwrap();
         assert!(out.contains("final accuracy"), "{}", out);
     }
 
     #[test]
     fn execute_run_rejects_unknown_method() {
         let args = Args::parse(&["run".into(), "--method".into(), "nope".into()]).unwrap();
-        assert!(execute(&args).is_err());
+        assert!(execute(&args, None).is_err());
     }
 }

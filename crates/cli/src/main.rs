@@ -5,7 +5,7 @@ use fedclust_cli::{execute, Args};
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match Args::parse(&argv) {
-        Ok(args) => match execute(&args) {
+        Ok(args) => match execute(&args, None) {
             Ok(out) => println!("{}", out),
             Err(msg) => {
                 eprintln!("error: {}", msg);

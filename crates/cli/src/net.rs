@@ -3,10 +3,11 @@
 //! The server owns everything except local training: sampling, fault
 //! injection, codec accounting, aggregation, evaluation, and
 //! checkpointing all run in-process exactly as the simulation does. Only
-//! the per-client SGD is delegated, through the
-//! [`RemoteTrainer`](fedclust_fl::engine::RemoteTrainer) hook, to a fleet
-//! of `fedclust-worker` processes speaking the `fedclust-proto` TCP
-//! protocol.
+//! the per-client SGD is delegated: [`serve`] hands a
+//! [`RemoteTrainer`](fedclust_fl::engine::RemoteTrainer) to [`crate::execute`],
+//! which passes it down to the federation driver, and it farms each unit out
+//! to a fleet of `fedclust-worker` processes speaking the `fedclust-proto`
+//! TCP protocol.
 //!
 //! Determinism: every training result is keyed by `(seed, round,
 //! client)` on the worker side, so *which* worker computes a unit, in
@@ -489,14 +490,12 @@ pub fn serve(args: &ServeArgs) -> Result<String, String> {
         shared.state.lock().unwrap().workers_seen
     });
 
-    let trainer = Arc::new(NetTrainer {
+    let trainer = NetTrainer {
         shared: Arc::clone(&shared),
         round_deadline: (args.round_timeout > 0.0)
             .then(|| Duration::from_secs_f64(args.round_timeout)),
-    });
-    fedclust_fl::engine::install_remote_trainer(trainer);
-    let result = crate::execute(&args.run);
-    fedclust_fl::engine::clear_remote_trainer();
+    };
+    let result = crate::execute(&args.run, Some(&trainer));
 
     // Let workers pull their `Done` before the process exits.
     {

@@ -11,15 +11,7 @@
 //! cross-flag rules are checked after parsing.
 
 use crate::args::{Args, Command, ParseError};
-use crate::find_method;
-
-/// Methods the networked server can distribute. These are exactly the
-/// methods whose local training runs through `train_round` (plus
-/// FedClust's warm-up); methods with bespoke client-side state (e.g.
-/// SCAFFOLD control variates) would silently train on the server, so we
-/// reject them up front instead.
-pub const NETWORKED_METHODS: &[&str] =
-    &["fedavg", "fedprox", "fednova", "cfl", "pacfl", "fedclust"];
+use crate::{all_methods, find_method};
 
 fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, ParseError> {
     s.parse::<T>()
@@ -157,16 +149,23 @@ impl ServeArgs {
         }
         match &self.run.command {
             Command::Run { method } => {
-                let m = method.to_lowercase();
-                if find_method(&m).is_none() {
+                let Some(m) = find_method(method) else {
                     return Err(ParseError(format!("unknown method '{}'", method)));
-                }
-                if !NETWORKED_METHODS.contains(&m.as_str()) {
+                };
+                // A method that trains clients itself (to keep per-client
+                // state, e.g. SCAFFOLD's control variates) would silently
+                // train on the server, so it is rejected up front.
+                if !m.distributes() {
+                    let networked: Vec<String> = all_methods()
+                        .iter()
+                        .filter(|m| m.distributes())
+                        .map(|m| m.name().to_lowercase())
+                        .collect();
                     return Err(ParseError(format!(
                         "method '{}' cannot be distributed (client-side state); \
                          networked methods: {}",
                         method,
-                        NETWORKED_METHODS.join(", ")
+                        networked.join(", ")
                     )));
                 }
             }
@@ -479,6 +478,14 @@ mod tests {
             let err = ServeArgs::parse(&sv(&["--method", m])).unwrap_err();
             assert!(err.0.contains("cannot be distributed"), "{}: {}", m, err.0);
         }
+        // The list is derived from the methods themselves; the message is
+        // part of the CLI's surface.
+        let err = ServeArgs::parse(&sv(&["--method", "scaffold"])).unwrap_err();
+        assert_eq!(
+            err.0,
+            "method 'scaffold' cannot be distributed (client-side state); \
+             networked methods: fedavg, fedprox, fednova, cfl, pacfl, fedclust"
+        );
         let err = ServeArgs::parse(&sv(&["--method", "nosuchmethod"])).unwrap_err();
         assert!(err.0.contains("unknown method"), "{}", err.0);
     }

@@ -4,22 +4,15 @@ use crate::clustering::{cluster_clients, ClusteringOutcome, LambdaSelect};
 use crate::persist::SavedFederation;
 use crate::proximity::{collect_partial_weights_for, proximity_matrix, WeightSelection};
 use fedclust_cluster::hac::Linkage;
-use fedclust_data::FederatedDataset;
-use fedclust_fl::checkpoint::{
-    check_len, run_without_checkpoints, Checkpoint, CheckpointError, Checkpointer, MethodState,
-};
-use fedclust_fl::engine::{
-    average_accuracy, evaluate_clients, init_model, sample_clients, train_round, weighted_average,
-};
-use fedclust_fl::faults::Transport;
-use fedclust_fl::methods::FlMethod;
-use fedclust_fl::metrics::{RoundRecord, RunResult};
-use fedclust_fl::FlConfig;
+use fedclust_fl::checkpoint::{check_labels, check_len, wrong_state, CheckpointError, MethodState};
+use fedclust_fl::driver::{Method, RoundCtx};
+use fedclust_fl::engine::{evaluate_clients, weighted_average, RemoteRound};
 use fedclust_nn::Model;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeSet;
 
 /// FedClust configuration (Algorithm 1's inputs beyond the shared
-/// [`FlConfig`]).
+/// [`fedclust_fl::FlConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FedClust {
     /// Clustering threshold λ (fixed, or data-driven largest-gap).
@@ -73,134 +66,79 @@ pub struct TrainedFederation {
     pub outcome: ClusteringOutcome,
 }
 
-impl FedClust {
-    /// Run FedClust and keep the trained federation for post-hoc use
-    /// (newcomer incorporation, cluster inspection). The returned
-    /// [`RunResult`] is identical to what [`FlMethod::run`] reports.
-    pub fn run_detailed(
-        &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-    ) -> (RunResult, TrainedFederation) {
-        run_without_checkpoints(|ckpt| self.run_detailed_resumable(fd, cfg, ckpt))
-    }
+/// Algorithm 1 on the shared driver: one-shot clustering in `init`, then
+/// per-cluster FedAvg.
+///
+/// FedClust's value is concentrated in its one-shot round-0 state
+/// (proximity clustering, representatives), so its checkpoints embed a full
+/// [`SavedFederation`] snapshot — which is also the state it carries from
+/// round to round — and a post-clustering checkpoint is written
+/// immediately (`next_round = 0`: clustering done, no training yet)
+/// regardless of the configured cadence. A resumed run never re-clusters —
+/// it restores the assignment and continues the per-cluster training
+/// rounds bit-identically.
+impl Method for FedClust {
+    const NAME: &'static str = "FedClust";
+    const DISTRIBUTES: bool = true;
+    const CHECKPOINT_INIT: bool = true;
+    type State = SavedFederation;
+    type Artifacts = TrainedFederation;
 
-    /// [`FedClust::run_detailed`] with checkpoint/resume support.
-    ///
-    /// FedClust's value is concentrated in its one-shot round-0 state
-    /// (proximity clustering, representatives), so the checkpoint embeds a
-    /// full [`SavedFederation`] snapshot and a post-clustering checkpoint
-    /// is written immediately (`next_round = 0`: clustering done, no
-    /// training yet) regardless of the configured cadence. A resumed run
-    /// never re-clusters — it restores the assignment and continues the
-    /// per-cluster training rounds bit-identically.
-    pub fn run_detailed_resumable(
-        &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-    ) -> Result<(RunResult, TrainedFederation), CheckpointError> {
-        let template = init_model(fd, cfg);
-        let state_len = template.state_len();
+    /// Round 0 (Algorithm 1, lines 2–7): the server broadcasts θ⁰ to all
+    /// clients; each the downlink reaches trains briefly and uploads only
+    /// the selected partial weights. Clustering must tolerate missing
+    /// partials: it runs over whatever uploads survive the uplink and the
+    /// quarantine screen.
+    fn init(&self, ctx: &mut RoundCtx<'_>) -> SavedFederation {
+        let (fd, template) = (ctx.fd, &ctx.template);
         let init_state = template.state_vec();
-        let mut transport = Transport::new(cfg);
-
-        if let Some(cp) = ckpt.resume_point(self.name(), cfg.seed)? {
-            let MethodState::FedClust { federation_json } = cp.state else {
-                return Err(CheckpointError::WrongState(format!(
-                    "FedClust cannot resume from a {} checkpoint",
-                    cp.state.kind()
-                )));
-            };
-            let saved = SavedFederation::from_json(&federation_json).map_err(|e| {
-                CheckpointError::Corrupt(format!("embedded federation snapshot: {}", e))
-            })?;
-            let geometry = (fd.channels, fd.height, fd.width, fd.num_classes);
-            if saved.geometry != geometry {
-                return Err(CheckpointError::Mismatch(format!(
-                    "snapshot geometry {:?} does not match this dataset's {:?}",
-                    saved.geometry, geometry
-                )));
-            }
-            check_len(
-                "cluster labels",
-                saved.outcome.labels.len(),
-                fd.num_clients(),
-            )?;
-            check_len("initial state", saved.init_state.len(), state_len)?;
-            let k = saved.outcome.num_clusters.max(1);
-            check_len("cluster states", saved.cluster_states.len(), k)?;
-            check_len("representatives", saved.representatives.len(), k)?;
-            for s in &saved.cluster_states {
-                check_len("cluster state", s.len(), state_len)?;
-            }
-            for l in &saved.outcome.labels {
-                if *l >= k {
-                    return Err(CheckpointError::Mismatch(format!(
-                        "cluster label {} out of range for {} clusters",
-                        l, k
-                    )));
-                }
-            }
-            transport.restore_comm_state(cp.meter, cp.telemetry, cp.residuals);
-            return self.train_clusters(
-                fd,
-                cfg,
-                ckpt,
-                template,
-                init_state,
-                saved.outcome,
-                saved.representatives,
-                saved.cluster_states,
-                cp.history,
-                cp.next_round,
-                transport,
-            );
-        }
-
-        // ---- Round 0 (Algorithm 1, lines 2–7): one-shot clustering. ----
-        // Server broadcasts θ⁰ to all clients; each the downlink reaches
-        // trains briefly and uploads only the selected partial weights.
-        // Clustering must tolerate missing partials: it runs over whatever
-        // uploads survive the uplink and the quarantine screen.
-        let upload_len = self.selection.upload_len(&template);
         let all_clients: Vec<usize> = (0..fd.num_clients()).collect();
-        let reached = transport.broadcast(0, &all_clients, state_len);
-        let collected = collect_partial_weights_for(
-            fd,
-            cfg,
-            &template,
-            &init_state,
-            self.warmup_epochs,
-            self.selection,
-            &reached,
-        );
-        // Clients the worker fleet wrote off (networked mode only — the
-        // local path returns everyone the broadcast reached) count as
-        // uplink losses for telemetry.
-        let lost: Vec<usize> = {
-            let got: std::collections::BTreeSet<usize> =
-                collected.iter().map(|(c, _)| *c).collect();
-            reached
-                .iter()
-                .copied()
-                .filter(|c| !got.contains(c))
-                .collect()
+        let reached = ctx.transport.broadcast(0, &all_clients, init_state.len());
+        let collected = match ctx.trainer {
+            None => collect_partial_weights_for(
+                fd,
+                ctx.cfg,
+                template,
+                &init_state,
+                self.warmup_epochs,
+                self.selection,
+                &reached,
+            ),
+            // Workers return raw full states; the partial-weight extraction
+            // stays server-side so the uplink path (codec, faults, screen)
+            // sees exactly what the in-process simulation would have built.
+            // Clients the fleet wrote off are omitted.
+            Some(remote) => remote
+                .warmup_remote(RemoteRound {
+                    round: 0,
+                    clients: &reached,
+                    start_state: &init_state,
+                    prox_mu: None,
+                    epochs: self.warmup_epochs,
+                    residuals: Vec::new(),
+                })
+                .into_iter()
+                .map(|(client, state)| {
+                    let mut model = template.clone();
+                    model.set_state_vec(&state);
+                    (client, self.selection.extract(&model))
+                })
+                .collect(),
         };
-        transport.record_remote_losses(&lost);
+        // Written-off clients count as uplink losses for telemetry.
+        let got: BTreeSet<usize> = collected.iter().map(|(c, _)| *c).collect();
+        let lost: Vec<usize> = reached
+            .iter()
+            .copied()
+            .filter(|c| !got.contains(c))
+            .collect();
+        ctx.transport.record_remote_losses(&lost);
         // A stale round-0 corruption replays the untrained partial weights.
-        let init_partial = self.selection.extract(&template);
+        let init_partial = self.selection.extract(template);
         let mut survivors: Vec<usize> = Vec::with_capacity(reached.len());
         let mut partials: Vec<Vec<f32>> = Vec::with_capacity(reached.len());
         for (client, mut partial) in collected {
-            if transport.uplink(
-                0,
-                client,
-                &mut partial,
-                Some(&init_partial),
-                Some(&init_partial),
-            ) && transport.screen(&partial, upload_len)
-            {
+            if ctx.upload(0, client, &mut partial, Some(&init_partial)) {
                 survivors.push(client);
                 partials.push(partial);
             }
@@ -255,191 +193,83 @@ impl FedClust {
                 vec![rep],
             )
         };
-        let k = outcome.num_clusters.max(1);
-        let states: Vec<Vec<f32>> = vec![init_state.clone(); k];
-
-        // The one-shot clustering artifact is the expensive, never-cheaply-
-        // recomputable part of a FedClust run: snapshot it immediately,
-        // regardless of the checkpoint cadence.
-        ckpt.save_now(&Checkpoint {
-            method: self.name().to_string(),
-            seed: cfg.seed,
-            next_round: 0,
-            meter: transport.meter().clone(),
-            telemetry: transport.telemetry(),
-            history: Vec::new(),
-            state: MethodState::FedClust {
-                federation_json: federation_json(
-                    cfg,
-                    fd,
-                    &init_state,
-                    &outcome,
-                    &representatives,
-                    &states,
-                ),
-            },
-            residuals: transport.codec_residuals(),
-        })?;
-
-        self.train_clusters(
-            fd,
-            cfg,
-            ckpt,
-            template,
-            init_state,
-            outcome,
-            representatives,
-            states,
-            Vec::new(),
-            0,
-            transport,
-        )
-    }
-
-    /// Rounds 1..T (Algorithm 1, lines 9–14): per-cluster FedAvg, shared by
-    /// the fresh and resumed paths.
-    #[allow(clippy::too_many_arguments)]
-    fn train_clusters(
-        &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-        template: Model,
-        init_state: Vec<f32>,
-        outcome: ClusteringOutcome,
-        representatives: Vec<Vec<f32>>,
-        mut states: Vec<Vec<f32>>,
-        mut history: Vec<RoundRecord>,
-        start_round: usize,
-        mut transport: Transport,
-    ) -> Result<(RunResult, TrainedFederation), CheckpointError> {
-        let k = outcome.num_clusters.max(1);
-        for round in start_round..cfg.rounds {
-            let sampled = sample_clients(fd.num_clients(), cfg, round + 1);
-            for (ci, state) in states.iter_mut().enumerate() {
-                let members: Vec<usize> = sampled
-                    .iter()
-                    .copied()
-                    .filter(|&c| outcome.labels[c] == ci)
-                    .collect();
-                if members.is_empty() {
-                    continue;
-                }
-                let updates = train_round(
-                    fd,
-                    cfg,
-                    &template,
-                    state,
-                    &members,
-                    round + 1,
-                    None,
-                    &mut transport,
-                );
-                if updates.is_empty() {
-                    // Every upload lost or quarantined: the cluster skips
-                    // this round and carries its model forward.
-                    continue;
-                }
-                let items: Vec<(&[f32], f32)> = updates
-                    .iter()
-                    .map(|u| (u.state.as_slice(), u.weight))
-                    .collect();
-                *state = weighted_average(&items);
-            }
-            if cfg.should_eval(round) {
-                let per_client =
-                    evaluate_clients(fd, &template, |c| states[outcome.labels[c]].as_slice());
-                history.push(RoundRecord {
-                    round: round + 1,
-                    avg_acc: average_accuracy(&per_client),
-                    cum_mb: transport.meter().total_mb(),
-                });
-            }
-
-            ckpt.on_round_end(round, || Checkpoint {
-                method: self.name().to_string(),
-                seed: cfg.seed,
-                next_round: round + 1,
-                meter: transport.meter().clone(),
-                telemetry: transport.telemetry(),
-                history: history.clone(),
-                state: MethodState::FedClust {
-                    federation_json: federation_json(
-                        cfg,
-                        fd,
-                        &init_state,
-                        &outcome,
-                        &representatives,
-                        &states,
-                    ),
-                },
-                residuals: transport.codec_residuals(),
-            })?;
-        }
-
-        let per_client_acc =
-            evaluate_clients(fd, &template, |c| states[outcome.labels[c]].as_slice());
-        let result = RunResult {
-            method: self.name().to_string(),
-            final_acc: average_accuracy(&per_client_acc),
-            per_client_acc,
-            history,
-            num_clusters: Some(k),
-            total_mb: transport.meter().total_mb(),
-            faults: transport.telemetry(),
-        };
-        let federation = TrainedFederation {
-            template,
-            model_spec: cfg.model,
+        SavedFederation {
+            model_spec: ctx.cfg.model,
             geometry: (fd.channels, fd.height, fd.width, fd.num_classes),
-            init_state,
             labels: outcome.labels.clone(),
-            cluster_states: states,
+            cluster_states: vec![init_state.clone(); outcome.num_clusters.max(1)],
+            init_state,
             representatives,
             outcome,
-        };
-        Ok((result, federation))
-    }
-}
-
-/// Serialize the current federation state into the [`SavedFederation`] JSON
-/// a FedClust checkpoint embeds.
-fn federation_json(
-    cfg: &FlConfig,
-    fd: &FederatedDataset,
-    init_state: &[f32],
-    outcome: &ClusteringOutcome,
-    representatives: &[Vec<f32>],
-    states: &[Vec<f32>],
-) -> String {
-    SavedFederation {
-        model_spec: cfg.model,
-        geometry: (fd.channels, fd.height, fd.width, fd.num_classes),
-        init_state: init_state.to_vec(),
-        labels: outcome.labels.clone(),
-        cluster_states: states.to_vec(),
-        representatives: representatives.to_vec(),
-        outcome: outcome.clone(),
-    }
-    .to_json()
-}
-
-impl FlMethod for FedClust {
-    fn name(&self) -> &'static str {
-        "FedClust"
+        }
     }
 
-    fn run(&self, fd: &FederatedDataset, cfg: &FlConfig) -> RunResult {
-        self.run_detailed(fd, cfg).0
-    }
-
-    fn run_resumable(
+    fn restore(
         &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-    ) -> Result<RunResult, CheckpointError> {
-        Ok(self.run_detailed_resumable(fd, cfg, ckpt)?.0)
+        ctx: &RoundCtx<'_>,
+        saved: MethodState,
+    ) -> Result<SavedFederation, CheckpointError> {
+        let MethodState::FedClust { federation_json } = saved else {
+            return Err(wrong_state(Self::NAME, &saved));
+        };
+        let saved = SavedFederation::from_json(&federation_json).map_err(|e| {
+            CheckpointError::Corrupt(format!("embedded federation snapshot: {}", e))
+        })?;
+        let fd = ctx.fd;
+        let geometry = (fd.channels, fd.height, fd.width, fd.num_classes);
+        if saved.geometry != geometry {
+            return Err(CheckpointError::Mismatch(format!(
+                "snapshot geometry {:?} does not match this dataset's {:?}",
+                saved.geometry, geometry
+            )));
+        }
+        let state_len = ctx.template.state_len();
+        let labels = &saved.outcome.labels;
+        check_len("cluster labels", labels.len(), fd.num_clients())?;
+        check_len("initial state", saved.init_state.len(), state_len)?;
+        let k = saved.outcome.num_clusters.max(1);
+        check_len("cluster states", saved.cluster_states.len(), k)?;
+        check_len("representatives", saved.representatives.len(), k)?;
+        for s in &saved.cluster_states {
+            check_len("cluster state", s.len(), state_len)?;
+        }
+        check_labels(labels, k)?;
+        Ok(saved)
+    }
+
+    /// Rounds 1..T (Algorithm 1, lines 9–14). Round 0 was the clustering,
+    /// so the driver's 0-based `round` samples and trains as `round + 1`.
+    fn round(&self, s: &mut SavedFederation, ctx: &mut RoundCtx<'_>, round: usize) {
+        ctx.cluster_round(&mut s.cluster_states, &s.outcome.labels, round + 1);
+    }
+
+    fn snapshot(&self, s: &SavedFederation) -> MethodState {
+        MethodState::FedClust {
+            federation_json: s.to_json(),
+        }
+    }
+
+    fn evaluate(&self, s: &SavedFederation, ctx: &RoundCtx<'_>) -> Vec<f32> {
+        evaluate_clients(ctx.fd, &ctx.template, |c| {
+            s.cluster_states[s.outcome.labels[c]].as_slice()
+        })
+    }
+
+    fn num_clusters(&self, s: &SavedFederation) -> Option<usize> {
+        Some(s.cluster_states.len())
+    }
+
+    fn finish(&self, s: SavedFederation, ctx: RoundCtx<'_>) -> TrainedFederation {
+        TrainedFederation {
+            template: ctx.template,
+            model_spec: s.model_spec,
+            geometry: s.geometry,
+            init_state: s.init_state,
+            labels: s.outcome.labels.clone(),
+            cluster_states: s.cluster_states,
+            representatives: s.representatives,
+            outcome: s.outcome,
+        }
     }
 }
 
@@ -447,7 +277,8 @@ impl FlMethod for FedClust {
 mod tests {
     use super::*;
     use fedclust_cluster::metrics::adjusted_rand_index;
-    use fedclust_data::DatasetProfile;
+    use fedclust_data::{DatasetProfile, FederatedDataset};
+    use fedclust_fl::{run_federation, FlConfig, FlMethod, NoCheckpoints};
 
     fn two_group_fd(seed: u64, clients: usize) -> FederatedDataset {
         let groups: Vec<Vec<usize>> = (0..clients)
@@ -476,7 +307,8 @@ mod tests {
         let fd = two_group_fd(0, 8);
         let mut cfg = FlConfig::tiny(0);
         cfg.local_epochs = 2;
-        let (result, federation) = FedClust::default().run_detailed(&fd, &cfg);
+        let Ok((result, federation)) =
+            run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
         let truth = fd.ground_truth_groups();
         let ari = adjusted_rand_index(&federation.labels, &truth);
         assert!(
@@ -525,7 +357,8 @@ mod tests {
     fn detailed_run_exposes_cluster_models_and_representatives() {
         let fd = two_group_fd(3, 6);
         let cfg = FlConfig::tiny(3);
-        let (_, federation) = FedClust::default().run_detailed(&fd, &cfg);
+        let Ok((_, federation)) =
+            run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
         let k = federation.outcome.num_clusters;
         assert_eq!(federation.cluster_states.len(), k);
         assert_eq!(federation.representatives.len(), k);

@@ -6,15 +6,13 @@
 //! its own cluster (Local-like, fully personalized).
 
 use crate::algorithm::FedClust;
-use crate::clustering::{outcome_from_dendrogram, LambdaSelect};
+use crate::clustering::{outcome_from_dendrogram, ClusteringOutcome, LambdaSelect};
 use crate::proximity::{collect_partial_weights, proximity_matrix};
-use fedclust_cluster::hac::agglomerative;
+use fedclust_cluster::hac::{agglomerative, Dendrogram};
 use fedclust_data::FederatedDataset;
-use fedclust_fl::engine::{
-    average_accuracy, evaluate_clients, init_model, sample_clients, train_round,
-    weighted_average_or,
-};
-use fedclust_fl::faults::Transport;
+use fedclust_fl::checkpoint::{wrong_state, CheckpointError, MethodState};
+use fedclust_fl::driver::{run_federation, Method, NoCheckpoints, RoundCtx};
+use fedclust_fl::engine::{evaluate_clients, init_model};
 use fedclust_fl::FlConfig;
 use serde::{Deserialize, Serialize};
 
@@ -29,6 +27,21 @@ pub struct LambdaPoint {
     pub final_acc: f64,
 }
 
+/// The one warm-up + clustering pass: every client's partial weights
+/// (collected fault-free, outside any transport) into a dendrogram.
+fn dendrogram(fd: &FederatedDataset, cfg: &FlConfig, method: &FedClust) -> Dendrogram {
+    let template = init_model(fd, cfg);
+    let partials = collect_partial_weights(
+        fd,
+        cfg,
+        &template,
+        &template.state_vec(),
+        method.warmup_epochs,
+        method.selection,
+    );
+    agglomerative(&proximity_matrix(&partials, method.metric), method.linkage)
+}
+
 /// Evenly spaced λ values spanning the dendrogram's merge-distance range
 /// (plus a sub-minimum and a super-maximum point so the sweep reaches both
 /// the all-singleton and the single-cluster regimes).
@@ -38,18 +51,7 @@ pub fn lambda_grid(
     method: &FedClust,
     points: usize,
 ) -> Vec<f32> {
-    let template = init_model(fd, cfg);
-    let init_state = template.state_vec();
-    let partials = collect_partial_weights(
-        fd,
-        cfg,
-        &template,
-        &init_state,
-        method.warmup_epochs,
-        method.selection,
-    );
-    let matrix = proximity_matrix(&partials, method.metric);
-    let dendro = agglomerative(&matrix, method.linkage);
+    let dendro = dendrogram(fd, cfg, method);
     let merges = dendro.merges();
     let (Some(first), Some(last)) = (merges.first(), merges.last()) else {
         return vec![1.0];
@@ -64,6 +66,51 @@ pub fn lambda_grid(
     grid
 }
 
+/// FedClust's training rounds over a clustering that is already given: one
+/// λ cut of the sweep's dendrogram. Never checkpointed, so never resumed.
+struct Cut<'a>(&'a ClusteringOutcome);
+
+impl Method for Cut<'_> {
+    const NAME: &'static str = "FedClust";
+    type State = Vec<Vec<f32>>;
+    type Artifacts = ();
+
+    fn init(&self, ctx: &mut RoundCtx<'_>) -> Vec<Vec<f32>> {
+        vec![ctx.template.state_vec(); self.0.num_clusters.max(1)]
+    }
+
+    fn restore(
+        &self,
+        _: &RoundCtx<'_>,
+        saved: MethodState,
+    ) -> Result<Vec<Vec<f32>>, CheckpointError> {
+        Err(wrong_state("a λ cut", &saved))
+    }
+
+    fn round(&self, states: &mut Vec<Vec<f32>>, ctx: &mut RoundCtx<'_>, round: usize) {
+        ctx.cluster_round(states, &self.0.labels, round + 1);
+    }
+
+    fn snapshot(&self, states: &Vec<Vec<f32>>) -> MethodState {
+        MethodState::Clustered {
+            states: states.clone(),
+            labels: self.0.labels.clone(),
+        }
+    }
+
+    fn evaluate(&self, states: &Vec<Vec<f32>>, ctx: &RoundCtx<'_>) -> Vec<f32> {
+        evaluate_clients(ctx.fd, &ctx.template, |c| {
+            states[self.0.labels[c]].as_slice()
+        })
+    }
+
+    fn num_clusters(&self, states: &Vec<Vec<f32>>) -> Option<usize> {
+        Some(states.len())
+    }
+
+    fn finish(&self, _: Vec<Vec<f32>>, _: RoundCtx<'_>) {}
+}
+
 /// Run the sweep: cluster once, then train and evaluate each λ cut.
 pub fn sweep(
     fd: &FederatedDataset,
@@ -71,62 +118,23 @@ pub fn sweep(
     method: &FedClust,
     lambdas: &[f32],
 ) -> Vec<LambdaPoint> {
-    let template = init_model(fd, cfg);
-    let init_state = template.state_vec();
-    let partials = collect_partial_weights(
-        fd,
-        cfg,
-        &template,
-        &init_state,
-        method.warmup_epochs,
-        method.selection,
-    );
-    let matrix = proximity_matrix(&partials, method.metric);
-    let dendro = agglomerative(&matrix, method.linkage);
-
+    let dendro = dendrogram(fd, cfg, method);
+    // Only the final accuracy of a cut is reported: evaluate at the end.
+    let cfg = FlConfig {
+        eval_every: cfg.rounds.max(1),
+        ..*cfg
+    };
     lambdas
         .iter()
         .map(|&lambda| {
             let outcome = outcome_from_dendrogram(&dendro, LambdaSelect::Fixed(lambda));
-            let k = outcome.num_clusters.max(1);
-            let mut states = vec![init_state.clone(); k];
             // Each λ cut trains under the same fault plan; the sweep only
             // reports accuracies, so the per-cut comm meter is discarded.
-            let mut transport = Transport::new(cfg);
-            for round in 0..cfg.rounds {
-                let sampled = sample_clients(fd.num_clients(), cfg, round + 1);
-                for (ci, state) in states.iter_mut().enumerate() {
-                    let members: Vec<usize> = sampled
-                        .iter()
-                        .copied()
-                        .filter(|&c| outcome.labels[c] == ci)
-                        .collect();
-                    if members.is_empty() {
-                        continue;
-                    }
-                    let updates = train_round(
-                        fd,
-                        cfg,
-                        &template,
-                        state,
-                        &members,
-                        round + 1,
-                        None,
-                        &mut transport,
-                    );
-                    let items: Vec<(&[f32], f32)> = updates
-                        .iter()
-                        .map(|u| (u.state.as_slice(), u.weight))
-                        .collect();
-                    *state = weighted_average_or(&items, state);
-                }
-            }
-            let per_client =
-                evaluate_clients(fd, &template, |c| states[outcome.labels[c]].as_slice());
+            let Ok((result, ())) = run_federation(&Cut(&outcome), fd, &cfg, NoCheckpoints, None);
             LambdaPoint {
                 lambda,
-                num_clusters: k,
-                final_acc: average_accuracy(&per_client),
+                num_clusters: outcome.num_clusters.max(1),
+                final_acc: result.final_acc,
             }
         })
         .collect()

@@ -137,6 +137,7 @@ mod tests {
     use super::*;
     use crate::algorithm::FedClust;
     use fedclust_data::{DatasetProfile, FederatedDataset};
+    use fedclust_fl::{run_federation, NoCheckpoints};
 
     /// 10 clients in two groups; the last 2 (one per group) join late.
     fn setup() -> (TrainedFederation, Vec<ClientData>, Vec<usize>, FlConfig) {
@@ -165,7 +166,8 @@ mod tests {
         let mut cfg = FlConfig::tiny(11);
         cfg.rounds = 4;
         cfg.local_epochs = 2;
-        let (_, federation) = FedClust::default().run_detailed(&fd, &cfg);
+        let Ok((_, federation)) =
+            run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
         (federation, newcomers, newcomer_truth, cfg)
     }
 

@@ -144,7 +144,7 @@ mod tests {
     use crate::algorithm::FedClust;
     use crate::newcomer::assign_cluster;
     use fedclust_data::{DatasetProfile, FederatedDataset};
-    use fedclust_fl::FlConfig;
+    use fedclust_fl::{run_federation, FlConfig, NoCheckpoints};
     use fedclust_tensor::distance::Metric;
 
     fn trained() -> TrainedFederation {
@@ -169,7 +169,9 @@ mod tests {
         );
         let mut cfg = FlConfig::tiny(13);
         cfg.rounds = 2;
-        FedClust::default().run_detailed(&fd, &cfg).1
+        let Ok((_, federation)) =
+            run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
+        federation
     }
 
     #[test]

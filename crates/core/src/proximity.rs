@@ -9,7 +9,7 @@
 
 use fedclust_cluster::ProximityMatrix;
 use fedclust_data::FederatedDataset;
-use fedclust_fl::engine::{local_train, remote_trainer, RemoteRound};
+use fedclust_fl::engine::local_train;
 use fedclust_fl::FlConfig;
 use fedclust_nn::optim::Sgd;
 use fedclust_nn::Model;
@@ -82,10 +82,7 @@ pub fn collect_partial_weights(
 /// [`collect_partial_weights`] restricted to an explicit client list — the
 /// fault-tolerant round 0 collects only from the clients the broadcast
 /// actually reached. Results are `(client, partial)` pairs in `clients`
-/// order; when a remote trainer is installed the warmup is delegated to
-/// the worker fleet, and clients the network wrote off are *omitted*
-/// (the local path always returns every requested client).
-#[allow(clippy::too_many_arguments)]
+/// order, one for every requested client.
 pub fn collect_partial_weights_for(
     fd: &FederatedDataset,
     cfg: &FlConfig,
@@ -95,27 +92,6 @@ pub fn collect_partial_weights_for(
     selection: WeightSelection,
     clients: &[usize],
 ) -> Vec<(usize, Vec<f32>)> {
-    if let Some(remote) = remote_trainer() {
-        // Workers return raw full states; the partial-weight extraction
-        // stays server-side so the uplink path (codec, faults, screen)
-        // sees exactly what the in-process simulation would have built.
-        let states = remote.warmup_remote(RemoteRound {
-            round: 0,
-            clients,
-            start_state: init_state,
-            prox_mu: None,
-            epochs: warmup_epochs,
-            residuals: Vec::new(),
-        });
-        return states
-            .into_iter()
-            .map(|(client, state)| {
-                let mut model = template.clone();
-                model.set_state_vec(&state);
-                (client, selection.extract(&model))
-            })
-            .collect();
-    }
     clients
         .par_iter()
         .map(|&client| {

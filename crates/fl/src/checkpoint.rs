@@ -79,6 +79,37 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// LG-FedAvg's server-side state.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LgState {
+    /// The communicated global tail (global blocks + extra state).
+    pub global_part: Vec<f32>,
+    /// Each client's full state vector (local layers persist).
+    pub client_states: Vec<Vec<f32>>,
+}
+
+/// SCAFFOLD's server-side state.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScaffoldState {
+    /// The server model state vector.
+    pub state: Vec<f32>,
+    /// The global control variate `c`.
+    pub c_global: Vec<f32>,
+    /// Each client's control variate `c_i`.
+    pub c_clients: Vec<Vec<f32>>,
+}
+
+/// FedDyn's server-side state.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FedDynState {
+    /// The server model state vector θ.
+    pub state: Vec<f32>,
+    /// The server's running corrector `h`.
+    pub h: Vec<f32>,
+    /// Each client's dual variable `λ_i`.
+    pub lambdas: Vec<Vec<f32>>,
+}
+
 /// The server-side state a method needs to continue mid-run. Variants
 /// carry persistent *client* state too (personal layers, control
 /// variates, duals) — that state lives on the server in this simulation.
@@ -90,30 +121,11 @@ pub enum MethodState {
         state: Vec<f32>,
     },
     /// LG-FedAvg: the shared tail plus every client's full personal state.
-    Lg {
-        /// The communicated global tail (global blocks + extra state).
-        global_part: Vec<f32>,
-        /// Each client's full state vector (local layers persist).
-        client_states: Vec<Vec<f32>>,
-    },
+    Lg(LgState),
     /// SCAFFOLD: model, global control variate, per-client variates.
-    Scaffold {
-        /// The server model state vector.
-        state: Vec<f32>,
-        /// The global control variate `c`.
-        c_global: Vec<f32>,
-        /// Each client's control variate `c_i`.
-        c_clients: Vec<Vec<f32>>,
-    },
+    Scaffold(ScaffoldState),
     /// FedDyn: model, server corrector `h`, per-client duals `λ_i`.
-    FedDyn {
-        /// The server model state vector.
-        state: Vec<f32>,
-        /// The server's running corrector `h`.
-        h: Vec<f32>,
-        /// Each client's dual variable `λ_i`.
-        lambdas: Vec<Vec<f32>>,
-    },
+    FedDyn(FedDynState),
     /// IFCA: the k cluster models.
     Ifca {
         /// One state vector per cluster model.
@@ -321,29 +333,22 @@ fn encode_state(e: &mut Enc, state: &MethodState) {
             e.u8(0);
             e.vec_f32(state);
         }
-        MethodState::Lg {
-            global_part,
-            client_states,
-        } => {
+        MethodState::Lg(s) => {
             e.u8(1);
-            e.vec_f32(global_part);
-            e.vec_vec_f32(client_states);
+            e.vec_f32(&s.global_part);
+            e.vec_vec_f32(&s.client_states);
         }
-        MethodState::Scaffold {
-            state,
-            c_global,
-            c_clients,
-        } => {
+        MethodState::Scaffold(s) => {
             e.u8(2);
-            e.vec_f32(state);
-            e.vec_f32(c_global);
-            e.vec_vec_f32(c_clients);
+            e.vec_f32(&s.state);
+            e.vec_f32(&s.c_global);
+            e.vec_vec_f32(&s.c_clients);
         }
-        MethodState::FedDyn { state, h, lambdas } => {
+        MethodState::FedDyn(s) => {
             e.u8(3);
-            e.vec_f32(state);
-            e.vec_f32(h);
-            e.vec_vec_f32(lambdas);
+            e.vec_f32(&s.state);
+            e.vec_f32(&s.h);
+            e.vec_vec_f32(&s.lambdas);
         }
         MethodState::Ifca { states } => {
             e.u8(4);
@@ -396,20 +401,20 @@ fn decode_state(d: &mut Dec<'_>) -> Result<MethodState, CheckpointError> {
         0 => Ok(MethodState::Global {
             state: d.vec_f32()?,
         }),
-        1 => Ok(MethodState::Lg {
+        1 => Ok(MethodState::Lg(LgState {
             global_part: d.vec_f32()?,
             client_states: d.vec_vec_f32()?,
-        }),
-        2 => Ok(MethodState::Scaffold {
+        })),
+        2 => Ok(MethodState::Scaffold(ScaffoldState {
             state: d.vec_f32()?,
             c_global: d.vec_f32()?,
             c_clients: d.vec_vec_f32()?,
-        }),
-        3 => Ok(MethodState::FedDyn {
+        })),
+        3 => Ok(MethodState::FedDyn(FedDynState {
             state: d.vec_f32()?,
             h: d.vec_f32()?,
             lambdas: d.vec_vec_f32()?,
-        }),
+        })),
         4 => Ok(MethodState::Ifca {
             states: d.vec_vec_f32()?,
         }),
@@ -946,19 +951,26 @@ pub fn check_len(what: &str, actual: usize, expected: usize) -> Result<(), Check
     }
 }
 
-/// Run a resumable method body with checkpointing disabled. A disabled
-/// [`Checkpointer`] performs no I/O and offers no resume state, so the
-/// body's checkpoint-error channel is structurally unreachable — this is
-/// what lets `FlMethod::run` keep its infallible signature.
-pub fn run_without_checkpoints<T>(
-    body: impl FnOnce(&mut Checkpointer) -> Result<T, CheckpointError>,
-) -> T {
-    let mut ckpt = Checkpointer::disabled();
-    match body(&mut ckpt) {
-        Ok(v) => v,
-        // fedlint::allow(panic-reachability): a disabled Checkpointer does no I/O and offers no resume state, so this error channel cannot fire
-        Err(e) => unreachable!("disabled checkpointer reported an error: {}", e),
+/// Validate that every restored cluster label names one of the `k`
+/// cluster models the checkpoint carries.
+pub fn check_labels(labels: &[usize], k: usize) -> Result<(), CheckpointError> {
+    match labels.iter().find(|&&l| l >= k) {
+        None => Ok(()),
+        Some(l) => Err(CheckpointError::Mismatch(format!(
+            "cluster label {} out of range for {} clusters",
+            l, k
+        ))),
     }
+}
+
+/// The error for a checkpoint whose [`MethodState`] variant is not the
+/// one `method` writes.
+pub fn wrong_state(method: &str, state: &MethodState) -> CheckpointError {
+    CheckpointError::WrongState(format!(
+        "{} cannot resume from a {} checkpoint",
+        method,
+        state.kind()
+    ))
 }
 
 #[cfg(test)]
@@ -1004,20 +1016,20 @@ mod tests {
             MethodState::Global {
                 state: vec![1.0, -2.5, f32::MIN_POSITIVE, -0.0],
             },
-            MethodState::Lg {
+            MethodState::Lg(LgState {
                 global_part: vec![0.5; 3],
                 client_states: vec![vec![1.0, 2.0], vec![3.0, 4.0]],
-            },
-            MethodState::Scaffold {
+            }),
+            MethodState::Scaffold(ScaffoldState {
                 state: vec![1.0],
                 c_global: vec![0.1],
                 c_clients: vec![vec![0.2], vec![0.3]],
-            },
-            MethodState::FedDyn {
+            }),
+            MethodState::FedDyn(FedDynState {
                 state: vec![1.0],
                 h: vec![-0.5],
                 lambdas: vec![vec![0.0], vec![1e-30]],
-            },
+            }),
             MethodState::Ifca {
                 states: vec![vec![9.0; 4]; 3],
             },

@@ -6,14 +6,13 @@
 //! "FedAvg skeleton" the paper's Algorithm 1 shares with its baselines.
 
 use crate::config::FlConfig;
-use crate::faults::Transport;
 use fedclust_data::{ClientData, FederatedDataset};
+use fedclust_nn::loss::cross_entropy;
 use fedclust_nn::optim::Sgd;
 use fedclust_nn::Model;
 use fedclust_tensor::rng::{derive, streams};
 use rand::seq::SliceRandom;
 use rayon::prelude::*;
-use std::sync::{Arc, RwLock};
 
 /// One unit of remote work: train (or warm up) these clients from
 /// `start_state` at `round`. `residuals` carries each client's canonical
@@ -65,8 +64,9 @@ pub struct RemoteOutcome {
 }
 
 /// A delegate that trains clients out-of-process (fedclustd's worker
-/// fleet). Installed process-globally; [`train_round`] and the FedClust
-/// warmup collection route through it when present.
+/// fleet). The host hands it to [`crate::driver::run_federation`], which
+/// carries it in [`crate::driver::RoundCtx`]; round training and the
+/// FedClust warmup collection route through it when present.
 pub trait RemoteTrainer: Send + Sync {
     /// Train `req.clients` and return codec-encoded updates.
     fn train_remote(&self, req: RemoteRound) -> RemoteOutcome;
@@ -74,27 +74,6 @@ pub trait RemoteTrainer: Send + Sync {
     /// `(client, state)` pairs (lost clients omitted); the server extracts
     /// the partial-weight slices and runs its own uplink path.
     fn warmup_remote(&self, req: RemoteRound) -> Vec<(usize, Vec<f32>)>;
-}
-
-static REMOTE_TRAINER: RwLock<Option<Arc<dyn RemoteTrainer>>> = RwLock::new(None);
-
-/// Route all subsequent round training through `trainer` (process-global;
-/// the server installs its network fleet here before running a method).
-pub fn install_remote_trainer(trainer: Arc<dyn RemoteTrainer>) {
-    *REMOTE_TRAINER.write().unwrap_or_else(|p| p.into_inner()) = Some(trainer);
-}
-
-/// Remove the installed remote trainer (tests; server shutdown).
-pub fn clear_remote_trainer() {
-    *REMOTE_TRAINER.write().unwrap_or_else(|p| p.into_inner()) = None;
-}
-
-/// The currently installed remote trainer, if any.
-pub fn remote_trainer() -> Option<Arc<dyn RemoteTrainer>> {
-    REMOTE_TRAINER
-        .read()
-        .unwrap_or_else(|p| p.into_inner())
-        .clone()
 }
 
 /// Build the initial server model θ⁰ for a federated dataset. All methods
@@ -162,6 +141,45 @@ pub fn local_train(
     steps
 }
 
+/// [`local_train`] for methods that correct the gradient themselves
+/// (SCAFFOLD's control variates, FedDyn's dynamic regularizer): plain SGD
+/// where parameter `i` (flat index) steps by `w ← w − lr·correct(i, w, g)`.
+/// Same minibatch stream as [`local_train`]; returns the steps taken.
+pub fn local_train_corrected(
+    model: &mut Model,
+    data: &ClientData,
+    cfg: &FlConfig,
+    client: usize,
+    round: usize,
+    correct: impl Fn(usize, f32, f32) -> f32,
+) -> usize {
+    let mut rng = derive(
+        cfg.seed,
+        &[streams::LOCAL_TRAIN, client as u64, round as u64],
+    );
+    let mut steps = 0;
+    for _ in 0..cfg.local_epochs {
+        for batch in data.train.minibatch_indices(cfg.batch_size, &mut rng) {
+            let (x, y) = data.train.batch(&batch);
+            let logits = model.forward(x, true);
+            let (_, grad) = cross_entropy(&logits, &y);
+            model.backward(grad);
+            let mut off = 0;
+            for p in model.params_mut() {
+                let n = p.value.numel();
+                for j in 0..n {
+                    let w = p.value.data()[j];
+                    p.value.data_mut()[j] = w - cfg.lr * correct(off + j, w, p.grad.data()[j]);
+                }
+                p.zero_grad();
+                off += n;
+            }
+            steps += 1;
+        }
+    }
+    steps
+}
+
 /// The payload a client uploads after local training.
 #[derive(Debug, Clone)]
 pub struct ClientUpdate {
@@ -217,47 +235,6 @@ pub fn train_sampled(
         .collect()
 }
 
-/// One full faulty round trip for the standard skeleton: broadcast
-/// `start_state` through `transport` (charging every downlink attempt),
-/// train the clients that were actually reached, then push each update
-/// through the uplink codec + fault + quarantine screen. The broadcast
-/// state doubles as the codec's delta reference: clients upload
-/// `w_i − start_state` under delta-coded codecs. The returned survivor set
-/// may be empty — aggregate with [`weighted_average_or`] to carry the
-/// previous model forward in that case.
-#[allow(clippy::too_many_arguments)]
-pub fn train_round(
-    fd: &FederatedDataset,
-    cfg: &FlConfig,
-    template: &Model,
-    start_state: &[f32],
-    sampled: &[usize],
-    round: usize,
-    prox_mu: Option<f32>,
-    transport: &mut Transport,
-) -> Vec<ClientUpdate> {
-    let scalars = start_state.len();
-    let reached = transport.broadcast(round, sampled, scalars);
-    if let Some(remote) = remote_trainer() {
-        let residuals = reached
-            .iter()
-            .map(|&c| (c, transport.residual_for(c)))
-            .collect();
-        let outcome = remote.train_remote(RemoteRound {
-            round,
-            clients: &reached,
-            start_state,
-            prox_mu,
-            epochs: cfg.local_epochs,
-            residuals,
-        });
-        transport.record_remote_losses(&outcome.lost);
-        return transport.receive_remote(round, outcome.updates, Some(start_state));
-    }
-    let updates = train_sampled(fd, cfg, template, start_state, &reached, round, prox_mu);
-    transport.receive(round, updates, Some(start_state), Some(start_state))
-}
-
 /// Weighted average of equal-length state vectors — Eq. 2's cluster (or
 /// global) model aggregation.
 ///
@@ -292,25 +269,50 @@ pub fn weighted_average_or(items: &[(&[f32], f32)], previous: &[f32]) -> Vec<f32
     }
 }
 
+/// FedAvg over a round's surviving updates: the sample-size-weighted
+/// average of their full states.
+///
+/// # Panics
+/// Panics if `updates` is empty (see [`weighted_average`]).
+pub fn average_updates(updates: &[ClientUpdate]) -> Vec<f32> {
+    let items: Vec<(&[f32], f32)> = updates
+        .iter()
+        .map(|u| (u.state.as_slice(), u.weight))
+        .collect();
+    weighted_average(&items)
+}
+
 /// Evaluate every client's local test accuracy in parallel, with the state
 /// vector for client `i` provided by `state_of(i)`.
 pub fn evaluate_clients<'a, F>(fd: &FederatedDataset, template: &Model, state_of: F) -> Vec<f32>
 where
     F: Fn(usize) -> &'a [f32] + Sync,
 {
+    evaluate_models(fd, |client| {
+        let mut model = template.clone();
+        model.set_state_vec(state_of(client));
+        model
+    })
+}
+
+/// [`evaluate_clients`] for methods whose per-client model is more than a
+/// state lookup (chosen by loss, personalized first): `model_of(i)` builds
+/// the model client `i` is tested with.
+pub fn evaluate_models(
+    fd: &FederatedDataset,
+    model_of: impl Fn(usize) -> Model + Sync,
+) -> Vec<f32> {
     (0..fd.num_clients())
         .into_par_iter()
         .map(|client| {
-            let mut model = template.clone();
-            model.set_state_vec(state_of(client));
+            let mut model = model_of(client);
             let test = &fd.clients[client].test;
             if test.is_empty() {
                 return 0.0;
             }
             let indices: Vec<usize> = (0..test.len()).collect();
             let (x, y) = test.batch(&indices);
-            let (_, acc) = model.evaluate(x, &y);
-            acc
+            model.evaluate(x, &y).1
         })
         .collect()
 }
@@ -420,30 +422,6 @@ mod tests {
             weighted_average_or(&[(&a, 1.0), (&b, 1.0)], &prev),
             weighted_average(&[(&a, 1.0), (&b, 1.0)])
         );
-    }
-
-    #[test]
-    fn train_round_with_total_uplink_loss_carries_model_forward() {
-        let fd = tiny_fd(6);
-        let mut cfg = FlConfig::tiny(6);
-        cfg.faults.uplink_loss = 1.0;
-        let template = init_model(&fd, &cfg);
-        let s = template.state_vec();
-        let mut transport = crate::faults::Transport::new(&cfg);
-        let kept = train_round(
-            &fd,
-            &cfg,
-            &template,
-            &s,
-            &[0, 1, 2],
-            0,
-            None,
-            &mut transport,
-        );
-        assert!(kept.is_empty(), "total uplink loss must lose every update");
-        let items: Vec<(&[f32], f32)> = kept.iter().map(|u| (&u.state[..], u.weight)).collect();
-        assert_eq!(weighted_average_or(&items, &s), s, "model carried forward");
-        assert!(transport.telemetry().uplink_losses >= 3);
     }
 
     #[test]

@@ -20,6 +20,9 @@
 //! * [`engine`] — the shared round machinery: deterministic client
 //!   sampling, parallel local training, weighted state averaging, and
 //!   parallel all-client evaluation,
+//! * [`driver`] — the one round loop every method runs under
+//!   ([`driver::run_federation`]): resume, evaluation cadence, checkpoint
+//!   assembly and the run result, over the narrow [`driver::Method`] trait,
 //! * [`methods`] — the baselines: `Local`, `FedAvg`, `FedProx`, `FedNova`,
 //!   `LG-FedAvg`, `Per-FedAvg`, `CFL` (Sattler), `IFCA`, `PACFL`.
 //!
@@ -30,6 +33,7 @@ pub mod checkpoint;
 pub mod codec;
 pub mod comm;
 pub mod config;
+pub mod driver;
 pub mod engine;
 pub mod faults;
 pub mod methods;
@@ -39,6 +43,7 @@ pub use checkpoint::{Checkpoint, CheckpointError, Checkpointer, MethodState};
 pub use codec::{BaseCodec, CodecSpec};
 pub use comm::CommMeter;
 pub use config::FlConfig;
+pub use driver::{run_federation, Method, NoCheckpoints, RoundCtx};
 pub use faults::{CrashPlan, FaultPlan, FaultTelemetry, Transport};
 pub use methods::FlMethod;
 pub use metrics::{RoundRecord, RunResult};

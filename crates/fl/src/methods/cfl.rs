@@ -17,19 +17,11 @@
 //! * only clients with a cached update participate in the split decision —
 //!   never-sampled members follow the sub-cluster of the first split group.
 
-use crate::checkpoint::{
-    check_len, run_without_checkpoints, Checkpoint, CheckpointError, Checkpointer, MethodState,
-};
-use crate::config::FlConfig;
-use crate::engine::{
-    average_accuracy, evaluate_clients, init_model, sample_clients, train_round, weighted_average,
-};
-use crate::faults::Transport;
-use crate::methods::FlMethod;
-use crate::metrics::{RoundRecord, RunResult};
+use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
+use crate::driver::{Method, RoundCtx};
+use crate::engine::{average_updates, evaluate_clients, sample_clients};
 use fedclust_cluster::hac::{cluster_k, Linkage};
 use fedclust_cluster::ProximityMatrix;
-use fedclust_data::FederatedDataset;
 use fedclust_tensor::distance::cosine;
 
 /// Sattler-style clustered federated learning.
@@ -59,196 +51,157 @@ struct Cluster {
     members: Vec<usize>,
 }
 
-impl FlMethod for Cfl {
-    fn name(&self) -> &'static str {
-        "CFL"
+/// CFL's server-side state: the dynamic clusters plus the split-decision
+/// caches.
+pub struct CflState {
+    clusters: Vec<Cluster>,
+    /// Latest parameter-update direction per client (for splits).
+    last_update: Vec<Option<Vec<f32>>>,
+    /// The scale-free split-threshold reference norm, once captured.
+    reference_norm: Option<f64>,
+}
+
+impl Method for Cfl {
+    const NAME: &'static str = "CFL";
+    const DISTRIBUTES: bool = true;
+    type State = CflState;
+    type Artifacts = ();
+
+    fn init(&self, ctx: &mut RoundCtx<'_>) -> CflState {
+        CflState {
+            clusters: vec![Cluster {
+                state: ctx.template.state_vec(),
+                members: (0..ctx.fd.num_clients()).collect(),
+            }],
+            last_update: vec![None; ctx.fd.num_clients()],
+            reference_norm: None,
+        }
     }
 
-    fn run(&self, fd: &FederatedDataset, cfg: &FlConfig) -> RunResult {
-        run_without_checkpoints(|ckpt| self.run_resumable(fd, cfg, ckpt))
-    }
-
-    fn run_resumable(
-        &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-    ) -> Result<RunResult, CheckpointError> {
-        let template = init_model(fd, cfg);
-        let num_params = template.num_params();
-        let state_len = template.state_len();
-        let mut clusters = vec![Cluster {
-            state: template.state_vec(),
-            members: (0..fd.num_clients()).collect(),
-        }];
-        // Latest parameter-update direction per client (for splits).
-        let mut last_update: Vec<Option<Vec<f32>>> = vec![None; fd.num_clients()];
-        let mut reference_norm: Option<f64> = None;
-        let mut transport = Transport::new(cfg);
-        let mut history = Vec::new();
-        let mut start_round = 0;
-
-        if let Some(cp) = ckpt.resume_point(self.name(), cfg.seed)? {
-            let MethodState::Cfl {
-                states,
-                members,
-                last_update: lu,
-                reference_norm: rn,
-            } = cp.state
-            else {
-                return Err(CheckpointError::WrongState(format!(
-                    "CFL cannot resume from a {} checkpoint",
-                    cp.state.kind()
-                )));
-            };
-            check_len("cluster member lists", members.len(), states.len())?;
-            check_len("cached updates", lu.len(), fd.num_clients())?;
-            for s in &states {
-                check_len("cluster state", s.len(), state_len)?;
-            }
-            for u in lu.iter().flatten() {
-                check_len("cached update", u.len(), num_params)?;
-            }
-            for m in members.iter().flatten() {
-                if *m >= fd.num_clients() {
-                    return Err(CheckpointError::Mismatch(format!(
-                        "cluster member {} out of range for {} clients",
-                        m,
-                        fd.num_clients()
-                    )));
-                }
-            }
-            clusters = states
+    fn restore(&self, ctx: &RoundCtx<'_>, saved: MethodState) -> Result<CflState, CheckpointError> {
+        let MethodState::Cfl {
+            states,
+            members,
+            last_update,
+            reference_norm,
+        } = saved
+        else {
+            return Err(wrong_state(Self::NAME, &saved));
+        };
+        let num_clients = ctx.fd.num_clients();
+        check_len("cluster member lists", members.len(), states.len())?;
+        check_len("cached updates", last_update.len(), num_clients)?;
+        for s in &states {
+            check_len("cluster state", s.len(), ctx.template.state_len())?;
+        }
+        for u in last_update.iter().flatten() {
+            check_len("cached update", u.len(), ctx.template.num_params())?;
+        }
+        if let Some(m) = members.iter().flatten().find(|&&m| m >= num_clients) {
+            return Err(CheckpointError::Mismatch(format!(
+                "cluster member {} out of range for {} clients",
+                m, num_clients
+            )));
+        }
+        Ok(CflState {
+            clusters: states
                 .into_iter()
                 .zip(members)
                 .map(|(state, members)| Cluster { state, members })
-                .collect();
-            last_update = lu;
-            reference_norm = rn;
-            start_round = cp.next_round;
-            history = cp.history;
-            transport.restore_comm_state(cp.meter, cp.telemetry, cp.residuals);
-        }
-
-        for round in start_round..cfg.rounds {
-            let sampled = sample_clients(fd.num_clients(), cfg, round);
-            // Group sampled clients by their cluster.
-            let cluster_of: Vec<usize> = client_to_cluster(&clusters, fd.num_clients());
-            let mut split_requests: Vec<usize> = Vec::new();
-            for (ci, cluster) in clusters.iter_mut().enumerate() {
-                let members: Vec<usize> = sampled
-                    .iter()
-                    .copied()
-                    .filter(|&c| cluster_of[c] == ci)
-                    .collect();
-                if members.is_empty() {
-                    continue;
-                }
-                let updates = train_round(
-                    fd,
-                    cfg,
-                    &template,
-                    &cluster.state,
-                    &members,
-                    round,
-                    None,
-                    &mut transport,
-                );
-                if updates.is_empty() {
-                    // Every upload lost or quarantined: the cluster skips
-                    // this round and carries its model forward.
-                    continue;
-                }
-                // Cache parameter-space update directions.
-                let mut norms = Vec::with_capacity(updates.len());
-                let mut mean_update = vec![0.0f64; num_params];
-                for u in &updates {
-                    let delta: Vec<f32> = u.state[..num_params]
-                        .iter()
-                        .zip(&cluster.state[..num_params])
-                        .map(|(l, g)| l - g)
-                        .collect();
-                    let norm = delta
-                        .iter()
-                        .map(|&d| (d as f64) * (d as f64))
-                        .sum::<f64>()
-                        .sqrt();
-                    norms.push(norm);
-                    for (m, &d) in mean_update.iter_mut().zip(&delta) {
-                        *m += d as f64 / updates.len() as f64;
-                    }
-                    last_update[u.client] = Some(delta);
-                }
-                let mean_norm = mean_update.iter().map(|d| d * d).sum::<f64>().sqrt();
-                let max_norm = norms.iter().cloned().fold(0.0f64, f64::max);
-                let r = *reference_norm.get_or_insert(mean_norm.max(1e-12));
-
-                // FedAvg aggregation inside the cluster.
-                let items: Vec<(&[f32], f32)> = updates
-                    .iter()
-                    .map(|u| (u.state.as_slice(), u.weight))
-                    .collect();
-                cluster.state = weighted_average(&items);
-
-                // Split condition (relative thresholds).
-                if round >= self.warmup_rounds
-                    && cluster.members.len() >= 2
-                    && members.len() >= 2
-                    && mean_norm < self.eps1 as f64 * r
-                    && max_norm > self.eps2 as f64 * r
-                {
-                    split_requests.push(ci);
-                }
-            }
-
-            // Apply splits (highest index first so indices stay valid).
-            for &ci in split_requests.iter().rev() {
-                if let Some(new_cluster) = split_cluster(&mut clusters[ci], &last_update) {
-                    clusters.push(new_cluster);
-                }
-            }
-
-            if cfg.should_eval(round) {
-                let cluster_of = client_to_cluster(&clusters, fd.num_clients());
-                let per_client =
-                    evaluate_clients(fd, &template, |c| clusters[cluster_of[c]].state.as_slice());
-                history.push(RoundRecord {
-                    round: round + 1,
-                    avg_acc: average_accuracy(&per_client),
-                    cum_mb: transport.meter().total_mb(),
-                });
-            }
-
-            ckpt.on_round_end(round, || Checkpoint {
-                method: self.name().to_string(),
-                seed: cfg.seed,
-                next_round: round + 1,
-                meter: transport.meter().clone(),
-                telemetry: transport.telemetry(),
-                history: history.clone(),
-                state: MethodState::Cfl {
-                    states: clusters.iter().map(|c| c.state.clone()).collect(),
-                    members: clusters.iter().map(|c| c.members.clone()).collect(),
-                    last_update: last_update.clone(),
-                    reference_norm,
-                },
-                residuals: transport.codec_residuals(),
-            })?;
-        }
-
-        let cluster_of = client_to_cluster(&clusters, fd.num_clients());
-        let per_client_acc =
-            evaluate_clients(fd, &template, |c| clusters[cluster_of[c]].state.as_slice());
-        Ok(RunResult {
-            method: self.name().to_string(),
-            final_acc: average_accuracy(&per_client_acc),
-            per_client_acc,
-            history,
-            num_clusters: Some(clusters.len()),
-            total_mb: transport.meter().total_mb(),
-            faults: transport.telemetry(),
+                .collect(),
+            last_update,
+            reference_norm,
         })
     }
+
+    fn round(&self, s: &mut CflState, ctx: &mut RoundCtx<'_>, round: usize) {
+        let num_params = ctx.template.num_params();
+        let sampled = sample_clients(ctx.fd.num_clients(), ctx.cfg, round);
+        // Group sampled clients by their cluster.
+        let cluster_of = client_to_cluster(&s.clusters, ctx.fd.num_clients());
+        let mut split_requests: Vec<usize> = Vec::new();
+        for (ci, cluster) in s.clusters.iter_mut().enumerate() {
+            let members: Vec<usize> = sampled
+                .iter()
+                .copied()
+                .filter(|&c| cluster_of[c] == ci)
+                .collect();
+            if members.is_empty() {
+                continue;
+            }
+            let updates = ctx.train_round(&cluster.state, &members, round, None);
+            if updates.is_empty() {
+                // Every upload lost or quarantined: the cluster skips
+                // this round and carries its model forward.
+                continue;
+            }
+            // Cache parameter-space update directions.
+            let mut norms = Vec::with_capacity(updates.len());
+            let mut mean_update = vec![0.0f64; num_params];
+            for u in &updates {
+                let delta: Vec<f32> = u.state[..num_params]
+                    .iter()
+                    .zip(&cluster.state[..num_params])
+                    .map(|(l, g)| l - g)
+                    .collect();
+                let norm = delta
+                    .iter()
+                    .map(|&d| (d as f64) * (d as f64))
+                    .sum::<f64>()
+                    .sqrt();
+                norms.push(norm);
+                for (m, &d) in mean_update.iter_mut().zip(&delta) {
+                    *m += d as f64 / updates.len() as f64;
+                }
+                s.last_update[u.client] = Some(delta);
+            }
+            let mean_norm = mean_update.iter().map(|d| d * d).sum::<f64>().sqrt();
+            let max_norm = norms.iter().cloned().fold(0.0f64, f64::max);
+            let r = *s.reference_norm.get_or_insert(mean_norm.max(1e-12));
+
+            // FedAvg aggregation inside the cluster.
+            cluster.state = average_updates(&updates);
+
+            // Split condition (relative thresholds).
+            if round >= self.warmup_rounds
+                && cluster.members.len() >= 2
+                && members.len() >= 2
+                && mean_norm < self.eps1 as f64 * r
+                && max_norm > self.eps2 as f64 * r
+            {
+                split_requests.push(ci);
+            }
+        }
+
+        // Apply splits (highest index first so indices stay valid).
+        for &ci in split_requests.iter().rev() {
+            if let Some(new_cluster) = split_cluster(&mut s.clusters[ci], &s.last_update) {
+                s.clusters.push(new_cluster);
+            }
+        }
+    }
+
+    fn snapshot(&self, s: &CflState) -> MethodState {
+        MethodState::Cfl {
+            states: s.clusters.iter().map(|c| c.state.clone()).collect(),
+            members: s.clusters.iter().map(|c| c.members.clone()).collect(),
+            last_update: s.last_update.clone(),
+            reference_norm: s.reference_norm,
+        }
+    }
+
+    fn evaluate(&self, s: &CflState, ctx: &RoundCtx<'_>) -> Vec<f32> {
+        let cluster_of = client_to_cluster(&s.clusters, ctx.fd.num_clients());
+        evaluate_clients(ctx.fd, &ctx.template, |c| {
+            s.clusters[cluster_of[c]].state.as_slice()
+        })
+    }
+
+    fn num_clusters(&self, s: &CflState) -> Option<usize> {
+        Some(s.clusters.len())
+    }
+
+    fn finish(&self, _: CflState, _: RoundCtx<'_>) {}
 }
 
 fn client_to_cluster(clusters: &[Cluster], num_clients: usize) -> Vec<usize> {
@@ -302,7 +255,9 @@ fn split_cluster(cluster: &mut Cluster, last_update: &[Option<Vec<f32>>]) -> Opt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedclust_data::{DatasetProfile, Partition};
+    use crate::config::FlConfig;
+    use crate::methods::FlMethod;
+    use fedclust_data::{DatasetProfile, FederatedDataset, Partition};
 
     #[test]
     fn cfl_runs_and_may_split() {

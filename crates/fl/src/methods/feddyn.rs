@@ -17,18 +17,9 @@
 //! Like SCAFFOLD, FedDyn is part of the extended related-work suite, not
 //! the paper's main tables.
 
-use crate::checkpoint::{
-    check_len, run_without_checkpoints, Checkpoint, CheckpointError, Checkpointer, MethodState,
-};
-use crate::config::FlConfig;
-use crate::engine::{average_accuracy, evaluate_clients, init_model, sample_clients};
-use crate::faults::Transport;
-use crate::methods::FlMethod;
-use crate::metrics::{RoundRecord, RunResult};
-use fedclust_data::FederatedDataset;
-use fedclust_nn::loss::cross_entropy;
-use fedclust_nn::Model;
-use fedclust_tensor::rng::{derive, streams};
+use crate::checkpoint::{check_len, wrong_state, CheckpointError, FedDynState, MethodState};
+use crate::driver::{Method, RoundCtx};
+use crate::engine::{evaluate_clients, local_train_corrected, sample_clients, weighted_average};
 use rayon::prelude::*;
 
 /// FedDyn with regularization strength α.
@@ -45,216 +36,130 @@ impl Default for FedDyn {
 }
 
 impl FedDyn {
-    #[allow(clippy::too_many_arguments)]
+    /// One client's regularized local pass; returns its new full state.
     fn local_train(
         &self,
-        template: &Model,
-        global_params: &[f32],
-        global_extra: &[f32],
-        lambda_i: &[f32],
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
+        s: &FedDynState,
+        ctx: &RoundCtx<'_>,
         client: usize,
         round: usize,
-    ) -> (Vec<f32>, Vec<f32>, f32) {
-        let mut model = template.clone();
-        let mut state = global_params.to_vec();
-        state.extend_from_slice(global_extra);
-        model.set_state_vec(&state);
-        let data = &fd.clients[client];
-        let mut rng = derive(
-            cfg.seed,
-            &[streams::LOCAL_TRAIN, client as u64, round as u64],
-        );
-        for _ in 0..cfg.local_epochs {
-            for batch in data.train.minibatch_indices(cfg.batch_size, &mut rng) {
-                let (x, y) = data.train.batch(&batch);
-                let logits = model.forward(x, true);
-                let (_, grad) = cross_entropy(&logits, &y);
-                model.backward(grad);
-                let mut off = 0;
-                for p in model.params_mut() {
-                    let n = p.value.numel();
-                    for j in 0..n {
-                        let w = p.value.data()[j];
-                        let g = p.grad.data()[j] - lambda_i[off + j]
-                            + self.alpha * (w - global_params[off + j]);
-                        p.value.data_mut()[j] = w - cfg.lr * g;
-                    }
-                    p.zero_grad();
-                    off += n;
-                }
-            }
-        }
-        let full = model.state_vec();
-        let n = global_params.len();
-        let extra = full[n..].to_vec();
-        (full[..n].to_vec(), extra, data.train_samples() as f32)
+    ) -> Vec<f32> {
+        let mut model = ctx.template.clone();
+        model.set_state_vec(&s.state);
+        let lambda_i = &s.lambdas[client];
+        let data = &ctx.fd.clients[client];
+        local_train_corrected(&mut model, data, ctx.cfg, client, round, |i, w, g| {
+            g - lambda_i[i] + self.alpha * (w - s.state[i])
+        });
+        model.state_vec()
     }
 }
 
-impl FlMethod for FedDyn {
-    fn name(&self) -> &'static str {
-        "FedDyn"
+impl Method for FedDyn {
+    const NAME: &'static str = "FedDyn";
+    type State = FedDynState;
+    type Artifacts = ();
+
+    fn init(&self, ctx: &mut RoundCtx<'_>) -> FedDynState {
+        let num_params = ctx.template.num_params();
+        FedDynState {
+            state: ctx.template.state_vec(),
+            h: vec![0.0f32; num_params],
+            lambdas: vec![vec![0.0f32; num_params]; ctx.fd.num_clients()],
+        }
     }
 
-    fn run(&self, fd: &FederatedDataset, cfg: &FlConfig) -> RunResult {
-        run_without_checkpoints(|ckpt| self.run_resumable(fd, cfg, ckpt))
-    }
-
-    fn run_resumable(
+    fn restore(
         &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-    ) -> Result<RunResult, CheckpointError> {
-        let template = init_model(fd, cfg);
-        let num_params = template.num_params();
-        let state_len = template.state_len();
-        let mut state = template.state_vec();
-        let mut h = vec![0.0f32; num_params];
-        let mut lambdas: Vec<Vec<f32>> = vec![vec![0.0f32; num_params]; fd.num_clients()];
-        let mut transport = Transport::new(cfg);
-        let mut history = Vec::new();
-        let mut start_round = 0;
-
-        if let Some(cp) = ckpt.resume_point(self.name(), cfg.seed)? {
-            let MethodState::FedDyn {
-                state: s,
-                h: hh,
-                lambdas: ls,
-            } = cp.state
-            else {
-                return Err(CheckpointError::WrongState(format!(
-                    "FedDyn cannot resume from a {} checkpoint",
-                    cp.state.kind()
-                )));
-            };
-            check_len("server state", s.len(), state_len)?;
-            check_len("server corrector h", hh.len(), num_params)?;
-            check_len("client duals", ls.len(), fd.num_clients())?;
-            for l in &ls {
-                check_len("client dual", l.len(), num_params)?;
-            }
-            state = s;
-            h = hh;
-            lambdas = ls;
-            start_round = cp.next_round;
-            history = cp.history;
-            transport.restore_comm_state(cp.meter, cp.telemetry, cp.residuals);
+        ctx: &RoundCtx<'_>,
+        saved: MethodState,
+    ) -> Result<FedDynState, CheckpointError> {
+        let MethodState::FedDyn(s) = saved else {
+            return Err(wrong_state(Self::NAME, &saved));
+        };
+        let num_params = ctx.template.num_params();
+        check_len("server state", s.state.len(), ctx.template.state_len())?;
+        check_len("server corrector h", s.h.len(), num_params)?;
+        check_len("client duals", s.lambdas.len(), ctx.fd.num_clients())?;
+        for l in &s.lambdas {
+            check_len("client dual", l.len(), num_params)?;
         }
-
-        for round in start_round..cfg.rounds {
-            let sampled = sample_clients(fd.num_clients(), cfg, round);
-            let delivered = transport.broadcast(round, &sampled, state_len);
-            let (params, extra) = state.split_at(num_params);
-            let trained: Vec<(usize, Vec<f32>, Vec<f32>, f32)> = delivered
-                .par_iter()
-                .map(|&client| {
-                    let (w, ex, weight) = self.local_train(
-                        &template,
-                        params,
-                        extra,
-                        &lambdas[client],
-                        fd,
-                        cfg,
-                        client,
-                        round,
-                    );
-                    (client, w, ex, weight)
-                })
-                .collect();
-
-            // The dual update uses the client-side w and persists whether
-            // or not the upload makes it; the server aggregates only the
-            // uploads that survive the uplink and the quarantine screen.
-            let mut results: Vec<(usize, Vec<f32>, Vec<f32>, f32)> =
-                Vec::with_capacity(trained.len());
-            for (client, w, ex, weight) in trained {
-                for j in 0..num_params {
-                    lambdas[client][j] -= self.alpha * (w[j] - state[j]);
-                }
-                // The payload has the state-vector layout, so a "stale"
-                // corruption replays the broadcast global state.
-                let mut payload = w;
-                payload.extend_from_slice(&ex);
-                if transport.uplink(round, client, &mut payload, Some(&state), Some(&state))
-                    && transport.screen(&payload, state_len)
-                {
-                    let ex = payload[num_params..].to_vec();
-                    payload.truncate(num_params);
-                    results.push((client, payload, ex, weight));
-                }
-            }
-            // An empty survivor set leaves θ, h and the duals as they are;
-            // the round still evaluates and checkpoints below.
-            if !results.is_empty() {
-                // Server state from the surviving uploads.
-                let s = results.len() as f64;
-                let mut mean_w = vec![0.0f64; num_params];
-                for (_, w, _, _) in &results {
-                    for j in 0..num_params {
-                        mean_w[j] += w[j] as f64 / s;
-                    }
-                }
-                for j in 0..num_params {
-                    h[j] -= self.alpha * (mean_w[j] as f32 - state[j]);
-                }
-                for j in 0..num_params {
-                    state[j] = mean_w[j] as f32 - h[j] / self.alpha;
-                }
-                if state_len > num_params {
-                    let items: Vec<(&[f32], f32)> = results
-                        .iter()
-                        .map(|(_, _, ex, weight)| (ex.as_slice(), *weight))
-                        .collect();
-                    let avg = crate::engine::weighted_average(&items);
-                    state[num_params..].copy_from_slice(&avg);
-                }
-            }
-
-            if cfg.should_eval(round) {
-                let per_client = evaluate_clients(fd, &template, |_| &state[..]);
-                history.push(RoundRecord {
-                    round: round + 1,
-                    avg_acc: average_accuracy(&per_client),
-                    cum_mb: transport.meter().total_mb(),
-                });
-            }
-
-            ckpt.on_round_end(round, || Checkpoint {
-                method: self.name().to_string(),
-                seed: cfg.seed,
-                next_round: round + 1,
-                meter: transport.meter().clone(),
-                telemetry: transport.telemetry(),
-                history: history.clone(),
-                state: MethodState::FedDyn {
-                    state: state.clone(),
-                    h: h.clone(),
-                    lambdas: lambdas.clone(),
-                },
-                residuals: transport.codec_residuals(),
-            })?;
-        }
-
-        let per_client_acc = evaluate_clients(fd, &template, |_| &state[..]);
-        Ok(RunResult {
-            method: self.name().to_string(),
-            final_acc: average_accuracy(&per_client_acc),
-            per_client_acc,
-            history,
-            num_clusters: Some(1),
-            total_mb: transport.meter().total_mb(),
-            faults: transport.telemetry(),
-        })
+        Ok(s)
     }
+
+    fn round(&self, s: &mut FedDynState, ctx: &mut RoundCtx<'_>, round: usize) {
+        let num_params = ctx.template.num_params();
+        let state_len = s.state.len();
+        let sampled = sample_clients(ctx.fd.num_clients(), ctx.cfg, round);
+        let delivered = ctx.transport.broadcast(round, &sampled, state_len);
+        let trained: Vec<(usize, Vec<f32>)> = delivered
+            .par_iter()
+            .map(|&client| (client, self.local_train(s, ctx, client, round)))
+            .collect();
+
+        // The dual update uses the client-side w and persists whether
+        // or not the upload makes it; the server aggregates only the
+        // uploads that survive the uplink and the quarantine screen.
+        let mut results: Vec<(Vec<f32>, f32)> = Vec::with_capacity(trained.len());
+        for (client, mut payload) in trained {
+            for ((l, &w), &g) in s.lambdas[client].iter_mut().zip(&payload).zip(&s.state) {
+                *l -= self.alpha * (w - g);
+            }
+            // The payload is the client's state vector, so a "stale"
+            // corruption replays the broadcast global state.
+            if ctx.upload(round, client, &mut payload, Some(&s.state)) {
+                results.push((payload, ctx.fd.clients[client].train_samples() as f32));
+            }
+        }
+        // An empty survivor set leaves θ, h and the duals as they are.
+        if results.is_empty() {
+            return;
+        }
+        // Server state from the surviving uploads.
+        let n = results.len() as f64;
+        let mut mean_w = vec![0.0f64; num_params];
+        for (w, _) in &results {
+            for (m, &wj) in mean_w.iter_mut().zip(w) {
+                *m += wj as f64 / n;
+            }
+        }
+        for ((h, &m), &g) in s.h.iter_mut().zip(&mean_w).zip(&s.state) {
+            *h -= self.alpha * (m as f32 - g);
+        }
+        for ((g, &m), &h) in s.state.iter_mut().zip(&mean_w).zip(&s.h) {
+            *g = m as f32 - h / self.alpha;
+        }
+        if state_len > num_params {
+            let items: Vec<(&[f32], f32)> = results
+                .iter()
+                .map(|(w, weight)| (&w[num_params..], *weight))
+                .collect();
+            let avg = weighted_average(&items);
+            s.state[num_params..].copy_from_slice(&avg);
+        }
+    }
+
+    fn snapshot(&self, s: &FedDynState) -> MethodState {
+        MethodState::FedDyn(s.clone())
+    }
+
+    fn evaluate(&self, s: &FedDynState, ctx: &RoundCtx<'_>) -> Vec<f32> {
+        evaluate_clients(ctx.fd, &ctx.template, |_| &s.state[..])
+    }
+
+    fn num_clusters(&self, _: &FedDynState) -> Option<usize> {
+        Some(1)
+    }
+
+    fn finish(&self, _: FedDynState, _: RoundCtx<'_>) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedclust_data::{DatasetProfile, Partition};
+    use crate::config::FlConfig;
+    use crate::methods::FlMethod;
+    use fedclust_data::{DatasetProfile, FederatedDataset, Partition};
 
     fn tiny_fd(seed: u64) -> FederatedDataset {
         FederatedDataset::build(

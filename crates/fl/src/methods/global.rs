@@ -2,38 +2,41 @@
 //!
 //! All three share the FedAvg skeleton (sample → local train → aggregate)
 //! and differ only in the local objective (FedProx's proximal term) or the
-//! aggregation rule (FedNova's normalised averaging).
+//! aggregation rule (FedNova's normalised averaging), so they share one
+//! [`Method`] impl and each is just a [`Global`] impl: a name, a μ, an
+//! aggregation function.
 
-use crate::checkpoint::{
-    check_len, run_without_checkpoints, Checkpoint, CheckpointError, Checkpointer, MethodState,
-};
-use crate::config::FlConfig;
+use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
+use crate::driver::{Method, RoundCtx};
 use crate::engine::{
-    average_accuracy, evaluate_clients, init_model, sample_clients, train_round, weighted_average,
+    average_updates, evaluate_clients, sample_clients, weighted_average, ClientUpdate,
 };
-use crate::faults::Transport;
-use crate::methods::FlMethod;
-use crate::metrics::{RoundRecord, RunResult};
-use fedclust_data::FederatedDataset;
 
-/// Which member of the FedAvg family to run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum GlobalVariant {
-    /// Plain FedAvg.
-    FedAvg,
-    /// FedProx with proximal coefficient μ.
-    FedProx {
-        /// Proximal coefficient.
-        mu: f32,
-    },
-    /// FedNova normalised averaging.
-    FedNova,
+/// A member of the FedAvg family: one global model, trained by the
+/// standard round trip and replaced each round by [`Global::aggregate`].
+pub trait Global: Sync {
+    /// Display name (see [`Method::NAME`]).
+    const NAME: &'static str;
+    /// Proximal coefficient μ of the local objective, if any.
+    fn prox_mu(&self) -> Option<f32> {
+        None
+    }
+    /// The next global state from the current one and a round's surviving
+    /// updates (never empty). `num_params` is where the parameters end and
+    /// the extra state (batch-norm statistics) begins.
+    fn aggregate(global: &[f32], updates: &[ClientUpdate], num_params: usize) -> Vec<f32> {
+        let _ = (global, num_params);
+        average_updates(updates)
+    }
 }
-use GlobalVariant as Variant;
 
 /// Vanilla FedAvg (McMahan et al. 2017).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FedAvg;
+
+impl Global for FedAvg {
+    const NAME: &'static str = "FedAvg";
+}
 
 /// FedProx (Li et al. 2020): FedAvg with a proximal term μ/2·‖w − w_g‖² in
 /// every client's local objective.
@@ -49,242 +52,114 @@ impl Default for FedProx {
     }
 }
 
+impl Global for FedProx {
+    const NAME: &'static str = "FedProx";
+    fn prox_mu(&self) -> Option<f32> {
+        Some(self.mu)
+    }
+}
+
 /// FedNova (Wang et al. 2020): normalises each client's cumulative update
 /// by its local step count τ_i before averaging, removing objective
 /// inconsistency when clients take different numbers of steps.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FedNova;
 
-impl FlMethod for FedAvg {
-    fn name(&self) -> &'static str {
-        "FedAvg"
-    }
-    fn run(&self, fd: &FederatedDataset, cfg: &FlConfig) -> RunResult {
-        run_without_checkpoints(|ckpt| self.run_resumable(fd, cfg, ckpt))
-    }
-    fn run_resumable(
-        &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-    ) -> Result<RunResult, CheckpointError> {
-        run_global(Variant::FedAvg, self.name(), fd, cfg, ckpt)
-    }
-}
-
-impl FlMethod for FedProx {
-    fn name(&self) -> &'static str {
-        "FedProx"
-    }
-    fn run(&self, fd: &FederatedDataset, cfg: &FlConfig) -> RunResult {
-        run_without_checkpoints(|ckpt| self.run_resumable(fd, cfg, ckpt))
-    }
-    fn run_resumable(
-        &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-    ) -> Result<RunResult, CheckpointError> {
-        run_global(Variant::FedProx { mu: self.mu }, self.name(), fd, cfg, ckpt)
-    }
-}
-
-impl FlMethod for FedNova {
-    fn name(&self) -> &'static str {
-        "FedNova"
-    }
-    fn run(&self, fd: &FederatedDataset, cfg: &FlConfig) -> RunResult {
-        run_without_checkpoints(|ckpt| self.run_resumable(fd, cfg, ckpt))
-    }
-    fn run_resumable(
-        &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-    ) -> Result<RunResult, CheckpointError> {
-        run_global(Variant::FedNova, self.name(), fd, cfg, ckpt)
-    }
-}
-
-fn run_global(
-    variant: Variant,
-    name: &str,
-    fd: &FederatedDataset,
-    cfg: &FlConfig,
-    ckpt: &mut Checkpointer,
-) -> Result<RunResult, CheckpointError> {
-    let template = init_model(fd, cfg);
-    let state_len = template.state_len();
-    let num_params = template.num_params();
-    let mut global = template.state_vec();
-    let mut transport = Transport::new(cfg);
-    let mut history = Vec::new();
-    let mut start_round = 0;
-
-    if let Some(cp) = ckpt.resume_point(name, cfg.seed)? {
-        let MethodState::Global { state } = cp.state else {
-            return Err(CheckpointError::WrongState(format!(
-                "{} cannot resume from a {} checkpoint",
-                name,
-                cp.state.kind()
-            )));
-        };
-        check_len("global state", state.len(), state_len)?;
-        global = state;
-        start_round = cp.next_round;
-        history = cp.history;
-        transport.restore_comm_state(cp.meter, cp.telemetry, cp.residuals);
-    }
-
-    for round in start_round..cfg.rounds {
-        let sampled = sample_clients(fd.num_clients(), cfg, round);
-        let prox = match variant {
-            Variant::FedProx { mu } => Some(mu),
-            _ => None,
-        };
-        let updates = train_round(
-            fd,
-            cfg,
-            &template,
-            &global,
-            &sampled,
-            round,
-            prox,
-            &mut transport,
-        );
-
-        global = aggregate(variant, &global, &updates, num_params, state_len);
-
-        if cfg.should_eval(round) {
-            let per_client = evaluate_clients(fd, &template, |_| &global[..]);
-            history.push(RoundRecord {
-                round: round + 1,
-                avg_acc: average_accuracy(&per_client),
-                cum_mb: transport.meter().total_mb(),
-            });
+impl Global for FedNova {
+    const NAME: &'static str = "FedNova";
+    /// Normalised averaging over the *parameter* part:
+    ///   th <- th - tau_eff * sum p_i (th - th_i)/tau_i,
+    /// with p_i = n_i/sum n and tau_eff = sum p_i tau_i. The extra state
+    /// (batch-norm statistics) has no step-count semantics and is plainly
+    /// weight-averaged.
+    fn aggregate(global: &[f32], updates: &[ClientUpdate], num_params: usize) -> Vec<f32> {
+        let mut out = global.to_vec();
+        let total_w: f64 = updates.iter().map(|u| u.weight as f64).sum();
+        let tau_eff: f64 = updates
+            .iter()
+            .map(|u| (u.weight as f64 / total_w) * u.steps as f64)
+            .sum();
+        let mut direction = vec![0.0f64; num_params];
+        for u in updates {
+            let p = u.weight as f64 / total_w;
+            let tau = (u.steps as f64).max(1.0);
+            for (d, (g, l)) in direction
+                .iter_mut()
+                .zip(global[..num_params].iter().zip(&u.state[..num_params]))
+            {
+                *d += p * ((*g as f64) - (*l as f64)) / tau;
+            }
         }
-
-        ckpt.on_round_end(round, || Checkpoint {
-            method: name.to_string(),
-            seed: cfg.seed,
-            next_round: round + 1,
-            meter: transport.meter().clone(),
-            telemetry: transport.telemetry(),
-            history: history.clone(),
-            state: MethodState::Global {
-                state: global.clone(),
-            },
-            residuals: transport.codec_residuals(),
-        })?;
-    }
-
-    let per_client_acc = evaluate_clients(fd, &template, |_| &global[..]);
-    Ok(RunResult {
-        method: name.to_string(),
-        final_acc: average_accuracy(&per_client_acc),
-        per_client_acc,
-        history,
-        num_clusters: Some(1),
-        total_mb: transport.meter().total_mb(),
-        faults: transport.telemetry(),
-    })
-}
-
-/// The final global state of a FedAvg-family run (used by the newcomer
-/// experiment, which hands the global model to unseen clients).
-pub fn train_global_model(
-    fd: &FederatedDataset,
-    cfg: &FlConfig,
-    variant: GlobalVariant,
-) -> Vec<f32> {
-    let template = init_model(fd, cfg);
-    let num_params = template.num_params();
-    let state_len = template.state_len();
-    let mut global = template.state_vec();
-    let mut transport = Transport::new(cfg);
-    let prox = match variant {
-        Variant::FedProx { mu } => Some(mu),
-        _ => None,
-    };
-    for round in 0..cfg.rounds {
-        let sampled = sample_clients(fd.num_clients(), cfg, round);
-        let updates = train_round(
-            fd,
-            cfg,
-            &template,
-            &global,
-            &sampled,
-            round,
-            prox,
-            &mut transport,
-        );
-        global = aggregate(variant, &global, &updates, num_params, state_len);
-    }
-    global
-}
-
-/// Apply one round's aggregation rule to the global state.
-fn aggregate(
-    variant: GlobalVariant,
-    global: &[f32],
-    updates: &[crate::engine::ClientUpdate],
-    num_params: usize,
-    state_len: usize,
-) -> Vec<f32> {
-    if updates.is_empty() {
-        // Every update was lost or quarantined: carry the model forward.
-        return global.to_vec();
-    }
-    match variant {
-        Variant::FedAvg | Variant::FedProx { .. } => {
+        for (g, d) in out[..num_params].iter_mut().zip(&direction) {
+            *g = ((*g as f64) - tau_eff * d) as f32;
+        }
+        if global.len() > num_params {
             let items: Vec<(&[f32], f32)> = updates
                 .iter()
-                .map(|u| (u.state.as_slice(), u.weight))
+                .map(|u| (&u.state[num_params..], u.weight))
                 .collect();
-            weighted_average(&items)
+            let extra = weighted_average(&items);
+            out[num_params..].copy_from_slice(&extra);
         }
-        Variant::FedNova => {
-            // Normalised averaging over the *parameter* part:
-            //   th <- th - tau_eff * sum p_i (th - th_i)/tau_i,
-            // with p_i = n_i/sum n and tau_eff = sum p_i tau_i. The extra
-            // state (batch-norm statistics) has no step-count semantics and
-            // is plainly weight-averaged.
-            let mut out = global.to_vec();
-            let total_w: f64 = updates.iter().map(|u| u.weight as f64).sum();
-            let tau_eff: f64 = updates
-                .iter()
-                .map(|u| (u.weight as f64 / total_w) * u.steps as f64)
-                .sum();
-            let mut direction = vec![0.0f64; num_params];
-            for u in updates {
-                let p = u.weight as f64 / total_w;
-                let tau = (u.steps as f64).max(1.0);
-                for (d, (g, l)) in direction
-                    .iter_mut()
-                    .zip(global[..num_params].iter().zip(&u.state[..num_params]))
-                {
-                    *d += p * ((*g as f64) - (*l as f64)) / tau;
-                }
-            }
-            for (g, d) in out[..num_params].iter_mut().zip(&direction) {
-                *g = ((*g as f64) - tau_eff * d) as f32;
-            }
-            if state_len > num_params {
-                let items: Vec<(&[f32], f32)> = updates
-                    .iter()
-                    .map(|u| (&u.state[num_params..], u.weight))
-                    .collect();
-                let extra = weighted_average(&items);
-                out[num_params..].copy_from_slice(&extra);
-            }
-            out
+        out
+    }
+}
+
+/// The artifact of a FedAvg-family run is its final global state (the
+/// newcomer experiment hands it to unseen clients).
+impl<G: Global> Method for G {
+    const NAME: &'static str = G::NAME;
+    const DISTRIBUTES: bool = true;
+    type State = Vec<f32>;
+    type Artifacts = Vec<f32>;
+
+    fn init(&self, ctx: &mut RoundCtx<'_>) -> Vec<f32> {
+        ctx.template.state_vec()
+    }
+
+    fn restore(&self, ctx: &RoundCtx<'_>, saved: MethodState) -> Result<Vec<f32>, CheckpointError> {
+        let MethodState::Global { state } = saved else {
+            return Err(wrong_state(G::NAME, &saved));
+        };
+        check_len("global state", state.len(), ctx.template.state_len())?;
+        Ok(state)
+    }
+
+    fn round(&self, global: &mut Vec<f32>, ctx: &mut RoundCtx<'_>, round: usize) {
+        let sampled = sample_clients(ctx.fd.num_clients(), ctx.cfg, round);
+        let updates = ctx.train_round(global, &sampled, round, self.prox_mu());
+        // With every update lost or quarantined the model carries forward.
+        if !updates.is_empty() {
+            *global = G::aggregate(global, &updates, ctx.template.num_params());
         }
+    }
+
+    fn snapshot(&self, global: &Vec<f32>) -> MethodState {
+        MethodState::Global {
+            state: global.clone(),
+        }
+    }
+
+    fn evaluate(&self, global: &Vec<f32>, ctx: &RoundCtx<'_>) -> Vec<f32> {
+        evaluate_clients(ctx.fd, &ctx.template, |_| &global[..])
+    }
+
+    fn num_clusters(&self, _: &Vec<f32>) -> Option<usize> {
+        Some(1)
+    }
+
+    fn finish(&self, global: Vec<f32>, _: RoundCtx<'_>) -> Vec<f32> {
+        global
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FlConfig;
+    use crate::driver::{run_federation, NoCheckpoints};
+    use crate::engine::init_model;
+    use crate::methods::FlMethod;
     use fedclust_data::{DatasetProfile, FederatedDataset, Partition};
 
     fn tiny_fd(seed: u64, skew: f32) -> FederatedDataset {
@@ -395,14 +270,11 @@ mod tests {
     }
 
     #[test]
-    fn train_global_model_matches_run_trajectory() {
-        // The artifact-producing helper must follow the same rounds as the
-        // telemetry-producing run (same sampling streams, same updates).
+    fn the_artifact_is_the_state_the_final_accuracy_was_measured_on() {
         let fd = tiny_fd(6, 0.4);
         let mut cfg = FlConfig::tiny(6);
         cfg.rounds = 2;
-        let run = FedAvg.run(&fd, &cfg);
-        let state = train_global_model(&fd, &cfg, GlobalVariant::FedAvg);
+        let Ok((run, state)) = run_federation(&FedAvg, &fd, &cfg, NoCheckpoints, None);
         let template = init_model(&fd, &cfg);
         let per_client = evaluate_clients(&fd, &template, |_| &state[..]);
         let acc = crate::engine::average_accuracy(&per_client);

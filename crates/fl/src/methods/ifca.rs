@@ -7,15 +7,9 @@
 //! training data, trains it, and uploads the result tagged with the chosen
 //! cluster. The server averages per cluster.
 
-use crate::checkpoint::{
-    check_len, run_without_checkpoints, Checkpoint, CheckpointError, Checkpointer, MethodState,
-};
-use crate::config::FlConfig;
-use crate::engine::{average_accuracy, init_model, local_train, sample_clients, weighted_average};
-use crate::faults::Transport;
-use crate::methods::FlMethod;
-use crate::metrics::{RoundRecord, RunResult};
-use fedclust_data::FederatedDataset;
+use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
+use crate::driver::{Method, RoundCtx};
+use crate::engine::{evaluate_models, local_train, sample_clients, weighted_average};
 use fedclust_nn::optim::Sgd;
 use fedclust_nn::Model;
 use fedclust_tensor::rng::{derive, streams};
@@ -59,189 +53,119 @@ impl Ifca {
     }
 }
 
-impl Ifca {
-    /// Run and also return the k trained cluster states, for assigning
-    /// unseen clients post-hoc (Table 6).
-    pub fn run_detailed(
-        &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-    ) -> (RunResult, Vec<Vec<f32>>) {
-        run_without_checkpoints(|ckpt| self.run_detailed_resumable(fd, cfg, ckpt))
-    }
+/// The state and the artifact are the k cluster models (Table 6 assigns
+/// unseen clients to them post-hoc).
+impl Method for Ifca {
+    const NAME: &'static str = "IFCA";
+    type State = Vec<Vec<f32>>;
+    type Artifacts = Vec<Vec<f32>>;
 
-    /// [`Ifca::run_detailed`] with checkpoint/resume support.
-    pub fn run_detailed_resumable(
-        &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-    ) -> Result<(RunResult, Vec<Vec<f32>>), CheckpointError> {
+    fn init(&self, ctx: &mut RoundCtx<'_>) -> Vec<Vec<f32>> {
         assert!(self.k >= 1, "IFCA needs at least one cluster");
-        let template = init_model(fd, cfg);
-        let state_len = template.state_len();
+        let (fd, cfg) = (ctx.fd, ctx.cfg);
         // k independently initialised cluster models (IFCA random inits).
-        let mut states: Vec<Vec<f32>> = (0..self.k)
+        (0..self.k)
             .map(|ci| {
                 let mut rng = derive(cfg.seed, &[streams::MODEL_INIT, 100 + ci as u64]);
                 cfg.model
                     .build(fd.channels, fd.height, fd.width, fd.num_classes, &mut rng)
                     .state_vec()
             })
-            .collect();
-        let mut transport = Transport::new(cfg);
-        let mut history = Vec::new();
-        let mut start_round = 0;
-
-        if let Some(cp) = ckpt.resume_point(self.name(), cfg.seed)? {
-            let MethodState::Ifca { states: ss } = cp.state else {
-                return Err(CheckpointError::WrongState(format!(
-                    "IFCA cannot resume from a {} checkpoint",
-                    cp.state.kind()
-                )));
-            };
-            check_len("cluster models", ss.len(), self.k)?;
-            for s in &ss {
-                check_len("cluster model", s.len(), state_len)?;
-            }
-            states = ss;
-            start_round = cp.next_round;
-            history = cp.history;
-            transport.restore_comm_state(cp.meter, cp.telemetry, cp.residuals);
-        }
-
-        for round in start_round..cfg.rounds {
-            let sampled = sample_clients(fd.num_clients(), cfg, round);
-            // All k models go down in one bundle per client.
-            let delivered = transport.broadcast(round, &sampled, self.k * state_len);
-            let trained: Vec<(usize, usize, Vec<f32>, f32)> = delivered
-                .par_iter()
-                .map(|&client| {
-                    let data = &fd.clients[client];
-                    let ci = Self::best_cluster(&template, &states, data);
-                    let mut model = template.clone();
-                    model.set_state_vec(&states[ci]);
-                    let mut opt = Sgd::new(cfg.sgd());
-                    local_train(
-                        &mut model,
-                        data,
-                        &mut opt,
-                        cfg.local_epochs,
-                        cfg.batch_size,
-                        cfg.seed,
-                        client,
-                        round,
-                    );
-                    (client, ci, model.state_vec(), data.train_samples() as f32)
-                })
-                .collect();
-            let mut updates: Vec<(usize, Vec<f32>, f32)> = Vec::with_capacity(trained.len());
-            for (client, ci, mut state, w) in trained {
-                // Stale corruption replays the cluster model the client
-                // started from (still unaggregated at upload time).
-                if transport.uplink(
-                    round,
-                    client,
-                    &mut state,
-                    Some(&states[ci]),
-                    Some(&states[ci]),
-                ) && transport.screen(&state, state_len)
-                {
-                    updates.push((ci, state, w));
-                }
-            }
-            for (ci, state) in states.iter_mut().enumerate() {
-                let items: Vec<(&[f32], f32)> = updates
-                    .iter()
-                    .filter(|(c, _, _)| *c == ci)
-                    .map(|(_, s, w)| (s.as_slice(), *w))
-                    .collect();
-                if !items.is_empty() {
-                    *state = weighted_average(&items);
-                }
-            }
-
-            if cfg.should_eval(round) {
-                let per_client = self.evaluate(fd, &template, &states);
-                history.push(RoundRecord {
-                    round: round + 1,
-                    avg_acc: average_accuracy(&per_client),
-                    cum_mb: transport.meter().total_mb(),
-                });
-            }
-
-            ckpt.on_round_end(round, || Checkpoint {
-                method: self.name().to_string(),
-                seed: cfg.seed,
-                next_round: round + 1,
-                meter: transport.meter().clone(),
-                telemetry: transport.telemetry(),
-                history: history.clone(),
-                state: MethodState::Ifca {
-                    states: states.clone(),
-                },
-                residuals: transport.codec_residuals(),
-            })?;
-        }
-
-        let per_client_acc = self.evaluate(fd, &template, &states);
-        let result = RunResult {
-            method: self.name().to_string(),
-            final_acc: average_accuracy(&per_client_acc),
-            per_client_acc,
-            history,
-            num_clusters: Some(self.k),
-            total_mb: transport.meter().total_mb(),
-            faults: transport.telemetry(),
-        };
-        Ok((result, states))
-    }
-}
-
-impl FlMethod for Ifca {
-    fn name(&self) -> &'static str {
-        "IFCA"
+            .collect()
     }
 
-    fn run(&self, fd: &FederatedDataset, cfg: &FlConfig) -> RunResult {
-        self.run_detailed(fd, cfg).0
-    }
-
-    fn run_resumable(
+    fn restore(
         &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-    ) -> Result<RunResult, CheckpointError> {
-        Ok(self.run_detailed_resumable(fd, cfg, ckpt)?.0)
+        ctx: &RoundCtx<'_>,
+        saved: MethodState,
+    ) -> Result<Vec<Vec<f32>>, CheckpointError> {
+        let MethodState::Ifca { states } = saved else {
+            return Err(wrong_state(Self::NAME, &saved));
+        };
+        check_len("cluster models", states.len(), self.k)?;
+        for s in &states {
+            check_len("cluster model", s.len(), ctx.template.state_len())?;
+        }
+        Ok(states)
     }
-}
 
-impl Ifca {
-    fn evaluate(&self, fd: &FederatedDataset, template: &Model, states: &[Vec<f32>]) -> Vec<f32> {
-        (0..fd.num_clients())
-            .into_par_iter()
-            .map(|client| {
+    fn round(&self, states: &mut Vec<Vec<f32>>, ctx: &mut RoundCtx<'_>, round: usize) {
+        let (fd, cfg, template) = (ctx.fd, ctx.cfg, &ctx.template);
+        let state_len = template.state_len();
+        let sampled = sample_clients(fd.num_clients(), cfg, round);
+        // All k models go down in one bundle per client.
+        let delivered = ctx.transport.broadcast(round, &sampled, self.k * state_len);
+        let trained: Vec<(usize, usize, Vec<f32>, f32)> = delivered
+            .par_iter()
+            .map(|&client| {
                 let data = &fd.clients[client];
                 let ci = Self::best_cluster(template, states, data);
                 let mut model = template.clone();
                 model.set_state_vec(&states[ci]);
-                let test = &data.test;
-                if test.is_empty() {
-                    return 0.0;
-                }
-                let idx: Vec<usize> = (0..test.len()).collect();
-                let (x, y) = test.batch(&idx);
-                model.evaluate(x, &y).1
+                let mut opt = Sgd::new(cfg.sgd());
+                local_train(
+                    &mut model,
+                    data,
+                    &mut opt,
+                    cfg.local_epochs,
+                    cfg.batch_size,
+                    cfg.seed,
+                    client,
+                    round,
+                );
+                (client, ci, model.state_vec(), data.train_samples() as f32)
             })
-            .collect()
+            .collect();
+        let mut updates: Vec<(usize, Vec<f32>, f32)> = Vec::with_capacity(trained.len());
+        for (client, ci, mut state, w) in trained {
+            // Stale corruption replays the cluster model the client
+            // started from (still unaggregated at upload time).
+            if ctx.upload(round, client, &mut state, Some(&states[ci])) {
+                updates.push((ci, state, w));
+            }
+        }
+        for (ci, state) in states.iter_mut().enumerate() {
+            let items: Vec<(&[f32], f32)> = updates
+                .iter()
+                .filter(|(c, _, _)| *c == ci)
+                .map(|(_, s, w)| (s.as_slice(), *w))
+                .collect();
+            if !items.is_empty() {
+                *state = weighted_average(&items);
+            }
+        }
+    }
+
+    fn snapshot(&self, states: &Vec<Vec<f32>>) -> MethodState {
+        MethodState::Ifca {
+            states: states.clone(),
+        }
+    }
+
+    fn evaluate(&self, states: &Vec<Vec<f32>>, ctx: &RoundCtx<'_>) -> Vec<f32> {
+        evaluate_models(ctx.fd, |client| {
+            let ci = Self::best_cluster(&ctx.template, states, &ctx.fd.clients[client]);
+            let mut model = ctx.template.clone();
+            model.set_state_vec(&states[ci]);
+            model
+        })
+    }
+
+    fn num_clusters(&self, _: &Vec<Vec<f32>>) -> Option<usize> {
+        Some(self.k)
+    }
+
+    fn finish(&self, states: Vec<Vec<f32>>, _: RoundCtx<'_>) -> Vec<Vec<f32>> {
+        states
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedclust_data::{DatasetProfile, Partition};
+    use crate::config::FlConfig;
+    use crate::methods::FlMethod;
+    use fedclust_data::{DatasetProfile, FederatedDataset, Partition};
 
     #[test]
     fn ifca_downlink_is_k_times_fedavg() {

@@ -6,18 +6,11 @@
 //! communicated and averaged — hence its tiny communication cost in the
 //! paper's Table 5.
 
-use crate::checkpoint::{
-    check_len, run_without_checkpoints, Checkpoint, CheckpointError, Checkpointer, MethodState,
-};
-use crate::config::FlConfig;
-use crate::engine::{
-    average_accuracy, init_model, local_train, sample_clients, weighted_average_or,
-};
-use crate::faults::Transport;
-use crate::methods::FlMethod;
-use crate::metrics::{RoundRecord, RunResult};
-use fedclust_data::FederatedDataset;
+use crate::checkpoint::{check_len, wrong_state, CheckpointError, LgState, MethodState};
+use crate::driver::{Method, RoundCtx};
+use crate::engine::{evaluate_models, local_train, sample_clients, weighted_average_or};
 use fedclust_nn::optim::Sgd;
+use fedclust_nn::Model;
 use rayon::prelude::*;
 
 /// LG-FedAvg with the paper's split: the last two parameter blocks are
@@ -45,198 +38,126 @@ pub struct LgArtifacts {
 }
 
 impl LgFedAvg {
-    /// Run and keep the trained global head (Table 6).
-    pub fn run_detailed(&self, fd: &FederatedDataset, cfg: &FlConfig) -> (RunResult, LgArtifacts) {
-        run_without_checkpoints(|ckpt| self.run_detailed_resumable(fd, cfg, ckpt))
-    }
-
-    /// [`LgFedAvg::run_detailed`] with checkpoint/resume support.
-    pub fn run_detailed_resumable(
-        &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-    ) -> Result<(RunResult, LgArtifacts), CheckpointError> {
-        let template = init_model(fd, cfg);
+    /// Offset (in the state vector) where the global part begins.
+    fn split(&self, template: &Model) -> usize {
         let blocks = template.param_blocks();
         assert!(
             self.global_blocks < blocks.len(),
             "need at least one local block"
         );
-        // Offset (in the param vector) where the global part begins.
-        let split = blocks[blocks.len() - self.global_blocks].offset;
-        let num_params = template.num_params();
-        let state_len = template.state_len();
-        // The communicated payload: global param blocks + any extra state
-        // (batch-norm stats travel with the global part).
-        let comm_len = (num_params - split) + (state_len - num_params);
+        blocks[blocks.len() - self.global_blocks].offset
+    }
+}
 
-        let init_state = template.state_vec();
-        let mut global_part: Vec<f32> = init_state[split..].to_vec();
+impl Method for LgFedAvg {
+    const NAME: &'static str = "LG";
+    type State = LgState;
+    type Artifacts = LgArtifacts;
+
+    fn init(&self, ctx: &mut RoundCtx<'_>) -> LgState {
         // All clients start from the same θ⁰ (random init, as the paper
-        // configures LG for fairness).
-        let mut client_states: Vec<Vec<f32>> = vec![init_state.clone(); fd.num_clients()];
-        let mut transport = Transport::new(cfg);
-        let mut history = Vec::new();
-        let mut start_round = 0;
-
-        if let Some(cp) = ckpt.resume_point(self.name(), cfg.seed)? {
-            let MethodState::Lg {
-                global_part: gp,
-                client_states: cs,
-            } = cp.state
-            else {
-                return Err(CheckpointError::WrongState(format!(
-                    "LG cannot resume from a {} checkpoint",
-                    cp.state.kind()
-                )));
-            };
-            check_len("global tail", gp.len(), init_state.len() - split)?;
-            check_len("client states", cs.len(), fd.num_clients())?;
-            for s in &cs {
-                check_len("client state", s.len(), state_len)?;
-            }
-            global_part = gp;
-            client_states = cs;
-            start_round = cp.next_round;
-            history = cp.history;
-            transport.restore_comm_state(cp.meter, cp.telemetry, cp.residuals);
+        // configures LG for fairness). The communicated tail is the global
+        // param blocks + any extra state (batch-norm stats travel with it).
+        let init_state = ctx.template.state_vec();
+        LgState {
+            global_part: init_state[self.split(&ctx.template)..].to_vec(),
+            client_states: vec![init_state; ctx.fd.num_clients()],
         }
+    }
 
-        for round in start_round..cfg.rounds {
-            let sampled = sample_clients(fd.num_clients(), cfg, round);
-            // Only the global tail travels; clients the downlink never
-            // reaches sit the round out entirely.
-            let delivered = transport.broadcast(round, &sampled, comm_len);
-            let trained: Vec<(usize, Vec<f32>, f32)> = delivered
-                .par_iter()
-                .map(|&client| {
-                    let mut state = client_states[client].clone();
-                    state[split..].copy_from_slice(&global_part);
-                    let mut model = template.clone();
-                    model.set_state_vec(&state);
-                    let mut opt = Sgd::new(cfg.sgd());
-                    local_train(
-                        &mut model,
-                        &fd.clients[client],
-                        &mut opt,
-                        cfg.local_epochs,
-                        cfg.batch_size,
-                        cfg.seed,
-                        client,
-                        round,
-                    );
-                    (
-                        client,
-                        model.state_vec(),
-                        fd.clients[client].train_samples() as f32,
-                    )
-                })
-                .collect();
-            // Clients persist their full new state (local part matters)
-            // even when the upload is lost — losing the uplink does not
-            // undo local training. The server averages only the global
-            // tails that survive the uplink and the quarantine screen.
-            let mut tails: Vec<(Vec<f32>, f32)> = Vec::with_capacity(trained.len());
-            for (client, state, w) in trained {
-                let mut tail = state[split..].to_vec();
-                if transport.uplink(
-                    round,
-                    client,
-                    &mut tail,
-                    Some(&global_part),
-                    Some(&global_part),
-                ) && transport.screen(&tail, comm_len)
-                {
-                    tails.push((tail, w));
-                }
-                client_states[client] = state;
-            }
-            let items: Vec<(&[f32], f32)> = tails.iter().map(|(t, w)| (t.as_slice(), *w)).collect();
-            global_part = weighted_average_or(&items, &global_part);
-
-            if cfg.should_eval(round) {
-                let per_client = self.evaluate(fd, &template, &client_states, &global_part, split);
-                history.push(RoundRecord {
-                    round: round + 1,
-                    avg_acc: average_accuracy(&per_client),
-                    cum_mb: transport.meter().total_mb(),
-                });
-            }
-
-            ckpt.on_round_end(round, || Checkpoint {
-                method: self.name().to_string(),
-                seed: cfg.seed,
-                next_round: round + 1,
-                meter: transport.meter().clone(),
-                telemetry: transport.telemetry(),
-                history: history.clone(),
-                state: MethodState::Lg {
-                    global_part: global_part.clone(),
-                    client_states: client_states.clone(),
-                },
-                residuals: transport.codec_residuals(),
-            })?;
-        }
-
-        let per_client_acc = self.evaluate(fd, &template, &client_states, &global_part, split);
-        let result = RunResult {
-            method: self.name().to_string(),
-            final_acc: average_accuracy(&per_client_acc),
-            per_client_acc,
-            history,
-            num_clusters: None,
-            total_mb: transport.meter().total_mb(),
-            faults: transport.telemetry(),
+    fn restore(&self, ctx: &RoundCtx<'_>, saved: MethodState) -> Result<LgState, CheckpointError> {
+        let MethodState::Lg(s) = saved else {
+            return Err(wrong_state(Self::NAME, &saved));
         };
-        Ok((result, LgArtifacts { global_part, split }))
-    }
-}
-
-impl FlMethod for LgFedAvg {
-    fn name(&self) -> &'static str {
-        "LG"
-    }
-
-    fn run(&self, fd: &FederatedDataset, cfg: &FlConfig) -> RunResult {
-        self.run_detailed(fd, cfg).0
+        let state_len = ctx.template.state_len();
+        let tail = state_len - self.split(&ctx.template);
+        check_len("global tail", s.global_part.len(), tail)?;
+        check_len("client states", s.client_states.len(), ctx.fd.num_clients())?;
+        for cs in &s.client_states {
+            check_len("client state", cs.len(), state_len)?;
+        }
+        Ok(s)
     }
 
-    fn run_resumable(
-        &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-    ) -> Result<RunResult, CheckpointError> {
-        Ok(self.run_detailed_resumable(fd, cfg, ckpt)?.0)
-    }
-}
-
-impl LgFedAvg {
-    fn evaluate(
-        &self,
-        fd: &FederatedDataset,
-        template: &fedclust_nn::Model,
-        client_states: &[Vec<f32>],
-        global_part: &[f32],
-        split: usize,
-    ) -> Vec<f32> {
-        let states: Vec<Vec<f32>> = client_states
-            .iter()
-            .map(|s| {
-                let mut state = s.clone();
-                state[split..].copy_from_slice(global_part);
-                state
+    fn round(&self, s: &mut LgState, ctx: &mut RoundCtx<'_>, round: usize) {
+        let (fd, cfg, template) = (ctx.fd, ctx.cfg, &ctx.template);
+        let split = self.split(template);
+        let sampled = sample_clients(fd.num_clients(), cfg, round);
+        // Only the global tail travels; clients the downlink never
+        // reaches sit the round out entirely.
+        let delivered = ctx
+            .transport
+            .broadcast(round, &sampled, s.global_part.len());
+        let trained: Vec<(usize, Vec<f32>)> = delivered
+            .par_iter()
+            .map(|&client| {
+                let mut start = s.client_states[client].clone();
+                start[split..].copy_from_slice(&s.global_part);
+                let mut model = template.clone();
+                model.set_state_vec(&start);
+                let mut opt = Sgd::new(cfg.sgd());
+                local_train(
+                    &mut model,
+                    &fd.clients[client],
+                    &mut opt,
+                    cfg.local_epochs,
+                    cfg.batch_size,
+                    cfg.seed,
+                    client,
+                    round,
+                );
+                (client, model.state_vec())
             })
             .collect();
-        crate::engine::evaluate_clients(fd, template, |c| states[c].as_slice())
+        // Clients persist their full new state (local part matters)
+        // even when the upload is lost — losing the uplink does not
+        // undo local training. The server averages only the global
+        // tails that survive the uplink and the quarantine screen.
+        let mut tails: Vec<(Vec<f32>, f32)> = Vec::with_capacity(trained.len());
+        for (client, full) in trained {
+            let mut tail = full[split..].to_vec();
+            if ctx.upload(round, client, &mut tail, Some(&s.global_part)) {
+                tails.push((tail, fd.clients[client].train_samples() as f32));
+            }
+            s.client_states[client] = full;
+        }
+        let items: Vec<(&[f32], f32)> = tails.iter().map(|(t, w)| (t.as_slice(), *w)).collect();
+        s.global_part = weighted_average_or(&items, &s.global_part);
+    }
+
+    fn snapshot(&self, s: &LgState) -> MethodState {
+        MethodState::Lg(s.clone())
+    }
+
+    fn evaluate(&self, s: &LgState, ctx: &RoundCtx<'_>) -> Vec<f32> {
+        let split = self.split(&ctx.template);
+        evaluate_models(ctx.fd, |client| {
+            let mut full = s.client_states[client].clone();
+            full[split..].copy_from_slice(&s.global_part);
+            let mut model = ctx.template.clone();
+            model.set_state_vec(&full);
+            model
+        })
+    }
+
+    fn num_clusters(&self, _: &LgState) -> Option<usize> {
+        None
+    }
+
+    fn finish(&self, s: LgState, ctx: RoundCtx<'_>) -> LgArtifacts {
+        LgArtifacts {
+            global_part: s.global_part,
+            split: self.split(&ctx.template),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedclust_data::{DatasetProfile, Partition};
+    use crate::config::FlConfig;
+    use crate::methods::FlMethod;
+    use fedclust_data::{DatasetProfile, FederatedDataset, Partition};
 
     #[test]
     fn lg_communicates_less_than_fedavg() {

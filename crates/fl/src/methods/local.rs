@@ -1,7 +1,8 @@
 //! The `Local` baseline: every client trains alone, no communication.
 
+use crate::checkpoint::{CheckpointError, Checkpointer};
 use crate::config::FlConfig;
-use crate::engine::{average_accuracy, init_model, local_train};
+use crate::engine::{average_accuracy, init_model, local_train, RemoteTrainer};
 use crate::methods::FlMethod;
 use crate::metrics::{RoundRecord, RunResult};
 use fedclust_data::FederatedDataset;
@@ -26,9 +27,25 @@ impl Default for LocalOnly {
     }
 }
 
+/// No server and no rounds, so not a [`crate::driver::Method`]: there is
+/// nothing to checkpoint, resume or distribute.
 impl FlMethod for LocalOnly {
     fn name(&self) -> &'static str {
         "Local"
+    }
+
+    fn distributes(&self) -> bool {
+        false
+    }
+
+    fn run_hosted(
+        &self,
+        fd: &FederatedDataset,
+        cfg: &FlConfig,
+        _: &mut Checkpointer,
+        _: Option<&dyn RemoteTrainer>,
+    ) -> Result<RunResult, CheckpointError> {
+        Ok(self.run(fd, cfg))
     }
 
     fn run(&self, fd: &FederatedDataset, cfg: &FlConfig) -> RunResult {

@@ -1,13 +1,9 @@
 //! The baseline FL methods the paper compares against.
 //!
-//! All methods implement [`FlMethod`], returning a [`RunResult`] with the
-//! same telemetry, so the experiment harnesses treat FedClust and every
-//! baseline uniformly.
-
-use crate::checkpoint::{CheckpointError, Checkpointer};
-use crate::config::FlConfig;
-use crate::metrics::RunResult;
-use fedclust_data::FederatedDataset;
+//! Each method is a [`crate::driver::Method`] impl — its server state and
+//! one round's update rule — run by [`crate::driver::run_federation`], and
+//! is boxed as an [`FlMethod`] so the experiment harnesses treat FedClust
+//! and every baseline uniformly.
 
 pub mod cfl;
 pub mod feddyn;
@@ -19,6 +15,7 @@ pub mod pacfl;
 pub mod perfedavg;
 pub mod scaffold;
 
+pub use crate::driver::FlMethod;
 pub use cfl::Cfl;
 pub use feddyn::FedDyn;
 pub use global::{FedAvg, FedNova, FedProx};
@@ -28,34 +25,6 @@ pub use local::LocalOnly;
 pub use pacfl::Pacfl;
 pub use perfedavg::PerFedAvg;
 pub use scaffold::Scaffold;
-
-/// A federated learning method that can run a full experiment.
-pub trait FlMethod: Sync {
-    /// Display name, matching the paper's tables (e.g. `"FedAvg"`).
-    fn name(&self) -> &'static str;
-
-    /// Run the method on a federated dataset and return its telemetry.
-    fn run(&self, fd: &FederatedDataset, cfg: &FlConfig) -> RunResult;
-
-    /// Run with durable checkpointing: consult `ckpt` for a resume point
-    /// before round 0, write a checkpoint at the cadence it dictates, and
-    /// continue **bit-identically** from a restored snapshot (all engine
-    /// RNG derives statelessly from `(seed, stream, round, client)`, so a
-    /// resumed run matches an uninterrupted one byte for byte).
-    ///
-    /// The default implementation ignores `ckpt` and runs from scratch —
-    /// correct for methods without cross-round server state (e.g. purely
-    /// local training). Every federated method overrides it.
-    fn run_resumable(
-        &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-    ) -> Result<RunResult, CheckpointError> {
-        let _ = ckpt;
-        Ok(self.run(fd, cfg))
-    }
-}
 
 /// All nine baselines with the paper's hyper-parameters, in table order.
 /// (FedClust itself is provided by the `fedclust` crate.)

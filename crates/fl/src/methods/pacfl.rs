@@ -7,16 +7,9 @@
 //! principal angles between subspaces, clusters with hierarchical
 //! clustering, and then trains one FedAvg model per cluster.
 
-use crate::checkpoint::{
-    check_len, run_without_checkpoints, Checkpoint, CheckpointError, Checkpointer, MethodState,
-};
-use crate::config::FlConfig;
-use crate::engine::{
-    average_accuracy, evaluate_clients, init_model, sample_clients, train_round, weighted_average,
-};
-use crate::faults::Transport;
-use crate::methods::FlMethod;
-use crate::metrics::{RoundRecord, RunResult};
+use crate::checkpoint::{check_labels, check_len, wrong_state, CheckpointError, MethodState};
+use crate::driver::{Method, RoundCtx};
+use crate::engine::evaluate_clients;
 use fedclust_cluster::hac::{agglomerative, Linkage};
 use fedclust_cluster::ProximityMatrix;
 use fedclust_data::FederatedDataset;
@@ -78,9 +71,10 @@ impl Pacfl {
     }
 }
 
-/// What a PACFL run leaves on the server: trained cluster states, the
-/// client→cluster assignment, and the member subspace bases (so unseen
-/// clients can be matched by principal angles, as PACFL prescribes).
+/// What a PACFL run leaves on the server (and carries from round to
+/// round): trained cluster states, the client→cluster assignment, and the
+/// member subspace bases (so unseen clients can be matched by principal
+/// angles, as PACFL prescribes).
 pub struct PacflArtifacts {
     /// One trained state per cluster.
     pub states: Vec<Vec<f32>>,
@@ -90,175 +84,82 @@ pub struct PacflArtifacts {
     pub bases: Vec<Tensor>,
 }
 
-impl Pacfl {
-    /// Run and keep the trained federation artifacts (Table 6).
-    pub fn run_detailed(
-        &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-    ) -> (RunResult, PacflArtifacts) {
-        run_without_checkpoints(|ckpt| self.run_detailed_resumable(fd, cfg, ckpt))
+impl Method for Pacfl {
+    const NAME: &'static str = "PACFL";
+    const DISTRIBUTES: bool = true;
+    type State = PacflArtifacts;
+    type Artifacts = PacflArtifacts;
+
+    /// One-shot clustering before federation. The basis exchange is a
+    /// reliable pre-federation step (PACFL assumes it), charged directly.
+    fn init(&self, ctx: &mut RoundCtx<'_>) -> PacflArtifacts {
+        let bases = self.client_bases(ctx.fd);
+        let feature_dim = ctx.fd.channels * ctx.fd.height * ctx.fd.width;
+        for b in &bases {
+            // p vectors of d floats
+            ctx.transport.meter_mut().up(b.dims()[1] * feature_dim);
+        }
+        let labels = self.cluster(&bases);
+        let k = labels.iter().copied().max().unwrap_or(0) + 1;
+        PacflArtifacts {
+            states: vec![ctx.template.state_vec(); k],
+            labels,
+            bases,
+        }
     }
 
-    /// [`Pacfl::run_detailed`] with checkpoint/resume support. The subspace
-    /// bases are recomputed on resume (they are deterministic functions of
-    /// the raw client data), but the one-shot basis exchange is *not*
-    /// re-charged: the restored meter already includes it.
-    pub fn run_detailed_resumable(
+    /// The subspace bases are recomputed on resume (they are deterministic
+    /// functions of the raw client data), but the one-shot basis exchange
+    /// is *not* re-charged: the restored meter already includes it.
+    fn restore(
         &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-    ) -> Result<(RunResult, PacflArtifacts), CheckpointError> {
-        let template = init_model(fd, cfg);
-        let state_len = template.state_len();
-        let mut transport = Transport::new(cfg);
-
-        let bases = self.client_bases(fd);
-        let mut start_round = 0;
-        let (labels, k, mut states, mut history);
-        if let Some(cp) = ckpt.resume_point(self.name(), cfg.seed)? {
-            let MethodState::Clustered {
-                states: ss,
-                labels: ls,
-            } = cp.state
-            else {
-                return Err(CheckpointError::WrongState(format!(
-                    "PACFL cannot resume from a {} checkpoint",
-                    cp.state.kind()
-                )));
-            };
-            check_len("cluster labels", ls.len(), fd.num_clients())?;
-            for s in &ss {
-                check_len("cluster state", s.len(), state_len)?;
-            }
-            k = ss.len();
-            for l in &ls {
-                if *l >= k {
-                    return Err(CheckpointError::Mismatch(format!(
-                        "cluster label {} out of range for {} clusters",
-                        l, k
-                    )));
-                }
-            }
-            labels = ls;
-            states = ss;
-            start_round = cp.next_round;
-            history = cp.history;
-            transport.restore_comm_state(cp.meter, cp.telemetry, cp.residuals);
-        } else {
-            // One-shot clustering before federation. The basis exchange is a
-            // reliable pre-federation step (PACFL assumes it), charged directly.
-            let feature_dim = fd.channels * fd.height * fd.width;
-            for b in &bases {
-                transport.meter_mut().up(b.dims()[1] * feature_dim); // p vectors of d floats
-            }
-            labels = self.cluster(&bases);
-            k = labels.iter().copied().max().unwrap_or(0) + 1;
-            states = vec![template.state_vec(); k];
-            history = Vec::new();
-        }
-
-        for round in start_round..cfg.rounds {
-            let sampled = sample_clients(fd.num_clients(), cfg, round);
-            for (ci, state) in states.iter_mut().enumerate() {
-                let members: Vec<usize> = sampled
-                    .iter()
-                    .copied()
-                    .filter(|&c| labels[c] == ci)
-                    .collect();
-                if members.is_empty() {
-                    continue;
-                }
-                let updates = train_round(
-                    fd,
-                    cfg,
-                    &template,
-                    state,
-                    &members,
-                    round,
-                    None,
-                    &mut transport,
-                );
-                if updates.is_empty() {
-                    // Every upload lost or quarantined: the cluster skips
-                    // this round and carries its model forward.
-                    continue;
-                }
-                let items: Vec<(&[f32], f32)> = updates
-                    .iter()
-                    .map(|u| (u.state.as_slice(), u.weight))
-                    .collect();
-                *state = weighted_average(&items);
-            }
-
-            if cfg.should_eval(round) {
-                let per_client = evaluate_clients(fd, &template, |c| states[labels[c]].as_slice());
-                history.push(RoundRecord {
-                    round: round + 1,
-                    avg_acc: average_accuracy(&per_client),
-                    cum_mb: transport.meter().total_mb(),
-                });
-            }
-
-            ckpt.on_round_end(round, || Checkpoint {
-                method: self.name().to_string(),
-                seed: cfg.seed,
-                next_round: round + 1,
-                meter: transport.meter().clone(),
-                telemetry: transport.telemetry(),
-                history: history.clone(),
-                state: MethodState::Clustered {
-                    states: states.clone(),
-                    labels: labels.clone(),
-                },
-                residuals: transport.codec_residuals(),
-            })?;
-        }
-
-        let per_client_acc = evaluate_clients(fd, &template, |c| states[labels[c]].as_slice());
-        let result = RunResult {
-            method: self.name().to_string(),
-            final_acc: average_accuracy(&per_client_acc),
-            per_client_acc,
-            history,
-            num_clusters: Some(k),
-            total_mb: transport.meter().total_mb(),
-            faults: transport.telemetry(),
+        ctx: &RoundCtx<'_>,
+        saved: MethodState,
+    ) -> Result<PacflArtifacts, CheckpointError> {
+        let MethodState::Clustered { states, labels } = saved else {
+            return Err(wrong_state(Self::NAME, &saved));
         };
-        Ok((
-            result,
-            PacflArtifacts {
-                states,
-                labels,
-                bases,
-            },
-        ))
-    }
-}
-
-impl FlMethod for Pacfl {
-    fn name(&self) -> &'static str {
-        "PACFL"
+        check_len("cluster labels", labels.len(), ctx.fd.num_clients())?;
+        for s in &states {
+            check_len("cluster state", s.len(), ctx.template.state_len())?;
+        }
+        check_labels(&labels, states.len())?;
+        Ok(PacflArtifacts {
+            states,
+            labels,
+            bases: self.client_bases(ctx.fd),
+        })
     }
 
-    fn run(&self, fd: &FederatedDataset, cfg: &FlConfig) -> RunResult {
-        self.run_detailed(fd, cfg).0
+    fn round(&self, s: &mut PacflArtifacts, ctx: &mut RoundCtx<'_>, round: usize) {
+        ctx.cluster_round(&mut s.states, &s.labels, round);
     }
 
-    fn run_resumable(
-        &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-    ) -> Result<RunResult, CheckpointError> {
-        Ok(self.run_detailed_resumable(fd, cfg, ckpt)?.0)
+    fn snapshot(&self, s: &PacflArtifacts) -> MethodState {
+        MethodState::Clustered {
+            states: s.states.clone(),
+            labels: s.labels.clone(),
+        }
+    }
+
+    fn evaluate(&self, s: &PacflArtifacts, ctx: &RoundCtx<'_>) -> Vec<f32> {
+        evaluate_clients(ctx.fd, &ctx.template, |c| s.states[s.labels[c]].as_slice())
+    }
+
+    fn num_clusters(&self, s: &PacflArtifacts) -> Option<usize> {
+        Some(s.states.len())
+    }
+
+    fn finish(&self, s: PacflArtifacts, _: RoundCtx<'_>) -> PacflArtifacts {
+        s
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FlConfig;
+    use crate::methods::FlMethod;
     use fedclust_cluster::metrics::adjusted_rand_index;
     use fedclust_data::{DatasetProfile, Partition};
 

@@ -8,15 +8,10 @@
 //! personalizes the global model with a few α-steps on its own training
 //! data before testing.
 
-use crate::checkpoint::{
-    check_len, run_without_checkpoints, Checkpoint, CheckpointError, Checkpointer, MethodState,
-};
+use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
 use crate::config::FlConfig;
-use crate::engine::{average_accuracy, init_model, sample_clients, weighted_average_or};
-use crate::faults::Transport;
-use crate::methods::FlMethod;
-use crate::metrics::{RoundRecord, RunResult};
-use fedclust_data::FederatedDataset;
+use crate::driver::{Method, RoundCtx};
+use crate::engine::{evaluate_models, local_train, sample_clients, weighted_average_or};
 use fedclust_nn::loss::cross_entropy;
 use fedclust_nn::optim::{Sgd, SgdConfig};
 use fedclust_nn::Model;
@@ -102,173 +97,94 @@ impl PerFedAvg {
         }
         model.state_vec()
     }
-
-    /// Personalize from the global state and evaluate each client.
-    fn evaluate_personalized(
-        &self,
-        fd: &FederatedDataset,
-        template: &Model,
-        global: &[f32],
-        cfg: &FlConfig,
-    ) -> Vec<f32> {
-        (0..fd.num_clients())
-            .into_par_iter()
-            .map(|client| {
-                let mut model = template.clone();
-                model.set_state_vec(global);
-                let mut opt = Sgd::new(SgdConfig {
-                    lr: self.alpha,
-                    momentum: 0.0,
-                    weight_decay: 0.0,
-                });
-                crate::engine::local_train(
-                    &mut model,
-                    &fd.clients[client],
-                    &mut opt,
-                    self.personalize_epochs,
-                    cfg.batch_size,
-                    cfg.seed,
-                    client,
-                    usize::MAX - 1, // a dedicated rng stream for evaluation
-                );
-                let test = &fd.clients[client].test;
-                if test.is_empty() {
-                    return 0.0;
-                }
-                let idx: Vec<usize> = (0..test.len()).collect();
-                let (x, y) = test.batch(&idx);
-                model.evaluate(x, &y).1
-            })
-            .collect()
-    }
 }
 
-impl PerFedAvg {
-    /// Run and also return the trained global (meta) state, for post-hoc
-    /// personalization of unseen clients (Table 6).
-    pub fn run_detailed(&self, fd: &FederatedDataset, cfg: &FlConfig) -> (RunResult, Vec<f32>) {
-        run_without_checkpoints(|ckpt| self.run_detailed_resumable(fd, cfg, ckpt))
+/// The meta-state has the single-global-model shape, so it shares the
+/// `Global` checkpoint variant. The artifact is the trained meta-state,
+/// for post-hoc personalization of unseen clients (Table 6).
+impl Method for PerFedAvg {
+    const NAME: &'static str = "PerFedAvg";
+    type State = Vec<f32>;
+    type Artifacts = Vec<f32>;
+
+    fn init(&self, ctx: &mut RoundCtx<'_>) -> Vec<f32> {
+        ctx.template.state_vec()
     }
 
-    /// [`PerFedAvg::run_detailed`] with checkpoint/resume support. The
-    /// meta-state has the single-global-model shape, so it shares the
-    /// `Global` checkpoint variant.
-    pub fn run_detailed_resumable(
-        &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-    ) -> Result<(RunResult, Vec<f32>), CheckpointError> {
-        let template = init_model(fd, cfg);
-        let state_len = template.state_len();
-        let mut global = template.state_vec();
-        let mut transport = Transport::new(cfg);
-        let mut history = Vec::new();
-        let mut start_round = 0;
-
-        if let Some(cp) = ckpt.resume_point(self.name(), cfg.seed)? {
-            let MethodState::Global { state } = cp.state else {
-                return Err(CheckpointError::WrongState(format!(
-                    "PerFedAvg cannot resume from a {} checkpoint",
-                    cp.state.kind()
-                )));
-            };
-            check_len("meta state", state.len(), state_len)?;
-            global = state;
-            start_round = cp.next_round;
-            history = cp.history;
-            transport.restore_comm_state(cp.meter, cp.telemetry, cp.residuals);
-        }
-
-        for round in start_round..cfg.rounds {
-            let sampled = sample_clients(fd.num_clients(), cfg, round);
-            let delivered = transport.broadcast(round, &sampled, state_len);
-            let trained: Vec<(usize, Vec<f32>, f32)> = delivered
-                .par_iter()
-                .map(|&client| {
-                    let state = self.local_meta_train(
-                        &template,
-                        &global,
-                        &fd.clients[client],
-                        cfg,
-                        client,
-                        round,
-                    );
-                    (client, state, fd.clients[client].train_samples() as f32)
-                })
-                .collect();
-            let mut updates: Vec<(Vec<f32>, f32)> = Vec::with_capacity(trained.len());
-            for (client, mut state, w) in trained {
-                if transport.uplink(round, client, &mut state, Some(&global), Some(&global))
-                    && transport.screen(&state, state_len)
-                {
-                    updates.push((state, w));
-                }
-            }
-            let items: Vec<(&[f32], f32)> =
-                updates.iter().map(|(s, w)| (s.as_slice(), *w)).collect();
-            global = weighted_average_or(&items, &global);
-
-            if cfg.should_eval(round) {
-                let per_client = self.evaluate_personalized(fd, &template, &global, cfg);
-                history.push(RoundRecord {
-                    round: round + 1,
-                    avg_acc: average_accuracy(&per_client),
-                    cum_mb: transport.meter().total_mb(),
-                });
-            }
-
-            ckpt.on_round_end(round, || Checkpoint {
-                method: self.name().to_string(),
-                seed: cfg.seed,
-                next_round: round + 1,
-                meter: transport.meter().clone(),
-                telemetry: transport.telemetry(),
-                history: history.clone(),
-                state: MethodState::Global {
-                    state: global.clone(),
-                },
-                residuals: transport.codec_residuals(),
-            })?;
-        }
-
-        let per_client_acc = self.evaluate_personalized(fd, &template, &global, cfg);
-        let result = RunResult {
-            method: self.name().to_string(),
-            final_acc: average_accuracy(&per_client_acc),
-            per_client_acc,
-            history,
-            num_clusters: None,
-            total_mb: transport.meter().total_mb(),
-            faults: transport.telemetry(),
+    fn restore(&self, ctx: &RoundCtx<'_>, saved: MethodState) -> Result<Vec<f32>, CheckpointError> {
+        let MethodState::Global { state } = saved else {
+            return Err(wrong_state(Self::NAME, &saved));
         };
-        Ok((result, global))
-    }
-}
-
-impl FlMethod for PerFedAvg {
-    fn name(&self) -> &'static str {
-        "PerFedAvg"
+        check_len("meta state", state.len(), ctx.template.state_len())?;
+        Ok(state)
     }
 
-    fn run(&self, fd: &FederatedDataset, cfg: &FlConfig) -> RunResult {
-        self.run_detailed(fd, cfg).0
+    fn round(&self, global: &mut Vec<f32>, ctx: &mut RoundCtx<'_>, round: usize) {
+        let (fd, cfg, template) = (ctx.fd, ctx.cfg, &ctx.template);
+        let sampled = sample_clients(fd.num_clients(), cfg, round);
+        let delivered = ctx.transport.broadcast(round, &sampled, global.len());
+        let trained: Vec<(usize, Vec<f32>, f32)> = delivered
+            .par_iter()
+            .map(|&client| {
+                let data = &fd.clients[client];
+                let state = self.local_meta_train(template, global, data, cfg, client, round);
+                (client, state, data.train_samples() as f32)
+            })
+            .collect();
+        let mut updates: Vec<(Vec<f32>, f32)> = Vec::with_capacity(trained.len());
+        for (client, mut state, w) in trained {
+            if ctx.upload(round, client, &mut state, Some(global)) {
+                updates.push((state, w));
+            }
+        }
+        let items: Vec<(&[f32], f32)> = updates.iter().map(|(s, w)| (s.as_slice(), *w)).collect();
+        *global = weighted_average_or(&items, global);
     }
 
-    fn run_resumable(
-        &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-    ) -> Result<RunResult, CheckpointError> {
-        Ok(self.run_detailed_resumable(fd, cfg, ckpt)?.0)
+    fn snapshot(&self, global: &Vec<f32>) -> MethodState {
+        MethodState::Global {
+            state: global.clone(),
+        }
+    }
+
+    /// Personalize from the global state, then test each client.
+    fn evaluate(&self, global: &Vec<f32>, ctx: &RoundCtx<'_>) -> Vec<f32> {
+        evaluate_models(ctx.fd, |client| {
+            let mut model = ctx.template.clone();
+            model.set_state_vec(global);
+            let mut opt = Sgd::new(SgdConfig {
+                lr: self.alpha,
+                momentum: 0.0,
+                weight_decay: 0.0,
+            });
+            local_train(
+                &mut model,
+                &ctx.fd.clients[client],
+                &mut opt,
+                self.personalize_epochs,
+                ctx.cfg.batch_size,
+                ctx.cfg.seed,
+                client,
+                usize::MAX - 1, // a dedicated rng stream for evaluation
+            );
+            model
+        })
+    }
+
+    fn num_clusters(&self, _: &Vec<f32>) -> Option<usize> {
+        None
+    }
+
+    fn finish(&self, global: Vec<f32>, _: RoundCtx<'_>) -> Vec<f32> {
+        global
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedclust_data::{DatasetProfile, Partition};
+    use crate::methods::FlMethod;
+    use fedclust_data::{DatasetProfile, FederatedDataset, Partition};
 
     #[test]
     fn perfedavg_runs_and_personalizes() {

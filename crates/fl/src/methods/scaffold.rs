@@ -11,18 +11,9 @@
 //! SCAFFOLD is not in the paper's main tables, but it is implemented here
 //! as part of the related-work baseline suite (see `methods::extended`).
 
-use crate::checkpoint::{
-    check_len, run_without_checkpoints, Checkpoint, CheckpointError, Checkpointer, MethodState,
-};
-use crate::config::FlConfig;
-use crate::engine::{average_accuracy, evaluate_clients, init_model, sample_clients};
-use crate::faults::Transport;
-use crate::methods::FlMethod;
-use crate::metrics::{RoundRecord, RunResult};
-use fedclust_data::FederatedDataset;
-use fedclust_nn::loss::cross_entropy;
-use fedclust_nn::Model;
-use fedclust_tensor::rng::{derive, streams};
+use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState, ScaffoldState};
+use crate::driver::{Method, RoundCtx};
+use crate::engine::{evaluate_clients, local_train_corrected, sample_clients, weighted_average};
 use rayon::prelude::*;
 
 /// SCAFFOLD with server learning rate `eta_g` (the paper's ηg; 1.0 keeps
@@ -50,238 +41,158 @@ struct LocalOutcome {
 
 impl Scaffold {
     /// One client's controlled local training pass.
-    #[allow(clippy::too_many_arguments)]
     fn local_train(
         &self,
-        template: &Model,
-        global_params: &[f32],
-        global_extra: &[f32],
-        c_global: &[f32],
-        c_i: &[f32],
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
+        s: &ScaffoldState,
+        ctx: &RoundCtx<'_>,
         client: usize,
         round: usize,
     ) -> LocalOutcome {
-        let mut model = template.clone();
-        let mut state = global_params.to_vec();
-        state.extend_from_slice(global_extra);
-        model.set_state_vec(&state);
-
-        let data = &fd.clients[client];
-        let mut rng = derive(
-            cfg.seed,
-            &[streams::LOCAL_TRAIN, client as u64, round as u64],
-        );
-        let mut steps = 0usize;
-        for _ in 0..cfg.local_epochs {
-            for batch in data.train.minibatch_indices(cfg.batch_size, &mut rng) {
-                let (x, y) = data.train.batch(&batch);
-                let logits = model.forward(x, true);
-                let (_, grad) = cross_entropy(&logits, &y);
-                model.backward(grad);
-                // Corrected step: w ← w − η (g + c − c_i), plain SGD.
-                let mut off = 0;
-                for p in model.params_mut() {
-                    let n = p.value.numel();
-                    for j in 0..n {
-                        let g = p.grad.data()[j] + c_global[off + j] - c_i[off + j];
-                        p.value.data_mut()[j] -= cfg.lr * g;
-                    }
-                    p.zero_grad();
-                    off += n;
-                }
-                steps += 1;
-            }
-        }
+        let (c_global, c_i) = (&s.c_global, &s.c_clients[client]);
+        let mut model = ctx.template.clone();
+        model.set_state_vec(&s.state);
+        let data = &ctx.fd.clients[client];
+        // Corrected step: w ← w − η (g + c − c_i), plain SGD.
+        let steps = local_train_corrected(&mut model, data, ctx.cfg, client, round, |i, _, g| {
+            g + c_global[i] - c_i[i]
+        });
         let w = model.param_vec();
-        let k_eta = (steps.max(1) as f32) * cfg.lr;
+        let k_eta = (steps.max(1) as f32) * ctx.cfg.lr;
         // Option II control-variate refresh.
         let new_ci: Vec<f32> = (0..w.len())
-            .map(|j| c_i[j] - c_global[j] + (global_params[j] - w[j]) / k_eta)
+            .map(|j| c_i[j] - c_global[j] + (s.state[j] - w[j]) / k_eta)
             .collect();
-        let delta_w: Vec<f32> = w.iter().zip(global_params).map(|(a, b)| a - b).collect();
-        let delta_c: Vec<f32> = new_ci.iter().zip(c_i).map(|(a, b)| a - b).collect();
-        let full_state = model.state_vec();
-        let extra_state = full_state[w.len()..].to_vec();
         LocalOutcome {
             client,
-            delta_w,
-            delta_c,
+            delta_w: w.iter().zip(&s.state).map(|(a, b)| a - b).collect(),
+            delta_c: new_ci.iter().zip(c_i).map(|(a, b)| a - b).collect(),
             new_ci,
-            extra_state,
+            extra_state: model.state_vec()[w.len()..].to_vec(),
             weight: data.train_samples() as f32,
         }
     }
 }
 
-impl FlMethod for Scaffold {
-    fn name(&self) -> &'static str {
-        "SCAFFOLD"
+impl Method for Scaffold {
+    const NAME: &'static str = "SCAFFOLD";
+    type State = ScaffoldState;
+    type Artifacts = ();
+
+    fn init(&self, ctx: &mut RoundCtx<'_>) -> ScaffoldState {
+        let num_params = ctx.template.num_params();
+        ScaffoldState {
+            state: ctx.template.state_vec(),
+            c_global: vec![0.0f32; num_params],
+            c_clients: vec![vec![0.0f32; num_params]; ctx.fd.num_clients()],
+        }
     }
 
-    fn run(&self, fd: &FederatedDataset, cfg: &FlConfig) -> RunResult {
-        run_without_checkpoints(|ckpt| self.run_resumable(fd, cfg, ckpt))
-    }
-
-    fn run_resumable(
+    fn restore(
         &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-    ) -> Result<RunResult, CheckpointError> {
-        let template = init_model(fd, cfg);
-        let num_params = template.num_params();
-        let state_len = template.state_len();
-        let mut state = template.state_vec();
-        let mut c_global = vec![0.0f32; num_params];
-        let mut c_clients: Vec<Vec<f32>> = vec![vec![0.0f32; num_params]; fd.num_clients()];
-        let mut transport = Transport::new(cfg);
-        let mut history = Vec::new();
-        let mut start_round = 0;
+        ctx: &RoundCtx<'_>,
+        saved: MethodState,
+    ) -> Result<ScaffoldState, CheckpointError> {
+        let MethodState::Scaffold(s) = saved else {
+            return Err(wrong_state(Self::NAME, &saved));
+        };
+        let num_params = ctx.template.num_params();
+        check_len("server state", s.state.len(), ctx.template.state_len())?;
+        check_len("global control variate", s.c_global.len(), num_params)?;
+        check_len(
+            "client control variates",
+            s.c_clients.len(),
+            ctx.fd.num_clients(),
+        )?;
+        for ci in &s.c_clients {
+            check_len("client control variate", ci.len(), num_params)?;
+        }
+        Ok(s)
+    }
+
+    fn round(&self, s: &mut ScaffoldState, ctx: &mut RoundCtx<'_>, round: usize) {
+        let num_params = ctx.template.num_params();
+        let state_len = s.state.len();
         // Down: model state + global control variate.
         // Up: Δw (+ extra state) + Δc, concatenated into one payload.
-        let wire_len = state_len + num_params;
+        let sampled = sample_clients(ctx.fd.num_clients(), ctx.cfg, round);
+        let delivered = ctx
+            .transport
+            .broadcast(round, &sampled, state_len + num_params);
+        let trained: Vec<LocalOutcome> = delivered
+            .par_iter()
+            .map(|&client| self.local_train(s, ctx, client, round))
+            .collect();
 
-        if let Some(cp) = ckpt.resume_point(self.name(), cfg.seed)? {
-            let MethodState::Scaffold {
-                state: s,
-                c_global: cg,
-                c_clients: cc,
-            } = cp.state
-            else {
-                return Err(CheckpointError::WrongState(format!(
-                    "SCAFFOLD cannot resume from a {} checkpoint",
-                    cp.state.kind()
-                )));
-            };
-            check_len("server state", s.len(), state_len)?;
-            check_len("global control variate", cg.len(), num_params)?;
-            check_len("client control variates", cc.len(), fd.num_clients())?;
-            for ci in &cc {
-                check_len("client control variate", ci.len(), num_params)?;
+        // The client-side control variate refresh persists whether or
+        // not the upload makes it; the server only sees survivors.
+        let mut outcomes: Vec<LocalOutcome> = Vec::with_capacity(trained.len());
+        for mut o in trained {
+            s.c_clients[o.client] = o.new_ci.clone();
+            let mut payload = o.delta_w.clone();
+            payload.extend_from_slice(&o.extra_state);
+            payload.extend_from_slice(&o.delta_c);
+            // Deltas have no meaningful stale fallback: corruption is
+            // NaN/Inf and therefore always quarantined. The payload is
+            // already a delta, so no codec reference applies either.
+            if ctx.upload(round, o.client, &mut payload, None) {
+                o.delta_w.copy_from_slice(&payload[..num_params]);
+                o.extra_state
+                    .copy_from_slice(&payload[num_params..state_len]);
+                o.delta_c.copy_from_slice(&payload[state_len..]);
+                outcomes.push(o);
             }
-            state = s;
-            c_global = cg;
-            c_clients = cc;
-            start_round = cp.next_round;
-            history = cp.history;
-            transport.restore_comm_state(cp.meter, cp.telemetry, cp.residuals);
         }
-
-        for round in start_round..cfg.rounds {
-            let sampled = sample_clients(fd.num_clients(), cfg, round);
-            let delivered = transport.broadcast(round, &sampled, wire_len);
-            let (params, extra) = state.split_at(num_params);
-            let trained: Vec<LocalOutcome> = delivered
-                .par_iter()
-                .map(|&client| {
-                    self.local_train(
-                        &template,
-                        params,
-                        extra,
-                        &c_global,
-                        &c_clients[client],
-                        fd,
-                        cfg,
-                        client,
-                        round,
-                    )
-                })
+        // An empty survivor set carries the server state forward.
+        if outcomes.is_empty() {
+            return;
+        }
+        // Server update: x ← x + ηg · mean Δw; c ← c + (|S|/N) mean Δc.
+        let n = outcomes.len() as f32;
+        let scale_c = n / ctx.fd.num_clients() as f32;
+        let mut mean_dw = vec![0.0f64; num_params];
+        let mut mean_dc = vec![0.0f64; num_params];
+        for o in &outcomes {
+            for j in 0..num_params {
+                mean_dw[j] += o.delta_w[j] as f64 / n as f64;
+                mean_dc[j] += o.delta_c[j] as f64 / n as f64;
+            }
+        }
+        for j in 0..num_params {
+            s.state[j] += self.eta_g * mean_dw[j] as f32;
+            s.c_global[j] += scale_c * mean_dc[j] as f32;
+        }
+        // Extra state (batch-norm stats): sample-size-weighted average.
+        if state_len > num_params {
+            let items: Vec<(&[f32], f32)> = outcomes
+                .iter()
+                .map(|o| (o.extra_state.as_slice(), o.weight))
                 .collect();
-
-            // The client-side control variate refresh persists whether or
-            // not the upload makes it; the server only sees survivors.
-            let mut outcomes: Vec<LocalOutcome> = Vec::with_capacity(trained.len());
-            for mut o in trained {
-                c_clients[o.client] = o.new_ci.clone();
-                let mut payload = o.delta_w.clone();
-                payload.extend_from_slice(&o.extra_state);
-                payload.extend_from_slice(&o.delta_c);
-                // Deltas have no meaningful stale fallback: corruption is
-                // NaN/Inf and therefore always quarantined. The payload is
-                // already a delta, so no codec reference applies either.
-                if transport.uplink(round, o.client, &mut payload, None, None)
-                    && transport.screen(&payload, wire_len)
-                {
-                    o.delta_w.copy_from_slice(&payload[..num_params]);
-                    o.extra_state
-                        .copy_from_slice(&payload[num_params..state_len]);
-                    o.delta_c.copy_from_slice(&payload[state_len..]);
-                    outcomes.push(o);
-                }
-            }
-            // An empty survivor set carries the server state forward; the
-            // round still evaluates and checkpoints below.
-            if !outcomes.is_empty() {
-                // Server update: x ← x + ηg · mean Δw; c ← c + (|S|/N) mean Δc.
-                let s = outcomes.len() as f32;
-                let scale_c = s / fd.num_clients() as f32;
-                let mut mean_dw = vec![0.0f64; num_params];
-                let mut mean_dc = vec![0.0f64; num_params];
-                for o in &outcomes {
-                    for j in 0..num_params {
-                        mean_dw[j] += o.delta_w[j] as f64 / s as f64;
-                        mean_dc[j] += o.delta_c[j] as f64 / s as f64;
-                    }
-                }
-                for j in 0..num_params {
-                    state[j] += self.eta_g * mean_dw[j] as f32;
-                    c_global[j] += scale_c * mean_dc[j] as f32;
-                }
-                // Extra state (batch-norm stats): sample-size-weighted average.
-                if state_len > num_params {
-                    let items: Vec<(&[f32], f32)> = outcomes
-                        .iter()
-                        .map(|o| (o.extra_state.as_slice(), o.weight))
-                        .collect();
-                    let extra = crate::engine::weighted_average(&items);
-                    state[num_params..].copy_from_slice(&extra);
-                }
-            }
-
-            if cfg.should_eval(round) {
-                let per_client = evaluate_clients(fd, &template, |_| &state[..]);
-                history.push(RoundRecord {
-                    round: round + 1,
-                    avg_acc: average_accuracy(&per_client),
-                    cum_mb: transport.meter().total_mb(),
-                });
-            }
-
-            ckpt.on_round_end(round, || Checkpoint {
-                method: self.name().to_string(),
-                seed: cfg.seed,
-                next_round: round + 1,
-                meter: transport.meter().clone(),
-                telemetry: transport.telemetry(),
-                history: history.clone(),
-                state: MethodState::Scaffold {
-                    state: state.clone(),
-                    c_global: c_global.clone(),
-                    c_clients: c_clients.clone(),
-                },
-                residuals: transport.codec_residuals(),
-            })?;
+            let extra = weighted_average(&items);
+            s.state[num_params..].copy_from_slice(&extra);
         }
-
-        let per_client_acc = evaluate_clients(fd, &template, |_| &state[..]);
-        Ok(RunResult {
-            method: self.name().to_string(),
-            final_acc: average_accuracy(&per_client_acc),
-            per_client_acc,
-            history,
-            num_clusters: Some(1),
-            total_mb: transport.meter().total_mb(),
-            faults: transport.telemetry(),
-        })
     }
+
+    fn snapshot(&self, s: &ScaffoldState) -> MethodState {
+        MethodState::Scaffold(s.clone())
+    }
+
+    fn evaluate(&self, s: &ScaffoldState, ctx: &RoundCtx<'_>) -> Vec<f32> {
+        evaluate_clients(ctx.fd, &ctx.template, |_| &s.state[..])
+    }
+
+    fn num_clusters(&self, _: &ScaffoldState) -> Option<usize> {
+        Some(1)
+    }
+
+    fn finish(&self, _: ScaffoldState, _: RoundCtx<'_>) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedclust_data::{DatasetProfile, Partition};
+    use crate::config::FlConfig;
+    use crate::methods::FlMethod;
+    use fedclust_data::{DatasetProfile, FederatedDataset, Partition};
 
     fn tiny_fd(seed: u64) -> FederatedDataset {
         FederatedDataset::build(

@@ -3,10 +3,11 @@
 
 use fedclust_fl::codec::{self, CodecSpec, WIRE_CHECKSUM_BYTES, WIRE_HEADER_BYTES};
 use fedclust_fl::engine::{
-    init_model, sample_clients, train_round, train_sampled, weighted_average, ClientUpdate,
+    init_model, sample_clients, train_sampled, weighted_average, ClientUpdate,
 };
+use fedclust_fl::methods::FedAvg;
 use fedclust_fl::metrics::{RoundRecord, RunResult};
-use fedclust_fl::{FaultPlan, FlConfig, Transport};
+use fedclust_fl::{run_federation, FaultPlan, FlConfig, NoCheckpoints, Transport};
 use proptest::prelude::*;
 
 proptest! {
@@ -179,7 +180,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// `FaultPlan::none()` is a byte-identical pass-through: the
-    /// transport-mediated round loop reproduces the raw
+    /// transport-mediated round loop (the driver's) reproduces the raw
     /// `train_sampled` + `weighted_average` state vectors exactly.
     #[test]
     fn none_plan_reproduces_fault_free_state_vectors(seed in 0u64..100) {
@@ -206,20 +207,11 @@ proptest! {
             manual = weighted_average(&items);
         }
 
-        let mut transported = template.state_vec();
-        let mut t = Transport::new(&cfg); // cfg.faults is FaultPlan::none()
-        for round in 0..cfg.rounds {
-            let sampled = sample_clients(fd.num_clients(), &cfg, round);
-            let updates = train_round(
-                &fd, &cfg, &template, &transported, &sampled, round, None, &mut t,
-            );
-            let items: Vec<(&[f32], f32)> =
-                updates.iter().map(|u| (u.state.as_slice(), u.weight)).collect();
-            transported = weighted_average(&items);
-        }
+        // cfg.faults is FaultPlan::none()
+        let Ok((result, transported)) = run_federation(&FedAvg, &fd, &cfg, NoCheckpoints, None);
 
         prop_assert_eq!(manual, transported);
-        prop_assert_eq!(t.telemetry(), fedclust_fl::FaultTelemetry::default());
+        prop_assert_eq!(result.faults, fedclust_fl::FaultTelemetry::default());
     }
 }
 

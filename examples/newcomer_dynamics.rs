@@ -14,7 +14,7 @@ use fedclust::newcomer::incorporate_all;
 use fedclust::proximity::WeightSelection;
 use fedclust::FedClust;
 use fedclust_data::{DatasetProfile, FederatedDataset};
-use fedclust_fl::FlConfig;
+use fedclust_fl::{run_federation, FlConfig, NoCheckpoints};
 use fedclust_nn::models::ModelSpec;
 use fedclust_tensor::distance::Metric;
 
@@ -60,7 +60,8 @@ fn main() {
     };
 
     println!("federating {} clients…", fd.num_clients());
-    let (result, federation) = FedClust::default().run_detailed(&fd, &cfg);
+    let Ok((result, federation)) =
+        run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
     println!(
         "federation done: {} clusters, avg local test accuracy {:.2}%",
         federation.outcome.num_clusters,

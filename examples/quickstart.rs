@@ -8,7 +8,7 @@
 use fedclust::FedClust;
 use fedclust_data::{DatasetProfile, FederatedDataset, Partition};
 use fedclust_fl::methods::FedAvg;
-use fedclust_fl::{FlConfig, FlMethod};
+use fedclust_fl::{run_federation, FlConfig, FlMethod, NoCheckpoints};
 use fedclust_nn::models::ModelSpec;
 
 fn main() {
@@ -49,7 +49,8 @@ fn main() {
 
     // 3. Run FedClust (one-shot weight-driven clustering, then per-cluster
     //    FedAvg) and plain FedAvg on identical data and initialisation.
-    let (fedclust_result, federation) = FedClust::default().run_detailed(&dataset, &cfg);
+    let Ok((fedclust_result, federation)) =
+        run_federation(&FedClust::default(), &dataset, &cfg, NoCheckpoints, None);
     let fedavg_result = FedAvg.run(&dataset, &cfg);
 
     println!(

@@ -63,6 +63,22 @@ FEDCLUST_THREADS=1 cargo test -q --test thread_equivalence
 FEDCLUST_THREADS=4 cargo test -q --test thread_equivalence
 cargo test -q -p rayon
 
+echo "== benchmark surface =="
+# `benchmark/` is its own package and links the crates' public functions
+# (benchmark/README.md "Measured surface"): build it and run its smoke so a
+# signature drift there, or a break of the benchmark's own output checks
+# (net vs in-process, threads 2 vs 1, resumed vs uninterrupted, replay vs
+# CLI bit for bit), fails here rather than in the benchmark pipeline.
+# One target dir for both steps (run.sh's default), so nothing builds twice.
+CARGO_TARGET_DIR="$PWD/target" cargo build --release --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --smoke
+
+echo "== equivalence vs the parent commit (non-gating) =="
+# The suites above prove this build agrees with itself; this one proves it
+# agrees with its parent. Non-gating: a PR that changes a byte on purpose
+# argues it in CHANGES.md.
+scripts/equiv_vs.sh HEAD~1 || echo "equiv_vs: differs from HEAD~1 (non-gating)"
+
 echo "== thread sanitizer (best effort) =="
 # Dynamic double-check of the pool and wire suites when a nightly
 # toolchain with TSan support is available; exits 0 with a skip message

@@ -1,0 +1,102 @@
+#!/usr/bin/env bash
+# Cross-build equivalence: prove this tree agrees with another commit byte
+# for byte, not just with itself. The in-repo suites (threads, resume,
+# codec, wire) compare a build against itself; a refactor that changes a
+# byte consistently passes all of them. This script builds <git-ref> next
+# to the working tree and, for all eleven methods + `local`, compares
+#
+#   plain      --json stdout
+#   faulty     --json stdout under `--codec delta+topk:0.1` and a lossy,
+#              straggling, corrupting link
+#   resumed    per-round checkpoints, run to half the rounds, then
+#              `--resume` to the end: --json stdout of both legs, the
+#              generation files left after each leg (names and bytes)
+#
+# between the two binaries. Same host, same kernel dispatch, so FMA vs
+# scalar rounding cannot confuse it. Exits non-zero on the first differing
+# byte.
+#
+#   scripts/equiv_vs.sh <git-ref>
+#
+# The other commit is exported with `git archive` (not `git worktree add`:
+# an export registers nothing in .git, so there is nothing to leave behind
+# even on SIGKILL) into a temp dir that is removed on every exit path, and
+# built offline into its own target dir there.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+REF=${1:?usage: scripts/equiv_vs.sh <git-ref>}
+COMMIT=$(git rev-parse --verify "$REF^{commit}")
+
+WORK=$(mktemp -d "${TMPDIR:-/tmp}/fedclust-equiv.XXXXXX")
+trap 'rm -rf "$WORK"' EXIT
+
+echo "-- exporting $REF ($COMMIT)"
+mkdir "$WORK/src"
+git archive "$COMMIT" | tar -x -C "$WORK/src"
+
+echo "-- building both trees (release, offline)"
+(cd "$WORK/src" && CARGO_TARGET_DIR="$WORK/target" cargo build --release --offline -q -p fedclust-cli)
+cargo build --release --offline -q -p fedclust-cli
+THEIRS="$WORK/target/release/fedclust-cli"
+OURS=target/release/fedclust-cli
+
+METHODS=(local fedavg fedprox fednova lg perfedavg cfl ifca pacfl scaffold feddyn fedclust)
+ROUNDS=6
+BASE=(--dataset fmnist --partition skew30 --clients 8 --epochs 1
+  --samples-per-class 20 --seed 7 --threads 1 --json)
+FAULTY=(--codec delta+topk:0.1 --uplink-loss 0.2 --downlink-loss 0.3 --retries 1
+  --corrupt-rate 0.15 --straggler-rate 0.3 --straggler-delay 1.0 --deadline 1.5)
+
+compared=0
+same() { # same <what> <file-a> <file-b>
+  if ! cmp "$2" "$3"; then
+    echo "DIFFERENT: $1" >&2
+    exit 1
+  fi
+  compared=$((compared + 1))
+}
+
+# run <ours|theirs> <out-file> <args...>
+run() {
+  local bin=$OURS
+  [ "$1" = theirs ] && bin=$THEIRS
+  "$bin" run "${@:3}" > "$2" 2> "$2.err" || {
+    echo "FAILED ($1): run ${*:3}" >&2
+    cat "$2.err" >&2
+    exit 1
+  }
+}
+
+same_generations() { # same_generations <what> <dir-ours> <dir-theirs>
+  same "$1: generation listing" <(ls "$2") <(ls "$3")
+  local f
+  for f in "$2"/*; do
+    [ -e "$f" ] || continue # no generations: the glob matched nothing
+    same "$1: $(basename "$f")" "$f" "$3/$(basename "$f")"
+  done
+}
+
+for m in "${METHODS[@]}"; do
+  d="$WORK/$m"
+  mkdir "$d"
+  for side in ours theirs; do
+    mkdir "$d/ckpt.$side" # `local` writes no generations and would not create it
+    run $side "$d/plain.$side" --method "$m" --rounds $ROUNDS "${BASE[@]}"
+    run $side "$d/faulty.$side" --method "$m" --rounds $ROUNDS "${BASE[@]}" "${FAULTY[@]}"
+    run $side "$d/half.$side" --method "$m" --rounds $((ROUNDS / 2)) "${BASE[@]}" \
+      --checkpoint-dir "$d/ckpt.$side" --checkpoint-every 1
+    cp -r "$d/ckpt.$side" "$d/ckpt-half.$side"
+    run $side "$d/resumed.$side" --method "$m" --rounds $ROUNDS "${BASE[@]}" \
+      --checkpoint-dir "$d/ckpt.$side" --checkpoint-every 1 --resume
+  done
+  same "$m plain" "$d/plain.ours" "$d/plain.theirs"
+  same "$m faulty" "$d/faulty.ours" "$d/faulty.theirs"
+  same "$m half" "$d/half.ours" "$d/half.theirs"
+  same "$m resumed" "$d/resumed.ours" "$d/resumed.theirs"
+  same_generations "$m after half" "$d/ckpt-half.ours" "$d/ckpt-half.theirs"
+  same_generations "$m after resume" "$d/ckpt.ours" "$d/ckpt.theirs"
+  echo "   $m: identical"
+done
+
+echo "OK: ${#METHODS[@]} methods x {plain, codec+faults, checkpoint+resume}: $compared comparisons against $COMMIT, 0 differing bytes"

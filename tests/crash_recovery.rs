@@ -12,7 +12,9 @@ use fedclust_repro::fl::checkpoint::generation_file;
 use fedclust_repro::fl::methods::{
     Cfl, FedAvg, FedDyn, FedNova, FedProx, Ifca, LgFedAvg, Pacfl, PerFedAvg, Scaffold,
 };
-use fedclust_repro::fl::{CheckpointError, Checkpointer, FlConfig, FlMethod, RunResult};
+use fedclust_repro::fl::{
+    run_federation, CheckpointError, Checkpointer, FlConfig, FlMethod, RunResult,
+};
 
 fn fd(seed: u64) -> FederatedDataset {
     FederatedDataset::build(
@@ -143,18 +145,14 @@ fn fedclust_resume_restores_the_federation_itself() {
     let dir = tmpdir("fedclust-detailed");
 
     let mut off = Checkpointer::disabled();
-    let (reference, federation) = method
-        .run_detailed_resumable(&fd, &full, &mut off)
-        .expect("reference run succeeds");
+    let (reference, federation) =
+        run_federation(&method, &fd, &full, &mut off, None).expect("reference run succeeds");
 
     let mut first = Checkpointer::new(&dir).keep(8);
-    method
-        .run_detailed_resumable(&fd, &partial, &mut first)
-        .expect("partial run succeeds");
+    run_federation(&method, &fd, &partial, &mut first, None).expect("partial run succeeds");
     let mut second = Checkpointer::new(&dir).keep(8).resume(true);
-    let (resumed, restored) = method
-        .run_detailed_resumable(&fd, &full, &mut second)
-        .expect("resumed run succeeds");
+    let (resumed, restored) =
+        run_federation(&method, &fd, &full, &mut second, None).expect("resumed run succeeds");
 
     assert_eq!(reference, resumed);
     assert_eq!(federation.labels, restored.labels);

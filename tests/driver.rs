@@ -1,0 +1,415 @@
+//! What only the one federation driver makes testable.
+//!
+//! * The trainer is a value the host passes down, so a "networked" and an
+//!   in-process federation can run side by side in one process. An
+//!   in-process stand-in for the worker fleet drives the remote branch of
+//!   the round trip — and FedClust's remote warm-up — without sockets, and
+//!   must be indistinguishable from local training in results and in
+//!   checkpoint bytes.
+//! * Resume validation lives behind one `restore` per method, entered from
+//!   one place, so one table can feed every method every wrong checkpoint.
+
+use std::collections::BTreeMap;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
+
+use fedclust_repro::data::{DatasetProfile, FederatedDataset, Partition};
+use fedclust_repro::fedclust::clustering::ClusteringOutcome;
+use fedclust_repro::fedclust::{FedClust, SavedFederation};
+use fedclust_repro::fl::checkpoint::{
+    generation_file, Checkpoint, FedDynState, LgState, MethodState, ScaffoldState,
+};
+use fedclust_repro::fl::codec::{self, BaseCodec};
+use fedclust_repro::fl::engine::{
+    init_model, train_sampled, ClientUpdate, RemoteOutcome, RemoteRound, RemoteTrainer,
+    RemoteUpdate,
+};
+use fedclust_repro::fl::methods::{
+    Cfl, FedAvg, FedDyn, FedNova, FedProx, Ifca, LgFedAvg, Pacfl, PerFedAvg, Scaffold,
+};
+use fedclust_repro::fl::{
+    CheckpointError, Checkpointer, CodecSpec, CommMeter, FaultPlan, FaultTelemetry, FlConfig,
+    FlMethod,
+};
+use fedclust_repro::nn::Model;
+
+fn fd(seed: u64) -> FederatedDataset {
+    FederatedDataset::build(
+        DatasetProfile::FmnistLike,
+        Partition::LabelSkew { fraction: 0.3 },
+        &fedclust_repro::data::federated::FederatedConfig {
+            num_clients: 6,
+            samples_per_class: 12,
+            train_fraction: 0.8,
+            seed,
+        },
+    )
+}
+
+fn tmpdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("fedclust-driver-{}-{}", tag, std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// The worker fleet without the network: trains each unit with
+/// `train_sampled` and encodes it with `codec::encode_for_upload` exactly
+/// as `fedclust-worker` does, then hands the server what `fedclustd` would
+/// have decoded from the push.
+struct InProcessFleet<'a> {
+    fd: &'a FederatedDataset,
+    cfg: FlConfig,
+    template: Model,
+    /// Units trained and units warmed up, so the test can tell the fleet
+    /// was really used.
+    trained: AtomicUsize,
+    warmed_up: AtomicUsize,
+}
+
+impl InProcessFleet<'_> {
+    fn train(&self, req: &RemoteRound) -> Vec<ClientUpdate> {
+        let cfg = FlConfig {
+            local_epochs: req.epochs,
+            ..self.cfg
+        };
+        train_sampled(
+            self.fd,
+            &cfg,
+            &self.template,
+            req.start_state,
+            req.clients,
+            req.round,
+            req.prox_mu,
+        )
+    }
+}
+
+impl RemoteTrainer for InProcessFleet<'_> {
+    fn train_remote(&self, req: RemoteRound) -> RemoteOutcome {
+        self.trained.fetch_add(req.clients.len(), Ordering::Relaxed);
+        let spec = self.cfg.codec;
+        let mut residuals: BTreeMap<usize, Vec<f32>> = req.residuals.iter().cloned().collect();
+        let updates = self
+            .train(&req)
+            .into_iter()
+            .map(|u| {
+                let (state, wire_bytes, residual) = if spec.is_none() {
+                    (u.state, None, None)
+                } else {
+                    let residual_in = match spec.base {
+                        BaseCodec::TopK(_) => Some(residuals.remove(&u.client).unwrap_or_default()),
+                        _ => None,
+                    };
+                    let (enc, residual_out) = codec::encode_for_upload(
+                        spec,
+                        self.cfg.seed,
+                        req.round,
+                        u.client,
+                        &u.state,
+                        Some(req.start_state),
+                        residual_in,
+                    );
+                    let decoded = codec::decode(&enc.wire, Some(req.start_state))
+                        .expect("a worker's own encoding decodes");
+                    (
+                        decoded,
+                        Some(enc.wire.len()),
+                        Some(residual_out.unwrap_or_default()),
+                    )
+                };
+                RemoteUpdate {
+                    client: u.client,
+                    steps: u.steps,
+                    weight: u.weight,
+                    state,
+                    wire_bytes,
+                    residual,
+                }
+            })
+            .collect();
+        RemoteOutcome {
+            updates,
+            lost: Vec::new(),
+        }
+    }
+
+    fn warmup_remote(&self, req: RemoteRound) -> Vec<(usize, Vec<f32>)> {
+        self.warmed_up
+            .fetch_add(req.clients.len(), Ordering::Relaxed);
+        let trained = self.train(&req);
+        trained.into_iter().map(|u| (u.client, u.state)).collect()
+    }
+}
+
+#[test]
+fn a_fleet_and_a_local_federation_in_one_process_agree_byte_for_byte() {
+    let fd = fd(21);
+    let plain = {
+        let mut cfg = FlConfig::tiny(21);
+        cfg.rounds = 3;
+        cfg
+    };
+    let hostile = FlConfig {
+        codec: CodecSpec::parse("delta+topk:0.1").unwrap(),
+        faults: FaultPlan {
+            downlink_loss: 0.2,
+            max_downlink_retries: 1,
+            uplink_loss: 0.2,
+            corruption_rate: 0.15,
+            ..FaultPlan::none()
+        },
+        ..plain
+    };
+    let methods: Vec<Box<dyn FlMethod>> = vec![
+        Box::new(FedAvg),
+        Box::new(FedProx::default()),
+        Box::new(Cfl::default()),
+        Box::new(Pacfl::default()),
+        Box::new(FedClust::default()),
+    ];
+    for (tag, cfg) in [("plain", plain), ("hostile", hostile)] {
+        for m in &methods {
+            assert!(m.distributes(), "{} must be fleet-capable", m.name());
+            let name = m.name().to_lowercase();
+            let fleet = InProcessFleet {
+                fd: &fd,
+                cfg,
+                template: init_model(&fd, &cfg),
+                trained: AtomicUsize::new(0),
+                warmed_up: AtomicUsize::new(0),
+            };
+            let dir_fleet = tmpdir(&format!("fleet-{}-{}", tag, name));
+            let dir_local = tmpdir(&format!("local-{}-{}", tag, name));
+            // Both federations are in flight at once: each waits for the
+            // other before its first round.
+            let start = Barrier::new(2);
+            let host = |dir: &PathBuf, trainer: Option<&dyn RemoteTrainer>| {
+                let mut ckpt = Checkpointer::new(dir).keep(8);
+                start.wait();
+                let result = m.run_hosted(&fd, &cfg, &mut ckpt, trainer);
+                let result = result.expect("hosted run succeeds");
+                let last = std::fs::read(dir.join(generation_file(cfg.rounds)));
+                (result, last.expect("final generation reads"))
+            };
+            let (networked, local) = std::thread::scope(|s| {
+                let networked = s.spawn(|| host(&dir_fleet, Some(&fleet)));
+                let local = s.spawn(|| host(&dir_local, None));
+                (networked.join().unwrap(), local.join().unwrap())
+            });
+            assert!(fleet.trained.load(Ordering::Relaxed) > 0, "fleet unused");
+            assert_eq!(
+                fleet.warmed_up.load(Ordering::Relaxed) > 0,
+                m.name() == "FedClust",
+                "only FedClust warms up, and it must do so on the fleet"
+            );
+            assert_eq!(
+                networked.0,
+                local.0,
+                "{} ({}): fleet result diverged",
+                m.name(),
+                tag
+            );
+            assert_eq!(
+                format!("{:?}", networked.0),
+                format!("{:?}", local.0),
+                "{} ({}): fleet result prints differently",
+                m.name(),
+                tag
+            );
+            assert_eq!(
+                networked.1,
+                local.1,
+                "{} ({}): final checkpoint bytes differ",
+                m.name(),
+                tag
+            );
+            if tag == "hostile" {
+                assert!(
+                    local.0.faults.faults_injected > 0,
+                    "{}: the hostile plan injected nothing",
+                    m.name()
+                );
+            }
+            let _ = std::fs::remove_dir_all(&dir_fleet);
+            let _ = std::fs::remove_dir_all(&dir_local);
+        }
+    }
+}
+
+/// A checkpoint for `(method, seed)` carrying `state`, as the only
+/// generation in a fresh directory; returns what resuming from it yields.
+fn resume_from(
+    m: &dyn FlMethod,
+    fd: &FederatedDataset,
+    cfg: &FlConfig,
+    state: MethodState,
+) -> CheckpointError {
+    let dir = tmpdir(&format!("restore-{}", m.name().to_lowercase()));
+    Checkpointer::new(&dir)
+        .save_now(&Checkpoint {
+            method: m.name().to_string(),
+            seed: cfg.seed,
+            next_round: 1,
+            meter: CommMeter::new(),
+            telemetry: FaultTelemetry::default(),
+            history: Vec::new(),
+            state,
+            residuals: Vec::new(),
+        })
+        .expect("checkpoint writes");
+    let mut ckpt = Checkpointer::new(&dir).resume(true);
+    let err = m
+        .run_resumable(fd, cfg, &mut ckpt)
+        .expect_err("a wrong checkpoint must not resume");
+    let _ = std::fs::remove_dir_all(&dir);
+    err
+}
+
+fn mismatch(what: &str, actual: usize, expected: usize) -> CheckpointError {
+    CheckpointError::Mismatch(format!(
+        "{}: checkpoint carries {} values, this run needs {} \
+         (different model, federation, or hyper-parameters?)",
+        what, actual, expected
+    ))
+}
+
+#[test]
+fn every_method_rejects_every_checkpoint_that_is_not_its_own() {
+    let fd = fd(23);
+    let cfg = FlConfig::tiny(23);
+    let template = init_model(&fd, &cfg);
+    let (state_len, num_params) = (template.state_len(), template.num_params());
+    let good = template.state_vec();
+    let clients = fd.num_clients();
+
+    // One instance of every variant. Each is well-formed for its own
+    // method except in one length, so the own-variant case below trips the
+    // first `check_len` of that method's `restore`.
+    let variants = || -> Vec<MethodState> {
+        vec![
+            MethodState::Global {
+                state: vec![0.0; state_len + 1],
+            },
+            MethodState::Lg(LgState {
+                global_part: vec![0.0; state_len + 1],
+                client_states: vec![good.clone(); clients],
+            }),
+            MethodState::Scaffold(ScaffoldState {
+                state: good.clone(),
+                c_global: vec![0.0; num_params + 1],
+                c_clients: vec![vec![0.0; num_params]; clients],
+            }),
+            MethodState::FedDyn(FedDynState {
+                state: good.clone(),
+                h: vec![0.0; num_params],
+                lambdas: vec![vec![0.0; num_params]; clients + 1],
+            }),
+            MethodState::Ifca {
+                states: vec![good.clone(); 3],
+            },
+            MethodState::Cfl {
+                states: vec![good.clone()],
+                members: vec![(0..clients).collect()],
+                last_update: vec![Some(vec![0.0; num_params + 1]); clients],
+                reference_norm: None,
+            },
+            MethodState::Clustered {
+                states: vec![good.clone(); 2],
+                labels: vec![2; clients],
+            },
+            MethodState::FedClust {
+                federation_json: SavedFederation {
+                    model_spec: cfg.model,
+                    geometry: (fd.channels, fd.height, fd.width, fd.num_classes),
+                    init_state: good.clone(),
+                    labels: vec![0; clients],
+                    cluster_states: vec![good.clone()],
+                    representatives: Vec::new(),
+                    outcome: ClusteringOutcome {
+                        labels: vec![0; clients],
+                        num_clusters: 1,
+                        lambda: 0.5,
+                    },
+                }
+                .to_json(),
+            },
+        ]
+    };
+
+    // method, the variant it writes, what its own (malformed) variant trips.
+    let methods: Vec<(Box<dyn FlMethod>, &str, CheckpointError)> = vec![
+        (
+            Box::new(FedAvg),
+            "Global",
+            mismatch("global state", state_len + 1, state_len),
+        ),
+        (
+            Box::new(FedProx::default()),
+            "Global",
+            mismatch("global state", state_len + 1, state_len),
+        ),
+        (
+            Box::new(FedNova),
+            "Global",
+            mismatch("global state", state_len + 1, state_len),
+        ),
+        (
+            Box::new(PerFedAvg::default()),
+            "Global",
+            mismatch("meta state", state_len + 1, state_len),
+        ),
+        (Box::new(LgFedAvg::default()), "Lg", {
+            let blocks = template.param_blocks();
+            let tail = state_len - blocks[blocks.len() - 2].offset;
+            mismatch("global tail", state_len + 1, tail)
+        }),
+        (
+            Box::new(Scaffold::default()),
+            "Scaffold",
+            mismatch("global control variate", num_params + 1, num_params),
+        ),
+        (
+            Box::new(FedDyn::default()),
+            "FedDyn",
+            mismatch("client duals", clients + 1, clients),
+        ),
+        (
+            Box::new(Ifca::default()),
+            "Ifca",
+            mismatch("cluster models", 3, 4),
+        ),
+        (
+            Box::new(Cfl::default()),
+            "Cfl",
+            mismatch("cached update", num_params + 1, num_params),
+        ),
+        (
+            Box::new(Pacfl::default()),
+            "Clustered",
+            CheckpointError::Mismatch("cluster label 2 out of range for 2 clusters".into()),
+        ),
+        (
+            Box::new(FedClust::default()),
+            "FedClust",
+            mismatch("representatives", 0, 1),
+        ),
+    ];
+
+    for (m, own, own_error) in &methods {
+        for state in variants() {
+            let kind = state.kind();
+            let err = resume_from(m.as_ref(), &fd, &cfg, state);
+            let expected = if kind == *own {
+                own_error.clone()
+            } else {
+                CheckpointError::WrongState(format!(
+                    "{} cannot resume from a {} checkpoint",
+                    m.name(),
+                    kind
+                ))
+            };
+            assert_eq!(err, expected, "{} fed a {} checkpoint", m.name(), kind);
+        }
+    }
+}

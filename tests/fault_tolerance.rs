@@ -5,7 +5,7 @@
 use fedclust_repro::data::{DatasetProfile, FederatedDataset, Partition};
 use fedclust_repro::fedclust::FedClust;
 use fedclust_repro::fl::methods::FedAvg;
-use fedclust_repro::fl::{FaultPlan, FlConfig, FlMethod};
+use fedclust_repro::fl::{run_federation, FaultPlan, FlConfig, FlMethod, NoCheckpoints};
 
 fn fd(seed: u64) -> FederatedDataset {
     FederatedDataset::build(
@@ -94,7 +94,8 @@ fn fedclust_clusters_even_when_round0_uploads_are_lost() {
         uplink_loss: 0.35,
         ..FaultPlan::none()
     };
-    let (result, federation) = FedClust::default().run_detailed(&fd, &cfg);
+    let Ok((result, federation)) =
+        run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
     assert_eq!(federation.labels.len(), fd.num_clients());
     let k = result.num_clusters.unwrap();
     assert!(k >= 1);

@@ -6,8 +6,8 @@ use fedclust_repro::data::{DatasetProfile, FederatedDataset};
 use fedclust_repro::fedclust::newcomer::{assign_cluster, incorporate_all};
 use fedclust_repro::fedclust::proximity::WeightSelection;
 use fedclust_repro::fedclust::FedClust;
-use fedclust_repro::fl::methods::global::{train_global_model, GlobalVariant};
-use fedclust_repro::fl::FlConfig;
+use fedclust_repro::fl::methods::FedAvg;
+use fedclust_repro::fl::{run_federation, FlConfig, NoCheckpoints};
 use fedclust_repro::tensor::distance::Metric;
 
 /// 12 federating clients + 4 newcomers, two clean groups, alternating.
@@ -48,7 +48,7 @@ fn setup() -> (
 #[test]
 fn newcomers_match_their_distribution_cluster() {
     let (fd, newcomers, newcomer_truth, cfg) = setup();
-    let (_, federation) = FedClust::default().run_detailed(&fd, &cfg);
+    let Ok((_, federation)) = run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
     assert_eq!(
         federation.outcome.num_clusters, 2,
         "setup requires 2 clusters"
@@ -72,7 +72,7 @@ fn newcomers_match_their_distribution_cluster() {
 #[test]
 fn cluster_model_beats_global_model_for_newcomers() {
     let (fd, newcomers, _, cfg) = setup();
-    let (_, federation) = FedClust::default().run_detailed(&fd, &cfg);
+    let Ok((_, federation)) = run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
     let outcomes = incorporate_all(
         &federation,
         &newcomers,
@@ -87,7 +87,7 @@ fn cluster_model_beats_global_model_for_newcomers() {
 
     // Baseline: newcomers receive the FedAvg global model, unpersonalized
     // (how the paper's Table 6 treats global methods).
-    let global = train_global_model(&fd, &cfg, GlobalVariant::FedAvg);
+    let Ok((_, global)) = run_federation(&FedAvg, &fd, &cfg, NoCheckpoints, None);
     let mut template = federation.template.clone();
     template.set_state_vec(&global);
     let mut global_avg = 0.0f64;
@@ -109,7 +109,7 @@ fn cluster_model_beats_global_model_for_newcomers() {
 #[test]
 fn assign_cluster_is_consistent_with_membership() {
     let (fd, _, _, cfg) = setup();
-    let (_, federation) = FedClust::default().run_detailed(&fd, &cfg);
+    let Ok((_, federation)) = run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
     // Feeding a cluster's own representative back must return that cluster.
     for (ci, rep) in federation.representatives.iter().enumerate() {
         assert_eq!(assign_cluster(&federation, rep, Metric::L2), ci);
