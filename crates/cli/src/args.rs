@@ -283,8 +283,6 @@ impl Args {
                 "clients, rounds and epochs must be positive".into(),
             ));
         }
-        // Probabilities: NaN fails `contains` too, but is called out
-        // explicitly so the message never reads "NaN must be in [0, 1]".
         for (flag, value) in [
             ("--dropout", self.dropout),
             ("--uplink-loss", self.uplink_loss),
@@ -292,18 +290,7 @@ impl Args {
             ("--corrupt-rate", self.corrupt_rate),
             ("--straggler-rate", self.straggler_rate),
         ] {
-            if value.is_nan() {
-                return Err(ParseError(format!(
-                    "{} is NaN; it must be a probability in [0, 1]",
-                    flag
-                )));
-            }
-            if !(0.0..=1.0).contains(&value) {
-                return Err(ParseError(format!(
-                    "{} must be in [0, 1], got {}",
-                    flag, value
-                )));
-            }
+            check_prob(flag, value)?;
         }
         if self.sample_rate.is_nan() {
             return Err(ParseError(
@@ -423,9 +410,28 @@ pub fn threads_from_env(raw: Option<&str>) -> Result<Option<usize>, ParseError> 
     Ok(Some(threads))
 }
 
-fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, ParseError> {
+/// Parse one flag value; the error names the flag and echoes the value.
+pub(crate) fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, ParseError> {
     s.parse()
         .map_err(|_| ParseError(format!("invalid value '{}' for {}", s, flag)))
+}
+
+/// Range-check a probability flag. NaN fails `contains` too, but is called
+/// out explicitly so the message never reads "NaN must be in [0, 1]".
+pub(crate) fn check_prob(flag: &str, value: f32) -> Result<(), ParseError> {
+    if value.is_nan() {
+        return Err(ParseError(format!(
+            "{} is NaN; it must be a probability in [0, 1]",
+            flag
+        )));
+    }
+    if !(0.0..=1.0).contains(&value) {
+        return Err(ParseError(format!(
+            "{} must be in [0, 1], got {}",
+            flag, value
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

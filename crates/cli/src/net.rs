@@ -388,57 +388,84 @@ impl NetTrainer {
     }
 }
 
-impl RemoteTrainer for NetTrainer {
-    fn train_remote(&self, req: RemoteRound) -> RemoteOutcome {
-        let (mut collected, mut lost) = self.dispatch(MODE_TRAIN, &req);
-        let mut updates = Vec::with_capacity(collected.len());
-        for &client in req.clients {
-            let Some(rec) = collected.remove(&(client as u32)) else {
-                continue;
-            };
-            let (state, wire_bytes, residual) = match rec.body {
-                PushBody::Raw(v) => (v, None, None),
-                PushBody::Encoded { wire, residual } => {
-                    match codec::decode(&wire, Some(req.start_state)) {
-                        Ok(decoded) => (decoded, Some(wire.len()), Some(residual)),
-                        // A checksum-valid frame with an undecodable codec
-                        // body means a worker-side bug; degrade, don't die.
-                        Err(_) => {
-                            lost.push(client);
-                            continue;
-                        }
-                    }
-                }
-            };
-            updates.push(RemoteUpdate {
-                client,
-                steps: rec.steps as usize,
-                weight: rec.weight,
-                state,
-                wire_bytes,
-                residual,
-            });
-        }
-        lost.sort_unstable();
-        lost.dedup();
-        RemoteOutcome { updates, lost }
-    }
+/// Whether a pushed update can be aggregated at all: its state (raw or
+/// codec-decoded) has the length the server broadcast, and its weight is a
+/// positive finite number. A frame that passed every checksum can still
+/// carry neither — a worker-side bug or a hostile peer — and the
+/// aggregation arithmetic downstream asserts both.
+fn usable(state: &[f32], weight: f32, expected_len: usize) -> bool {
+    state.len() == expected_len && weight.is_finite() && weight > 0.0
+}
 
-    fn warmup_remote(&self, req: RemoteRound) -> Vec<(usize, Vec<f32>)> {
-        let (mut collected, _lost) = self.dispatch(MODE_WARMUP, &req);
-        let mut out = Vec::with_capacity(collected.len());
-        for &client in req.clients {
-            let Some(rec) = collected.remove(&(client as u32)) else {
-                continue;
-            };
-            // Warmup uploads are always raw full states; anything else is
-            // a worker bug and the client is simply omitted (the caller
-            // treats omissions as losses).
-            if let PushBody::Raw(state) = rec.body {
+/// Turn the pushes collected for a training round into the outcome the
+/// driver absorbs. A record that cannot be decoded or is not [`usable`] is
+/// written off exactly like a worker that never answered: degrade, don't
+/// die.
+fn settle_train(
+    req: &RemoteRound,
+    mut collected: BTreeMap<u32, PushRecord>,
+    mut lost: Vec<usize>,
+) -> RemoteOutcome {
+    let mut updates = Vec::with_capacity(collected.len());
+    for &client in req.clients {
+        let Some(rec) = collected.remove(&(client as u32)) else {
+            continue;
+        };
+        let (state, wire_bytes, residual) = match rec.body {
+            PushBody::Raw(v) => (Some(v), None, None),
+            PushBody::Encoded { wire, residual } => (
+                codec::decode(&wire, Some(req.start_state)).ok(),
+                Some(wire.len()),
+                Some(residual),
+            ),
+        };
+        match state {
+            Some(state) if usable(&state, rec.weight, req.start_state.len()) => {
+                updates.push(RemoteUpdate {
+                    client,
+                    steps: rec.steps as usize,
+                    weight: rec.weight,
+                    state,
+                    wire_bytes,
+                    residual,
+                })
+            }
+            _ => lost.push(client),
+        }
+    }
+    lost.sort_unstable();
+    lost.dedup();
+    RemoteOutcome { updates, lost }
+}
+
+/// Turn the pushes collected for the FedClust warm-up into `(client,
+/// state)` pairs. Warm-up uploads are always raw full states of the
+/// broadcast length; anything else is a worker bug and the client is
+/// simply omitted (the caller treats omissions as losses).
+fn settle_warmup(
+    req: &RemoteRound,
+    mut collected: BTreeMap<u32, PushRecord>,
+) -> Vec<(usize, Vec<f32>)> {
+    let mut out = Vec::with_capacity(collected.len());
+    for &client in req.clients {
+        if let Some(PushBody::Raw(state)) = collected.remove(&(client as u32)).map(|r| r.body) {
+            if state.len() == req.start_state.len() {
                 out.push((client, state));
             }
         }
-        out
+    }
+    out
+}
+
+impl RemoteTrainer for NetTrainer {
+    fn train_remote(&self, req: RemoteRound) -> RemoteOutcome {
+        let (collected, lost) = self.dispatch(MODE_TRAIN, &req);
+        settle_train(&req, collected, lost)
+    }
+
+    fn warmup_remote(&self, req: RemoteRound) -> Vec<(usize, Vec<f32>)> {
+        let (collected, _lost) = self.dispatch(MODE_WARMUP, &req);
+        settle_warmup(&req, collected)
     }
 }
 
@@ -593,5 +620,76 @@ mod tests {
         assert_eq!(st.queue.len(), 1);
         assert_eq!(st.queue[0].client, 1);
         assert!(st.leases.contains_key(&(0, 2)), "live lease untouched");
+    }
+
+    const START: [f32; 4] = [0.5; 4];
+
+    fn round<'a>(clients: &'a [usize]) -> RemoteRound<'a> {
+        RemoteRound {
+            round: 0,
+            clients,
+            start_state: &START,
+            prox_mu: None,
+            epochs: 1,
+            residuals: Vec::new(),
+        }
+    }
+
+    /// Client 0 pushes a sound update, client 1 pushes `(weight, body)`.
+    fn pushes(weight: f32, body: PushBody) -> BTreeMap<u32, PushRecord> {
+        let record = |client, weight, body| PushRecord {
+            round: 0,
+            client,
+            steps: 3,
+            weight,
+            body,
+        };
+        let sound = record(0, 2.0, PushBody::Raw(vec![1.0; 4]));
+        BTreeMap::from([(0, sound), (1, record(1, weight, body))])
+    }
+
+    /// Settle a round in which client 1 pushed `(weight, body)`, require it
+    /// written off, and finish the round the way the driver would.
+    fn assert_written_off(weight: f32, body: PushBody) {
+        let outcome = settle_train(&round(&[0, 1]), pushes(weight, body), Vec::new());
+        assert_eq!(outcome.lost, vec![1]);
+        let mut transport = fedclust_fl::Transport::new(&fedclust_fl::FlConfig::tiny(7));
+        transport.record_remote_losses(&outcome.lost);
+        let kept = transport.receive_remote(0, outcome.updates, Some(&START));
+        let items: Vec<(&[f32], f32)> = kept.iter().map(|u| (&u.state[..], u.weight)).collect();
+        assert_eq!(fedclust_fl::engine::weighted_average(&items), vec![1.0; 4]);
+        assert_eq!(transport.telemetry().uplink_losses, 1);
+    }
+
+    #[test]
+    fn short_raw_state_is_written_off() {
+        assert_written_off(2.0, PushBody::Raw(vec![9.0; 3]));
+    }
+
+    #[test]
+    fn long_codec_decoded_state_is_written_off() {
+        let spec = codec::CodecSpec::parse("q8").unwrap();
+        let body = PushBody::Encoded {
+            wire: spec.encode(&[9.0; 5], None, None, None).wire,
+            residual: Vec::new(),
+        };
+        assert_written_off(2.0, body);
+    }
+
+    #[test]
+    fn nan_weight_is_written_off() {
+        assert_written_off(f32::NAN, PushBody::Raw(vec![9.0; 4]));
+    }
+
+    #[test]
+    fn zero_weight_is_written_off() {
+        assert_written_off(0.0, PushBody::Raw(vec![9.0; 4]));
+    }
+
+    #[test]
+    fn wrong_length_warmup_state_is_omitted() {
+        let collected = pushes(2.0, PushBody::Raw(vec![9.0; 5]));
+        let states = settle_warmup(&round(&[0, 1]), collected);
+        assert_eq!(states, vec![(0, vec![1.0; 4])]);
     }
 }

@@ -10,13 +10,8 @@
 //! value, NaN is never accepted where a number is expected, and
 //! cross-flag rules are checked after parsing.
 
-use crate::args::{Args, Command, ParseError};
+use crate::args::{check_prob, parse_num, Args, Command, ParseError};
 use crate::{all_methods, find_method};
-
-fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, ParseError> {
-    s.parse::<T>()
-        .map_err(|_| ParseError(format!("invalid value for {}: '{}'", flag, s)))
-}
 
 fn check_addr(addr: &str, flag: &str) -> Result<(), ParseError> {
     if addr.is_empty() || !addr.contains(':') {
@@ -39,19 +34,6 @@ fn check_seconds(v: f64, flag: &str, allow_zero: bool) -> Result<(), ParseError>
             flag,
             if allow_zero { "0 <=" } else { "> 0 and <=" },
             v
-        )));
-    }
-    Ok(())
-}
-
-fn check_prob(v: f32, flag: &str) -> Result<(), ParseError> {
-    if v.is_nan() {
-        return Err(ParseError(format!("{} must not be NaN", flag)));
-    }
-    if !(0.0..=1.0).contains(&v) {
-        return Err(ParseError(format!(
-            "{} must be a probability in [0, 1], got {}",
-            flag, v
         )));
     }
     Ok(())
@@ -353,7 +335,7 @@ impl ChaosArgs {
             (self.truncate, "--truncate"),
             (self.corrupt, "--corrupt"),
         ] {
-            check_prob(v, flag)?;
+            check_prob(flag, v)?;
         }
         let total = self.drop + self.delay + self.truncate + self.corrupt;
         if total > 1.0 {

@@ -22,12 +22,15 @@
 //!   plus the server-side state for a resumed run to finish byte-identical
 //!   to an uninterrupted one. `tests/crash_recovery.rs` asserts this.
 //!
-//! The f32/f64 values are stored as little-endian bit patterns, so resume
-//! is exact for every value including NaN payloads and subnormals.
+//! Images are written and read through [`fedclust_proto::bytes`] (bit-exact
+//! floats, total reads, no allocation before a length is checked); what
+//! this module adds is the format's own policy — magic, version, u64 length
+//! prefixes, the checksum in the header.
 
 use crate::comm::CommMeter;
 use crate::faults::{CrashPlan, FaultTelemetry, CRASH_EXIT_CODE};
 use crate::metrics::RoundRecord;
+use fedclust_proto::bytes::{self, Reader, Writer};
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -69,14 +72,10 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// FNV-1a 64-bit checksum (hand-rolled; no external deps).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+impl From<bytes::Error> for CheckpointError {
+    fn from(e: bytes::Error) -> Self {
+        CheckpointError::Corrupt(e.to_string())
     }
-    h
 }
 
 /// LG-FedAvg's server-side state.
@@ -204,72 +203,62 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Serialize to the on-disk image (header + checksummed payload).
     pub fn encode(&self) -> Vec<u8> {
-        let mut payload = Enc::default();
-        payload.str(&self.method);
-        payload.u64(self.seed);
-        payload.u64(self.next_round as u64);
-        payload.f64(self.meter.downlink_bytes());
-        payload.f64(self.meter.uplink_bytes());
-        payload.u64(self.telemetry.faults_injected as u64);
-        payload.u64(self.telemetry.updates_quarantined as u64);
-        payload.u64(self.telemetry.retries as u64);
-        payload.u64(self.telemetry.downlink_failures as u64);
-        payload.u64(self.telemetry.uplink_losses as u64);
-        payload.u64(self.telemetry.deadline_misses as u64);
-        payload.u64(self.history.len() as u64);
-        for r in &self.history {
-            payload.u64(r.round as u64);
-            payload.f64(r.avg_acc);
-            payload.f64(r.cum_mb);
-        }
-        encode_state(&mut payload, &self.state);
-        payload.u64(self.residuals.len() as u64);
-        for (client, res) in &self.residuals {
-            payload.u64(*client as u64);
-            payload.vec_f32(res);
-        }
-        let payload = payload.buf;
+        let mut p = Writer::default();
+        encode_str(&mut p, &self.method);
+        p.u64(self.seed);
+        p.u64(self.next_round as u64);
+        p.f64(self.meter.downlink_bytes());
+        p.f64(self.meter.uplink_bytes());
+        p.u64(self.telemetry.faults_injected as u64);
+        p.u64(self.telemetry.updates_quarantined as u64);
+        p.u64(self.telemetry.retries as u64);
+        p.u64(self.telemetry.downlink_failures as u64);
+        p.u64(self.telemetry.uplink_losses as u64);
+        p.u64(self.telemetry.deadline_misses as u64);
+        encode_seq(&mut p, &self.history, |p, r| {
+            p.u64(r.round as u64);
+            p.f64(r.avg_acc);
+            p.f64(r.cum_mb);
+        });
+        encode_state(&mut p, &self.state);
+        encode_seq(&mut p, &self.residuals, |p, (client, res)| {
+            p.u64(*client as u64);
+            encode_vec_f32(p, res);
+        });
+        let payload = p.into_bytes();
 
-        let mut out = Vec::with_capacity(28 + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv64(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        let mut out = Writer::default();
+        out.bytes(&MAGIC);
+        out.u32(FORMAT_VERSION);
+        out.u64(payload.len() as u64);
+        out.u64(bytes::fnv64(&payload));
+        out.bytes(&payload);
+        out.into_bytes()
     }
 
     /// Decode and verify an on-disk image.
-    pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        let too_short = || {
-            CheckpointError::Corrupt(format!(
-                "file too short for a header ({} bytes)",
-                bytes.len()
-            ))
-        };
-        let magic: [u8; 8] = header_field(bytes, 0).ok_or_else(too_short)?;
-        if magic != MAGIC {
+    pub fn decode(image: &[u8]) -> Result<Checkpoint, CheckpointError> {
+        let mut file = Reader::new(image);
+        if file.array()? != MAGIC {
             return Err(CheckpointError::Corrupt("bad magic".into()));
         }
-        let version = u32::from_le_bytes(header_field(bytes, 8).ok_or_else(too_short)?);
+        let version = file.u32()?;
         if version != FORMAT_VERSION {
             return Err(CheckpointError::Corrupt(format!(
                 "unsupported format version {} (this build reads {})",
                 version, FORMAT_VERSION
             )));
         }
-        let payload_len =
-            u64::from_le_bytes(header_field(bytes, 12).ok_or_else(too_short)?) as usize;
-        let checksum = u64::from_le_bytes(header_field(bytes, 20).ok_or_else(too_short)?);
-        let payload = bytes.get(28..).ok_or_else(too_short)?;
-        if payload.len() != payload_len {
+        let (payload_len, checksum) = (file.u64()?, file.u64()?);
+        if file.remaining() as u64 != payload_len {
             return Err(CheckpointError::Corrupt(format!(
                 "truncated: header promises {} payload bytes, file has {}",
                 payload_len,
-                payload.len()
+                file.remaining()
             )));
         }
-        let actual = fnv64(payload);
+        let payload = file.take(file.remaining())?;
+        let actual = bytes::fnv64(payload);
         if actual != checksum {
             return Err(CheckpointError::Corrupt(format!(
                 "checksum mismatch: header {:#018x}, payload {:#018x}",
@@ -277,82 +266,63 @@ impl Checkpoint {
             )));
         }
 
-        let mut d = Dec {
-            bytes: payload,
-            pos: 0,
+        let mut r = Reader::new(payload);
+        let cp = Checkpoint {
+            method: decode_str(&mut r)?,
+            seed: r.u64()?,
+            next_round: decode_usize(&mut r)?,
+            meter: CommMeter::from_bytes(r.f64()?, r.f64()?),
+            telemetry: FaultTelemetry {
+                faults_injected: decode_usize(&mut r)?,
+                updates_quarantined: decode_usize(&mut r)?,
+                retries: decode_usize(&mut r)?,
+                downlink_failures: decode_usize(&mut r)?,
+                uplink_losses: decode_usize(&mut r)?,
+                deadline_misses: decode_usize(&mut r)?,
+            },
+            history: decode_seq(&mut r, "history", |r| {
+                Ok(RoundRecord {
+                    round: decode_usize(r)?,
+                    avg_acc: r.f64()?,
+                    cum_mb: r.f64()?,
+                })
+            })?,
+            state: decode_state(&mut r)?,
+            residuals: decode_seq(&mut r, "codec residuals", |r| {
+                Ok((decode_usize(r)?, decode_vec_f32(r)?))
+            })?,
         };
-        let method = d.str()?;
-        let seed = d.u64()?;
-        let next_round = d.usize()?;
-        let meter = CommMeter::from_bytes(d.f64()?, d.f64()?);
-        let telemetry = FaultTelemetry {
-            faults_injected: d.usize()?,
-            updates_quarantined: d.usize()?,
-            retries: d.usize()?,
-            downlink_failures: d.usize()?,
-            uplink_losses: d.usize()?,
-            deadline_misses: d.usize()?,
-        };
-        let n = d.len("history")?;
-        let mut history = Vec::with_capacity(n);
-        for _ in 0..n {
-            history.push(RoundRecord {
-                round: d.usize()?,
-                avg_acc: d.f64()?,
-                cum_mb: d.f64()?,
-            });
-        }
-        let state = decode_state(&mut d)?;
-        let n = d.len("codec residuals")?;
-        let mut residuals = Vec::with_capacity(n);
-        for _ in 0..n {
-            residuals.push((d.usize()?, d.vec_f32()?));
-        }
-        if d.pos != d.bytes.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "{} trailing bytes after the payload",
-                d.remaining()
-            )));
-        }
-        Ok(Checkpoint {
-            method,
-            seed,
-            next_round,
-            meter,
-            telemetry,
-            history,
-            state,
-            residuals,
-        })
+        r.finish()?;
+        Ok(cp)
     }
 }
 
-fn encode_state(e: &mut Enc, state: &MethodState) {
+fn encode_state(e: &mut Writer, state: &MethodState) {
     match state {
         MethodState::Global { state } => {
             e.u8(0);
-            e.vec_f32(state);
+            encode_vec_f32(e, state);
         }
         MethodState::Lg(s) => {
             e.u8(1);
-            e.vec_f32(&s.global_part);
-            e.vec_vec_f32(&s.client_states);
+            encode_vec_f32(e, &s.global_part);
+            encode_vec_vec_f32(e, &s.client_states);
         }
         MethodState::Scaffold(s) => {
             e.u8(2);
-            e.vec_f32(&s.state);
-            e.vec_f32(&s.c_global);
-            e.vec_vec_f32(&s.c_clients);
+            encode_vec_f32(e, &s.state);
+            encode_vec_f32(e, &s.c_global);
+            encode_vec_vec_f32(e, &s.c_clients);
         }
         MethodState::FedDyn(s) => {
             e.u8(3);
-            e.vec_f32(&s.state);
-            e.vec_f32(&s.h);
-            e.vec_vec_f32(&s.lambdas);
+            encode_vec_f32(e, &s.state);
+            encode_vec_f32(e, &s.h);
+            encode_vec_vec_f32(e, &s.lambdas);
         }
         MethodState::Ifca { states } => {
             e.u8(4);
-            e.vec_vec_f32(states);
+            encode_vec_vec_f32(e, states);
         }
         MethodState::Cfl {
             states,
@@ -361,107 +331,61 @@ fn encode_state(e: &mut Enc, state: &MethodState) {
             reference_norm,
         } => {
             e.u8(5);
-            e.vec_vec_f32(states);
-            e.u64(members.len() as u64);
-            for m in members {
-                e.vec_usize(m);
-            }
-            e.u64(last_update.len() as u64);
-            for u in last_update {
-                match u {
-                    None => e.u8(0),
-                    Some(v) => {
-                        e.u8(1);
-                        e.vec_f32(v);
-                    }
-                }
-            }
-            match reference_norm {
-                None => e.u8(0),
-                Some(v) => {
-                    e.u8(1);
-                    e.f64(*v);
-                }
-            }
+            encode_vec_vec_f32(e, states);
+            encode_seq(e, members, |e, m| encode_vec_usize(e, m));
+            encode_seq(e, last_update, |e, u| {
+                encode_option(e, u, |e, v| encode_vec_f32(e, v))
+            });
+            encode_option(e, reference_norm, |e, v| e.f64(*v));
         }
         MethodState::Clustered { states, labels } => {
             e.u8(6);
-            e.vec_vec_f32(states);
-            e.vec_usize(labels);
+            encode_vec_vec_f32(e, states);
+            encode_vec_usize(e, labels);
         }
         MethodState::FedClust { federation_json } => {
             e.u8(7);
-            e.str(federation_json);
+            encode_str(e, federation_json);
         }
     }
 }
 
-fn decode_state(d: &mut Dec<'_>) -> Result<MethodState, CheckpointError> {
-    match d.u8()? {
+fn decode_state(r: &mut Reader<'_>) -> Result<MethodState, CheckpointError> {
+    match r.u8()? {
         0 => Ok(MethodState::Global {
-            state: d.vec_f32()?,
+            state: decode_vec_f32(r)?,
         }),
         1 => Ok(MethodState::Lg(LgState {
-            global_part: d.vec_f32()?,
-            client_states: d.vec_vec_f32()?,
+            global_part: decode_vec_f32(r)?,
+            client_states: decode_vec_vec_f32(r)?,
         })),
         2 => Ok(MethodState::Scaffold(ScaffoldState {
-            state: d.vec_f32()?,
-            c_global: d.vec_f32()?,
-            c_clients: d.vec_vec_f32()?,
+            state: decode_vec_f32(r)?,
+            c_global: decode_vec_f32(r)?,
+            c_clients: decode_vec_vec_f32(r)?,
         })),
         3 => Ok(MethodState::FedDyn(FedDynState {
-            state: d.vec_f32()?,
-            h: d.vec_f32()?,
-            lambdas: d.vec_vec_f32()?,
+            state: decode_vec_f32(r)?,
+            h: decode_vec_f32(r)?,
+            lambdas: decode_vec_vec_f32(r)?,
         })),
         4 => Ok(MethodState::Ifca {
-            states: d.vec_vec_f32()?,
+            states: decode_vec_vec_f32(r)?,
         }),
-        5 => {
-            let states = d.vec_vec_f32()?;
-            let n = d.len("cfl members")?;
-            let mut members = Vec::with_capacity(n);
-            for _ in 0..n {
-                members.push(d.vec_usize()?);
-            }
-            let n = d.len("cfl last_update")?;
-            let mut last_update = Vec::with_capacity(n);
-            for _ in 0..n {
-                last_update.push(match d.u8()? {
-                    0 => None,
-                    1 => Some(d.vec_f32()?),
-                    t => {
-                        return Err(CheckpointError::Corrupt(format!(
-                            "bad option tag {} in cfl last_update",
-                            t
-                        )))
-                    }
-                });
-            }
-            let reference_norm = match d.u8()? {
-                0 => None,
-                1 => Some(d.f64()?),
-                t => {
-                    return Err(CheckpointError::Corrupt(format!(
-                        "bad option tag {} in cfl reference_norm",
-                        t
-                    )))
-                }
-            };
-            Ok(MethodState::Cfl {
-                states,
-                members,
-                last_update,
-                reference_norm,
-            })
-        }
+        5 => Ok(MethodState::Cfl {
+            states: decode_vec_vec_f32(r)?,
+            members: decode_seq(r, "cfl members", decode_vec_usize)?,
+            last_update: decode_seq(r, "cfl last_update", |r| {
+                decode_option(r, "cfl last_update", decode_vec_f32)
+            })?,
+            reference_norm: decode_option(r, "cfl reference_norm", |r| Ok(r.f64()?))?,
+        }),
         6 => Ok(MethodState::Clustered {
-            states: d.vec_vec_f32()?,
-            labels: d.vec_usize()?,
+            states: decode_vec_vec_f32(r)?,
+            labels: decode_vec_usize(r)?,
         }),
         7 => Ok(MethodState::FedClust {
-            federation_json: d.str()?,
+            federation_json: decode_str(r)?,
         }),
         t => Err(CheckpointError::Corrupt(format!(
             "unknown method-state tag {}",
@@ -470,174 +394,116 @@ fn decode_state(d: &mut Dec<'_>) -> Result<MethodState, CheckpointError> {
     }
 }
 
-/// Little-endian binary encoder.
-#[derive(Default)]
-struct Enc {
-    buf: Vec<u8>,
+// The checkpoint format's own policy on top of the byte layer: every
+// length prefix is a u64, and a count is plausible only while each element
+// it promises could still occupy at least one of the bytes left.
+
+fn encode_str(w: &mut Writer, s: &str) {
+    w.u64(s.len() as u64);
+    w.bytes(s.as_bytes());
 }
 
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-    fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn vec_f32(&mut self, v: &[f32]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.buf.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
-    }
-    fn vec_vec_f32(&mut self, v: &[Vec<f32>]) {
-        self.u64(v.len() as u64);
-        for inner in v {
-            self.vec_f32(inner);
-        }
-    }
-    fn vec_usize(&mut self, v: &[usize]) {
-        self.u64(v.len() as u64);
-        for &x in v {
-            self.u64(x as u64);
-        }
+fn encode_vec_f32(w: &mut Writer, v: &[f32]) {
+    w.u64(v.len() as u64);
+    w.f32s(v);
+}
+
+/// A length-prefixed sequence of whatever `item` writes.
+fn encode_seq<T>(w: &mut Writer, items: &[T], mut item: impl FnMut(&mut Writer, &T)) {
+    w.u64(items.len() as u64);
+    for x in items {
+        item(w, x);
     }
 }
 
-/// Read a fixed-width header field at `at` without bare indexing: returns
-/// `None` when the file is too short instead of panicking on hostile input.
-fn header_field<const N: usize>(bytes: &[u8], at: usize) -> Option<[u8; N]> {
-    let src = at.checked_add(N).and_then(|end| bytes.get(at..end))?;
-    let mut out = [0u8; N];
-    out.copy_from_slice(src);
-    Some(out)
+/// A one-byte `0`/`1` presence tag, then the value when present.
+fn encode_option<T>(w: &mut Writer, value: &Option<T>, some: impl FnOnce(&mut Writer, &T)) {
+    w.u8(u8::from(value.is_some()));
+    if let Some(v) = value {
+        some(w, v);
+    }
 }
 
-/// Little-endian binary decoder with bounds checks on every read, so a
-/// payload that passes the checksum but was produced by a different build
-/// still fails loudly instead of over-allocating or panicking.
-struct Dec<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn encode_vec_vec_f32(w: &mut Writer, v: &[Vec<f32>]) {
+    encode_seq(w, v, |w, inner| encode_vec_f32(w, inner));
 }
 
-impl<'a> Dec<'a> {
-    /// Bytes left after the cursor; saturating so even a corrupted cursor
-    /// cannot underflow an error-message computation.
-    fn remaining(&self) -> usize {
-        self.bytes.len().saturating_sub(self.pos)
+fn encode_vec_usize(w: &mut Writer, v: &[usize]) {
+    encode_seq(w, v, |w, &x| w.u64(x as u64));
+}
+
+type Decoded<T> = Result<T, CheckpointError>;
+
+fn to_usize(v: u64) -> Decoded<usize> {
+    usize::try_from(v).map_err(|_| CheckpointError::Corrupt(format!("{} does not fit in usize", v)))
+}
+
+fn decode_usize(r: &mut Reader<'_>) -> Decoded<usize> {
+    to_usize(r.u64()?)
+}
+
+/// A length prefix, validated against the bytes actually remaining (each
+/// element needs at least one byte) to bound allocations.
+fn decode_len(r: &mut Reader<'_>, what: &str) -> Decoded<usize> {
+    let n = decode_usize(r)?;
+    if n > r.remaining() {
+        return Err(CheckpointError::Corrupt(format!(
+            "implausible {} length {} with {} payload bytes left",
+            what,
+            n,
+            r.remaining()
+        )));
     }
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], CheckpointError> {
-        let slice = self
-            .pos
-            .checked_add(n)
-            .and_then(|end| Some((self.bytes.get(self.pos..end)?, end)));
-        match slice {
-            Some((s, end)) => {
-                self.pos = end;
-                Ok(s)
-            }
-            None => Err(CheckpointError::Corrupt(format!(
-                "payload ends inside {} (need {} bytes at offset {}, have {})",
-                what,
-                n,
-                self.pos,
-                self.remaining()
-            ))),
-        }
+    Ok(n)
+}
+
+/// A length-prefixed sequence of whatever `item` reads.
+fn decode_seq<'a, T>(
+    r: &mut Reader<'a>,
+    what: &str,
+    mut item: impl FnMut(&mut Reader<'a>) -> Decoded<T>,
+) -> Decoded<Vec<T>> {
+    let n = decode_len(r, what)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(item(r)?);
     }
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        let b = self.take(1, "u8")?;
-        Ok(b.first().copied().unwrap_or_default())
+    Ok(out)
+}
+
+/// A one-byte `0`/`1` presence tag, then the value when present.
+fn decode_option<'a, T>(
+    r: &mut Reader<'a>,
+    what: &str,
+    some: impl FnOnce(&mut Reader<'a>) -> Decoded<T>,
+) -> Decoded<Option<T>> {
+    match r.u8()? {
+        0 => Ok(None),
+        1 => some(r).map(Some),
+        t => Err(CheckpointError::Corrupt(format!(
+            "bad option tag {} in {}",
+            t, what
+        ))),
     }
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(self.take(8, "u64")?);
-        Ok(u64::from_le_bytes(b))
-    }
-    fn usize(&mut self) -> Result<usize, CheckpointError> {
-        let v = self.u64()?;
-        usize::try_from(v)
-            .map_err(|_| CheckpointError::Corrupt(format!("{} does not fit in usize", v)))
-    }
-    fn f64(&mut self) -> Result<f64, CheckpointError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn f32(&mut self) -> Result<f32, CheckpointError> {
-        let mut b = [0u8; 4];
-        b.copy_from_slice(self.take(4, "f32")?);
-        Ok(f32::from_bits(u32::from_le_bytes(b)))
-    }
-    /// A length prefix, validated against the bytes actually remaining
-    /// (each element needs at least one byte) to bound allocations.
-    fn len(&mut self, what: &str) -> Result<usize, CheckpointError> {
-        let n = self.usize()?;
-        if n > self.remaining() {
-            return Err(CheckpointError::Corrupt(format!(
-                "implausible {} length {} with {} payload bytes left",
-                what,
-                n,
-                self.remaining()
-            )));
-        }
-        Ok(n)
-    }
-    fn str(&mut self) -> Result<String, CheckpointError> {
-        let n = self.len("string")?;
-        let bytes = self.take(n, "string")?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| CheckpointError::Corrupt("string is not UTF-8".into()))
-    }
-    fn vec_f32(&mut self) -> Result<Vec<f32>, CheckpointError> {
-        let n = self.usize()?;
-        if n.checked_mul(4)
-            .filter(|&b| b <= self.remaining())
-            .is_none()
-        {
-            return Err(CheckpointError::Corrupt(format!(
-                "implausible f32 vector length {} with {} payload bytes left",
-                n,
-                self.remaining()
-            )));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f32()?);
-        }
-        Ok(out)
-    }
-    fn vec_vec_f32(&mut self) -> Result<Vec<Vec<f32>>, CheckpointError> {
-        let n = self.len("nested vector")?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.vec_f32()?);
-        }
-        Ok(out)
-    }
-    fn vec_usize(&mut self) -> Result<Vec<usize>, CheckpointError> {
-        let n = self.usize()?;
-        if n.checked_mul(8)
-            .filter(|&b| b <= self.remaining())
-            .is_none()
-        {
-            return Err(CheckpointError::Corrupt(format!(
-                "implausible index vector length {} with {} payload bytes left",
-                n,
-                self.remaining()
-            )));
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.usize()?);
-        }
-        Ok(out)
-    }
+}
+
+fn decode_str(r: &mut Reader<'_>) -> Decoded<String> {
+    let n = decode_len(r, "string")?;
+    Ok(r.str(n)?)
+}
+
+fn decode_vec_f32(r: &mut Reader<'_>) -> Decoded<Vec<f32>> {
+    let n = decode_usize(r)?;
+    Ok(r.f32s(n)?)
+}
+
+fn decode_vec_vec_f32(r: &mut Reader<'_>) -> Decoded<Vec<Vec<f32>>> {
+    decode_seq(r, "nested vector", decode_vec_f32)
+}
+
+fn decode_vec_usize(r: &mut Reader<'_>) -> Decoded<Vec<usize>> {
+    let n = decode_usize(r)?;
+    r.u64s(n)?.into_iter().map(to_usize).collect()
 }
 
 /// The checkpoint file name of generation `next_round`.
@@ -1062,73 +928,12 @@ mod tests {
     }
 
     #[test]
-    fn nan_and_inf_round_trip_bit_exact() {
-        let cp = sample_checkpoint(MethodState::Global {
-            state: vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0],
-        });
-        let back = Checkpoint::decode(&cp.encode()).unwrap();
-        let MethodState::Global { state } = back.state else {
-            panic!("wrong variant");
-        };
-        let bits: Vec<u32> = state.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(
-            bits,
-            vec![
-                f32::NAN.to_bits(),
-                f32::INFINITY.to_bits(),
-                f32::NEG_INFINITY.to_bits(),
-                (-0.0f32).to_bits()
-            ]
-        );
-    }
-
-    #[test]
-    fn corruption_is_detected() {
-        let cp = sample_checkpoint(MethodState::Global {
-            state: vec![1.0; 64],
-        });
-        let image = cp.encode();
-
-        // Flip a payload byte: checksum mismatch.
-        let mut flipped = image.clone();
-        let last = flipped.len() - 1;
-        flipped[last] ^= 0xff;
-        assert!(matches!(
-            Checkpoint::decode(&flipped),
-            Err(CheckpointError::Corrupt(_))
-        ));
-
-        // Truncate: length mismatch.
-        assert!(matches!(
-            Checkpoint::decode(&image[..image.len() / 2]),
-            Err(CheckpointError::Corrupt(_))
-        ));
-
-        // Wrong magic.
-        let mut bad_magic = image.clone();
-        bad_magic[0] = b'X';
-        assert!(matches!(
-            Checkpoint::decode(&bad_magic),
-            Err(CheckpointError::Corrupt(_))
-        ));
-
-        // Future version.
-        let mut future = image.clone();
+    fn unsupported_version_is_named_in_the_error() {
+        let cp = sample_checkpoint(MethodState::Global { state: vec![1.0] });
+        let mut future = cp.encode();
         future[8] = 99;
         let err = Checkpoint::decode(&future).unwrap_err();
-        assert!(err.to_string().contains("version"), "{}", err);
-
-        // Empty / garbage files.
-        assert!(Checkpoint::decode(&[]).is_err());
-        assert!(Checkpoint::decode(&[0u8; 27]).is_err());
-    }
-
-    #[test]
-    fn fnv64_matches_reference_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
+        assert!(err.to_string().contains("version 99"), "{}", err);
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {

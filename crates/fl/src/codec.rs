@@ -10,7 +10,7 @@
 //! f32 counts — the wire-honest accounting contract from the fault layer
 //! extended to compression.
 //!
-//! # Wire layout (little-endian)
+//! # Wire layout (on [`fedclust_proto::bytes`])
 //!
 //! ```text
 //! [0]      tag: u8        0 = raw f32, 1 = q8, 2 = q4, 3 = top-k
@@ -41,9 +41,10 @@
 //!
 //! Quantizers derive scale/zero-point from the finite elements only and
 //! map non-finite elements to code 0 (the zero-point); the encoder and
-//! decoder never panic on any input (property-tested, including hostile
-//! checksum-valid bytes).
+//! decoder never panic on any input (`tests/hostile_bytes.rs`, including
+//! hostile checksum-valid bytes).
 
+use fedclust_proto::bytes::{self, Reader, Writer};
 use rand::rngs::SmallRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -51,7 +52,7 @@ use serde::{Deserialize, Serialize};
 /// Header bytes before the payload: tag, flags, n, p0, p1.
 pub const WIRE_HEADER_BYTES: usize = 14;
 /// Trailing FNV-1a checksum bytes.
-pub const WIRE_CHECKSUM_BYTES: usize = 8;
+pub const WIRE_CHECKSUM_BYTES: usize = bytes::CHECKSUM_BYTES;
 /// Fixed per-message framing overhead for every non-`none` codec.
 pub const WIRE_OVERHEAD_BYTES: usize = WIRE_HEADER_BYTES + WIRE_CHECKSUM_BYTES;
 /// Hard ceiling on the element count a sparse (top-k) message may claim.
@@ -314,15 +315,15 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// FNV-1a over a byte slice (the same construction the checkpoint codec
-/// uses; duplicated so the two formats stay independently evolvable).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+impl From<bytes::Error> for CodecError {
+    /// Whatever the byte layer could not read, the message was too short
+    /// to hold; a failed seal is the checksum.
+    fn from(e: bytes::Error) -> Self {
+        match e {
+            bytes::Error::Checksum => CodecError::Checksum,
+            _ => CodecError::Truncated,
+        }
     }
-    h
 }
 
 /// Dequantize one code against stored f32 parameters. Shared by the
@@ -421,14 +422,12 @@ impl CodecSpec {
         };
         let flags = if deltaed { FLAG_DELTA } else { 0 };
 
-        let mut wire = Vec::with_capacity(self.wire_len(n));
+        let mut wire = Writer::with_capacity(self.wire_len(n));
         match self.base {
             BaseCodec::Raw => {
                 write_header(&mut wire, TAG_RAW, flags, n as u32, 0, 0);
-                for v in &values {
-                    wire.extend_from_slice(&v.to_le_bytes());
-                }
-                finish(&mut wire);
+                wire.f32s(&values);
+                let wire = bytes::seal(wire.into_bytes());
                 let decoded = reconstruct(&values, flags, reference);
                 Encoded { wire, decoded }
             }
@@ -446,8 +445,10 @@ impl CodecSpec {
                     scale.to_bits(),
                     zero_point.to_bits(),
                 );
-                wire.extend(codes.iter().map(|&c| c as u8));
-                finish(&mut wire);
+                for &c in &codes {
+                    wire.u8(c as u8);
+                }
+                let wire = bytes::seal(wire.into_bytes());
                 let dequant: Vec<f32> = codes
                     .iter()
                     .map(|&c| dequant_value(c, scale, zero_point))
@@ -472,9 +473,9 @@ impl CodecSpec {
                 for pair in codes.chunks(2) {
                     let lo = pair.first().copied().unwrap_or(0) as u8;
                     let hi = pair.get(1).copied().unwrap_or(0) as u8;
-                    wire.push(lo | (hi << 4));
+                    wire.u8(lo | (hi << 4));
                 }
-                finish(&mut wire);
+                let wire = bytes::seal(wire.into_bytes());
                 let dequant: Vec<f32> = codes
                     .iter()
                     .map(|&c| dequant_value(c, scale, zero_point))
@@ -507,10 +508,10 @@ impl CodecSpec {
 
                 write_header(&mut wire, TAG_TOPK, flags, n as u32, k as u32, 0);
                 for &i in &kept {
-                    wire.extend_from_slice(&i.to_le_bytes());
-                    wire.extend_from_slice(&acc[i as usize].to_le_bytes());
+                    wire.u32(i);
+                    wire.f32(acc[i as usize]);
                 }
-                finish(&mut wire);
+                let wire = bytes::seal(wire.into_bytes());
 
                 // Server-side view: reference (or zero) everywhere, the
                 // accumulated value at kept coordinates.
@@ -535,18 +536,12 @@ impl CodecSpec {
 }
 
 /// Append the fixed header to an in-progress wire message.
-fn write_header(wire: &mut Vec<u8>, tag: u8, flags: u8, n: u32, p0: u32, p1: u32) {
-    wire.push(tag);
-    wire.push(flags);
-    wire.extend_from_slice(&n.to_le_bytes());
-    wire.extend_from_slice(&p0.to_le_bytes());
-    wire.extend_from_slice(&p1.to_le_bytes());
-}
-
-/// Seal an in-progress wire message with its checksum.
-fn finish(wire: &mut Vec<u8>) {
-    let checksum = fnv64(wire);
-    wire.extend_from_slice(&checksum.to_le_bytes());
+fn write_header(wire: &mut Writer, tag: u8, flags: u8, n: u32, p0: u32, p1: u32) {
+    wire.u8(tag);
+    wire.u8(flags);
+    wire.u32(n);
+    wire.u32(p0);
+    wire.u32(p1);
 }
 
 /// Add the reference back when the payload was delta-coded.
@@ -593,45 +588,68 @@ pub fn encode_for_upload(
     (enc, residual)
 }
 
+/// The fixed header of a verified message.
+struct Header {
+    tag: u8,
+    flags: u8,
+    n: usize,
+    p0: u32,
+    p1: u32,
+}
+
+/// Verify the framing and checksum of one wire message and split it into
+/// its header and a reader over the payload.
+fn decode_open(bytes: &[u8]) -> Result<(Header, Reader<'_>), CodecError> {
+    if bytes.len() < WIRE_OVERHEAD_BYTES {
+        return Err(CodecError::Truncated);
+    }
+    let mut r = Reader::new(bytes::unseal(bytes)?);
+    let header = Header {
+        tag: r.u8()?,
+        flags: r.u8()?,
+        n: r.u32()? as usize,
+        p0: r.u32()?,
+        p1: r.u32()?,
+    };
+    Ok((header, r))
+}
+
 /// Decode one wire message against an optional shared reference. Total on
 /// arbitrary input: every length is checked, every access bounds-checked,
 /// and a checksum-valid but structurally hostile message yields an error,
 /// never a panic or an over-allocation.
 pub fn decode(bytes: &[u8], reference: Option<&[f32]>) -> Result<Vec<f32>, CodecError> {
-    let body_len = bytes
-        .len()
-        .checked_sub(WIRE_CHECKSUM_BYTES)
-        .ok_or(CodecError::Truncated)?;
-    if body_len < WIRE_HEADER_BYTES {
-        return Err(CodecError::Truncated);
-    }
-    let body = bytes.get(..body_len).ok_or(CodecError::Truncated)?;
-    let stored = decode_u64_at(bytes, body_len)?;
-    if fnv64(body) != stored {
-        return Err(CodecError::Checksum);
-    }
-
-    let tag = *body.first().ok_or(CodecError::Truncated)?;
-    let flags = *body.get(1).ok_or(CodecError::Truncated)?;
-    let n = decode_u32_at(body, 2)? as usize;
-    let p0 = decode_u32_at(body, 6)?;
-    let p1 = decode_u32_at(body, 10)?;
-    let payload = body.get(WIRE_HEADER_BYTES..).ok_or(CodecError::Truncated)?;
-
-    let deltaed = flags & FLAG_DELTA != 0;
-    let reference = if deltaed {
+    let (h, mut payload) = decode_open(bytes)?;
+    let reference = if h.flags & FLAG_DELTA != 0 {
         let r = reference
-            .filter(|r| r.len() == n)
+            .filter(|r| r.len() == h.n)
             .ok_or(CodecError::MissingReference)?;
         Some(r)
     } else {
         None
     };
-    let values = match tag {
-        TAG_RAW => decode_raw_payload(payload, n)?,
-        TAG_Q8 => decode_q8_payload(payload, n, f32::from_bits(p0), f32::from_bits(p1))?,
-        TAG_Q4 => decode_q4_payload(payload, n, f32::from_bits(p0), f32::from_bits(p1))?,
-        TAG_TOPK => decode_topk_payload(payload, n, p0 as usize)?,
+    let (scale, zero_point) = (f32::from_bits(h.p0), f32::from_bits(h.p1));
+    let values = match h.tag {
+        TAG_RAW => {
+            decode_check_payload(&payload, h.n.checked_mul(4))?;
+            payload.f32s(h.n)?
+        }
+        TAG_Q8 => {
+            decode_check_payload(&payload, Some(h.n))?;
+            let codes = payload.take(h.n)?.iter();
+            codes
+                .map(|&c| dequant_value(c as u32, scale, zero_point))
+                .collect()
+        }
+        TAG_Q4 => decode_q4_payload(&mut payload, h.n, scale, zero_point)?,
+        TAG_TOPK => {
+            let pairs = decode_topk_pairs(&mut payload, h.n, h.p0 as usize)?;
+            let mut out = vec![0.0f32; h.n];
+            for (i, v) in pairs {
+                *out.get_mut(i as usize).ok_or(CodecError::BadIndices)? = v;
+            }
+            out
+        }
         other => return Err(CodecError::BadTag(other)),
     };
     Ok(match reference {
@@ -643,110 +661,51 @@ pub fn decode(bytes: &[u8], reference: Option<&[f32]>) -> Result<Vec<f32>, Codec
 /// The strictly increasing kept-coordinate indices of a top-k message.
 /// Errors on any non-top-k or malformed message.
 pub fn decode_kept_indices(bytes: &[u8]) -> Result<Vec<u32>, CodecError> {
-    let body_len = bytes
-        .len()
-        .checked_sub(WIRE_CHECKSUM_BYTES)
-        .ok_or(CodecError::Truncated)?;
-    if body_len < WIRE_HEADER_BYTES {
-        return Err(CodecError::Truncated);
+    let (h, mut payload) = decode_open(bytes)?;
+    if h.tag != TAG_TOPK {
+        return Err(CodecError::BadTag(h.tag));
     }
-    let body = bytes.get(..body_len).ok_or(CodecError::Truncated)?;
-    let stored = decode_u64_at(bytes, body_len)?;
-    if fnv64(body) != stored {
-        return Err(CodecError::Checksum);
-    }
-    let tag = *body.first().ok_or(CodecError::Truncated)?;
-    if tag != TAG_TOPK {
-        return Err(CodecError::BadTag(tag));
-    }
-    let n = decode_u32_at(body, 2)? as usize;
-    let k = decode_u32_at(body, 6)? as usize;
-    let payload = body.get(WIRE_HEADER_BYTES..).ok_or(CodecError::Truncated)?;
-    let pairs = decode_topk_pairs(payload, n, k)?;
+    let pairs = decode_topk_pairs(&mut payload, h.n, h.p0 as usize)?;
     Ok(pairs.iter().map(|&(i, _)| i).collect())
 }
 
-/// Read a little-endian u32 at a byte offset, bounds-checked.
-fn decode_u32_at(bytes: &[u8], at: usize) -> Result<u32, CodecError> {
-    let end = at.checked_add(4).ok_or(CodecError::Truncated)?;
-    let slice = bytes.get(at..end).ok_or(CodecError::Truncated)?;
-    let arr: [u8; 4] = slice.try_into().map_err(|_| CodecError::Truncated)?;
-    Ok(u32::from_le_bytes(arr))
-}
-
-/// Read a little-endian u64 at a byte offset, bounds-checked.
-fn decode_u64_at(bytes: &[u8], at: usize) -> Result<u64, CodecError> {
-    let end = at.checked_add(8).ok_or(CodecError::Truncated)?;
-    let slice = bytes.get(at..end).ok_or(CodecError::Truncated)?;
-    let arr: [u8; 8] = slice.try_into().map_err(|_| CodecError::Truncated)?;
-    Ok(u64::from_le_bytes(arr))
-}
-
 /// Check a payload's actual byte length against the header's implication.
-fn decode_check_payload(payload: &[u8], expected: Option<usize>) -> Result<usize, CodecError> {
+fn decode_check_payload(payload: &Reader<'_>, expected: Option<usize>) -> Result<(), CodecError> {
     let expected = expected.ok_or(CodecError::Truncated)?;
-    if payload.len() != expected {
+    if payload.remaining() != expected {
         return Err(CodecError::LengthMismatch {
             expected,
-            actual: payload.len(),
+            actual: payload.remaining(),
         });
     }
-    Ok(expected)
-}
-
-/// Raw f32 payload: exactly 4n bytes.
-fn decode_raw_payload(payload: &[u8], n: usize) -> Result<Vec<f32>, CodecError> {
-    decode_check_payload(payload, n.checked_mul(4))?;
-    Ok(payload
-        .chunks_exact(4)
-        .map(|c| {
-            let arr: [u8; 4] = c.try_into().unwrap_or_default();
-            f32::from_le_bytes(arr)
-        })
-        .collect())
-}
-
-/// Q8 payload: exactly n code bytes.
-fn decode_q8_payload(
-    payload: &[u8],
-    n: usize,
-    scale: f32,
-    zero_point: f32,
-) -> Result<Vec<f32>, CodecError> {
-    decode_check_payload(payload, Some(n))?;
-    Ok(payload
-        .iter()
-        .map(|&c| dequant_value(c as u32, scale, zero_point))
-        .collect())
+    Ok(())
 }
 
 /// Q4 payload: exactly ⌈n/2⌉ bytes, low nibble first.
 fn decode_q4_payload(
-    payload: &[u8],
+    payload: &mut Reader<'_>,
     n: usize,
     scale: f32,
     zero_point: f32,
 ) -> Result<Vec<f32>, CodecError> {
     decode_check_payload(payload, n.checked_add(1).map(|m| m / 2))?;
     let mut out = Vec::with_capacity(n);
-    for &byte in payload {
+    for &byte in payload.take(payload.remaining())? {
         out.push(dequant_value((byte & 0x0f) as u32, scale, zero_point));
         if out.len() < n {
             out.push(dequant_value((byte >> 4) as u32, scale, zero_point));
         }
-    }
-    if out.len() != n {
-        return Err(CodecError::LengthMismatch {
-            expected: n,
-            actual: out.len(),
-        });
     }
     Ok(out)
 }
 
 /// Top-k payload: k (index, value) pairs with strictly increasing
 /// in-range indices.
-fn decode_topk_pairs(payload: &[u8], n: usize, k: usize) -> Result<Vec<(u32, f32)>, CodecError> {
+fn decode_topk_pairs(
+    payload: &mut Reader<'_>,
+    n: usize,
+    k: usize,
+) -> Result<Vec<(u32, f32)>, CodecError> {
     if n > MAX_TOPK_ELEMS {
         return Err(CodecError::ImplausibleCount(n));
     }
@@ -760,12 +719,8 @@ fn decode_topk_pairs(payload: &[u8], n: usize, k: usize) -> Result<Vec<(u32, f32
     decode_check_payload(payload, k.checked_mul(8))?;
     let mut pairs = Vec::with_capacity(k);
     let mut prev: Option<u32> = None;
-    for chunk in payload.chunks_exact(8) {
-        let i = decode_u32_at(chunk, 0)?;
-        let v = f32::from_le_bytes(match chunk.get(4..8).and_then(|s| s.try_into().ok()) {
-            Some(a) => a,
-            None => return Err(CodecError::Truncated),
-        });
+    for _ in 0..k {
+        let (i, v) = (payload.u32()?, payload.f32()?);
         if i as usize >= n || prev.is_some_and(|p| i <= p) {
             return Err(CodecError::BadIndices);
         }
@@ -773,19 +728,6 @@ fn decode_topk_pairs(payload: &[u8], n: usize, k: usize) -> Result<Vec<(u32, f32
         pairs.push((i, v));
     }
     Ok(pairs)
-}
-
-/// Scatter a top-k payload into a dense zero-filled vector.
-fn decode_topk_payload(payload: &[u8], n: usize, k: usize) -> Result<Vec<f32>, CodecError> {
-    let pairs = decode_topk_pairs(payload, n, k)?;
-    let mut out = vec![0.0f32; n];
-    for (i, v) in pairs {
-        match out.get_mut(i as usize) {
-            Some(slot) => *slot = v,
-            None => return Err(CodecError::BadIndices),
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1015,49 +957,45 @@ mod tests {
         // Checksum-valid but hostile: bad tag.
         let mut hostile = enc.wire[..enc.wire.len() - 8].to_vec();
         hostile[0] = 200;
-        let sum = fnv64(&hostile);
-        hostile.extend_from_slice(&sum.to_le_bytes());
-        assert_eq!(decode(&hostile, None), Err(CodecError::BadTag(200)));
+        assert_eq!(
+            decode(&bytes::seal(hostile), None),
+            Err(CodecError::BadTag(200))
+        );
+    }
+
+    /// A checksum-valid top-k message with whatever the header claims.
+    fn sealed_topk(n: u32, k: u32, pairs: &[(u32, f32)]) -> Vec<u8> {
+        let mut body = Writer::default();
+        write_header(&mut body, TAG_TOPK, 0, n, k, 0);
+        for &(i, v) in pairs {
+            body.u32(i);
+            body.f32(v);
+        }
+        bytes::seal(body.into_bytes())
     }
 
     #[test]
     fn decode_rejects_hostile_topk_indices() {
-        // Build a checksum-valid top-k message with out-of-range indices.
-        let mut body = Vec::new();
-        write_header(&mut body, TAG_TOPK, 0, 4, 1, 0);
-        body.extend_from_slice(&9u32.to_le_bytes());
-        body.extend_from_slice(&1.0f32.to_le_bytes());
-        finish(&mut body);
-        assert_eq!(decode(&body, None), Err(CodecError::BadIndices));
-        // And one with k > n.
-        let mut body = Vec::new();
-        write_header(&mut body, TAG_TOPK, 0, 2, 3, 0);
-        for i in 0..3u32 {
-            body.extend_from_slice(&i.to_le_bytes());
-            body.extend_from_slice(&0.5f32.to_le_bytes());
-        }
-        finish(&mut body);
-        assert_eq!(decode(&body, None), Err(CodecError::BadIndices));
+        // Out-of-range index.
+        let msg = sealed_topk(4, 1, &[(9, 1.0)]);
+        assert_eq!(decode(&msg, None), Err(CodecError::BadIndices));
+        // And k > n.
+        let msg = sealed_topk(2, 3, &[(0, 0.5), (1, 0.5), (2, 0.5)]);
+        assert_eq!(decode(&msg, None), Err(CodecError::BadIndices));
     }
 
     #[test]
     fn decode_rejects_implausible_sparse_counts() {
-        // Checksum-valid top-k message claiming 2^31 elements with one
-        // kept pair: must be rejected before any dense allocation.
-        let mut body = Vec::new();
-        write_header(&mut body, TAG_TOPK, 0, 1 << 31, 1, 0);
-        body.extend_from_slice(&0u32.to_le_bytes());
-        body.extend_from_slice(&1.0f32.to_le_bytes());
-        finish(&mut body);
+        // Claims 2^31 elements with one kept pair: must be rejected before
+        // any dense allocation.
+        let msg = sealed_topk(1 << 31, 1, &[(0, 1.0)]);
         assert_eq!(
-            decode(&body, None),
+            decode(&msg, None),
             Err(CodecError::ImplausibleCount(1 << 31))
         );
         // And the k = 0 with n > 0 variant (empty payload, huge zero-fill).
-        let mut body = Vec::new();
-        write_header(&mut body, TAG_TOPK, 0, 1 << 20, 0, 0);
-        finish(&mut body);
-        assert_eq!(decode(&body, None), Err(CodecError::BadIndices));
+        let msg = sealed_topk(1 << 20, 0, &[]);
+        assert_eq!(decode(&msg, None), Err(CodecError::BadIndices));
     }
 
     #[test]

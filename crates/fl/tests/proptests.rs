@@ -233,19 +233,6 @@ fn any_codec() -> impl Strategy<Value = CodecSpec> {
     })
 }
 
-/// Seal an arbitrary body with a valid trailing FNV-1a checksum, the way
-/// the documented wire format specifies — so hostile messages reach the
-/// structural checks behind the checksum gate.
-fn seal(mut body: Vec<u8>) -> Vec<u8> {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in &body {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    body.extend_from_slice(&h.to_le_bytes());
-    body
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -272,51 +259,6 @@ proptest! {
         for (a, b) in dec.iter().zip(&enc.decoded) {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "decode drifted from the encoder");
         }
-    }
-
-    /// The decoder is total on checksum-valid but otherwise arbitrary
-    /// bytes: any outcome is `Ok` or a typed error, never a panic.
-    #[test]
-    fn decoder_is_total_on_checksum_valid_garbage(
-        body in proptest::collection::vec(0u8..=255u8, 0..64),
-        reference in proptest::collection::vec(-1.0f32..1.0, 0..8),
-    ) {
-        let msg = seal(body.clone());
-        let _ = codec::decode(&msg, None);
-        let _ = codec::decode(&msg, Some(&reference));
-        let _ = codec::decode_kept_indices(&msg);
-        // Unsealed garbage (checksum almost surely wrong) as well.
-        let _ = codec::decode(&body, None);
-    }
-
-    /// Same totality with a well-formed header over hostile fields, which
-    /// reaches past the tag dispatch into every payload validator: length
-    /// mismatches, inflated sparse counts, out-of-range indices. When a
-    /// message does decode, its length matches the header's claim.
-    #[test]
-    fn decoder_is_total_on_hostile_structured_headers(
-        tag in 0u8..=4,
-        flags in 0u8..=3,
-        n in 0u32..=u32::MAX,
-        p0 in 0u32..=u32::MAX,
-        p1 in 0u32..=u32::MAX,
-        payload in proptest::collection::vec(0u8..=255u8, 0..48),
-        reference in proptest::collection::vec(-1.0f32..1.0, 0..12),
-    ) {
-        let mut body = Vec::with_capacity(WIRE_HEADER_BYTES + payload.len());
-        body.push(tag);
-        body.push(flags);
-        body.extend_from_slice(&n.to_le_bytes());
-        body.extend_from_slice(&p0.to_le_bytes());
-        body.extend_from_slice(&p1.to_le_bytes());
-        body.extend_from_slice(&payload);
-        let msg = seal(body);
-        for r in [None, Some(reference.as_slice())] {
-            if let Ok(decoded) = codec::decode(&msg, r) {
-                prop_assert_eq!(decoded.len(), n as usize);
-            }
-        }
-        let _ = codec::decode_kept_indices(&msg);
     }
 
     /// Quantize ∘ dequantize ∘ quantize = quantize: re-encoding a decoded

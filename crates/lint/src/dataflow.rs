@@ -460,6 +460,9 @@ pub struct TaintSpec {
     /// Calls that launder taint out of an expression (bounds-checking,
     /// checked/saturating arithmetic, fallible conversion).
     pub sanitizers: Vec<&'static str>,
+    /// `(qualifier, name)` calls that launder like [`Self::sanitizers`] but
+    /// whose bare name is too common to list there.
+    pub sanitizer_calls: Vec<(&'static str, &'static str)>,
     /// The sink shapes to report.
     pub sinks: SinkSet,
 }
@@ -500,6 +503,12 @@ pub fn untrusted_input_spec() -> TaintSpec {
             "try_from",
             "try_into",
         ],
+        // Handing bytes to the byte layer: every read from a
+        // `proto::bytes::Reader` is a checked prefix of what is left (the
+        // `.get(…)` above, done once for every format), and what the
+        // formats do with the lengths it yields is `codec-checked-arith`'s
+        // beat and the hostile battery's (`tests/hostile_bytes.rs`).
+        sanitizer_calls: vec![("Reader", "new")],
         sinks: SinkSet::UntrustedLength,
     }
 }
@@ -521,6 +530,7 @@ pub fn determinism_spec() -> TaintSpec {
         ptr_cast_source: true,
         thread_id_source: true,
         sanitizers: vec![],
+        sanitizer_calls: vec![],
         sinks: SinkSet::Determinism,
     }
 }
@@ -772,6 +782,24 @@ fn is_local_use(code: &[Token], k: usize) -> bool {
     prev != "." && prev != "::" && next != ":" && next != "::" && next != "!"
 }
 
+/// Does `[a, b)` contain a sanitizer call? One is enough to launder the
+/// whole expression.
+fn launders(code: &[Token], a: usize, b: usize, spec: &TaintSpec) -> bool {
+    (a..b).any(|k| {
+        let t = &code[k];
+        let qualified = |(qual, name): &(&str, &str)| {
+            t.text == *name
+                && k >= 2
+                && text_at(code, k - 1) == "::"
+                && text_at(code, k - 2) == *qual
+        };
+        t.kind == TokKind::Ident
+            && text_at(code, k + 1) == "("
+            && (spec.sanitizers.contains(&t.text.as_str())
+                || spec.sanitizer_calls.iter().any(qualified))
+    })
+}
+
 /// Evaluate the taint of an expression range: `Some(chain)` if it contains
 /// a tainted local use, a source call, or a call whose return is tainted —
 /// unless a sanitizer call in the range launders the whole expression.
@@ -789,14 +817,8 @@ fn expr_taint(
     if a >= b {
         return None;
     }
-    for k in a..b {
-        let t = &code[k];
-        if t.kind == TokKind::Ident
-            && spec.sanitizers.contains(&t.text.as_str())
-            && text_at(code, k + 1) == "("
-        {
-            return None;
-        }
+    if launders(code, a, b, spec) {
+        return None;
     }
     let mut best: Option<(usize, Chain)> = None;
     let consider = |k: usize, c: Chain, best: &mut Option<(usize, Chain)>| {
@@ -914,14 +936,8 @@ fn group_taint<'a>(
     spec: &TaintSpec,
 ) -> Option<(&'a str, &'a Chain)> {
     let b = b.min(code.len());
-    for k in a..b {
-        let t = &code[k];
-        if t.kind == TokKind::Ident
-            && spec.sanitizers.contains(&t.text.as_str())
-            && text_at(code, k + 1) == "("
-        {
-            return None;
-        }
+    if launders(code, a, b, spec) {
+        return None;
     }
     for k in a..b {
         let t = &code[k];

@@ -72,8 +72,10 @@ pub const RULE_DOCS: [(&str, &str); 17] = [
     ),
     (
         "codec-checked-arith",
-        "Codec (wire encode/decode) regions must use checked arithmetic and checked indexing \
-         (`.get(…)`): attacker-controlled lengths must not be able to overflow or panic.",
+        "Codec regions — the byte layer's `Reader`/`unseal` (`proto/src/bytes.rs`) and the \
+         decode paths of the checkpoint, codec-wire and frame formats built on it — must use \
+         checked arithmetic and checked indexing (`.get(…)`): attacker-controlled lengths must \
+         not be able to overflow or panic.",
     ),
     (
         "determinism-taint",
@@ -842,37 +844,38 @@ fn lenish(name: &str) -> bool {
             .any(|p| l.contains(p))
 }
 
-/// `codec-checked-arith`: inside designated codec regions (the checkpoint
-/// decoder, the federation snapshot restore path, and the wire codec's
-/// decode path), unchecked `+`/`-`/`*` on length/offset-named values and
-/// bare slice indexing are banned — checksum-valid hostile lengths must
-/// not be able to panic or over-allocate.
+/// `codec-checked-arith`: inside designated codec regions (the byte layer's
+/// reader, the decode paths of the three formats built on it, and the
+/// federation snapshot restore path), unchecked `+`/`-`/`*` on
+/// length/offset-named values and bare slice indexing are banned —
+/// checksum-valid hostile lengths must not be able to panic or
+/// over-allocate.
 fn rule_codec_checked_arith(
     ctx: &FileContext<'_>,
     code: &[Token],
     items: &[Item],
     out: &mut Vec<Finding>,
 ) {
+    let in_bytes = ctx.rel_path.ends_with("proto/src/bytes.rs");
     let in_checkpoint = ctx.rel_path.ends_with("fl/src/checkpoint.rs");
     let in_persist = ctx.rel_path.ends_with("core/src/persist.rs");
     let in_codec = ctx.rel_path.ends_with("fl/src/codec.rs");
     let in_proto =
         ctx.rel_path.ends_with("proto/src/wire.rs") || ctx.rel_path.ends_with("proto/src/msg.rs");
-    if ctx.is_bin || !(in_checkpoint || in_persist || in_codec || in_proto) {
+    if ctx.is_bin || !(in_bytes || in_checkpoint || in_persist || in_codec || in_proto) {
         return;
     }
     for item in items {
         if item.kind != ItemKind::Fn || item.is_test {
             continue;
         }
-        let codec = (in_checkpoint
-            && (item.impl_type.as_deref() == Some("Dec") || item.name.starts_with("decode")))
+        let codec = (in_bytes
+            && (item.impl_type.as_deref() == Some("Reader") || item.name == "unseal"))
+            || (in_checkpoint
+                && (item.impl_type.as_deref() == Some("Dec") || item.name.starts_with("decode")))
             || (in_persist && matches!(item.name.as_str(), "restore" | "from_json"))
             || (in_codec && item.name.starts_with("decode"))
-            || (in_proto
-                && (item.impl_type.as_deref() == Some("Dec")
-                    || item.name.starts_with("decode")
-                    || item.name.starts_with("read_")));
+            || (in_proto && (item.name.starts_with("decode") || item.name.starts_with("read_")));
         if !codec {
             continue;
         }

@@ -65,6 +65,12 @@ fn positive_fixture_fires_every_rule() {
         "unchecked `+` and bare indexing in a decode fn; encode-side wire_len stays silent"
     );
     assert_eq!(
+        lines_for(&report, "codec-checked-arith", "proto/src/bytes.rs"),
+        vec![10, 11, 18, 19],
+        "unchecked `+` and slice index in Reader::take, unchecked `-` and bare index in unseal; \
+         write-side sealed_len stays silent"
+    );
+    assert_eq!(
         lines_for(&report, "atomic-write-discipline", "checkpoint.rs"),
         vec![25],
         "File::create without sync_all/rename in the same fn"
@@ -243,7 +249,7 @@ fn negative_fixture_is_clean() {
         Vec::new(),
         "negative fixture must scan clean"
     );
-    assert_eq!(report.files_scanned, 12);
+    assert_eq!(report.files_scanned, 13);
 }
 
 #[test]

@@ -1,14 +1,15 @@
-//! `fedclust-proto`: the wire protocol spoken between `fedclustd` and its
-//! worker processes, plus the shared bounded-retry policy used by both the
-//! in-process fault-injecting transport and the real network path.
+//! `fedclust-proto`: the byte layer every on-disk and on-wire format in the
+//! workspace is built on ([`bytes`]), the wire protocol spoken between
+//! `fedclustd` and its worker processes, plus the shared bounded-retry
+//! policy used by both the in-process fault-injecting transport and the
+//! real network path.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Total decoding.** Every byte sequence fed to the decoder either
 //!    yields a message or a typed [`ProtoError`] — never a panic, and never
 //!    an allocation larger than [`wire::MAX_PAYLOAD_BYTES`] plus constant
-//!    overhead. All reads are `.get()`-based, all length arithmetic is
-//!    checked, mirroring the checkpoint codec discipline.
+//!    overhead: every read goes through [`bytes::Reader`].
 //! 2. **Determinism.** Nothing in this crate draws wall-clock entropy. The
 //!    retry backoff jitter derives from
 //!    `(seed, streams::RETRY_BACKOFF, round, client, attempt)` so a fleet
@@ -17,6 +18,7 @@
 //!    formats (documented per message) so `CommMeter` charges can be pinned
 //!    against actual frame sizes in tests.
 
+pub mod bytes;
 pub mod msg;
 pub mod retry;
 pub mod wire;

@@ -8,7 +8,8 @@
 //! Reject   (3): u32 len, utf-8 bytes
 //! PullWork (4): empty
 //! Work     (5): u8 mode, u32 round, u32 client, u32 epochs,
-//!               u8 has_prox, f32 prox_mu, vec_f32 state, vec_f32 residual
+//!               u8 has_prox, f32 prox_mu (zero bits when absent),
+//!               vec_f32 state, vec_f32 residual
 //! Wait     (6): u32 millis
 //! Busy     (7): u32 millis
 //! Push     (8): u8 mode, u32 round, u32 client, u32 steps, f32 weight,
@@ -24,6 +25,7 @@
 //! 0/4) so the chaos proxy can key its per-frame fate draws on
 //! `(round, client)` without a full decode — see [`frame_keys`].
 
+use crate::bytes::{Reader, Writer};
 use crate::wire::{self, Frame, ProtoError};
 use std::io::{Read, Write};
 
@@ -128,17 +130,17 @@ impl Msg {
 
     /// Encode into a complete frame (header + payload + checksum).
     pub fn encode(&self) -> Vec<u8> {
-        let mut enc = Enc::new();
+        let mut w = Writer::default();
         match self {
-            Msg::Hello { version } => enc.put_u16(*version),
+            Msg::Hello { version } => w.u16(*version),
             Msg::Welcome { worker_id, argv } => {
-                enc.put_u32(*worker_id);
-                enc.put_u32(argv.len() as u32);
+                w.u32(*worker_id);
+                w.u32(argv.len() as u32);
                 for arg in argv {
-                    enc.put_str(arg);
+                    put_str(&mut w, arg);
                 }
             }
-            Msg::Reject { reason } => enc.put_str(reason),
+            Msg::Reject { reason } => put_str(&mut w, reason),
             Msg::PullWork | Msg::Done => {}
             Msg::Work {
                 mode,
@@ -149,16 +151,16 @@ impl Msg {
                 state,
                 residual,
             } => {
-                enc.put_u8(*mode);
-                enc.put_u32(*round);
-                enc.put_u32(*client);
-                enc.put_u32(*epochs);
-                enc.put_u8(u8::from(prox_mu.is_some()));
-                enc.put_f32(prox_mu.unwrap_or(0.0));
-                enc.put_vec_f32(state);
-                enc.put_vec_f32(residual);
+                w.u8(*mode);
+                w.u32(*round);
+                w.u32(*client);
+                w.u32(*epochs);
+                w.u8(u8::from(prox_mu.is_some()));
+                w.f32(prox_mu.unwrap_or(0.0));
+                put_f32s(&mut w, state);
+                put_f32s(&mut w, residual);
             }
-            Msg::Wait { millis } | Msg::Busy { millis } => enc.put_u32(*millis),
+            Msg::Wait { millis } | Msg::Busy { millis } => w.u32(*millis),
             Msg::Push {
                 mode,
                 round,
@@ -167,94 +169,89 @@ impl Msg {
                 weight,
                 body,
             } => {
-                enc.put_u8(*mode);
-                enc.put_u32(*round);
-                enc.put_u32(*client);
-                enc.put_u32(*steps);
-                enc.put_f32(*weight);
+                w.u8(*mode);
+                w.u32(*round);
+                w.u32(*client);
+                w.u32(*steps);
+                w.f32(*weight);
                 match body {
                     PushBody::Raw(state) => {
-                        enc.put_u8(ENCODING_RAW);
-                        enc.put_vec_f32(state);
+                        w.u8(ENCODING_RAW);
+                        put_f32s(&mut w, state);
                     }
                     PushBody::Encoded { wire, residual } => {
-                        enc.put_u8(ENCODING_CODEC);
-                        enc.put_bytes(wire);
-                        enc.put_vec_f32(residual);
+                        w.u8(ENCODING_CODEC);
+                        put_bytes(&mut w, wire);
+                        put_f32s(&mut w, residual);
                     }
                 }
             }
             Msg::Ack { round, client } => {
-                enc.put_u32(*round);
-                enc.put_u32(*client);
+                w.u32(*round);
+                w.u32(*client);
             }
         }
-        wire::encode_frame(self.kind(), &enc.buf)
+        wire::encode_frame(self.kind(), &w.into_bytes())
     }
 
     /// Decode a validated frame into a typed message. Total: hostile
     /// payloads produce [`ProtoError`], never a panic, and the payload
     /// must be consumed exactly (no trailing bytes).
     pub fn decode_frame(frame: &Frame) -> Result<Msg, ProtoError> {
-        let mut dec = Dec::new(&frame.payload);
+        let mut r = Reader::new(&frame.payload);
         let msg = match frame.kind {
-            KIND_HELLO => Msg::Hello {
-                version: dec.decode_u16()?,
-            },
+            KIND_HELLO => Msg::Hello { version: r.u16()? },
             KIND_WELCOME => {
-                let worker_id = dec.decode_u32()?;
-                let argc = dec.decode_u32()? as usize;
-                if argc > MAX_ARGV {
-                    return Err(ProtoError::ImplausibleCount(argc));
-                }
-                let mut argv = Vec::with_capacity(argc.min(MAX_ARGV));
-                for _ in 0..argc.min(MAX_ARGV) {
-                    argv.push(dec.decode_string()?);
-                }
+                let worker_id = r.u32()?;
+                let argc = decode_count(&mut r, MAX_ARGV)?;
+                let argv = (0..argc)
+                    .map(|_| decode_str(&mut r))
+                    .collect::<Result<_, _>>()?;
                 Msg::Welcome { worker_id, argv }
             }
             KIND_REJECT => Msg::Reject {
-                reason: dec.decode_string()?,
+                reason: decode_str(&mut r)?,
             },
             KIND_PULL_WORK => Msg::PullWork,
             KIND_WORK => {
-                let mode = decode_mode(dec.decode_u8()?)?;
-                let round = dec.decode_u32()?;
-                let client = dec.decode_u32()?;
-                let epochs = dec.decode_u32()?;
-                let has_prox = dec.decode_u8()?;
+                let mode = decode_mode(r.u8()?)?;
+                let round = r.u32()?;
+                let client = r.u32()?;
+                let epochs = r.u32()?;
+                let has_prox = r.u8()?;
                 if has_prox > 1 {
                     return Err(ProtoError::BadField("has_prox"));
                 }
-                let prox_raw = dec.decode_f32()?;
+                let prox_raw = r.f32()?;
+                // An absent coefficient is written as zero bits; anything
+                // else would be a second encoding of the same message.
+                if has_prox == 0 && prox_raw.to_bits() != 0 {
+                    return Err(ProtoError::BadField("prox_mu"));
+                }
                 Msg::Work {
                     mode,
                     round,
                     client,
                     epochs,
                     prox_mu: (has_prox == 1).then_some(prox_raw),
-                    state: dec.decode_vec_f32()?,
-                    residual: dec.decode_vec_f32()?,
+                    state: decode_f32s(&mut r)?,
+                    residual: decode_f32s(&mut r)?,
                 }
             }
-            KIND_WAIT => Msg::Wait {
-                millis: dec.decode_u32()?,
-            },
-            KIND_BUSY => Msg::Busy {
-                millis: dec.decode_u32()?,
-            },
+            KIND_WAIT => Msg::Wait { millis: r.u32()? },
+            KIND_BUSY => Msg::Busy { millis: r.u32()? },
             KIND_PUSH => {
-                let mode = decode_mode(dec.decode_u8()?)?;
-                let round = dec.decode_u32()?;
-                let client = dec.decode_u32()?;
-                let steps = dec.decode_u32()?;
-                let weight = dec.decode_f32()?;
-                let encoding = dec.decode_u8()?;
+                let mode = decode_mode(r.u8()?)?;
+                let round = r.u32()?;
+                let client = r.u32()?;
+                let steps = r.u32()?;
+                let weight = r.f32()?;
+                let encoding = r.u8()?;
                 let body = match encoding {
-                    ENCODING_RAW => PushBody::Raw(dec.decode_vec_f32()?),
+                    ENCODING_RAW => PushBody::Raw(decode_f32s(&mut r)?),
                     ENCODING_CODEC => PushBody::Encoded {
-                        wire: dec.decode_bytes()?,
-                        residual: dec.decode_vec_f32()?,
+                        wire: decode_bytes(&mut r)?,
+                        residual: decode_f32s(&mut r)?,
                     },
                     _ => return Err(ProtoError::BadField("encoding")),
                 };
@@ -268,13 +265,13 @@ impl Msg {
                 }
             }
             KIND_ACK => Msg::Ack {
-                round: dec.decode_u32()?,
-                client: dec.decode_u32()?,
+                round: r.u32()?,
+                client: r.u32()?,
             },
             KIND_DONE => Msg::Done,
             other => return Err(ProtoError::BadKind(other)),
         };
-        dec.finish()?;
+        r.finish()?;
         Ok(msg)
     }
 }
@@ -308,150 +305,53 @@ pub fn frame_keys(kind: u8, payload: &[u8]) -> Option<(u32, u32)> {
         KIND_ACK => 0usize,
         _ => return None,
     };
-    let round = read_u32_key(payload, at)?;
-    let client = read_u32_key(payload, at.checked_add(4)?)?;
-    Some((round, client))
+    let mut r = Reader::new(payload);
+    r.take(at).ok()?;
+    Some((r.u32().ok()?, r.u32().ok()?))
 }
 
-fn read_u32_key(payload: &[u8], at: usize) -> Option<u32> {
-    let end = at.checked_add(4)?;
-    let slice = payload.get(at..end)?;
-    let arr: [u8; 4] = slice.try_into().ok()?;
-    Some(u32::from_le_bytes(arr))
+/// `u32 count` + `count × f32`.
+fn put_f32s(w: &mut Writer, v: &[f32]) {
+    assert!(v.len() <= MAX_VEC_ELEMS, "vector exceeds wire cap");
+    w.u32(v.len() as u32);
+    w.f32s(v);
 }
 
-/// Little-endian payload builder.
-struct Enc {
-    buf: Vec<u8>,
+/// `u32 len` + `len` raw bytes.
+fn put_bytes(w: &mut Writer, v: &[u8]) {
+    assert!(v.len() <= wire::MAX_PAYLOAD_BYTES, "bytes exceed wire cap");
+    w.u32(v.len() as u32);
+    w.bytes(v);
 }
 
-impl Enc {
-    fn new() -> Self {
-        Enc { buf: Vec::new() }
-    }
-    fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn put_vec_f32(&mut self, v: &[f32]) {
-        assert!(v.len() <= MAX_VEC_ELEMS, "vector exceeds wire cap");
-        self.put_u32(v.len() as u32);
-        for &x in v {
-            self.put_f32(x);
-        }
-    }
-    fn put_bytes(&mut self, v: &[u8]) {
-        assert!(v.len() <= wire::MAX_PAYLOAD_BYTES, "bytes exceed wire cap");
-        self.put_u32(v.len() as u32);
-        self.buf.extend_from_slice(v);
-    }
-    fn put_str(&mut self, s: &str) {
-        assert!(s.len() <= MAX_STR_BYTES, "string exceeds wire cap");
-        self.put_bytes(s.as_bytes());
-    }
+fn put_str(w: &mut Writer, s: &str) {
+    assert!(s.len() <= MAX_STR_BYTES, "string exceeds wire cap");
+    put_bytes(w, s.as_bytes());
 }
 
-/// Little-endian payload cursor. All reads are `.get()`-based with
-/// checked offset arithmetic; element counts are capped before any
-/// count-derived allocation.
-struct Dec<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A `u32` count checked against its field's cap, so a hostile count
+/// errors before the read it sizes is even attempted.
+fn decode_count(r: &mut Reader<'_>, cap: usize) -> Result<usize, ProtoError> {
+    let n = r.u32()? as usize;
+    if n > cap {
+        return Err(ProtoError::ImplausibleCount(n));
+    }
+    Ok(n)
 }
 
-impl<'a> Dec<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
+fn decode_f32s(r: &mut Reader<'_>) -> Result<Vec<f32>, ProtoError> {
+    let n = decode_count(r, MAX_VEC_ELEMS)?;
+    Ok(r.f32s(n)?)
+}
 
-    fn decode_take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self.pos.checked_add(n).ok_or(ProtoError::Truncated)?;
-        let slice = self.buf.get(self.pos..end).ok_or(ProtoError::Truncated)?;
-        self.pos = end;
-        Ok(slice)
-    }
+fn decode_bytes(r: &mut Reader<'_>) -> Result<Vec<u8>, ProtoError> {
+    let n = decode_count(r, wire::MAX_PAYLOAD_BYTES)?;
+    Ok(r.take(n)?.to_vec())
+}
 
-    fn decode_u8(&mut self) -> Result<u8, ProtoError> {
-        let slice = self.decode_take(1)?;
-        Ok(*slice.first().ok_or(ProtoError::Truncated)?)
-    }
-
-    fn decode_u16(&mut self) -> Result<u16, ProtoError> {
-        let slice = self.decode_take(2)?;
-        let arr: [u8; 2] = slice.try_into().map_err(|_| ProtoError::Truncated)?;
-        Ok(u16::from_le_bytes(arr))
-    }
-
-    fn decode_u32(&mut self) -> Result<u32, ProtoError> {
-        let slice = self.decode_take(4)?;
-        let arr: [u8; 4] = slice.try_into().map_err(|_| ProtoError::Truncated)?;
-        Ok(u32::from_le_bytes(arr))
-    }
-
-    fn decode_f32(&mut self) -> Result<f32, ProtoError> {
-        let slice = self.decode_take(4)?;
-        let arr: [u8; 4] = slice.try_into().map_err(|_| ProtoError::Truncated)?;
-        Ok(f32::from_le_bytes(arr))
-    }
-
-    /// `u32 count` + `count × f32`. The count is capped *before* the
-    /// byte take, so a hostile count errors without allocating; the
-    /// resulting Vec's size is bounded by the actual payload bytes.
-    fn decode_vec_f32(&mut self) -> Result<Vec<f32>, ProtoError> {
-        let n = self.decode_u32()? as usize;
-        if n > MAX_VEC_ELEMS {
-            return Err(ProtoError::ImplausibleCount(n));
-        }
-        let byte_len = n
-            .min(MAX_VEC_ELEMS)
-            .checked_mul(4)
-            .ok_or(ProtoError::Truncated)?;
-        let bytes = self.decode_take(byte_len)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| {
-                let arr: [u8; 4] = c.try_into().unwrap_or_default();
-                f32::from_le_bytes(arr)
-            })
-            .collect())
-    }
-
-    /// `u32 len` + `len` raw bytes, capped at the frame payload cap.
-    fn decode_bytes(&mut self) -> Result<Vec<u8>, ProtoError> {
-        let n = self.decode_u32()? as usize;
-        if n > wire::MAX_PAYLOAD_BYTES {
-            return Err(ProtoError::ImplausibleCount(n));
-        }
-        let bytes = self.decode_take(n.min(wire::MAX_PAYLOAD_BYTES))?;
-        Ok(bytes.to_vec())
-    }
-
-    fn decode_string(&mut self) -> Result<String, ProtoError> {
-        let n = self.decode_u32()? as usize;
-        if n > MAX_STR_BYTES {
-            return Err(ProtoError::ImplausibleCount(n));
-        }
-        let bytes = self.decode_take(n.min(MAX_STR_BYTES))?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtoError::BadUtf8)
-    }
-
-    /// Every decoder must consume the payload exactly; leftovers mean a
-    /// peer speaking a different (perhaps future) layout.
-    fn finish(&self) -> Result<(), ProtoError> {
-        let extra = self.buf.len().saturating_sub(self.pos);
-        if extra != 0 {
-            return Err(ProtoError::TrailingBytes(extra));
-        }
-        Ok(())
-    }
+fn decode_str(r: &mut Reader<'_>) -> Result<String, ProtoError> {
+    let n = decode_count(r, MAX_STR_BYTES)?;
+    Ok(r.str(n)?)
 }
 
 #[cfg(test)]

@@ -7,6 +7,22 @@ cd "$(dirname "$0")/.."
 echo "== format =="
 cargo fmt --check
 
+echo "== one byte layer =="
+# The FNV-1a offset basis is the fingerprint of a hand-rolled checksum.
+# Exactly one source file may carry it (proto::bytes, the layer all three
+# byte formats are clients of) and no test may: tests seal through the
+# public `bytes::seal`, so a fourth copy cannot come back unnoticed.
+fnv_basis='cbf2_9ce4|cbf29ce4'
+fnv_src=$(grep -rlIE "$fnv_basis" crates/*/src || true)
+if [ "$fnv_src" != "crates/proto/src/bytes.rs" ]; then
+    echo "the FNV offset basis belongs in crates/proto/src/bytes.rs only, found in: ${fnv_src:-nothing}" >&2
+    exit 1
+fi
+if fnv_tests=$(grep -rlIE "$fnv_basis" crates/*/tests tests); then
+    echo "tests must seal through fedclust_proto::bytes::seal, not their own FNV: $fnv_tests" >&2
+    exit 1
+fi
+
 echo "== build (release) =="
 cargo build --release
 
@@ -41,11 +57,15 @@ cargo test -q --test crash_recovery
 scripts/kill_resume_smoke.sh
 
 echo "== codec conformance =="
+# Golden bytes pin every format against images generated before the byte
+# layer was last touched; the hostile battery runs truncations, bit flips,
+# lying lengths and resealed garbage against all three formats.
+cargo test -q --test golden_bytes --test hostile_bytes
 cargo test -q --test codec_conformance
 cargo test -q --test comm_accounting
 
 echo "== networked federation =="
-# Wire-protocol hostile-frame fuzzing, then the real binaries end to end:
+# Wire-protocol unit tests, then the real binaries end to end:
 # server + worker fleet over localhost TCP (plain, codec-compressed,
 # through the chaos proxy, across a server SIGKILL + resume, and under
 # worker crashes) must be byte-identical to the in-process simulation.
