@@ -278,10 +278,18 @@ impl Args {
     /// flag and the offending value so the fix is obvious from the error
     /// alone.
     fn validate(&self) -> Result<(), ParseError> {
-        if self.clients == 0 || self.rounds == 0 || self.epochs == 0 {
-            return Err(ParseError(
-                "clients, rounds and epochs must be positive".into(),
-            ));
+        for (flag, value) in [
+            ("--clients", self.clients),
+            ("--rounds", self.rounds),
+            ("--epochs", self.epochs),
+            ("--samples-per-class", self.samples_per_class),
+        ] {
+            if value == 0 {
+                return Err(ParseError(format!(
+                    "{} must be at least 1, got {}",
+                    flag, value
+                )));
+            }
         }
         for (flag, value) in [
             ("--dropout", self.dropout),
@@ -498,7 +506,11 @@ mod tests {
     #[test]
     fn invalid_values_are_rejected() {
         assert!(Args::parse(&argv(&["run", "--method", "x", "--clients", "zero"])).is_err());
-        assert!(Args::parse(&argv(&["run", "--method", "x", "--clients", "0"])).is_err());
+        // A zero count names its flag and its value.
+        for flag in ["--clients", "--rounds", "--epochs", "--samples-per-class"] {
+            let err = Args::parse(&argv(&["run", "--method", "x", flag, "0"])).unwrap_err();
+            assert_eq!(err.0, format!("{flag} must be at least 1, got 0"));
+        }
         assert!(Args::parse(&argv(&["run", "--method", "x", "--dropout", "1.5"])).is_err());
         assert!(Args::parse(&argv(&["run", "--method", "x", "--sample-rate", "0"])).is_err());
         assert!(Args::parse(&argv(&["frobnicate"])).is_err());

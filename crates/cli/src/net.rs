@@ -390,11 +390,14 @@ impl NetTrainer {
 
 /// Whether a pushed update can be aggregated at all: its state (raw or
 /// codec-decoded) has the length the server broadcast, and its weight is a
-/// positive finite number. A frame that passed every checksum can still
-/// carry neither — a worker-side bug or a hostile peer — and the
-/// aggregation arithmetic downstream asserts both.
+/// finite number ≥ 0. Zero is valid — the weight is the client's
+/// training-set size (Eq. 2), and an in-process client with no data
+/// uploads exactly that: received, billed, contributing nothing. A frame
+/// that passed every checksum can still carry a wrong length or a
+/// negative or non-finite weight — a worker-side bug or a hostile peer —
+/// and the aggregation arithmetic downstream assumes neither.
 fn usable(state: &[f32], weight: f32, expected_len: usize) -> bool {
-    state.len() == expected_len && weight.is_finite() && weight > 0.0
+    state.len() == expected_len && weight.is_finite() && weight >= 0.0
 }
 
 /// Turn the pushes collected for a training round into the outcome the
@@ -682,8 +685,25 @@ mod tests {
     }
 
     #[test]
-    fn zero_weight_is_written_off() {
-        assert_written_off(0.0, PushBody::Raw(vec![9.0; 4]));
+    fn infinite_and_negative_weights_are_written_off() {
+        assert_written_off(f32::INFINITY, PushBody::Raw(vec![9.0; 4]));
+        assert_written_off(-1.0, PushBody::Raw(vec![9.0; 4]));
+    }
+
+    /// A client with no training data pushes weight 0: a valid update that
+    /// is received like any other and moves the average by nothing.
+    #[test]
+    fn zero_weight_is_kept_and_contributes_nothing() {
+        let pushed = pushes(0.0, PushBody::Raw(vec![9.0; 4]));
+        let outcome = settle_train(&round(&[0, 1]), pushed, Vec::new());
+        assert_eq!(outcome.lost, Vec::<usize>::new());
+        let updates = outcome.updates.iter();
+        let items: Vec<(&[f32], f32)> = updates.map(|u| (&u.state[..], u.weight)).collect();
+        assert_eq!(items.len(), 2);
+        assert_eq!(
+            fedclust_fl::engine::weighted_average_or(&items, &START),
+            vec![1.0; 4]
+        );
     }
 
     #[test]

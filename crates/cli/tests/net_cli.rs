@@ -167,35 +167,55 @@ fn reap(mut workers: Vec<Child>) {
     }
 }
 
+/// Run `method` through `fedclustd` and `workers` worker processes and
+/// require its `--json` output byte-identical to the in-process
+/// simulation of the same argv.
+fn assert_networked_matches(method: &str, extra: &[&str], workers: usize) {
+    let reference = in_process(method, extra);
+    let server = spawn_server(method, extra, &["--min-workers", &workers.to_string()]);
+    let fleet: Vec<Child> = (0..workers)
+        .map(|_| spawn_worker(&server.addr, &[]))
+        .collect();
+    let out = finish(server);
+    reap(fleet);
+    assert_eq!(
+        reference, out,
+        "networked {method} {extra:?} diverged from simulation"
+    );
+}
+
+/// 200 clients over 20 training samples: most clients have no training
+/// data and push an update of weight 0 (Eq. 2 weights by dataset size).
+/// The server must take it as the simulation does — received, billed,
+/// contributing nothing — not write it off as a loss.
+const EMPTY_CLIENTS: [&str; 8] = [
+    "--clients",
+    "200",
+    "--rounds",
+    "2",
+    "--samples-per-class",
+    "2",
+    "--seed",
+    "3",
+];
+
 /// FedAvg over localhost with two worker processes: byte-identical to the
-/// in-process simulation at the same seed.
+/// in-process simulation at the same seed, also when most clients are
+/// empty.
 #[test]
 fn networked_fedavg_matches_in_process() {
-    let reference = in_process("fedavg", &[]);
-    let server = spawn_server("fedavg", &[], &["--min-workers", "2"]);
-    let workers = vec![
-        spawn_worker(&server.addr, &[]),
-        spawn_worker(&server.addr, &[]),
-    ];
-    let out = finish(server);
-    reap(workers);
-    assert_eq!(reference, out, "networked FedAvg diverged from simulation");
+    assert_networked_matches("fedavg", &[], 2);
+    assert_networked_matches("fedavg", &EMPTY_CLIENTS, 1);
 }
 
 /// FedClust (round-0 warmup collection + clustered rounds) over localhost
 /// with four worker processes — the full weight-driven clustering path
-/// runs with training farmed out and must replay bit-identically.
+/// runs with training farmed out and must replay bit-identically, also
+/// when whole clusters' sampled members are empty.
 #[test]
 fn networked_fedclust_with_four_workers_matches_in_process() {
-    let reference = in_process("fedclust", &[]);
-    let server = spawn_server("fedclust", &[], &["--min-workers", "4"]);
-    let workers: Vec<Child> = (0..4).map(|_| spawn_worker(&server.addr, &[])).collect();
-    let out = finish(server);
-    reap(workers);
-    assert_eq!(
-        reference, out,
-        "networked FedClust diverged from simulation"
-    );
+    assert_networked_matches("fedclust", &[], 4);
+    assert_networked_matches("fedclust", &EMPTY_CLIENTS, 1);
 }
 
 /// A codec-compressed networked run: the worker-side encoder and the
@@ -203,16 +223,7 @@ fn networked_fedclust_with_four_workers_matches_in_process() {
 /// decoded states, and comm accounting must agree exactly.
 #[test]
 fn networked_codec_run_matches_in_process() {
-    let extra = ["--codec", "delta+q8+sr"];
-    let reference = in_process("fedavg", &extra);
-    let server = spawn_server("fedavg", &extra, &["--min-workers", "2"]);
-    let workers = vec![
-        spawn_worker(&server.addr, &[]),
-        spawn_worker(&server.addr, &[]),
-    ];
-    let out = finish(server);
-    reap(workers);
-    assert_eq!(reference, out, "codec-compressed networked run diverged");
+    assert_networked_matches("fedavg", &["--codec", "delta+q8+sr"], 2);
 }
 
 /// FedClust end-to-end through the chaos proxy at a fixed chaos seed:

@@ -107,8 +107,8 @@ impl RoundCtx<'_> {
     /// One round of per-cluster FedAvg (Eq. 2; Algorithm 1 lines 9–14):
     /// sample at `round`, and for each cluster train its sampled members
     /// from the cluster model and average what survives. A cluster with no
-    /// sampled member, or whose every upload was lost or quarantined,
-    /// carries its model forward.
+    /// sampled member, or whose every upload was lost, quarantined or
+    /// weightless, carries its model forward.
     pub fn cluster_round(&mut self, states: &mut [Vec<f32>], labels: &[usize], round: usize) {
         let sampled = sample_clients(self.fd.num_clients(), self.cfg, round);
         for (ci, state) in states.iter_mut().enumerate() {
@@ -121,9 +121,7 @@ impl RoundCtx<'_> {
                 continue;
             }
             let updates = self.train_round(state, &members, round, None);
-            if !updates.is_empty() {
-                *state = average_updates(&updates);
-            }
+            *state = average_updates(&updates, state);
         }
     }
 }

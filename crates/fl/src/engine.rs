@@ -256,13 +256,15 @@ pub fn weighted_average(items: &[(&[f32], f32)]) -> Vec<f32> {
     out.into_iter().map(|v| v as f32).collect()
 }
 
-/// [`weighted_average`] with the fault-tolerant fallback: when every update
-/// of a round (or cluster) was lost or quarantined, carry `previous`
-/// forward instead of panicking. The panic in [`weighted_average`] stays
-/// for genuine empty-input bugs at call sites that cannot legitimately see
-/// an empty set.
+/// [`weighted_average`] with the fault-tolerant fallback: when nothing
+/// carries weight — every update of a round (or cluster) was lost or
+/// quarantined, or every survivor has weight 0 (Eq. 2 weights a client by
+/// its dataset size, so a client with no training data is a valid update
+/// that contributes nothing) — carry `previous` forward instead of
+/// panicking. The panic in [`weighted_average`] stays for genuine
+/// empty-input bugs at call sites that cannot legitimately see either.
 pub fn weighted_average_or(items: &[(&[f32], f32)], previous: &[f32]) -> Vec<f32> {
-    if items.is_empty() {
+    if items.iter().all(|(_, w)| *w <= 0.0) {
         previous.to_vec()
     } else {
         weighted_average(items)
@@ -270,16 +272,14 @@ pub fn weighted_average_or(items: &[(&[f32], f32)], previous: &[f32]) -> Vec<f32
 }
 
 /// FedAvg over a round's surviving updates: the sample-size-weighted
-/// average of their full states.
-///
-/// # Panics
-/// Panics if `updates` is empty (see [`weighted_average`]).
-pub fn average_updates(updates: &[ClientUpdate]) -> Vec<f32> {
+/// average of their full states, or `previous` when none carries weight
+/// (see [`weighted_average_or`]).
+pub fn average_updates(updates: &[ClientUpdate], previous: &[f32]) -> Vec<f32> {
     let items: Vec<(&[f32], f32)> = updates
         .iter()
         .map(|u| (u.state.as_slice(), u.weight))
         .collect();
-    weighted_average(&items)
+    weighted_average_or(&items, previous)
 }
 
 /// Evaluate every client's local test accuracy in parallel, with the state
@@ -415,9 +415,13 @@ mod tests {
     fn empty_average_or_carries_previous_forward() {
         let prev = vec![0.25f32, -1.5, 3.0];
         assert_eq!(weighted_average_or(&[], &prev), prev);
-        // Non-empty input must still delegate to the real average.
         let a = vec![0.0f32, 0.0, 0.0];
         let b = vec![1.0f32, 2.0, 3.0];
+        // So does a survivor set in which nobody carries weight...
+        assert_eq!(weighted_average_or(&[(&a, 0.0), (&b, 0.0)], &prev), prev);
+        // ...while one weightless member among others contributes nothing.
+        assert_eq!(weighted_average_or(&[(&a, 0.0), (&b, 2.0)], &prev), b);
+        // Input that carries weight must still delegate to the real average.
         assert_eq!(
             weighted_average_or(&[(&a, 1.0), (&b, 1.0)], &prev),
             weighted_average(&[(&a, 1.0), (&b, 1.0)])

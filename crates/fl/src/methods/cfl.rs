@@ -160,7 +160,7 @@ impl Method for Cfl {
             let r = *s.reference_norm.get_or_insert(mean_norm.max(1e-12));
 
             // FedAvg aggregation inside the cluster.
-            cluster.state = average_updates(&updates);
+            cluster.state = average_updates(&updates, &cluster.state);
 
             // Split condition (relative thresholds).
             if round >= self.warmup_rounds

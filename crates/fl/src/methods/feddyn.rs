@@ -19,7 +19,7 @@
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, FedDynState, MethodState};
 use crate::driver::{Method, RoundCtx};
-use crate::engine::{evaluate_clients, local_train_corrected, sample_clients, weighted_average};
+use crate::engine::{evaluate_clients, local_train_corrected, sample_clients, weighted_average_or};
 use rayon::prelude::*;
 
 /// FedDyn with regularization strength α.
@@ -134,7 +134,7 @@ impl Method for FedDyn {
                 .iter()
                 .map(|(w, weight)| (&w[num_params..], *weight))
                 .collect();
-            let avg = weighted_average(&items);
+            let avg = weighted_average_or(&items, &s.state[num_params..]);
             s.state[num_params..].copy_from_slice(&avg);
         }
     }

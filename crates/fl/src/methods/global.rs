@@ -22,11 +22,12 @@ pub trait Global: Sync {
         None
     }
     /// The next global state from the current one and a round's surviving
-    /// updates (never empty). `num_params` is where the parameters end and
+    /// updates (never empty, but possibly all of weight 0, in which case
+    /// the model carries forward). `num_params` is where the parameters end and
     /// the extra state (batch-norm statistics) begins.
     fn aggregate(global: &[f32], updates: &[ClientUpdate], num_params: usize) -> Vec<f32> {
-        let _ = (global, num_params);
-        average_updates(updates)
+        let _ = num_params;
+        average_updates(updates, global)
     }
 }
 
@@ -75,6 +76,9 @@ impl Global for FedNova {
     fn aggregate(global: &[f32], updates: &[ClientUpdate], num_params: usize) -> Vec<f32> {
         let mut out = global.to_vec();
         let total_w: f64 = updates.iter().map(|u| u.weight as f64).sum();
+        if total_w <= 0.0 {
+            return out; // nobody carries weight: p_i is undefined
+        }
         let tau_eff: f64 = updates
             .iter()
             .map(|u| (u.weight as f64 / total_w) * u.steps as f64)

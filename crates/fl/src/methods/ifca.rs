@@ -9,7 +9,7 @@
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
 use crate::driver::{Method, RoundCtx};
-use crate::engine::{evaluate_models, local_train, sample_clients, weighted_average};
+use crate::engine::{evaluate_models, local_train, sample_clients, weighted_average_or};
 use fedclust_nn::optim::Sgd;
 use fedclust_nn::Model;
 use fedclust_tensor::rng::{derive, streams};
@@ -30,12 +30,17 @@ impl Default for Ifca {
 }
 
 impl Ifca {
-    /// Pick the best cluster model for a client by training-set loss.
+    /// Pick the best cluster model for a client by training-set loss. A
+    /// client with no training data has no loss to compare and is not
+    /// scored: it stays with the first model (and, at weight 0, moves none).
     pub(crate) fn best_cluster(
         template: &Model,
         states: &[Vec<f32>],
         data: &fedclust_data::ClientData,
     ) -> usize {
+        if data.train_samples() == 0 {
+            return 0;
+        }
         let idx: Vec<usize> = (0..data.train.len()).collect();
         let (x, y) = data.train.batch(&idx);
         let mut best = 0usize;
@@ -130,9 +135,7 @@ impl Method for Ifca {
                 .filter(|(c, _, _)| *c == ci)
                 .map(|(_, s, w)| (s.as_slice(), *w))
                 .collect();
-            if !items.is_empty() {
-                *state = weighted_average(&items);
-            }
+            *state = weighted_average_or(&items, state);
         }
     }
 

@@ -13,7 +13,7 @@
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState, ScaffoldState};
 use crate::driver::{Method, RoundCtx};
-use crate::engine::{evaluate_clients, local_train_corrected, sample_clients, weighted_average};
+use crate::engine::{evaluate_clients, local_train_corrected, sample_clients, weighted_average_or};
 use rayon::prelude::*;
 
 /// SCAFFOLD with server learning rate `eta_g` (the paper's ηg; 1.0 keeps
@@ -167,7 +167,7 @@ impl Method for Scaffold {
                 .iter()
                 .map(|o| (o.extra_state.as_slice(), o.weight))
                 .collect();
-            let extra = weighted_average(&items);
+            let extra = weighted_average_or(&items, &s.state[num_params..]);
             s.state[num_params..].copy_from_slice(&extra);
         }
     }

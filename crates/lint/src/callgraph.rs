@@ -1,5 +1,6 @@
-//! The approximate intra-workspace call graph and the global rules built on
-//! it: `panic-reachability` and `rng-stream-collision`.
+//! The approximate intra-workspace call graph, the workspace pass that runs
+//! on it ([`global_findings`]), and the two rules that live here:
+//! `panic-reachability` and `rng-stream-collision`.
 //!
 //! Call resolution is identifier-based and deliberately conservative —
 //! anything ambiguous is *ignored* rather than guessed, so the graph
@@ -21,10 +22,11 @@
 //! that visits callees in node order — repeated runs produce byte-identical
 //! findings and the reported chain is a shortest one.
 
+use crate::concurrency::LockSets;
 use crate::items::{Item, ItemKind};
-use crate::lexer::{TokKind, Token};
-use crate::rules::FileAnalysis;
-use crate::Finding;
+use crate::lexer::{text_at, TokKind, Token};
+use crate::rules::{panic_site_at, FileAnalysis, Pass, RULES};
+use crate::{Finding, Timings};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Crates whose non-test `pub fn`s must not transitively reach a panic.
@@ -76,55 +78,33 @@ pub(crate) struct FnNode {
     panics: Vec<(u32, String)>,
 }
 
-/// Run the cross-file rules over the per-file analyses. Findings are
-/// pragma-filtered here (the driver cannot: it no longer sees the pragmas)
-/// and returned unsorted.
-pub fn global_findings(files: &[FileAnalysis]) -> Vec<Finding> {
-    global_findings_timed(files, None)
+/// What a workspace rule sees: every file's analysis, the call graph over
+/// them, and the lock-set summaries computed on that graph.
+pub struct Workspace<'a> {
+    pub(crate) files: &'a [FileAnalysis],
+    pub(crate) nodes: Vec<FnNode>,
+    pub(crate) locksets: LockSets,
 }
 
-/// [`global_findings`] with optional per-rule/per-stage wall-time
-/// accounting.
-pub fn global_findings_timed(
-    files: &[FileAnalysis],
-    mut timings: Option<&mut crate::Timings>,
-) -> Vec<Finding> {
-    use std::time::Instant;
+/// Run every workspace rule of [`RULES`] over the per-file analyses.
+/// Findings are pragma-filtered here (the driver cannot: it no longer sees
+/// the pragmas) and returned unsorted.
+pub fn global_findings(files: &[FileAnalysis], timings: &mut Timings) -> Vec<Finding> {
+    let nodes = timings.time("infra:callgraph", || build_graph(files));
+    let locksets = timings.time("infra:lockset-engine", || {
+        crate::concurrency::build(files, &nodes)
+    });
+    let ws = Workspace {
+        files,
+        nodes,
+        locksets,
+    };
     let mut out = Vec::new();
-    let start = Instant::now();
-    let nodes = build_graph(files);
-    crate::record_elapsed(&mut timings, "infra:callgraph", start);
-    let start = Instant::now();
-    panic_reachability(&nodes, &mut out);
-    crate::record_elapsed(&mut timings, "panic-reachability", start);
-    let start = Instant::now();
-    stream_collisions(files, &mut out);
-    duplicate_derives(files, &mut out);
-    crate::record_elapsed(&mut timings, "rng-stream-collision", start);
-    let start = Instant::now();
-    out.extend(crate::dataflow::taint_findings(
-        files,
-        &crate::dataflow::untrusted_input_spec(),
-    ));
-    crate::record_elapsed(&mut timings, "untrusted-input-taint", start);
-    let start = Instant::now();
-    out.extend(crate::dataflow::taint_findings(
-        files,
-        &crate::dataflow::determinism_spec(),
-    ));
-    crate::record_elapsed(&mut timings, "determinism-taint", start);
-    let start = Instant::now();
-    let locksets = crate::concurrency::build(files, &nodes);
-    crate::record_elapsed(&mut timings, "infra:lockset-engine", start);
-    let start = Instant::now();
-    out.extend(crate::concurrency::lock_order_global(&locksets));
-    crate::record_elapsed(&mut timings, "lock-order-global", start);
-    let start = Instant::now();
-    out.extend(crate::concurrency::guard_across_blocking(&locksets));
-    crate::record_elapsed(&mut timings, "guard-across-blocking", start);
-    let start = Instant::now();
-    out.extend(crate::concurrency::atomic_ordering_pairing(files));
-    crate::record_elapsed(&mut timings, "atomic-ordering-pairing", start);
+    for rule in &RULES {
+        if let Pass::Workspace(run) = rule.pass {
+            timings.time(rule.name, || run(&ws, &mut out));
+        }
+    }
     out.retain(|f| {
         files
             .iter()
@@ -160,14 +140,6 @@ fn file_mods(rel: &str) -> Vec<String> {
 /// `fedclust_tensor::…` for the crate directory `tensor`.
 fn seg_eq(call_seg: &str, cand_seg: &str) -> bool {
     call_seg == cand_seg || call_seg.strip_prefix("fedclust_") == Some(cand_seg)
-}
-
-fn token_at(code: &[Token], i: usize) -> Option<&Token> {
-    code.get(i)
-}
-
-fn text_at(code: &[Token], i: usize) -> &str {
-    code.get(i).map(|t| t.text.as_str()).unwrap_or("")
 }
 
 /// Iterate the token indices of `item`'s body, skipping the bodies of other
@@ -283,35 +255,21 @@ fn scan_body(
         fa.suppressed("no-panic-paths", line) || fa.suppressed("panic-reachability", line)
     };
     for k in body_indices(item, &fa.items) {
-        let Some(t) = token_at(code, k) else {
+        let Some(t) = code.get(k).filter(|t| t.kind == TokKind::Ident) else {
             continue;
         };
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let next = text_at(code, k + 1);
-        if next == "!" {
-            if matches!(
-                t.text.as_str(),
-                "panic" | "todo" | "unimplemented" | "unreachable"
-            ) && !item.is_test
-                && !site_suppressed(t.line)
-            {
-                panics.push((t.line, format!("`{}!`", t.text)));
+        if let Some(site) = panic_site_at(code, k) {
+            if !item.is_test && !site_suppressed(t.line) {
+                panics.push((t.line, site));
             }
             continue;
         }
-        if next != "(" {
+        if text_at(code, k + 1) != "(" {
             continue;
         }
-        let prev = if k == 0 { "" } else { text_at(code, k - 1) };
-        match prev {
+        match text_at(code, k.wrapping_sub(1)) {
             "." => {
-                if matches!(t.text.as_str(), "unwrap" | "expect") {
-                    if !item.is_test && !site_suppressed(t.line) {
-                        panics.push((t.line, format!("`.{}()`", t.text)));
-                    }
-                } else if k >= 2 && text_at(code, k - 2) == "self" {
+                if k >= 2 && text_at(code, k - 2) == "self" {
                     // `self.method(…)`: resolve within the enclosing impl.
                     if let Some(impl_type) = &item.impl_type {
                         if let Some(cands) = by_name.get(&t.text) {
@@ -354,7 +312,7 @@ fn scan_body(
                 let mut j = k;
                 while j >= 2
                     && text_at(code, j - 1) == "::"
-                    && token_at(code, j - 2).is_some_and(|p| p.kind == TokKind::Ident)
+                    && code.get(j - 2).is_some_and(|p| p.kind == TokKind::Ident)
                 {
                     segs.insert(0, text_at(code, j - 2).to_string());
                     j -= 2;
@@ -488,7 +446,8 @@ fn resolve_bare(
 
 /// `panic-reachability`: BFS from every public library fn; report the
 /// shortest chain to a function containing an unsuppressed panic site.
-fn panic_reachability(nodes: &[FnNode], out: &mut Vec<Finding>) {
+pub(crate) fn panic_reachability(ws: &Workspace<'_>, out: &mut Vec<Finding>) {
+    let nodes = &ws.nodes;
     for (root, node) in nodes.iter().enumerate() {
         if !node.is_pub
             || node.is_test
@@ -545,6 +504,12 @@ fn panic_reachability(nodes: &[FnNode], out: &mut Vec<Finding>) {
     }
 }
 
+/// `rng-stream-collision`: both halves, (a) and (b) below.
+pub(crate) fn rng_stream_collision(ws: &Workspace<'_>, out: &mut Vec<Finding>) {
+    stream_collisions(ws.files, out);
+    duplicate_derives(ws.files, out);
+}
+
 /// `rng-stream-collision` (a): two distinct `streams::` constants sharing a
 /// value anywhere in the workspace.
 fn stream_collisions(files: &[FileAnalysis], out: &mut Vec<Finding>) {
@@ -567,8 +532,7 @@ fn stream_collisions(files: &[FileAnalysis], out: &mut Vec<Finding>) {
                     p += 1;
                     continue;
                 }
-                let name_tok = token_at(&fa.code, k + 1);
-                let Some(name_tok) = name_tok.filter(|t| t.kind == TokKind::Ident) else {
+                let Some(name_tok) = fa.code.get(k + 1).filter(|t| t.kind == TokKind::Ident) else {
                     p += 1;
                     continue;
                 };
@@ -577,14 +541,11 @@ fn stream_collisions(files: &[FileAnalysis], out: &mut Vec<Finding>) {
                 let mut value = None;
                 while q < idxs.len() {
                     let j = idxs[q];
-                    let tok = token_at(&fa.code, j);
-                    match tok.map(|t| t.text.as_str()).unwrap_or("") {
+                    match text_at(&fa.code, j) {
                         ";" => break,
                         "=" => {
-                            if let Some(v) =
-                                token_at(&fa.code, idxs.get(q + 1).copied().unwrap_or(j))
-                                    .filter(|t| t.kind == TokKind::Int)
-                            {
+                            let after = idxs.get(q + 1).copied().unwrap_or(j);
+                            if let Some(v) = fa.code.get(after).filter(|t| t.kind == TokKind::Int) {
                                 value = parse_int(&v.text);
                             }
                             break;
@@ -658,7 +619,7 @@ fn duplicate_derives(files: &[FileAnalysis], out: &mut Vec<Finding>) {
             let mut seen: BTreeMap<String, u32> = BTreeMap::new();
             let idxs = body_indices(item, &fa.items);
             for (p, &k) in idxs.iter().enumerate() {
-                let Some(t) = token_at(&fa.code, k) else {
+                let Some(t) = fa.code.get(k) else {
                     continue;
                 };
                 if t.kind != TokKind::Ident || t.text != "derive" || text_at(&fa.code, k + 1) != "("

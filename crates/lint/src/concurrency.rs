@@ -1,13 +1,12 @@
-//! Interprocedural concurrency analysis — the fedlint v4 lock-set engine
-//! and the three rules built on it (DESIGN.md §8, v4):
+//! Interprocedural concurrency analysis — the lock-set engine and the three
+//! rules built on it (DESIGN.md §8):
 //!
 //! * `lock-order-global` — a workspace-global, interprocedural lock
 //!   acquisition-order graph. Every edge that participates in a cycle is
 //!   reported with the full acquisition chain
 //!   (`lock A at file:line -> call f at file:line -> lock B at file:line`),
 //!   and re-acquiring a held lock (directly or through a call chain) is a
-//!   self-deadlock finding. Replaces the per-file lock-order graph that
-//!   `pool-discipline` carried in v3.
+//!   self-deadlock finding.
 //! * `guard-across-blocking` — no `Mutex`/`RwLock` guard may be live across
 //!   a blocking operation: socket read/write/accept, channel recv,
 //!   `thread::sleep`/`park`, pool job submission (`run_indexed`,
@@ -66,12 +65,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{body_indices, FnNode};
+use crate::callgraph::{body_indices, FnNode, Workspace};
 use crate::dataflow::{
     find_path, last_ident_in_group, let_bound_var, matching_close, receiver_name, ATOMIC_METHODS,
 };
 use crate::items::{Item, ItemKind};
-use crate::lexer::{TokKind, Token};
+use crate::lexer::{text_at, TokKind, Token};
 use crate::rules::FileAnalysis;
 use crate::Finding;
 
@@ -105,10 +104,6 @@ const BLOCKING_OPS: [&str; 16] = [
 /// The condvar-wait subset of [`BLOCKING_OPS`]: the first argument is the
 /// guard the wait atomically releases, so that one guard is exempt.
 const WAIT_OPS: [&str; 3] = ["wait", "wait_timeout", "wait_while"];
-
-fn text_at(code: &[Token], i: usize) -> &str {
-    code.get(i).map(|t| t.text.as_str()).unwrap_or("")
-}
 
 // ---------------------------------------------------------------------------
 // Lock identity
@@ -594,8 +589,8 @@ struct EdgeInfo {
 
 /// Emit the workspace-global lock-order findings: every edge on a cycle
 /// (with its full chain) plus direct and call-chain self-deadlocks.
-pub(crate) fn lock_order_global(sets: &LockSets) -> Vec<Finding> {
-    let mut out = Vec::new();
+pub(crate) fn lock_order_global(ws: &Workspace<'_>, out: &mut Vec<Finding>) {
+    let sets = &ws.locksets;
     // (held lock id, acquired lock id) → first witnessing edge.
     let mut edges: BTreeMap<(String, String), EdgeInfo> = BTreeMap::new();
     for sum in sets.summaries.iter().flatten() {
@@ -688,7 +683,6 @@ pub(crate) fn lock_order_global(sets: &LockSets) -> Vec<Finding> {
             ),
         });
     }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -698,8 +692,8 @@ pub(crate) fn lock_order_global(sets: &LockSets) -> Vec<Finding> {
 /// Emit the guard-across-blocking findings: a live guard at a direct
 /// blocking op (condvar waits exempt their own guard) or at a call site
 /// whose callee may-block.
-pub(crate) fn guard_across_blocking(sets: &LockSets) -> Vec<Finding> {
-    let mut out = Vec::new();
+pub(crate) fn guard_across_blocking(ws: &Workspace<'_>, out: &mut Vec<Finding>) {
+    let sets = &ws.locksets;
     for sum in sets.summaries.iter().flatten() {
         for b in &sum.blocks {
             for g in &b.held {
@@ -747,7 +741,6 @@ pub(crate) fn guard_across_blocking(sets: &LockSets) -> Vec<Finding> {
             }
         }
     }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -856,9 +849,9 @@ fn classify_site(
 
 /// Emit the atomic-ordering-pairing findings: demanding sites with no
 /// partnering site (by bare field name) anywhere else in the workspace.
-pub(crate) fn atomic_ordering_pairing(files: &[FileAnalysis]) -> Vec<Finding> {
+pub(crate) fn atomic_ordering_pairing(ws: &Workspace<'_>, out: &mut Vec<Finding>) {
     let mut sites: Vec<AtomicSite> = Vec::new();
-    for fa in files {
+    for fa in ws.files {
         let code = &fa.code;
         for item in &fa.items {
             if item.kind != ItemKind::Fn || item.is_test || item.body.is_none() {
@@ -892,7 +885,6 @@ pub(crate) fn atomic_ordering_pairing(files: &[FileAnalysis]) -> Vec<Finding> {
         }
     }
 
-    let mut out = Vec::new();
     for (i, s) in sites.iter().enumerate() {
         let partner = |acquire: bool| {
             sites.iter().enumerate().any(|(j, p)| {
@@ -938,12 +930,11 @@ pub(crate) fn atomic_ordering_pairing(files: &[FileAnalysis]) -> Vec<Finding> {
             }
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
-    use crate::callgraph::build_graph;
+    use crate::callgraph::{build_graph, Workspace};
     use crate::rules::{analyze_source, FileAnalysis, FileContext};
 
     fn analyses(sources: &[(&str, &str)]) -> Vec<FileAnalysis> {
@@ -956,7 +947,7 @@ mod tests {
                     rel_path: rel,
                     is_bin: false,
                 };
-                analyze_source(&ctx, src)
+                analyze_source(&ctx, src, &mut crate::Timings::default())
             })
             .collect()
     }
@@ -964,10 +955,16 @@ mod tests {
     fn findings(sources: &[(&str, &str)]) -> Vec<(String, u32, &'static str, String)> {
         let files = analyses(sources);
         let nodes = build_graph(&files);
-        let sets = super::build(&files, &nodes);
-        let mut out = super::lock_order_global(&sets);
-        out.extend(super::guard_across_blocking(&sets));
-        out.extend(super::atomic_ordering_pairing(&files));
+        let locksets = super::build(&files, &nodes);
+        let ws = Workspace {
+            files: &files,
+            nodes,
+            locksets,
+        };
+        let mut out = Vec::new();
+        super::lock_order_global(&ws, &mut out);
+        super::guard_across_blocking(&ws, &mut out);
+        super::atomic_ordering_pairing(&ws, &mut out);
         let mut out: Vec<_> = out
             .into_iter()
             .map(|f| (f.file, f.line, f.rule, f.message))

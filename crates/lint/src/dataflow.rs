@@ -1,5 +1,5 @@
 //! Per-function dataflow for `fedlint`: def-use chains over locals, an
-//! interprocedural taint engine, and the thread-pool concurrency checks.
+//! interprocedural taint engine, and the thread pool's `Relaxed` check.
 //!
 //! The engine recovers, for every `fn` body, its parameter names, its `let`
 //! bindings and plain reassignments (each with the token range of its
@@ -26,8 +26,8 @@
 //! bounds-clamped, every loop advances, fixpoints are iteration-capped).
 
 use crate::items::{Item, ItemKind};
-use crate::lexer::{TokKind, Token};
-use crate::rules::FileAnalysis;
+use crate::lexer::{text_at, TokKind, Token};
+use crate::rules::{FileAnalysis, FileView};
 use crate::Finding;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -93,10 +93,6 @@ fn is_local_name(name: &str) -> bool {
             name,
             "box" | "const" | "dyn" | "impl" | "mut" | "ref" | "self" | "fn"
         )
-}
-
-fn text_at(code: &[Token], i: usize) -> &str {
-    code.get(i).map(|t| t.text.as_str()).unwrap_or("")
 }
 
 /// Scan an expression starting at `from`: the range ends at the first `;`
@@ -1141,35 +1137,13 @@ pub(crate) const ATOMIC_METHODS: [&str; 13] = [
     "swap",
 ];
 
-/// `pool-discipline`: the vendored thread-pool's concurrency protocol.
-/// Two checks over `vendor/rayon/src` files: (a) every
-/// `Ordering::Relaxed` needs a justification pragma, (b) `unsafe impl
-/// Send/Sync` needs a `// SAFETY:` comment. (The v3 per-file lock-order
-/// check moved to the workspace-global, interprocedural
-/// `lock-order-global` rule in [`crate::concurrency`].)
-pub fn pool_discipline(
-    rel_path: &str,
-    code: &[Token],
-    _items: &[Item],
-    in_test: &[bool],
-    safety_ok: &dyn Fn(u32) -> bool,
-    out: &mut Vec<Finding>,
-) {
-    if !rel_path.starts_with("vendor/rayon/") {
+/// `pool-discipline`: in the vendored thread pool (`vendor/rayon/src`),
+/// every non-test `Ordering::Relaxed` needs a justification pragma.
+pub(crate) fn pool_discipline(f: &FileView<'_>, out: &mut Vec<Finding>) {
+    let code = f.code;
+    if !f.ctx.rel_path.starts_with("vendor/rayon/") {
         return;
     }
-    let test_line = |line: u32| in_test.get(line as usize).copied().unwrap_or(false);
-    relaxed_orderings(rel_path, code, &test_line, out);
-    unsafe_impl_send_sync(rel_path, code, &test_line, safety_ok, out);
-}
-
-/// Check (a): naked `Ordering::Relaxed`.
-fn relaxed_orderings(
-    rel_path: &str,
-    code: &[Token],
-    test_line: &dyn Fn(u32) -> bool,
-    out: &mut Vec<Finding>,
-) {
     for k in 0..code.len() {
         if !(text_at(code, k) == "Ordering"
             && text_at(code, k + 1) == "::"
@@ -1178,7 +1152,7 @@ fn relaxed_orderings(
             continue;
         }
         let line = code[k + 2].line;
-        if test_line(line) {
+        if f.in_test(line) {
             continue;
         }
         // Name the atomic op for the message: walk back to the enclosing
@@ -1191,8 +1165,8 @@ fn relaxed_orderings(
                 && text_at(code, m + 1) == "("
             {
                 if m >= 2 && text_at(code, m - 1) == "." {
-                    if let Some(f) = code.get(m - 2).filter(|f| f.kind == TokKind::Ident) {
-                        what = format!("`{}.{}`", f.text, t.text);
+                    if let Some(field) = code.get(m - 2).filter(|p| p.kind == TokKind::Ident) {
+                        what = format!("`{}.{}`", field.text, t.text);
                         break;
                     }
                 }
@@ -1200,59 +1174,15 @@ fn relaxed_orderings(
                 break;
             }
         }
-        out.push(Finding {
-            file: rel_path.to_string(),
+        f.push(
+            out,
             line,
-            rule: "pool-discipline",
-            message: format!(
+            format!(
                 "`Ordering::Relaxed` on {what} without a justification pragma; state-machine \
                  atomics need Acquire/Release, or a `// fedlint::allow(pool-discipline): …` \
                  stating why reordering is harmless"
             ),
-        });
-    }
-}
-
-/// Check (c): `unsafe impl Send/Sync` without a SAFETY comment. Overlaps
-/// with `unsafe-needs-safety-comment` deliberately — the pool's Send/Sync
-/// claims are load-bearing enough to gate under both names.
-fn unsafe_impl_send_sync(
-    rel_path: &str,
-    code: &[Token],
-    test_line: &dyn Fn(u32) -> bool,
-    safety_ok: &dyn Fn(u32) -> bool,
-    out: &mut Vec<Finding>,
-) {
-    for k in 0..code.len() {
-        if !(text_at(code, k) == "unsafe" && text_at(code, k + 1) == "impl") {
-            continue;
-        }
-        let line = code[k].line;
-        if test_line(line) || safety_ok(line) {
-            continue;
-        }
-        // Find the trait name between `impl` and the body / `for`.
-        let mut traited = None;
-        for j in k + 2..(k + 16).min(code.len()) {
-            match text_at(code, j) {
-                "Send" | "Sync" => {
-                    traited = Some(text_at(code, j).to_string());
-                    break;
-                }
-                "{" | ";" | "for" => break,
-                _ => {}
-            }
-        }
-        let Some(traited) = traited else { continue };
-        out.push(Finding {
-            file: rel_path.to_string(),
-            line,
-            rule: "pool-discipline",
-            message: format!(
-                "`unsafe impl {traited}` without a `// SAFETY:` comment; the pool's thread-safety \
-                 claims must document the invariant that makes cross-thread access sound"
-            ),
-        });
+        );
     }
 }
 

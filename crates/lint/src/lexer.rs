@@ -61,6 +61,12 @@ pub fn lex(src: &str) -> Vec<Token> {
     .run()
 }
 
+/// The text of token `i`, or `""` past either end of the stream — so
+/// `text_at(code, k.wrapping_sub(1))` is a total "previous token" lookup.
+pub(crate) fn text_at(code: &[Token], i: usize) -> &str {
+    code.get(i).map(|t| t.text.as_str()).unwrap_or("")
+}
+
 /// Multi-byte operators, longest first within each arm of the match below.
 const OPS3: [&str; 3] = ["..=", "<<=", ">>="];
 const OPS2: [&str; 20] = [

@@ -14,17 +14,17 @@
 //! order, findings are sorted by `(file, line, rule, message)`, and the JSON
 //! emitter is hand-rolled with sorted keys — repeated runs are byte-identical.
 //!
-//! Scanning is two-pass. Pass one runs the line/token-local rules per file
-//! and records each file's structure ([`rules::FileAnalysis`]: items from
-//! [`items`], tokens, pragmas). Pass two feeds every analysis to
-//! [`callgraph`], which builds the approximate intra-workspace call graph
-//! and runs the cross-file rules (`panic-reachability`,
-//! `rng-stream-collision`, plus the [`dataflow`]-driven taint rules
-//! `untrusted-input-taint` and `determinism-taint`). The [`baseline`]
-//! module implements the CI ratchet: baselined findings warn, new findings
-//! fail `--deny`.
+//! Scanning is two-pass, and [`rules::RULES`] is the one list of what runs
+//! in each. Pass one runs the per-file rules and records each file's
+//! structure ([`rules::FileAnalysis`]: items from [`items`], tokens,
+//! pragmas). Pass two ([`callgraph::global_findings`]) builds the
+//! approximate intra-workspace call graph and the [`concurrency`] lock-set
+//! summaries over every analysis and runs the workspace rules on them
+//! (reachability, stream collisions, the [`dataflow`] taint rules, lock
+//! order, guards, atomics). A justified finding is parked where it occurs,
+//! by a `fedlint::allow` pragma with a written reason; there is no other
+//! exemption mechanism.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod concurrency;
 pub mod dataflow;
@@ -37,34 +37,29 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// Per-rule and per-stage wall-time accounting (schema 4's `timings_ms`).
-/// Keys are rule names plus `infra:*` stages (parse, callgraph, lock-set
-/// engine); durations accumulate across files. Timing is opt-in
-/// (`Option<&mut Timings>` throughout) so the default paths stay
-/// byte-identical and the unit tests stay timing-free.
+/// Per-rule and per-stage wall time of one scan (the JSON report's
+/// `timings_ms`). Keys are the [`rules::RULES`] names plus the `infra:*`
+/// stages (parse, callgraph, lock-set engine); durations accumulate across
+/// files. Always collected — a handful of clock reads per file — and kept
+/// apart from [`Report`], whose bytes must not depend on the clock.
 #[derive(Debug, Default)]
 pub struct Timings {
     /// Accumulated wall time per key, sorted by key.
-    pub entries: BTreeMap<String, Duration>,
+    pub entries: BTreeMap<&'static str, Duration>,
 }
 
 impl Timings {
-    /// Add `d` to `key`'s accumulated time.
-    pub fn record(&mut self, key: &str, d: Duration) {
-        *self.entries.entry(key.to_string()).or_default() += d;
+    /// Run `f`, adding its wall time to `key`.
+    pub(crate) fn time<T>(&mut self, key: &'static str, f: impl FnOnce() -> T) -> T {
+        let start = Instant::now();
+        let out = f();
+        *self.entries.entry(key).or_default() += start.elapsed();
+        out
     }
 
     /// Sum of every recorded segment (the report's `total`).
     pub fn total(&self) -> Duration {
         self.entries.values().sum()
-    }
-}
-
-/// Record `start.elapsed()` under `key` when timing is on. Shared helper
-/// for the optional-timings plumbing in [`rules`] and [`callgraph`].
-pub(crate) fn record_elapsed(timings: &mut Option<&mut Timings>, key: &str, start: Instant) {
-    if let Some(t) = timings.as_deref_mut() {
-        t.record(key, start.elapsed());
     }
 }
 
@@ -75,7 +70,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule identifier (see [`rules::RULE_NAMES`], plus `pragma-syntax`).
+    /// Rule identifier (see [`rules::RULES`], plus `pragma-syntax`).
     pub rule: &'static str,
     /// Human-readable diagnostic.
     pub message: String,
@@ -101,39 +96,31 @@ impl Report {
     }
 }
 
-/// Scan every `crates/*/src/**/*.rs` — plus `vendor/*/src/**/*.rs` when a
-/// `vendor/` directory exists (the thread pool's concurrency protocol is
-/// linted too) — under `root` and return the sorted report. `root` is the
-/// workspace root (the directory containing `crates/`).
-pub fn scan_workspace(root: &Path) -> Result<Report, String> {
-    scan_workspace_timed(root, None)
-}
-
-/// [`scan_workspace`] with optional per-rule/per-stage wall-time
-/// accounting accumulated into `timings`.
-pub fn scan_workspace_timed(
-    root: &Path,
-    mut timings: Option<&mut Timings>,
-) -> Result<Report, String> {
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<PathBuf> = std::fs::read_dir(&crates_dir)
-        .map_err(|e| format!("cannot read {}: {e}", crates_dir.display()))?
+/// The sorted subdirectories of `parent` that have a `src/` of their own.
+fn src_roots(parent: &Path) -> Result<Vec<PathBuf>, String> {
+    let mut dirs: Vec<PathBuf> = std::fs::read_dir(parent)
+        .map_err(|e| format!("cannot read {}: {e}", parent.display()))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
         .filter(|p| p.is_dir() && p.join("src").is_dir())
         .collect();
-    crate_dirs.sort();
+    dirs.sort();
+    Ok(dirs)
+}
+
+/// Scan every `crates/*/src/**/*.rs` — plus `vendor/*/src/**/*.rs` when a
+/// `vendor/` directory exists (the thread pool's concurrency protocol is
+/// linted too) — under `root` and return the sorted report with the scan's
+/// wall-time accounting. `root` is the workspace root (the directory
+/// containing `crates/`).
+pub fn scan_workspace(root: &Path) -> Result<(Report, Timings), String> {
+    let mut timings = Timings::default();
+    let mut crate_dirs = src_roots(&root.join("crates"))?;
     let vendor_dir = root.join("vendor");
     if vendor_dir.is_dir() {
-        let mut vendor_dirs: Vec<PathBuf> = std::fs::read_dir(&vendor_dir)
-            .map_err(|e| format!("cannot read {}: {e}", vendor_dir.display()))?
-            .filter_map(|entry| entry.ok().map(|e| e.path()))
-            .filter(|p| p.is_dir() && p.join("src").is_dir())
-            .collect();
-        vendor_dirs.sort();
-        crate_dirs.extend(vendor_dirs);
+        crate_dirs.extend(src_roots(&vendor_dir)?);
     }
 
-    // Pass one: per-file token/line rules plus structure recovery.
+    // Pass one: the per-file rules plus structure recovery.
     let mut analyses = Vec::new();
     for crate_dir in &crate_dirs {
         let crate_name = crate_dir
@@ -154,27 +141,24 @@ pub fn scan_workspace_timed(
                 rel_path: &rel,
                 is_bin,
             };
-            analyses.push(rules::analyze_source_timed(
-                &ctx,
-                &src,
-                timings.as_deref_mut(),
-            ));
+            analyses.push(rules::analyze_source(&ctx, &src, &mut timings));
         }
     }
     let files_scanned = analyses.len();
 
-    // Pass two: the cross-file rules over the whole workspace's structure.
+    // Pass two: the workspace rules over every file's structure.
     let mut findings: Vec<Finding> = analyses
         .iter_mut()
         .flat_map(|fa| std::mem::take(&mut fa.findings))
         .collect();
-    findings.extend(callgraph::global_findings_timed(&analyses, timings));
+    findings.extend(callgraph::global_findings(&analyses, &mut timings));
     findings.sort();
     findings.dedup();
-    Ok(Report {
+    let report = Report {
         findings,
         files_scanned,
-    })
+    };
+    Ok((report, timings))
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
@@ -214,25 +198,9 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 
 /// Render the human-readable report (trailing newline included).
 pub fn render_human(report: &Report) -> String {
-    render_human_with(report, None)
-}
-
-/// Human report with optional baseline classification: baselined findings
-/// are annotated, and the summary splits baselined from new counts.
-pub fn render_human_with(report: &Report, ratchet: Option<&baseline::Classified>) -> String {
     let mut out = String::new();
-    let baselined_flags: Option<Vec<bool>> =
-        ratchet.map(|c| c.entries.iter().map(|(_, b)| *b).collect());
-    for (i, f) in report.findings.iter().enumerate() {
-        let mark = match &baselined_flags {
-            Some(flags) if flags.get(i).copied().unwrap_or(false) => " (baselined)",
-            _ => "",
-        };
-        let _ = writeln!(
-            out,
-            "{}:{}: [{}] {}{}",
-            f.file, f.line, f.rule, f.message, mark
-        );
+    for f in &report.findings {
+        let _ = writeln!(out, "{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
     }
     if report.findings.is_empty() {
         let _ = writeln!(
@@ -246,15 +214,10 @@ pub fn render_human_with(report: &Report, ratchet: Option<&baseline::Classified>
             .iter()
             .map(|(rule, n)| format!("{rule}: {n}"))
             .collect();
-        let split = match ratchet {
-            Some(c) => format!(" [{} baselined, {} new]", c.baselined(), c.fresh()),
-            None => String::new(),
-        };
         let _ = writeln!(
             out,
-            "fedlint: {} finding(s){} in {} files scanned ({})",
+            "fedlint: {} finding(s) in {} files scanned ({})",
             report.findings.len(),
-            split,
             report.files_scanned,
             per_rule.join(", ")
         );
@@ -262,67 +225,29 @@ pub fn render_human_with(report: &Report, ratchet: Option<&baseline::Classified>
     out
 }
 
-/// Render the JSON report. Hand-rolled (no serde dependency) with sorted
-/// keys and sorted findings so output is byte-identical across runs.
-pub fn render_json(report: &Report) -> String {
-    render_json_with(report, None)
-}
-
-/// JSON report (schema 4) with optional baseline classification. Without a
-/// baseline every finding counts as new. `counts` carries every known rule
-/// (zero-filled), so per-rule trends diff cleanly across commits.
-pub fn render_json_with(report: &Report, ratchet: Option<&baseline::Classified>) -> String {
-    render_json_timed(report, ratchet, None)
-}
-
-/// [`render_json_with`] plus the optional schema-4 `timings_ms` block:
-/// per-rule/per-stage wall time in whole milliseconds, with a derived
-/// `total`. Omitted entirely when `timings` is `None`, keeping the
-/// timing-free output stable for byte-identity tests.
-pub fn render_json_timed(
-    report: &Report,
-    ratchet: Option<&baseline::Classified>,
-    timings: Option<&Timings>,
-) -> String {
-    let (baselined, fresh) = match ratchet {
-        Some(c) => (c.baselined(), c.fresh()),
-        None => (0, report.findings.len()),
-    };
+/// Render the JSON report (schema 5). Hand-rolled (no serde dependency)
+/// with sorted keys and sorted findings, so without `timings` the output is
+/// byte-identical across runs. `counts` carries every rule of
+/// [`rules::RULES`] (zero-filled) plus `pragma-syntax`, so per-rule trends
+/// diff cleanly across commits; `timings_ms` — whole milliseconds per rule
+/// and per `infra:*` stage, with a derived `total` — appears only when
+/// `timings` is handed in.
+pub fn render_json(report: &Report, timings: Option<&Timings>) -> String {
     let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": 4,");
+    let _ = writeln!(out, "  \"schema\": 5,");
     let _ = writeln!(out, "  \"files_scanned\": {},", report.files_scanned);
     let _ = writeln!(out, "  \"total_findings\": {},", report.findings.len());
-    let _ = writeln!(out, "  \"baselined_findings\": {baselined},");
-    let _ = writeln!(out, "  \"new_findings\": {fresh},");
-    out.push_str("  \"counts\": {");
     let mut counts: BTreeMap<&str, usize> = rules::RULE_NAMES.iter().map(|r| (*r, 0)).collect();
-    counts.insert("pragma-syntax", 0);
+    counts.insert(rules::PRAGMA_SYNTAX.0, 0);
     for f in &report.findings {
         *counts.entry(f.rule).or_insert(0) += 1;
     }
-    for (i, (rule, n)) in counts.iter().enumerate() {
-        let sep = if i + 1 < counts.len() { "," } else { "" };
-        let _ = write!(out, "\n    \"{rule}\": {n}{sep}");
-    }
-    out.push_str(if counts.is_empty() {
-        "},\n"
-    } else {
-        "\n  },\n"
-    });
+    json_object(&mut out, "counts", counts);
     if let Some(t) = timings {
-        out.push_str("  \"timings_ms\": {");
-        let mut rows: Vec<(String, u128)> = t
-            .entries
-            .iter()
-            .map(|(k, d)| (k.clone(), d.as_millis()))
-            .collect();
-        rows.push(("total".to_string(), t.total().as_millis()));
-        rows.sort();
-        for (i, (key, ms)) in rows.iter().enumerate() {
-            let sep = if i + 1 < rows.len() { "," } else { "" };
-            let _ = write!(out, "\n    {}: {ms}{sep}", json_str(key));
-        }
-        out.push_str("\n  },\n");
+        let mut rows: BTreeMap<&str, u128> =
+            t.entries.iter().map(|(k, d)| (*k, d.as_millis())).collect();
+        rows.insert("total", t.total().as_millis());
+        json_object(&mut out, "timings_ms", rows);
     }
     out.push_str("  \"findings\": [");
     for (i, f) in report.findings.iter().enumerate() {
@@ -347,6 +272,16 @@ pub fn render_json_timed(
         "\n  ]\n}\n"
     });
     out
+}
+
+/// Append `"name": {"key": value, …},` — one key per line, in key order.
+fn json_object<V: std::fmt::Display>(out: &mut String, name: &str, rows: BTreeMap<&str, V>) {
+    let _ = write!(out, "  \"{name}\": {{");
+    for (i, (key, value)) in rows.iter().enumerate() {
+        let sep = if i + 1 < rows.len() { "," } else { "" };
+        let _ = write!(out, "\n    {}: {value}{sep}", json_str(key));
+    }
+    out.push_str("\n  },\n");
 }
 
 /// Escape a string for JSON output.
@@ -387,7 +322,7 @@ mod tests {
             files_scanned: 3,
         };
         assert!(render_human(&r).contains("clean"));
-        let j = render_json(&r);
+        let j = render_json(&r, None);
         assert!(j.contains("\"total_findings\": 0"));
         assert!(j.contains("\"findings\": []"));
     }

@@ -1,36 +1,26 @@
 //! `fedlint` CLI: scan the workspace, print a deterministic report, gate CI.
 //!
 //! ```text
-//! fedlint [--deny] [--json] [--root <dir>] [--baseline <file>] [--update-baseline]
-//!         [--rules <comma-list>] [--explain <rule>]
+//! fedlint [--deny] [--json] [--root <dir>] [--explain <rule>]
 //! ```
 //!
-//! * `--deny` — exit nonzero if any *new* finding (or malformed pragma)
-//!   remains; with `--baseline`, baselined findings only warn.
-//! * `--json` — print the JSON report (schema 4, including per-rule
+//! * `--deny` — exit nonzero if any finding (or malformed pragma) remains.
+//! * `--json` — print the JSON report (schema 5, including per-rule
 //!   `timings_ms`) to stdout and also write it to
 //!   `<root>/results/lint_report.json` for trend tracking.
-//! * `--baseline <file>` — ratchet file, resolved relative to the workspace
-//!   root; findings whose `(file, rule, message)` appear in it are
-//!   *baselined* (warn), everything else is *new* (fails `--deny`). A
-//!   missing baseline file is treated as empty: every finding is new.
-//! * `--update-baseline` — rewrite the baseline from the current scan,
-//!   sorted and byte-deterministic, then exit successfully.
-//! * `--rules <comma-list>` — keep only findings of the listed rules, for
-//!   fast focused runs; every name must be a known rule.
-//! * `--explain <rule>` — print the rule's documentation
-//!   ([`lint::rules::RULE_DOCS`], the same table behind the README rule
-//!   list) and exit.
 //! * `--root` — workspace root; defaults to walking up from the current
 //!   directory until `Cargo.toml` + `crates/` are found.
+//! * `--explain <rule>` — print the rule's documentation (its
+//!   [`lint::rules::RULES`] row, the same table the README rule list is
+//!   tested against) and exit.
 
-use lint::baseline::Baseline;
+use lint::rules::{PRAGMA_SYNTAX, RULES, RULE_NAMES};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Write a persisted artifact atomically: tmp sibling → write → fsync →
-/// rename. A crash mid-write can never leave a torn report or baseline.
+/// rename. A crash mid-write can never leave a torn report.
 fn write_atomic(target: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let mut tmp = target.as_os_str().to_owned();
     tmp.push(".tmp");
@@ -45,48 +35,23 @@ fn write_atomic(target: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// The `--explain` text for `rule`, or `None` for an unknown rule. Split
 /// from `main` so the unit tests cover it directly.
 fn explain_rule(rule: &str) -> Option<String> {
-    lint::rules::RULE_DOCS
+    RULES
         .iter()
+        .map(|r| (r.name, r.doc))
+        .chain([PRAGMA_SYNTAX])
         .find(|(name, _)| *name == rule)
         .map(|(name, doc)| format!("{name}\n\n{doc}\n"))
-}
-
-/// Parse and validate a `--rules` comma-list against the known rule names
-/// (including `pragma-syntax`). Returns the selected names or the first
-/// unknown one as the error.
-fn parse_rules_filter(list: &str) -> Result<Vec<String>, String> {
-    let mut rules = Vec::new();
-    for name in list.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        if !lint::rules::RULE_NAMES.contains(&name) && name != "pragma-syntax" {
-            return Err(name.to_string());
-        }
-        if !rules.iter().any(|r| r == name) {
-            rules.push(name.to_string());
-        }
-    }
-    Ok(rules)
 }
 
 fn main() -> ExitCode {
     let mut deny = false;
     let mut json = false;
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut update_baseline = false;
-    let mut rules_filter: Option<Vec<String>> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny" => deny = true,
             "--json" => json = true,
-            "--update-baseline" => update_baseline = true,
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("fedlint: --baseline needs a file argument");
-                    return ExitCode::from(2);
-                }
-            },
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => {
@@ -102,8 +67,9 @@ fn main() -> ExitCode {
                     }
                     None => {
                         eprintln!(
-                            "fedlint: unknown rule `{rule}`; known rules: {}, pragma-syntax",
-                            lint::rules::RULE_NAMES.join(", ")
+                            "fedlint: unknown rule `{rule}`; known rules: {}, {}",
+                            RULE_NAMES.join(", "),
+                            PRAGMA_SYNTAX.0
                         );
                         return ExitCode::from(2);
                     }
@@ -113,32 +79,8 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--rules" => match args.next() {
-                Some(list) => match parse_rules_filter(&list) {
-                    Ok(rules) if !rules.is_empty() => rules_filter = Some(rules),
-                    Ok(_) => {
-                        eprintln!("fedlint: --rules needs at least one rule name");
-                        return ExitCode::from(2);
-                    }
-                    Err(unknown) => {
-                        eprintln!(
-                            "fedlint: unknown rule `{unknown}` in --rules; known rules: {}, \
-                             pragma-syntax",
-                            lint::rules::RULE_NAMES.join(", ")
-                        );
-                        return ExitCode::from(2);
-                    }
-                },
-                None => {
-                    eprintln!("fedlint: --rules needs a comma-separated list argument");
-                    return ExitCode::from(2);
-                }
-            },
             "--help" | "-h" => {
-                println!(
-                    "usage: fedlint [--deny] [--json] [--root <dir>] [--baseline <file>] \
-                     [--update-baseline] [--rules <comma-list>] [--explain <rule>]"
-                );
+                println!("usage: fedlint [--deny] [--json] [--root <dir>] [--explain <rule>]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -146,10 +88,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-    }
-    if update_baseline && baseline_path.is_none() {
-        eprintln!("fedlint: --update-baseline requires --baseline <file>");
-        return ExitCode::from(2);
     }
 
     let root = match root.or_else(|| {
@@ -164,72 +102,16 @@ fn main() -> ExitCode {
         }
     };
 
-    // Timings feed the schema-4 `timings_ms` block; only --json consumes
-    // them, keeping the human/--deny output timing-free and byte-identical.
-    let mut timings = lint::Timings::default();
-    let report = match lint::scan_workspace_timed(&root, json.then_some(&mut timings)) {
-        Ok(mut r) => {
-            if let Some(rules) = &rules_filter {
-                r.findings.retain(|f| rules.iter().any(|k| k == f.rule));
-            }
-            r
-        }
+    let (report, timings) = match lint::scan_workspace(&root) {
+        Ok(scanned) => scanned,
         Err(e) => {
             eprintln!("fedlint: {e}");
             return ExitCode::from(2);
         }
     };
 
-    let baseline_file = baseline_path.map(|p| if p.is_absolute() { p } else { root.join(p) });
-
-    if update_baseline {
-        let target = baseline_file.unwrap_or_default();
-        let rendered = Baseline::from_report(&report).render();
-        if let Some(dir) = target.parent() {
-            if let Err(e) = std::fs::create_dir_all(dir) {
-                eprintln!("fedlint: could not create {}: {e}", dir.display());
-                return ExitCode::from(2);
-            }
-        }
-        if let Err(e) = write_atomic(&target, rendered.as_bytes()) {
-            eprintln!("fedlint: could not write {}: {e}", target.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "fedlint: baseline updated with {} finding(s) -> {}",
-            report.findings.len(),
-            target.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let classified = match &baseline_file {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => match Baseline::parse(&text) {
-                Ok(b) => Some(b.classify(&report)),
-                Err(e) => {
-                    eprintln!("fedlint: {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                eprintln!(
-                    "fedlint: baseline {} not found; treating every finding as new \
-                     (run --update-baseline to create it)",
-                    path.display()
-                );
-                Some(Baseline::default().classify(&report))
-            }
-            Err(e) => {
-                eprintln!("fedlint: could not read {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => None,
-    };
-
     if json {
-        let rendered = lint::render_json_timed(&report, classified.as_ref(), Some(&timings));
+        let rendered = lint::render_json(&report, Some(&timings));
         print!("{rendered}");
         let results_dir = root.join("results");
         let target = results_dir.join("lint_report.json");
@@ -240,14 +122,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     } else {
-        print!("{}", lint::render_human_with(&report, classified.as_ref()));
+        print!("{}", lint::render_human(&report));
     }
 
-    let failing = match &classified {
-        Some(c) => c.fresh(),
-        None => report.findings.len(),
-    };
-    if deny && failing > 0 {
+    if deny && !report.findings.is_empty() {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
@@ -255,7 +133,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::{explain_rule, parse_rules_filter};
+    use super::explain_rule;
 
     #[test]
     fn explain_knows_every_rule_and_rejects_unknown_ones() {
@@ -266,19 +144,5 @@ mod tests {
         }
         assert!(explain_rule("pragma-syntax").is_some());
         assert!(explain_rule("no-such-rule").is_none());
-    }
-
-    #[test]
-    fn rules_filter_parses_validates_and_dedups() {
-        assert_eq!(
-            parse_rules_filter("float-eq, lock-order-global ,float-eq").unwrap(),
-            vec!["float-eq".to_string(), "lock-order-global".to_string()]
-        );
-        assert_eq!(parse_rules_filter("pragma-syntax").unwrap().len(), 1);
-        assert_eq!(parse_rules_filter(",,").unwrap(), Vec::<String>::new());
-        assert_eq!(
-            parse_rules_filter("float-eq,bogus"),
-            Err("bogus".to_string())
-        );
     }
 }

@@ -1,25 +1,14 @@
-//! The `fedlint` rules: each one turns a token stream into findings.
+//! The `fedlint` rules: [`RULES`] is the one table of them, and the
+//! per-file ones live here.
 //!
-//! Every rule protects a named workspace invariant (DESIGN.md §8):
-//!
-//! | rule | invariant |
-//! |------|-----------|
-//! | `unsafe-needs-safety-comment` | every `unsafe` is justified in writing |
-//! | `deterministic-iteration` | no hasher-ordered containers on replayed paths |
-//! | `deterministic-reduction` | no fold-during-iteration on parallel iterators |
-//! | `no-panic-paths` | library code of core crates cannot panic |
-//! | `rng-stream-discipline` | RNG streams derive from named `streams::` labels |
-//! | `float-eq` | no exact float equality without an explicit waiver |
-//! | `codec-checked-arith` | codec regions use checked arithmetic and `.get(…)` |
-//! | `atomic-write-discipline` | persisted writes follow tmp → fsync → rename |
-//! | `panic-reachability` | public library fns cannot *transitively* panic ([`crate::callgraph`]) |
-//! | `rng-stream-collision` | stream labels unique; one stream per scope ([`crate::callgraph`]) |
-//! | `untrusted-input-taint` | input-derived lengths are checked before arith/index/alloc ([`crate::dataflow`]) |
-//! | `determinism-taint` | nondeterministic values never flow into replayed state ([`crate::dataflow`]) |
-//! | `pool-discipline` | the vendored pool's atomics and `unsafe impl`s follow protocol ([`crate::dataflow`]) |
-//! | `lock-order-global` | the workspace-global lock acquisition order is cycle-free ([`crate::concurrency`]) |
-//! | `guard-across-blocking` | no lock guard is held across a blocking operation ([`crate::concurrency`]) |
-//! | `atomic-ordering-pairing` | release/acquire atomic sides pair up across the workspace ([`crate::concurrency`]) |
+//! Every rule protects a named workspace invariant (DESIGN.md §8). A row of
+//! [`RULES`] states what a rule is, once: its name, its `--explain` text,
+//! and the function that runs it — per file ([`Pass::File`], from
+//! [`analyze_source`]) or over the whole workspace ([`Pass::Workspace`],
+//! from [`crate::callgraph::global_findings`]). The sorted name list, the
+//! pragma validator, the report's `counts` and `timings_ms` keys and both
+//! run loops are derived from the table; adding a rule is one row plus its
+//! fixtures.
 //!
 //! Exemptions are granted per line by a pragma comment:
 //! `// fedlint::allow(<rule>): <reason>` — the reason is mandatory, and the
@@ -28,137 +17,169 @@
 //! malformed pragma is itself a finding (`pragma-syntax`) and suppresses
 //! nothing.
 
+use crate::callgraph::{self, Workspace};
+use crate::concurrency;
+use crate::dataflow::{determinism_spec, pool_discipline, taint_findings, untrusted_input_spec};
 use crate::items::{parse_items, Item, ItemKind};
-use crate::lexer::{lex, TokKind, Token};
-use crate::Finding;
+use crate::lexer::{lex, text_at, TokKind, Token};
+use crate::{Finding, Timings};
 
-/// Rule identifiers, sorted, as accepted by the allow pragma.
-pub const RULE_NAMES: [&str; 16] = [
-    "atomic-ordering-pairing",
-    "atomic-write-discipline",
-    "codec-checked-arith",
-    "determinism-taint",
-    "deterministic-iteration",
-    "deterministic-reduction",
-    "float-eq",
-    "guard-across-blocking",
-    "lock-order-global",
-    "no-panic-paths",
-    "panic-reachability",
-    "pool-discipline",
-    "rng-stream-collision",
-    "rng-stream-discipline",
-    "unsafe-needs-safety-comment",
-    "untrusted-input-taint",
-];
+/// One rule: what it is called, what `--explain` says, and how it runs.
+pub struct Rule {
+    /// The identifier findings carry and the allow pragma accepts.
+    pub name: &'static str,
+    /// The `--explain` text.
+    pub doc: &'static str,
+    /// Which pass runs the rule, and the function that does.
+    pub pass: Pass,
+}
 
-/// One `--explain` entry: the rule name and its documentation text. This
-/// table is the single source for `fedlint --explain`, and the README rule
-/// list is tested against it (`tests/explain.rs`).
-pub const RULE_DOCS: [(&str, &str); 17] = [
-    (
-        "atomic-ordering-pairing",
-        "Every Release/AcqRel store side on an atomic field must have a matching \
+/// When a rule runs, and on what.
+pub enum Pass {
+    /// Once per source file, on that file's tokens, items and line facts.
+    File(fn(&FileView<'_>, &mut Vec<Finding>)),
+    /// Once per scan, on every file's analysis, the call graph over them
+    /// and the lock-set summaries.
+    Workspace(fn(&Workspace<'_>, &mut Vec<Finding>)),
+}
+
+/// Every rule, sorted by name. The single source for `fedlint --explain`,
+/// and the README rule list is tested against it (`tests/explain.rs`).
+pub const RULES: [Rule; 16] = [
+    Rule {
+        name: "atomic-ordering-pairing",
+        doc: "Every Release/AcqRel store side on an atomic field must have a matching \
          Acquire/AcqRel/SeqCst load side on the same field at some other non-test site in the \
          workspace, and vice versa — a release edge with no acquire (or the reverse) \
          synchronizes nothing and usually marks a missing or misordered partner. SeqCst \
          satisfies either side without demanding one; Relaxed is pool-discipline's business \
          (justification pragma).",
-    ),
-    (
-        "atomic-write-discipline",
-        "Persisted state must be written atomically: tmp file, write, fsync, rename. A bare \
+        pass: Pass::Workspace(concurrency::atomic_ordering_pairing),
+    },
+    Rule {
+        name: "atomic-write-discipline",
+        doc: "Persisted state must be written atomically: tmp file, write, fsync, rename. A bare \
          write to the final path can be torn by a crash and break replay/recovery.",
-    ),
-    (
-        "codec-checked-arith",
-        "Codec regions — the byte layer's `Reader`/`unseal` (`proto/src/bytes.rs`) and the \
+        pass: Pass::File(rule_atomic_write),
+    },
+    Rule {
+        name: "codec-checked-arith",
+        doc: "Codec regions — the byte layer's `Reader`/`unseal` (`proto/src/bytes.rs`) and the \
          decode paths of the checkpoint, codec-wire and frame formats built on it — must use \
          checked arithmetic and checked indexing (`.get(…)`): attacker-controlled lengths must \
          not be able to overflow or panic.",
-    ),
-    (
-        "determinism-taint",
-        "Nondeterministic sources (wall clock, hasher state, thread ids, env) must not flow \
+        pass: Pass::File(rule_codec_checked_arith),
+    },
+    Rule {
+        name: "determinism-taint",
+        doc: "Nondeterministic sources (wall clock, hasher state, thread ids, env) must not flow \
          into replayed state in the deterministic crates; bit-identical replay is the \
          workspace's core guarantee.",
-    ),
-    (
-        "deterministic-iteration",
-        "No hasher-ordered containers (HashMap/HashSet iteration) on replayed paths in the \
+        pass: Pass::Workspace(|ws, out| out.extend(taint_findings(ws.files, &determinism_spec()))),
+    },
+    Rule {
+        name: "deterministic-iteration",
+        doc: "No hasher-ordered containers (HashMap/HashSet iteration) on replayed paths in the \
          deterministic crates; use BTreeMap/BTreeSet or sort first.",
-    ),
-    (
-        "deterministic-reduction",
-        "No fold/reduce during parallel iteration: float addition is not associative, so \
+        pass: Pass::File(rule_deterministic_iteration),
+    },
+    Rule {
+        name: "deterministic-reduction",
+        doc: "No fold/reduce during parallel iteration: float addition is not associative, so \
          reduction order must be fixed (indexed writes, then a sequential fold).",
-    ),
-    (
-        "float-eq",
-        "No exact float equality (`==`/`!=` on floats) without an explicit waiver; almost-equal \
-         comparisons must use an epsilon or bit-exact intent must be documented.",
-    ),
-    (
-        "guard-across-blocking",
-        "No Mutex/RwLock guard may be live across a blocking operation — socket \
+        pass: Pass::File(rule_deterministic_reduction),
+    },
+    Rule {
+        name: "float-eq",
+        doc: "No exact float equality (`==`/`!=` on floats) without an explicit waiver; \
+         almost-equal comparisons must use an epsilon or bit-exact intent must be documented.",
+        pass: Pass::File(rule_float_eq),
+    },
+    Rule {
+        name: "guard-across-blocking",
+        doc: "No Mutex/RwLock guard may be live across a blocking operation — socket \
          read/write/accept/flush, channel recv, thread::sleep/park, pool job submission, or a \
          Condvar wait on a different mutex (the wait's own guard is exempt: the condvar \
          releases it atomically). Interprocedural: holding a guard across a call whose callee \
          (transitively) blocks is reported with the full file:line chain.",
-    ),
-    (
-        "lock-order-global",
-        "The workspace-global lock acquisition-order graph must be cycle-free. Lock identity \
+        pass: Pass::Workspace(concurrency::guard_across_blocking),
+    },
+    Rule {
+        name: "lock-order-global",
+        doc: "The workspace-global lock acquisition-order graph must be cycle-free. Lock identity \
          is tracked by declaration site; held-lock sets propagate along the call graph to a \
          fixpoint, so a lock acquired in one file and held across calls into another still \
          produces edges. Every edge on a cycle is reported with the full acquisition chain \
          (lock A at file:line -> call f -> lock B at file:line), and re-acquiring a held lock \
          (directly or through a call chain) is a self-deadlock finding.",
-    ),
-    (
-        "no-panic-paths",
-        "Library code of the core crates must not panic: no unwrap/expect/panic!/indexing \
+        pass: Pass::Workspace(concurrency::lock_order_global),
+    },
+    Rule {
+        name: "no-panic-paths",
+        doc: "Library code of the core crates must not panic: no unwrap/expect/panic!/indexing \
          where a checked alternative exists. Binaries and tests are exempt.",
-    ),
-    (
-        "panic-reachability",
-        "Public library functions of the panic-free crates must not transitively reach a \
+        pass: Pass::File(rule_no_panic_paths),
+    },
+    Rule {
+        name: "panic-reachability",
+        doc: "Public library functions of the panic-free crates must not transitively reach a \
          panic site through the workspace call graph.",
-    ),
-    (
-        "pool-discipline",
-        "The vendored thread pool's concurrency protocol: every Ordering::Relaxed needs a \
-         justification pragma stating why reordering is harmless, and every `unsafe impl \
-         Send/Sync` needs a SAFETY comment. (The v3 per-file lock-order check is superseded \
-         by the interprocedural lock-order-global rule.)",
-    ),
-    (
-        "pragma-syntax",
-        "A malformed `// fedlint::allow(<rule>): <reason>` pragma — unknown rule name or \
-         missing reason — is itself a finding and suppresses nothing, so a typo cannot \
-         silently disable a rule.",
-    ),
-    (
-        "rng-stream-collision",
-        "RNG stream labels must be unique workspace-wide and each scope must draw from one \
+        pass: Pass::Workspace(callgraph::panic_reachability),
+    },
+    Rule {
+        name: "pool-discipline",
+        doc: "The vendored thread pool's concurrency protocol: every Ordering::Relaxed on an \
+         atomic needs a justification pragma stating why reordering is harmless; state-machine \
+         atomics want Acquire/Release.",
+        pass: Pass::File(pool_discipline),
+    },
+    Rule {
+        name: "rng-stream-collision",
+        doc: "RNG stream labels must be unique workspace-wide and each scope must draw from one \
          stream; collisions correlate supposedly-independent randomness.",
-    ),
-    (
-        "rng-stream-discipline",
-        "RNGs must be constructed from named `streams::` label constants (not ad-hoc seeds) \
+        pass: Pass::Workspace(callgraph::rng_stream_collision),
+    },
+    Rule {
+        name: "rng-stream-discipline",
+        doc: "RNGs must be constructed from named `streams::` label constants (not ad-hoc seeds) \
          so every random draw is attributable and replayable.",
-    ),
-    (
-        "unsafe-needs-safety-comment",
-        "Every `unsafe` block or impl needs a `// SAFETY:` comment documenting the invariant \
+        pass: Pass::File(rule_rng_stream_discipline),
+    },
+    Rule {
+        name: "unsafe-needs-safety-comment",
+        doc: "Every `unsafe` block or impl needs a `// SAFETY:` comment documenting the invariant \
          that makes it sound.",
-    ),
-    (
-        "untrusted-input-taint",
-        "Lengths and counts decoded from untrusted input must be bounds-checked before they \
+        pass: Pass::File(rule_unsafe_safety),
+    },
+    Rule {
+        name: "untrusted-input-taint",
+        doc: "Lengths and counts decoded from untrusted input must be bounds-checked before they \
          reach arithmetic, indexing, or allocation (dataflow taint over the decoder).",
-    ),
+        pass: Pass::Workspace(|ws, out| {
+            out.extend(taint_findings(ws.files, &untrusted_input_spec()))
+        }),
+    },
 ];
+
+/// Rule identifiers, sorted, as accepted by the allow pragma.
+pub const RULE_NAMES: [&str; RULES.len()] = {
+    let mut names = [""; RULES.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = RULES[i].name;
+        i += 1;
+    }
+    names
+};
+
+/// The built-in finding, as `(name, --explain text)`. Not a [`RULES`] row:
+/// the pragma collector raises it, and no pragma can allow it.
+pub const PRAGMA_SYNTAX: (&str, &str) = (
+    "pragma-syntax",
+    "A malformed `// fedlint::allow(<rule>): <reason>` pragma — unknown rule name or missing \
+     reason — is itself a finding and suppresses nothing, so a typo cannot silently disable a \
+     rule.",
+);
 
 /// Crates whose library code must be panic-free (`no-panic-paths`).
 const PANIC_FREE_CRATES: [&str; 6] = ["cluster", "core", "data", "fl", "nn", "tensor"];
@@ -207,6 +228,33 @@ impl LineInfo {
     }
 }
 
+/// What a per-file rule sees: one file's comment-free tokens, its items and
+/// per-line facts, and the [`RULES`] name it is running under.
+pub struct FileView<'a> {
+    rule: &'static str,
+    pub(crate) ctx: &'a FileContext<'a>,
+    pub(crate) code: &'a [Token],
+    items: &'a [Item],
+    info: &'a LineInfo,
+}
+
+impl FileView<'_> {
+    /// Report `message` at `line` under the running rule's name.
+    pub(crate) fn push(&self, out: &mut Vec<Finding>, line: u32, message: String) {
+        out.push(Finding {
+            file: self.ctx.rel_path.to_string(),
+            line,
+            rule: self.rule,
+            message,
+        });
+    }
+
+    /// Is `line` inside a `#[cfg(test)]` item (test module or function)?
+    pub(crate) fn in_test(&self, line: u32) -> bool {
+        LineInfo::get(&self.info.in_test, line)
+    }
+}
+
 /// Everything the structural (cross-file) pass needs from one file, plus
 /// the file's local findings. Produced by [`analyze_source`]; consumed by
 /// [`crate::callgraph`].
@@ -236,116 +284,65 @@ impl FileAnalysis {
     }
 }
 
-/// Run every local rule over one file; the returned analysis carries the
-/// findings plus the structure the global pass consumes.
-pub fn analyze_source(ctx: &FileContext<'_>, src: &str) -> FileAnalysis {
-    analyze_source_timed(ctx, src, None)
-}
-
-/// [`analyze_source`] with optional per-rule wall-time accounting.
-pub fn analyze_source_timed(
-    ctx: &FileContext<'_>,
-    src: &str,
-    mut timings: Option<&mut crate::Timings>,
-) -> FileAnalysis {
-    use std::time::Instant;
-    let start = Instant::now();
-    let tokens = lex(src);
-    let code_owned: Vec<Token> = tokens
-        .iter()
-        .filter(|t| t.kind != TokKind::Comment)
-        .cloned()
-        .collect();
-    let code: Vec<&Token> = code_owned.iter().collect();
-    let info = line_info(src, &tokens, &code);
-    let pragmas = collect_pragmas(&tokens);
-    let items = parse_items(&code_owned, &info.in_test);
-    crate::record_elapsed(&mut timings, "infra:parse", start);
-
-    type RuleFn<'a> = &'a dyn Fn(&mut Vec<Finding>);
-    let mut findings = Vec::new();
-    let timed_rules: [(&str, RuleFn); 6] = [
-        ("unsafe-needs-safety-comment", &|f| {
-            rule_unsafe_safety(ctx, &code, &info, f)
-        }),
-        ("deterministic-iteration", &|f| {
-            rule_deterministic_iteration(ctx, &code, &info, f)
-        }),
-        ("deterministic-reduction", &|f| {
-            rule_deterministic_reduction(ctx, &code, &info, f)
-        }),
-        ("no-panic-paths", &|f| {
-            rule_no_panic_paths(ctx, &code, &info, f)
-        }),
-        ("rng-stream-discipline", &|f| {
-            rule_rng_stream_discipline(ctx, &code, &info, f)
-        }),
-        ("float-eq", &|f| rule_float_eq(ctx, &code, &info, f)),
-    ];
-    for (key, rule) in timed_rules {
-        let start = Instant::now();
-        rule(&mut findings);
-        crate::record_elapsed(&mut timings, key, start);
-    }
-    let start = Instant::now();
-    rule_codec_checked_arith(ctx, &code_owned, &items, &mut findings);
-    crate::record_elapsed(&mut timings, "codec-checked-arith", start);
-    let start = Instant::now();
-    rule_atomic_write(ctx, &code_owned, &items, &mut findings);
-    crate::record_elapsed(&mut timings, "atomic-write-discipline", start);
-    let safety_ok = |line: u32| safety_reachable(&info, line);
-    let start = Instant::now();
-    crate::dataflow::pool_discipline(
-        ctx.rel_path,
-        &code_owned,
-        &items,
-        &info.in_test,
-        &safety_ok,
-        &mut findings,
-    );
-    crate::record_elapsed(&mut timings, "pool-discipline", start);
-
-    // Apply pragma suppression: a valid pragma covers its line and the next.
-    findings.retain(|f| {
-        !pragmas
+/// Run every per-file rule of [`RULES`] over one file; the returned
+/// analysis carries the findings plus the structure the workspace pass
+/// consumes.
+pub fn analyze_source(ctx: &FileContext<'_>, src: &str, timings: &mut Timings) -> FileAnalysis {
+    let (code, info, pragmas, items) = timings.time("infra:parse", || {
+        let tokens = lex(src);
+        let code: Vec<Token> = tokens
             .iter()
-            .any(|p| p.valid && p.rule == f.rule && (p.line == f.line || p.line + 1 == f.line))
+            .filter(|t| t.kind != TokKind::Comment)
+            .cloned()
+            .collect();
+        let info = line_info(src, &tokens, &code);
+        let items = parse_items(&code, &info.in_test);
+        (code, info, collect_pragmas(&tokens), items)
     });
 
-    // Malformed pragmas are findings themselves and cannot be suppressed.
-    for p in &pragmas {
-        if !p.valid {
-            findings.push(Finding {
-                file: ctx.rel_path.to_string(),
-                line: p.line,
-                rule: "pragma-syntax",
-                message: format!(
-                    "malformed fedlint pragma (rule `{}`): expected \
-                     `// fedlint::allow(<rule>): <reason>` with a known rule and a non-empty reason",
-                    p.rule
-                ),
-            });
+    let mut findings = Vec::new();
+    for rule in &RULES {
+        if let Pass::File(run) = rule.pass {
+            let view = FileView {
+                rule: rule.name,
+                ctx,
+                code: &code,
+                items: &items,
+                info: &info,
+            };
+            timings.time(rule.name, || run(&view, &mut findings));
         }
     }
-    FileAnalysis {
+    let mut analysis = FileAnalysis {
         crate_name: ctx.crate_name.to_string(),
         rel_path: ctx.rel_path.to_string(),
         is_bin: ctx.is_bin,
-        code: code_owned,
+        code,
         items,
         pragmas,
-        findings,
-    }
-}
+        findings: Vec::new(),
+    };
+    findings.retain(|f| !analysis.suppressed(f.rule, f.line));
 
-/// Local findings only — the historical entry point, kept for tests that
-/// exercise a single file without the global pass.
-pub fn scan_source(ctx: &FileContext<'_>, src: &str) -> Vec<Finding> {
-    analyze_source(ctx, src).findings
+    // Malformed pragmas are findings themselves and cannot be suppressed.
+    for p in analysis.pragmas.iter().filter(|p| !p.valid) {
+        findings.push(Finding {
+            file: ctx.rel_path.to_string(),
+            line: p.line,
+            rule: PRAGMA_SYNTAX.0,
+            message: format!(
+                "malformed fedlint pragma (rule `{}`): expected \
+                 `// fedlint::allow(<rule>): <reason>` with a known rule and a non-empty reason",
+                p.rule
+            ),
+        });
+    }
+    analysis.findings = findings;
+    analysis
 }
 
 /// Build the per-line fact tables.
-fn line_info(src: &str, tokens: &[Token], code: &[&Token]) -> LineInfo {
+fn line_info(src: &str, tokens: &[Token], code: &[Token]) -> LineInfo {
     let n_lines = src.lines().count().max(1) + 2;
     let mut has_code = vec![false; n_lines + 1];
     let mut starts_attr = vec![false; n_lines + 1];
@@ -392,7 +389,7 @@ fn line_info(src: &str, tokens: &[Token], code: &[&Token]) -> LineInfo {
 /// itself) as test code. Handles `#[cfg(test)] mod tests { ... }` and
 /// `#[cfg(test)]` on any other braced item; an item ended by `;` before any
 /// `{` produces no region.
-fn test_regions(code: &[&Token], n_lines: usize) -> Vec<bool> {
+fn test_regions(code: &[Token], n_lines: usize) -> Vec<bool> {
     let mut in_test = vec![false; n_lines + 1];
     let mut i = 0usize;
     while i < code.len() {
@@ -502,18 +499,8 @@ fn collect_pragmas(tokens: &[Token]) -> Vec<Pragma> {
     out
 }
 
-fn push(ctx: &FileContext<'_>, out: &mut Vec<Finding>, line: u32, rule: &'static str, msg: String) {
-    out.push(Finding {
-        file: ctx.rel_path.to_string(),
-        line,
-        rule,
-        message: msg,
-    });
-}
-
 /// Is a `SAFETY:` comment on `line` itself, or reachable by walking up
-/// through comment, attribute, and blank lines only? Shared by
-/// `unsafe-needs-safety-comment` and `pool-discipline`.
+/// through comment, attribute, and blank lines only?
 fn safety_reachable(info: &LineInfo, line: u32) -> bool {
     if LineInfo::get(&info.has_safety, line) {
         return true;
@@ -535,22 +522,15 @@ fn safety_reachable(info: &LineInfo, line: u32) -> bool {
 /// `unsafe-needs-safety-comment`: every `unsafe` token must have a comment
 /// containing `SAFETY:` on its own line or reachable by walking up through
 /// comment, attribute, and blank lines only.
-fn rule_unsafe_safety(
-    ctx: &FileContext<'_>,
-    code: &[&Token],
-    info: &LineInfo,
-    out: &mut Vec<Finding>,
-) {
-    for t in code {
+fn rule_unsafe_safety(f: &FileView<'_>, out: &mut Vec<Finding>) {
+    for t in f.code {
         if !(t.kind == TokKind::Ident && t.text == "unsafe") {
             continue;
         }
-        if !safety_reachable(info, t.line) {
-            push(
-                ctx,
+        if !safety_reachable(f.info, t.line) {
+            f.push(
                 out,
                 t.line,
-                "unsafe-needs-safety-comment",
                 "`unsafe` without a preceding `// SAFETY:` comment justifying the invariant"
                     .to_string(),
             );
@@ -561,25 +541,19 @@ fn rule_unsafe_safety(
 /// `deterministic-iteration`: no `HashMap`/`HashSet` in library code of
 /// crates whose iteration order reaches aggregation, clustering, or
 /// telemetry.
-fn rule_deterministic_iteration(
-    ctx: &FileContext<'_>,
-    code: &[&Token],
-    info: &LineInfo,
-    out: &mut Vec<Finding>,
-) {
+fn rule_deterministic_iteration(f: &FileView<'_>, out: &mut Vec<Finding>) {
+    let (ctx, code) = (f.ctx, f.code);
     if ctx.is_bin || !DETERMINISTIC_CRATES.contains(&ctx.crate_name) {
         return;
     }
     for t in code {
         if t.kind == TokKind::Ident
             && (t.text == "HashMap" || t.text == "HashSet")
-            && !LineInfo::get(&info.in_test, t.line)
+            && !f.in_test(t.line)
         {
-            push(
-                ctx,
+            f.push(
                 out,
                 t.line,
-                "deterministic-iteration",
                 format!(
                     "`{}` is hasher-ordered; use `BTreeMap`/`BTreeSet` or a sorted Vec so replay \
                      is independent of hasher state",
@@ -607,12 +581,8 @@ const PAR_ENTRY_POINTS: [&str; 5] = [
 /// ordered buffer (`collect-then-reduce`); the vendored pool's own `sum`
 /// does exactly that, but fedlint bans the shape so a future swap to real
 /// rayon (tree reduction) cannot silently change bytes.
-fn rule_deterministic_reduction(
-    ctx: &FileContext<'_>,
-    code: &[&Token],
-    info: &LineInfo,
-    out: &mut Vec<Finding>,
-) {
+fn rule_deterministic_reduction(f: &FileView<'_>, out: &mut Vec<Finding>) {
+    let (ctx, code) = (f.ctx, f.code);
     if ctx.is_bin {
         return;
     }
@@ -620,7 +590,7 @@ fn rule_deterministic_reduction(
         if t.kind != TokKind::Ident
             || !PAR_ENTRY_POINTS.contains(&t.text.as_str())
             || code.get(i + 1).is_none_or(|n| n.text != "(")
-            || LineInfo::get(&info.in_test, t.line)
+            || f.in_test(t.line)
         {
             continue;
         }
@@ -647,11 +617,9 @@ fn rule_deterministic_reduction(
                                 break; // ordered materialisation: chain is safe
                             }
                             if matches!(m.text.as_str(), "sum" | "fold" | "reduce") {
-                                push(
-                                    ctx,
+                                f.push(
                                     out,
                                     m.line,
-                                    "deterministic-reduction",
                                     format!(
                                         "`.{}()` directly on `{}()` accumulates in thread-completion \
                                          order; collect into index order first, then reduce the \
@@ -671,82 +639,67 @@ fn rule_deterministic_reduction(
     }
 }
 
-/// `no-panic-paths`: `.unwrap()`, `.expect(`, `panic!`, `todo!`,
-/// `unimplemented!` are banned in library code of the panic-free crates.
-fn rule_no_panic_paths(
-    ctx: &FileContext<'_>,
-    code: &[&Token],
-    info: &LineInfo,
-    out: &mut Vec<Finding>,
-) {
+/// The panic site whose name token is `code[k]`, as messages spell it
+/// (`` `.unwrap()` ``, `` `panic!` ``): an `.unwrap()`/`.expect(…)` method
+/// call or a `panic!`/`todo!`/`unimplemented!`/`unreachable!` invocation.
+/// The one predicate behind both `no-panic-paths` (the site itself) and
+/// `panic-reachability` (the call chains that end in one).
+pub(crate) fn panic_site_at(code: &[Token], k: usize) -> Option<String> {
+    let t = code.get(k).filter(|t| t.kind == TokKind::Ident)?;
+    match (t.text.as_str(), text_at(code, k + 1)) {
+        ("unwrap" | "expect", "(") if text_at(code, k.wrapping_sub(1)) == "." => {
+            Some(format!("`.{}()`", t.text))
+        }
+        ("panic" | "todo" | "unimplemented" | "unreachable", "!") => Some(format!("`{}!`", t.text)),
+        _ => None,
+    }
+}
+
+/// `no-panic-paths`: every [`panic_site_at`] is banned in library code of
+/// the panic-free crates.
+fn rule_no_panic_paths(f: &FileView<'_>, out: &mut Vec<Finding>) {
+    let (ctx, code) = (f.ctx, f.code);
     if ctx.is_bin || !PANIC_FREE_CRATES.contains(&ctx.crate_name) {
         return;
     }
     for (i, t) in code.iter().enumerate() {
-        if t.kind != TokKind::Ident || LineInfo::get(&info.in_test, t.line) {
+        let Some(site) = panic_site_at(code, i) else {
+            continue;
+        };
+        if f.in_test(t.line) {
             continue;
         }
-        let prev = i.checked_sub(1).and_then(|p| code.get(p));
-        let next = code.get(i + 1);
-        let method_call = |name: &str| {
-            t.text == name
-                && prev.is_some_and(|p| p.text == ".")
-                && next.is_some_and(|n| n.text == "(")
+        let message = if site.ends_with("()`") {
+            format!(
+                "{site} in library code can panic; return a `Result`, rewrite infallibly, or \
+                 justify with a fedlint::allow pragma"
+            )
+        } else {
+            format!("{site} in library code; the resilient server must not panic through here")
         };
-        if method_call("unwrap") || method_call("expect") {
-            push(
-                ctx,
-                out,
-                t.line,
-                "no-panic-paths",
-                format!(
-                    "`.{}()` in library code can panic; return a `Result`, rewrite infallibly, or \
-                     justify with a fedlint::allow pragma",
-                    t.text
-                ),
-            );
-        } else if matches!(t.text.as_str(), "panic" | "todo" | "unimplemented")
-            && next.is_some_and(|n| n.text == "!")
-        {
-            push(
-                ctx,
-                out,
-                t.line,
-                "no-panic-paths",
-                format!(
-                    "`{}!` in library code; the resilient server must not panic through here",
-                    t.text
-                ),
-            );
-        }
+        f.push(out, t.line, message);
     }
 }
 
 /// `rng-stream-discipline`: in `fl`/`core` library code, `derive(seed, &[…])`
 /// must lead its stream slice with a named constant (`streams::X`), never a
 /// bare integer literal; direct `seed_from_u64(<literal>)` is banned too.
-fn rule_rng_stream_discipline(
-    ctx: &FileContext<'_>,
-    code: &[&Token],
-    info: &LineInfo,
-    out: &mut Vec<Finding>,
-) {
+fn rule_rng_stream_discipline(f: &FileView<'_>, out: &mut Vec<Finding>) {
+    let (ctx, code) = (f.ctx, f.code);
     if ctx.is_bin || !RNG_CRATES.contains(&ctx.crate_name) {
         return;
     }
     for (i, t) in code.iter().enumerate() {
-        if t.kind != TokKind::Ident || LineInfo::get(&info.in_test, t.line) {
+        if t.kind != TokKind::Ident || f.in_test(t.line) {
             continue;
         }
         if t.text == "seed_from_u64"
             && code.get(i + 1).is_some_and(|n| n.text == "(")
             && code.get(i + 2).is_some_and(|n| n.kind == TokKind::Int)
         {
-            push(
-                ctx,
+            f.push(
                 out,
                 t.line,
-                "rng-stream-discipline",
                 "RNG seeded from a bare integer literal; derive it from the experiment seed and a \
                  named `streams::` constant instead"
                     .to_string(),
@@ -777,14 +730,13 @@ fn rule_rng_stream_discipline(
                 "&" if depth >= 1 && code.get(j + 1).is_some_and(|n| n.text == "[") => {
                     if let Some(first) = code.get(j + 2) {
                         if first.kind == TokKind::Int {
-                            push(
-                                ctx,
+                            f.push(
                                 out,
                                 first.line,
-                                "rng-stream-discipline",
                                 format!(
                                     "RNG stream starts with bare literal `{}`; lead with a named \
-                                     `streams::` constant so streams stay collision-free and greppable",
+                                     `streams::` constant so streams stay collision-free and \
+                                     greppable",
                                     first.text
                                 ),
                             );
@@ -802,15 +754,13 @@ fn rule_rng_stream_discipline(
 /// `float-eq`: `==` / `!=` with a float literal operand. (A lexer cannot see
 /// types, so float-vs-float variable comparisons are out of scope; literal
 /// comparisons are where every workspace instance lived.)
-fn rule_float_eq(ctx: &FileContext<'_>, code: &[&Token], info: &LineInfo, out: &mut Vec<Finding>) {
+fn rule_float_eq(f: &FileView<'_>, out: &mut Vec<Finding>) {
+    let (ctx, code) = (f.ctx, f.code);
     if ctx.is_bin {
         return;
     }
     for (i, t) in code.iter().enumerate() {
-        if t.kind != TokKind::Op
-            || (t.text != "==" && t.text != "!=")
-            || LineInfo::get(&info.in_test, t.line)
-        {
+        if t.kind != TokKind::Op || (t.text != "==" && t.text != "!=") || f.in_test(t.line) {
             continue;
         }
         let float_adjacent = i
@@ -819,11 +769,9 @@ fn rule_float_eq(ctx: &FileContext<'_>, code: &[&Token], info: &LineInfo, out: &
             .is_some_and(|p| p.kind == TokKind::Float)
             || code.get(i + 1).is_some_and(|n| n.kind == TokKind::Float);
         if float_adjacent {
-            push(
-                ctx,
+            f.push(
                 out,
                 t.line,
-                "float-eq",
                 format!(
                     "exact float comparison `{}` against a literal; use a tolerance or justify the \
                      exact-zero/sentinel semantics with a fedlint::allow pragma",
@@ -850,12 +798,8 @@ fn lenish(name: &str) -> bool {
 /// length/offset-named values and bare slice indexing are banned —
 /// checksum-valid hostile lengths must not be able to panic or
 /// over-allocate.
-fn rule_codec_checked_arith(
-    ctx: &FileContext<'_>,
-    code: &[Token],
-    items: &[Item],
-    out: &mut Vec<Finding>,
-) {
+fn rule_codec_checked_arith(f: &FileView<'_>, out: &mut Vec<Finding>) {
+    let (ctx, code, items) = (f.ctx, f.code, f.items);
     let in_bytes = ctx.rel_path.ends_with("proto/src/bytes.rs");
     let in_checkpoint = ctx.rel_path.ends_with("fl/src/checkpoint.rs");
     let in_persist = ctx.rel_path.ends_with("core/src/persist.rs");
@@ -896,11 +840,9 @@ fn rule_codec_checked_arith(
                     .iter()
                     .any(|w| w.kind == TokKind::Ident && lenish(&w.text));
                 if binary && window {
-                    push(
-                        ctx,
+                    f.push(
                         out,
                         t.line,
-                        "codec-checked-arith",
                         format!(
                             "unchecked `{}` on length/offset arithmetic in a codec region; use \
                              `checked_{}`/`saturating_{}` so hostile lengths cannot overflow",
@@ -910,12 +852,12 @@ fn rule_codec_checked_arith(
                         ),
                     );
                 }
-            } else if t.kind == TokKind::Ident && next_is("[") && !lenish_exempt(&t.text) {
-                push(
-                    ctx,
+            } else if t.kind == TokKind::Ident && next_is("[") {
+                // Ident-then-`[` is always an index: `vec![…]` lexes as
+                // `vec ! [`, and an attribute's `[` follows `#`.
+                f.push(
                     out,
                     t.line,
-                    "codec-checked-arith",
                     format!(
                         "bare indexing `{}[…]` in a codec region can panic on hostile input; use \
                          `.get(…)` and propagate a decode error",
@@ -935,29 +877,14 @@ fn op_name(op: &str) -> &'static str {
     }
 }
 
-/// Identifier-before-`[` shapes that are not indexing expressions.
-fn lenish_exempt(name: &str) -> bool {
-    // `vec![…]` is lexed as `vec ! [`, so the `[` never follows the ident
-    // directly; the only non-indexing shape left is an array type after a
-    // primitive keyword, which does not occur ident-adjacent. Attribute
-    // `#[…]` starts with `#`. Nothing to exempt today — kept as a named
-    // hook so future shapes get a deliberate decision.
-    let _ = name;
-    false
-}
-
 /// `atomic-write-discipline`: in checkpoint/persist modules and the lint
 /// CLI itself, a function that creates or writes a file must also fsync
 /// (`sync_all`/`sync_data`) and `rename` before returning — the
 /// torn-write-safe tmp → fsync → rename protocol must never be split across
 /// helpers where a crash window hides.
-fn rule_atomic_write(
-    ctx: &FileContext<'_>,
-    code: &[Token],
-    items: &[Item],
-    out: &mut Vec<Finding>,
-) {
-    // The lint CLI's own report/baseline writes are persisted artifacts too
+fn rule_atomic_write(f: &FileView<'_>, out: &mut Vec<Finding>) {
+    let (ctx, code, items) = (f.ctx, f.code, f.items);
+    // The lint CLI's own report writes are persisted artifacts too
     // (dogfooding): it is a binary, but the discipline still applies.
     let lint_cli = ctx.rel_path.ends_with("lint/src/main.rs");
     let applies = ctx.rel_path.ends_with("/checkpoint.rs")
@@ -1007,11 +934,9 @@ fn rule_atomic_write(
         }
         if let Some((line, what)) = trigger {
             if !(has_sync && has_rename) {
-                push(
-                    ctx,
+                f.push(
                     out,
                     line,
-                    "atomic-write-discipline",
                     format!(
                         "`{}` in `{}` without both `sync_all`/`sync_data` and `rename` in the \
                          same function; persisted writes must follow the tmp → fsync → rename \

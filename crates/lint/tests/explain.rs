@@ -1,24 +1,23 @@
-//! `--explain` backing table: RULE_DOCS must cover every rule exactly
-//! once, stay sorted (deterministic `--explain` listing order), and agree
-//! with the README rule list so the two cannot drift apart.
+//! The `RULES` table backs `--explain`, the pragma validator and the
+//! report keys: its rows must stay sorted and unique (deterministic listing
+//! order, and `RULE_NAMES` is derived from them), every doc must say
+//! something, and the README rule list and DESIGN.md's §8 tables must
+//! agree with it so none of them can drift apart.
 
-use lint::rules::{RULE_DOCS, RULE_NAMES};
-
-#[test]
-fn rule_docs_cover_every_rule_plus_pragma_syntax_exactly_once() {
-    let doc_names: Vec<&str> = RULE_DOCS.iter().map(|(name, _)| *name).collect();
-    let mut expected: Vec<&str> = RULE_NAMES.to_vec();
-    expected.push("pragma-syntax");
-    expected.sort_unstable();
-    assert_eq!(doc_names, expected);
-}
+use lint::rules::{PRAGMA_SYNTAX, RULES, RULE_NAMES};
 
 #[test]
-fn rule_docs_are_sorted_and_substantive() {
-    let mut sorted = RULE_DOCS.to_vec();
-    sorted.sort_by_key(|(name, _)| *name);
-    assert_eq!(RULE_DOCS.to_vec(), sorted, "RULE_DOCS must stay sorted");
-    for (name, doc) in RULE_DOCS {
+fn rules_are_sorted_unique_and_substantive() {
+    let names: Vec<&str> = RULES.iter().map(|r| r.name).collect();
+    let mut sorted = names.clone();
+    sorted.sort_unstable();
+    sorted.dedup();
+    assert_eq!(names, sorted, "RULES must stay sorted by name, no repeats");
+    assert_eq!(names, RULE_NAMES, "RULE_NAMES is RULES' name column");
+    assert_eq!(names.len(), 16, "no rule merged, renamed or dropped");
+    assert!(!names.contains(&PRAGMA_SYNTAX.0), "the built-in is no row");
+    let docs = RULES.iter().map(|r| (r.name, r.doc)).chain([PRAGMA_SYNTAX]);
+    for (name, doc) in docs {
         assert!(
             doc.len() > 60,
             "doc for {name} is too short to be useful: {doc:?}"
@@ -27,18 +26,23 @@ fn rule_docs_are_sorted_and_substantive() {
 }
 
 #[test]
-fn readme_rule_list_matches_rule_names() {
-    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
-        .expect("read README.md");
+fn readme_and_design_rule_lists_match_the_table() {
+    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
+    let readme = std::fs::read_to_string(format!("{root}README.md")).expect("read README.md");
+    let design = std::fs::read_to_string(format!("{root}DESIGN.md")).expect("read DESIGN.md");
     for rule in RULE_NAMES {
         assert!(
             readme.contains(rule),
-            "README rule list is missing `{rule}` — it must stay in sync with RULE_NAMES"
+            "README rule list is missing `{rule}` — it must stay in sync with RULES"
+        );
+        assert!(
+            design.contains(&format!("| `{rule}` |")),
+            "DESIGN.md §8 has no table row for `{rule}` — it must stay in sync with RULES"
         );
     }
     assert!(
-        readme.contains(&format!("{} rules", RULE_NAMES.len())),
+        readme.contains(&format!("{} rules", RULES.len())),
         "README must state the rule count ({} rules)",
-        RULE_NAMES.len()
+        RULES.len()
     );
 }

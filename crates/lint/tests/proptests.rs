@@ -8,6 +8,7 @@ use lint::dataflow::{fn_flows, taint_findings, untrusted_input_spec};
 use lint::items::parse_items;
 use lint::lexer::{lex, TokKind};
 use lint::rules::{analyze_source, FileContext};
+use lint::Timings;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -151,7 +152,7 @@ proptest! {
             rel_path: "crates/fl/src/soup.rs",
             is_bin: false,
         };
-        let fa = analyze_source(&ctx, &src);
+        let fa = analyze_source(&ctx, &src, &mut Timings::default());
         let files = [fa];
         let t1 = taint_findings(&files, &untrusted_input_spec());
         let t2 = taint_findings(&files, &untrusted_input_spec());
@@ -198,7 +199,7 @@ proptest! {
             rel_path: "crates/fl/src/soup.rs",
             is_bin: false,
         };
-        let files = [analyze_source(&ctx, &src)];
+        let files = [analyze_source(&ctx, &src, &mut Timings::default())];
         let mut small = untrusted_input_spec();
         small.source_calls = vec![("fs", "read")];
         small.source_mut_args = Vec::new();

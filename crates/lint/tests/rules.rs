@@ -11,7 +11,9 @@ fn fixture_root(which: &str) -> PathBuf {
 }
 
 fn scan(which: &str) -> Report {
-    scan_workspace(&fixture_root(which)).expect("fixture tree scans")
+    scan_workspace(&fixture_root(which))
+        .expect("fixture tree scans")
+        .0
 }
 
 fn lines_for(report: &Report, rule: &str, file_suffix: &str) -> Vec<u32> {
@@ -97,9 +99,15 @@ fn positive_fixture_fires_every_rule() {
     );
     assert_eq!(
         lines_for(&report, "pool-discipline", "pool_bad.rs"),
-        vec![13, 16],
-        "unjustified unsafe impl Send and naked Relaxed"
+        vec![16],
+        "naked Relaxed"
     );
+    assert_eq!(
+        lines_for(&report, "unsafe-needs-safety-comment", "pool_bad.rs"),
+        vec![13],
+        "the unjustified unsafe impl Send, reported once, under the rule that owns `unsafe`"
+    );
+    assert_eq!(report.findings.len(), 47, "the whole positive tree");
     // v4 interprocedural concurrency rules.
     assert_eq!(
         lines_for(&report, "lock-order-global", "pool_bad.rs"),
@@ -258,7 +266,7 @@ fn findings_and_reports_are_deterministic() {
     let b = scan("positive");
     assert_eq!(a, b);
     assert_eq!(lint::render_human(&a), lint::render_human(&b));
-    assert_eq!(lint::render_json(&a), lint::render_json(&b));
+    assert_eq!(lint::render_json(&a, None), lint::render_json(&b, None));
     // Sorted by (file, line, rule, message).
     let keys: Vec<_> = a
         .findings
@@ -271,9 +279,39 @@ fn findings_and_reports_are_deterministic() {
 }
 
 #[test]
+fn timings_appear_only_when_handed_in_and_follow_the_table() {
+    let root = fixture_root("positive");
+    let (a, timings) = scan_workspace(&root).expect("scan 1");
+    let (b, _) = scan_workspace(&root).expect("scan 2");
+    let plain = lint::render_json(&a, None);
+    assert_eq!(plain, lint::render_json(&b, None));
+    assert!(!plain.contains("timings_ms"));
+
+    let timed = lint::render_json(&a, Some(&timings));
+    let block = timed
+        .split_once("\"timings_ms\": {")
+        .and_then(|(_, rest)| rest.split_once('}'))
+        .expect("timings_ms block present")
+        .0;
+    let keys: Vec<&str> = block.split('"').skip(1).step_by(2).collect();
+    let mut expected = vec![
+        "infra:callgraph",
+        "infra:lockset-engine",
+        "infra:parse",
+        "total",
+    ];
+    expected.extend(lint::rules::RULES.iter().map(|r| r.name));
+    expected.sort_unstable();
+    assert_eq!(
+        keys, expected,
+        "one key per RULES row, the stages, the total"
+    );
+}
+
+#[test]
 fn json_report_mentions_each_rule_and_anchor() {
     let report = scan("positive");
-    let json = lint::render_json(&report);
+    let json = lint::render_json(&report, None);
     for rule in lint::rules::RULE_NAMES {
         assert!(json.contains(rule), "JSON report missing rule {rule}");
     }
@@ -294,7 +332,7 @@ fn seeded_violation_is_caught_with_file_line_diagnostic() {
         "pub fn assign() -> usize {\n    let m: std::collections::HashMap<usize, usize> =\n        std::collections::HashMap::new();\n    m.len()\n}\n",
     )
     .expect("write seeded violation");
-    let report = scan_workspace(&scratch).expect("scratch scans");
+    let (report, _) = scan_workspace(&scratch).expect("scratch scans");
     std::fs::remove_dir_all(&scratch).ok();
     let hits = lines_for(&report, "deterministic-iteration", "hac.rs");
     assert_eq!(hits, vec![2, 3]);
@@ -320,7 +358,7 @@ fn seeded_unchecked_tainted_length_is_caught() {
          Vec::with_capacity(n * 8)\n}\n",
     )
     .expect("write seeded violation");
-    let report = scan_workspace(&scratch).expect("scratch scans");
+    let (report, _) = scan_workspace(&scratch).expect("scratch scans");
     std::fs::remove_dir_all(&scratch).ok();
     let hits = lines_for(&report, "untrusted-input-taint", "wire.rs");
     assert_eq!(hits, vec![4, 4], "arithmetic + allocation sinks on line 4");
@@ -350,7 +388,7 @@ fn seeded_instant_into_checkpoint_is_caught() {
          Checkpoint { stamp }\n}\n",
     )
     .expect("write seeded violation");
-    let report = scan_workspace(&scratch).expect("scratch scans");
+    let (report, _) = scan_workspace(&scratch).expect("scratch scans");
     std::fs::remove_dir_all(&scratch).ok();
     let hits = lines_for(&report, "determinism-taint", "resume.rs");
     assert_eq!(hits, vec![7], "the Checkpoint literal is the sink");
@@ -383,7 +421,7 @@ fn seeded_reversed_lock_pair_is_caught() {
          *h - *t\n}\n",
     )
     .expect("write seeded violation");
-    let report = scan_workspace(&scratch).expect("scratch scans");
+    let (report, _) = scan_workspace(&scratch).expect("scratch scans");
     std::fs::remove_dir_all(&scratch).ok();
     let hits = lines_for(&report, "lock-order-global", "queue.rs");
     assert_eq!(hits, vec![10, 16], "both halves of the reversed pair");
@@ -422,7 +460,7 @@ fn seeded_guard_across_socket_write_is_caught_with_chain() {
          let _ = out.write_all(b\"x\");\n}\n",
     )
     .expect("write seeded violation");
-    let report = scan_workspace(&scratch).expect("scratch scans");
+    let (report, _) = scan_workspace(&scratch).expect("scratch scans");
     std::fs::remove_dir_all(&scratch).ok();
     let hits = lines_for(&report, "guard-across-blocking", "link.rs");
     assert_eq!(hits, vec![10], "the call site holding the guard");

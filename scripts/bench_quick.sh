@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# Quick-feedback benchmark sweep: short warm-up and measurement windows so a
-# full micro pass finishes in well under a minute. Extra args (e.g. a name
-# filter like `conv2d`) are forwarded to the bench binary.
+# Interactive criterion pass: short warm-up and measurement windows so a
+# full micro sweep finishes in well under a minute. Extra args (e.g. a name
+# filter like `conv2d`) are forwarded to the bench binary. End-to-end and
+# per-layer numbers come from the repo's benchmark instead
+# (`bash benchmark/run.sh`, see benchmark/README.md).
 #
 # Usage: scripts/bench_quick.sh [filter] [-- extra cargo args]
 set -euo pipefail
@@ -9,17 +11,3 @@ cd "$(dirname "$0")/.."
 
 cargo bench -p fedclust-bench --bench micro -- \
     --warm-up-time 0.5 --measurement-time 1 "$@"
-
-# End-to-end train_round throughput at 1/2/4 worker threads; writes
-# results/BENCH_parallel.json so the perf trajectory is machine-readable.
-# FEDCLUST_FAST=1 keeps the sweep inside the quick-feedback budget (unset
-# FEDCLUST_FAST or export FEDCLUST_FAST=0 and run the bin directly for the
-# full grid shape).
-FEDCLUST_FAST="${FEDCLUST_FAST:-1}" \
-    cargo run -q --release -p fedclust-bench --bin bench_parallel
-
-# Communication-efficiency sweep across upload codecs; writes
-# results/BENCH_comm.json and asserts every codec bills strictly fewer
-# bytes than `none` while replaying bit-identically.
-FEDCLUST_FAST="${FEDCLUST_FAST:-1}" \
-    cargo run -q --release -p fedclust-bench --bin bench_comm

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus a quick benchmark smoke: exactly what a CI job
+# Tier-1 verification plus the benchmark's smoke: exactly what a CI job
 # runs. Fails on the first broken step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -23,6 +23,30 @@ if fnv_tests=$(grep -rlIE "$fnv_basis" crates/*/tests tests); then
     exit 1
 fi
 
+echo "== one rule table =="
+# `rules::RULES` is the only list of fedlint's rules: every name is spelled
+# exactly once in the file that holds the table (a second list there — a
+# name array, a doc table, an unrolled run loop — would be a second
+# spelling), and not at all in the driver or the CLI, which derive what
+# they need from the table. Other files spell a name only where they raise
+# that rule's findings.
+rule_table=crates/lint/src/rules.rs
+rule_names=$(sed -n 's/^        name: "\([a-z-]*\)",$/\1/p' "$rule_table")
+if [ "$(wc -l <<<"$rule_names")" -ne 16 ] || [ "$rule_names" != "$(LC_ALL=C sort -u <<<"$rule_names")" ]; then
+    echo "$rule_table: RULES must hold 16 rows sorted by name, found: $(tr '\n' ' ' <<<"$rule_names")" >&2
+    exit 1
+fi
+for rule in $rule_names; do
+    if [ "$(grep -c "\"$rule\"" "$rule_table")" -ne 1 ]; then
+        echo "$rule_table: \"$rule\" must appear exactly once, as its RULES row" >&2
+        exit 1
+    fi
+    if grep -n "\"$rule\"" crates/lint/src/lib.rs crates/lint/src/main.rs; then
+        echo "the driver and the CLI take rule names from rules::RULES, not from a literal" >&2
+        exit 1
+    fi
+done
+
 echo "== build (release) =="
 cargo build --release
 
@@ -31,20 +55,20 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== fedlint =="
 # Scans crates/*/src plus vendor/*/src (pool-discipline audits the
-# hand-rolled rayon pool); the coverage meta-test then proves every
-# registered rule has positive and negative fixtures. The workspace-global
-# lock-set fixpoint (v4) must stay cheap enough to gate every PR, so the
-# scan gets a generous-but-real wall-time budget.
+# hand-rolled rayon pool); the crate's own suite then pins every fixture
+# line and proves every row of RULES has positive and negative fixtures.
+# The workspace-global lock-set fixpoint must stay cheap enough to gate
+# every PR, so the scan gets a generous-but-real wall-time budget.
 lint_budget_s=120
 lint_start=$(date +%s)
-cargo run -q -p lint --release -- --deny --baseline results/lint_baseline.json
+cargo run -q -p lint --release -- --deny
 lint_elapsed=$(($(date +%s) - lint_start))
 echo "fedlint: --deny completed in ${lint_elapsed}s (budget ${lint_budget_s}s)"
 if [ "$lint_elapsed" -ge "$lint_budget_s" ]; then
     echo "fedlint: workspace scan blew its ${lint_budget_s}s budget — the lock-set engine (or a rule) has a perf regression" >&2
     exit 1
 fi
-cargo test -q -p lint --test coverage
+cargo test -q -p lint
 
 echo "== tests =="
 cargo test -q
@@ -105,6 +129,3 @@ echo "== thread sanitizer (best effort) =="
 # otherwise, and never gates the pipeline either way — fedlint's static
 # concurrency rules are the gate.
 scripts/tsan.sh || echo "tsan: failed (non-gating)"
-
-echo "== quick benchmarks =="
-scripts/bench_quick.sh

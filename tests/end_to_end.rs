@@ -59,6 +59,38 @@ fn all_ten_methods_run_and_report_sane_results() {
     }
 }
 
+/// 200 clients over 20 samples: most clients have no training data, and
+/// Eq. 2 weights such a client's update by 0. That is a valid update —
+/// received, billed, contributing nothing — so a round (or a cluster, or
+/// one of IFCA's k models) whose every sampled member is empty carries its
+/// model forward instead of dividing by a zero total weight.
+#[test]
+fn empty_clients_contribute_nothing_and_break_no_method() {
+    let fd = FederatedDataset::build(
+        DatasetProfile::FmnistLike,
+        Partition::LabelSkew { fraction: 0.2 },
+        &fedclust_repro::data::federated::FederatedConfig {
+            num_clients: 200,
+            samples_per_class: 2,
+            train_fraction: 0.8,
+            seed: 3,
+        },
+    );
+    let empty = fd.clients.iter().filter(|c| c.train_samples() == 0);
+    assert!(empty.count() > 100, "the shape must have empty clients");
+    let mut cfg = FlConfig::tiny(3);
+    cfg.rounds = 2;
+    cfg.local_epochs = 1;
+    cfg.sample_rate = 0.25;
+    let mut methods = baselines();
+    methods.push(Box::new(FedClust::default()));
+    for method in &methods {
+        let r = method.run(&fd, &cfg);
+        assert!(r.final_acc.is_finite(), "{}: {}", r.method, r.final_acc);
+        assert_eq!(r.per_client_acc.len(), fd.num_clients(), "{}", r.method);
+    }
+}
+
 #[test]
 fn runs_are_bitwise_deterministic() {
     let fd = small_fd(1);
