@@ -1,7 +1,12 @@
-//! Command-line argument parsing (no external dependencies).
+//! `fedclust-cli`'s arguments: the struct, its flag table and the rules
+//! between flags (no external dependencies; the table machinery is in
+//! [`crate::flags`]).
+
+use crate::flags::{self, flag, under, Flag, Given};
+use crate::{parse_dataset, parse_partition};
 
 /// The subcommand to run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub enum Command {
     /// Run one FL method end to end.
     Run {
@@ -16,11 +21,14 @@ pub enum Command {
         points: usize,
     },
     /// List available methods.
+    #[default]
     Methods,
 }
 
 /// Parsed command-line arguments with defaults suitable for a quick run.
-#[derive(Debug, Clone, PartialEq)]
+/// (`Default` is the empty value the table's defaults are applied onto, not
+/// those defaults: build an `Args` with [`Args::parse`].)
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Args {
     /// What to do.
     pub command: Command,
@@ -92,8 +100,13 @@ impl std::fmt::Display for ParseError {
     }
 }
 
-/// Usage text printed on `--help` or a parse error.
-pub const USAGE: &str = "\
+/// Reject with `msg`.
+pub(crate) fn bad<T>(msg: impl Into<String>) -> Result<T, ParseError> {
+    Err(ParseError(msg.into()))
+}
+
+/// What `--help` prints above the option list.
+const SYNOPSIS: &str = "\
 fedclust-cli — FedClust reproduction command line
 
 USAGE:
@@ -101,267 +114,137 @@ USAGE:
   fedclust-cli cluster [options]
   fedclust-cli sweep [--points N] [options]
   fedclust-cli methods
-
-OPTIONS:
-  --dataset <cifar10|cifar100|fmnist|svhn>   (default cifar10)
-  --partition <iid|skewNN|dirX.X>            (default skew20)
-  --clients <N>             number of clients          (default 20)
-  --rounds <N>              communication rounds       (default 8)
-  --epochs <N>              local epochs               (default 3)
-  --sample-rate <F>         clients sampled per round  (default 0.25)
-  --samples-per-class <N>   pool size per class        (default 100)
-  --seed <N>                root seed                  (default 42)
-  --dropout <F>             client dropout probability (default 0)
-  --uplink-loss <F>         uplink loss probability    (default 0)
-  --downlink-loss <F>       downlink loss per attempt  (default 0)
-  --corrupt-rate <F>        update corruption rate     (default 0)
-  --straggler-rate <F>      straggler probability      (default 0)
-  --straggler-delay <F>     mean straggler delay       (default 1.0)
-  --deadline <F>            round deadline             (default 1.0)
-  --retries <N>             downlink retry budget      (default 2)
-  --codec <SPEC>            upload compression codec   (default none)
-                            none | q8 | q4 | topk:<frac> | delta, joined
-                            with '+' (delta+q8, delta+q4+sr, ...); 'sr'
-                            selects stochastic rounding for q8/q4
-  --threads <N>             worker threads for client training
-                            (default: FEDCLUST_THREADS, else all cores;
-                             1 = exact-sequential escape hatch — results
-                             are bit-identical at any thread count)
-  --json                    machine-readable output (run)
-
-CHECKPOINTING (run):
-  --checkpoint-dir <DIR>    write durable round checkpoints under DIR
-  --checkpoint-every <N>    checkpoint cadence in rounds           (default 1)
-  --keep <N>                checkpoint generations to retain       (default 3)
-  --resume                  resume from the newest valid checkpoint
-  --crash-after <ROUND>     crash injection: exit after this round
-  --crash-mid-write         crash injection: tear the checkpoint write
 ";
 
-impl Args {
-    fn defaults(command: Command) -> Args {
-        Args {
-            command,
-            dataset: "cifar10".into(),
-            partition: "skew20".into(),
-            clients: 20,
-            rounds: 8,
-            epochs: 3,
-            sample_rate: 0.25,
-            samples_per_class: 100,
-            seed: 42,
-            dropout: 0.0,
-            uplink_loss: 0.0,
-            downlink_loss: 0.0,
-            corrupt_rate: 0.0,
-            straggler_rate: 0.0,
-            straggler_delay: 1.0,
-            deadline: 1.0,
-            retries: 2,
-            codec: "none".into(),
-            json: false,
-            checkpoint_dir: None,
-            checkpoint_every: 1,
-            keep: 3,
-            resume: false,
-            crash_after: None,
-            crash_mid_write: false,
-            threads: None,
-        }
-    }
+const DATASETS: &str = "cifar10 | cifar100 | fmnist | svhn";
+const PARTITIONS: &str = "iid | skewNN (percent) | dirX.X (alpha)";
+const MAX: usize = usize::MAX;
 
+/// Every flag of `fedclust-cli` — and, forwarded verbatim, of `fedclustd`.
+#[rustfmt::skip]
+pub(crate) const RUN: &[Flag<Args>] = &[
+    under("OPTIONS", flag("--method", "<NAME>", "", "run: the method to run (list them with `fedclust-cli methods`)", set_method)),
+    flag("--points", "<N>", "6", "sweep: number of λ grid points, at least 2", set_points),
+    flag("--dataset", "<NAME>", "cifar10", DATASETS, |a, g| g.one_of(parse_dataset(g.value).is_some(), DATASETS).map(|v| a.dataset = v)),
+    flag("--partition", "<SPEC>", "skew20", PARTITIONS, |a, g| g.one_of(parse_partition(g.value).is_some(), PARTITIONS).map(|v| a.partition = v)),
+    flag("--clients", "<N>", "20", "number of clients", |a, g| g.count(1, MAX).map(|n| a.clients = n)),
+    flag("--rounds", "<N>", "8", "communication rounds", |a, g| g.count(1, MAX).map(|n| a.rounds = n)),
+    flag("--epochs", "<N>", "3", "local epochs", |a, g| g.count(1, MAX).map(|n| a.epochs = n)),
+    flag("--sample-rate", "<F>", "0.25", "clients sampled per round, in (0, 1]", |a, g| g.rate().map(|v| a.sample_rate = v)),
+    flag("--samples-per-class", "<N>", "100", "pool size per class", |a, g| g.count(1, MAX).map(|n| a.samples_per_class = n)),
+    flag("--seed", "<N>", "42", "root seed", |a, g| g.num().map(|n| a.seed = n)),
+    flag("--dropout", "<P>", "0", "client dropout probability", |a, g| g.prob().map(|v| a.dropout = v)),
+    flag("--uplink-loss", "<P>", "0", "uplink loss probability", |a, g| g.prob().map(|v| a.uplink_loss = v)),
+    flag("--downlink-loss", "<P>", "0", "downlink loss per attempt", |a, g| g.prob().map(|v| a.downlink_loss = v)),
+    flag("--corrupt-rate", "<P>", "0", "update corruption rate", |a, g| g.prob().map(|v| a.corrupt_rate = v)),
+    flag("--straggler-rate", "<P>", "0", "straggler probability", |a, g| g.prob().map(|v| a.straggler_rate = v)),
+    flag("--straggler-delay", "<F>", "1.0", "mean straggler delay", |a, g| g.non_negative().map(|v| a.straggler_delay = v)),
+    flag("--deadline", "<F>", "1.0", "round deadline", |a, g| g.non_negative().map(|v| a.deadline = v)),
+    flag("--retries", "<N>", "2", "downlink retry budget, at most 1000", |a, g| g.count(0, 1000).map(|n| a.retries = n)),
+    flag("--codec", "<SPEC>", "none", "upload compression codec\n\
+        none | q8 | q4 | topk:<frac> | delta, joined\n\
+        with '+' (delta+q8, delta+q4+sr, ...); 'sr'\n\
+        selects stochastic rounding for q8/q4", set_codec),
+    flag("--threads", "<N>", "", "worker threads for client training\n\
+        (default: FEDCLUST_THREADS, else all cores;\n\
+        \x201 = exact-sequential escape hatch — results\n\
+        \x20are bit-identical at any thread count)", |a, g| threads(g).map(|n| a.threads = Some(n))),
+    flag("--json", "", "", "machine-readable output (run)", |a, _| { a.json = true; Ok(()) }),
+    under("CHECKPOINTING (run)", flag("--checkpoint-dir", "<DIR>", "", "write durable round checkpoints under DIR", |a, g| { a.checkpoint_dir = Some(g.text()); Ok(()) })),
+    flag("--checkpoint-every", "<N>", "1", "checkpoint cadence in rounds", |a, g| g.count(1, MAX).map(|n| a.checkpoint_every = n)),
+    flag("--keep", "<N>", "3", "checkpoint generations to retain", |a, g| g.count(1, MAX).map(|n| a.keep = n)),
+    flag("--resume", "", "", "resume from the newest valid checkpoint", |a, _| { a.resume = true; Ok(()) }),
+    flag("--crash-after", "<ROUND>", "", "crash injection: exit after this round", |a, g| g.num().map(|n| a.crash_after = Some(n))),
+    flag("--crash-mid-write", "", "", "crash injection: tear the checkpoint write", |a, _| { a.crash_mid_write = true; Ok(()) }),
+];
+
+/// `--method` belongs to `run`.
+fn set_method(args: &mut Args, given: Given) -> Result<(), ParseError> {
+    match &mut args.command {
+        Command::Run { method } => *method = given.text(),
+        _ => return bad("--method only applies to `run`"),
+    }
+    Ok(())
+}
+
+/// `--points` belongs to `sweep`.
+fn set_points(args: &mut Args, given: Given) -> Result<(), ParseError> {
+    let n = given.count(2, MAX)?;
+    match &mut args.command {
+        Command::Sweep { points } => *points = n,
+        _ => return bad("--points only applies to `sweep`"),
+    }
+    Ok(())
+}
+
+/// The codec grammar has its own parser with precise messages; surface
+/// them under the flag name so the fix is obvious.
+fn set_codec(args: &mut Args, given: Given) -> Result<(), ParseError> {
+    match fedclust_fl::CodecSpec::parse(given.value) {
+        Ok(_) => args.codec = given.text(),
+        Err(msg) => return bad(format!("{}: {}", given.flag, msg)),
+    }
+    Ok(())
+}
+
+/// `--threads`, for `fedclust-cli` and `fedclust-worker` alike.
+pub(crate) fn threads(given: Given) -> Result<usize, ParseError> {
+    let threads: usize = given.num()?;
+    validate_threads(given.flag, &threads.to_string(), threads)?;
+    Ok(threads)
+}
+
+impl Args {
     /// Parse a raw argument list (without the program name).
     pub fn parse(argv: &[String]) -> Result<Args, ParseError> {
-        let mut it = argv.iter().peekable();
-        let sub = it
-            .next()
-            .ok_or_else(|| ParseError("missing subcommand".into()))?;
-        let mut args = match sub.as_str() {
-            "run" => Args::defaults(Command::Run {
-                method: String::new(),
-            }),
-            "cluster" => Args::defaults(Command::Cluster),
-            "sweep" => Args::defaults(Command::Sweep { points: 6 }),
-            "methods" => Args::defaults(Command::Methods),
-            "--help" | "-h" | "help" => return Err(ParseError(USAGE.into())),
-            other => {
-                return Err(ParseError(format!(
-                    "unknown subcommand '{}'\n{}",
-                    other, USAGE
-                )))
-            }
-        };
+        Args::parse_for(argv, &format!("{}{}", SYNOPSIS, flags::render(RUN)))
+    }
 
-        while let Some(flag) = it.next() {
-            let mut value = |name: &str| -> Result<&String, ParseError> {
-                it.next()
-                    .ok_or_else(|| ParseError(format!("{} requires a value", name)))
-            };
-            match flag.as_str() {
-                "--method" => {
-                    let v = value("--method")?.clone();
-                    if let Command::Run { method } = &mut args.command {
-                        *method = v;
-                    } else {
-                        return Err(ParseError("--method only applies to `run`".into()));
-                    }
-                }
-                "--points" => {
-                    let v: usize = parse_num(value("--points")?, "--points")?;
-                    if let Command::Sweep { points } = &mut args.command {
-                        *points = v.max(2);
-                    } else {
-                        return Err(ParseError("--points only applies to `sweep`".into()));
-                    }
-                }
-                "--dataset" => args.dataset = value("--dataset")?.clone(),
-                "--partition" => args.partition = value("--partition")?.clone(),
-                "--clients" => args.clients = parse_num(value("--clients")?, "--clients")?,
-                "--rounds" => args.rounds = parse_num(value("--rounds")?, "--rounds")?,
-                "--epochs" => args.epochs = parse_num(value("--epochs")?, "--epochs")?,
-                "--sample-rate" => {
-                    args.sample_rate = parse_num(value("--sample-rate")?, "--sample-rate")?
-                }
-                "--samples-per-class" => {
-                    args.samples_per_class =
-                        parse_num(value("--samples-per-class")?, "--samples-per-class")?
-                }
-                "--seed" => args.seed = parse_num(value("--seed")?, "--seed")?,
-                "--dropout" => args.dropout = parse_num(value("--dropout")?, "--dropout")?,
-                "--uplink-loss" => {
-                    args.uplink_loss = parse_num(value("--uplink-loss")?, "--uplink-loss")?
-                }
-                "--downlink-loss" => {
-                    args.downlink_loss = parse_num(value("--downlink-loss")?, "--downlink-loss")?
-                }
-                "--corrupt-rate" => {
-                    args.corrupt_rate = parse_num(value("--corrupt-rate")?, "--corrupt-rate")?
-                }
-                "--straggler-rate" => {
-                    args.straggler_rate = parse_num(value("--straggler-rate")?, "--straggler-rate")?
-                }
-                "--straggler-delay" => {
-                    args.straggler_delay =
-                        parse_num(value("--straggler-delay")?, "--straggler-delay")?
-                }
-                "--deadline" => args.deadline = parse_num(value("--deadline")?, "--deadline")?,
-                "--retries" => args.retries = parse_num(value("--retries")?, "--retries")?,
-                "--codec" => args.codec = value("--codec")?.clone(),
-                "--json" => args.json = true,
-                "--checkpoint-dir" => {
-                    args.checkpoint_dir = Some(value("--checkpoint-dir")?.clone())
-                }
-                "--checkpoint-every" => {
-                    args.checkpoint_every =
-                        parse_num(value("--checkpoint-every")?, "--checkpoint-every")?
-                }
-                "--keep" => args.keep = parse_num(value("--keep")?, "--keep")?,
-                "--resume" => args.resume = true,
-                "--crash-after" => {
-                    args.crash_after = Some(parse_num(value("--crash-after")?, "--crash-after")?)
-                }
-                "--crash-mid-write" => args.crash_mid_write = true,
-                "--threads" => args.threads = Some(parse_num(value("--threads")?, "--threads")?),
-                other => return Err(ParseError(format!("unknown option '{}'\n{}", other, USAGE))),
-            }
+    /// [`Args::parse`] on behalf of the binary whose `--help` is `usage`.
+    pub(crate) fn parse_for(argv: &[String], usage: &str) -> Result<Args, ParseError> {
+        // Defaults go through the setters against `sweep`, the one
+        // subcommand that owns a defaulted flag (`--points`); the
+        // subcommand argv names then takes its place.
+        let command = Command::Sweep { points: 0 };
+        let mut args = Args {
+            command,
+            ..Args::default()
+        };
+        flags::apply_defaults(RUN, &mut args)?;
+        let method = String::new();
+        match argv.first().map(String::as_str) {
+            None => return bad("missing subcommand"),
+            Some("run") => args.command = Command::Run { method },
+            Some("cluster") => args.command = Command::Cluster,
+            Some("sweep") => {}
+            Some("methods") => args.command = Command::Methods,
+            Some(sub) if sub == "help" || flags::is_help(sub) => return bad(usage),
+            Some(other) => return bad(format!("unknown subcommand '{}'\n{}", other, usage)),
         }
-        if let Command::Run { method } = &args.command {
-            if method.is_empty() {
-                return Err(ParseError("`run` requires --method <name>".into()));
-            }
-        }
-        args.validate()?;
+        flags::parse(RUN, &mut args, &argv[1..], usage, None)?;
+        args.cross_check()?;
         Ok(args)
     }
 
-    /// Range- and consistency-check parsed values. Every message names the
-    /// flag and the offending value so the fix is obvious from the error
-    /// alone.
-    fn validate(&self) -> Result<(), ParseError> {
-        for (flag, value) in [
-            ("--clients", self.clients),
-            ("--rounds", self.rounds),
-            ("--epochs", self.epochs),
-            ("--samples-per-class", self.samples_per_class),
-        ] {
-            if value == 0 {
-                return Err(ParseError(format!(
-                    "{} must be at least 1, got {}",
-                    flag, value
-                )));
-            }
-        }
-        for (flag, value) in [
-            ("--dropout", self.dropout),
-            ("--uplink-loss", self.uplink_loss),
-            ("--downlink-loss", self.downlink_loss),
-            ("--corrupt-rate", self.corrupt_rate),
-            ("--straggler-rate", self.straggler_rate),
-        ] {
-            check_prob(flag, value)?;
-        }
-        if self.sample_rate.is_nan() {
-            return Err(ParseError(
-                "--sample-rate is NaN; it must be in (0, 1]".into(),
-            ));
-        }
-        if !(0.0 < self.sample_rate && self.sample_rate <= 1.0) {
-            return Err(ParseError(format!(
-                "--sample-rate must be in (0, 1], got {}",
-                self.sample_rate
-            )));
-        }
-        // Timing scales: `< 0.0` is false for NaN, so check NaN explicitly
-        // — otherwise a NaN delay/deadline would slip through to the fault
-        // injector.
-        for (flag, value) in [
-            ("--straggler-delay", self.straggler_delay),
-            ("--deadline", self.deadline),
-        ] {
-            if value.is_nan() {
-                return Err(ParseError(format!(
-                    "{} is NaN; it must be a non-negative number",
-                    flag
-                )));
-            }
-            if value < 0.0 {
-                return Err(ParseError(format!(
-                    "{} must be non-negative, got {}",
-                    flag, value
-                )));
-            }
-        }
-        // The codec grammar has its own parser with precise messages;
-        // surface them under the flag name so the fix is obvious.
-        if let Err(msg) = fedclust_fl::CodecSpec::parse(&self.codec) {
-            return Err(ParseError(format!("--codec: {}", msg)));
-        }
-        if self.checkpoint_every == 0 {
-            return Err(ParseError("--checkpoint-every must be at least 1".into()));
-        }
-        if self.keep == 0 {
-            return Err(ParseError("--keep must be at least 1".into()));
+    /// The rules that relate one flag to another; everything about a
+    /// single flag is checked by its row.
+    fn cross_check(&self) -> Result<(), ParseError> {
+        if matches!(&self.command, Command::Run { method } if method.is_empty()) {
+            return bad("`run` requires --method <name>");
         }
         if self.checkpoint_dir.is_none() {
             if self.resume {
-                return Err(ParseError("--resume requires --checkpoint-dir".into()));
+                return bad("--resume requires --checkpoint-dir");
             }
             if self.crash_after.is_some() {
-                return Err(ParseError("--crash-after requires --checkpoint-dir".into()));
+                return bad("--crash-after requires --checkpoint-dir");
             }
             if self.crash_mid_write {
-                return Err(ParseError(
-                    "--crash-mid-write requires --checkpoint-dir".into(),
-                ));
+                return bad("--crash-mid-write requires --checkpoint-dir");
             }
         }
         if self.crash_mid_write && self.crash_after.is_none() {
-            return Err(ParseError(
-                "--crash-mid-write requires --crash-after <round>".into(),
-            ));
-        }
-        if let Some(threads) = self.threads {
-            validate_threads("--threads", &threads.to_string(), threads)?;
+            return bad("--crash-mid-write requires --crash-after <round>");
         }
         Ok(())
     }
@@ -381,18 +264,15 @@ impl Args {
 /// rejected with the offending source (flag or env var) and value named.
 fn validate_threads(source: &str, raw: &str, threads: usize) -> Result<(), ParseError> {
     if threads == 0 {
-        return Err(ParseError(format!(
-            "{} must be at least 1, got {} (use 1 for the exact-sequential path)",
-            source, raw
-        )));
+        let hint = "(use 1 for the exact-sequential path)";
+        return bad(format!(
+            "{} must be at least 1, got {} {}",
+            source, raw, hint
+        ));
     }
     if threads > rayon::MAX_THREADS {
-        return Err(ParseError(format!(
-            "{} must be at most {}, got {}",
-            source,
-            rayon::MAX_THREADS,
-            raw
-        )));
+        let max = rayon::MAX_THREADS;
+        return bad(format!("{} must be at most {}, got {}", source, max, raw));
     }
     Ok(())
 }
@@ -418,30 +298,6 @@ pub fn threads_from_env(raw: Option<&str>) -> Result<Option<usize>, ParseError> 
     Ok(Some(threads))
 }
 
-/// Parse one flag value; the error names the flag and echoes the value.
-pub(crate) fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, ParseError> {
-    s.parse()
-        .map_err(|_| ParseError(format!("invalid value '{}' for {}", s, flag)))
-}
-
-/// Range-check a probability flag. NaN fails `contains` too, but is called
-/// out explicitly so the message never reads "NaN must be in [0, 1]".
-pub(crate) fn check_prob(flag: &str, value: f32) -> Result<(), ParseError> {
-    if value.is_nan() {
-        return Err(ParseError(format!(
-            "{} is NaN; it must be a probability in [0, 1]",
-            flag
-        )));
-    }
-    if !(0.0..=1.0).contains(&value) {
-        return Err(ParseError(format!(
-            "{} must be in [0, 1], got {}",
-            flag, value
-        )));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -460,39 +316,58 @@ mod tests {
                 method: "fedclust".into()
             }
         );
+        assert!(Args::parse(&argv(&["frobnicate"])).is_err());
+        assert!(Args::parse(&argv(&[])).is_err());
+    }
+
+    /// `line` parsed, as `{:?}` prints it: every field by name, so a flag
+    /// that lands in a neighbour's field (or a new field) shows up here.
+    fn parsed(line: &str) -> String {
+        let parts: Vec<&str> = line.split_whitespace().collect();
+        format!("{:?}", Args::parse(&argv(&parts)).unwrap())
     }
 
     #[test]
-    fn defaults_are_applied() {
-        let a = Args::parse(&argv(&["cluster"])).unwrap();
-        assert_eq!(a.dataset, "cifar10");
-        assert_eq!(a.partition, "skew20");
-        assert_eq!(a.clients, 20);
-        assert!(!a.json);
+    fn no_flags_means_the_defaults_field_for_field() {
+        // The 27 defaults, pinned literally once: what the table's default
+        // column yields through the setters is what `Args::defaults` held.
+        let defaults = "dataset: \"cifar10\", partition: \"skew20\", clients: 20, rounds: 8, \
+            epochs: 3, sample_rate: 0.25, samples_per_class: 100, seed: 42, dropout: 0.0, \
+            uplink_loss: 0.0, downlink_loss: 0.0, corrupt_rate: 0.0, straggler_rate: 0.0, \
+            straggler_delay: 1.0, deadline: 1.0, retries: 2, codec: \"none\", json: false, \
+            checkpoint_dir: None, checkpoint_every: 1, keep: 3, resume: false, \
+            crash_after: None, crash_mid_write: false, threads: None }";
+        for (sub, command) in [
+            ("cluster", "Cluster"),
+            ("methods", "Methods"),
+            ("sweep", "Sweep { points: 6 }"),
+            ("run --method m", "Run { method: \"m\" }"),
+        ] {
+            assert_eq!(
+                parsed(sub),
+                format!("Args {{ command: {command}, {defaults}")
+            );
+        }
     }
 
     #[test]
-    fn options_override_defaults() {
-        let a = Args::parse(&argv(&[
-            "run",
-            "--method",
-            "fedavg",
-            "--clients",
-            "7",
-            "--rounds",
-            "3",
-            "--seed",
-            "9",
-            "--dropout",
-            "0.25",
-            "--json",
-        ]))
-        .unwrap();
-        assert_eq!(a.clients, 7);
-        assert_eq!(a.rounds, 3);
-        assert_eq!(a.seed, 9);
-        assert!((a.dropout - 0.25).abs() < 1e-6);
-        assert!(a.json);
+    fn every_flag_lands_in_its_own_field_and_the_last_one_wins() {
+        let got = parsed(
+            "run --clients 3 --method fedavg --dataset svhn --partition dir0.5 --clients 7 \
+             --rounds 4 --epochs 2 --sample-rate 0.5 --samples-per-class 9 --seed 11 \
+             --dropout 0.125 --uplink-loss 0.25 --downlink-loss 0.375 --corrupt-rate 0.0625 \
+             --straggler-rate 0.75 --straggler-delay 0.5 --deadline 2 --retries 5 \
+             --codec delta+q8 --json --checkpoint-dir /tmp/ck --checkpoint-every 6 --keep 8 \
+             --resume --crash-after 10 --crash-mid-write --threads 12",
+        );
+        let want = "Args { command: Run { method: \"fedavg\" }, dataset: \"svhn\", \
+            partition: \"dir0.5\", clients: 7, rounds: 4, epochs: 2, sample_rate: 0.5, \
+            samples_per_class: 9, seed: 11, dropout: 0.125, uplink_loss: 0.25, \
+            downlink_loss: 0.375, corrupt_rate: 0.0625, straggler_rate: 0.75, \
+            straggler_delay: 0.5, deadline: 2.0, retries: 5, codec: \"delta+q8\", json: true, \
+            checkpoint_dir: Some(\"/tmp/ck\"), checkpoint_every: 6, keep: 8, resume: true, \
+            crash_after: Some(10), crash_mid_write: true, threads: Some(12) }";
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -501,193 +376,29 @@ mod tests {
         assert_eq!(a.command, Command::Sweep { points: 8 });
         assert!(Args::parse(&argv(&["cluster", "--points", "8"])).is_err());
         assert!(Args::parse(&argv(&["cluster", "--method", "x"])).is_err());
-    }
-
-    #[test]
-    fn invalid_values_are_rejected() {
-        assert!(Args::parse(&argv(&["run", "--method", "x", "--clients", "zero"])).is_err());
-        // A zero count names its flag and its value.
-        for flag in ["--clients", "--rounds", "--epochs", "--samples-per-class"] {
-            let err = Args::parse(&argv(&["run", "--method", "x", flag, "0"])).unwrap_err();
-            assert_eq!(err.0, format!("{flag} must be at least 1, got 0"));
-        }
-        assert!(Args::parse(&argv(&["run", "--method", "x", "--dropout", "1.5"])).is_err());
-        assert!(Args::parse(&argv(&["run", "--method", "x", "--sample-rate", "0"])).is_err());
-        assert!(Args::parse(&argv(&["frobnicate"])).is_err());
-        assert!(Args::parse(&argv(&[])).is_err());
-    }
-
-    #[test]
-    fn fault_flags_parse_and_validate() {
-        let a = Args::parse(&argv(&[
-            "run",
-            "--method",
-            "fedclust",
-            "--uplink-loss",
-            "0.3",
-            "--downlink-loss",
-            "0.1",
-            "--corrupt-rate",
-            "0.05",
-            "--straggler-rate",
-            "0.2",
-            "--straggler-delay",
-            "0.5",
-            "--deadline",
-            "2.0",
-            "--retries",
-            "4",
-        ]))
-        .unwrap();
-        assert!((a.uplink_loss - 0.3).abs() < 1e-6);
-        assert!((a.downlink_loss - 0.1).abs() < 1e-6);
-        assert!((a.corrupt_rate - 0.05).abs() < 1e-6);
-        assert!((a.straggler_rate - 0.2).abs() < 1e-6);
-        assert!((a.straggler_delay - 0.5).abs() < 1e-6);
-        assert!((a.deadline - 2.0).abs() < 1e-6);
-        assert_eq!(a.retries, 4);
-        // Defaults keep every fault channel off.
-        let d = Args::parse(&argv(&["run", "--method", "fedavg"])).unwrap();
-        assert_eq!(d.uplink_loss, 0.0);
-        assert_eq!(d.retries, 2);
-        // Probabilities outside [0, 1] and negative times are rejected.
-        assert!(Args::parse(&argv(&["run", "--method", "x", "--uplink-loss", "1.5"])).is_err());
-        assert!(Args::parse(&argv(&["run", "--method", "x", "--corrupt-rate", "-0.1"])).is_err());
-        assert!(Args::parse(&argv(&["run", "--method", "x", "--deadline", "-1"])).is_err());
+        // A one-point sweep is refused, not quietly run with two.
+        let err = Args::parse(&argv(&["sweep", "--points", "1"])).unwrap_err();
+        assert_eq!(err.0, "--points must be at least 2, got 1");
     }
 
     #[test]
     fn help_returns_usage() {
         let err = Args::parse(&argv(&["--help"])).unwrap_err();
         assert!(err.0.contains("USAGE"));
+        for kept in [
+            "  fedclust-cli sweep [--points N] [options]\n",
+            "\nCHECKPOINTING (run):\n  --checkpoint-dir <DIR> ",
+            "upload compression codec (default none)\n                            none | q8 |",
+            "\n                             1 = exact-sequential escape hatch",
+        ] {
+            assert!(err.0.contains(kept), "{kept:?} is not in:\n{}", err.0);
+        }
     }
 
     fn parse_run(extra: &[&str]) -> Result<Args, ParseError> {
         let mut parts = vec!["run", "--method", "fedavg"];
         parts.extend_from_slice(extra);
         Args::parse(&argv(&parts))
-    }
-
-    #[test]
-    fn nan_probabilities_are_rejected_per_flag() {
-        for flag in [
-            "--sample-rate",
-            "--dropout",
-            "--uplink-loss",
-            "--downlink-loss",
-            "--corrupt-rate",
-            "--straggler-rate",
-        ] {
-            let err = parse_run(&[flag, "NaN"]).unwrap_err();
-            assert!(err.0.contains(flag), "{}: {}", flag, err);
-            assert!(err.0.contains("NaN"), "{}: {}", flag, err);
-        }
-    }
-
-    #[test]
-    fn nan_timing_values_are_rejected() {
-        // Regression: `< 0.0` is false for NaN, so these once slipped
-        // through validation silently.
-        for flag in ["--straggler-delay", "--deadline"] {
-            let err = parse_run(&[flag, "NaN"]).unwrap_err();
-            assert!(err.0.contains(flag), "{}: {}", flag, err);
-            assert!(err.0.contains("NaN"), "{}: {}", flag, err);
-        }
-    }
-
-    #[test]
-    fn out_of_range_errors_name_flag_and_value() {
-        let err = parse_run(&["--dropout", "1.5"]).unwrap_err();
-        assert!(
-            err.0.contains("--dropout") && err.0.contains("1.5"),
-            "{}",
-            err
-        );
-        let err = parse_run(&["--uplink-loss", "-0.2"]).unwrap_err();
-        assert!(
-            err.0.contains("--uplink-loss") && err.0.contains("-0.2"),
-            "{}",
-            err
-        );
-        let err = parse_run(&["--sample-rate", "0"]).unwrap_err();
-        assert!(err.0.contains("--sample-rate"), "{}", err);
-        let err = parse_run(&["--deadline", "-3"]).unwrap_err();
-        assert!(
-            err.0.contains("--deadline") && err.0.contains("-3"),
-            "{}",
-            err
-        );
-    }
-
-    #[test]
-    fn checkpoint_flags_parse() {
-        let a = parse_run(&[
-            "--checkpoint-dir",
-            "/tmp/ck",
-            "--checkpoint-every",
-            "2",
-            "--keep",
-            "5",
-            "--resume",
-        ])
-        .unwrap();
-        assert_eq!(a.checkpoint_dir.as_deref(), Some("/tmp/ck"));
-        assert_eq!(a.checkpoint_every, 2);
-        assert_eq!(a.keep, 5);
-        assert!(a.resume);
-        assert_eq!(a.crash_after, None);
-        assert!(!a.crash_mid_write);
-
-        let a = parse_run(&[
-            "--checkpoint-dir",
-            "/tmp/ck",
-            "--crash-after",
-            "3",
-            "--crash-mid-write",
-        ])
-        .unwrap();
-        assert_eq!(a.crash_after, Some(3));
-        assert!(a.crash_mid_write);
-    }
-
-    #[test]
-    fn threads_flag_parses_and_validates() {
-        // Explicit counts, including the documented exact-sequential
-        // escape hatch `--threads 1`, parse through.
-        let a = parse_run(&["--threads", "4"]).unwrap();
-        assert_eq!(a.threads, Some(4));
-        let a = parse_run(&["--threads", "1"]).unwrap();
-        assert_eq!(a.threads, Some(1));
-        // Unset defers to the environment / pool default.
-        let a = parse_run(&[]).unwrap();
-        assert_eq!(a.threads, None);
-
-        // Zero, absurd, and malformed values are rejected with the flag
-        // and the offending value in the message.
-        let err = parse_run(&["--threads", "0"]).unwrap_err();
-        assert!(
-            err.0.contains("--threads") && err.0.contains('0'),
-            "{}",
-            err
-        );
-        let err = parse_run(&["--threads", "100000"]).unwrap_err();
-        assert!(
-            err.0.contains("--threads") && err.0.contains("100000"),
-            "{}",
-            err
-        );
-        let err = parse_run(&["--threads", "many"]).unwrap_err();
-        assert!(
-            err.0.contains("--threads") && err.0.contains("many"),
-            "{}",
-            err
-        );
-        let err = parse_run(&["--threads", "-2"]).unwrap_err();
-        assert!(
-            err.0.contains("--threads") && err.0.contains("-2"),
-            "{}",
-            err
-        );
     }
 
     #[test]

@@ -1,21 +1,10 @@
 //! `fedclust-chaos` binary: thin shell around
 //! [`fedclust_cli::chaos::run_chaos`].
 
-use fedclust_cli::chaos::run_chaos;
-use fedclust_cli::net_args::ChaosArgs;
+use fedclust_cli::{chaos::run_chaos, net_args::ChaosArgs, shell};
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match ChaosArgs::parse(&argv) {
-        Ok(args) => {
-            if let Err(msg) = run_chaos(&args) {
-                eprintln!("error: {}", msg);
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("{}", e);
-            std::process::exit(2);
-        }
-    }
+    shell(ChaosArgs::parse, |args| {
+        run_chaos(args).map(|()| String::new())
+    });
 }

@@ -1,21 +1,10 @@
 //! `fedclust-worker` binary: thin shell around
 //! [`fedclust_cli::worker::run_worker`].
 
-use fedclust_cli::net_args::WorkerArgs;
-use fedclust_cli::worker::run_worker;
+use fedclust_cli::{net_args::WorkerArgs, shell, worker::run_worker};
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match WorkerArgs::parse(&argv) {
-        Ok(args) => {
-            if let Err(msg) = run_worker(&args) {
-                eprintln!("error: {}", msg);
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("{}", e);
-            std::process::exit(2);
-        }
-    }
+    shell(WorkerArgs::parse, |args| {
+        run_worker(args).map(|()| String::new())
+    });
 }

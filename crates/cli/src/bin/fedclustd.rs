@@ -1,21 +1,7 @@
 //! `fedclustd` binary: thin shell around [`fedclust_cli::net::serve`].
 
-use fedclust_cli::net::serve;
-use fedclust_cli::net_args::ServeArgs;
+use fedclust_cli::{net::serve, net_args::ServeArgs, shell};
 
 fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    match ServeArgs::parse(&argv) {
-        Ok(args) => match serve(&args) {
-            Ok(out) => println!("{}", out),
-            Err(msg) => {
-                eprintln!("error: {}", msg);
-                std::process::exit(1);
-            }
-        },
-        Err(e) => {
-            eprintln!("{}", e);
-            std::process::exit(2);
-        }
-    }
+    shell(ServeArgs::parse, serve);
 }

@@ -2,7 +2,7 @@
 //!
 //! A small dependency-free command-line front end for the FedClust
 //! reproduction. Everything argument-parsing lives here (testable); the
-//! binary in `main.rs` is a thin shell.
+//! four binaries are one-line calls of [`shell`].
 //!
 //! ```text
 //! fedclust-cli run     --method fedclust --dataset cifar10 --partition skew20
@@ -20,6 +20,7 @@ use fedclust_fl::{run_federation, Checkpointer, CrashPlan, FaultPlan, FlConfig, 
 
 pub mod args;
 pub mod chaos;
+mod flags;
 pub mod net;
 pub mod net_args;
 pub mod worker;
@@ -79,6 +80,28 @@ pub fn parse_partition(spec: &str) -> Option<Partition> {
         }
     }
     None
+}
+
+/// The body of all four binaries: parse argv (exit 2 with the message on a
+/// parse error), run (exit 1 with `error: ...` on failure), print what the
+/// run returned if it returned anything.
+pub fn shell<A>(
+    parse: fn(&[String]) -> Result<A, ParseError>,
+    run: impl FnOnce(&A) -> Result<String, String>,
+) {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse(&argv).unwrap_or_else(|e| {
+        eprintln!("{}", e);
+        std::process::exit(2)
+    });
+    match run(&args) {
+        Ok(out) if out.is_empty() => {}
+        Ok(out) => println!("{}", out),
+        Err(msg) => {
+            eprintln!("error: {}", msg);
+            std::process::exit(1)
+        }
+    }
 }
 
 /// Execute a parsed command; returns the text to print. `trainer` is the
@@ -234,7 +257,7 @@ pub fn build_config(args: &Args) -> FlConfig {
             corruption_rate: args.corrupt_rate,
         }
         .sanitized(),
-        // Validated in `Args::validate`, so a parse failure here can only
+        // Validated by the `--codec` row, so a parse failure here can only
         // mean a caller bypassed parsing; fall back to the identity codec.
         codec: fedclust_fl::CodecSpec::parse(&args.codec)
             .unwrap_or_else(|_| fedclust_fl::CodecSpec::none()),

@@ -47,6 +47,37 @@ for rule in $rule_names; do
     fi
 done
 
+echo "== one flag table =="
+# A flag is spelled once: as the name of its row in the table of each
+# binary that parses it (`RUN`, `SERVE`, `WORKER`, `CHAOS`). With every
+# `#[cfg(test)]` module cut off, crates/cli/src therefore holds 47 rows +
+# one `"--help"` = 48 exact-quoted `"--flag"` literals, none twice in one
+# table and only `"--help"` outside a table; a match arm, a `validate`
+# tuple or a second usage text would be a second spelling.
+flag_literals=$(find crates/cli/src -name '*.rs' | LC_ALL=C sort | while read -r f; do
+    awk -v f="$f" '
+        /^#\[cfg\(test\)\]/ { exit }
+        /const [A-Z]+: &\[Flag</ { table = $0; sub(/.*const /, "", table); sub(/:.*/, "", table) }
+        { line = $0; while (match(line, /"--[a-z][a-z-]*"/)) {
+              print f, (table == "" ? "-" : table), substr(line, RSTART, RLENGTH)
+              line = substr(line, RSTART + RLENGTH) } }
+        /^\];/ { table = "" }' "$f"
+done)
+if repeated=$(sort <<<"$flag_literals" | uniq -d | grep .); then
+    echo "a flag is spelled once per table (file, table, flag):" >&2
+    echo "$repeated" >&2
+    exit 1
+fi
+if stray=$(grep ' - ' <<<"$flag_literals" | grep -v ' "--help"$'); then
+    echo "flag literals belong in a table row, found outside one (file, -, flag):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+if [ "$(wc -l <<<"$flag_literals")" -ne 48 ]; then
+    echo "expected 48 flag literals (47 rows + \"--help\") in non-test crates/cli/src, found $(wc -l <<<"$flag_literals")" >&2
+    exit 1
+fi
+
 echo "== build (release) =="
 cargo build --release
 

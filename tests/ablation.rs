@@ -1,6 +1,7 @@
 //! Quality ablations for the design choices DESIGN.md §5 calls out:
 //! weight selection, linkage criterion, distance metric, warm-up depth.
-//! (The *cost* side of these ablations lives in `benches/ablation.rs`.)
+//! (The *cost* side — `cluster.hac_s`, `core.proximity_s` — is the benchmark's,
+//! see benchmark/README.md.)
 
 use fedclust_repro::cluster::hac::Linkage;
 use fedclust_repro::cluster::metrics::adjusted_rand_index;
