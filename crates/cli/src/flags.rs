@@ -113,15 +113,15 @@ impl Given<'_> {
         self.float(|v| v >= 0.0, "a non-negative number", "non-negative")
     }
 
-    /// Seconds, at most an hour; zero only where it means "disabled".
-    pub fn seconds(self, allow_zero: bool) -> Result<f64, ParseError> {
+    /// Seconds, at most an hour: more than `above`, or from zero where
+    /// there is no such floor and zero means "disabled".
+    pub fn seconds(self, above: Option<f64>) -> Result<f64, ParseError> {
         let v: f64 = self.num()?;
         if v.is_nan() {
             return self.reject(format_args!("must not be NaN"));
         }
-        // fedlint::allow(float-eq): exact-zero sentinel — zero seconds means "disabled", anything else must be strictly positive
-        if !v.is_finite() || v < 0.0 || (!allow_zero && v == 0.0) || v > 3600.0 {
-            let low = if allow_zero { "0 <=" } else { "> 0 and <=" };
+        if !v.is_finite() || v < 0.0 || above.is_some_and(|floor| v <= floor) || v > 3600.0 {
+            let low = above.map_or("0 <=".to_string(), |floor| format!("> {} and <=", floor));
             return self.reject(format_args!("must be {} 3600 seconds, got {}", low, v));
         }
         Ok(v)
@@ -280,7 +280,6 @@ mod tests {
         (&["--retries"], &["0", "1000"], &[("1001", "must be <= 1000, got 1001"), ("4294967296", "must be <= 1000, got 4294967296"), ("-1", "?")]),
         (&["--delay-ms"], &["0", "60000"], &[("60001", "must be <= 60000, got 60001"), ("120000", "must be <= 60000, got 120000"), ("NaN", "?")]),
         (&["--min-workers"], &["1", "1024"], &[("0", "must be in [1, 1024], got 0"), ("1025", "must be in [1, 1024], got 1025"), ("NaN", "?")]),
-        (&["--max-inflight"], &["1", "65536"], &[("0", "must be in [1, 65536], got 0"), ("65537", "must be in [1, 65536], got 65537")]),
         (&["--seed", "--chaos-seed", "--crash-after", "--reconnects", "--die-after", "--die-mid-push"], &["0", "4294967296"],
             &[("zero", "?"), ("NaN", "?"), ("-1", "?")]),
         (&["--threads"], &["1", "256"],
@@ -296,9 +295,14 @@ mod tests {
         (&["--round-timeout"], &["0", "3600"],
             &[("-1", "must be 0 <= 3600 seconds, got -1"), ("3601", "must be 0 <= 3600 seconds, got 3601"),
               ("inf", "must be 0 <= 3600 seconds, got inf"), ("NaN", "must not be NaN")]),
-        (&["--backoff-base", "--io-timeout"], &["0.001", "3600"],
+        (&["--backoff-base"], &["0.001", "3600"],
             &[("0", "must be > 0 and <= 3600 seconds, got 0"), ("-0.5", "must be > 0 and <= 3600 seconds, got -0.5"),
               ("1e9", "must be > 0 and <= 3600 seconds, got 1000000000"), ("NaN", "must not be NaN"), ("zero", "?")]),
+        // Above the server's keep-alive period (`net::READ_TIMEOUT`), or an idle park reads as a dead server.
+        (&["--io-timeout"], &["0.201", "3600"],
+            &[("0.2", "must be > 0.2 and <= 3600 seconds, got 0.2"), ("0.1", "must be > 0.2 and <= 3600 seconds, got 0.1"),
+              ("0", "must be > 0.2 and <= 3600 seconds, got 0"), ("3601", "must be > 0.2 and <= 3600 seconds, got 3601"),
+              ("NaN", "must not be NaN"), ("zero", "?")]),
         (&["--listen", "--connect"], &["a:1"], &[("", "must be HOST:PORT, got ''"), ("localhost", "must be HOST:PORT, got 'localhost'")]),
         (&["--dataset"], &["cifar10", "SVHN"], &[("bogus", "must be cifar10 | cifar100 | fmnist | svhn, got 'bogus'")]),
         (&["--partition"], &["iid", "dir0.5"], &[("bogus", "must be iid | skewNN (percent) | dirX.X (alpha), got 'bogus'")]),

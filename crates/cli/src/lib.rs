@@ -20,6 +20,7 @@ use fedclust_fl::{run_federation, Checkpointer, CrashPlan, FaultPlan, FlConfig, 
 
 pub mod args;
 pub mod chaos;
+mod coordinator;
 mod flags;
 pub mod net;
 pub mod net_args;

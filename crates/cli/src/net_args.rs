@@ -3,7 +3,7 @@
 //! flags.
 //!
 //! `fedclustd` is a thin networked wrapper around the ordinary `run`
-//! subcommand: every token that is not one of its own five flags is
+//! subcommand: every token that is not one of its own four flags is
 //! forwarded verbatim to [`Args::parse`] with `run` prepended, and that
 //! *exact* argv is what the server ships to workers in its `Welcome` so
 //! both sides rebuild the same dataset and config. Validation follows the
@@ -13,6 +13,7 @@
 
 use crate::args::{bad, threads, Args, Command, ParseError, RUN};
 use crate::flags::{self, flag, under, Flag};
+use crate::net::READ_TIMEOUT;
 use crate::{all_methods, find_method};
 
 /// Arguments for the `fedclustd` federation server.
@@ -29,9 +30,6 @@ pub struct ServeArgs {
     pub round_timeout: f64,
     /// `--backoff-base SECS`: base of the shared exponential backoff.
     pub backoff_base: f64,
-    /// `--max-inflight N`: bound on buffered, not-yet-absorbed uploads;
-    /// pushes beyond it get a typed `Busy` reply.
-    pub max_inflight: usize,
     /// The forwarded `run` invocation (validated).
     pub run: Args,
     /// The canonical argv (starting with `run`) shipped in `Welcome`.
@@ -42,9 +40,8 @@ pub struct ServeArgs {
 pub(crate) const SERVE: &[Flag<ServeArgs>] = &[
     under("SERVER OPTIONS", flag("--listen", "<HOST:PORT>", "127.0.0.1:7878", "where workers connect; port 0 asks the OS for a free port", |a, g| g.addr().map(|v| a.listen = v))),
     flag("--min-workers", "<N>", "1", "start once this many workers have joined, 1 to 1024", |a, g| g.count(1, 1024).map(|n| a.min_workers = n)),
-    flag("--round-timeout", "<SECS>", "120", "write off a round's stragglers after this long; 0 never, at most 3600", |a, g| g.seconds(true).map(|v| a.round_timeout = v)),
-    flag("--backoff-base", "<SECS>", "0.05", "base of the exponential retry backoff, in (0, 3600]", |a, g| g.seconds(false).map(|v| a.backoff_base = v)),
-    flag("--max-inflight", "<N>", "64", "buffered uploads before a push is told Busy, 1 to 65536", |a, g| g.count(1, 1 << 16).map(|n| a.max_inflight = n)),
+    flag("--round-timeout", "<SECS>", "120", "write off a round's stragglers after this long; 0 never, at most 3600", |a, g| g.seconds(None).map(|v| a.round_timeout = v)),
+    flag("--backoff-base", "<SECS>", "0.05", "base of the exponential retry backoff, in (0, 3600]", |a, g| g.seconds(Some(0.0)).map(|v| a.backoff_base = v)),
 ];
 
 const SERVE_HEAD: &str = "\
@@ -114,7 +111,8 @@ pub struct WorkerArgs {
     pub backoff_base: f64,
     /// `--io-timeout SECS`: read timeout while waiting for the server; a
     /// stalled connection (e.g. a chaos-dropped frame) is torn down and
-    /// redialled after this long.
+    /// redialled after this long. Above [`READ_TIMEOUT`]: an idle server
+    /// is only heard from that often.
     pub io_timeout: f64,
     /// `--threads N` for local training parallelism.
     pub threads: Option<usize>,
@@ -130,8 +128,8 @@ pub struct WorkerArgs {
 pub(crate) const WORKER: &[Flag<WorkerArgs>] = &[
     under("OPTIONS", flag("--connect", "<HOST:PORT>", "", "the server (or chaos proxy) to dial; required", |a, g| g.addr().map(|v| a.connect = v))),
     flag("--reconnects", "<N>", "1000", "reconnect budget across the whole run", |a, g| g.num().map(|n| a.reconnects = n)),
-    flag("--backoff-base", "<SECS>", "0.05", "base of the reconnect backoff, in (0, 3600]", |a, g| g.seconds(false).map(|v| a.backoff_base = v)),
-    flag("--io-timeout", "<SECS>", "5", "redial a connection silent for this long, in (0, 3600]", |a, g| g.seconds(false).map(|v| a.io_timeout = v)),
+    flag("--backoff-base", "<SECS>", "0.05", "base of the reconnect backoff, in (0, 3600]", |a, g| g.seconds(Some(0.0)).map(|v| a.backoff_base = v)),
+    flag("--io-timeout", "<SECS>", "5", "redial a connection silent for this long, in (0.2, 3600]: an idle server speaks every 0.2 s", |a, g| g.seconds(Some(READ_TIMEOUT.as_secs_f64())).map(|v| a.io_timeout = v)),
     flag("--threads", "<N>", "", "worker threads for local training (default: all cores)", |a, g| threads(g).map(|n| a.threads = Some(n))),
     flag("--die-after", "<N>", "", "test hook: crash after the N-th acknowledged push", |a, g| g.num().map(|n| a.die_after = Some(n))),
     flag("--die-mid-push", "<N>", "", "test hook: crash halfway through the N-th push frame", |a, g| g.num().map(|n| a.die_mid_push = Some(n))),
@@ -248,7 +246,6 @@ mod tests {
         .unwrap();
         assert_eq!(a.listen, "127.0.0.1:0");
         assert_eq!(a.min_workers, 1);
-        assert_eq!(a.max_inflight, 64);
         assert_eq!(a.run.clients, 6);
         assert_eq!(a.run.rounds, 3);
         assert_eq!(
@@ -368,12 +365,12 @@ mod tests {
     fn net_flags_land_in_their_own_fields_over_pinned_defaults() {
         let serve = |line| parsed(ServeArgs::parse, line);
         let defaults = "ServeArgs { listen: \"127.0.0.1:7878\", min_workers: 1, \
-            round_timeout: 120.0, backoff_base: 0.05, max_inflight: 64, run: Args {";
+            round_timeout: 120.0, backoff_base: 0.05, run: Args {";
         assert!(serve("--method fedavg").starts_with(defaults));
         let all = "ServeArgs { listen: \"h:1\", min_workers: 2, round_timeout: 3.0, \
-            backoff_base: 4.0, max_inflight: 5, run: Args {";
+            backoff_base: 4.0, run: Args {";
         let line = "--listen h:1 --min-workers 2 --round-timeout 3 --method fedavg \
-            --backoff-base 4 --max-inflight 5";
+            --backoff-base 4";
         assert!(serve(line).starts_with(all));
         assert!(serve(line).ends_with("run_argv: [\"run\", \"--method\", \"fedavg\"] }"));
 

@@ -18,15 +18,11 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use fedclust_data::FederatedDataset;
-use fedclust_fl::codec::{self, BaseCodec};
-use fedclust_fl::engine::{init_model, local_train};
+use fedclust_fl::engine::{init_model, train_unit, LocalJob};
 use fedclust_fl::faults::CRASH_EXIT_CODE;
 use fedclust_fl::FlConfig;
-use fedclust_nn::optim::Sgd;
 use fedclust_nn::Model;
-use fedclust_proto::{
-    read_msg, write_msg, Msg, ProtoError, PushBody, RetryPolicy, MODE_WARMUP, PROTO_VERSION,
-};
+use fedclust_proto::{read_msg, write_msg, Msg, ProtoError, RetryPolicy, PROTO_VERSION};
 
 use crate::args::Args;
 use crate::net_args::WorkerArgs;
@@ -75,75 +71,8 @@ struct DiePlan {
     mid_push: Option<usize>,
 }
 
-/// Train one unit of work and build the push reply.
-#[allow(clippy::too_many_arguments)]
-fn run_unit(
-    ctx: &RunContext,
-    mode: u8,
-    round: u32,
-    client: u32,
-    epochs: u32,
-    prox_mu: Option<f32>,
-    start_state: &[f32],
-    residual: Vec<f32>,
-) -> Msg {
-    let client_usize = client as usize;
-    let mut model = ctx.template.clone();
-    model.set_state_vec(start_state);
-    let mut opt = Sgd::new(ctx.cfg.sgd());
-    if let Some(mu) = prox_mu {
-        opt.set_prox(mu, model.param_tensors());
-    }
-    let data = &ctx.fd.clients[client_usize];
-    let steps = local_train(
-        &mut model,
-        data,
-        &mut opt,
-        epochs as usize,
-        ctx.cfg.batch_size,
-        ctx.cfg.seed,
-        client_usize,
-        round as usize,
-    );
-    let payload = model.state_vec();
-    let weight = data.train_samples() as f32;
-
-    let body = if mode == MODE_WARMUP || ctx.cfg.codec.is_none() {
-        // Warmup always ships the raw full state: the server keeps the
-        // partial-weight extraction (and its uplink accounting) local so
-        // the round-0 path matches the simulation exactly.
-        PushBody::Raw(payload)
-    } else {
-        let residual_in = match ctx.cfg.codec.base {
-            BaseCodec::TopK(_) => Some(residual),
-            _ => None,
-        };
-        let (enc, residual_out) = codec::encode_for_upload(
-            ctx.cfg.codec,
-            ctx.cfg.seed,
-            round as usize,
-            client_usize,
-            &payload,
-            Some(start_state),
-            residual_in,
-        );
-        PushBody::Encoded {
-            wire: enc.wire,
-            residual: residual_out.unwrap_or_default(),
-        }
-    };
-    Msg::Push {
-        mode,
-        round,
-        client,
-        steps: steps as u32,
-        weight,
-        body,
-    }
-}
-
 /// Send a push, honouring `Busy` backpressure and the die-mid-push test
-/// hook. Returns `Ok(true)` when acked.
+/// hook. Returns `Ok(())` when acked.
 fn push_with_backpressure(
     stream: &mut TcpStream,
     push: &Msg,
@@ -225,14 +154,14 @@ fn session(
                 state,
                 residual,
             }) => {
-                if client as usize >= ctx.fd.num_clients() {
-                    return Err(format!(
-                        "server sent client {} but the dataset has {}",
-                        client,
-                        ctx.fd.num_clients()
-                    ));
-                }
-                let push = run_unit(ctx, mode, round, client, epochs, prox_mu, &state, residual);
+                let job = LocalJob {
+                    start_state: &state,
+                    epochs: epochs as usize,
+                    client: client as usize,
+                    round: round as usize,
+                    prox_mu,
+                };
+                let push = train_unit(&ctx.fd, &ctx.cfg, &ctx.template, mode, job, residual)?;
                 match push_with_backpressure(&mut stream, &push, *pushes_done, die) {
                     Ok(()) => {
                         *pushes_done += 1;
@@ -293,4 +222,54 @@ pub fn run_worker(args: &WorkerArgs) -> Result<(), String> {
         "fedclust-worker: gave up after {} reconnect attempts",
         args.reconnects + 1
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fedclust_proto::MODE_TRAIN;
+
+    /// A checksum-valid `Work` frame can still name a client or carry a
+    /// state this worker's dataset and model do not have. A residual of any
+    /// length is fine: the codec discards one of a stale shape.
+    #[test]
+    fn untrainable_work_is_an_error_not_a_panic() {
+        let argv = "run --method fedavg --clients 2 --samples-per-class 4 --rounds 1 --epochs 1 \
+                    --codec delta+topk:0.1";
+        let argv = argv.split_whitespace().map(String::from).collect();
+        let ctx = RunContext::build(argv).expect("a tiny run builds");
+        let len = ctx.template.state_len();
+        let run = |client, state_len: usize, residual_len: usize| {
+            let job = LocalJob {
+                start_state: &vec![0.0; state_len],
+                epochs: 1,
+                client,
+                round: 0,
+                prox_mu: None,
+            };
+            let residual = vec![0.0; residual_len];
+            train_unit(&ctx.fd, &ctx.cfg, &ctx.template, MODE_TRAIN, job, residual)
+        };
+        let rejected = |client, state_len| run(client, state_len, 0).expect_err("must be rejected");
+        assert!(rejected(2, len).contains("client 2 with a state of"));
+        assert!(rejected(2, len).contains("the dataset has 2 clients"));
+        for state_len in [len - 1, len + 1, 0] {
+            let expected = format!(
+                "a state of {state_len} values, but the dataset has 2 clients and the model \
+                 {len} values"
+            );
+            assert!(rejected(1, state_len).contains(&expected));
+        }
+        for residual_len in [0, 1, len, len + 1] {
+            let push = run(1, len, residual_len).expect("a sound unit trains");
+            assert!(matches!(
+                push,
+                Msg::Push {
+                    round: 0,
+                    client: 1,
+                    ..
+                }
+            ));
+        }
+    }
 }

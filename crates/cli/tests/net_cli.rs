@@ -382,15 +382,20 @@ fn retry_spawn(args: &[String]) -> NetProc {
 }
 
 /// One worker dies cleanly after its first acknowledged push; the
-/// surviving worker picks up the requeued leases and the run still
-/// replays bit-identically (failover, not loss).
+/// surviving worker does the rest and the run still replays
+/// bit-identically (failover, not loss).
 ///
-/// Scheduling race: the run is small enough (12 units) that the doomed
-/// worker can sleep through a server `Wait` while the survivor drains
-/// every lease, receive `Done` having pushed nothing, and exit 0 — the
-/// hook simply never fired. That outcome is benign (the output must
-/// still match the reference), so we re-race the scenario until the
-/// crash path is actually exercised, within a bounded attempt budget.
+/// Scheduling race: the run is three units, one per round, and a unit
+/// goes to whichever idle worker gets to it first. The survivor can win
+/// all three — start-up is skewed (each worker builds its dataset after
+/// `Welcome`), and nothing promises that two parked pulls alternate — and
+/// then the doomed worker's pull stays parked until `Done`: it exits 0
+/// having pushed nothing, and the hook never fired. That outcome is benign
+/// (the output must still match the reference), so we re-race the scenario
+/// until the crash path is actually exercised, within a bounded attempt
+/// budget. What a lost lease does to the table — death, requeue, delivery
+/// by another connection, late duplicate — is pinned without a race by
+/// `coordinator::tests::failover_delivers_once_and_drops_the_late_duplicate`.
 #[test]
 fn worker_death_fails_over_without_perturbing_the_run() {
     let reference = in_process("fedavg", &[]);
@@ -417,18 +422,22 @@ fn worker_death_fails_over_without_perturbing_the_run() {
 /// A worker killed mid-upload (torn push frame) with a zero retry budget:
 /// the unit is written off, the run degrades gracefully, and the loss
 /// shows up in the fault telemetry — the server must NOT hang or crash.
+///
+/// No race: the doomed worker is the whole fleet when the run starts, so
+/// round 0's one unit is its to tear; the survivor only joins once it is
+/// dead, and finds round 1 waiting.
 #[test]
 fn worker_torn_upload_degrades_gracefully_with_telemetry() {
     let server = spawn_server(
         "fedavg",
         &["--retries", "0"],
-        &["--min-workers", "2", "--round-timeout", "60"],
+        &["--min-workers", "1", "--round-timeout", "60"],
     );
     let mut doomed = spawn_worker(&server.addr, &["--die-mid-push", "1"]);
-    let survivor = spawn_worker(&server.addr, &[]);
-    let out = finish(server);
     let status = doomed.wait().expect("doomed worker exits");
     assert_eq!(status.code(), Some(CRASH_EXIT_CODE));
+    let survivor = spawn_worker(&server.addr, &[]);
+    let out = finish(server);
     reap(vec![survivor]);
 
     // The loss is genuine (budget 0 ⇒ no redispatch), so it must appear

@@ -6,10 +6,9 @@ use crate::proximity::{collect_partial_weights_for, proximity_matrix, WeightSele
 use fedclust_cluster::hac::Linkage;
 use fedclust_fl::checkpoint::{check_labels, check_len, wrong_state, CheckpointError, MethodState};
 use fedclust_fl::driver::{Method, RoundCtx};
-use fedclust_fl::engine::{evaluate_clients, weighted_average, RemoteRound};
+use fedclust_fl::engine::{evaluate_clients, weighted_average, RemoteRound, MODE_WARMUP};
 use fedclust_nn::Model;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// FedClust configuration (Algorithm 1's inputs beyond the shared
 /// [`fedclust_fl::FlConfig`]).
@@ -107,32 +106,28 @@ impl Method for FedClust {
             // Workers return raw full states; the partial-weight extraction
             // stays server-side so the uplink path (codec, faults, screen)
             // sees exactly what the in-process simulation would have built.
-            // Clients the fleet wrote off are omitted.
-            Some(remote) => remote
-                .warmup_remote(RemoteRound {
+            Some(remote) => {
+                let outcome = remote.train_remote(RemoteRound {
+                    mode: MODE_WARMUP,
                     round: 0,
                     clients: &reached,
                     start_state: &init_state,
                     prox_mu: None,
                     epochs: self.warmup_epochs,
                     residuals: Vec::new(),
-                })
-                .into_iter()
-                .map(|(client, state)| {
-                    let mut model = template.clone();
-                    model.set_state_vec(&state);
-                    (client, self.selection.extract(&model))
-                })
-                .collect(),
+                });
+                // Written-off clients count as uplink losses for telemetry.
+                ctx.transport.record_remote_losses(&outcome.lost);
+                let updates = outcome.updates.into_iter();
+                updates
+                    .map(|u| {
+                        let mut model = template.clone();
+                        model.set_state_vec(&u.state);
+                        (u.client, self.selection.extract(&model))
+                    })
+                    .collect()
+            }
         };
-        // Written-off clients count as uplink losses for telemetry.
-        let got: BTreeSet<usize> = collected.iter().map(|(c, _)| *c).collect();
-        let lost: Vec<usize> = reached
-            .iter()
-            .copied()
-            .filter(|c| !got.contains(c))
-            .collect();
-        ctx.transport.record_remote_losses(&lost);
         // A stale round-0 corruption replays the untrained partial weights.
         let init_partial = self.selection.extract(template);
         let mut survivors: Vec<usize> = Vec::with_capacity(reached.len());

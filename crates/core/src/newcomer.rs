@@ -9,9 +9,8 @@
 use crate::algorithm::TrainedFederation;
 use crate::proximity::WeightSelection;
 use fedclust_data::ClientData;
-use fedclust_fl::engine::local_train;
+use fedclust_fl::engine::{train_replica, LocalJob};
 use fedclust_fl::FlConfig;
-use fedclust_nn::optim::Sgd;
 use fedclust_tensor::distance::Metric;
 use rayon::prelude::*;
 
@@ -61,38 +60,27 @@ pub fn incorporate(
     newcomer_id: usize,
 ) -> NewcomerOutcome {
     // Line 1–3: train θ⁰ locally, extract partial weights.
-    let mut probe = federation.template.clone();
-    probe.set_state_vec(&federation.init_state);
-    let mut opt = Sgd::new(cfg.sgd());
-    local_train(
-        &mut probe,
-        newcomer,
-        &mut opt,
-        warmup_epochs,
-        cfg.batch_size,
-        cfg.seed,
-        1_000_000 + newcomer_id, // distinct rng stream from federation clients
-        0,
-    );
+    let warmup = LocalJob {
+        start_state: &federation.init_state,
+        epochs: warmup_epochs,
+        client: 1_000_000 + newcomer_id, // distinct rng stream from federation clients
+        round: 0,
+        prox_mu: None,
+    };
+    let (probe, _) = train_replica(&federation.template, newcomer, cfg, warmup);
     let partial = selection.extract(&probe);
 
     // Lines 4–5: Eq. 4 assignment.
     let cluster = assign_cluster(federation, &partial, metric);
 
     // Receive the cluster model and personalize briefly.
-    let mut model = federation.template.clone();
-    model.set_state_vec(&federation.cluster_states[cluster]);
-    let mut opt = Sgd::new(cfg.sgd());
-    local_train(
-        &mut model,
-        newcomer,
-        &mut opt,
-        personalize_epochs,
-        cfg.batch_size,
-        cfg.seed,
-        2_000_000 + newcomer_id,
-        0,
-    );
+    let personalize = LocalJob {
+        start_state: &federation.cluster_states[cluster],
+        epochs: personalize_epochs,
+        client: 2_000_000 + newcomer_id,
+        ..warmup
+    };
+    let (mut model, _) = train_replica(&federation.template, newcomer, cfg, personalize);
 
     let idx: Vec<usize> = (0..newcomer.test.len()).collect();
     let accuracy = if idx.is_empty() {

@@ -9,9 +9,8 @@
 
 use fedclust_cluster::ProximityMatrix;
 use fedclust_data::FederatedDataset;
-use fedclust_fl::engine::local_train;
+use fedclust_fl::engine::{train_replica, LocalJob};
 use fedclust_fl::FlConfig;
-use fedclust_nn::optim::Sgd;
 use fedclust_nn::Model;
 use fedclust_tensor::distance::Metric;
 use rayon::prelude::*;
@@ -95,19 +94,14 @@ pub fn collect_partial_weights_for(
     clients
         .par_iter()
         .map(|&client| {
-            let mut model = template.clone();
-            model.set_state_vec(init_state);
-            let mut opt = Sgd::new(cfg.sgd());
-            local_train(
-                &mut model,
-                &fd.clients[client],
-                &mut opt,
-                warmup_epochs,
-                cfg.batch_size,
-                cfg.seed,
+            let job = LocalJob {
+                start_state: init_state,
+                epochs: warmup_epochs,
                 client,
-                0, // warm-up is round 0
-            );
+                round: 0, // warm-up is round 0
+                prox_mu: None,
+            };
+            let (model, _) = train_replica(template, &fd.clients[client], cfg, job);
             (client, selection.extract(&model))
         })
         .collect()

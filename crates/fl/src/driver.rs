@@ -16,7 +16,7 @@ use crate::checkpoint::{Checkpoint, CheckpointError, Checkpointer, MethodState};
 use crate::config::FlConfig;
 use crate::engine::{
     average_accuracy, average_updates, init_model, sample_clients, train_sampled, ClientUpdate,
-    RemoteRound, RemoteTrainer,
+    RemoteRound, RemoteTrainer, MODE_TRAIN,
 };
 use crate::faults::Transport;
 use crate::metrics::{RoundRecord, RunResult};
@@ -74,6 +74,7 @@ impl RoundCtx<'_> {
             .map(|&c| (c, transport.residual_for(c)))
             .collect();
         let outcome = remote.train_remote(RemoteRound {
+            mode: MODE_TRAIN,
             round,
             clients: &reached,
             start_state,

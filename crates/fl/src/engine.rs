@@ -5,20 +5,28 @@
 //! Every method implementation composes these primitives; they are the
 //! "FedAvg skeleton" the paper's Algorithm 1 shares with its baselines.
 
+use crate::codec::{self, BaseCodec};
 use crate::config::FlConfig;
 use fedclust_data::{ClientData, FederatedDataset};
 use fedclust_nn::loss::cross_entropy;
 use fedclust_nn::optim::Sgd;
 use fedclust_nn::Model;
+use fedclust_proto::{Msg, PushBody};
+pub use fedclust_proto::{MODE_TRAIN, MODE_WARMUP};
 use fedclust_tensor::rng::{derive, streams};
 use rand::seq::SliceRandom;
 use rayon::prelude::*;
+use std::collections::BTreeMap;
 
 /// One unit of remote work: train (or warm up) these clients from
 /// `start_state` at `round`. `residuals` carries each client's canonical
 /// error-feedback residual for the worker-side codec (empty vectors for
 /// residual-free codecs).
 pub struct RemoteRound<'a> {
+    /// [`MODE_TRAIN`], or [`MODE_WARMUP`] for FedClust's round 0, whose
+    /// uploads are always raw full states: the server extracts the
+    /// partial weights and runs its own uplink path over them.
+    pub mode: u8,
     /// Federated round index (0-based; FedClust warmup runs at round 0).
     pub round: usize,
     /// Clients to train, in the order results must come back.
@@ -68,12 +76,148 @@ pub struct RemoteOutcome {
 /// carries it in [`crate::driver::RoundCtx`]; round training and the
 /// FedClust warmup collection route through it when present.
 pub trait RemoteTrainer: Send + Sync {
-    /// Train `req.clients` and return codec-encoded updates.
+    /// Train `req.clients` in `req.mode` and return what the fleet
+    /// delivered, as [`settle`] reads it.
     fn train_remote(&self, req: RemoteRound) -> RemoteOutcome;
-    /// FedClust round-0 warmup: train and return *raw full states* in
-    /// `(client, state)` pairs (lost clients omitted); the server extracts
-    /// the partial-weight slices and runs its own uplink path.
-    fn warmup_remote(&self, req: RemoteRound) -> Vec<(usize, Vec<f32>)>;
+}
+
+/// One client's local training: `epochs` epochs of the run's SGD from
+/// `start_state` (with FedProx's proximal term when `prox_mu` is set), its
+/// minibatches drawn from [`local_train`]'s `(client, round)` stream.
+#[derive(Clone, Copy)]
+pub struct LocalJob<'a> {
+    /// The state the replica starts from.
+    pub start_state: &'a [f32],
+    /// Local epochs to run.
+    pub epochs: usize,
+    /// Keys the minibatch stream; a dataset index only where the caller
+    /// looks the data up by it.
+    pub client: usize,
+    /// Keys the minibatch stream.
+    pub round: usize,
+    /// FedProx proximal coefficient, when the method uses one.
+    pub prox_mu: Option<f32>,
+}
+
+/// The worker's half of a [`RemoteRound`]: train client `job.client` in
+/// `mode` and build its `Push` frame. A warm-up unit, or any unit without a
+/// codec, ships the raw full state; a training unit under a codec encodes
+/// through [`codec::encode_for_upload`] from `residual` exactly as
+/// [`Transport::uplink`](crate::faults::Transport::uplink) does in process.
+/// A unit this side cannot train — a client `fd` does not have, a state
+/// `template` has no room for: a server built from another commit, or a
+/// hostile peer — is an error, never a panic. A residual of any length is
+/// trainable: the codec discards one of a stale shape, and FedClust's first
+/// full-state round legitimately carries the warm-up's partial-weight one.
+pub fn train_unit(
+    fd: &FederatedDataset,
+    cfg: &FlConfig,
+    template: &Model,
+    mode: u8,
+    job: LocalJob,
+    residual: Vec<f32>,
+) -> Result<Msg, String> {
+    let (clients, state_len) = (fd.num_clients(), template.state_len());
+    if job.client >= clients || job.start_state.len() != state_len {
+        return Err(format!(
+            "server sent client {} with a state of {} values, \
+             but the dataset has {clients} clients and the model {state_len} values",
+            job.client,
+            job.start_state.len(),
+        ));
+    }
+    let data = &fd.clients[job.client];
+    let (model, steps) = train_replica(template, data, cfg, job);
+    let payload = model.state_vec();
+    let body = if mode == MODE_WARMUP || cfg.codec.is_none() {
+        PushBody::Raw(payload)
+    } else {
+        let residual = matches!(cfg.codec.base, BaseCodec::TopK(_)).then_some(residual);
+        let (enc, residual) = codec::encode_for_upload(
+            cfg.codec,
+            cfg.seed,
+            job.round,
+            job.client,
+            &payload,
+            Some(job.start_state),
+            residual,
+        );
+        PushBody::Encoded {
+            wire: enc.wire,
+            residual: residual.unwrap_or_default(),
+        }
+    };
+    Ok(Msg::Push {
+        mode,
+        round: job.round as u32,
+        client: job.client as u32,
+        steps: steps as u32,
+        weight: data.train_samples() as f32,
+        body,
+    })
+}
+
+/// What the server makes of one frame pushed for `client`: its update, or
+/// `None` for one to write off. A frame that passed every checksum can
+/// still be no `Push`, be run in another mode than `req.mode`, carry a body
+/// that does not fit the mode (only a training unit may be codec-encoded)
+/// or cannot be decoded, a state (raw or decoded) of another length than
+/// the server broadcast, or a negative or non-finite weight — a
+/// worker-side bug or a hostile peer — and the aggregation arithmetic
+/// downstream assumes none of it. Weight zero is valid: it is the client's
+/// training-set size (Eq. 2), and an in-process client with no data
+/// uploads exactly that: received, billed, contributing nothing.
+fn read_push(req: &RemoteRound, client: usize, frame: Msg) -> Option<RemoteUpdate> {
+    let Msg::Push {
+        mode,
+        steps,
+        weight,
+        body,
+        ..
+    } = frame
+    else {
+        return None;
+    };
+    let (state, wire_bytes, residual) = match body {
+        PushBody::Raw(v) => (v, None, None),
+        PushBody::Encoded { wire, residual } if req.mode == MODE_TRAIN => (
+            codec::decode(&wire, Some(req.start_state)).ok()?,
+            Some(wire.len()),
+            Some(residual),
+        ),
+        PushBody::Encoded { .. } => return None,
+    };
+    let sized = mode == req.mode && state.len() == req.start_state.len();
+    (sized && weight.is_finite() && weight >= 0.0).then_some(RemoteUpdate {
+        client,
+        steps: steps as usize,
+        weight,
+        state,
+        wire_bytes,
+        residual,
+    })
+}
+
+/// The server's half of a [`RemoteRound`]: turn the frames that came back,
+/// keyed by client, into the outcome the driver absorbs. A frame
+/// [`read_push`] turns down joins `lost` exactly like a worker that never
+/// answered: degrade, don't die.
+pub fn settle(
+    req: &RemoteRound,
+    mut pushes: BTreeMap<usize, Msg>,
+    mut lost: Vec<usize>,
+) -> RemoteOutcome {
+    let mut updates = Vec::with_capacity(pushes.len());
+    for &client in req.clients {
+        match pushes.remove(&client).map(|f| read_push(req, client, f)) {
+            Some(Some(update)) => updates.push(update),
+            Some(None) => lost.push(client),
+            None => {}
+        }
+    }
+    lost.sort_unstable();
+    lost.dedup();
+    RemoteOutcome { updates, lost }
 }
 
 /// Build the initial server model θ⁰ for a federated dataset. All methods
@@ -139,6 +283,33 @@ pub fn local_train(
         }
     }
     steps
+}
+
+/// A fresh replica of `template` trained on `data` as `job` says; returns
+/// it with the steps taken.
+pub fn train_replica(
+    template: &Model,
+    data: &ClientData,
+    cfg: &FlConfig,
+    job: LocalJob,
+) -> (Model, usize) {
+    let mut model = template.clone();
+    model.set_state_vec(job.start_state);
+    let mut opt = Sgd::new(cfg.sgd());
+    if let Some(mu) = job.prox_mu {
+        opt.set_prox(mu, model.param_tensors());
+    }
+    let steps = local_train(
+        &mut model,
+        data,
+        &mut opt,
+        job.epochs,
+        cfg.batch_size,
+        cfg.seed,
+        job.client,
+        job.round,
+    );
+    (model, steps)
 }
 
 /// [`local_train`] for methods that correct the gradient themselves
@@ -208,23 +379,15 @@ pub fn train_sampled(
     sampled
         .par_iter()
         .map(|&client| {
-            let mut model = template.clone();
-            model.set_state_vec(start_state);
-            let mut opt = Sgd::new(cfg.sgd());
-            if let Some(mu) = prox_mu {
-                opt.set_prox(mu, model.param_tensors());
-            }
             let data = &fd.clients[client];
-            let steps = local_train(
-                &mut model,
-                data,
-                &mut opt,
-                cfg.local_epochs,
-                cfg.batch_size,
-                cfg.seed,
+            let job = LocalJob {
+                start_state,
+                epochs: cfg.local_epochs,
                 client,
                 round,
-            );
+                prox_mu,
+            };
+            let (model, steps) = train_replica(template, data, cfg, job);
             ClientUpdate {
                 client,
                 state: model.state_vec(),
@@ -506,5 +669,137 @@ mod tests {
             dist(&prox[0].state),
             dist(&free[0].state)
         );
+    }
+
+    const START: [f32; 4] = [0.5; 4];
+
+    fn remote_round(mode: u8, clients: &[usize]) -> RemoteRound<'_> {
+        RemoteRound {
+            mode,
+            round: 0,
+            clients,
+            start_state: &START,
+            prox_mu: None,
+            epochs: 1,
+            residuals: Vec::new(),
+        }
+    }
+
+    /// Client 0 pushes a sound update in the round's mode, client 1 pushes
+    /// `(mode, weight, body)`.
+    fn pushes(req: &RemoteRound, mode: u8, weight: f32, body: PushBody) -> BTreeMap<usize, Msg> {
+        let push = |client, mode, weight, body| Msg::Push {
+            mode,
+            round: 0,
+            client,
+            steps: 3,
+            weight,
+            body,
+        };
+        let sound = push(0, req.mode, 2.0, PushBody::Raw(vec![1.0; 4]));
+        BTreeMap::from([(0, sound), (1, push(1, mode, weight, body))])
+    }
+
+    /// Settle a round of `round_mode` in which client 1 pushed `(mode,
+    /// weight, body)`, require it written off, and finish the round the way
+    /// the driver would.
+    fn assert_written_off_in(round_mode: u8, mode: u8, weight: f32, body: PushBody) {
+        let req = remote_round(round_mode, &[0, 1]);
+        let outcome = settle(&req, pushes(&req, mode, weight, body), Vec::new());
+        assert_eq!(outcome.lost, vec![1]);
+        let mut transport = crate::Transport::new(&FlConfig::tiny(7));
+        transport.record_remote_losses(&outcome.lost);
+        let kept = transport.receive_remote(0, outcome.updates, Some(&START));
+        let items: Vec<(&[f32], f32)> = kept.iter().map(|u| (&u.state[..], u.weight)).collect();
+        assert_eq!(weighted_average(&items), vec![1.0; 4]);
+        assert_eq!(transport.telemetry().uplink_losses, 1);
+    }
+
+    fn assert_written_off(mode: u8, weight: f32, body: PushBody) {
+        assert_written_off_in(MODE_TRAIN, mode, weight, body);
+    }
+
+    #[test]
+    fn short_raw_state_is_written_off() {
+        assert_written_off(MODE_TRAIN, 2.0, PushBody::Raw(vec![9.0; 3]));
+    }
+
+    #[test]
+    fn long_codec_decoded_state_is_written_off() {
+        let spec = codec::CodecSpec::parse("q8").unwrap();
+        let body = PushBody::Encoded {
+            wire: spec.encode(&[9.0; 5], None, None, None).wire,
+            residual: Vec::new(),
+        };
+        assert_written_off(MODE_TRAIN, 2.0, body);
+    }
+
+    #[test]
+    fn nan_weight_is_written_off() {
+        assert_written_off(MODE_TRAIN, f32::NAN, PushBody::Raw(vec![9.0; 4]));
+    }
+
+    #[test]
+    fn infinite_and_negative_weights_are_written_off() {
+        assert_written_off(MODE_TRAIN, f32::INFINITY, PushBody::Raw(vec![9.0; 4]));
+        assert_written_off(MODE_TRAIN, -1.0, PushBody::Raw(vec![9.0; 4]));
+    }
+
+    /// A sound body pushed in another mode than its unit was leased in.
+    #[test]
+    fn push_in_the_wrong_mode_is_written_off() {
+        assert_written_off(MODE_WARMUP, 2.0, PushBody::Raw(vec![9.0; 4]));
+    }
+
+    /// `fedclustd` only ever hands over `Push` frames; any other kind is
+    /// written off, not skipped.
+    #[test]
+    fn a_frame_that_is_no_push_is_written_off() {
+        let req = remote_round(MODE_TRAIN, &[0]);
+        let outcome = settle(&req, BTreeMap::from([(0, Msg::PullWork)]), Vec::new());
+        assert_eq!((outcome.updates.len(), outcome.lost), (0, vec![0]));
+    }
+
+    /// A client with no training data pushes weight 0: a valid update that
+    /// is received like any other and moves the average by nothing.
+    #[test]
+    fn zero_weight_is_kept_and_contributes_nothing() {
+        let req = remote_round(MODE_TRAIN, &[0, 1]);
+        let pushed = pushes(&req, MODE_TRAIN, 0.0, PushBody::Raw(vec![9.0; 4]));
+        let outcome = settle(&req, pushed, Vec::new());
+        assert_eq!(outcome.lost, Vec::<usize>::new());
+        let updates = outcome.updates.iter();
+        let items: Vec<(&[f32], f32)> = updates.map(|u| (&u.state[..], u.weight)).collect();
+        assert_eq!(items.len(), 2);
+        assert_eq!(weighted_average_or(&items, &START), vec![1.0; 4]);
+    }
+
+    /// Warm-up uploads are raw full states of the broadcast length with a
+    /// sound weight, pushed in warm-up mode; anything else is written off
+    /// and counted like a training push would be.
+    #[test]
+    fn warmup_settles_by_the_same_rule() {
+        let q8 = codec::CodecSpec::parse("q8").unwrap();
+        let encoded = PushBody::Encoded {
+            wire: q8.encode(&[9.0; 4], None, None, None).wire,
+            residual: Vec::new(),
+        };
+        let raw = |len| PushBody::Raw(vec![9.0; len]);
+        assert_written_off_in(MODE_WARMUP, MODE_WARMUP, 2.0, raw(5));
+        assert_written_off_in(MODE_WARMUP, MODE_WARMUP, f32::NAN, raw(4));
+        assert_written_off_in(MODE_WARMUP, MODE_WARMUP, 2.0, encoded);
+        assert_written_off_in(MODE_WARMUP, MODE_TRAIN, 2.0, raw(4));
+
+        // A sound one comes back as the raw state, billed per scalar.
+        let req = remote_round(MODE_WARMUP, &[0, 1]);
+        let outcome = settle(&req, pushes(&req, MODE_WARMUP, 2.0, raw(4)), Vec::new());
+        assert!(outcome.lost.is_empty());
+        let states = outcome.updates.iter().map(|u| (u.client, &u.state[..]));
+        assert_eq!(
+            states.collect::<Vec<_>>(),
+            vec![(0, &[1.0; 4][..]), (1, &[9.0; 4][..])]
+        );
+        let billing = |u: &RemoteUpdate| u.wire_bytes.is_none() && u.residual.is_none();
+        assert!(outcome.updates.iter().all(billing));
     }
 }

@@ -9,8 +9,9 @@
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
 use crate::driver::{Method, RoundCtx};
-use crate::engine::{evaluate_models, local_train, sample_clients, weighted_average_or};
-use fedclust_nn::optim::Sgd;
+use crate::engine::{
+    evaluate_models, sample_clients, train_replica, weighted_average_or, LocalJob,
+};
 use fedclust_nn::Model;
 use fedclust_tensor::rng::{derive, streams};
 use rayon::prelude::*;
@@ -105,19 +106,14 @@ impl Method for Ifca {
             .map(|&client| {
                 let data = &fd.clients[client];
                 let ci = Self::best_cluster(template, states, data);
-                let mut model = template.clone();
-                model.set_state_vec(&states[ci]);
-                let mut opt = Sgd::new(cfg.sgd());
-                local_train(
-                    &mut model,
-                    data,
-                    &mut opt,
-                    cfg.local_epochs,
-                    cfg.batch_size,
-                    cfg.seed,
+                let job = LocalJob {
+                    start_state: &states[ci],
+                    epochs: cfg.local_epochs,
                     client,
                     round,
-                );
+                    prox_mu: None,
+                };
+                let (model, _) = train_replica(template, data, cfg, job);
                 (client, ci, model.state_vec(), data.train_samples() as f32)
             })
             .collect();

@@ -8,8 +8,9 @@
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, LgState, MethodState};
 use crate::driver::{Method, RoundCtx};
-use crate::engine::{evaluate_models, local_train, sample_clients, weighted_average_or};
-use fedclust_nn::optim::Sgd;
+use crate::engine::{
+    evaluate_models, sample_clients, train_replica, weighted_average_or, LocalJob,
+};
 use fedclust_nn::Model;
 use rayon::prelude::*;
 
@@ -93,19 +94,15 @@ impl Method for LgFedAvg {
             .map(|&client| {
                 let mut start = s.client_states[client].clone();
                 start[split..].copy_from_slice(&s.global_part);
-                let mut model = template.clone();
-                model.set_state_vec(&start);
-                let mut opt = Sgd::new(cfg.sgd());
-                local_train(
-                    &mut model,
-                    &fd.clients[client],
-                    &mut opt,
-                    cfg.local_epochs,
-                    cfg.batch_size,
-                    cfg.seed,
+                let data = &fd.clients[client];
+                let job = LocalJob {
+                    start_state: &start,
+                    epochs: cfg.local_epochs,
                     client,
                     round,
-                );
+                    prox_mu: None,
+                };
+                let (model, _) = train_replica(template, data, cfg, job);
                 (client, model.state_vec())
             })
             .collect();

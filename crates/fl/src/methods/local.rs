@@ -2,11 +2,10 @@
 
 use crate::checkpoint::{CheckpointError, Checkpointer};
 use crate::config::FlConfig;
-use crate::engine::{average_accuracy, init_model, local_train, RemoteTrainer};
+use crate::engine::{average_accuracy, init_model, train_replica, LocalJob, RemoteTrainer};
 use crate::methods::FlMethod;
 use crate::metrics::{RoundRecord, RunResult};
 use fedclust_data::FederatedDataset;
-use fedclust_nn::optim::Sgd;
 use rayon::prelude::*;
 
 /// Each client independently trains a model on its local data; there is no
@@ -71,20 +70,15 @@ impl FlMethod for LocalOnly {
                 .into_par_iter()
                 .enumerate()
                 .map(|(client, state)| {
-                    let mut model = template.clone();
-                    model.set_state_vec(&state);
-                    let mut opt = Sgd::new(cfg.sgd());
-                    local_train(
-                        &mut model,
-                        &fd.clients[client],
-                        &mut opt,
+                    let data = &fd.clients[client];
+                    let job = LocalJob {
+                        start_state: &state,
                         epochs,
-                        cfg.batch_size,
-                        cfg.seed,
                         client,
-                        chunk,
-                    );
-                    model.state_vec()
+                        round: chunk,
+                        prox_mu: None,
+                    };
+                    train_replica(&template, data, cfg, job).0.state_vec()
                 })
                 .collect();
             let per_client =

@@ -50,8 +50,8 @@ done
 echo "== one flag table =="
 # A flag is spelled once: as the name of its row in the table of each
 # binary that parses it (`RUN`, `SERVE`, `WORKER`, `CHAOS`). With every
-# `#[cfg(test)]` module cut off, crates/cli/src therefore holds 47 rows +
-# one `"--help"` = 48 exact-quoted `"--flag"` literals, none twice in one
+# `#[cfg(test)]` module cut off, crates/cli/src therefore holds 46 rows +
+# one `"--help"` = 47 exact-quoted `"--flag"` literals, none twice in one
 # table and only `"--help"` outside a table; a match arm, a `validate`
 # tuple or a second usage text would be a second spelling.
 flag_literals=$(find crates/cli/src -name '*.rs' | LC_ALL=C sort | while read -r f; do
@@ -73,8 +73,8 @@ if stray=$(grep ' - ' <<<"$flag_literals" | grep -v ' "--help"$'); then
     echo "$stray" >&2
     exit 1
 fi
-if [ "$(wc -l <<<"$flag_literals")" -ne 48 ]; then
-    echo "expected 48 flag literals (47 rows + \"--help\") in non-test crates/cli/src, found $(wc -l <<<"$flag_literals")" >&2
+if [ "$(wc -l <<<"$flag_literals")" -ne 47 ]; then
+    echo "expected 47 flag literals (46 rows + \"--help\") in non-test crates/cli/src, found $(wc -l <<<"$flag_literals")" >&2
     exit 1
 fi
 
@@ -102,31 +102,39 @@ fi
 cargo test -q -p lint
 
 echo "== tests =="
+# Every root integration suite, once. Among them, by the stage names this
+# script used to run them a second time under:
+#   fault tolerance   — tests/fault_tolerance.rs
+#   crash recovery    — tests/crash_recovery.rs (the smoke below does the
+#                       same dance with a real SIGKILL)
+#   codec conformance — tests/golden_bytes.rs pins every format against
+#                       images generated before the byte layer was last
+#                       touched; tests/hostile_bytes.rs runs truncations,
+#                       bit flips, lying lengths and resealed garbage
+#                       against all three formats; tests/codec_conformance.rs
+#                       and tests/comm_accounting.rs pin the numbers
 cargo test -q
 
-echo "== fault tolerance =="
-cargo test -q --test fault_tolerance
-
 echo "== crash recovery =="
-cargo test -q --test crash_recovery
 scripts/kill_resume_smoke.sh
 
-echo "== codec conformance =="
-# Golden bytes pin every format against images generated before the byte
-# layer was last touched; the hostile battery runs truncations, bit flips,
-# lying lengths and resealed garbage against all three formats.
-cargo test -q --test golden_bytes --test hostile_bytes
-cargo test -q --test codec_conformance
-cargo test -q --test comm_accounting
-
 echo "== networked federation =="
-# Wire-protocol unit tests, then the real binaries end to end:
-# server + worker fleet over localhost TCP (plain, codec-compressed,
-# through the chaos proxy, across a server SIGKILL + resume, and under
-# worker crashes) must be byte-identical to the in-process simulation.
+# Wire-protocol unit tests; every `fedclust-cli` library test — the lease
+# table's own suite (its transition cases plus 2,000 seeded schedules of
+# connections pulling, pushing, misbehaving and dying), the worker's
+# untrainable-`Work` case and the flag tables' contracts, which no other
+# stage runs — and the settle rule for what workers push (in fl::engine's);
+# then the real binaries end to end: server + worker fleet over localhost
+# TCP (plain, codec-compressed, through the chaos proxy, across a server
+# SIGKILL + resume, and under worker crashes) must be byte-identical to the
+# in-process simulation.
+net_start=$(date +%s%N)
 cargo test -q -p fedclust-proto
+cargo test -q -p fedclust-cli --lib
+cargo test -q -p fedclust-fl --lib engine
 cargo test -q -p fedclust-cli --test net_cli
 scripts/net_smoke.sh
+echo "networked federation: stage took $((($(date +%s%N) - net_start) / 1000000)) ms"
 
 echo "== thread equivalence =="
 # The suite itself sweeps thread counts inside each test; running the whole

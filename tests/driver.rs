@@ -20,10 +20,9 @@ use fedclust_repro::fedclust::{FedClust, SavedFederation};
 use fedclust_repro::fl::checkpoint::{
     generation_file, Checkpoint, FedDynState, LgState, MethodState, ScaffoldState,
 };
-use fedclust_repro::fl::codec::{self, BaseCodec};
 use fedclust_repro::fl::engine::{
-    init_model, train_sampled, ClientUpdate, RemoteOutcome, RemoteRound, RemoteTrainer,
-    RemoteUpdate,
+    init_model, settle, train_unit, LocalJob, RemoteOutcome, RemoteRound, RemoteTrainer,
+    MODE_WARMUP,
 };
 use fedclust_repro::fl::methods::{
     Cfl, FedAvg, FedDyn, FedNova, FedProx, Ifca, LgFedAvg, Pacfl, PerFedAvg, Scaffold,
@@ -53,10 +52,10 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The worker fleet without the network: trains each unit with
-/// `train_sampled` and encodes it with `codec::encode_for_upload` exactly
-/// as `fedclust-worker` does, then hands the server what `fedclustd` would
-/// have decoded from the push.
+/// The worker fleet without the network: each unit goes through the
+/// worker's own `train_unit` and the pushes through the server's own
+/// `settle`, so what reaches the driver is what `fedclustd` would have
+/// made of a fleet that lost nothing.
 struct InProcessFleet<'a> {
     fd: &'a FederatedDataset,
     cfg: FlConfig,
@@ -67,78 +66,28 @@ struct InProcessFleet<'a> {
     warmed_up: AtomicUsize,
 }
 
-impl InProcessFleet<'_> {
-    fn train(&self, req: &RemoteRound) -> Vec<ClientUpdate> {
-        let cfg = FlConfig {
-            local_epochs: req.epochs,
-            ..self.cfg
-        };
-        train_sampled(
-            self.fd,
-            &cfg,
-            &self.template,
-            req.start_state,
-            req.clients,
-            req.round,
-            req.prox_mu,
-        )
-    }
-}
-
 impl RemoteTrainer for InProcessFleet<'_> {
     fn train_remote(&self, req: RemoteRound) -> RemoteOutcome {
-        self.trained.fetch_add(req.clients.len(), Ordering::Relaxed);
-        let spec = self.cfg.codec;
+        let units = match req.mode {
+            MODE_WARMUP => &self.warmed_up,
+            _ => &self.trained,
+        };
+        units.fetch_add(req.clients.len(), Ordering::Relaxed);
         let mut residuals: BTreeMap<usize, Vec<f32>> = req.residuals.iter().cloned().collect();
-        let updates = self
-            .train(&req)
-            .into_iter()
-            .map(|u| {
-                let (state, wire_bytes, residual) = if spec.is_none() {
-                    (u.state, None, None)
-                } else {
-                    let residual_in = match spec.base {
-                        BaseCodec::TopK(_) => Some(residuals.remove(&u.client).unwrap_or_default()),
-                        _ => None,
-                    };
-                    let (enc, residual_out) = codec::encode_for_upload(
-                        spec,
-                        self.cfg.seed,
-                        req.round,
-                        u.client,
-                        &u.state,
-                        Some(req.start_state),
-                        residual_in,
-                    );
-                    let decoded = codec::decode(&enc.wire, Some(req.start_state))
-                        .expect("a worker's own encoding decodes");
-                    (
-                        decoded,
-                        Some(enc.wire.len()),
-                        Some(residual_out.unwrap_or_default()),
-                    )
-                };
-                RemoteUpdate {
-                    client: u.client,
-                    steps: u.steps,
-                    weight: u.weight,
-                    state,
-                    wire_bytes,
-                    residual,
-                }
-            })
-            .collect();
-        RemoteOutcome {
-            updates,
-            lost: Vec::new(),
-        }
-    }
-
-    fn warmup_remote(&self, req: RemoteRound) -> Vec<(usize, Vec<f32>)> {
-        self.warmed_up
-            .fetch_add(req.clients.len(), Ordering::Relaxed);
-        let trained = self.train(&req);
-        trained.into_iter().map(|u| (u.client, u.state)).collect()
+        let clients = req.clients.iter();
+        let pushes = clients.map(|&client| {
+            let residual = residuals.remove(&client).unwrap_or_default();
+            let job = LocalJob {
+                start_state: req.start_state,
+                epochs: req.epochs,
+                client,
+                round: req.round,
+                prox_mu: req.prox_mu,
+            };
+            let push = train_unit(self.fd, &self.cfg, &self.template, req.mode, job, residual);
+            (client, push.expect("the server's own units are trainable"))
+        });
+        settle(&req, pushes.collect(), Vec::new())
     }
 }
 
