@@ -295,6 +295,7 @@ mod tests {
         (&["--round-timeout"], &["0", "3600"],
             &[("-1", "must be 0 <= 3600 seconds, got -1"), ("3601", "must be 0 <= 3600 seconds, got 3601"),
               ("inf", "must be 0 <= 3600 seconds, got inf"), ("NaN", "must not be NaN")]),
+        // The worker's alone: nothing in `fedclustd` sleeps on a backoff.
         (&["--backoff-base"], &["0.001", "3600"],
             &[("0", "must be > 0 and <= 3600 seconds, got 0"), ("-0.5", "must be > 0 and <= 3600 seconds, got -0.5"),
               ("1e9", "must be > 0 and <= 3600 seconds, got 1000000000"), ("NaN", "must not be NaN"), ("zero", "?")]),

@@ -181,20 +181,35 @@ struct NetTrainer {
 }
 
 impl RemoteTrainer for NetTrainer {
-    /// Queue one unit per client and block until every unit is settled:
-    /// delivered, written off, or past the round deadline.
-    fn train_remote(&self, req: RemoteRound) -> RemoteOutcome {
-        let state = Arc::new(req.start_state.to_vec());
-        let mut residuals: BTreeMap<usize, Vec<f32>> = req.residuals.iter().cloned().collect();
-        let units = req.clients.iter().map(|&client| Unit {
-            mode: req.mode,
-            round: req.round as u32,
-            client: client as u32,
-            epochs: req.epochs as u32,
-            prox_mu: req.prox_mu,
-            state: Arc::clone(&state),
-            residual: residuals.remove(&client).unwrap_or_default(),
-        });
+    /// Queue one unit per job and block until every unit is settled:
+    /// delivered, written off, or past the round deadline. Consecutive jobs
+    /// that start from the same slice share one copy of it.
+    fn train_remote(&self, mut req: RemoteRound) -> RemoteOutcome {
+        let mut residuals = std::mem::take(&mut req.residuals).into_iter();
+        let mut shared: Option<(&[f32], Arc<Vec<f32>>)> = None;
+        let units: Vec<Unit> = req
+            .jobs
+            .iter()
+            .map(|job| {
+                let state = match &shared {
+                    Some((of, state)) if std::ptr::eq(*of, job.start_state) => Arc::clone(state),
+                    _ => {
+                        let state = Arc::new(job.start_state.to_vec());
+                        shared = Some((job.start_state, Arc::clone(&state)));
+                        state
+                    }
+                };
+                Unit {
+                    mode: req.mode,
+                    round: job.round as u32,
+                    client: job.client as u32,
+                    epochs: job.epochs as u32,
+                    prox_mu: job.prox_mu,
+                    state,
+                    residual: residuals.next().unwrap_or_default(),
+                }
+            })
+            .collect();
         let deadline = self.round_deadline.map(|d| Instant::now() + d);
         let mut table = self.shared.lock();
         table.enqueue(units);

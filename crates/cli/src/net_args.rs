@@ -3,7 +3,7 @@
 //! flags.
 //!
 //! `fedclustd` is a thin networked wrapper around the ordinary `run`
-//! subcommand: every token that is not one of its own four flags is
+//! subcommand: every token that is not one of its own three flags is
 //! forwarded verbatim to [`Args::parse`] with `run` prepended, and that
 //! *exact* argv is what the server ships to workers in its `Welcome` so
 //! both sides rebuild the same dataset and config. Validation follows the
@@ -28,8 +28,6 @@ pub struct ServeArgs {
     /// `--round-timeout SECS`: per-round deadline after which outstanding
     /// clients are written off as lost. `0` disables the deadline.
     pub round_timeout: f64,
-    /// `--backoff-base SECS`: base of the shared exponential backoff.
-    pub backoff_base: f64,
     /// The forwarded `run` invocation (validated).
     pub run: Args,
     /// The canonical argv (starting with `run`) shipped in `Welcome`.
@@ -41,7 +39,6 @@ pub(crate) const SERVE: &[Flag<ServeArgs>] = &[
     under("SERVER OPTIONS", flag("--listen", "<HOST:PORT>", "127.0.0.1:7878", "where workers connect; port 0 asks the OS for a free port", |a, g| g.addr().map(|v| a.listen = v))),
     flag("--min-workers", "<N>", "1", "start once this many workers have joined, 1 to 1024", |a, g| g.count(1, 1024).map(|n| a.min_workers = n)),
     flag("--round-timeout", "<SECS>", "120", "write off a round's stragglers after this long; 0 never, at most 3600", |a, g| g.seconds(None).map(|v| a.round_timeout = v)),
-    flag("--backoff-base", "<SECS>", "0.05", "base of the exponential retry backoff, in (0, 3600]", |a, g| g.seconds(Some(0.0)).map(|v| a.backoff_base = v)),
 ];
 
 const SERVE_HEAD: &str = "\
@@ -365,14 +362,18 @@ mod tests {
     fn net_flags_land_in_their_own_fields_over_pinned_defaults() {
         let serve = |line| parsed(ServeArgs::parse, line);
         let defaults = "ServeArgs { listen: \"127.0.0.1:7878\", min_workers: 1, \
-            round_timeout: 120.0, backoff_base: 0.05, run: Args {";
+            round_timeout: 120.0, run: Args {";
         assert!(serve("--method fedavg").starts_with(defaults));
-        let all = "ServeArgs { listen: \"h:1\", min_workers: 2, round_timeout: 3.0, \
-            backoff_base: 4.0, run: Args {";
-        let line = "--listen h:1 --min-workers 2 --round-timeout 3 --method fedavg \
-            --backoff-base 4";
+        let all = "ServeArgs { listen: \"h:1\", min_workers: 2, round_timeout: 3.0, run: Args {";
+        let line = "--listen h:1 --min-workers 2 --method fedavg --round-timeout 3";
         assert!(serve(line).starts_with(all));
         assert!(serve(line).ends_with("run_argv: [\"run\", \"--method\", \"fedavg\"] }"));
+        // The backoff is the worker's to sleep; the server has no such flag.
+        let stray = ServeArgs::parse(&sv(&["--method", "fedavg", "--backoff-base", "4"]));
+        assert!(stray
+            .unwrap_err()
+            .0
+            .starts_with("unknown option '--backoff-base'"));
 
         let worker = |line| parsed(WorkerArgs::parse, line);
         let defaults = "WorkerArgs { connect: \"a:1\", reconnects: 1000, backoff_base: 0.05, \

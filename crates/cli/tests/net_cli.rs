@@ -6,9 +6,9 @@
 //! resume and a worker dying mid-upload.
 
 use std::io::{BufRead, BufReader, Read};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Exit code the crash hooks use (fedclust_fl::faults::CRASH_EXIT_CODE).
@@ -64,37 +64,64 @@ fn in_process(method: &str, extra: &[&str]) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-/// A spawned process whose stderr is scanned for a `listening on <addr>`
-/// discovery line.
+/// How long any one wait on a child may take — for its listen address, for
+/// its output. A stall is a failed assertion carrying the child's stderr,
+/// never a hung suite.
+const DEADLINE: Duration = Duration::from_secs(120);
+
+/// A spawned process whose stderr is kept, and scanned for a `listening on
+/// <addr>` discovery line.
 struct NetProc {
     child: Child,
     addr: String,
+    stderr: Arc<Mutex<String>>,
 }
 
-fn spawn_listener(bin: &str, args: &[String], prefix: &str) -> NetProc {
+/// Spawn `bin` and wait for its discovery line; `Err` carries its stderr
+/// when it exits (or `DEADLINE` passes) without printing one.
+fn try_spawn_listener(bin: &str, args: &[String], prefix: &str) -> Result<NetProc, String> {
     let mut child = Command::new(bin)
         .args(args)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn");
-    let stderr = child.stderr.take().expect("stderr piped");
+    let lines = BufReader::new(child.stderr.take().expect("stderr piped")).lines();
+    let stderr = Arc::new(Mutex::new(String::new()));
     let (tx, rx) = mpsc::channel::<String>();
-    let prefix = prefix.to_string();
+    let (prefix, kept) = (prefix.to_string(), Arc::clone(&stderr));
     std::thread::spawn(move || {
-        for line in BufReader::new(stderr).lines() {
-            let Ok(line) = line else { break };
+        for line in lines.map_while(Result::ok) {
             if let Some(rest) = line.strip_prefix(&prefix) {
                 // Chaos prints "ADDR -> upstream"; take the first word.
                 let addr = rest.split_whitespace().next().unwrap_or("").to_string();
                 let _ = tx.send(addr);
             }
+            let mut kept = kept.lock().unwrap();
+            kept.push_str(&line);
+            kept.push('\n');
         }
     });
-    let addr = rx
-        .recv_timeout(Duration::from_secs(60))
-        .expect("process never printed its listen address");
-    NetProc { child, addr }
+    // The channel closes with the child's stderr: an early exit is an
+    // immediate `Err`, not a wait.
+    match rx.recv_timeout(DEADLINE) {
+        Ok(addr) => Ok(NetProc {
+            child,
+            addr,
+            stderr,
+        }),
+        Err(_) => {
+            let _ = child.kill();
+            let _ = child.wait();
+            let stderr = stderr.lock().unwrap().clone();
+            Err(stderr)
+        }
+    }
+}
+
+fn spawn_listener(bin: &str, args: &[String], prefix: &str) -> NetProc {
+    try_spawn_listener(bin, args, prefix)
+        .unwrap_or_else(|stderr| panic!("{bin} never printed its listen address:\n{stderr}"))
 }
 
 fn spawn_server(method: &str, extra: &[&str], net: &[&str]) -> NetProc {
@@ -128,16 +155,23 @@ fn spawn_worker(addr: &str, extra: &[&str]) -> Child {
         .expect("spawn worker")
 }
 
-/// Wait for the server to finish and return its stdout.
+/// Wait for the server to finish and return its stdout. A server still
+/// running at `DEADLINE` is killed and reported with its stderr.
 fn finish(mut server: NetProc) -> String {
-    let mut stdout = String::new();
-    server
-        .child
-        .stdout
-        .take()
-        .expect("stdout piped")
-        .read_to_string(&mut stdout)
-        .expect("read server stdout");
+    let mut stdout = server.child.stdout.take().expect("stdout piped");
+    let (tx, rx) = mpsc::channel::<String>();
+    std::thread::spawn(move || {
+        let mut out = String::new();
+        stdout.read_to_string(&mut out).expect("read server stdout");
+        let _ = tx.send(out);
+    });
+    // Its stdout closes when it exits.
+    let Ok(stdout) = rx.recv_timeout(DEADLINE) else {
+        let _ = server.child.kill();
+        let _ = server.child.wait();
+        let stderr = server.stderr.lock().unwrap();
+        panic!("server still running after {DEADLINE:?}:\n{stderr}");
+    };
     let status = server.child.wait().expect("server exits");
     assert!(status.success(), "server failed with {}", status);
     stdout
@@ -275,18 +309,37 @@ fn chaos_proxy_run_is_bit_identical() {
     assert_eq!(reference, out, "chaos-proxied run diverged from simulation");
 }
 
-/// SIGKILL the server mid-round, restart it with `--resume` on the same
+/// The generations in checkpoint directory `d`, oldest first.
+fn generations(d: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(d)
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.starts_with("ckpt-") && n.ends_with(".bin"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// SIGKILL the server mid-run, restart it with `--resume` on the same
 /// port, and require (a) byte-identical final `--json` output and (b) a
 /// byte-identical final checkpoint generation versus an uninterrupted
-/// checkpointed in-process run. Workers survive the outage and reconnect.
+/// checkpointed in-process run.
+///
+/// The kill lands mid-run by construction, not by timing: the scenario runs
+/// far more rounds than fit between its first durable checkpoint and the
+/// kill that follows at once, and the newest generation on disk at the
+/// kill is asserted to be short of the last. The resumed server gets a
+/// fresh worker of its own — the old fleet may survive the outage and
+/// redial, or may have spent its retries; the run needs neither.
 #[test]
 fn server_sigkill_and_resume_is_byte_identical() {
-    let ref_dir = tmpdir("sigkill-ref");
-    let ref_dir_s = ref_dir.to_string_lossy().into_owned();
-    let net_dir = tmpdir("sigkill-net");
-    let net_dir_s = net_dir.to_string_lossy().into_owned();
-    fn ckpt(d: &str) -> [&str; 6] {
+    const ROUNDS: &str = "40";
+    const LAST: &str = "ckpt-000040.bin";
+    fn scenario(d: &str) -> [&str; 8] {
         [
+            "--rounds",
+            ROUNDS,
             "--checkpoint-dir",
             d,
             "--checkpoint-every",
@@ -295,86 +348,73 @@ fn server_sigkill_and_resume_is_byte_identical() {
             "8",
         ]
     }
+    let ref_dir = tmpdir("sigkill-ref");
+    let ref_dir_s = ref_dir.to_string_lossy().into_owned();
+    let net_dir = tmpdir("sigkill-net");
+    let net_dir_s = net_dir.to_string_lossy().into_owned();
 
-    let reference = in_process("fedclust", &ckpt(&ref_dir_s));
+    let reference = in_process("fedclust", &scenario(&ref_dir_s));
+    assert_eq!(generations(&ref_dir).last().unwrap(), LAST);
 
-    let server = spawn_server("fedclust", &ckpt(&net_dir_s), &["--min-workers", "2"]);
+    let mut server = spawn_server("fedclust", &scenario(&net_dir_s), &["--min-workers", "2"]);
     let addr = server.addr.clone();
-    let workers = vec![spawn_worker(&addr, &[]), spawn_worker(&addr, &[])];
+    let mut workers = vec![spawn_worker(&addr, &[]), spawn_worker(&addr, &[])];
 
-    // Let the run get past its first durable checkpoint, then SIGKILL the
-    // server at an arbitrary (mid-round) moment.
-    let mut server = server;
-    let deadline = Instant::now() + Duration::from_secs(120);
+    // SIGKILL the server as soon as a round's checkpoint is durable.
+    let deadline = Instant::now() + DEADLINE;
     while !net_dir.join("ckpt-000001.bin").exists() {
         assert!(Instant::now() < deadline, "first checkpoint never appeared");
-        std::thread::sleep(Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(5));
     }
-    std::thread::sleep(Duration::from_millis(100));
     server.child.kill().expect("SIGKILL server");
     let _ = server.child.wait();
+    let at_kill = generations(&net_dir).pop().expect("a checkpoint");
+    assert!(
+        at_kill.as_str() < LAST,
+        "the run finished ({at_kill}) before the kill"
+    );
 
-    // Restart on the same port with --resume; the surviving workers are
-    // still redialling it. The port was just freed, so give bind a few
-    // tries.
-    let mut resume_args: Vec<String> = vec!["--listen".into(), addr.clone()];
-    resume_args.extend(["--min-workers", "1"].iter().map(|s| s.to_string()));
-    resume_args.extend(run_args("fedclust", &ckpt(&net_dir_s)));
+    // Restart on the same port with --resume; whatever survives of the
+    // fleet is still redialling it.
+    let mut resume_args: Vec<String> = vec!["--listen".into(), addr];
+    resume_args.extend(["--min-workers", "1"].map(str::to_string));
+    resume_args.extend(run_args("fedclust", &scenario(&net_dir_s)));
     resume_args.push("--resume".into());
     let resumed = retry_spawn(&resume_args);
+    workers.push(spawn_worker(&resumed.addr, &[]));
     let out = finish(resumed);
     reap(workers);
     assert_eq!(reference, out, "resumed networked run diverged");
 
     // The final checkpoint generation must match the reference run's,
     // byte for byte.
-    let newest = |d: &PathBuf| -> (String, Vec<u8>) {
-        let mut names: Vec<String> = std::fs::read_dir(d)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.starts_with("ckpt-") && n.ends_with(".bin"))
-            .collect();
-        names.sort();
-        let last = names.last().expect("at least one checkpoint").clone();
-        let bytes = std::fs::read(d.join(&last)).unwrap();
-        (last, bytes)
-    };
-    let (ref_name, ref_bytes) = newest(&ref_dir);
-    let (net_name, net_bytes) = newest(&net_dir);
-    assert_eq!(ref_name, net_name, "final checkpoint generation differs");
-    assert_eq!(ref_bytes, net_bytes, "final checkpoint bytes differ");
+    assert_eq!(generations(&net_dir).last().unwrap(), LAST);
+    let final_bytes = |d: &Path| std::fs::read(d.join(LAST)).unwrap();
+    assert_eq!(
+        final_bytes(&ref_dir),
+        final_bytes(&net_dir),
+        "final checkpoint bytes differ"
+    );
 
     let _ = std::fs::remove_dir_all(&ref_dir);
     let _ = std::fs::remove_dir_all(&net_dir);
 }
 
+/// The port was just freed: give the resumed server's bind a few tries.
 fn retry_spawn(args: &[String]) -> NetProc {
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        let mut child = Command::new(env!("CARGO_BIN_EXE_fedclustd"))
-            .args(args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("spawn");
-        let stderr = child.stderr.take().expect("stderr piped");
-        let (tx, rx) = mpsc::channel::<String>();
-        std::thread::spawn(move || {
-            for line in BufReader::new(stderr).lines() {
-                let Ok(line) = line else { break };
-                if let Some(rest) = line.strip_prefix("fedclustd: listening on ") {
-                    let _ = tx.send(rest.trim().to_string());
-                }
-            }
-        });
-        match rx.recv_timeout(Duration::from_secs(5)) {
-            Ok(addr) => return NetProc { child, addr },
-            Err(_) => {
-                // Bind likely failed (port still settling); reap and retry.
-                let _ = child.kill();
-                let _ = child.wait();
-                assert!(Instant::now() < deadline, "could not rebind resume port");
+        match try_spawn_listener(
+            env!("CARGO_BIN_EXE_fedclustd"),
+            args,
+            "fedclustd: listening on ",
+        ) {
+            Ok(server) => return server,
+            Err(stderr) => {
+                assert!(
+                    Instant::now() < deadline,
+                    "could not rebind resume port:\n{stderr}"
+                );
                 std::thread::sleep(Duration::from_millis(200));
             }
         }

@@ -191,8 +191,11 @@ impl Dendrogram {
 }
 
 /// Run agglomerative clustering over a proximity matrix and return the full
-/// dendrogram. `O(n³)` naive implementation — n is the client count
-/// (≤ a few hundred), so this completes in microseconds-to-milliseconds.
+/// dendrogram. `O(n³)` naive implementation — n is the client count: well
+/// under a millisecond at the paper grid's m = 50, but ~0.5 s for the 999
+/// merges of the benchmark's `cluster_round0` (m = 1000), a quarter of that
+/// run. ROADMAP item 2(d) replaces it with the `O(n²)` nearest-neighbour
+/// chain.
 pub fn agglomerative(matrix: &ProximityMatrix, linkage: Linkage) -> Dendrogram {
     let n = matrix.len();
     if n == 0 {

@@ -6,7 +6,7 @@ use crate::proximity::{collect_partial_weights_for, proximity_matrix, WeightSele
 use fedclust_cluster::hac::Linkage;
 use fedclust_fl::checkpoint::{check_labels, check_len, wrong_state, CheckpointError, MethodState};
 use fedclust_fl::driver::{Method, RoundCtx};
-use fedclust_fl::engine::{evaluate_clients, weighted_average, RemoteRound, MODE_WARMUP};
+use fedclust_fl::engine::{evaluate_clients, weighted_average, LocalJob, RemoteRound, MODE_WARMUP};
 use fedclust_nn::Model;
 use serde::{Deserialize, Serialize};
 
@@ -107,13 +107,16 @@ impl Method for FedClust {
             // stays server-side so the uplink path (codec, faults, screen)
             // sees exactly what the in-process simulation would have built.
             Some(remote) => {
+                let warm_up = |&client| LocalJob {
+                    start_state: &init_state,
+                    epochs: self.warmup_epochs,
+                    client,
+                    round: 0,
+                    prox_mu: None,
+                };
                 let outcome = remote.train_remote(RemoteRound {
                     mode: MODE_WARMUP,
-                    round: 0,
-                    clients: &reached,
-                    start_state: &init_state,
-                    prox_mu: None,
-                    epochs: self.warmup_epochs,
+                    jobs: reached.iter().map(warm_up).collect(),
                     residuals: Vec::new(),
                 });
                 // Written-off clients count as uplink losses for telemetry.

@@ -9,19 +9,20 @@
 //!
 //! In-process vs networked is a value, not ambient state: the host passes
 //! an optional [`RemoteTrainer`], the driver carries it in [`RoundCtx`], and
-//! [`RoundCtx::train_round`] (plus FedClust's warm-up) is the only place
+//! [`RoundCtx::train_groups`] (plus FedClust's warm-up) is the only place
 //! that consults it.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, Checkpointer, MethodState};
 use crate::config::FlConfig;
 use crate::engine::{
-    average_accuracy, average_updates, init_model, sample_clients, train_sampled, ClientUpdate,
-    RemoteRound, RemoteTrainer, MODE_TRAIN,
+    average_accuracy, average_updates, init_model, sample_clients, train_jobs, ClientUpdate,
+    LocalJob, RemoteRound, RemoteTrainer, MODE_TRAIN,
 };
 use crate::faults::Transport;
 use crate::metrics::{RoundRecord, RunResult};
 use fedclust_data::FederatedDataset;
 use fedclust_nn::Model;
+use std::collections::BTreeMap;
 use std::convert::Infallible;
 
 /// What a method sees of the run it is part of: the federation, the
@@ -47,7 +48,8 @@ impl RoundCtx<'_> {
     /// worker fleet when there is one — then push each update through the
     /// uplink codec + fault + quarantine screen. The broadcast state
     /// doubles as the codec's delta reference. The returned survivor set
-    /// may be empty; callers carry the previous model forward then.
+    /// may be empty; callers carry the previous model forward then. This is
+    /// [`RoundCtx::train_groups`] for a round with one model.
     pub fn train_round(
         &mut self,
         start_state: &[f32],
@@ -55,35 +57,75 @@ impl RoundCtx<'_> {
         round: usize,
         prox_mu: Option<f32>,
     ) -> Vec<ClientUpdate> {
+        let mut trained = self.train_groups(&[(start_state, sampled)], round, prox_mu);
+        trained.pop().unwrap_or_default()
+    }
+
+    /// The round trip of [`RoundCtx::train_round`] for a round with several
+    /// models: each group is `(start_state, members)` — non-empty, and no
+    /// client in two groups — and comes back as its own survivor set.
+    /// Groups share nothing, so all of them train as **one batch**: one
+    /// parallel call in process, one [`RemoteRound`] with every unit in
+    /// flight over the fleet. Only the training is flattened. Each group is
+    /// broadcast, and later received, on its own and in group order — the
+    /// liveness rule, the codec reference, the quarantine length and every
+    /// `(seed, round, client)` fault stream are per group — so the meter,
+    /// telemetry and residuals read exactly as if the groups had taken
+    /// turns (down and up bytes accumulate apart, the rest are counters and
+    /// a per-client map, so doing every broadcast first moves no byte).
+    pub fn train_groups(
+        &mut self,
+        groups: &[(&[f32], &[usize])],
+        round: usize,
+        prox_mu: Option<f32>,
+    ) -> Vec<Vec<ClientUpdate>> {
         let transport = &mut self.transport;
-        let reached = transport.broadcast(round, sampled, start_state.len());
-        let Some(remote) = self.trainer else {
-            let updates = train_sampled(
-                self.fd,
-                self.cfg,
-                &self.template,
-                start_state,
-                &reached,
-                round,
-                prox_mu,
-            );
-            return transport.receive(round, updates, Some(start_state), Some(start_state));
-        };
-        let residuals = reached
+        let reached: Vec<(&[f32], Vec<usize>)> = groups
             .iter()
-            .map(|&c| (c, transport.residual_for(c)))
+            .map(|&(state, members)| (state, transport.broadcast(round, members, state.len())))
+            .collect();
+        let job = |start_state, &client| LocalJob {
+            start_state,
+            epochs: self.cfg.local_epochs,
+            client,
+            round,
+            prox_mu,
+        };
+        let jobs: Vec<LocalJob> = reached
+            .iter()
+            .flat_map(|(state, clients)| clients.iter().map(|c| job(*state, c)))
+            .collect();
+        let Some(remote) = self.trainer else {
+            let mut updates = train_jobs(self.fd, self.cfg, &self.template, &jobs).into_iter();
+            let received = reached.iter().map(|(state, clients)| {
+                let updates = updates.by_ref().take(clients.len()).collect();
+                transport.receive(round, updates, Some(state), Some(state))
+            });
+            return received.collect();
+        };
+        let residuals = jobs
+            .iter()
+            .map(|j| transport.residual_for(j.client))
             .collect();
         let outcome = remote.train_remote(RemoteRound {
             mode: MODE_TRAIN,
-            round,
-            clients: &reached,
-            start_state,
-            prox_mu,
-            epochs: self.cfg.local_epochs,
+            jobs,
             residuals,
         });
-        transport.record_remote_losses(&outcome.lost);
-        transport.receive_remote(round, outcome.updates, Some(start_state))
+        // What was delivered is a subsequence of the jobs, which run group
+        // by group: each group takes its own off the front.
+        let mut updates = outcome.updates.into_iter().peekable();
+        let received = reached.iter().map(|(state, clients)| {
+            let lost = outcome.lost.iter().copied();
+            let lost: Vec<usize> = lost.filter(|c| clients.contains(c)).collect();
+            transport.record_remote_losses(&lost);
+            let delivered = clients
+                .iter()
+                .filter_map(|&c| updates.next_if(|u| u.client == c))
+                .collect();
+            transport.receive_remote(round, delivered, Some(state))
+        });
+        received.collect()
     }
 
     /// Upload `payload` from `client` for methods that train clients
@@ -106,25 +148,33 @@ impl RoundCtx<'_> {
     }
 
     /// One round of per-cluster FedAvg (Eq. 2; Algorithm 1 lines 9–14):
-    /// sample at `round`, and for each cluster train its sampled members
-    /// from the cluster model and average what survives. A cluster with no
-    /// sampled member, or whose every upload was lost, quarantined or
-    /// weightless, carries its model forward.
+    /// sample at `round`, train every cluster's sampled members from the
+    /// cluster model — all clusters in one [`RoundCtx::train_groups`]
+    /// batch — and average what survives, cluster by cluster. A cluster
+    /// with no sampled member, or whose every upload was lost, quarantined
+    /// or weightless, carries its model forward.
     pub fn cluster_round(&mut self, states: &mut [Vec<f32>], labels: &[usize], round: usize) {
         let sampled = sample_clients(self.fd.num_clients(), self.cfg, round);
-        for (ci, state) in states.iter_mut().enumerate() {
-            let members: Vec<usize> = sampled
-                .iter()
-                .copied()
-                .filter(|&c| labels[c] == ci)
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            let updates = self.train_round(state, &members, round, None);
-            *state = average_updates(&updates, state);
+        let members = members_by_cluster(&sampled, labels);
+        let groups: Vec<(&[f32], &[usize])> = members
+            .iter()
+            .map(|(&ci, members)| (&states[ci][..], &members[..]))
+            .collect();
+        let trained = self.train_groups(&groups, round, None);
+        for (&ci, updates) in members.keys().zip(&trained) {
+            states[ci] = average_updates(updates, &states[ci]);
         }
     }
+}
+
+/// The sampled clients of each cluster that has any, by cluster index:
+/// clusters ascending, members in sampling order.
+pub fn members_by_cluster(sampled: &[usize], cluster_of: &[usize]) -> BTreeMap<usize, Vec<usize>> {
+    let mut members: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    for &client in sampled {
+        members.entry(cluster_of[client]).or_default().push(client);
+    }
+    members
 }
 
 /// A federated method, as the driver sees it: its server state and what
@@ -137,8 +187,9 @@ pub trait Method {
     /// the identity a checkpoint is matched against.
     const NAME: &'static str;
     /// Whether *all* local training goes through
-    /// [`RoundCtx::train_round`] (or, for a round-0 warm-up, the
-    /// [`RemoteTrainer`] directly), so a worker fleet can carry it. A
+    /// [`RoundCtx::train_groups`] — directly, or as [`RoundCtx::train_round`]
+    /// or [`RoundCtx::cluster_round`] — or, for a round-0 warm-up, the
+    /// [`RemoteTrainer`] itself, so a worker fleet can carry it. A
     /// method that trains clients itself, e.g. to keep per-client state,
     /// would silently train on the server, and must say `false`.
     const DISTRIBUTES: bool = false;
@@ -418,6 +469,104 @@ mod tests {
         let items: Vec<(&[f32], f32)> = kept.iter().map(|u| (&u.state[..], u.weight)).collect();
         assert_eq!(weighted_average_or(&items, &s), s, "model carried forward");
         assert!(ctx.transport.telemetry().uplink_losses >= 3);
+    }
+
+    /// Everything a round trip leaves behind that a later byte could
+    /// depend on.
+    fn trace(ctx: &RoundCtx<'_>, trained: &[Vec<ClientUpdate>]) -> String {
+        format!(
+            "{trained:?} {:?} {:?} {:?}",
+            ctx.transport.meter(),
+            ctx.transport.telemetry(),
+            ctx.transport.codec_residuals()
+        )
+    }
+
+    /// One batch for all groups must leave exactly what the groups taking
+    /// turns leave — under a residual-carrying delta codec and every fault
+    /// kind, with a group no downlink reached (the liveness rule revives
+    /// its first member) and one whose every upload was lost (nothing to
+    /// average: its model is carried forward), at one thread and at two.
+    #[test]
+    fn one_batch_of_groups_equals_the_groups_taking_turns() {
+        let fd = FederatedDataset::build(
+            DatasetProfile::FmnistLike,
+            Partition::LabelSkew { fraction: 0.2 },
+            &fedclust_data::federated::FederatedConfig {
+                num_clients: 16,
+                samples_per_class: 20,
+                train_fraction: 0.8,
+                seed: 9,
+            },
+        );
+        let mut cfg = FlConfig::tiny(9);
+        cfg.codec = crate::CodecSpec::parse("delta+topk:0.1").unwrap();
+        cfg.faults.downlink_loss = 0.4;
+        cfg.faults.uplink_loss = 0.4;
+        cfg.faults.corruption_rate = 0.2;
+        let ctx = || RoundCtx {
+            fd: &fd,
+            cfg: &cfg,
+            template: init_model(&fd, &cfg),
+            transport: Transport::new(&cfg),
+            trainer: None,
+        };
+        let theta = ctx().template.state_vec();
+
+        // Every client's fate at a round hangs on `(seed, round, client)`
+        // alone: read it off a probe round over everybody, and take the
+        // first round that has two clients of every fate.
+        let everyone: Vec<usize> = (0..fd.num_clients()).collect();
+        let fates = |round| {
+            let mut probe = ctx();
+            let reached = probe.transport.broadcast(round, &everyone, theta.len());
+            let arrived = probe.train_round(&theta, &reached, round, None);
+            let arrived = |c: &usize| arrived.iter().any(|u| u.client == *c);
+            let (unreached, rest): (Vec<usize>, Vec<usize>) =
+                everyone.iter().partition(|c| !reached.contains(c));
+            let (heard, unheard): (Vec<usize>, Vec<usize>) = rest.iter().partition(|c| arrived(c));
+            let fates = [unreached, unheard, heard];
+            fates.iter().all(|f| f.len() >= 2).then_some((round, fates))
+        };
+        let (round, [unreached, unheard, heard]) = (0..64).find_map(fates).unwrap();
+
+        // Three models, so three codec references and corruption fallbacks.
+        let scaled = |by: f32| theta.iter().map(|v| v * by).collect::<Vec<f32>>();
+        let states = [theta.clone(), scaled(0.5), scaled(-1.0)];
+        let groups = [
+            (&states[0][..], &unreached[..]),
+            (&states[1][..], &unheard[..]),
+            (&states[2][..], &heard[..]),
+        ];
+        // Two rounds, so the second encodes from the first's residuals.
+        let rounds = [round, round + 1];
+        let mut traces = Vec::new();
+        for threads in [1, 2] {
+            rayon::set_num_threads(threads);
+            let (mut batch, mut turns) = (ctx(), ctx());
+            for r in rounds {
+                let together = batch.train_groups(&groups, r, None);
+                let in_turn: Vec<_> = groups
+                    .iter()
+                    .map(|&(state, members)| turns.train_round(state, members, r, None))
+                    .collect();
+                if r == round {
+                    let clients = |g: &Vec<ClientUpdate>| g.iter().map(|u| u.client).collect();
+                    let survivors: Vec<Vec<usize>> = together.iter().map(clients).collect();
+                    assert!(survivors[0].iter().all(|c| *c == unreached[0]));
+                    assert!(survivors[1].is_empty(), "every upload of group 1 is lost");
+                    assert_eq!(average_updates(&together[1], &states[1]), states[1]);
+                    assert_eq!(survivors[2], heard);
+                }
+                traces.push((trace(&batch, &together), trace(&turns, &in_turn)));
+            }
+        }
+        rayon::set_num_threads(1);
+        for (batch, turns) in &traces {
+            assert_eq!(batch, turns);
+        }
+        let (one, two) = traces.split_at(rounds.len());
+        assert_eq!(one, two, "threads 1 vs 2");
     }
 
     /// A method that does nothing but count: rounds run, snapshots built.

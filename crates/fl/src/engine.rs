@@ -18,29 +18,24 @@ use rand::seq::SliceRandom;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 
-/// One unit of remote work: train (or warm up) these clients from
-/// `start_state` at `round`. `residuals` carries each client's canonical
-/// error-feedback residual for the worker-side codec (empty vectors for
-/// residual-free codecs).
+/// One batch of remote work: every unit a round (or FedClust's warm-up)
+/// trains, all in flight at once. A unit is a [`LocalJob`] and carries its
+/// own start state — a clustered round's units start from as many states as
+/// there are sampled clusters — which is also the reference its upload is
+/// decoded and length-checked against. The fleet names a unit by `(round,
+/// client)`, so a client appears in at most one job of a batch.
 pub struct RemoteRound<'a> {
     /// [`MODE_TRAIN`], or [`MODE_WARMUP`] for FedClust's round 0, whose
     /// uploads are always raw full states: the server extracts the
     /// partial weights and runs its own uplink path over them.
     pub mode: u8,
-    /// Federated round index (0-based; FedClust warmup runs at round 0).
-    pub round: usize,
-    /// Clients to train, in the order results must come back.
-    pub clients: &'a [usize],
-    /// The broadcast state every client starts from (also the codec's
-    /// delta reference).
-    pub start_state: &'a [f32],
-    /// FedProx proximal coefficient, when the method uses one.
-    pub prox_mu: Option<f32>,
-    /// Local epochs to run (differs from `cfg.local_epochs` during
-    /// FedClust warmup).
-    pub epochs: usize,
-    /// `(client, residual)` pairs aligned with `clients`.
-    pub residuals: Vec<(usize, Vec<f32>)>,
+    /// The units, in the order results must come back. Jobs that share a
+    /// start state share the slice, so a trainer can tell by address.
+    pub jobs: Vec<LocalJob<'a>>,
+    /// Each job's canonical error-feedback residual for the worker-side
+    /// codec, aligned with `jobs` (empty vectors for residual-free codecs);
+    /// empty altogether for a warm-up, which encodes nothing.
+    pub residuals: Vec<Vec<f32>>,
 }
 
 /// One client's update as delivered by a remote worker.
@@ -65,7 +60,7 @@ pub struct RemoteUpdate {
 /// plus the clients whose workers never delivered (retries exhausted or
 /// round deadline hit) — the graceful-degradation set.
 pub struct RemoteOutcome {
-    /// Delivered updates, ordered like `RemoteRound::clients`.
+    /// Delivered updates, ordered like `RemoteRound::jobs`.
     pub updates: Vec<RemoteUpdate>,
     /// Clients written off for this round.
     pub lost: Vec<usize>,
@@ -76,8 +71,8 @@ pub struct RemoteOutcome {
 /// carries it in [`crate::driver::RoundCtx`]; round training and the
 /// FedClust warmup collection route through it when present.
 pub trait RemoteTrainer: Send + Sync {
-    /// Train `req.clients` in `req.mode` and return what the fleet
-    /// delivered, as [`settle`] reads it.
+    /// Train `req.jobs` in `req.mode`, all at once, and return what the
+    /// fleet delivered, as [`settle`] reads it.
     fn train_remote(&self, req: RemoteRound) -> RemoteOutcome;
 }
 
@@ -99,9 +94,9 @@ pub struct LocalJob<'a> {
     pub prox_mu: Option<f32>,
 }
 
-/// The worker's half of a [`RemoteRound`]: train client `job.client` in
-/// `mode` and build its `Push` frame. A warm-up unit, or any unit without a
-/// codec, ships the raw full state; a training unit under a codec encodes
+/// The worker's half of one [`RemoteRound`] unit: train client `job.client`
+/// in `mode` and build its `Push` frame. A warm-up unit, or any unit without
+/// a codec, ships the raw full state; a training unit under a codec encodes
 /// through [`codec::encode_for_upload`] from `residual` exactly as
 /// [`Transport::uplink`](crate::faults::Transport::uplink) does in process.
 /// A unit this side cannot train — a client `fd` does not have, a state
@@ -157,17 +152,18 @@ pub fn train_unit(
     })
 }
 
-/// What the server makes of one frame pushed for `client`: its update, or
+/// What the server makes of the frame pushed for `job`: its update, or
 /// `None` for one to write off. A frame that passed every checksum can
-/// still be no `Push`, be run in another mode than `req.mode`, carry a body
-/// that does not fit the mode (only a training unit may be codec-encoded)
-/// or cannot be decoded, a state (raw or decoded) of another length than
-/// the server broadcast, or a negative or non-finite weight — a
-/// worker-side bug or a hostile peer — and the aggregation arithmetic
-/// downstream assumes none of it. Weight zero is valid: it is the client's
-/// training-set size (Eq. 2), and an in-process client with no data
-/// uploads exactly that: received, billed, contributing nothing.
-fn read_push(req: &RemoteRound, client: usize, frame: Msg) -> Option<RemoteUpdate> {
+/// still be no `Push`, be run in another mode than `round_mode`, carry a
+/// body that does not fit the mode (only a training unit may be
+/// codec-encoded) or cannot be decoded against the job's own start state, a
+/// state (raw or decoded) of another length than the server sent *that*
+/// job, or a negative or non-finite weight — a worker-side bug or a hostile
+/// peer — and the aggregation arithmetic downstream assumes none of it.
+/// Weight zero is valid: it is the client's training-set size (Eq. 2), and
+/// an in-process client with no data uploads exactly that: received,
+/// billed, contributing nothing.
+fn read_push(round_mode: u8, job: &LocalJob, frame: Msg) -> Option<RemoteUpdate> {
     let Msg::Push {
         mode,
         steps,
@@ -180,16 +176,16 @@ fn read_push(req: &RemoteRound, client: usize, frame: Msg) -> Option<RemoteUpdat
     };
     let (state, wire_bytes, residual) = match body {
         PushBody::Raw(v) => (v, None, None),
-        PushBody::Encoded { wire, residual } if req.mode == MODE_TRAIN => (
-            codec::decode(&wire, Some(req.start_state)).ok()?,
+        PushBody::Encoded { wire, residual } if round_mode == MODE_TRAIN => (
+            codec::decode(&wire, Some(job.start_state)).ok()?,
             Some(wire.len()),
             Some(residual),
         ),
         PushBody::Encoded { .. } => return None,
     };
-    let sized = mode == req.mode && state.len() == req.start_state.len();
+    let sized = mode == round_mode && state.len() == job.start_state.len();
     (sized && weight.is_finite() && weight >= 0.0).then_some(RemoteUpdate {
-        client,
+        client: job.client,
         steps: steps as usize,
         weight,
         state,
@@ -208,10 +204,13 @@ pub fn settle(
     mut lost: Vec<usize>,
 ) -> RemoteOutcome {
     let mut updates = Vec::with_capacity(pushes.len());
-    for &client in req.clients {
-        match pushes.remove(&client).map(|f| read_push(req, client, f)) {
+    for job in &req.jobs {
+        match pushes
+            .remove(&job.client)
+            .map(|f| read_push(req.mode, job, f))
+        {
             Some(Some(update)) => updates.push(update),
-            Some(None) => lost.push(client),
+            Some(None) => lost.push(job.client),
             None => {}
         }
     }
@@ -365,8 +364,8 @@ pub struct ClientUpdate {
 }
 
 /// Run local training on every sampled client in parallel, starting each
-/// from `start_state`, and collect the updates. `momentum_override` lets
-/// personalized methods use the paper's 0.5 momentum.
+/// from `start_state` for `cfg.local_epochs` epochs, and collect the
+/// updates: [`train_jobs`] for one shared start state.
 pub fn train_sampled(
     fd: &FederatedDataset,
     cfg: &FlConfig,
@@ -376,20 +375,33 @@ pub fn train_sampled(
     round: usize,
     prox_mu: Option<f32>,
 ) -> Vec<ClientUpdate> {
-    sampled
-        .par_iter()
-        .map(|&client| {
-            let data = &fd.clients[client];
-            let job = LocalJob {
-                start_state,
-                epochs: cfg.local_epochs,
-                client,
-                round,
-                prox_mu,
-            };
+    let job = |&client| LocalJob {
+        start_state,
+        epochs: cfg.local_epochs,
+        client,
+        round,
+        prox_mu,
+    };
+    let jobs: Vec<LocalJob> = sampled.iter().map(job).collect();
+    train_jobs(fd, cfg, template, &jobs)
+}
+
+/// Run every job in one parallel batch — each on a fresh replica of
+/// `template` over its own client's data, from its own start state — and
+/// collect the updates in job order. One call per round is what lets the
+/// members of *different* clusters train side by side.
+pub fn train_jobs(
+    fd: &FederatedDataset,
+    cfg: &FlConfig,
+    template: &Model,
+    jobs: &[LocalJob],
+) -> Vec<ClientUpdate> {
+    jobs.par_iter()
+        .map(|&job| {
+            let data = &fd.clients[job.client];
             let (model, steps) = train_replica(template, data, cfg, job);
             ClientUpdate {
-                client,
+                client: job.client,
                 state: model.state_vec(),
                 weight: data.train_samples() as f32,
                 steps,
@@ -673,29 +685,38 @@ mod tests {
 
     const START: [f32; 4] = [0.5; 4];
 
-    fn remote_round(mode: u8, clients: &[usize]) -> RemoteRound<'_> {
+    fn job(start_state: &[f32], client: usize) -> LocalJob<'_> {
+        LocalJob {
+            start_state,
+            epochs: 1,
+            client,
+            round: 0,
+            prox_mu: None,
+        }
+    }
+
+    fn remote_round(mode: u8, clients: &[usize]) -> RemoteRound<'static> {
         RemoteRound {
             mode,
-            round: 0,
-            clients,
-            start_state: &START,
-            prox_mu: None,
-            epochs: 1,
+            jobs: clients.iter().map(|&c| job(&START, c)).collect(),
             residuals: Vec::new(),
         }
     }
 
-    /// Client 0 pushes a sound update in the round's mode, client 1 pushes
-    /// `(mode, weight, body)`.
-    fn pushes(req: &RemoteRound, mode: u8, weight: f32, body: PushBody) -> BTreeMap<usize, Msg> {
-        let push = |client, mode, weight, body| Msg::Push {
+    fn push(client: u32, mode: u8, weight: f32, body: PushBody) -> Msg {
+        Msg::Push {
             mode,
             round: 0,
             client,
             steps: 3,
             weight,
             body,
-        };
+        }
+    }
+
+    /// Client 0 pushes a sound update in the round's mode, client 1 pushes
+    /// `(mode, weight, body)`.
+    fn pushes(req: &RemoteRound, mode: u8, weight: f32, body: PushBody) -> BTreeMap<usize, Msg> {
         let sound = push(0, req.mode, 2.0, PushBody::Raw(vec![1.0; 4]));
         BTreeMap::from([(0, sound), (1, push(1, mode, weight, body))])
     }
@@ -758,6 +779,65 @@ mod tests {
         let req = remote_round(MODE_TRAIN, &[0]);
         let outcome = settle(&req, BTreeMap::from([(0, Msg::PullWork)]), Vec::new());
         assert_eq!((outcome.updates.len(), outcome.lost), (0, vec![0]));
+    }
+
+    /// A batch whose units start from states of different lengths: each
+    /// push is measured against its own job's state, so one that would fit
+    /// its neighbour's is written off all the same.
+    #[test]
+    fn a_state_sized_for_another_job_is_written_off() {
+        let other = [0.25f32; 6];
+        let req = RemoteRound {
+            mode: MODE_TRAIN,
+            jobs: vec![job(&START, 0), job(&other, 1)],
+            residuals: Vec::new(),
+        };
+        let raw = |client, len| push(client, MODE_TRAIN, 2.0, PushBody::Raw(vec![1.0; len]));
+        let sound = settle(
+            &req,
+            BTreeMap::from([(0, raw(0, 4)), (1, raw(1, 6))]),
+            vec![],
+        );
+        let lens = sound.updates.iter().map(|u| (u.client, u.state.len()));
+        assert_eq!(lens.collect::<Vec<_>>(), vec![(0, 4), (1, 6)]);
+        assert!(sound.lost.is_empty());
+        let swapped = settle(
+            &req,
+            BTreeMap::from([(0, raw(0, 6)), (1, raw(1, 4))]),
+            vec![],
+        );
+        assert_eq!((swapped.updates.len(), swapped.lost), (0, vec![0, 1]));
+    }
+
+    /// A delta-coded body means nothing without its reference: each is
+    /// decoded against its own job's start state, not the batch's first.
+    #[test]
+    fn an_encoded_body_is_decoded_against_its_own_jobs_state() {
+        let spec = codec::CodecSpec::parse("delta+q8").unwrap();
+        let starts = [[0.5f32; 4], [-3.0f32; 4]];
+        let trained = [[0.75f32, 0.5, 0.25, 0.5], [-2.5f32, -3.0, -3.5, -3.0]];
+        let req = RemoteRound {
+            mode: MODE_TRAIN,
+            jobs: vec![job(&starts[0], 0), job(&starts[1], 1)],
+            residuals: vec![Vec::new(); 2],
+        };
+        let encoded: Vec<_> = (0..2)
+            .map(|i| spec.encode(&trained[i], Some(&starts[i]), None, None))
+            .collect();
+        let frames = encoded.iter().enumerate().map(|(i, enc)| {
+            let body = PushBody::Encoded {
+                wire: enc.wire.clone(),
+                residual: Vec::new(),
+            };
+            (i, push(i as u32, MODE_TRAIN, 2.0, body))
+        });
+        let outcome = settle(&req, frames.collect(), Vec::new());
+        assert!(outcome.lost.is_empty());
+        for (update, enc) in outcome.updates.iter().zip(&encoded) {
+            assert_eq!(update.state, enc.decoded, "client {}", update.client);
+            assert_eq!(update.wire_bytes, Some(enc.wire.len()));
+        }
+        assert_ne!(outcome.updates[0].state, outcome.updates[1].state);
     }
 
     /// A client with no training data pushes weight 0: a valid update that

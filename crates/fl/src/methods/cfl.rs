@@ -18,7 +18,7 @@
 //!   never-sampled members follow the sub-cluster of the first split group.
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
-use crate::driver::{Method, RoundCtx};
+use crate::driver::{members_by_cluster, Method, RoundCtx};
 use crate::engine::{average_updates, evaluate_clients, sample_clients};
 use fedclust_cluster::hac::{cluster_k, Linkage};
 use fedclust_cluster::ProximityMatrix;
@@ -117,19 +117,18 @@ impl Method for Cfl {
     fn round(&self, s: &mut CflState, ctx: &mut RoundCtx<'_>, round: usize) {
         let num_params = ctx.template.num_params();
         let sampled = sample_clients(ctx.fd.num_clients(), ctx.cfg, round);
-        // Group sampled clients by their cluster.
+        // Group sampled clients by their cluster, and train every cluster's
+        // share of the round in one batch.
         let cluster_of = client_to_cluster(&s.clusters, ctx.fd.num_clients());
+        let members = members_by_cluster(&sampled, &cluster_of);
+        let groups: Vec<(&[f32], &[usize])> = members
+            .iter()
+            .map(|(&ci, members)| (&s.clusters[ci].state[..], &members[..]))
+            .collect();
+        let trained = ctx.train_groups(&groups, round, None);
         let mut split_requests: Vec<usize> = Vec::new();
-        for (ci, cluster) in s.clusters.iter_mut().enumerate() {
-            let members: Vec<usize> = sampled
-                .iter()
-                .copied()
-                .filter(|&c| cluster_of[c] == ci)
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
-            let updates = ctx.train_round(&cluster.state, &members, round, None);
+        for ((&ci, members), updates) in members.iter().zip(trained) {
+            let cluster = &mut s.clusters[ci];
             if updates.is_empty() {
                 // Every upload lost or quarantined: the cluster skips
                 // this round and carries its model forward.

@@ -50,8 +50,8 @@ done
 echo "== one flag table =="
 # A flag is spelled once: as the name of its row in the table of each
 # binary that parses it (`RUN`, `SERVE`, `WORKER`, `CHAOS`). With every
-# `#[cfg(test)]` module cut off, crates/cli/src therefore holds 46 rows +
-# one `"--help"` = 47 exact-quoted `"--flag"` literals, none twice in one
+# `#[cfg(test)]` module cut off, crates/cli/src therefore holds 45 rows +
+# one `"--help"` = 46 exact-quoted `"--flag"` literals, none twice in one
 # table and only `"--help"` outside a table; a match arm, a `validate`
 # tuple or a second usage text would be a second spelling.
 flag_literals=$(find crates/cli/src -name '*.rs' | LC_ALL=C sort | while read -r f; do
@@ -73,8 +73,8 @@ if stray=$(grep ' - ' <<<"$flag_literals" | grep -v ' "--help"$'); then
     echo "$stray" >&2
     exit 1
 fi
-if [ "$(wc -l <<<"$flag_literals")" -ne 47 ]; then
-    echo "expected 47 flag literals (46 rows + \"--help\") in non-test crates/cli/src, found $(wc -l <<<"$flag_literals")" >&2
+if [ "$(wc -l <<<"$flag_literals")" -ne 46 ]; then
+    echo "expected 46 flag literals (45 rows + \"--help\") in non-test crates/cli/src, found $(wc -l <<<"$flag_literals")" >&2
     exit 1
 fi
 
@@ -132,7 +132,11 @@ net_start=$(date +%s%N)
 cargo test -q -p fedclust-proto
 cargo test -q -p fedclust-cli --lib
 cargo test -q -p fedclust-fl --lib engine
-cargo test -q -p fedclust-cli --test net_cli
+# Every wait inside the suite has its own deadline and fails with the
+# server's stderr; `timeout` is the backstop that turns any hang those miss
+# into a failed stage (built first, so the limit is on the tests alone).
+cargo test -q -p fedclust-cli --test net_cli --no-run
+timeout 300 cargo test -q -p fedclust-cli --test net_cli
 scripts/net_smoke.sh
 echo "networked federation: stage took $((($(date +%s%N) - net_start) / 1000000)) ms"
 

@@ -9,7 +9,7 @@
 //! * Resume validation lives behind one `restore` per method, entered from
 //!   one place, so one table can feed every method every wrong checkpoint.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
@@ -21,8 +21,7 @@ use fedclust_repro::fl::checkpoint::{
     generation_file, Checkpoint, FedDynState, LgState, MethodState, ScaffoldState,
 };
 use fedclust_repro::fl::engine::{
-    init_model, settle, train_unit, LocalJob, RemoteOutcome, RemoteRound, RemoteTrainer,
-    MODE_WARMUP,
+    init_model, settle, train_unit, RemoteOutcome, RemoteRound, RemoteTrainer, MODE_WARMUP,
 };
 use fedclust_repro::fl::methods::{
     Cfl, FedAvg, FedDyn, FedNova, FedProx, Ifca, LgFedAvg, Pacfl, PerFedAvg, Scaffold,
@@ -60,34 +59,37 @@ struct InProcessFleet<'a> {
     fd: &'a FederatedDataset,
     cfg: FlConfig,
     template: Model,
-    /// Units trained and units warmed up, so the test can tell the fleet
-    /// was really used.
-    trained: AtomicUsize,
-    warmed_up: AtomicUsize,
+    /// Trainer calls in training mode and in warm-up mode: a round is one
+    /// call, however many clusters it trains.
+    train_calls: AtomicUsize,
+    warmup_calls: AtomicUsize,
+    /// The most distinct start states one call's units carried.
+    most_start_states: AtomicUsize,
 }
 
 impl RemoteTrainer for InProcessFleet<'_> {
-    fn train_remote(&self, req: RemoteRound) -> RemoteOutcome {
-        let units = match req.mode {
-            MODE_WARMUP => &self.warmed_up,
-            _ => &self.trained,
+    fn train_remote(&self, mut req: RemoteRound) -> RemoteOutcome {
+        assert!(!req.jobs.is_empty(), "a call with nothing to train");
+        let calls = match req.mode {
+            MODE_WARMUP => &self.warmup_calls,
+            _ => &self.train_calls,
         };
-        units.fetch_add(req.clients.len(), Ordering::Relaxed);
-        let mut residuals: BTreeMap<usize, Vec<f32>> = req.residuals.iter().cloned().collect();
-        let clients = req.clients.iter();
-        let pushes = clients.map(|&client| {
-            let residual = residuals.remove(&client).unwrap_or_default();
-            let job = LocalJob {
-                start_state: req.start_state,
-                epochs: req.epochs,
-                client,
-                round: req.round,
-                prox_mu: req.prox_mu,
-            };
+        calls.fetch_add(1, Ordering::Relaxed);
+        let start_states: BTreeSet<_> = req.jobs.iter().map(|j| j.start_state.as_ptr()).collect();
+        self.most_start_states
+            .fetch_max(start_states.len(), Ordering::Relaxed);
+        let mut residuals = std::mem::take(&mut req.residuals).into_iter();
+        let pushes = req.jobs.iter().map(|&job| {
+            let residual = residuals.next().unwrap_or_default();
             let push = train_unit(self.fd, &self.cfg, &self.template, req.mode, job, residual);
-            (client, push.expect("the server's own units are trainable"))
+            (
+                job.client,
+                push.expect("the server's own units are trainable"),
+            )
         });
-        settle(&req, pushes.collect(), Vec::new())
+        let pushes: BTreeMap<usize, _> = pushes.collect();
+        assert_eq!(pushes.len(), req.jobs.len(), "a client in two units");
+        settle(&req, pushes, Vec::new())
     }
 }
 
@@ -117,6 +119,9 @@ fn a_fleet_and_a_local_federation_in_one_process_agree_byte_for_byte() {
         Box::new(Pacfl::default()),
         Box::new(FedClust::default()),
     ];
+    // Methods some call of which carried units of several start states: the
+    // members of different clusters in flight together.
+    let mut clustered_batches = BTreeSet::new();
     for (tag, cfg) in [("plain", plain), ("hostile", hostile)] {
         for m in &methods {
             assert!(m.distributes(), "{} must be fleet-capable", m.name());
@@ -125,8 +130,9 @@ fn a_fleet_and_a_local_federation_in_one_process_agree_byte_for_byte() {
                 fd: &fd,
                 cfg,
                 template: init_model(&fd, &cfg),
-                trained: AtomicUsize::new(0),
-                warmed_up: AtomicUsize::new(0),
+                train_calls: AtomicUsize::new(0),
+                warmup_calls: AtomicUsize::new(0),
+                most_start_states: AtomicUsize::new(0),
             };
             let dir_fleet = tmpdir(&format!("fleet-{}-{}", tag, name));
             let dir_local = tmpdir(&format!("local-{}-{}", tag, name));
@@ -146,12 +152,22 @@ fn a_fleet_and_a_local_federation_in_one_process_agree_byte_for_byte() {
                 let local = s.spawn(|| host(&dir_local, None));
                 (networked.join().unwrap(), local.join().unwrap())
             });
-            assert!(fleet.trained.load(Ordering::Relaxed) > 0, "fleet unused");
+            // One trainer call per round, whatever the number of clusters,
+            // plus FedClust's one warm-up.
+            let fedclust = m.name() == "FedClust";
             assert_eq!(
-                fleet.warmed_up.load(Ordering::Relaxed) > 0,
-                m.name() == "FedClust",
-                "only FedClust warms up, and it must do so on the fleet"
+                (
+                    fleet.train_calls.load(Ordering::Relaxed),
+                    fleet.warmup_calls.load(Ordering::Relaxed)
+                ),
+                (cfg.rounds, fedclust as usize),
+                "{} ({}): (training, warm-up) calls",
+                m.name(),
+                tag
             );
+            if fleet.most_start_states.load(Ordering::Relaxed) >= 2 {
+                clustered_batches.insert(m.name());
+            }
             assert_eq!(
                 networked.0,
                 local.0,
@@ -184,6 +200,10 @@ fn a_fleet_and_a_local_federation_in_one_process_agree_byte_for_byte() {
             let _ = std::fs::remove_dir_all(&dir_local);
         }
     }
+    assert!(
+        clustered_batches.contains("PACFL") && clustered_batches.contains("FedClust"),
+        "trained two clusters in one call: only {clustered_batches:?}"
+    );
 }
 
 /// A checkpoint for `(method, seed)` carrying `state`, as the only
