@@ -6,17 +6,18 @@
 use fedclust::clustering::{cluster_clients, LambdaSelect};
 use fedclust::proximity::{collect_partial_weights, proximity_matrix};
 use fedclust::FedClust;
-use fedclust_bench::scale::Scale;
+use fedclust_bench::scale::Knobs;
 use fedclust_cluster::hac::agglomerative;
 use fedclust_cluster::metrics::adjusted_rand_index;
 use fedclust_data::{DatasetProfile, FederatedDataset, Partition};
 use fedclust_fl::engine::init_model;
 
 fn main() {
+    let knobs = Knobs::from_env_or_exit();
     let partition = Partition::LabelSkew { fraction: 0.2 };
     for profile in DatasetProfile::ALL {
         for seed in [42u64, 1042] {
-            let scale = Scale::for_profile(profile, seed);
+            let scale = knobs.scale(profile, seed);
             let fd = FederatedDataset::build(profile, partition, &scale.federated);
             let cfg = scale.fl;
             let method = FedClust::default();

@@ -17,7 +17,8 @@ use fedclust_fl::engine::init_model;
 use fedclust_fl::FlConfig;
 use fedclust_nn::models::ModelSpec;
 
-fn main() {
+/// Print Fig. 1 (one fixed setup, seed 42; the knobs do not reach it).
+pub fn print() {
     let profile = DatasetProfile::Cifar10Like;
     let groups: Vec<Vec<usize>> = (0..10)
         .map(|c| {

@@ -6,17 +6,18 @@
 //! them into singletons (Local-like), and the best accuracy sits at an
 //! intermediate cluster count.
 
+use crate::scale::Knobs;
 use fedclust::lambda_sweep::{lambda_grid, sweep};
 use fedclust::FedClust;
-use fedclust_bench::scale::Scale;
 use fedclust_data::{DatasetProfile, FederatedDataset, Partition};
 
-fn main() {
+/// Print Fig. 4 (one seed, 42).
+pub fn print(knobs: &Knobs) {
     let partition = Partition::LabelSkew { fraction: 0.2 };
     println!("Fig. 4: accuracy and #clusters vs clustering threshold λ (Non-IID label skew 20%)\n");
     for profile in DatasetProfile::ALL {
         let seed = 42;
-        let scale = Scale::for_profile(profile, seed);
+        let scale = knobs.scale(profile, seed);
         let fd = FederatedDataset::build(profile, partition, &scale.federated);
         let mut cfg = scale.fl;
         // The sweep retrains per λ; halve the rounds to keep it affordable.

@@ -1,18 +1,16 @@
-//! The shared grid runner: (dataset × method × seed) sweeps with JSON
-//! caching, so table and figure harnesses that view the same grid pay for
-//! training exactly once.
+//! The shared grid runner: one (dataset × method × seed) sweep per non-IID
+//! setting, held in memory by whoever asked for it — nothing is read from
+//! or written to disk, so a table is always what this build computes.
 
-use crate::scale::{seeds, Scale};
+use crate::scale::Knobs;
 use fedclust::FedClust;
 use fedclust_data::{DatasetProfile, FederatedDataset, Partition};
 use fedclust_fl::methods::{baselines, FlMethod};
 use fedclust_fl::metrics::{RunResult, SeedAggregate};
-use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
 use std::time::Instant;
 
 /// One grid cell: a method's run on one dataset with one seed.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GridEntry {
     /// Dataset display name.
     pub dataset: String,
@@ -23,7 +21,7 @@ pub struct GridEntry {
 }
 
 /// All runs of one non-IID setting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GridResults {
     /// Partition tag, e.g. `skew20`.
     pub partition: String,
@@ -66,43 +64,19 @@ pub fn all_methods() -> Vec<Box<dyn FlMethod>> {
     methods
 }
 
-/// The directory JSON artifacts land in (`results/` unless
-/// `FEDCLUST_RESULTS` overrides it), created on first use.
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("FEDCLUST_RESULTS").unwrap_or_else(|_| "results".to_string());
-    let p = PathBuf::from(dir);
-    std::fs::create_dir_all(&p).expect("cannot create results directory");
-    p
-}
-
-/// Run (or load from cache) the full method × dataset × seed grid for one
-/// non-IID partition setting.
-pub fn run_grid(partition: Partition) -> GridResults {
+/// Run the full method × dataset × seed grid for one non-IID partition
+/// setting.
+pub fn run_grid(partition: Partition, knobs: &Knobs) -> GridResults {
     let tag = partition.tag();
-    let path = results_dir().join(format!("grid_{}.json", tag));
-    let refresh = std::env::var("FEDCLUST_REFRESH").is_ok_and(|v| v == "1");
-    if !refresh {
-        if let Ok(text) = std::fs::read_to_string(&path) {
-            if let Ok(grid) = serde_json::from_str::<GridResults>(&text) {
-                eprintln!(
-                    "[grid {}] loaded cached results from {}",
-                    tag,
-                    path.display()
-                );
-                return grid;
-            }
-        }
-    }
-
     let methods = all_methods();
     let mut entries = Vec::new();
-    let seeds = seeds();
+    let seeds = knobs.seeds();
     let total = DatasetProfile::ALL.len() * seeds.len() * methods.len();
     let mut done = 0usize;
     let t0 = Instant::now();
     for profile in DatasetProfile::ALL {
         for &seed in &seeds {
-            let scale = Scale::for_profile(profile, seed);
+            let scale = knobs.scale(profile, seed);
             let fd = FederatedDataset::build(profile, partition, &scale.federated);
             for method in &methods {
                 let t = Instant::now();
@@ -128,14 +102,10 @@ pub fn run_grid(partition: Partition) -> GridResults {
             }
         }
     }
-    let grid = GridResults {
+    GridResults {
         partition: tag,
         entries,
-    };
-    let json = serde_json::to_string(&grid).expect("serialize grid");
-    std::fs::write(&path, json).expect("write grid cache");
-    eprintln!("[grid {}] cached to {}", grid.partition, path.display());
-    grid
+    }
 }
 
 #[cfg(test)]
@@ -201,18 +171,5 @@ mod tests {
         assert!(names.contains(&"FedClust"));
         assert!(names.contains(&"PACFL"));
         assert!(names.contains(&"Local"));
-    }
-
-    #[test]
-    fn grid_round_trips_through_json() {
-        let grid = GridResults {
-            partition: "t".into(),
-            entries: vec![entry("A", "FedAvg", 1, 0.5)],
-        };
-        let json = serde_json::to_string(&grid).unwrap();
-        let back: GridResults = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.partition, "t");
-        assert_eq!(back.entries.len(), 1);
-        assert_eq!(back.entries[0].result.final_acc, 0.5);
     }
 }

@@ -8,13 +8,14 @@
 //! Global baselines hand over the global model unpersonalized, as in the
 //! paper. CFL is omitted from this table, as in the paper.
 
+use crate::scale::Knobs;
 use fedclust::newcomer::incorporate_all;
 use fedclust::proximity::WeightSelection;
 use fedclust::FedClust;
-use fedclust_bench::scale::{seeds, Scale};
 use fedclust_data::{ClientData, DatasetProfile, FederatedDataset, Partition};
 use fedclust_fl::engine::{init_model, local_train};
 use fedclust_fl::methods::{FedAvg, FedNova, FedProx, Ifca, LgFedAvg, Pacfl, PerFedAvg};
+use fedclust_fl::metrics::mean_std;
 use fedclust_fl::{run_federation, FlConfig, Method, NoCheckpoints};
 use fedclust_nn::optim::{Sgd, SgdConfig};
 use fedclust_nn::Model;
@@ -73,26 +74,34 @@ fn mean(v: &[f32]) -> f64 {
     v.iter().map(|&x| x as f64).sum::<f64>() / v.len() as f64
 }
 
-fn main() {
+/// The table's rows (the paper's ten methods without CFL).
+pub const METHODS: [&str; 9] = [
+    "Local",
+    "FedAvg",
+    "FedProx",
+    "FedNova",
+    "LG",
+    "PerFedAvg",
+    "IFCA",
+    "PACFL",
+    "FedClust",
+];
+
+/// Newcomer accuracies: `[method][dataset]` = one mean over the newcomers
+/// per seed, methods in [`METHODS`] order, datasets in
+/// `DatasetProfile::ALL` order.
+pub struct Newcomers(Vec<Vec<Vec<f64>>>);
+
+/// Federate 80 % of the clients under every method, then incorporate the
+/// other 20 %.
+pub fn run(knobs: &Knobs) -> Newcomers {
     let partition = Partition::LabelSkew { fraction: 0.2 };
-    let methods = [
-        "Local",
-        "FedAvg",
-        "FedProx",
-        "FedNova",
-        "LG",
-        "PerFedAvg",
-        "IFCA",
-        "PACFL",
-        "FedClust",
-    ];
-    // accs[method][dataset] = per-seed means
     let mut accs: Vec<Vec<Vec<f64>>> =
-        vec![vec![Vec::new(); DatasetProfile::ALL.len()]; methods.len()];
+        vec![vec![Vec::new(); DatasetProfile::ALL.len()]; METHODS.len()];
 
     for (di, profile) in DatasetProfile::ALL.into_iter().enumerate() {
-        for &seed in &seeds() {
-            let scale = Scale::for_profile(profile, seed);
+        for &seed in &knobs.seeds() {
+            let scale = knobs.scale(profile, seed);
             let full = FederatedDataset::build(profile, partition, &scale.federated);
             let n_new = (full.num_clients() / 5).max(1);
             let (fd, newcomers) = full.split_newcomers(n_new);
@@ -256,20 +265,36 @@ fn main() {
         }
     }
 
-    println!(
-        "Table 6: Average local test accuracy (%) of newcomer clients (Non-IID label skew 20%)"
-    );
-    println!(
-        "| {:<9} | {:>16} | {:>16} | {:>16} | {:>16} |",
-        "Method", "CIFAR-10", "CIFAR-100", "FMNIST", "SVHN"
-    );
-    for (mi, m) in methods.iter().enumerate() {
-        print!("| {:<9} |", m);
-        for xs in &accs[mi] {
-            let (mean, std) = fedclust_fl::metrics::mean_std(xs);
-            print!(" {:>7.2} ± {:>5.2} |", mean * 100.0, std * 100.0);
+    Newcomers(accs)
+}
+
+impl Newcomers {
+    /// Mean over seeds of one method's newcomer accuracy per dataset.
+    pub fn means(&self, method: &str) -> Vec<f64> {
+        let mi = METHODS
+            .iter()
+            .position(|&m| m == method)
+            .expect("a Table 6 method");
+        self.0[mi].iter().map(|xs| mean_std(xs).0).collect()
+    }
+
+    /// Print Table 6.
+    pub fn print(&self) {
+        println!(
+            "Table 6: Average local test accuracy (%) of newcomer clients (Non-IID label skew 20%)"
+        );
+        println!(
+            "| {:<9} | {:>16} | {:>16} | {:>16} | {:>16} |",
+            "Method", "CIFAR-10", "CIFAR-100", "FMNIST", "SVHN"
+        );
+        for (m, row) in METHODS.iter().zip(&self.0) {
+            print!("| {:<9} |", m);
+            for xs in row {
+                let (mean, std) = mean_std(xs);
+                print!(" {:>7.2} ± {:>5.2} |", mean * 100.0, std * 100.0);
+            }
+            println!();
         }
-        println!();
     }
 }
 

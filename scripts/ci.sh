@@ -115,6 +115,24 @@ echo "== tests =="
 #                       and tests/comm_accounting.rs pin the numbers
 cargo test -q
 
+echo "== paper record =="
+# results/paper_fast.txt is what `FEDCLUST_FAST=1 paper` printed at the
+# commit that last moved a result byte on purpose; recomputing it here means
+# the next such change has to touch the record in the same PR. The record was
+# taken with the AVX2+FMA GEMM kernel, and FMA rounds differently, so on a
+# host without it the comparison is skipped, not failed. The harness's own
+# suite trains (40 runs per smoke-scale grid), so it runs optimised.
+cargo build --release -p fedclust-bench
+cargo test -q --release -p fedclust-bench --no-run
+paper_start=$(date +%s%N)
+cargo test -q --release -p fedclust-bench
+if grep -qw fma /proc/cpuinfo && grep -qw avx2 /proc/cpuinfo; then
+    FEDCLUST_FAST=1 target/release/paper 2>/dev/null | cmp - results/paper_fast.txt
+else
+    echo "SKIP (record is avx2+fma)"
+fi
+echo "paper record: stage took $((($(date +%s%N) - paper_start) / 1000000)) ms"
+
 echo "== crash recovery =="
 scripts/kill_resume_smoke.sh
 
