@@ -190,20 +190,44 @@ impl Dendrogram {
     }
 }
 
+/// The first minimum of row `i` of the working matrix over active columns
+/// `j > i`, as `(distance, j)` — what a left-to-right scan with a strict `<`
+/// from `+∞` finds. `(+∞, i)` when nothing compares below `+∞` (no active
+/// column, or only `+∞`/NaN entries): a row can never be its own neighbour.
+fn first_min_of_row(dist: &[f32], active: &[bool], n: usize, i: usize) -> (f32, usize) {
+    let mut best = (f32::INFINITY, i);
+    for j in (i + 1)..n {
+        let d = dist[i * n + j];
+        if active[j] && d < best.0 {
+            best = (d, j);
+        }
+    }
+    best
+}
+
 /// Run agglomerative clustering over a proximity matrix and return the full
-/// dendrogram. `O(n³)` naive implementation — n is the client count: well
-/// under a millisecond at the paper grid's m = 50, but ~0.5 s for the 999
-/// merges of the benchmark's `cluster_round0` (m = 1000), a quarter of that
-/// run. ROADMAP item 2(d) replaces it with the `O(n²)` nearest-neighbour
-/// chain.
+/// dendrogram (n is the client count).
+///
+/// Every step merges the globally closest active pair — of equally close
+/// pairs the first in row-major order — and rewrites the merged slot's
+/// distances with the linkage's Lance–Williams update. The pair is found
+/// through a per-row cache, `nn[i]` = the first minimum of row `i` over
+/// active columns `j > i`, so a step costs one pass over the `n` cached
+/// minima plus the repair of the rows the merge touched, not a rescan of the
+/// matrix: expected `O(n²)` for the whole run (~10 ms for the 999 merges of
+/// the benchmark's `cluster_round0`, m = 1000). The worst case is still
+/// `O(n³)` — every row's cached neighbour can be one of the two merged slots
+/// at every step — but it is the same pair, the same updates and the same
+/// `f32` operations in the same order as the full rescan (kept as the test
+/// oracle below), so the dendrogram is identical to the bit, ties included.
+/// That is why this is not the nearest-neighbour chain: the chain merges
+/// reciprocal neighbours in another order, which reorders the average/Ward
+/// updates and moves merge distances in the last ulp.
+///
+/// When no pair compares below `+∞` (all remaining distances `+∞` or NaN)
+/// the first two active slots merge at their stored distance.
 pub fn agglomerative(matrix: &ProximityMatrix, linkage: Linkage) -> Dendrogram {
     let n = matrix.len();
-    if n == 0 {
-        return Dendrogram {
-            n,
-            merges: Vec::new(),
-        };
-    }
     // Working distance matrix indexed by *slot*; each slot holds an active
     // cluster (or is dead after being merged away).
     let mut dist: Vec<f32> = matrix.as_slice().to_vec();
@@ -212,28 +236,33 @@ pub fn agglomerative(matrix: &ProximityMatrix, linkage: Linkage) -> Dendrogram {
     // scipy-style id currently living in each slot.
     let mut id: Vec<usize> = (0..n).collect();
     let mut merges = Vec::with_capacity(n.saturating_sub(1));
+    let mut nn: Vec<(f32, usize)> = (0..n)
+        .map(|i| first_min_of_row(&dist, &active, n, i))
+        .collect();
 
     for step in 0..n.saturating_sub(1) {
-        // Find the closest active pair.
+        // The closest active pair: the first row holding the smallest
+        // cached minimum, and that row's first minimum.
+        let mut closest = None;
         let mut best = f32::INFINITY;
-        let mut pair = (0usize, 0usize);
-        for i in 0..n {
-            if !active[i] {
-                continue;
-            }
-            for j in (i + 1)..n {
-                if !active[j] {
-                    continue;
-                }
-                let d = dist[i * n + j];
-                if d < best {
-                    best = d;
-                    pair = (i, j);
-                }
+        for (i, &(d, j)) in nn.iter().enumerate() {
+            if d < best {
+                best = d;
+                closest = Some((i, j));
             }
         }
-        let (i, j) = pair;
-        let d_ij = best;
+        let (i, j) = if let Some(pair) = closest {
+            pair
+        } else {
+            // Nothing below +∞: the first two active slots (n - step >= 2
+            // are active at every step, so the `else` is never taken).
+            let mut slots = (0..n).filter(|&s| active[s]);
+            let (Some(a), Some(b)) = (slots.next(), slots.next()) else {
+                break;
+            };
+            (a, b)
+        };
+        let d_ij = dist[i * n + j];
         merges.push(Merge {
             a: id[i].min(id[j]),
             b: id[i].max(id[j]),
@@ -254,6 +283,26 @@ pub fn agglomerative(matrix: &ProximityMatrix, linkage: Linkage) -> Dendrogram {
         size[i] += size[j];
         active[j] = false;
         id[i] = n + step;
+        // Repair the cache. Column j left every row and column i changed;
+        // rows past j hold neither.
+        nn[j] = (f32::INFINITY, j);
+        nn[i] = first_min_of_row(&dist, &active, n, i);
+        for k in 0..j {
+            if !active[k] || k == i {
+                continue;
+            }
+            let (d, c) = nn[k];
+            if c == i || c == j {
+                nn[k] = first_min_of_row(&dist, &active, n, k);
+            } else if k < i {
+                // Only entry (k, i) changed and it was not the minimum: it
+                // takes over if smaller, or equal and left of the cached one.
+                let nd = dist[k * n + i];
+                if nd < d || (nd == d && i < c) {
+                    nn[k] = (nd, i);
+                }
+            }
+        }
     }
     Dendrogram { n, merges }
 }
@@ -425,6 +474,143 @@ mod tests {
                     "pair ({i},{j}) co-membership changed under permutation"
                 );
             }
+        }
+    }
+
+    /// The oracle: `agglomerative` with a full rescan of the working matrix
+    /// for every merge, `O(n³)`. Same pair rule, same updates, same order.
+    fn naive(matrix: &ProximityMatrix, linkage: Linkage) -> Dendrogram {
+        let n = matrix.len();
+        let mut dist: Vec<f32> = matrix.as_slice().to_vec();
+        let mut active: Vec<bool> = vec![true; n];
+        let mut size: Vec<f32> = vec![1.0; n];
+        let mut id: Vec<usize> = (0..n).collect();
+        let mut merges = Vec::with_capacity(n.saturating_sub(1));
+        for step in 0..n.saturating_sub(1) {
+            let mut best = f32::INFINITY;
+            let mut closest = None;
+            for i in (0..n).filter(|&i| active[i]) {
+                for j in (i + 1..n).filter(|&j| active[j]) {
+                    let d = dist[i * n + j];
+                    if d < best {
+                        best = d;
+                        closest = Some((i, j));
+                    }
+                }
+            }
+            let (i, j) = closest.unwrap_or_else(|| {
+                let mut slots = (0..n).filter(|&s| active[s]);
+                (slots.next().unwrap(), slots.next().unwrap())
+            });
+            let d_ij = dist[i * n + j];
+            merges.push(Merge {
+                a: id[i].min(id[j]),
+                b: id[i].max(id[j]),
+                distance: d_ij,
+                size: (size[i] + size[j]) as usize,
+            });
+            for k in 0..n {
+                if !active[k] || k == i || k == j {
+                    continue;
+                }
+                let d_ki = dist[k * n + i];
+                let d_kj = dist[k * n + j];
+                let nd = linkage.update(d_ki, d_kj, d_ij, size[i], size[j], size[k]);
+                dist[k * n + i] = nd;
+                dist[i * n + k] = nd;
+            }
+            size[i] += size[j];
+            active[j] = false;
+            id[i] = n + step;
+        }
+        Dendrogram { n, merges }
+    }
+
+    /// Whole dendrogram, exact `f32`, for every linkage — and, on top, the
+    /// labels of the cuts callers take from it.
+    fn assert_matches_naive(m: &ProximityMatrix, what: &str) {
+        for linkage in Linkage::ALL {
+            let fast = agglomerative(m, linkage);
+            let slow = naive(m, linkage);
+            assert_eq!(fast, slow, "{what}, {linkage:?}");
+            assert_eq!(fast.largest_gap_cut(), slow.largest_gap_cut());
+            for k in [1, 2, m.len() / 2, m.len()] {
+                assert_eq!(fast.cut_k(k), slow.cut_k(k));
+            }
+            for merge in slow.merges().iter().step_by(7) {
+                assert_eq!(fast.cut_at(merge.distance), slow.cut_at(merge.distance));
+            }
+        }
+    }
+
+    #[test]
+    fn cached_minima_give_the_naive_dendrogram_ties_included() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        // Few distinct distance levels make most comparisons ties; one level
+        // is the all-equal matrix, 2²⁰ levels is nearly tie-free.
+        for levels in [1u32, 2, 3, 5, 1000, 1 << 20] {
+            for m in (0..40).chain([97, 200, 300]) {
+                let mut rng = SmallRng::seed_from_u64(u64::from(levels) << 32 | m as u64);
+                let matrix =
+                    ProximityMatrix::from_fn(m, |_, _| rng.gen_range(1..=levels) as f32 * 0.37);
+                assert_matches_naive(&matrix, &format!("{levels} levels, m = {m}"));
+            }
+        }
+    }
+
+    #[test]
+    fn duplicated_points_give_the_naive_dendrogram() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        // A metric input whose ties are zeros: every point appears 1-4 times.
+        for m in [2usize, 9, 30, 120] {
+            let mut rng = SmallRng::seed_from_u64(m as u64);
+            let distinct: Vec<f32> = (0..m.div_ceil(3))
+                .map(|_| rng.gen_range(-50.0f32..50.0))
+                .collect();
+            let pos: Vec<f32> = (0..m)
+                .map(|_| distinct[rng.gen_range(0..distinct.len())])
+                .collect();
+            let matrix = ProximityMatrix::from_fn(m, |i, j| (pos[i] - pos[j]).abs());
+            assert_matches_naive(&matrix, &format!("duplicated points, m = {m}"));
+        }
+    }
+
+    /// Every id in `0..2n-2` is a merge operand exactly once, the last merge
+    /// holds everything, and `cut_k(k)` has exactly k labels.
+    fn assert_is_a_full_binary_tree(d: &Dendrogram) {
+        let n = d.num_items();
+        let mut operands: Vec<usize> = d.merges().iter().flat_map(|m| [m.a, m.b]).collect();
+        operands.sort_unstable();
+        assert_eq!(operands, (0..2 * n - 2).collect::<Vec<_>>(), "{d:?}");
+        assert_eq!(d.merges().last().map(|m| m.size), Some(n), "{d:?}");
+        for k in 1..=n {
+            let mut labels = d.cut_k(k);
+            labels.sort_unstable();
+            labels.dedup();
+            assert_eq!(labels, (0..k).collect::<Vec<_>>(), "cut_k({k}) of {d:?}");
+        }
+    }
+
+    #[test]
+    fn no_finite_minimum_never_merges_a_slot_with_itself() {
+        // Regression: with nothing below +∞ the scan's `(0, 0)` default
+        // merged slot 0 with itself — ids 0, 4, 5 used twice, sizes 2, 4, 8.
+        let all_inf = ProximityMatrix::from_fn(4, |_, _| f32::INFINITY);
+        // One finite pair, NaN elsewhere: `cut_k(2)` used to have 3 labels.
+        let one_pair = ProximityMatrix::from_fn(4, |i, j| match (i, j) {
+            (1, 3) => 2.0,
+            _ => f32::NAN,
+        });
+        for linkage in Linkage::ALL {
+            let d = agglomerative(&all_inf, linkage);
+            assert_is_a_full_binary_tree(&d);
+            assert_eq!((d.merges()[0].a, d.merges()[0].b), (0, 1));
+            assert_eq!(d.merges()[0].distance, f32::INFINITY);
+
+            let d = agglomerative(&one_pair, linkage);
+            assert_is_a_full_binary_tree(&d);
+            let first = d.merges()[0];
+            assert_eq!((first.a, first.b, first.distance), (1, 3, 2.0));
         }
     }
 

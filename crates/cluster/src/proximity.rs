@@ -7,8 +7,9 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProximityMatrix {
     n: usize,
-    /// Row-major full storage (kept simple; n is the client count, ≤ a few
-    /// hundred in every experiment).
+    /// Row-major full storage, both triangles: `hac::agglomerative` works
+    /// on a copy of it. n is the client count — 50 in the paper's grid,
+    /// 1000 in the benchmark's `cluster_round0` (4 MB).
     data: Vec<f32>,
 }
 

@@ -12,7 +12,7 @@ use fedclust_data::FederatedDataset;
 use fedclust_fl::engine::{train_replica, LocalJob};
 use fedclust_fl::FlConfig;
 use fedclust_nn::Model;
-use fedclust_tensor::distance::Metric;
+use fedclust_tensor::distance::{pairwise_matrix, Metric};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -108,9 +108,13 @@ pub fn collect_partial_weights_for(
 }
 
 /// Eq. 3: the m×m proximity matrix of pairwise distances between clients'
-/// partial weight vectors.
+/// partial weight vectors, its rows computed in parallel on the pool.
 pub fn proximity_matrix(weights: &[Vec<f32>], metric: Metric) -> ProximityMatrix {
-    ProximityMatrix::from_fn(weights.len(), |i, j| metric.eval(&weights[i], &weights[j]))
+    let n = weights.len();
+    let full = pairwise_matrix(weights, metric);
+    // Not `from_full`: its symmetry check rejects the NaN/∞ distances of
+    // non-finite weights, which this function has always passed on.
+    ProximityMatrix::from_fn(n, |i, j| full[i * n + j])
 }
 
 #[cfg(test)]
@@ -213,5 +217,28 @@ mod tests {
         let a = collect_partial_weights(&fd, &cfg, &template, &s, 1, WeightSelection::FinalLayer);
         let b = collect_partial_weights(&fd, &cfg, &template, &s, 1, WeightSelection::FinalLayer);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn every_entry_is_the_metric_of_its_pair_non_finite_included() {
+        let weights = vec![
+            vec![0.0, 1.0, 2.0],
+            vec![3.0, -1.0, 0.5],
+            vec![f32::NAN, 0.0, 0.0],
+            vec![f32::INFINITY, 0.0, 0.0],
+        ];
+        for metric in [Metric::L2, Metric::Cosine] {
+            let m = proximity_matrix(&weights, metric);
+            for i in 0..4 {
+                for j in 0..4 {
+                    let want = if i == j {
+                        0.0
+                    } else {
+                        metric.eval(&weights[i.min(j)], &weights[i.max(j)])
+                    };
+                    assert_eq!(m.get(i, j).to_bits(), want.to_bits(), "({i}, {j})");
+                }
+            }
+        }
     }
 }

@@ -348,20 +348,27 @@ pub fn run_federation<M: Method, C: CheckpointSink>(
         }
     };
 
+    let mut last_eval = None;
     for round in start_round..cfg.rounds {
         method.round(&mut state, &mut ctx, round);
-        if cfg.should_eval(round) {
-            let per_client = method.evaluate(&state, &ctx);
+        last_eval = cfg
+            .should_eval(round)
+            .then(|| method.evaluate(&state, &ctx));
+        if let Some(per_client) = &last_eval {
             history.push(RoundRecord {
                 round: round + 1,
-                avg_acc: average_accuracy(&per_client),
+                avg_acc: average_accuracy(per_client),
                 cum_mb: ctx.transport.meter().total_mb(),
             });
         }
         ckpt.after_round(round, || snapshot(&state, &ctx, round + 1, &history))?;
     }
 
-    let per_client_acc = method.evaluate(&state, &ctx);
+    // The last round always evaluates (`FlConfig::should_eval`) and nothing
+    // trains after it, so its accuracies are the final ones; only a run in
+    // which no round ran here (zero rounds, or resumed at the end) still
+    // has to evaluate.
+    let per_client_acc = last_eval.unwrap_or_else(|| method.evaluate(&state, &ctx));
     let result = RunResult {
         method: M::NAME.to_string(),
         final_acc: average_accuracy(&per_client_acc),
@@ -569,16 +576,19 @@ mod tests {
         assert_eq!(one, two, "threads 1 vs 2");
     }
 
-    /// A method that does nothing but count: rounds run, snapshots built.
-    /// With `SNAPSHOTS` false, building a snapshot is a test failure.
+    /// A method that does nothing but count: rounds run, snapshots built,
+    /// evaluations made. With `SNAPSHOTS` false, building a snapshot is a
+    /// test failure.
     struct Probe<const INIT: bool, const SNAPSHOTS: bool> {
         snapshots: AtomicUsize,
+        evaluations: AtomicUsize,
     }
 
     impl<const INIT: bool, const SNAPSHOTS: bool> Probe<INIT, SNAPSHOTS> {
         fn new() -> Self {
             Probe {
                 snapshots: AtomicUsize::new(0),
+                evaluations: AtomicUsize::new(0),
             }
         }
     }
@@ -610,6 +620,7 @@ mod tests {
             }
         }
         fn evaluate(&self, _: &usize, ctx: &RoundCtx<'_>) -> Vec<f32> {
+            self.evaluations.fetch_add(1, Ordering::Relaxed);
             vec![0.5; ctx.fd.num_clients()]
         }
         fn num_clusters(&self, _: &usize) -> Option<usize> {
@@ -634,6 +645,30 @@ mod tests {
         assert_eq!(result.history.len(), 4, "tiny evaluates every round");
         let Ok((plain, _)) = run_federation(&probe, &fd, &cfg, NoCheckpoints, None);
         assert_eq!(plain, result);
+    }
+
+    #[test]
+    fn the_final_evaluation_is_the_last_rounds() {
+        let fd = tiny_fd(3);
+        let mut cfg = FlConfig::tiny(3);
+        let evaluations = |cfg: &FlConfig| {
+            let probe = Probe::<false, false>::new();
+            let Ok((result, _)) = run_federation(&probe, &fd, cfg, NoCheckpoints, None);
+            assert_eq!(result.per_client_acc, vec![0.5; fd.num_clients()]);
+            (
+                probe.evaluations.load(Ordering::Relaxed),
+                result.history.len(),
+            )
+        };
+        // One evaluation per evaluated round, none on top for the result.
+        cfg.rounds = 4;
+        assert_eq!(evaluations(&cfg), (4, 4));
+        // Rounds 2, 4 and — being the last — 5.
+        (cfg.rounds, cfg.eval_every) = (5, 2);
+        assert_eq!(evaluations(&cfg), (3, 3));
+        // No round ran: the result still needs its accuracies.
+        cfg.rounds = 0;
+        assert_eq!(evaluations(&cfg), (1, 0));
     }
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
@@ -661,6 +696,13 @@ mod tests {
         run_federation(&probe, &fd, &cfg, &mut ckpt, None).unwrap();
         assert_eq!(generations(&dir), vec![0, 2, 4]);
         assert_eq!(probe.snapshots.load(Ordering::Relaxed), 3);
+
+        // Resuming at the end runs no round and evaluates exactly once.
+        let before = probe.evaluations.load(Ordering::Relaxed);
+        let mut ckpt = Checkpointer::new(&dir).every(2).keep(8).resume(true);
+        let (_, rounds_run) = run_federation(&probe, &fd, &cfg, &mut ckpt, None).unwrap();
+        assert_eq!(rounds_run, 4, "restored, not re-run");
+        assert_eq!(probe.evaluations.load(Ordering::Relaxed) - before, 1);
 
         // Resuming from generation 2 runs rounds 2 and 3 only (the probe
         // asserts the order) and re-initialises nothing.

@@ -115,6 +115,16 @@ echo "== tests =="
 #                       and tests/comm_accounting.rs pin the numbers
 cargo test -q
 
+echo "== clustering =="
+# `cargo test -q` above is the root package only. Round 0's own suites live
+# in the crates: the HAC oracle (the cached-minimum `agglomerative` against
+# the full-rescan reference, whole dendrograms, exact f32, ties included),
+# the non-finite-matrix pins and the cut properties in fedclust-cluster;
+# warm-up, proximity matrix, the λ rule and Algorithm 1/2 in fedclust.
+cluster_start=$(date +%s%N)
+cargo test -q -p fedclust-cluster -p fedclust
+echo "clustering: stage took $((($(date +%s%N) - cluster_start) / 1000000)) ms"
+
 echo "== paper record =="
 # results/paper_fast.txt is what `FEDCLUST_FAST=1 paper` printed at the
 # commit that last moved a result byte on purpose; recomputing it here means
