@@ -333,7 +333,7 @@ pub fn local_train_corrected(
             let (x, y) = data.train.batch(&batch);
             let logits = model.forward(x, true);
             let (_, grad) = cross_entropy(&logits, &y);
-            model.backward(grad);
+            model.backward_params(grad);
             let mut off = 0;
             for p in model.params_mut() {
                 let n = p.value.numel();

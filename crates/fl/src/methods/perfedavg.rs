@@ -79,7 +79,7 @@ impl PerFedAvg {
                 let (x2, y2) = data.train.batch(&pair[1]);
                 let logits = model.forward(x2, true);
                 let (_, grad) = cross_entropy(&logits, &y2);
-                model.backward(grad);
+                model.backward_params(grad);
                 // Collect ∇f(w′) and apply it to the original w with rate β.
                 let meta_grad: Vec<f32> = model
                     .params()

@@ -26,10 +26,11 @@ impl Layer for Relu {
             // fedlint::allow(no-panic-paths): Layer contract — backward always follows a train-mode forward, which fills the cache
             .expect("relu backward called without cached forward");
         assert_eq!(mask.len(), grad_out.numel(), "relu mask/grad size mismatch");
+        // A select, not a branch (the mask is about half set, so a branch
+        // mispredicts) and not a multiply (`g·0.0` is −0.0 for a negative
+        // `g` and NaN for an infinite one): every lane is `g` or `+0.0`.
         for (g, &m) in grad_out.data_mut().iter_mut().zip(&mask) {
-            if !m {
-                *g = 0.0;
-            }
+            *g = if m { *g } else { 0.0 };
         }
         grad_out
     }
@@ -126,6 +127,20 @@ mod tests {
             let num = ((x.data()[i] + eps).tanh() - (x.data()[i] - eps).tanh()) / (2.0 * eps);
             assert!((num - dx.data()[i]).abs() < 1e-3);
         }
+    }
+
+    /// A blocked lane is `+0.0` whatever the gradient was — a negative one
+    /// does not become `−0.0`, an infinite one does not become NaN — and a
+    /// passed lane keeps its exact bits.
+    #[test]
+    fn relu_backward_selects_rather_than_multiplies() {
+        let mut relu = Relu::default();
+        relu.forward(Tensor::from_vec([4], vec![-1.0, -1.0, 1.0, 1.0]), true);
+        let g = vec![-3.5, f32::INFINITY, -0.0, f32::NEG_INFINITY];
+        let dx = relu.backward(Tensor::from_vec([4], g));
+        let bits: Vec<u32> = dx.data().iter().map(|v| v.to_bits()).collect();
+        let want = [0.0f32, 0.0, -0.0, f32::NEG_INFINITY].map(f32::to_bits);
+        assert_eq!(bits, want);
     }
 
     #[test]

@@ -71,6 +71,53 @@ impl Conv2d {
     pub fn out_shape(&self, b: usize) -> [usize; 4] {
         [b, self.out_channels, self.geom.out_h(), self.geom.out_w()]
     }
+
+    /// The parameter half of backward, shared by [`Layer::backward`] and
+    /// [`Layer::backward_params`]: re-lays the output gradient into
+    /// `stage` (left there for the input gradient), accumulates `dW` and
+    /// `db`, and releases the activation cache. Returns the batch size.
+    fn param_grads(&mut self, grad_out: &Tensor) -> usize {
+        let g = self.geom;
+        let batch = grad_out.dims()[0];
+        assert_eq!(
+            self.cached_batch, batch,
+            "conv2d backward called without matching cached training forward"
+        );
+        let ocols = g.out_h() * g.out_w();
+        let n = batch * ocols;
+        let rows = g.col_rows();
+
+        // Re-lay (B, C_out, OH, OW) as channel-major (C_out × n) and take
+        // the per-channel bias sums in the same pass.
+        self.stage.resize(self.out_channels * n, 0.0);
+        {
+            let go = grad_out.data();
+            let db = self.bias.grad.data_mut();
+            for c in 0..self.out_channels {
+                let dst = &mut self.stage[c * n..(c + 1) * n];
+                let mut sum = 0.0f32;
+                for b in 0..batch {
+                    let src = &go[b * self.out_channels * ocols + c * ocols..][..ocols];
+                    dst[b * ocols..(b + 1) * ocols].copy_from_slice(src);
+                    sum += src.iter().sum::<f32>();
+                }
+                db[c] += sum;
+            }
+        }
+
+        // dW += gmat (C_out×n) · colsᵀ (n×rows), accumulated straight into
+        // the weight gradient. Must read `cols` before it is repurposed.
+        gemm_nt(
+            self.out_channels,
+            n,
+            rows,
+            &self.stage,
+            &self.cols,
+            self.weight.grad.data_mut(),
+        );
+        self.cached_batch = 0;
+        batch
+    }
 }
 
 impl Clone for Conv2d {
@@ -145,45 +192,10 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
+        let batch = self.param_grads(&grad_out);
         let g = self.geom;
-        let batch = grad_out.dims()[0];
-        assert_eq!(
-            self.cached_batch, batch,
-            "conv2d backward called without matching cached training forward"
-        );
-        let (oh, ow) = (g.out_h(), g.out_w());
-        let ocols = oh * ow;
-        let n = batch * ocols;
+        let n = batch * g.out_h() * g.out_w();
         let rows = g.col_rows();
-
-        // Re-lay (B, C_out, OH, OW) as channel-major (C_out × n) and take
-        // the per-channel bias sums in the same pass.
-        self.stage.resize(self.out_channels * n, 0.0);
-        {
-            let go = grad_out.data();
-            let db = self.bias.grad.data_mut();
-            for c in 0..self.out_channels {
-                let dst = &mut self.stage[c * n..(c + 1) * n];
-                let mut sum = 0.0f32;
-                for b in 0..batch {
-                    let src = &go[b * self.out_channels * ocols + c * ocols..][..ocols];
-                    dst[b * ocols..(b + 1) * ocols].copy_from_slice(src);
-                    sum += src.iter().sum::<f32>();
-                }
-                db[c] += sum;
-            }
-        }
-
-        // dW += gmat (C_out×n) · colsᵀ (n×rows), accumulated straight into
-        // the weight gradient. Must read `cols` before it is repurposed.
-        gemm_nt(
-            self.out_channels,
-            n,
-            rows,
-            &self.stage,
-            &self.cols,
-            self.weight.grad.data_mut(),
-        );
 
         // dcols = Wᵀ (rows×C_out) · gmat (C_out×n), written into the cols
         // workspace in place of the now-consumed activations.
@@ -201,9 +213,12 @@ impl Layer for Conv2d {
         let in_sz = g.in_channels * g.in_h * g.in_w;
         let mut dx = vec![0.0f32; batch * in_sz];
         col2im_batch_into(&self.cols, batch, &g, &mut dx);
-
-        self.cached_batch = 0;
         Tensor::from_vec([batch, g.in_channels, g.in_h, g.in_w], dx)
+    }
+
+    /// Only `dW` and `db`: no `Wᵀ·gmat` GEMM, no col2im, no `dx`.
+    fn backward_params(&mut self, grad_out: Tensor) {
+        self.param_grads(&grad_out);
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -386,6 +401,55 @@ mod tests {
         // must refuse rather than produce silently wrong gradients.
         let _ = conv.forward(x, false);
         let _ = conv.backward(y);
+    }
+
+    /// `backward_params` accumulates the same `dW`/`db` bits as `backward`
+    /// and releases the activation cache the same way.
+    #[test]
+    fn backward_params_matches_backward_and_releases_the_cache() {
+        let g = Conv2dGeom {
+            in_channels: 3,
+            in_h: 8,
+            in_w: 8,
+            k_h: 3,
+            k_w: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let mut full = Conv2d::new(g, 8, &mut rand::rngs::SmallRng::seed_from_u64(12));
+        let mut fast = full.clone();
+        let x = fedclust_tensor::init::randn(
+            [10, 3, 8, 8],
+            &mut rand::rngs::SmallRng::seed_from_u64(13),
+        );
+        for _ in 0..2 {
+            let y = full.forward(x.clone(), true);
+            assert_eq!(fast.forward(x.clone(), true).data(), y.data());
+            full.backward(y.clone());
+            fast.backward_params(y);
+            assert_eq!((full.cached_batch, fast.cached_batch), (0, 0));
+        }
+        for (a, b) in full.params().iter().zip(fast.params()) {
+            let bits = |p: &Param| {
+                p.grad
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(a), bits(b));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "without matching cached training forward")]
+    fn eval_forward_invalidates_training_cache_for_backward_params() {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(10);
+        let mut conv = Conv2d::new(geom(1, 4, 4, 3), 2, &mut rng);
+        let x = Tensor::zeros([2, 1, 4, 4]);
+        let y = conv.forward(x.clone(), true);
+        let _ = conv.forward(x, false);
+        conv.backward_params(y);
     }
 
     /// Gradient check through L = 0.5·||y||².

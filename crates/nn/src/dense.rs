@@ -42,6 +42,35 @@ impl Dense {
     pub fn out_features(&self) -> usize {
         self.out_features
     }
+
+    /// The parameter half of backward, shared by [`Layer::backward`] and
+    /// [`Layer::backward_params`]: accumulates `dW` and `db` and releases
+    /// the cached input.
+    fn param_grads(&mut self, grad_out: &Tensor) {
+        let x = self
+            .cached_input
+            .take()
+            // fedlint::allow(no-panic-paths): Layer contract — backward always follows a train-mode forward, which fills the cache
+            .expect("dense backward called without cached forward");
+        // dW += grad_out^T (out×B) * x (B×in), accumulated straight into the
+        // weight gradient by the slice-level GEMM — no intermediate tensor.
+        let batch = grad_out.dims()[0];
+        gemm_tn(
+            self.out_features,
+            batch,
+            self.in_features,
+            grad_out.data(),
+            x.data(),
+            self.weight.grad.data_mut(),
+        );
+        // db = column sums of grad_out.
+        let db = self.bias.grad.data_mut();
+        for row in grad_out.data().chunks(self.out_features) {
+            for (g, &v) in db.iter_mut().zip(row) {
+                *g += v;
+            }
+        }
+    }
 }
 
 impl Layer for Dense {
@@ -64,34 +93,14 @@ impl Layer for Dense {
     }
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .take()
-            // fedlint::allow(no-panic-paths): Layer contract — backward always follows a train-mode forward, which fills the cache
-            .expect("dense backward called without cached forward");
-        // dW += grad_out^T (out×B) * x (B×in), accumulated straight into the
-        // weight gradient by the slice-level GEMM — no intermediate tensor.
-        let batch = grad_out.dims()[0];
-        gemm_tn(
-            self.out_features,
-            batch,
-            self.in_features,
-            grad_out.data(),
-            x.data(),
-            self.weight.grad.data_mut(),
-        );
-        // db = column sums of grad_out.
-        let out = self.out_features;
-        {
-            let db = self.bias.grad.data_mut();
-            for row in grad_out.data().chunks(out) {
-                for (g, &v) in db.iter_mut().zip(row) {
-                    *g += v;
-                }
-            }
-        }
+        self.param_grads(&grad_out);
         // dx = grad_out (B×out) * W (out×in)
         matmul(&grad_out, &self.weight.value)
+    }
+
+    /// Only `dW` and `db`: no `grad_out·W` GEMM.
+    fn backward_params(&mut self, grad_out: Tensor) {
+        self.param_grads(&grad_out);
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -201,5 +210,39 @@ mod tests {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(6);
         let mut layer = Dense::new(2, 2, &mut rng);
         let _ = layer.backward(Tensor::zeros([1, 2]));
+    }
+
+    /// `backward_params` accumulates the same `dW`/`db` bits as `backward`
+    /// and releases the cached input the same way.
+    #[test]
+    fn backward_params_matches_backward_and_releases_the_cache() {
+        let mut full = Dense::new(64, 48, &mut rand::rngs::SmallRng::seed_from_u64(7));
+        let mut fast = full.clone();
+        let x = fedclust_tensor::init::randn([10, 64], &mut rand::rngs::SmallRng::seed_from_u64(8));
+        for _ in 0..2 {
+            let y = full.forward(x.clone(), true);
+            assert_eq!(fast.forward(x.clone(), true).data(), y.data());
+            full.backward(y.clone());
+            fast.backward_params(y);
+            assert!(full.cached_input.is_none() && fast.cached_input.is_none());
+        }
+        for (a, b) in full.params().iter().zip(fast.params()) {
+            let bits = |p: &Param| {
+                p.grad
+                    .data()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(bits(a), bits(b));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "without cached forward")]
+    fn backward_params_without_forward_panics() {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(9);
+        let mut layer = Dense::new(2, 2, &mut rng);
+        layer.backward_params(Tensor::zeros([1, 2]));
     }
 }

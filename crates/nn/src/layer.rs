@@ -21,6 +21,15 @@ pub trait Layer: Send + Sync {
     /// Backward pass: gradient wrt output in, gradient wrt input out.
     fn backward(&mut self, grad_out: Tensor) -> Tensor;
 
+    /// [`Layer::backward`] for a layer whose input gradient nobody reads
+    /// (a model's first layer): accumulates the same parameter gradients
+    /// and releases the same caches, but need not form the input gradient.
+    /// The default runs `backward` and drops its result; layers whose input
+    /// gradient costs real work override it.
+    fn backward_params(&mut self, grad_out: Tensor) {
+        self.backward(grad_out);
+    }
+
     /// Immutable views of the layer's trainable parameters (possibly empty).
     fn params(&self) -> Vec<&Param>;
 
@@ -66,6 +75,31 @@ impl Clone for Box<dyn Layer> {
     fn clone(&self) -> Self {
         self.clone_box()
     }
+}
+
+/// [`Layer::backward`] through a stack of layers, last to first; the body
+/// of both [`Sequential`]'s and `Model`'s.
+pub(crate) fn backward_stack(layers: &mut [Box<dyn Layer>], grad: Tensor) -> Tensor {
+    match layers.split_first_mut() {
+        Some((first, above)) => first.backward(backward_above(above, grad)),
+        None => grad,
+    }
+}
+
+/// [`Layer::backward_params`] through a stack: every layer above the first
+/// exactly as in [`backward_stack`], then the first without its input
+/// gradient.
+pub(crate) fn backward_stack_params(layers: &mut [Box<dyn Layer>], grad: Tensor) {
+    if let Some((first, above)) = layers.split_first_mut() {
+        first.backward_params(backward_above(above, grad));
+    }
+}
+
+fn backward_above(above: &mut [Box<dyn Layer>], mut grad: Tensor) -> Tensor {
+    for layer in above.iter_mut().rev() {
+        grad = layer.backward(grad);
+    }
+    grad
 }
 
 /// A sequential stack of layers, itself a [`Layer`].
@@ -121,11 +155,14 @@ impl Layer for Sequential {
         x
     }
 
-    fn backward(&mut self, mut grad: Tensor) -> Tensor {
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(grad);
-        }
-        grad
+    fn backward(&mut self, grad: Tensor) -> Tensor {
+        backward_stack(&mut self.layers, grad)
+    }
+
+    /// Recurses into the first layer, so a stack at the bottom of a model
+    /// (ResNet-9's conv-bn-relu stem) skips its own first input gradient.
+    fn backward_params(&mut self, grad: Tensor) {
+        backward_stack_params(&mut self.layers, grad);
     }
 
     fn params(&self) -> Vec<&Param> {

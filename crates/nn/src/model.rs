@@ -15,7 +15,7 @@
 //!   layer: the "strategically selected partial weights" FedClust clusters
 //!   clients on.
 
-use crate::layer::Layer;
+use crate::layer::{backward_stack, backward_stack_params, Layer};
 use crate::loss::{accuracy, cross_entropy};
 use crate::optim::Sgd;
 use fedclust_tensor::Tensor;
@@ -84,11 +84,15 @@ impl Model {
     }
 
     /// Backward pass; returns the gradient wrt the model input.
-    pub fn backward(&mut self, mut grad: Tensor) -> Tensor {
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(grad);
-        }
-        grad
+    pub fn backward(&mut self, grad: Tensor) -> Tensor {
+        backward_stack(&mut self.layers, grad)
+    }
+
+    /// Backward pass for training: accumulates exactly the parameter
+    /// gradients [`Model::backward`] does, but the first layer skips the
+    /// gradient wrt the model input, which no optimiser reads.
+    pub fn backward_params(&mut self, grad: Tensor) {
+        backward_stack_params(&mut self.layers, grad);
     }
 
     /// Zero all parameter gradients.
@@ -221,7 +225,7 @@ impl Model {
     pub fn train_step(&mut self, x: Tensor, targets: &[usize], opt: &mut Sgd) -> f32 {
         let logits = self.forward(x, true);
         let (loss, grad) = cross_entropy(&logits, targets);
-        self.backward(grad);
+        self.backward_params(grad);
         let mut params = self.params_mut();
         opt.step(&mut params);
         loss

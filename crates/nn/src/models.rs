@@ -275,6 +275,46 @@ mod tests {
         }
     }
 
+    /// `train_step` (whose backward skips the first layer's input gradient)
+    /// trains every architecture to the same bits as `forward` +
+    /// `Model::backward` + `Sgd::step`, over several steps with momentum,
+    /// a ragged last batch included. For ResNet-9 the skipped gradient sits
+    /// inside the stem's `Sequential`, and the state holds batch-norm's
+    /// running statistics too.
+    #[test]
+    fn train_step_matches_forward_backward_step_to_the_bit() {
+        for spec in [
+            ModelSpec::LeNet5,
+            ModelSpec::ResNet9,
+            ModelSpec::VggMini,
+            ModelSpec::Mlp { hidden: 16 },
+        ] {
+            let mut fast = spec.build(3, 16, 16, 10, &mut rng(11));
+            let mut full = spec.build(3, 16, 16, 10, &mut rng(11));
+            let cfg = crate::optim::SgdConfig {
+                lr: 0.05,
+                momentum: 0.9,
+                weight_decay: 1e-4,
+            };
+            let (mut opt_fast, mut opt_full) =
+                (crate::optim::Sgd::new(cfg), crate::optim::Sgd::new(cfg));
+            let mut data = rng(12);
+            for (step, batch) in [10usize, 10, 10, 8].into_iter().enumerate() {
+                let x = fedclust_tensor::init::randn([batch, 3, 16, 16], &mut data);
+                let y: Vec<usize> = (0..batch).map(|i| (i * 7 + step) % 10).collect();
+                fast.train_step(x.clone(), &y, &mut opt_fast);
+                let logits = full.forward(x, true);
+                let (_, grad) = crate::loss::cross_entropy(&logits, &y);
+                let dx = full.backward(grad);
+                assert_eq!(dx.dims(), &[batch, 3, 16, 16], "{spec:?}");
+                opt_full.step(&mut full.params_mut());
+            }
+            let bits =
+                |m: &Model| -> Vec<u32> { m.state_vec().iter().map(|v| v.to_bits()).collect() };
+            assert_eq!(bits(&fast), bits(&full), "{spec:?}");
+        }
+    }
+
     #[test]
     fn final_layer_is_small_fraction_of_model() {
         // The premise of FedClust's communication saving: the classifier

@@ -38,7 +38,12 @@ impl Layer for MaxPool2d {
             w
         );
         let mut out = vec![0.0f32; b * c * oh * ow];
-        let mut argmax = vec![0usize; b * c * oh * ow];
+        // Only backward reads the argmax, so an evaluation pass builds none.
+        let mut argmax = if train {
+            vec![0usize; b * c * oh * ow]
+        } else {
+            Vec::new()
+        };
         let data = x.data();
         for bc in 0..b * c {
             let plane = &data[bc * h * w..(bc + 1) * h * w];
@@ -59,7 +64,9 @@ impl Layer for MaxPool2d {
                     }
                     let o = bc * oh * ow + oy * ow + ox;
                     out[o] = best;
-                    argmax[o] = best_idx;
+                    if train {
+                        argmax[o] = best_idx;
+                    }
                 }
             }
         }
@@ -187,6 +194,23 @@ mod tests {
         pool.forward(x, true);
         let dx = pool.backward(Tensor::from_vec([1, 1, 1, 1], vec![5.0]));
         assert_eq!(dx.data(), &[0.0, 5.0, 0.0, 0.0]);
+    }
+
+    /// The first strict maximum wins a tie and NaN never wins, in both
+    /// modes; only a training pass keeps an argmax.
+    #[test]
+    fn maxpool_ties_go_to_the_first_and_eval_keeps_no_argmax() {
+        let mut pool = MaxPool2d::new(2);
+        let x = Tensor::from_vec(
+            [1, 2, 2, 2],
+            vec![f32::NAN, 2.0, 2.0, 1.0, 5.0, 5.0, 5.0, 5.0],
+        );
+        let y = pool.forward(x.clone(), false);
+        assert!(pool.cached_argmax.is_none());
+        assert_eq!(pool.forward(x, true).data(), y.data());
+        assert_eq!(y.data(), &[2.0, 5.0]);
+        let dx = pool.backward(Tensor::from_vec([1, 2, 1, 1], vec![1.0, 3.0]));
+        assert_eq!(dx.data(), &[0.0, 1.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

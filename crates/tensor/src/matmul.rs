@@ -216,8 +216,14 @@ fn microkernel(k: usize, ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
     microkernel_body::<false>(k, ap, bp)
 }
 
-/// Pack `B`'s `[p0,p0+kc)×[j0,j0+w)` slab (arbitrary strides) into a
-/// k-major `NR`-column panel, zero-padding columns past `w`.
+/// Pack `B`'s `[p0,p0+kc)×[j0,j0+w)` slab into a k-major `NR`-column
+/// panel. All `kc·NR` values are written: a ragged panel (`w < NR`) is
+/// zeroed first, so the columns past `w` are padding.
+///
+/// `B` has exactly two layouts. Rows contiguous (`bcs == 1`, the `NN` and
+/// `TN` variants): each k-step is one row run, copied whole. Columns
+/// contiguous (`brs == 1`, the `NT` variant, `B` stored `n×k`): each panel
+/// column is gathered from its contiguous k-run.
 #[allow(clippy::too_many_arguments)]
 fn pack_b_panel(
     b: &[f32],
@@ -229,17 +235,35 @@ fn pack_b_panel(
     w: usize,
     panel: &mut [f32],
 ) {
-    for p in 0..kc {
-        let dst = &mut panel[p * NR..(p + 1) * NR];
-        let base = (p0 + p) * brs + j0 * bcs;
-        for (jj, d) in dst.iter_mut().enumerate() {
-            *d = if jj < w { b[base + jj * bcs] } else { 0.0 };
+    let panel = &mut panel[..kc * NR];
+    if w < NR {
+        panel.fill(0.0);
+    }
+    if bcs == 1 {
+        for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
+            let base = (p0 + p) * brs + j0;
+            dst[..w].copy_from_slice(&b[base..base + w]);
+        }
+    } else {
+        debug_assert_eq!(brs, 1, "B must have a contiguous dimension");
+        for jj in 0..w {
+            let col = &b[(j0 + jj) * bcs + p0..][..kc];
+            for (dst, &v) in panel.chunks_exact_mut(NR).zip(col) {
+                dst[jj] = v;
+            }
         }
     }
 }
 
-/// Pack `A`'s `[i0,i0+h)×[p0,p0+kc)` slab (arbitrary strides) into a
-/// k-major `MR`-row strip, zero-padding rows past `h`.
+/// Pack `A`'s `[i0,i0+h)×[p0,p0+kc)` slab into a k-major `MR`-row strip.
+/// All `kc·MR` values are written: a ragged strip (`h < MR`) is zeroed
+/// first, so the rows past `h` are padding.
+///
+/// The two layouts mirror [`pack_b_panel`]'s. Columns contiguous
+/// (`ars == 1`, the `TN` variant, `A` stored `k×m`): each k-step's `h`
+/// values are one run, copied element-wise (a `memcpy` call per ≤ `MR`
+/// values costs more than it moves). Rows contiguous (`acs == 1`, `NN` and
+/// `NT`): each strip row is gathered from its contiguous k-run.
 #[allow(clippy::too_many_arguments)]
 fn pack_a_strip(
     a: &[f32],
@@ -251,11 +275,24 @@ fn pack_a_strip(
     h: usize,
     strip: &mut [f32],
 ) {
-    for p in 0..kc {
-        let dst = &mut strip[p * MR..(p + 1) * MR];
-        let base = i0 * ars + (p0 + p) * acs;
-        for (ii, d) in dst.iter_mut().enumerate() {
-            *d = if ii < h { a[base + ii * ars] } else { 0.0 };
+    let strip = &mut strip[..kc * MR];
+    if h < MR {
+        strip.fill(0.0);
+    }
+    if ars == 1 {
+        for (p, dst) in strip.chunks_exact_mut(MR).enumerate() {
+            let base = (p0 + p) * acs + i0;
+            for (d, &v) in dst.iter_mut().zip(&a[base..base + h]) {
+                *d = v;
+            }
+        }
+    } else {
+        debug_assert_eq!(acs, 1, "A must have a contiguous dimension");
+        for ii in 0..h {
+            let row = &a[(i0 + ii) * ars + p0..][..kc];
+            for (dst, &v) in strip.chunks_exact_mut(MR).zip(row) {
+                dst[ii] = v;
+            }
         }
     }
 }
@@ -293,25 +330,30 @@ fn gemm_strided(
         let n_panels = nc.div_ceil(NR);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
-            pb.clear();
-            pb.resize(n_panels * kc * NR, 0.0);
-            for (jp, panel) in pb.chunks_mut(kc * NR).enumerate() {
+            // The packers write every element, padding included, so the
+            // scratch only grows and is never cleared.
+            let b_len = n_panels * kc * NR;
+            if pb.len() < b_len {
+                pb.resize(b_len, 0.0);
+            }
+            for (jp, panel) in pb[..b_len].chunks_mut(kc * NR).enumerate() {
                 let j0 = jc + jp * NR;
                 pack_b_panel(b, brs, bcs, pc, kc, j0, NR.min(jc + nc - j0), panel);
             }
-            let bp: &[f32] = &pb;
+            let bp: &[f32] = &pb[..b_len];
 
             let run_block = |row0: usize, chunk: &mut [f32]| {
                 let rows = chunk.len() / n;
                 let mut pa = PACK_A.with(|c| std::mem::take(&mut *c.borrow_mut()));
-                let strips = rows.div_ceil(MR);
-                pa.clear();
-                pa.resize(strips * kc * MR, 0.0);
-                for (ip, strip) in pa.chunks_mut(kc * MR).enumerate() {
+                let a_len = rows.div_ceil(MR) * kc * MR;
+                if pa.len() < a_len {
+                    pa.resize(a_len, 0.0);
+                }
+                for (ip, strip) in pa[..a_len].chunks_mut(kc * MR).enumerate() {
                     let i0 = ip * MR;
                     pack_a_strip(a, ars, acs, pc, kc, row0 + i0, MR.min(rows - i0), strip);
                 }
-                for (ip, strip) in pa.chunks(kc * MR).enumerate() {
+                for (ip, strip) in pa[..a_len].chunks(kc * MR).enumerate() {
                     let i0 = ip * MR;
                     let h = MR.min(rows - i0);
                     for (jp, panel) in bp.chunks(kc * NR).enumerate() {
@@ -501,5 +543,248 @@ mod tests {
         let a = Tensor::zeros([2, 3]);
         let b = Tensor::zeros([4, 2]);
         let _ = matmul(&a, &b);
+    }
+
+    /// The element-wise `B` packer the two-layout body replaced: any
+    /// strides, one bounds test per element. The oracle for
+    /// [`pack_b_panel`].
+    #[allow(clippy::too_many_arguments)]
+    fn pack_b_panel_reference(
+        b: &[f32],
+        brs: usize,
+        bcs: usize,
+        p0: usize,
+        kc: usize,
+        j0: usize,
+        w: usize,
+        panel: &mut [f32],
+    ) {
+        for p in 0..kc {
+            let dst = &mut panel[p * NR..(p + 1) * NR];
+            let base = (p0 + p) * brs + j0 * bcs;
+            for (jj, d) in dst.iter_mut().enumerate() {
+                *d = if jj < w { b[base + jj * bcs] } else { 0.0 };
+            }
+        }
+    }
+
+    /// The element-wise `A` packer, the oracle for [`pack_a_strip`].
+    #[allow(clippy::too_many_arguments)]
+    fn pack_a_strip_reference(
+        a: &[f32],
+        ars: usize,
+        acs: usize,
+        p0: usize,
+        kc: usize,
+        i0: usize,
+        h: usize,
+        strip: &mut [f32],
+    ) {
+        for p in 0..kc {
+            let dst = &mut strip[p * MR..(p + 1) * MR];
+            let base = i0 * ars + (p0 + p) * acs;
+            for (ii, d) in dst.iter_mut().enumerate() {
+                *d = if ii < h { a[base + ii * ars] } else { 0.0 };
+            }
+        }
+    }
+
+    /// `gemm_strided` as it was with the reference packers and zero-filled
+    /// scratch: the same blocking, micro-kernel and once-per-KC-block
+    /// accumulate, run serially (the row-blocked parallel path computes
+    /// every output element exactly as the serial one does).
+    #[allow(clippy::too_many_arguments)]
+    fn gemm_reference(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        ars: usize,
+        acs: usize,
+        b: &[f32],
+        brs: usize,
+        bcs: usize,
+        out: &mut [f32],
+    ) {
+        for jc in (0..n).step_by(NC) {
+            let nc = NC.min(n - jc);
+            for pc in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc);
+                let mut pb = vec![0.0f32; nc.div_ceil(NR) * kc * NR];
+                for (jp, panel) in pb.chunks_mut(kc * NR).enumerate() {
+                    let j0 = jc + jp * NR;
+                    pack_b_panel_reference(b, brs, bcs, pc, kc, j0, NR.min(jc + nc - j0), panel);
+                }
+                let mut pa = vec![0.0f32; m.div_ceil(MR) * kc * MR];
+                for (ip, strip) in pa.chunks_mut(kc * MR).enumerate() {
+                    let i0 = ip * MR;
+                    pack_a_strip_reference(a, ars, acs, pc, kc, i0, MR.min(m - i0), strip);
+                }
+                for (ip, strip) in pa.chunks(kc * MR).enumerate() {
+                    let i0 = ip * MR;
+                    for (jp, panel) in pb.chunks(kc * NR).enumerate() {
+                        let j0 = jc + jp * NR;
+                        let w = NR.min(jc + nc - j0);
+                        let acc = microkernel(kc, strip, panel);
+                        for (ii, acc_row) in acc.iter().enumerate().take(MR.min(m - i0)) {
+                            let orow = &mut out[(i0 + ii) * n + j0..][..w];
+                            for (o, &v) in orow.iter_mut().zip(acc_row) {
+                                *o += v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The three stored layouts of the slice-level entry points.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Nn,
+        Tn,
+        Nt,
+    }
+
+    impl Op {
+        const ALL: [Op; 3] = [Op::Nn, Op::Tn, Op::Nt];
+
+        /// `(ars, acs, brs, bcs)` of the logical `m×k` and `k×n` operands
+        /// as the entry point stores them.
+        fn strides(self, m: usize, k: usize, n: usize) -> (usize, usize, usize, usize) {
+            match self {
+                Op::Nn => (k, 1, n, 1),
+                Op::Tn => (1, m, n, 1),
+                Op::Nt => (k, 1, 1, k),
+            }
+        }
+
+        fn gemm(self, m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+            match self {
+                Op::Nn => gemm_nn(m, k, n, a, b, out),
+                Op::Tn => gemm_tn(m, k, n, a, b, out),
+                Op::Nt => gemm_nt(m, k, n, a, b, out),
+            }
+        }
+    }
+
+    /// Every GEMM one training step issues, as `(op, m, k, n)` at `batch`:
+    /// LeNet-5 on 3×16×16 images (conv 3→8 and 8→16 at 3×3 unpadded, dense
+    /// 64→48→24→10) and ResNet-9's stem (3→8, 3×3, pad 1) on the 8×8
+    /// images of its workload and on 16×16.
+    fn model_shapes(batch: usize) -> Vec<(Op, usize, usize, usize)> {
+        let mut shapes = Vec::new();
+        // Conv: forward W·cols (NN), dW += gmat·colsᵀ (NT), dcols = Wᵀ·gmat (TN).
+        for (co, rows, ocols) in [
+            (8, 27, 14 * 14),
+            (16, 72, 5 * 5),
+            (8, 27, 8 * 8),
+            (8, 27, 16 * 16),
+        ] {
+            let n = batch * ocols;
+            shapes.extend([
+                (Op::Nn, co, rows, n),
+                (Op::Nt, co, n, rows),
+                (Op::Tn, rows, co, n),
+            ]);
+        }
+        // Dense: forward x·Wᵀ (NT), dW += gᵀ·x (TN), dx = g·W (NN).
+        for (fin, fout) in [(64, 48), (48, 24), (24, 10)] {
+            shapes.extend([
+                (Op::Nt, batch, fin, fout),
+                (Op::Tn, fout, batch, fin),
+                (Op::Nn, batch, fout, fin),
+            ]);
+        }
+        shapes
+    }
+
+    fn random_vec(len: usize, seed: u64) -> Vec<f32> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+        (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Both packers against their element-wise references, element for
+    /// element, for both layouts of each operand: every ragged width and
+    /// height, k offsets on both sides of the KC boundary, a panel that
+    /// starts past NC, and scratch poisoned with NaN so a value the packer
+    /// forgot to write cannot pass for the reference's zero padding.
+    #[test]
+    fn packers_match_the_element_wise_references() {
+        let (m, k, n) = (MR + 3, KC + 9, NC + 2 * NR + 5);
+        for op in Op::ALL {
+            let (ars, acs, brs, bcs) = op.strides(m, k, n);
+            let a = random_vec(m * k, 40);
+            let b = random_vec(k * n, 41);
+            for (p0, kc) in [(0, 1), (0, 7), (0, KC), (3, KC), (KC, 9), (KC - 2, 11)] {
+                for j0 in [0, NR, NC, NC + NR + 3] {
+                    for w in 1..=NR.min(n - j0) {
+                        let mut got = vec![f32::NAN; kc * NR];
+                        let mut want = vec![0.0f32; kc * NR];
+                        pack_b_panel(&b, brs, bcs, p0, kc, j0, w, &mut got);
+                        pack_b_panel_reference(&b, brs, bcs, p0, kc, j0, w, &mut want);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{op:?} B p0={p0} kc={kc} j0={j0} w={w}"
+                        );
+                    }
+                }
+                for i0 in [0, 1, MR] {
+                    for h in 1..=MR.min(m - i0) {
+                        let mut got = vec![f32::NAN; kc * MR];
+                        let mut want = vec![0.0f32; kc * MR];
+                        pack_a_strip(&a, ars, acs, p0, kc, i0, h, &mut got);
+                        pack_a_strip_reference(&a, ars, acs, p0, kc, i0, h, &mut want);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "{op:?} A p0={p0} kc={kc} i0={i0} h={h}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// `gemm_{nn,tn,nt}` give the reference driver's output to the bit —
+    /// accumulating into a non-zero `out` — on the model shapes at batch 10
+    /// and at the ragged last batch of 8, and on shapes ragged in every
+    /// tile dimension or spanning the KC/NC/MC blocks.
+    #[test]
+    fn gemm_is_bit_identical_to_the_reference_packers() {
+        let mut shapes = model_shapes(10);
+        shapes.extend(model_shapes(8));
+        for op in Op::ALL {
+            for (m, k, n) in [
+                (1, 1, 1),
+                (5, 7, 3),
+                (17, 9, 33),
+                (70, 40, 90),
+                (130, 40, 90),
+                (30, 300, 600),
+                (10, 257, 513),
+                (MC + 1, KC + 1, NC + 1),
+            ] {
+                shapes.push((op, m, k, n));
+            }
+        }
+        for (seed, &(op, m, k, n)) in shapes.iter().enumerate() {
+            let seed = seed as u64 * 3;
+            let (ars, acs, brs, bcs) = op.strides(m, k, n);
+            let a = random_vec(m * k, seed);
+            let b = random_vec(k * n, seed + 1);
+            let start = random_vec(m * n, seed + 2);
+            let mut got = start.clone();
+            let mut want = start;
+            op.gemm(m, k, n, &a, &b, &mut got);
+            gemm_reference(m, k, n, &a, ars, acs, &b, brs, bcs, &mut want);
+            assert_eq!(bits(&got), bits(&want), "{op:?} m={m} k={k} n={n}");
+        }
     }
 }

@@ -115,6 +115,16 @@ echo "== tests =="
 #                       and tests/comm_accounting.rs pin the numbers
 cargo test -q
 
+echo "== kernels =="
+# The training kernels' own suites, which `cargo test -q` above does not
+# reach: GEMM edge tiles and the packers against their element-wise
+# references (bit for bit), im2col/col2im, the conv/dense/batch-norm
+# gradient checks, and `train_step` against forward + backward + step to
+# the bit for every architecture.
+kernels_start=$(date +%s%N)
+cargo test -q -p fedclust-tensor -p fedclust-nn
+echo "kernels: stage took $((($(date +%s%N) - kernels_start) / 1000000)) ms"
+
 echo "== clustering =="
 # `cargo test -q` above is the root package only. Round 0's own suites live
 # in the crates: the HAC oracle (the cached-minimum `agglomerative` against
