@@ -4,6 +4,7 @@
 
 use crate::flags::{self, flag, under, Flag, Given};
 use crate::{parse_dataset, parse_partition};
+use fedclust_fl::faults::MAX_DOWNLINK_RETRIES;
 
 /// The subcommand to run.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -140,7 +141,7 @@ pub(crate) const RUN: &[Flag<Args>] = &[
     flag("--straggler-rate", "<P>", "0", "straggler probability", |a, g| g.prob().map(|v| a.straggler_rate = v)),
     flag("--straggler-delay", "<F>", "1.0", "mean straggler delay", |a, g| g.non_negative().map(|v| a.straggler_delay = v)),
     flag("--deadline", "<F>", "1.0", "round deadline", |a, g| g.non_negative().map(|v| a.deadline = v)),
-    flag("--retries", "<N>", "2", "downlink retry budget, at most 1000", |a, g| g.count(0, 1000).map(|n| a.retries = n)),
+    flag("--retries", "<N>", "2", "downlink retry budget, at most 16", |a, g| g.count(0, MAX_DOWNLINK_RETRIES).map(|n| a.retries = n)),
     flag("--codec", "<SPEC>", "none", "upload compression codec\n\
         none | q8 | q4 | topk:<frac> | delta, joined\n\
         with '+' (delta+q8, delta+q4+sr, ...); 'sr'\n\

@@ -277,7 +277,7 @@ mod tests {
         (&["--clients", "--rounds", "--epochs", "--samples-per-class", "--keep", "--checkpoint-every"], &["1", "4294967296"],
             &[("0", "must be at least 1, got 0"), ("zero", "?"), ("NaN", "?"), ("-1", "?")]),
         (&["--points"], &["2", "4294967296"], &[("1", "must be at least 2, got 1"), ("two", "?")]),
-        (&["--retries"], &["0", "1000"], &[("1001", "must be <= 1000, got 1001"), ("4294967296", "must be <= 1000, got 4294967296"), ("-1", "?")]),
+        (&["--retries"], &["0", "16"], &[("17", "must be <= 16, got 17"), ("1000", "must be <= 16, got 1000"), ("4294967296", "must be <= 16, got 4294967296"), ("-1", "?")]),
         (&["--delay-ms"], &["0", "60000"], &[("60001", "must be <= 60000, got 60001"), ("120000", "must be <= 60000, got 120000"), ("NaN", "?")]),
         (&["--min-workers"], &["1", "1024"], &[("0", "must be in [1, 1024], got 0"), ("1025", "must be in [1, 1024], got 1025"), ("NaN", "?")]),
         (&["--seed", "--chaos-seed", "--crash-after", "--reconnects", "--die-after", "--die-mid-push"], &["0", "4294967296"],

@@ -143,7 +143,7 @@ pub fn execute(args: &Args, trainer: Option<&dyn RemoteTrainer>) -> Result<Strin
                 eprintln!("checkpoint: {}", line);
             }
             if args.json {
-                serde_json::to_string_pretty(&result).map_err(|e| e.to_string())
+                Ok(result.to_json())
             } else {
                 let mut out = format!(
                     "{}: final accuracy {:.2}% over {} clients, {:.2} Mb total",

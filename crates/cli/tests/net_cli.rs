@@ -494,8 +494,8 @@ fn worker_torn_upload_degrades_gracefully_with_telemetry() {
     );
 }
 
-/// Pull an integer field out of the pretty-printed `--json` output (the
-/// vendored serde_json has no dynamic Value type).
+/// Pull an integer field out of the pretty-printed `--json` output
+/// (`fedclust_fl::json` reads only a schema it is given, not a value tree).
 fn json_u64(json: &str, field: &str) -> u64 {
     let needle = format!("\"{}\":", field);
     let rest = &json[json

@@ -9,10 +9,9 @@
 //! for baselines like IFCA comparisons).
 
 use crate::proximity::ProximityMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Linkage criterion: how the distance between merged clusters is defined.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Linkage {
     /// Minimum pairwise distance (chains easily).
     Single,
@@ -62,7 +61,7 @@ impl Linkage {
 
 /// One merge step: clusters `a` and `b` (scipy-style ids: leaves are
 /// `0..n`, the i-th merge creates id `n+i`) joined at `distance`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Merge {
     /// First merged cluster id.
     pub a: usize,
@@ -75,7 +74,7 @@ pub struct Merge {
 }
 
 /// The full merge history of a hierarchical clustering run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dendrogram {
     n: usize,
     merges: Vec<Merge>,

@@ -1,10 +1,8 @@
 //! Symmetric pairwise-distance (proximity) matrices.
 
-use serde::{Deserialize, Serialize};
-
 /// A symmetric `n×n` distance matrix with zero diagonal — the matrix `M`
 /// the FedClust server builds from clients' partial weights (Eq. 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProximityMatrix {
     n: usize,
     /// Row-major full storage, both triangles: `hac::agglomerative` works

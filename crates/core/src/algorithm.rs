@@ -4,15 +4,14 @@ use crate::clustering::{cluster_clients, ClusteringOutcome, LambdaSelect};
 use crate::persist::SavedFederation;
 use crate::proximity::{collect_partial_weights_for, proximity_matrix, WeightSelection};
 use fedclust_cluster::hac::Linkage;
-use fedclust_fl::checkpoint::{check_labels, check_len, wrong_state, CheckpointError, MethodState};
+use fedclust_fl::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
 use fedclust_fl::driver::{Method, RoundCtx};
 use fedclust_fl::engine::{evaluate_clients, weighted_average, LocalJob, RemoteRound, MODE_WARMUP};
 use fedclust_nn::Model;
-use serde::{Deserialize, Serialize};
 
 /// FedClust configuration (Algorithm 1's inputs beyond the shared
 /// [`fedclust_fl::FlConfig`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FedClust {
     /// Clustering threshold λ (fixed, or data-driven largest-gap).
     pub lambda: LambdaSelect,
@@ -221,17 +220,9 @@ impl Method for FedClust {
                 saved.geometry, geometry
             )));
         }
-        let state_len = ctx.template.state_len();
-        let labels = &saved.outcome.labels;
-        check_len("cluster labels", labels.len(), fd.num_clients())?;
-        check_len("initial state", saved.init_state.len(), state_len)?;
-        let k = saved.outcome.num_clusters.max(1);
-        check_len("cluster states", saved.cluster_states.len(), k)?;
-        check_len("representatives", saved.representatives.len(), k)?;
-        for s in &saved.cluster_states {
-            check_len("cluster state", s.len(), state_len)?;
-        }
-        check_labels(labels, k)?;
+        let clients = saved.outcome.labels.len();
+        check_len("cluster labels", clients, fd.num_clients())?;
+        saved.check(ctx.template.state_len())?;
         Ok(saved)
     }
 

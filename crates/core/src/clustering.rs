@@ -3,7 +3,6 @@
 use fedclust_cluster::hac::{agglomerative, Dendrogram, Linkage};
 
 use fedclust_cluster::ProximityMatrix;
-use serde::{Deserialize, Serialize};
 
 /// How the clustering threshold λ is chosen.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// future work. This reproduction ships two data-driven selectors —
 /// [`LambdaSelect::AutoGap`] and [`LambdaSelect::AutoSilhouette`] (the
 /// default) — standing in for the paper's hand tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LambdaSelect {
     /// Use a fixed threshold λ.
     Fixed(f32),
@@ -32,7 +31,7 @@ pub enum LambdaSelect {
 }
 
 /// Outcome of the one-shot clustering step.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusteringOutcome {
     /// Cluster id per client (0-based, compact).
     pub labels: Vec<usize>,

@@ -14,10 +14,9 @@ use fedclust_fl::checkpoint::{wrong_state, CheckpointError, MethodState};
 use fedclust_fl::driver::{run_federation, Method, NoCheckpoints, RoundCtx};
 use fedclust_fl::engine::{evaluate_clients, init_model};
 use fedclust_fl::FlConfig;
-use serde::{Deserialize, Serialize};
 
 /// One point of the λ sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LambdaPoint {
     /// The threshold λ.
     pub lambda: f32,

@@ -2,16 +2,17 @@
 //!
 //! A FedClust server must retain, beyond the cluster models themselves,
 //! the per-cluster representative partial weights so newcomers can be
-//! incorporated later (Algorithm 2). [`SavedFederation`] is the
-//! serializable snapshot of everything the server needs, and it restores
-//! to a fully working [`TrainedFederation`] — model template included —
-//! in a fresh process.
+//! incorporated later (Algorithm 2). [`SavedFederation`] is the JSON
+//! snapshot of everything the server needs, and it restores to a fully
+//! working [`TrainedFederation`] — model template included — in a fresh
+//! process.
 
 use crate::algorithm::TrainedFederation;
 use crate::clustering::ClusteringOutcome;
+use fedclust_fl::checkpoint::{check_labels, check_len, CheckpointError};
+use fedclust_fl::json::{self, Reader};
 use fedclust_nn::models::ModelSpec;
 use fedclust_tensor::rng::{derive, streams};
-use serde::{Deserialize, Serialize};
 
 /// Why a [`SavedFederation`] could not be restored: the snapshot is
 /// internally inconsistent or does not match the architecture it claims.
@@ -26,8 +27,8 @@ impl std::fmt::Display for RestoreError {
 
 impl std::error::Error for RestoreError {}
 
-/// Serializable snapshot of a trained FedClust federation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Snapshot of a trained FedClust federation.
+#[derive(Debug, Clone)]
 pub struct SavedFederation {
     /// Architecture to rebuild the template from.
     pub model_spec: ModelSpec,
@@ -63,56 +64,17 @@ impl SavedFederation {
     /// spec/geometry and re-installs all saved state.
     ///
     /// # Errors
-    /// Returns a descriptive [`RestoreError`] when the snapshot is
-    /// internally inconsistent (corrupted file or changed code): state
-    /// vectors that do not match the rebuilt template's length, a cluster
-    /// count that disagrees between the states, representatives and
-    /// outcome, or labels pointing at nonexistent clusters.
+    /// Returns a descriptive [`RestoreError`] when the snapshot fails
+    /// `SavedFederation::check` against the rebuilt template (corrupted
+    /// file or changed code).
     pub fn restore(&self) -> Result<TrainedFederation, RestoreError> {
         let (c, h, w, classes) = self.geometry;
         // The RNG only seeds throwaway initial weights; every parameter is
         // overwritten from the snapshot below.
         let mut rng = derive(0, &[streams::MODEL_INIT]);
         let mut template = self.model_spec.build(c, h, w, classes, &mut rng);
-        if template.state_len() != self.init_state.len() {
-            return Err(RestoreError(format!(
-                "initial state has {} values but the rebuilt architecture needs {}",
-                self.init_state.len(),
-                template.state_len()
-            )));
-        }
-        let k = self.outcome.num_clusters.max(1);
-        if self.cluster_states.len() != k {
-            return Err(RestoreError(format!(
-                "{} cluster states for an outcome with {} clusters",
-                self.cluster_states.len(),
-                k
-            )));
-        }
-        if self.representatives.len() != k {
-            return Err(RestoreError(format!(
-                "{} representatives for an outcome with {} clusters",
-                self.representatives.len(),
-                k
-            )));
-        }
-        if let Some(bad) = self
-            .cluster_states
-            .iter()
-            .find(|s| s.len() != template.state_len())
-        {
-            return Err(RestoreError(format!(
-                "cluster state has {} values but the rebuilt architecture needs {}",
-                bad.len(),
-                template.state_len()
-            )));
-        }
-        if let Some(bad) = self.labels.iter().find(|&&l| l >= k) {
-            return Err(RestoreError(format!(
-                "label {} points at a nonexistent cluster (only {} exist)",
-                bad, k
-            )));
-        }
+        self.check(template.state_len())
+            .map_err(|e| RestoreError(e.to_string()))?;
         template.set_state_vec(&self.init_state);
         Ok(TrainedFederation {
             template,
@@ -126,15 +88,105 @@ impl SavedFederation {
         })
     }
 
-    /// Serialize to a JSON string.
-    pub fn to_json(&self) -> String {
-        // fedlint::allow(no-panic-paths): the snapshot is plain owned data (numbers, strings, vecs) with no fallible Serialize impls, so serialization cannot fail
-        serde_json::to_string(self).expect("federation snapshot serializes")
+    /// What every reader of a snapshot checks before trusting it: θ⁰ and
+    /// each cluster state hold `state_len` values, there are
+    /// k = `outcome.num_clusters.max(1)` cluster states and representatives,
+    /// every label names one of the k clusters, and the snapshot's two
+    /// copies of the assignment (`labels`, `outcome.labels`) agree.
+    pub(crate) fn check(&self, state_len: usize) -> Result<(), CheckpointError> {
+        check_len("initial state", self.init_state.len(), state_len)?;
+        let k = self.outcome.num_clusters.max(1);
+        check_len("cluster states", self.cluster_states.len(), k)?;
+        check_len("representatives", self.representatives.len(), k)?;
+        for s in &self.cluster_states {
+            check_len("cluster state", s.len(), state_len)?;
+        }
+        check_labels(&self.outcome.labels, k)?;
+        if self.labels != self.outcome.labels {
+            return Err(CheckpointError::Corrupt(
+                "the snapshot's two copies of the cluster labels disagree".into(),
+            ));
+        }
+        Ok(())
     }
 
-    /// Deserialize from a JSON string.
-    pub fn from_json(json: &str) -> Result<Self, String> {
-        serde_json::from_str(json).map_err(|e| e.to_string())
+    /// The snapshot as compact JSON: the fields in declaration order,
+    /// `model_spec` externally tagged (`"LeNet5"`, `{"Mlp":{"hidden":32}}`),
+    /// `geometry` a 4-element array, floats under [`fedclust_fl::json`]'s
+    /// rule.
+    pub fn to_json(&self) -> String {
+        json::compact(|w| {
+            w.object(|w| {
+                let spec = w.field("model_spec");
+                match self.model_spec {
+                    ModelSpec::Mlp { hidden } => {
+                        spec.object(|w| w.field("Mlp").object(|w| w.field("hidden").usize(hidden)))
+                    }
+                    ModelSpec::LeNet5 => spec.str("LeNet5"),
+                    ModelSpec::VggMini => spec.str("VggMini"),
+                    ModelSpec::ResNet9 => spec.str("ResNet9"),
+                }
+                let (c, h, wd, classes) = self.geometry;
+                w.field("geometry").usizes(&[c, h, wd, classes]);
+                w.field("init_state").f32s(&self.init_state);
+                w.field("labels").usizes(&self.labels);
+                w.field("cluster_states")
+                    .array(&self.cluster_states, |w, s| w.f32s(s));
+                w.field("representatives")
+                    .array(&self.representatives, |w, s| w.f32s(s));
+                w.field("outcome").object(|w| {
+                    w.field("labels").usizes(&self.outcome.labels);
+                    w.field("num_clusters").usize(self.outcome.num_clusters);
+                    w.field("lambda").f32(self.outcome.lambda);
+                });
+            })
+        })
+    }
+
+    /// Read what [`SavedFederation::to_json`] writes.
+    ///
+    /// # Errors
+    /// Any other text, including `null` where a float belongs (what
+    /// `to_json` writes for NaN and ±∞), is an error naming the byte.
+    pub fn from_json(text: &str) -> Result<Self, String> {
+        json::read(text, |r| {
+            r.object(|r| {
+                Ok(SavedFederation {
+                    model_spec: read_model_spec(r.field("model_spec")?)?,
+                    geometry: match *r.field("geometry")?.array(Reader::usize)? {
+                        [c, h, w, classes] => (c, h, w, classes),
+                        _ => return Err("geometry must have 4 entries".into()),
+                    },
+                    init_state: r.field("init_state")?.array(Reader::f32)?,
+                    labels: r.field("labels")?.array(Reader::usize)?,
+                    cluster_states: r.field("cluster_states")?.array(|r| r.array(Reader::f32))?,
+                    representatives: r
+                        .field("representatives")?
+                        .array(|r| r.array(Reader::f32))?,
+                    outcome: r.field("outcome")?.object(|r| {
+                        Ok(ClusteringOutcome {
+                            labels: r.field("labels")?.array(Reader::usize)?,
+                            num_clusters: r.field("num_clusters")?.usize()?,
+                            lambda: r.field("lambda")?.f32()?,
+                        })
+                    })?,
+                })
+            })
+        })
+    }
+}
+
+/// A `ModelSpec` as [`SavedFederation::to_json`] writes it.
+fn read_model_spec(r: &mut Reader<'_>) -> Result<ModelSpec, String> {
+    if r.at_object() {
+        let hidden = r.object(|r| r.field("Mlp")?.object(|r| r.field("hidden")?.usize()))?;
+        return Ok(ModelSpec::Mlp { hidden });
+    }
+    match r.name()? {
+        "LeNet5" => Ok(ModelSpec::LeNet5),
+        "VggMini" => Ok(ModelSpec::VggMini),
+        "ResNet9" => Ok(ModelSpec::ResNet9),
+        other => Err(format!("unknown model spec `{}`", other)),
     }
 }
 
@@ -232,6 +284,19 @@ mod tests {
         let mut saved = SavedFederation::from_federation(&federation);
         saved.labels[0] = 999;
         assert!(saved.restore().is_err(), "out-of-range label");
+
+        let mut saved = SavedFederation::from_federation(&federation);
+        saved.outcome.labels[0] = 999;
+        assert!(saved.restore().is_err(), "out-of-range outcome label");
+
+        // Both copies in range, but not the same assignment: restoring
+        // would hand newcomers one clustering and training another.
+        let k = federation.outcome.num_clusters;
+        assert!(k >= 2, "the fixture's two groups cluster apart");
+        let mut saved = SavedFederation::from_federation(&federation);
+        saved.labels[0] = (saved.labels[0] + 1) % k;
+        let err = saved.restore().err().expect("disagreeing label copies");
+        assert!(err.to_string().contains("disagree"), "{}", err);
     }
 
     #[test]

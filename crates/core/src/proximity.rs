@@ -14,10 +14,9 @@ use fedclust_fl::FlConfig;
 use fedclust_nn::Model;
 use fedclust_tensor::distance::{pairwise_matrix, Metric};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// Which slice of the locally trained weights clients upload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeightSelection {
     /// The final parameterised layer's weights + bias — FedClust's choice.
     FinalLayer,

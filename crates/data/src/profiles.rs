@@ -1,14 +1,12 @@
 //! Dataset profiles: the four benchmark datasets' synthetic stand-ins.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of one synthetic dataset family.
 ///
 /// `base_blend` controls inter-class confusability: each class prototype is
 /// `base_blend · shared_base + (1 − base_blend) · class_unique`, so larger
 /// values make classes harder to tell apart (CIFAR-like difficulty), while
 /// small values give clean, separable classes (FMNIST-like).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileParams {
     /// Number of classes.
     pub num_classes: usize,
@@ -29,7 +27,7 @@ pub struct ProfileParams {
 }
 
 /// The four benchmark datasets the paper evaluates, as synthetic profiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetProfile {
     /// CIFAR-10 stand-in: 10 classes, 3×16×16, moderately hard.
     Cifar10Like,

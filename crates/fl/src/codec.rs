@@ -47,7 +47,6 @@
 use fedclust_proto::bytes::{self, Reader, Writer};
 use rand::rngs::SmallRng;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Header bytes before the payload: tag, flags, n, p0, p1.
 pub const WIRE_HEADER_BYTES: usize = 14;
@@ -75,7 +74,7 @@ const Q8_LEVELS: u32 = 255;
 const Q4_LEVELS: u32 = 15;
 
 /// The base transform applied to the (possibly delta-encoded) payload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BaseCodec {
     /// No value transform; payload ships as raw f32 words.
     Raw,
@@ -91,7 +90,7 @@ pub enum BaseCodec {
 }
 
 /// A parsed `--codec` selection: delta pre-pass, base transform, rounding.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CodecSpec {
     /// Ship `payload − reference` instead of raw values when the server
     /// and client share a reference state (the broadcast model).

@@ -8,14 +8,12 @@
 //! blocks for LG-FedAvg, one-shot partial weights for FedClust, and
 //! one-shot subspace bases for PACFL.
 
-use serde::{Deserialize, Serialize};
-
 /// Bytes per transmitted scalar (f32 on the wire, as in the PyTorch
 /// reference implementations).
 pub const BYTES_PER_SCALAR: f64 = 4.0;
 
 /// Accumulates the bytes a protocol has moved, split by direction.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommMeter {
     downlink_bytes: f64,
     uplink_bytes: f64,

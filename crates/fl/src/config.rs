@@ -4,7 +4,6 @@ use crate::codec::CodecSpec;
 use crate::faults::FaultPlan;
 use fedclust_nn::models::ModelSpec;
 use fedclust_nn::optim::SgdConfig;
-use serde::{Deserialize, Serialize};
 
 /// The knobs shared by every FL method in a run.
 ///
@@ -12,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// epochs, batch 10, SGD momentum 0.9. The reproduction's defaults are
 /// scaled for a single-core CPU budget (see EXPERIMENTS.md); the paper
 /// values remain reachable by setting the fields explicitly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlConfig {
     /// Model architecture.
     pub model: ModelSpec,

@@ -61,13 +61,17 @@ use crate::engine::{ClientUpdate, RemoteUpdate};
 use fedclust_proto::RetryPolicy;
 use fedclust_tensor::rng::{derive, streams};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+
+/// The most downlink retransmissions a [`FaultPlan`] allows: `--retries`
+/// refuses more, and [`FaultPlan::sanitized`] clamps to it, so `N + 1`
+/// attempts hold in process and over TCP alike.
+pub const MAX_DOWNLINK_RETRIES: usize = 16;
 
 /// Per-run fault model, derived deterministically from
 /// `(seed, round, client)` streams. All probabilities are in `[0, 1]`;
 /// [`FaultPlan::none()`] (= `Default`) disables everything.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPlan {
     /// Probability that one downlink transmission attempt to one client
     /// fails (each retry redraws independently).
@@ -134,7 +138,7 @@ impl FaultPlan {
         let nn = |v: f32| if v.is_finite() { v.max(0.0) } else { 0.0 };
         FaultPlan {
             downlink_loss: p(self.downlink_loss),
-            max_downlink_retries: self.max_downlink_retries.min(16),
+            max_downlink_retries: self.max_downlink_retries.min(MAX_DOWNLINK_RETRIES),
             uplink_loss: p(self.uplink_loss),
             straggler_rate: p(self.straggler_rate),
             straggler_mean_delay: nn(self.straggler_mean_delay),
@@ -180,7 +184,7 @@ impl CrashPlan {
 
 /// Counters of everything the fault layer did in one run; part of
 /// [`crate::metrics::RunResult`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultTelemetry {
     /// Total fault events: unreachable clients, lost uploads, deadline
     /// misses, and corruptions.
@@ -926,6 +930,6 @@ mod tests {
         assert_eq!(s.corruption_rate, 0.0);
         assert_eq!(s.straggler_mean_delay, 0.0);
         assert_eq!(s.round_deadline, 0.0);
-        assert!(s.max_downlink_retries <= 16);
+        assert_eq!(s.max_downlink_retries, MAX_DOWNLINK_RETRIES);
     }
 }

@@ -17,6 +17,8 @@
 //!   resume (torn-write-safe atomic writes, checksummed format,
 //!   generation rotation, corrupt-generation fallback),
 //! * [`metrics`] — round telemetry, run results, rounds/Mb-to-target,
+//! * [`json`] — the one JSON writer and reader (`--json`, FedClust's
+//!   snapshot),
 //! * [`engine`] — the shared round machinery: deterministic client
 //!   sampling, parallel local training, weighted state averaging, and
 //!   parallel all-client evaluation,
@@ -36,6 +38,7 @@ pub mod config;
 pub mod driver;
 pub mod engine;
 pub mod faults;
+pub mod json;
 pub mod methods;
 pub mod metrics;
 

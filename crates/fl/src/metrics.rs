@@ -1,10 +1,10 @@
 //! Run telemetry and derived evaluation metrics.
 
 use crate::faults::FaultTelemetry;
-use serde::{Deserialize, Serialize};
+use crate::json;
 
 /// One evaluation point in a run's history.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoundRecord {
     /// 1-based round index at which the evaluation happened.
     pub round: usize,
@@ -15,7 +15,7 @@ pub struct RoundRecord {
 }
 
 /// The result of one full FL run with one method on one federated dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunResult {
     /// Method name.
     pub method: String,
@@ -33,21 +33,40 @@ pub struct RunResult {
     pub faults: FaultTelemetry,
 }
 
-impl Default for RunResult {
-    fn default() -> Self {
-        RunResult {
-            method: String::new(),
-            final_acc: 0.0,
-            per_client_acc: Vec::new(),
-            history: Vec::new(),
-            num_clusters: None,
-            total_mb: 0.0,
-            faults: FaultTelemetry::default(),
-        }
-    }
-}
-
 impl RunResult {
+    /// The text `fedclust-cli run --json` prints: pretty JSON, one member
+    /// per field in declaration order, `num_clusters` `null` when absent.
+    pub fn to_json(&self) -> String {
+        json::pretty(|w| {
+            w.object(|w| {
+                w.field("method").str(&self.method);
+                w.field("final_acc").f64(self.final_acc);
+                w.field("per_client_acc").f32s(&self.per_client_acc);
+                w.field("history").array(&self.history, |w, r| {
+                    w.object(|w| {
+                        w.field("round").usize(r.round);
+                        w.field("avg_acc").f64(r.avg_acc);
+                        w.field("cum_mb").f64(r.cum_mb);
+                    })
+                });
+                match self.num_clusters {
+                    Some(k) => w.field("num_clusters").usize(k),
+                    None => w.field("num_clusters").null(),
+                }
+                w.field("total_mb").f64(self.total_mb);
+                let f = &self.faults;
+                w.field("faults").object(|w| {
+                    w.field("faults_injected").usize(f.faults_injected);
+                    w.field("updates_quarantined").usize(f.updates_quarantined);
+                    w.field("retries").usize(f.retries);
+                    w.field("downlink_failures").usize(f.downlink_failures);
+                    w.field("uplink_losses").usize(f.uplink_losses);
+                    w.field("deadline_misses").usize(f.deadline_misses);
+                });
+            });
+        })
+    }
+
     /// First round at which the average accuracy reached `target`
     /// (Table 4). `None` if never reached.
     pub fn rounds_to_target(&self, target: f64) -> Option<usize> {
@@ -70,7 +89,7 @@ impl RunResult {
 /// Fairness statistics over per-client accuracies — the dispersion view
 /// behind the paper's motivation that a single global model leaves some
 /// clients far behind.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Fairness {
     /// Mean per-client accuracy.
     pub mean: f64,
@@ -128,7 +147,7 @@ pub fn mean_std(xs: &[f64]) -> (f64, f64) {
 
 /// Aggregate the same method's results across seeds: mean ± std of final
 /// accuracy, plus the per-seed results for downstream use.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SeedAggregate {
     /// Method name.
     pub method: String,

@@ -19,11 +19,9 @@ use crate::pool::{GlobalAvgPool2d, MaxPool2d};
 use crate::structural::{Flatten, Residual};
 use fedclust_tensor::conv::Conv2dGeom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
-/// Which architecture to build. Serializable so experiment configs can name
-/// their model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Which architecture to build.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelSpec {
     /// Multi-layer perceptron with one hidden width for both hidden layers.
     Mlp {

@@ -5,7 +5,7 @@ use crate::param::Param;
 use fedclust_tensor::Tensor;
 
 /// SGD hyper-parameters.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SgdConfig {
     /// Learning rate.
     pub lr: f32,

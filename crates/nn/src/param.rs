@@ -1,12 +1,11 @@
 //! Trainable parameters: a value tensor paired with its gradient.
 
 use fedclust_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// A trainable parameter. The gradient always has the same shape as the
 /// value and is *accumulated* by layer backward passes; optimizers and
 /// `zero_grad` reset it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Current weight values.
     pub value: Tensor,

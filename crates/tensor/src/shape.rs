@@ -1,13 +1,12 @@
 //! Shape and stride bookkeeping for row-major tensors.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The shape of a tensor: a small vector of dimension extents.
 ///
 /// Shapes are row-major ("C order"): the last dimension is contiguous in
 /// memory. A scalar is represented by the empty shape.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Shape(pub Vec<usize>);
 
 impl Shape {

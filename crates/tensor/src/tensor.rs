@@ -1,7 +1,6 @@
 //! The dense row-major `f32` tensor type.
 
 use crate::shape::Shape;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Mul, Sub};
 
@@ -11,7 +10,7 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 /// its data in a flat `Vec<f32>`; views and broadcasting are intentionally
 /// not supported — the NN layers work with explicit shapes, which keeps the
 /// backward passes easy to audit.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,

@@ -23,6 +23,20 @@ if fnv_tests=$(grep -rlIE "$fnv_basis" crates/*/tests tests); then
     exit 1
 fi
 
+echo "== no serde =="
+# JSON is written and read by hand in crates/fl/src/json.rs; no manifest
+# outside benchmark/ may pull serde back in, and no type may derive it.
+serde_manifests=$(find . -name Cargo.toml -not -path './benchmark/*' -not -path './target/*' \
+    -exec grep -l serde {} + || true)
+if [ -n "$serde_manifests" ]; then
+    echo "serde is named in: $serde_manifests" >&2
+    exit 1
+fi
+if serde_derives=$(grep -rnE 'derive\([^)]*\b(Serialize|Deserialize)\b' crates/*/src); then
+    echo "serde derives are gone; write JSON through fedclust_fl::json: $serde_derives" >&2
+    exit 1
+fi
+
 echo "== one rule table =="
 # `rules::RULES` is the only list of fedlint's rules: every name is spelled
 # exactly once in the file that holds the table (a second list there — a

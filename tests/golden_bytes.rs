@@ -1,14 +1,21 @@
 //! Golden bytes: every byte format the repo persists or ships is pinned
 //! against images committed under `tests/golden/` — one checkpoint per
 //! `MethodState` variant, one frame per `Msg` variant (both `PushBody`
-//! arms), one codec message per tag plus a delta one. Encoding a value must
-//! reproduce its golden file and decoding the file must reproduce the
-//! value, so a refactor of the byte layer that moves a single byte fails
-//! here even when every self-consistency suite still passes.
+//! arms), one codec message per tag plus a delta one, and the two JSON
+//! shapes (`--json`'s `RunResult`, one `SavedFederation` per `ModelSpec`).
+//! Encoding a value must reproduce its golden file and decoding the file
+//! must reproduce the value, so a refactor of the byte layer that moves a
+//! single byte fails here even when every self-consistency suite still
+//! passes.
 
+use fedclust_repro::fedclust::clustering::ClusteringOutcome;
+use fedclust_repro::fedclust::SavedFederation;
 use fedclust_repro::fl::checkpoint::{FedDynState, LgState, ScaffoldState};
 use fedclust_repro::fl::codec::{self, CodecSpec};
-use fedclust_repro::fl::{Checkpoint, CommMeter, FaultTelemetry, MethodState, RoundRecord};
+use fedclust_repro::fl::{
+    Checkpoint, CommMeter, FaultTelemetry, MethodState, RoundRecord, RunResult,
+};
+use fedclust_repro::nn::models::ModelSpec;
 use fedclust_repro::proto::{decode_frame, Msg, PushBody, MODE_TRAIN, MODE_WARMUP};
 use std::path::PathBuf;
 
@@ -16,9 +23,13 @@ use std::path::PathBuf;
 const NAN_PAYLOAD: u32 = 0x7fc0_beef;
 
 fn golden(name: &str) -> PathBuf {
+    golden_file(&format!("{}.bin", name))
+}
+
+fn golden_file(file: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
-        .join(format!("{}.bin", name))
+        .join(file)
 }
 
 fn checkpoint(state: MethodState) -> Checkpoint {
@@ -222,6 +233,133 @@ fn codec_messages() -> Vec<(&'static str, codec::Encoded, Option<Vec<f32>>)> {
         .collect()
 }
 
+/// Every f32 the JSON float rule treats differently: both zeros, integral
+/// values, a short decimal that is long once widened, the smallest normal
+/// and subnormal, the f32s either side of 1e15, and the top of the range.
+fn json_f32s() -> Vec<f32> {
+    let below_1e15 = 1e15f32;
+    let above_1e15 = f32::from_bits(below_1e15.to_bits() + 1);
+    vec![
+        0.0,
+        -0.0,
+        1.0,
+        -3.0,
+        0.1,
+        f32::MIN_POSITIVE,
+        f32::from_bits(1),
+        below_1e15,
+        -above_1e15,
+        3e38,
+    ]
+}
+
+/// `--json`'s shape, twice: an empty run, and one with every optional
+/// part filled, an escape-heavy method name and non-finite floats.
+fn run_results() -> [RunResult; 2] {
+    let mut per_client_acc = json_f32s();
+    per_client_acc.extend([f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+    [
+        RunResult {
+            method: "Local".into(),
+            ..RunResult::default()
+        },
+        RunResult {
+            method: "Fed\"Clust\\ θ⁰\n\t\r\u{1}\u{1f}\u{7f}/".into(),
+            final_acc: 0.1,
+            per_client_acc,
+            history: vec![
+                RoundRecord {
+                    round: 1,
+                    avg_acc: 1e15,
+                    cum_mb: -1e15,
+                },
+                RoundRecord {
+                    round: 2,
+                    avg_acc: 999_999_999_999_999.0,
+                    cum_mb: 1e15 + 0.5,
+                },
+                RoundRecord {
+                    round: usize::MAX,
+                    avg_acc: f64::INFINITY,
+                    cum_mb: -0.0,
+                },
+            ],
+            num_clusters: Some(3),
+            total_mb: f64::NAN,
+            faults: FaultTelemetry {
+                faults_injected: 1,
+                updates_quarantined: 2,
+                retries: 3,
+                downlink_failures: 4,
+                uplink_losses: 5,
+                deadline_misses: 6,
+            },
+        },
+    ]
+}
+
+/// What `fedclust-cli run --json` prints for each of [`run_results`].
+fn run_results_json() -> String {
+    run_results()
+        .iter()
+        .map(|r| format!("{}\n", r.to_json()))
+        .collect()
+}
+
+/// `(file, snapshot, whether every float in it is finite)`: one snapshot
+/// per `ModelSpec` variant. The last one carries NaN and ±∞, which the
+/// writer prints as `null` and the reader refuses.
+fn federations() -> Vec<(&'static str, SavedFederation, bool)> {
+    let finite = json_f32s();
+    let mut non_finite = finite.clone();
+    non_finite.extend([f32::NAN, f32::INFINITY, f32::NEG_INFINITY]);
+    let saved = |model_spec, geometry, state: &[f32], labels: Vec<usize>| SavedFederation {
+        model_spec,
+        geometry,
+        init_state: state.to_vec(),
+        labels: labels.clone(),
+        cluster_states: vec![state.iter().rev().copied().collect(), Vec::new()],
+        representatives: vec![vec![0.5, -0.25], state[..3].to_vec()],
+        outcome: ClusteringOutcome {
+            labels,
+            num_clusters: 2,
+            lambda: 0.1,
+        },
+    };
+    vec![
+        (
+            "federation_mlp.json",
+            saved(
+                ModelSpec::Mlp { hidden: 32 },
+                (1, 8, 8, 10),
+                &finite,
+                vec![0, 1, 0],
+            ),
+            true,
+        ),
+        (
+            "federation_lenet5.json",
+            saved(ModelSpec::LeNet5, (3, 16, 16, 10), &finite, Vec::new()),
+            true,
+        ),
+        (
+            "federation_vggmini.json",
+            saved(
+                ModelSpec::VggMini,
+                (usize::MAX, 0, 16, 20),
+                &finite[4..],
+                vec![1],
+            ),
+            true,
+        ),
+        (
+            "federation_resnet9.json",
+            saved(ModelSpec::ResNet9, (3, 16, 16, 10), &non_finite, vec![1, 0]),
+            false,
+        ),
+    ]
+}
+
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
@@ -270,12 +408,60 @@ fn codec_messages_match_their_golden_images() {
     }
 }
 
+fn read_text(file: &str) -> String {
+    let path = golden_file(file);
+    std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("cannot read {}: {}", path.display(), e))
+}
+
+#[test]
+fn run_results_match_their_golden_json() {
+    assert_eq!(
+        run_results_json(),
+        read_text("run_result.json"),
+        "RunResult::to_json moved a byte"
+    );
+}
+
+#[test]
+fn federations_match_their_golden_json() {
+    for (file, saved, finite) in federations() {
+        let text = read_text(file);
+        assert_eq!(saved.to_json(), text, "{}: to_json moved a byte", file);
+        let back = SavedFederation::from_json(&text);
+        if !finite {
+            assert!(back.is_err(), "{}: null must not read as an f32", file);
+            continue;
+        }
+        let back = back.unwrap_or_else(|e| panic!("{}: {}", file, e));
+        assert_eq!(back.to_json(), text, "{}: from_json lost a bit", file);
+        assert_eq!(back.model_spec, saved.model_spec, "{}", file);
+        assert_eq!(back.geometry, saved.geometry, "{}", file);
+        assert_eq!(back.labels, saved.labels, "{}", file);
+        assert_eq!(back.outcome, saved.outcome, "{}", file);
+        assert_eq!(bits(&back.init_state), bits(&saved.init_state), "{}", file);
+        for (a, b) in [
+            (&back.cluster_states, &saved.cluster_states),
+            (&back.representatives, &saved.representatives),
+        ] {
+            let a: Vec<_> = a.iter().map(|s| bits(s)).collect();
+            let b: Vec<_> = b.iter().map(|s| bits(s)).collect();
+            assert_eq!(a, b, "{}", file);
+        }
+    }
+}
+
 /// Rewrites every golden image from the current encoders. Only for a PR
 /// that changes a format on purpose (and says so): the point of the files
 /// is that they were generated *before* the code they pin was touched.
 #[test]
-#[ignore = "rewrites tests/golden/*.bin from the current encoders"]
+#[ignore = "rewrites tests/golden/* from the current encoders"]
 fn regenerate_golden_images() {
+    std::fs::write(golden_file("run_result.json"), run_results_json())
+        .expect("tests/golden is writable");
+    for (file, saved, _) in federations() {
+        std::fs::write(golden_file(file), saved.to_json()).expect("tests/golden is writable");
+    }
     let images = checkpoints()
         .into_iter()
         .map(|(name, cp)| (name, cp.encode()))

@@ -14,6 +14,44 @@ use fedclust_repro::tensor::rng::{derive, streams};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
+/// A snapshot [`SavedFederation::restore`] accepts: an MLP federation of
+/// `k` clusters over `num_clients` clients.
+fn snapshot(
+    hidden: usize,
+    geometry: (usize, usize, usize, usize),
+    k: usize,
+    num_clients: usize,
+    fills: &[f32],
+    lambda: f32,
+) -> SavedFederation {
+    let spec = ModelSpec::Mlp { hidden };
+    let (c, h, w, classes) = geometry;
+    // The RNG only seeds throwaway initial weights; restore overwrites
+    // every parameter from the snapshot.
+    let mut rng = derive(0, &[streams::MODEL_INIT]);
+    let state_len = spec.build(c, h, w, classes, &mut rng).state_len();
+    // Deterministic per-slot values so equal vectors can't mask a
+    // shuffled round trip.
+    let fill = |len: usize, which: usize| -> Vec<f32> {
+        let base = fills[which % fills.len()];
+        (0..len).map(|i| base + i as f32 * 1.0e-3).collect()
+    };
+    let labels: Vec<usize> = (0..num_clients).map(|i| i % k).collect();
+    SavedFederation {
+        model_spec: spec,
+        geometry,
+        init_state: fill(state_len, 0),
+        labels: labels.clone(),
+        cluster_states: (0..k).map(|i| fill(state_len, i + 1)).collect(),
+        representatives: (0..k).map(|i| fill(hidden + 1, i + 2)).collect(),
+        outcome: ClusteringOutcome {
+            labels,
+            num_clusters: k,
+            lambda,
+        },
+    }
+}
+
 fn labelings(n: usize) -> impl Strategy<Value = (Vec<usize>, Vec<usize>)> {
     (
         proptest::collection::vec(0usize..4, n),
@@ -138,32 +176,7 @@ proptest! {
         fills in proptest::collection::vec(-1000.0f32..1000.0, 6),
         lambda in 0.0f32..10.0,
     ) {
-        let spec = ModelSpec::Mlp { hidden };
-        // The RNG only seeds throwaway initial weights; restore overwrites
-        // every parameter from the snapshot.
-        let mut rng = derive(0, &[streams::MODEL_INIT]);
-        let template = spec.build(c, h, w, classes, &mut rng);
-        let state_len = template.state_len();
-        // Deterministic per-slot values so equal vectors can't mask a
-        // shuffled round trip.
-        let fill = |len: usize, which: usize| -> Vec<f32> {
-            let base = fills[which % fills.len()];
-            (0..len).map(|i| base + i as f32 * 1.0e-3).collect()
-        };
-        let labels: Vec<usize> = (0..num_clients).map(|i| i % k).collect();
-        let saved = SavedFederation {
-            model_spec: spec,
-            geometry: (c, h, w, classes),
-            init_state: fill(state_len, 0),
-            labels: labels.clone(),
-            cluster_states: (0..k).map(|i| fill(state_len, i + 1)).collect(),
-            representatives: (0..k).map(|i| fill(hidden + 1, i + 2)).collect(),
-            outcome: ClusteringOutcome {
-                labels,
-                num_clusters: k,
-                lambda,
-            },
-        };
+        let saved = snapshot(hidden, (c, h, w, classes), k, num_clients, &fills, lambda);
         let back = SavedFederation::from_json(&saved.to_json()).unwrap();
         let restored = back.restore().unwrap();
         prop_assert_eq!(&restored.init_state, &saved.init_state);
@@ -174,5 +187,55 @@ proptest! {
         prop_assert_eq!(&restored.outcome, &saved.outcome);
         prop_assert_eq!(restored.model_spec, saved.model_spec);
         prop_assert_eq!(restored.geometry, saved.geometry);
+    }
+}
+
+/// `from_json` reads checkpoint text, and a checksum-valid hostile
+/// generation can carry any text. Starting from a real snapshot's JSON,
+/// every input below must come back `Ok` or `Err`: no panic, no stack
+/// overflow.
+#[test]
+fn saved_federation_from_json_is_total() {
+    let fills = [-1.5, 0.1, 1e-40, 3e38, -0.0, 7.0];
+    let json = snapshot(2, (1, 2, 2, 2), 2, 3, &fills, 0.25).to_json();
+    assert!(SavedFederation::from_json(&json).is_ok());
+
+    // The closing brace is the last byte, so every proper prefix is cut.
+    for end in 0..json.len() {
+        assert!(
+            SavedFederation::from_json(&json[..end]).is_err(),
+            "{} bytes",
+            end
+        );
+    }
+
+    // 0xFF cannot sit in a `&str`; it arrives as U+FFFD.
+    let mut bytes = json.clone().into_bytes();
+    for i in 0..bytes.len() {
+        let original = bytes[i];
+        for &b in b"\",:[]{}-.e0 \xFF" {
+            bytes[i] = b;
+            let _ = SavedFederation::from_json(&String::from_utf8_lossy(&bytes));
+        }
+        bytes[i] = original;
+    }
+
+    let after = |key: &str| {
+        json.find(key)
+            .map(|i| i + key.len())
+            .expect("key is written")
+    };
+    let (spec, states) = (after("\"model_spec\":"), after("\"cluster_states\":"));
+    let (init, labels) = (after("\"init_state\":["), after("\"labels\":["));
+    let digits = "9".repeat(1_000_000);
+    for text in [
+        "[".repeat(100_000),
+        format!("{}{}", &json[..states], "[".repeat(100_000)),
+        format!("{}{},{}", &json[..init], digits, &json[init..]),
+        format!("{}{},{}", &json[..labels], digits, &json[labels..]),
+        format!("{}\"LeNet5", &json[..spec]),
+        format!("{}\"{}", &json[..spec], "x".repeat(100_000)),
+    ] {
+        let _ = SavedFederation::from_json(&text);
     }
 }
