@@ -181,12 +181,12 @@ pub fn execute(args: &Args, trainer: Option<&dyn RemoteTrainer>) -> Result<Strin
             let Ok((_, federation)) =
                 run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
             let truth = fd.ground_truth_groups();
-            let ari = adjusted_rand_index(&federation.labels, &truth);
+            let ari = adjusted_rand_index(&federation.saved.labels, &truth);
             let mut out = format!(
                 "one-shot clustering: {} clusters at λ = {:.4} (ARI vs label-set ground truth: {:.3})\n",
-                federation.outcome.num_clusters, federation.outcome.lambda, ari
+                federation.saved.outcome.num_clusters, federation.saved.outcome.lambda, ari
             );
-            out.push_str(&format!("assignment: {:?}", federation.labels));
+            out.push_str(&format!("assignment: {:?}", federation.saved.labels));
             Ok(out)
         }
         Command::Sweep { points } => {

@@ -7,55 +7,23 @@ use crate::proximity::ProximityMatrix;
 /// `[-1, 1]`. Singleton clusters contribute 0 (the standard convention).
 /// Returns 0 for trivial partitions (a single cluster or an empty input).
 pub fn mean_silhouette(matrix: &ProximityMatrix, labels: &[usize]) -> f64 {
-    let (sum, _, n) = silhouette_sums(matrix, labels);
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
-}
-
-/// Silhouette statistics split by singleton membership: returns
-/// `(mean silhouette over non-singleton points, fraction of points in
-/// non-singleton clusters)`. Both are 0 when no point shares a cluster.
-///
-/// Selection heuristics use this to avoid the classic dilution problem:
-/// with many small true groups plus a few genuinely unique items, the
-/// standard mean (singletons = 0) can prefer a coarse, wrong cut.
-pub fn silhouette_nonsingleton(matrix: &ProximityMatrix, labels: &[usize]) -> (f64, f64) {
-    let (sum, covered, n) = silhouette_sums(matrix, labels);
-    if n == 0 || covered == 0 {
-        (0.0, 0.0)
-    } else {
-        (sum / covered as f64, covered as f64 / n as f64)
-    }
-}
-
-/// Shared silhouette computation: `(sum of s(i) over non-singleton points,
-/// number of non-singleton points, total points)`.
-fn silhouette_sums(matrix: &ProximityMatrix, labels: &[usize]) -> (f64, usize, usize) {
     let n = matrix.len();
     assert_eq!(labels.len(), n, "labels must match matrix size");
-    if n == 0 {
-        return (0.0, 0, 0);
-    }
     let k = labels.iter().copied().max().map_or(0, |m| m + 1);
     if k < 2 {
-        return (0.0, 0, n);
+        return 0.0;
     }
     let mut sizes = vec![0usize; k];
     for &l in labels {
         sizes[l] += 1;
     }
     let mut total = 0.0f64;
-    let mut covered = 0usize;
     let mut sums = vec![0.0f64; k];
     for i in 0..n {
         let li = labels[i];
         if sizes[li] == 1 {
             continue; // silhouette of a singleton is 0
         }
-        covered += 1;
         sums.iter_mut().for_each(|s| *s = 0.0);
         for j in 0..n {
             if j != i {
@@ -74,7 +42,7 @@ fn silhouette_sums(matrix: &ProximityMatrix, labels: &[usize]) -> (f64, usize, u
             }
         }
     }
-    (total, covered, n)
+    total / n as f64
 }
 
 /// Contingency table between two labelings.

@@ -13,7 +13,7 @@ use fedclust_nn::Model;
 /// [`fedclust_fl::FlConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FedClust {
-    /// Clustering threshold λ (fixed, or data-driven largest-gap).
+    /// Clustering threshold λ (fixed, or chosen from the dendrogram).
     pub lambda: LambdaSelect,
     /// Linkage criterion for the hierarchical clustering.
     pub linkage: Linkage,
@@ -39,29 +39,18 @@ impl Default for FedClust {
     }
 }
 
-/// Everything the server retains after a FedClust run: the trained cluster
-/// models, the assignment, and the per-cluster representative partial
-/// weights needed to incorporate newcomers (Algorithm 2).
+/// Everything the server retains after a FedClust run: the configuration
+/// that trained it, the model template, and the snapshot — cluster models,
+/// assignment, and the per-cluster representative partial weights needed
+/// to incorporate newcomers (Algorithm 2).
 pub struct TrainedFederation {
-    /// The shared model template (architecture).
+    /// The configuration round 0 ran with; Algorithm 2 warms newcomers up,
+    /// extracts their partial weights and measures Eq. 4 by the same one.
+    pub method: FedClust,
+    /// The shared model template (architecture), holding θ⁰.
     pub template: Model,
-    /// The model spec the template was built from (for persistence).
-    pub model_spec: fedclust_nn::models::ModelSpec,
-    /// Dataset geometry `(channels, height, width, classes)` the template
-    /// was built for (for persistence).
-    pub geometry: (usize, usize, usize, usize),
-    /// The initial broadcast state θ⁰ (newcomers warm up from this).
-    pub init_state: Vec<f32>,
-    /// Cluster id per original client.
-    pub labels: Vec<usize>,
-    /// One trained state vector per cluster.
-    pub cluster_states: Vec<Vec<f32>>,
-    /// Per-cluster representative partial weights: the centroid of member
-    /// partial weights, in the same [`WeightSelection`] space clients
-    /// upload in.
-    pub representatives: Vec<Vec<f32>>,
-    /// The clustering outcome (λ used, cluster count).
-    pub outcome: ClusteringOutcome,
+    /// The trained federation itself.
+    pub saved: SavedFederation,
 }
 
 /// Algorithm 1 on the shared driver: one-shot clustering in `init`, then
@@ -248,16 +237,11 @@ impl Method for FedClust {
         Some(s.cluster_states.len())
     }
 
-    fn finish(&self, s: SavedFederation, ctx: RoundCtx<'_>) -> TrainedFederation {
+    fn finish(&self, saved: SavedFederation, ctx: RoundCtx<'_>) -> TrainedFederation {
         TrainedFederation {
+            method: *self,
             template: ctx.template,
-            model_spec: s.model_spec,
-            geometry: s.geometry,
-            init_state: s.init_state,
-            labels: s.outcome.labels.clone(),
-            cluster_states: s.cluster_states,
-            representatives: s.representatives,
-            outcome: s.outcome,
+            saved,
         }
     }
 }
@@ -299,12 +283,12 @@ mod tests {
         let Ok((result, federation)) =
             run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
         let truth = fd.ground_truth_groups();
-        let ari = adjusted_rand_index(&federation.labels, &truth);
+        let ari = adjusted_rand_index(&federation.saved.labels, &truth);
         assert!(
             ari > 0.8,
             "ARI {} labels {:?} truth {:?}",
             ari,
-            federation.labels,
+            federation.saved.labels,
             truth
         );
         assert_eq!(result.num_clusters, Some(2));
@@ -348,14 +332,14 @@ mod tests {
         let cfg = FlConfig::tiny(3);
         let Ok((_, federation)) =
             run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
-        let k = federation.outcome.num_clusters;
-        assert_eq!(federation.cluster_states.len(), k);
-        assert_eq!(federation.representatives.len(), k);
+        let k = federation.saved.outcome.num_clusters;
+        assert_eq!(federation.saved.cluster_states.len(), k);
+        assert_eq!(federation.saved.representatives.len(), k);
         let upload = WeightSelection::FinalLayer.upload_len(&federation.template);
-        for rep in &federation.representatives {
+        for rep in &federation.saved.representatives {
             assert_eq!(rep.len(), upload);
         }
-        assert_eq!(federation.labels.len(), 6);
+        assert_eq!(federation.saved.labels.len(), 6);
     }
 
     #[test]

@@ -9,8 +9,8 @@ use fedclust_cluster::ProximityMatrix;
 /// The paper treats λ as a user-defined hyper-parameter chosen per dataset
 /// (its Fig. 4 sweeps it); its conclusion lists data-driven λ selection as
 /// future work. This reproduction ships two data-driven selectors —
-/// [`LambdaSelect::AutoGap`] and [`LambdaSelect::AutoSilhouette`] (the
-/// default) — standing in for the paper's hand tuning.
+/// [`LambdaSelect::AutoGap`] and [`LambdaSelect::Auto`] (the default) —
+/// standing in for the paper's hand tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LambdaSelect {
     /// Use a fixed threshold λ.
@@ -19,14 +19,19 @@ pub enum LambdaSelect {
     /// toward very coarse cuts (the top merges have the biggest absolute
     /// gaps); kept for comparison and for clean two-group data.
     AutoGap,
-    /// Choose λ at the largest *relative* jump between consecutive merge
-    /// distances, falling back on a dispersion rule when no jump stands
-    /// out (see [`cluster_clients`]). Same-distribution clients merge at a
-    /// low plateau of distances and cross-distribution merges jump several
-    /// fold, so the ratio — unlike [`LambdaSelect::AutoGap`]'s absolute
-    /// difference — finds the boundary regardless of how many groups there
-    /// are. This emulates the per-dataset λ tuning the paper performs by
-    /// hand, and is the reproduction's default.
+    /// Plateau detection on the merge profile, with a dispersion fallback
+    /// (`plateau_cut`). Same-distribution clients merge at a low plateau of
+    /// distances, so when the first merge is under a quarter of the last,
+    /// the merges are walked in order and λ is cut at the first one above
+    /// 1.9× the running median of those before it — if that break is a
+    /// jump of at least 3× or comes within the first 60 % of merges. A
+    /// plateau that never breaks is one cluster. Without a plateau or a
+    /// convincing break, the spread of the merge distances decides: a
+    /// coefficient of variation above 0.18 cuts at the 25th-percentile
+    /// merge (only near-duplicates share a model), a tighter spread gives
+    /// one cluster. Fewer than three clients use [`LambdaSelect::AutoGap`].
+    /// This emulates the per-dataset λ tuning the paper performs by hand,
+    /// and is the reproduction's default.
     Auto,
 }
 

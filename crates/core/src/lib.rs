@@ -22,7 +22,7 @@
 //! * [`proximity`] — warm-up training and partial-weight collection, and
 //!   the Eq. 3 proximity matrix;
 //! * [`clustering`] — the λ-threshold hierarchical clustering step with
-//!   fixed or data-driven (largest-gap) λ selection;
+//!   fixed or data-driven (plateau or largest-gap) λ selection;
 //! * [`algorithm`] — [`algorithm::FedClust`], the full method as an
 //!   [`fedclust_fl::FlMethod`], plus [`algorithm::TrainedFederation`] for
 //!   post-hoc use of the trained cluster models;

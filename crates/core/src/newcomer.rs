@@ -4,14 +4,14 @@
 //! uploads the selected partial weights, and the server assigns it to the
 //! cluster whose representative partial weights are closest (Eq. 4). The
 //! newcomer then receives that cluster's trained model and personalizes it
-//! for a few epochs.
+//! for a few epochs. Warm-up epochs, weight selection and metric are those
+//! of the [`FedClust`](crate::FedClust) that trained the federation, so the
+//! newcomer's partial weights live where the representatives do.
 
 use crate::algorithm::TrainedFederation;
-use crate::proximity::WeightSelection;
 use fedclust_data::ClientData;
-use fedclust_fl::engine::{train_replica, LocalJob};
+use fedclust_fl::engine::{personalized_accuracy, train_replica, LocalJob};
 use fedclust_fl::FlConfig;
-use fedclust_tensor::distance::Metric;
 use rayon::prelude::*;
 
 /// Result of incorporating one newcomer.
@@ -24,20 +24,15 @@ pub struct NewcomerOutcome {
     pub accuracy: f32,
 }
 
-/// Assign a newcomer to the closest cluster by partial-weight distance.
-/// Returns the chosen cluster id. This is Eq. 4; it requires only the
-/// stored per-cluster representatives, no re-clustering.
-pub fn assign_cluster(
-    federation: &TrainedFederation,
-    newcomer_partial: &[f32],
-    metric: Metric,
-) -> usize {
-    assert!(
-        !federation.representatives.is_empty(),
-        "federation has no clusters"
-    );
-    federation
-        .representatives
+/// Assign a newcomer to the closest cluster by partial-weight distance,
+/// measured by the federation's own metric. Returns the chosen cluster id.
+/// This is Eq. 4; it requires only the stored per-cluster representatives,
+/// no re-clustering.
+pub fn assign_cluster(federation: &TrainedFederation, newcomer_partial: &[f32]) -> usize {
+    let representatives = &federation.saved.representatives;
+    assert!(!representatives.is_empty(), "federation has no clusters");
+    let metric = federation.method.metric;
+    representatives
         .iter()
         .enumerate()
         .map(|(ci, rep)| (ci, metric.eval(newcomer_partial, rep)))
@@ -45,50 +40,46 @@ pub fn assign_cluster(
         .map_or(0, |(ci, _)| ci)
 }
 
-/// Run Algorithm 2 end-to-end for one newcomer: warm-up from θ⁰, upload
-/// partial weights, receive the argmin cluster's model, personalize for
-/// `personalize_epochs`, and evaluate on the newcomer's local test set.
-#[allow(clippy::too_many_arguments)]
-pub fn incorporate(
+/// Algorithm 2, lines 1–5, for one newcomer: train θ⁰ on its data exactly
+/// as round 0 trained every federated client (same epochs, same SGD), upload
+/// the same partial weights, and return the Eq. 4 cluster.
+pub fn assign_newcomer(
     federation: &TrainedFederation,
     newcomer: &ClientData,
     cfg: &FlConfig,
-    selection: WeightSelection,
-    metric: Metric,
-    warmup_epochs: usize,
-    personalize_epochs: usize,
     newcomer_id: usize,
-) -> NewcomerOutcome {
-    // Line 1–3: train θ⁰ locally, extract partial weights.
+) -> usize {
     let warmup = LocalJob {
-        start_state: &federation.init_state,
-        epochs: warmup_epochs,
+        start_state: &federation.saved.init_state,
+        epochs: federation.method.warmup_epochs,
         client: 1_000_000 + newcomer_id, // distinct rng stream from federation clients
         round: 0,
         prox_mu: None,
     };
     let (probe, _) = train_replica(&federation.template, newcomer, cfg, warmup);
-    let partial = selection.extract(&probe);
+    assign_cluster(federation, &federation.method.selection.extract(&probe))
+}
 
-    // Lines 4–5: Eq. 4 assignment.
-    let cluster = assign_cluster(federation, &partial, metric);
-
-    // Receive the cluster model and personalize briefly.
-    let personalize = LocalJob {
-        start_state: &federation.cluster_states[cluster],
-        epochs: personalize_epochs,
-        client: 2_000_000 + newcomer_id,
-        ..warmup
-    };
-    let (mut model, _) = train_replica(&federation.template, newcomer, cfg, personalize);
-
-    let idx: Vec<usize> = (0..newcomer.test.len()).collect();
-    let accuracy = if idx.is_empty() {
-        0.0
-    } else {
-        let (x, y) = newcomer.test.batch(&idx);
-        model.evaluate(x, &y).1
-    };
+/// Run Algorithm 2 end-to-end for one newcomer: [`assign_newcomer`], then
+/// receive that cluster's model, personalize it for `personalize_epochs`
+/// and evaluate on the newcomer's local test set
+/// ([`personalized_accuracy`], as every Table 6 newcomer is scored).
+pub fn incorporate(
+    federation: &TrainedFederation,
+    newcomer: &ClientData,
+    cfg: &FlConfig,
+    personalize_epochs: usize,
+    newcomer_id: usize,
+) -> NewcomerOutcome {
+    let cluster = assign_newcomer(federation, newcomer, cfg, newcomer_id);
+    let accuracy = personalized_accuracy(
+        &federation.template,
+        &federation.saved.cluster_states[cluster],
+        newcomer,
+        cfg,
+        personalize_epochs,
+        newcomer_id,
+    );
     NewcomerOutcome { cluster, accuracy }
 }
 
@@ -97,26 +88,12 @@ pub fn incorporate_all(
     federation: &TrainedFederation,
     newcomers: &[ClientData],
     cfg: &FlConfig,
-    selection: WeightSelection,
-    metric: Metric,
-    warmup_epochs: usize,
     personalize_epochs: usize,
 ) -> Vec<NewcomerOutcome> {
     newcomers
         .par_iter()
         .enumerate()
-        .map(|(i, nc)| {
-            incorporate(
-                federation,
-                nc,
-                cfg,
-                selection,
-                metric,
-                warmup_epochs,
-                personalize_epochs,
-                i,
-            )
-        })
+        .map(|(i, nc)| incorporate(federation, nc, cfg, personalize_epochs, i))
         .collect()
 }
 
@@ -124,11 +101,14 @@ pub fn incorporate_all(
 mod tests {
     use super::*;
     use crate::algorithm::FedClust;
+    use crate::proximity::WeightSelection;
     use fedclust_data::{DatasetProfile, FederatedDataset};
     use fedclust_fl::{run_federation, NoCheckpoints};
+    use fedclust_tensor::distance::Metric;
 
-    /// 10 clients in two groups; the last 2 (one per group) join late.
-    fn setup() -> (TrainedFederation, Vec<ClientData>, Vec<usize>, FlConfig) {
+    /// 10 clients in two groups, federated by `method`; the last 2 (one per
+    /// group) join late.
+    fn setup(method: FedClust) -> (TrainedFederation, Vec<ClientData>, Vec<usize>, FlConfig) {
         let groups: Vec<Vec<usize>> = (0..10)
             .map(|c| {
                 if c % 2 == 0 {
@@ -154,31 +134,17 @@ mod tests {
         let mut cfg = FlConfig::tiny(11);
         cfg.rounds = 4;
         cfg.local_epochs = 2;
-        let Ok((_, federation)) =
-            run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
+        let Ok((_, federation)) = run_federation(&method, &fd, &cfg, NoCheckpoints, None);
         (federation, newcomers, newcomer_truth, cfg)
     }
 
     #[test]
     fn newcomers_land_in_matching_clusters() {
-        let (federation, newcomers, newcomer_truth, cfg) = setup();
-        if federation.outcome.num_clusters != 2 {
-            // Clustering of the 8 remaining clients must find the 2 groups
-            // for this test to be meaningful.
-            panic!(
-                "expected 2 clusters, got {}",
-                federation.outcome.num_clusters
-            );
-        }
-        let outcomes = incorporate_all(
-            &federation,
-            &newcomers,
-            &cfg,
-            WeightSelection::FinalLayer,
-            Metric::L2,
-            2,
-            2,
-        );
+        let (federation, newcomers, newcomer_truth, cfg) = setup(FedClust::default());
+        // Clustering of the 8 remaining clients must find the 2 groups for
+        // this test to be meaningful.
+        assert_eq!(federation.saved.outcome.num_clusters, 2);
+        let outcomes = incorporate_all(&federation, &newcomers, &cfg, 2);
         // The two newcomers come from different ground-truth groups, so
         // they must land in different clusters.
         assert_ne!(outcomes[0].cluster, outcomes[1].cluster);
@@ -186,7 +152,8 @@ mod tests {
         // via the federation's label of a same-group original client.
         // Original clients alternate groups (even=group0, odd=group1);
         // after split_newcomers the remaining are clients 0..8.
-        let cluster_of_group: Vec<usize> = vec![federation.labels[0], federation.labels[1]];
+        let labels = &federation.saved.labels;
+        let cluster_of_group = [labels[0], labels[1]];
         for (o, &g) in outcomes.iter().zip(&newcomer_truth) {
             assert_eq!(o.cluster, cluster_of_group[g], "newcomer in wrong cluster");
         }
@@ -194,28 +161,59 @@ mod tests {
 
     #[test]
     fn personalized_newcomer_accuracy_is_reasonable() {
-        let (federation, newcomers, _, cfg) = setup();
-        let outcomes = incorporate_all(
-            &federation,
-            &newcomers,
-            &cfg,
-            WeightSelection::FinalLayer,
-            Metric::L2,
-            2,
-            3,
-        );
-        for o in &outcomes {
+        let (federation, newcomers, _, cfg) = setup(FedClust::default());
+        for o in &incorporate_all(&federation, &newcomers, &cfg, 3) {
             // Two-group FMNIST-like with 5 classes per client: even a few
             // rounds of cluster training + personalization beats chance (10%).
             assert!(o.accuracy > 0.2, "newcomer accuracy {}", o.accuracy);
         }
     }
 
+    /// The warm-up epochs and the metric are the federation's own: with
+    /// representatives planted so that only a 3-epoch warm-up measured by
+    /// cosine distance lands in cluster 1, `incorporate` lands there.
+    #[test]
+    fn newcomers_warm_up_and_compare_as_round_0_did() {
+        let method = FedClust {
+            warmup_epochs: 3,
+            metric: Metric::Cosine,
+            ..FedClust::default()
+        };
+        let (mut federation, newcomers, _, cfg) = setup(method);
+        assert_eq!(federation.method, method);
+        assert!(federation.saved.cluster_states.len() >= 2);
+        let partial = |epochs| {
+            let warmup = LocalJob {
+                start_state: &federation.saved.init_state,
+                epochs,
+                client: 1_000_000,
+                round: 0,
+                prox_mu: None,
+            };
+            let (probe, _) = train_replica(&federation.template, &newcomers[0], &cfg, warmup);
+            WeightSelection::FinalLayer.extract(&probe)
+        };
+        let (two, three) = (partial(2), partial(3));
+        // Cosine distance 0 from the 3-epoch partial, but far from it in L2.
+        let scaled: Vec<f32> = three.iter().map(|w| 10.0 * w).collect();
+        let mut representatives = vec![two; federation.saved.cluster_states.len()];
+        representatives[1] = scaled;
+        federation.saved.representatives = representatives;
+
+        assert_eq!(assign_cluster(&federation, &three), 1);
+        assert_eq!(
+            incorporate(&federation, &newcomers[0], &cfg, 0, 0).cluster,
+            1
+        );
+        federation.method.metric = Metric::L2;
+        assert_eq!(assign_cluster(&federation, &three), 0);
+    }
+
     #[test]
     fn assign_cluster_picks_nearest_representative() {
-        let (mut federation, _, _, _) = setup();
-        federation.representatives = vec![vec![0.0; 4], vec![10.0; 4]];
-        assert_eq!(assign_cluster(&federation, &[0.1; 4], Metric::L2), 0);
-        assert_eq!(assign_cluster(&federation, &[9.0; 4], Metric::L2), 1);
+        let (mut federation, _, _, _) = setup(FedClust::default());
+        federation.saved.representatives = vec![vec![0.0; 4], vec![10.0; 4]];
+        assert_eq!(assign_cluster(&federation, &[0.1; 4]), 0);
+        assert_eq!(assign_cluster(&federation, &[9.0; 4]), 1);
     }
 }

@@ -3,11 +3,11 @@
 //! A FedClust server must retain, beyond the cluster models themselves,
 //! the per-cluster representative partial weights so newcomers can be
 //! incorporated later (Algorithm 2). [`SavedFederation`] is the JSON
-//! snapshot of everything the server needs, and it restores to a fully
-//! working [`TrainedFederation`] — model template included — in a fresh
-//! process.
+//! snapshot of everything the server needs, and with the [`FedClust`]
+//! configuration that trained it restores to a fully working
+//! [`TrainedFederation`] — model template included — in a fresh process.
 
-use crate::algorithm::TrainedFederation;
+use crate::algorithm::{FedClust, TrainedFederation};
 use crate::clustering::ClusteringOutcome;
 use fedclust_fl::checkpoint::{check_labels, check_len, CheckpointError};
 use fedclust_fl::json::{self, Reader};
@@ -47,27 +47,16 @@ pub struct SavedFederation {
 }
 
 impl SavedFederation {
-    /// Snapshot a trained federation.
-    pub fn from_federation(federation: &TrainedFederation) -> Self {
-        SavedFederation {
-            model_spec: federation.model_spec,
-            geometry: federation.geometry,
-            init_state: federation.init_state.clone(),
-            labels: federation.labels.clone(),
-            cluster_states: federation.cluster_states.clone(),
-            representatives: federation.representatives.clone(),
-            outcome: federation.outcome.clone(),
-        }
-    }
-
-    /// Restore a working federation: rebuilds the model template from the
-    /// spec/geometry and re-installs all saved state.
+    /// Restore a working federation trained by `method`: rebuilds the model
+    /// template from the spec/geometry and installs θ⁰ in it. The snapshot
+    /// does not record the configuration, so the caller names the one the
+    /// run used.
     ///
     /// # Errors
     /// Returns a descriptive [`RestoreError`] when the snapshot fails
     /// `SavedFederation::check` against the rebuilt template (corrupted
     /// file or changed code).
-    pub fn restore(&self) -> Result<TrainedFederation, RestoreError> {
+    pub fn restore(self, method: FedClust) -> Result<TrainedFederation, RestoreError> {
         let (c, h, w, classes) = self.geometry;
         // The RNG only seeds throwaway initial weights; every parameter is
         // overwritten from the snapshot below.
@@ -77,14 +66,9 @@ impl SavedFederation {
             .map_err(|e| RestoreError(e.to_string()))?;
         template.set_state_vec(&self.init_state);
         Ok(TrainedFederation {
+            method,
             template,
-            model_spec: self.model_spec,
-            geometry: self.geometry,
-            init_state: self.init_state.clone(),
-            labels: self.labels.clone(),
-            cluster_states: self.cluster_states.clone(),
-            representatives: self.representatives.clone(),
-            outcome: self.outcome.clone(),
+            saved: self,
         })
     }
 
@@ -193,11 +177,9 @@ fn read_model_spec(r: &mut Reader<'_>) -> Result<ModelSpec, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithm::FedClust;
     use crate::newcomer::assign_cluster;
     use fedclust_data::{DatasetProfile, FederatedDataset};
     use fedclust_fl::{run_federation, FlConfig, NoCheckpoints};
-    use fedclust_tensor::distance::Metric;
 
     fn trained() -> TrainedFederation {
         let groups: Vec<Vec<usize>> = (0..6)
@@ -229,73 +211,78 @@ mod tests {
     #[test]
     fn snapshot_round_trips_through_json() {
         let federation = trained();
-        let saved = SavedFederation::from_federation(&federation);
-        let json = saved.to_json();
-        let back = SavedFederation::from_json(&json).unwrap();
-        assert_eq!(back.labels, federation.labels);
-        assert_eq!(back.cluster_states, federation.cluster_states);
-        assert_eq!(back.representatives, federation.representatives);
-        assert_eq!(back.outcome, federation.outcome);
+        let saved = &federation.saved;
+        let back = SavedFederation::from_json(&saved.to_json()).unwrap();
+        assert_eq!(back.labels, saved.labels);
+        assert_eq!(back.cluster_states, saved.cluster_states);
+        assert_eq!(back.representatives, saved.representatives);
+        assert_eq!(back.outcome, saved.outcome);
     }
 
     #[test]
     fn restored_federation_assigns_newcomers_identically() {
         let federation = trained();
-        let saved = SavedFederation::from_federation(&federation);
-        let restored = SavedFederation::from_json(&saved.to_json())
+        let restored = SavedFederation::from_json(&federation.saved.to_json())
             .unwrap()
-            .restore()
+            .restore(federation.method)
             .unwrap();
         // Probe with each representative: assignments must match the
         // original federation's.
-        for rep in &federation.representatives {
+        for rep in &federation.saved.representatives {
             assert_eq!(
-                assign_cluster(&federation, rep, Metric::L2),
-                assign_cluster(&restored, rep, Metric::L2)
+                assign_cluster(&federation, rep),
+                assign_cluster(&restored, rep)
             );
         }
-        // The restored template carries θ⁰ exactly.
-        assert_eq!(restored.template.state_vec(), federation.init_state);
+        // The restored template carries θ⁰ exactly, and the configuration
+        // is the one named.
+        assert_eq!(restored.template.state_vec(), federation.saved.init_state);
+        assert_eq!(restored.method, federation.method);
     }
 
     #[test]
     fn corrupted_snapshot_is_rejected() {
         let federation = trained();
+        let method = federation.method;
+        let snapshot = || federation.saved.clone();
 
-        let mut saved = SavedFederation::from_federation(&federation);
+        let mut saved = snapshot();
         saved.init_state.pop();
-        let err = saved.restore().err().expect("truncated init_state");
+        let err = saved.restore(method).err().expect("truncated init_state");
         assert!(err.to_string().contains("initial state"), "{}", err);
 
-        let mut saved = SavedFederation::from_federation(&federation);
+        let mut saved = snapshot();
         saved.cluster_states.pop();
-        assert!(saved.restore().is_err(), "missing cluster state");
+        assert!(saved.restore(method).is_err(), "missing cluster state");
 
-        let mut saved = SavedFederation::from_federation(&federation);
+        let mut saved = snapshot();
         saved.representatives.pop();
-        assert!(saved.restore().is_err(), "missing representative");
+        assert!(saved.restore(method).is_err(), "missing representative");
 
-        let mut saved = SavedFederation::from_federation(&federation);
+        let mut saved = snapshot();
         if let Some(s) = saved.cluster_states.first_mut() {
             s.pop();
         }
-        assert!(saved.restore().is_err(), "truncated cluster state");
+        assert!(saved.restore(method).is_err(), "truncated cluster state");
 
-        let mut saved = SavedFederation::from_federation(&federation);
+        let mut saved = snapshot();
         saved.labels[0] = 999;
-        assert!(saved.restore().is_err(), "out-of-range label");
+        assert!(saved.restore(method).is_err(), "out-of-range label");
 
-        let mut saved = SavedFederation::from_federation(&federation);
+        let mut saved = snapshot();
         saved.outcome.labels[0] = 999;
-        assert!(saved.restore().is_err(), "out-of-range outcome label");
+        assert!(saved.restore(method).is_err(), "out-of-range outcome label");
 
         // Both copies in range, but not the same assignment: restoring
         // would hand newcomers one clustering and training another.
-        let k = federation.outcome.num_clusters;
+        let k = federation.saved.outcome.num_clusters;
         assert!(k >= 2, "the fixture's two groups cluster apart");
-        let mut saved = SavedFederation::from_federation(&federation);
+        let mut saved = snapshot();
         saved.labels[0] = (saved.labels[0] + 1) % k;
-        let err = saved.restore().err().expect("disagreeing label copies");
+        let err = saved
+            .restore(method)
+            .err()
+            .expect("disagreeing label copies");
         assert!(err.to_string().contains("disagree"), "{}", err);
     }
 

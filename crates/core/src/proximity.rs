@@ -111,8 +111,8 @@ pub fn collect_partial_weights_for(
 pub fn proximity_matrix(weights: &[Vec<f32>], metric: Metric) -> ProximityMatrix {
     let n = weights.len();
     let full = pairwise_matrix(weights, metric);
-    // Not `from_full`: its symmetry check rejects the NaN/∞ distances of
-    // non-finite weights, which this function has always passed on.
+    // `from_fn` checks nothing: the NaN/∞ distances of non-finite weights
+    // pass on, as they always have.
     ProximityMatrix::from_fn(n, |i, j| full[i * n + j])
 }
 

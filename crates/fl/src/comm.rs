@@ -53,12 +53,6 @@ impl CommMeter {
         self.uplink_bytes += scalars as f64 * BYTES_PER_SCALAR;
     }
 
-    /// Charge a server→client transfer of `bytes` raw wire bytes —
-    /// encoded-message accounting for compressed downlinks.
-    pub fn down_wire(&mut self, bytes: usize) {
-        self.downlink_bytes += bytes as f64;
-    }
-
     /// Charge a client→server transfer of `bytes` raw wire bytes —
     /// encoded-message accounting for compressed uploads (header +
     /// payload + checksum as serialized, not logical f32 counts).
@@ -74,11 +68,6 @@ impl CommMeter {
     /// Total megabytes moved (the unit of the paper's Table 5).
     pub fn total_mb(&self) -> f64 {
         self.total_bytes() / 1.0e6
-    }
-
-    /// Downlink megabytes.
-    pub fn down_mb(&self) -> f64 {
-        self.downlink_bytes / 1.0e6
     }
 
     /// Uplink megabytes.
@@ -98,7 +87,7 @@ mod tests {
         m.up(500);
         assert_eq!(m.total_bytes(), 6000.0);
         assert!((m.total_mb() - 0.006).abs() < 1e-12);
-        assert!(m.down_mb() > m.up_mb());
+        assert!(m.downlink_bytes() > m.uplink_bytes());
     }
 
     #[test]
@@ -112,9 +101,7 @@ mod tests {
     fn wire_charges_count_raw_bytes() {
         let mut m = CommMeter::new();
         m.up_wire(22 + 100);
-        m.down_wire(10);
         assert_eq!(m.uplink_bytes(), 122.0);
-        assert_eq!(m.downlink_bytes(), 10.0);
         // A 100-element q8 message is strictly cheaper than 100 scalars.
         let mut raw = CommMeter::new();
         raw.up(100);

@@ -9,7 +9,7 @@ use crate::codec::{self, BaseCodec};
 use crate::config::FlConfig;
 use fedclust_data::{ClientData, FederatedDataset};
 use fedclust_nn::loss::cross_entropy;
-use fedclust_nn::optim::Sgd;
+use fedclust_nn::optim::{Sgd, SgdConfig};
 use fedclust_nn::Model;
 use fedclust_proto::{Msg, PushBody};
 pub use fedclust_proto::{MODE_TRAIN, MODE_WARMUP};
@@ -479,17 +479,56 @@ pub fn evaluate_models(
 ) -> Vec<f32> {
     (0..fd.num_clients())
         .into_par_iter()
-        .map(|client| {
-            let mut model = model_of(client);
-            let test = &fd.clients[client].test;
-            if test.is_empty() {
-                return 0.0;
-            }
-            let indices: Vec<usize> = (0..test.len()).collect();
-            let (x, y) = test.batch(&indices);
-            model.evaluate(x, &y).1
-        })
+        .map(|client| test_accuracy(&mut model_of(client), &fd.clients[client]))
         .collect()
+}
+
+/// `model`'s accuracy over `data`'s whole test split; 0.0 when it is empty.
+fn test_accuracy(model: &mut Model, data: &ClientData) -> f32 {
+    let test = &data.test;
+    if test.is_empty() {
+        return 0.0;
+    }
+    let indices: Vec<usize> = (0..test.len()).collect();
+    let (x, y) = test.batch(&indices);
+    model.evaluate(x, &y).1
+}
+
+/// Hand one client `start_state`, personalise it for `epochs` epochs on the
+/// client's train split, and return its accuracy over the client's whole
+/// test split (0.0 when that is empty): how every newcomer of Table 6 is
+/// scored, whatever model its method hands over. SGD runs at the paper's
+/// personalised-method momentum 0.5 on the minibatch stream of client
+/// `3_000_000 + id`, round 0; `epochs = 0` evaluates the state as handed
+/// over.
+pub fn personalized_accuracy(
+    template: &Model,
+    start_state: &[f32],
+    data: &ClientData,
+    cfg: &FlConfig,
+    epochs: usize,
+    id: usize,
+) -> f32 {
+    let mut model = template.clone();
+    model.set_state_vec(start_state);
+    if epochs > 0 {
+        let mut opt = Sgd::new(SgdConfig {
+            lr: cfg.lr,
+            momentum: 0.5,
+            weight_decay: cfg.weight_decay,
+        });
+        local_train(
+            &mut model,
+            data,
+            &mut opt,
+            epochs,
+            cfg.batch_size,
+            cfg.seed,
+            3_000_000 + id,
+            0,
+        );
+    }
+    test_accuracy(&mut model, data)
 }
 
 /// Mean of per-client accuracies — the paper's headline metric.
@@ -618,10 +657,7 @@ mod tests {
         let trained = &updates[0].state;
         let mut model = template.clone();
         model.set_state_vec(trained);
-        let test = &fd.clients[0].test;
-        let idx: Vec<usize> = (0..test.len()).collect();
-        let (x, y) = test.batch(&idx);
-        let (_, acc_after) = model.evaluate(x, &y);
+        let acc_after = test_accuracy(&mut model, &fd.clients[0]);
         // Training on ≤2 labels should beat the random-init accuracy on the
         // client's own test split.
         assert!(
@@ -656,6 +692,19 @@ mod tests {
         assert!(accs.iter().all(|&a| (0.0..=1.0).contains(&a)));
         let avg = average_accuracy(&accs);
         assert!((0.0..=1.0).contains(&avg));
+    }
+
+    #[test]
+    fn zero_personalization_epochs_score_the_state_as_handed_over() {
+        let fd = tiny_fd(6);
+        let cfg = FlConfig::tiny(6);
+        let template = init_model(&fd, &cfg);
+        let s = template.state_vec();
+        let accs = evaluate_clients(&fd, &template, |_| &s[..]);
+        for (c, data) in fd.clients.iter().enumerate() {
+            let acc = personalized_accuracy(&template, &s, data, &cfg, 0, c);
+            assert_eq!(acc.to_bits(), accs[c].to_bits(), "client {c}");
+        }
     }
 
     #[test]

@@ -175,11 +175,6 @@ impl CrashPlan {
     pub fn none() -> Self {
         Self::default()
     }
-
-    /// Whether this plan will kill the process at some point.
-    pub fn is_armed(&self) -> bool {
-        self.after_round.is_some()
-    }
 }
 
 /// Counters of everything the fault layer did in one run; part of

@@ -31,10 +31,13 @@ impl Default for Ifca {
 }
 
 impl Ifca {
-    /// Pick the best cluster model for a client by training-set loss. A
-    /// client with no training data has no loss to compare and is not
-    /// scored: it stays with the first model (and, at weight 0, moves none).
-    pub(crate) fn best_cluster(
+    /// Pick the best cluster model for a client by training-set loss — how
+    /// IFCA assigns its clients every round, and an unseen client after
+    /// federation. A client with no training data has no loss to compare
+    /// and is not scored: it stays with the first model (and, at weight 0,
+    /// moves none). A model whose loss is NaN is never picked over one
+    /// whose loss is a number.
+    pub fn best_cluster(
         template: &Model,
         states: &[Vec<f32>],
         data: &fedclust_data::ClientData,
@@ -186,5 +189,27 @@ mod tests {
         let ratio = ifca.total_mb / fedavg.total_mb;
         assert!((ratio - 2.0).abs() < 0.01, "ratio {}", ratio);
         assert_eq!(ifca.num_clusters, Some(3));
+    }
+
+    #[test]
+    fn a_model_with_a_nan_loss_is_never_the_best() {
+        let fd = FederatedDataset::build(
+            DatasetProfile::FmnistLike,
+            Partition::LabelSkew { fraction: 0.3 },
+            &fedclust_data::federated::FederatedConfig {
+                num_clients: 2,
+                samples_per_class: 10,
+                train_fraction: 0.8,
+                seed: 1,
+            },
+        );
+        let template = crate::engine::init_model(&fd, &FlConfig::tiny(1));
+        let finite = template.state_vec();
+        let nan = vec![f32::NAN; finite.len()];
+        let data = &fd.clients[0];
+        let states = [nan.clone(), finite.clone()];
+        assert_eq!(Ifca::best_cluster(&template, &states, data), 1);
+        let states = [finite, nan];
+        assert_eq!(Ifca::best_cluster(&template, &states, data), 0);
     }
 }

@@ -12,7 +12,7 @@ use crate::driver::{Method, RoundCtx};
 use crate::engine::evaluate_clients;
 use fedclust_cluster::hac::{agglomerative, Linkage};
 use fedclust_cluster::ProximityMatrix;
-use fedclust_data::FederatedDataset;
+use fedclust_data::{ClientData, FederatedDataset};
 use fedclust_tensor::linalg::{subspace_distance_deg, truncated_left_singular_vectors};
 use fedclust_tensor::Tensor;
 use rayon::prelude::*;
@@ -37,24 +37,27 @@ impl Default for Pacfl {
 }
 
 impl Pacfl {
-    /// Each client's data subspace basis: top-`p` left singular vectors of
+    /// One client's data subspace basis: top-`p` left singular vectors of
     /// the (features × samples) matrix of its raw training data.
+    pub fn client_basis(&self, data: &ClientData) -> Tensor {
+        let train = &data.train;
+        let n = train.len();
+        let d = train.sample_numel();
+        // Build features × samples (each column is one flattened image).
+        let mut m = vec![0.0f32; d * n];
+        for s in 0..n {
+            for f in 0..d {
+                m[f * n + s] = train.images.data()[s * d + f];
+            }
+        }
+        truncated_left_singular_vectors(&Tensor::from_vec([d, n], m), self.p)
+    }
+
+    /// Every client's [`Pacfl::client_basis`].
     pub fn client_bases(&self, fd: &FederatedDataset) -> Vec<Tensor> {
-        (0..fd.num_clients())
-            .into_par_iter()
-            .map(|client| {
-                let train = &fd.clients[client].train;
-                let n = train.len();
-                let d = train.sample_numel();
-                // Build features × samples (each column is one flattened image).
-                let mut m = vec![0.0f32; d * n];
-                for s in 0..n {
-                    for f in 0..d {
-                        m[f * n + s] = train.images.data()[s * d + f];
-                    }
-                }
-                truncated_left_singular_vectors(&Tensor::from_vec([d, n], m), self.p)
-            })
+        fd.clients
+            .par_iter()
+            .map(|c| self.client_basis(c))
             .collect()
     }
 
@@ -82,6 +85,37 @@ pub struct PacflArtifacts {
     pub labels: Vec<usize>,
     /// Each original client's subspace basis.
     pub bases: Vec<Tensor>,
+}
+
+impl PacflArtifacts {
+    /// The cluster an unseen client with subspace `basis` joins: the one
+    /// whose members' bases are nearest by mean subspace distance, an empty
+    /// cluster being infinitely far; the first such cluster on a tie.
+    pub fn nearest_cluster(&self, basis: &Tensor) -> usize {
+        let mut best = (0, f32::INFINITY);
+        for cluster in 0..self.states.len() {
+            let mut sum = 0.0f32;
+            let mut n = 0usize;
+            for (_, b) in self
+                .labels
+                .iter()
+                .zip(&self.bases)
+                .filter(|(&l, _)| l == cluster)
+            {
+                sum += subspace_distance_deg(basis, b);
+                n += 1;
+            }
+            let distance = if n == 0 {
+                f32::INFINITY
+            } else {
+                sum / n as f32
+            };
+            if distance < best.1 {
+                best = (cluster, distance);
+            }
+        }
+        best.0
+    }
 }
 
 impl Method for Pacfl {
@@ -213,6 +247,19 @@ mod tests {
             labels,
             truth
         );
+    }
+
+    #[test]
+    fn an_unseen_client_never_joins_an_empty_cluster() {
+        // Three clusters of the 8 clients, the middle one without members.
+        let art = PacflArtifacts {
+            states: vec![Vec::new(); 3],
+            labels: (0..8).map(|c| 2 * (c % 2)).collect(),
+            bases: Pacfl::default().client_bases(&fd()),
+        };
+        for basis in &art.bases {
+            assert_ne!(art.nearest_cluster(basis), 1);
+        }
     }
 
     #[test]

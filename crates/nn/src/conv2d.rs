@@ -67,11 +67,6 @@ impl Conv2d {
         self.out_channels
     }
 
-    /// Shape of this layer's output for a batch of `b` images.
-    pub fn out_shape(&self, b: usize) -> [usize; 4] {
-        [b, self.out_channels, self.geom.out_h(), self.geom.out_w()]
-    }
-
     /// The parameter half of backward, shared by [`Layer::backward`] and
     /// [`Layer::backward_params`]: re-lays the output gradient into
     /// `stage` (left there for the input gradient), accumulates `dW` and

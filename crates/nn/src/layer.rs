@@ -140,11 +140,6 @@ impl Sequential {
     pub fn layers(&self) -> &[Box<dyn Layer>] {
         &self.layers
     }
-
-    /// Mutably borrow the layers.
-    pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
-        &mut self.layers
-    }
 }
 
 impl Layer for Sequential {

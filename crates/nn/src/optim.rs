@@ -57,20 +57,10 @@ impl Sgd {
         &self.config
     }
 
-    /// Change the learning rate (used by decaying schedules).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.config.lr = lr;
-    }
-
     /// Attach a FedProx proximal term anchored at `reference` weights
     /// (one tensor per parameter, same order as the model's params).
     pub fn set_prox(&mut self, mu: f32, reference: Vec<Tensor>) {
         self.prox = Some(ProxTerm { mu, reference });
-    }
-
-    /// Remove the proximal term.
-    pub fn clear_prox(&mut self) {
-        self.prox = None;
     }
 
     /// Apply one SGD step to `params` using their accumulated gradients,
@@ -190,12 +180,6 @@ mod tests {
         // grad = 0 + μ(w − ref) = 1 → w ← 1 − 0.1 = 0.9.
         sgd.step(&mut [&mut p]);
         assert!((p.value.data()[0] - 0.9).abs() < 1e-6);
-        sgd.clear_prox();
-        sgd.step(&mut [&mut p]);
-        assert!(
-            (p.value.data()[0] - 0.9).abs() < 1e-6,
-            "no force after clear"
-        );
     }
 
     #[test]

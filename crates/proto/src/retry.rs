@@ -12,10 +12,9 @@ use fedclust_tensor::rng::{derive, streams};
 use rand::Rng;
 use std::time::Duration;
 
-/// Bounded attempts + deterministic exponential backoff + optional
-/// per-round deadline. `--retries N` means *N retries after the first
-/// attempt*, i.e. `max_attempts = N + 1`, identically in-process and
-/// over TCP.
+/// Bounded attempts + deterministic exponential backoff. `--retries N`
+/// means *N retries after the first attempt*, i.e. `max_attempts = N + 1`,
+/// identically in-process and over TCP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (always >= 1).
@@ -24,34 +23,22 @@ pub struct RetryPolicy {
     pub backoff_base: Duration,
     /// Exponent cap so backoff stops doubling at `base * 2^cap`.
     pub backoff_cap_exp: u32,
-    /// Wall-clock budget for one round's worth of attempts. `None`
-    /// means retries alone bound the work (the in-process transport
-    /// never consults this — simulated rounds take no wall time).
-    pub deadline: Option<Duration>,
 }
 
 impl RetryPolicy {
     /// Policy for `--retries N`: `N + 1` attempts, 50 ms backoff unit,
-    /// exponent capped at 6 (so at most ~3.2 s between attempts), no
-    /// deadline.
+    /// exponent capped at 6 (so at most ~3.2 s between attempts).
     pub fn from_retries(retries: u32) -> Self {
         RetryPolicy {
             max_attempts: retries.saturating_add(1),
             backoff_base: Duration::from_millis(50),
             backoff_cap_exp: 6,
-            deadline: None,
         }
     }
 
     /// Replace the backoff unit (e.g. from `--backoff-base`).
     pub fn with_backoff_base(mut self, base: Duration) -> Self {
         self.backoff_base = base;
-        self
-    }
-
-    /// Set the per-round deadline (e.g. from `--round-timeout`).
-    pub fn with_deadline(mut self, deadline: Option<Duration>) -> Self {
-        self.deadline = deadline;
         self
     }
 
@@ -83,14 +70,6 @@ impl RetryPolicy {
         );
         let jitter = 0.5 + rng.gen::<f64>();
         Duration::from_millis((scaled_ms as f64 * jitter) as u64)
-    }
-
-    /// Has the per-round deadline passed after `elapsed`?
-    pub fn expired(&self, elapsed: Duration) -> bool {
-        match self.deadline {
-            Some(deadline) => elapsed >= deadline,
-            None => false,
-        }
     }
 }
 
@@ -152,14 +131,5 @@ mod tests {
         let late = policy.backoff(1, 0, 0, 64);
         // cap 6 → nominal 3200 ms, jitter < 1.5x.
         assert!(late < Duration::from_millis(4801), "{late:?}");
-    }
-
-    #[test]
-    fn deadline_expiry() {
-        let none = RetryPolicy::from_retries(1);
-        assert!(!none.expired(Duration::from_secs(3600)));
-        let tight = none.with_deadline(Some(Duration::from_millis(100)));
-        assert!(!tight.expired(Duration::from_millis(99)));
-        assert!(tight.expired(Duration::from_millis(100)));
     }
 }

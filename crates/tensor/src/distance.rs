@@ -38,11 +38,6 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
     (1.0 - dot / denom) as f32
 }
 
-/// Cosine *similarity* in `[-1, 1]`; 0.0 when either vector is zero.
-pub fn cosine_similarity(a: &[f32], b: &[f32]) -> f32 {
-    1.0 - cosine(a, b)
-}
-
 /// Which metric a pairwise matrix should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {

@@ -85,22 +85,6 @@ pub fn col_mean(t: &Tensor) -> Tensor {
     Tensor::from_vec([c], out)
 }
 
-/// Clip every element into `[-bound, bound]` in place; returns how many
-/// elements were clipped. Used as a gradient safety net.
-pub fn clip_in_place(t: &mut Tensor, bound: f32) -> usize {
-    let mut clipped = 0;
-    for x in t.data_mut() {
-        if *x > bound {
-            *x = bound;
-            clipped += 1;
-        } else if *x < -bound {
-            *x = -bound;
-            clipped += 1;
-        }
-    }
-    clipped
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,13 +130,5 @@ mod tests {
     fn col_mean_averages_columns() {
         let t = Tensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]);
         assert_eq!(col_mean(&t).data(), &[2.0, 3.0]);
-    }
-
-    #[test]
-    fn clip_counts_and_bounds() {
-        let mut t = Tensor::from_vec([4], vec![-10.0, -0.5, 0.5, 10.0]);
-        let n = clip_in_place(&mut t, 1.0);
-        assert_eq!(n, 2);
-        assert_eq!(t.data(), &[-1.0, -0.5, 0.5, 1.0]);
     }
 }

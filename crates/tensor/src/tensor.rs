@@ -92,11 +92,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume the tensor and return its flat data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-dimensional index.
     #[inline]
     pub fn at(&self, index: &[usize]) -> f32 {
@@ -207,15 +202,6 @@ impl Tensor {
         } else {
             self.sum() / self.data.len() as f32
         }
-    }
-
-    /// Euclidean (Frobenius) norm.
-    pub fn norm_l2(&self) -> f32 {
-        self.data
-            .iter()
-            .map(|&x| (x as f64) * (x as f64))
-            .sum::<f64>()
-            .sqrt() as f32
     }
 
     /// Maximum element; `f32::NEG_INFINITY` for an empty tensor.
@@ -362,8 +348,6 @@ mod tests {
         assert_eq!(t.sum(), -2.0);
         assert_eq!(t.mean(), -0.5);
         assert_eq!(t.max(), 3.0);
-        let n = t.norm_l2();
-        assert!((n - 30.0f32.sqrt()).abs() < 1e-6);
     }
 
     #[test]

@@ -11,12 +11,10 @@
 //! ```
 
 use fedclust::newcomer::incorporate_all;
-use fedclust::proximity::WeightSelection;
 use fedclust::FedClust;
 use fedclust_data::{DatasetProfile, FederatedDataset};
 use fedclust_fl::{run_federation, FlConfig, NoCheckpoints};
 use fedclust_nn::models::ModelSpec;
-use fedclust_tensor::distance::Metric;
 
 fn main() {
     // 20 clients in two ground-truth groups (classes 0-4 vs 5-9).
@@ -64,7 +62,7 @@ fn main() {
         run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
     println!(
         "federation done: {} clusters, avg local test accuracy {:.2}%",
-        federation.outcome.num_clusters,
+        federation.saved.outcome.num_clusters,
         result.final_acc * 100.0
     );
 
@@ -72,15 +70,9 @@ fn main() {
         "\nincorporating {} newcomers (Algorithm 2)…",
         newcomers.len()
     );
-    let outcomes = incorporate_all(
-        &federation,
-        &newcomers,
-        &cfg,
-        WeightSelection::FinalLayer,
-        Metric::L2,
-        1, // warm-up epochs before the partial-weight upload
-        5, // personalization epochs on the received cluster model
-    );
+    // Warm-up, weight selection and metric are the federation's own; 5 is
+    // the personalization epochs on the received cluster model.
+    let outcomes = incorporate_all(&federation, &newcomers, &cfg, 5);
     println!(
         "{:<10} {:>14} {:>12} {:>12}",
         "newcomer", "true group", "assigned", "accuracy"

@@ -55,7 +55,7 @@ fn main() {
 
     println!(
         "\nFedClust formed {} clusters (auto λ = {:.4})",
-        federation.outcome.num_clusters, federation.outcome.lambda
+        federation.saved.outcome.num_clusters, federation.saved.outcome.lambda
     );
     println!("\n{:<10} {:>12} {:>14}", "method", "accuracy", "comm (Mb)");
     for r in [&fedclust_result, &fedavg_result] {

@@ -152,7 +152,8 @@ echo "clustering: stage took $((($(date +%s%N) - cluster_start) / 1000000)) ms"
 echo "== paper record =="
 # results/paper_fast.txt is what `FEDCLUST_FAST=1 paper` printed at the
 # commit that last moved a result byte on purpose; recomputing it here means
-# the next such change has to touch the record in the same PR. The record was
+# the next such change has to touch the record in the same PR, and a unified
+# diff shows which rows such a change moved. The record was
 # taken with the AVX2+FMA GEMM kernel, and FMA rounds differently, so on a
 # host without it the comparison is skipped, not failed. The harness's own
 # suite trains (40 runs per smoke-scale grid), so it runs optimised.
@@ -161,7 +162,7 @@ cargo test -q --release -p fedclust-bench --no-run
 paper_start=$(date +%s%N)
 cargo test -q --release -p fedclust-bench
 if grep -qw fma /proc/cpuinfo && grep -qw avx2 /proc/cpuinfo; then
-    FEDCLUST_FAST=1 target/release/paper 2>/dev/null | cmp - results/paper_fast.txt
+    FEDCLUST_FAST=1 target/release/paper 2>/dev/null | diff -u results/paper_fast.txt -
 else
     echo "SKIP (record is avx2+fma)"
 fi

@@ -155,6 +155,7 @@ fn fedclust_resume_restores_the_federation_itself() {
         run_federation(&method, &fd, &full, &mut second, None).expect("resumed run succeeds");
 
     assert_eq!(reference, resumed);
+    let (federation, restored) = (&federation.saved, &restored.saved);
     assert_eq!(federation.labels, restored.labels);
     assert_eq!(federation.cluster_states, restored.cluster_states);
     assert_eq!(federation.representatives, restored.representatives);

@@ -96,10 +96,10 @@ fn fedclust_clusters_even_when_round0_uploads_are_lost() {
     };
     let Ok((result, federation)) =
         run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
-    assert_eq!(federation.labels.len(), fd.num_clients());
+    assert_eq!(federation.saved.labels.len(), fd.num_clients());
     let k = result.num_clusters.unwrap();
     assert!(k >= 1);
-    assert!(federation.labels.iter().all(|&l| l < k));
+    assert!(federation.saved.labels.iter().all(|&l| l < k));
     assert!(result.final_acc.is_finite());
     assert!(result.faults.uplink_losses > 0, "{:?}", result.faults);
 }

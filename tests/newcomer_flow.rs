@@ -4,11 +4,10 @@
 
 use fedclust_repro::data::{DatasetProfile, FederatedDataset};
 use fedclust_repro::fedclust::newcomer::{assign_cluster, incorporate_all};
-use fedclust_repro::fedclust::proximity::WeightSelection;
 use fedclust_repro::fedclust::FedClust;
+use fedclust_repro::fl::engine::personalized_accuracy;
 use fedclust_repro::fl::methods::FedAvg;
 use fedclust_repro::fl::{run_federation, FlConfig, NoCheckpoints};
-use fedclust_repro::tensor::distance::Metric;
 
 /// 12 federating clients + 4 newcomers, two clean groups, alternating.
 fn setup() -> (
@@ -50,20 +49,12 @@ fn newcomers_match_their_distribution_cluster() {
     let (fd, newcomers, newcomer_truth, cfg) = setup();
     let Ok((_, federation)) = run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
     assert_eq!(
-        federation.outcome.num_clusters, 2,
+        federation.saved.outcome.num_clusters, 2,
         "setup requires 2 clusters"
     );
-    let outcomes = incorporate_all(
-        &federation,
-        &newcomers,
-        &cfg,
-        WeightSelection::FinalLayer,
-        Metric::L2,
-        2,
-        3,
-    );
-    // Clients alternate groups; federation.labels[0] is group 0's cluster.
-    let cluster_of_group = [federation.labels[0], federation.labels[1]];
+    let outcomes = incorporate_all(&federation, &newcomers, &cfg, 3);
+    // Clients alternate groups; federation.saved.labels[0] is group 0's cluster.
+    let cluster_of_group = [federation.saved.labels[0], federation.saved.labels[1]];
     for (o, &g) in outcomes.iter().zip(&newcomer_truth) {
         assert_eq!(o.cluster, cluster_of_group[g], "newcomer mis-assigned");
     }
@@ -73,30 +64,18 @@ fn newcomers_match_their_distribution_cluster() {
 fn cluster_model_beats_global_model_for_newcomers() {
     let (fd, newcomers, _, cfg) = setup();
     let Ok((_, federation)) = run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
-    let outcomes = incorporate_all(
-        &federation,
-        &newcomers,
-        &cfg,
-        WeightSelection::FinalLayer,
-        Metric::L2,
-        2,
-        3,
-    );
+    let outcomes = incorporate_all(&federation, &newcomers, &cfg, 3);
     let fedclust_avg: f64 =
         outcomes.iter().map(|o| o.accuracy as f64).sum::<f64>() / outcomes.len() as f64;
 
     // Baseline: newcomers receive the FedAvg global model, unpersonalized
     // (how the paper's Table 6 treats global methods).
     let Ok((_, global)) = run_federation(&FedAvg, &fd, &cfg, NoCheckpoints, None);
-    let mut template = federation.template.clone();
-    template.set_state_vec(&global);
-    let mut global_avg = 0.0f64;
-    for nc in &newcomers {
-        let idx: Vec<usize> = (0..nc.test.len()).collect();
-        let (x, y) = nc.test.batch(&idx);
-        global_avg += template.evaluate(x, &y).1 as f64;
-    }
-    global_avg /= newcomers.len() as f64;
+    let handed_over = newcomers.iter().enumerate();
+    let global_avg = handed_over
+        .map(|(i, nc)| personalized_accuracy(&federation.template, &global, nc, &cfg, 0, i) as f64)
+        .sum::<f64>()
+        / newcomers.len() as f64;
 
     assert!(
         fedclust_avg > global_avg,
@@ -111,7 +90,7 @@ fn assign_cluster_is_consistent_with_membership() {
     let (fd, _, _, cfg) = setup();
     let Ok((_, federation)) = run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
     // Feeding a cluster's own representative back must return that cluster.
-    for (ci, rep) in federation.representatives.iter().enumerate() {
-        assert_eq!(assign_cluster(&federation, rep, Metric::L2), ci);
+    for (ci, rep) in federation.saved.representatives.iter().enumerate() {
+        assert_eq!(assign_cluster(&federation, rep), ci);
     }
 }

@@ -7,7 +7,7 @@ use fedclust_repro::cluster::metrics::{adjusted_rand_index, normalized_mutual_in
 use fedclust_repro::cluster::ProximityMatrix;
 use fedclust_repro::data::Partition;
 use fedclust_repro::fedclust::clustering::ClusteringOutcome;
-use fedclust_repro::fedclust::SavedFederation;
+use fedclust_repro::fedclust::{FedClust, SavedFederation};
 use fedclust_repro::fl::engine::weighted_average;
 use fedclust_repro::nn::models::ModelSpec;
 use fedclust_repro::tensor::rng::{derive, streams};
@@ -178,15 +178,18 @@ proptest! {
     ) {
         let saved = snapshot(hidden, (c, h, w, classes), k, num_clients, &fills, lambda);
         let back = SavedFederation::from_json(&saved.to_json()).unwrap();
-        let restored = back.restore().unwrap();
-        prop_assert_eq!(&restored.init_state, &saved.init_state);
+        let method = FedClust { warmup_epochs: hidden, ..FedClust::default() };
+        let restored = back.restore(method).unwrap();
+        prop_assert_eq!(restored.method, method);
         prop_assert_eq!(&restored.template.state_vec(), &saved.init_state);
-        prop_assert_eq!(&restored.cluster_states, &saved.cluster_states);
-        prop_assert_eq!(&restored.representatives, &saved.representatives);
-        prop_assert_eq!(&restored.labels, &saved.labels);
-        prop_assert_eq!(&restored.outcome, &saved.outcome);
-        prop_assert_eq!(restored.model_spec, saved.model_spec);
-        prop_assert_eq!(restored.geometry, saved.geometry);
+        let back = &restored.saved;
+        prop_assert_eq!(&back.init_state, &saved.init_state);
+        prop_assert_eq!(&back.cluster_states, &saved.cluster_states);
+        prop_assert_eq!(&back.representatives, &saved.representatives);
+        prop_assert_eq!(&back.labels, &saved.labels);
+        prop_assert_eq!(&back.outcome, &saved.outcome);
+        prop_assert_eq!(back.model_spec, saved.model_spec);
+        prop_assert_eq!(back.geometry, saved.geometry);
     }
 }
 
