@@ -2,7 +2,7 @@
 
 use crate::clustering::{cluster_clients, ClusteringOutcome, LambdaSelect};
 use crate::persist::SavedFederation;
-use crate::proximity::{collect_partial_weights_for, proximity_matrix, WeightSelection};
+use crate::proximity::{proximity_matrix, WeightSelection};
 use fedclust_cluster::hac::Linkage;
 use fedclust_fl::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
 use fedclust_fl::driver::{Method, RoundCtx};
@@ -81,51 +81,31 @@ impl Method for FedClust {
         let init_state = template.state_vec();
         let all_clients: Vec<usize> = (0..fd.num_clients()).collect();
         let reached = ctx.transport.broadcast(0, &all_clients, init_state.len());
-        let collected = match ctx.trainer {
-            None => collect_partial_weights_for(
-                fd,
-                ctx.cfg,
-                template,
-                &init_state,
-                self.warmup_epochs,
-                self.selection,
-                &reached,
-            ),
-            // Workers return raw full states; the partial-weight extraction
-            // stays server-side so the uplink path (codec, faults, screen)
-            // sees exactly what the in-process simulation would have built.
-            Some(remote) => {
-                let warm_up = |&client| LocalJob {
-                    start_state: &init_state,
-                    epochs: self.warmup_epochs,
-                    client,
-                    round: 0,
-                    prox_mu: None,
-                };
-                let outcome = remote.train_remote(RemoteRound {
-                    mode: MODE_WARMUP,
-                    jobs: reached.iter().map(warm_up).collect(),
-                    residuals: Vec::new(),
-                });
-                // Written-off clients count as uplink losses for telemetry.
-                ctx.transport.record_remote_losses(&outcome.lost);
-                let updates = outcome.updates.into_iter();
-                updates
-                    .map(|u| {
-                        let mut model = template.clone();
-                        model.set_state_vec(&u.state);
-                        (u.client, self.selection.extract(&model))
-                    })
-                    .collect()
-            }
+        let warm_up = |&client| LocalJob {
+            start_state: &init_state,
+            epochs: self.warmup_epochs,
+            client,
+            round: 0,
+            prox_mu: None,
         };
+        let warmed = ctx.trainer.train_remote(RemoteRound {
+            mode: MODE_WARMUP,
+            jobs: reached.iter().map(warm_up).collect(),
+            residuals: Vec::new(),
+        });
+        // Written-off clients count as uplink losses for telemetry.
+        ctx.transport.record_remote_losses(&warmed.lost);
         // A stale round-0 corruption replays the untrained partial weights.
         let init_partial = self.selection.extract(template);
         let mut survivors: Vec<usize> = Vec::with_capacity(reached.len());
         let mut partials: Vec<Vec<f32>> = Vec::with_capacity(reached.len());
-        for (client, mut partial) in collected {
-            if ctx.upload(0, client, &mut partial, Some(&init_partial)) {
-                survivors.push(client);
+        // Warm-ups come back as raw full states; the partial weights are
+        // sliced out here, so the uplink path (codec, faults, screen) runs
+        // over them wherever the clients trained.
+        for u in warmed.updates {
+            let mut partial = self.selection.select(&ctx.template, &u.state).to_vec();
+            if ctx.upload(0, u.client, &mut partial, Some(&init_partial)) {
+                survivors.push(u.client);
                 partials.push(partial);
             }
         }

@@ -53,10 +53,17 @@ pub fn cluster_clients(
     linkage: Linkage,
     lambda: LambdaSelect,
 ) -> ClusteringOutcome {
-    let dendro = agglomerative(matrix, linkage);
-    match lambda {
-        LambdaSelect::Auto => plateau_cut(&dendro),
-        other => outcome_from_dendrogram(&dendro, other),
+    outcome_from_dendrogram(&agglomerative(matrix, linkage), lambda)
+}
+
+/// The outcome of cutting at `lambda` into `labels`; the clusters are
+/// counted from the labels.
+fn outcome(labels: Vec<usize>, lambda: f32) -> ClusteringOutcome {
+    let num_clusters = labels.iter().copied().max().map_or(0, |m| m + 1);
+    ClusteringOutcome {
+        labels,
+        num_clusters,
+        lambda,
     }
 }
 
@@ -123,23 +130,11 @@ fn plateau_cut(dendro: &Dendrogram) -> ClusteringOutcome {
                 let frac = i as f32 / merges.len() as f32;
                 if ratio >= 3.0 || frac < 0.6 {
                     let lambda = 0.5 * (merges[i - 1].distance + merges[i].distance);
-                    let labels = dendro.cut_at(lambda);
-                    let num_clusters = labels.iter().copied().max().map_or(0, |m| m + 1);
-                    return ClusteringOutcome {
-                        labels,
-                        num_clusters,
-                        lambda,
-                    };
+                    return outcome(dendro.cut_at(lambda), lambda);
                 }
             }
-            None => {
-                // The plateau never breaks: one smoothly connected group.
-                return ClusteringOutcome {
-                    labels: vec![0; n],
-                    num_clusters: 1,
-                    lambda: d_max + 1.0,
-                };
-            }
+            // The plateau never breaks: one smoothly connected group.
+            None => return outcome(vec![0; n], d_max + 1.0),
         }
     }
     // Fallback: no block structure. Decide the regime by dispersion.
@@ -153,40 +148,23 @@ fn plateau_cut(dendro: &Dendrogram) -> ClusteringOutcome {
     let cv = var.sqrt() / mean.max(1e-12);
     if cv > FALLBACK_CV {
         let lambda = merges[merges.len() / 4].distance;
-        let labels = dendro.cut_at(lambda);
-        let num_clusters = labels.iter().copied().max().map_or(0, |m| m + 1);
-        ClusteringOutcome {
-            labels,
-            num_clusters,
-            lambda,
-        }
+        outcome(dendro.cut_at(lambda), lambda)
     } else {
         let lambda = merges.last().map_or(f32::INFINITY, |m| m.distance + 1.0);
-        ClusteringOutcome {
-            labels: vec![0; n],
-            num_clusters: 1,
-            lambda,
-        }
+        outcome(vec![0; n], lambda)
     }
 }
-/// Cut an existing dendrogram (lets λ sweeps reuse one clustering run).
-///
-/// # Panics
-/// Panics for [`LambdaSelect::Auto`] — use [`cluster_clients`] for that.
+
+/// Cut an existing dendrogram by any selector (lets λ sweeps reuse one
+/// clustering run): [`cluster_clients`] without the HAC.
 pub fn outcome_from_dendrogram(dendro: &Dendrogram, lambda: LambdaSelect) -> ClusteringOutcome {
-    let (labels, lam) = match lambda {
-        LambdaSelect::Fixed(l) => (dendro.cut_at(l), l),
-        LambdaSelect::AutoGap => dendro.largest_gap_cut(),
-        LambdaSelect::Auto => {
-            // fedlint::allow(no-panic-paths): documented panic — the # Panics section forbids Auto here; reaching this is a caller bug, not a runtime fault
-            panic!("LambdaSelect::Auto needs the full HC run; use cluster_clients")
+    match lambda {
+        LambdaSelect::Fixed(l) => outcome(dendro.cut_at(l), l),
+        LambdaSelect::AutoGap => {
+            let (labels, l) = dendro.largest_gap_cut();
+            outcome(labels, l)
         }
-    };
-    let num_clusters = labels.iter().copied().max().map_or(0, |m| m + 1);
-    ClusteringOutcome {
-        labels,
-        num_clusters,
-        lambda: lam,
+        LambdaSelect::Auto => plateau_cut(dendro),
     }
 }
 
@@ -220,6 +198,32 @@ mod tests {
         assert_eq!(local.num_clusters, 6);
         let mid = cluster_clients(&m, Linkage::Average, LambdaSelect::Fixed(5.0));
         assert_eq!(mid.num_clusters, 2);
+    }
+
+    /// Clients spread ever wider apart: no plateau, so `Auto` takes the
+    /// dispersion fallback.
+    fn spread_matrix() -> ProximityMatrix {
+        let pos = [0.0f32, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0];
+        ProximityMatrix::from_fn(7, |i, j| (pos[i] - pos[j]).abs())
+    }
+
+    #[test]
+    fn every_selector_cuts_a_dendrogram_as_cluster_clients_does() {
+        for m in [two_group_matrix(), spread_matrix()] {
+            for linkage in Linkage::ALL {
+                for select in [
+                    LambdaSelect::Fixed(2.0),
+                    LambdaSelect::AutoGap,
+                    LambdaSelect::Auto,
+                ] {
+                    assert_eq!(
+                        outcome_from_dendrogram(&agglomerative(&m, linkage), select),
+                        cluster_clients(&m, linkage, select),
+                        "{linkage:?} {select:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,19 +25,22 @@ pub struct NewcomerOutcome {
 }
 
 /// Assign a newcomer to the closest cluster by partial-weight distance,
-/// measured by the federation's own metric. Returns the chosen cluster id.
-/// This is Eq. 4; it requires only the stored per-cluster representatives,
-/// no re-clustering.
+/// measured by the federation's own metric. Returns the chosen cluster id:
+/// of equals the first, and a NaN distance (a representative a diverged
+/// client made non-finite) never over a number. This is Eq. 4; it requires
+/// only the stored per-cluster representatives, no re-clustering.
 pub fn assign_cluster(federation: &TrainedFederation, newcomer_partial: &[f32]) -> usize {
     let representatives = &federation.saved.representatives;
     assert!(!representatives.is_empty(), "federation has no clusters");
     let metric = federation.method.metric;
-    representatives
-        .iter()
-        .enumerate()
-        .map(|(ci, rep)| (ci, metric.eval(newcomer_partial, rep)))
-        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-        .map_or(0, |(ci, _)| ci)
+    let mut best = (0, f32::INFINITY);
+    for (ci, rep) in representatives.iter().enumerate() {
+        let distance = metric.eval(newcomer_partial, rep);
+        if distance < best.1 {
+            best = (ci, distance);
+        }
+    }
+    best.0
 }
 
 /// Algorithm 2, lines 1–5, for one newcomer: train θ⁰ on its data exactly
@@ -215,5 +218,14 @@ mod tests {
         federation.saved.representatives = vec![vec![0.0; 4], vec![10.0; 4]];
         assert_eq!(assign_cluster(&federation, &[0.1; 4]), 0);
         assert_eq!(assign_cluster(&federation, &[9.0; 4]), 1);
+    }
+
+    /// One diverged client makes its cluster's centroid NaN (with faults
+    /// off the screen admits it); that cluster must not win every newcomer.
+    #[test]
+    fn a_nan_representative_is_never_the_nearest() {
+        let (mut federation, _, _, _) = setup(FedClust::default());
+        federation.saved.representatives = vec![vec![f32::NAN; 4], vec![0.0; 4]];
+        assert_eq!(assign_cluster(&federation, &[0.1; 4]), 1);
     }
 }

@@ -11,6 +11,7 @@ use fedclust_cluster::ProximityMatrix;
 use fedclust_data::FederatedDataset;
 use fedclust_fl::engine::{train_replica, LocalJob};
 use fedclust_fl::FlConfig;
+use fedclust_nn::model::ParamBlock;
 use fedclust_nn::Model;
 use fedclust_tensor::distance::{pairwise_matrix, Metric};
 use rayon::prelude::*;
@@ -31,23 +32,26 @@ pub enum WeightSelection {
 impl WeightSelection {
     /// Extract the selected weights from a trained model.
     pub fn extract(&self, model: &Model) -> Vec<f32> {
+        self.select(model, &model.param_vec()).to_vec()
+    }
+
+    /// The selected weights inside `state`, a state (or parameter) vector
+    /// of `model`'s architecture, whose parameters are its prefix: the last
+    /// parameter block, the whole prefix, or block `i`. A model without
+    /// parameters has an empty final layer.
+    pub fn select<'s>(&self, model: &Model, state: &'s [f32]) -> &'s [f32] {
+        let blocks = model.param_blocks();
+        let block = |b: &ParamBlock| &state[b.offset..b.offset + b.len];
         match self {
-            WeightSelection::FinalLayer => model.final_layer_vec(),
-            WeightSelection::FullModel => model.param_vec(),
-            WeightSelection::Block(i) => {
-                let blocks = model.param_blocks();
-                model.block_vec(&blocks[*i])
-            }
+            WeightSelection::FinalLayer => blocks.last().map_or(&[], block),
+            WeightSelection::FullModel => &state[..model.num_params()],
+            WeightSelection::Block(i) => block(&blocks[*i]),
         }
     }
 
     /// Number of scalars this selection uploads, for a given model.
     pub fn upload_len(&self, model: &Model) -> usize {
-        match self {
-            WeightSelection::FinalLayer => model.final_layer_vec().len(),
-            WeightSelection::FullModel => model.num_params(),
-            WeightSelection::Block(i) => model.param_blocks()[*i].len,
-        }
+        self.select(model, &model.param_vec()).len()
     }
 }
 
@@ -205,6 +209,47 @@ mod tests {
         // Final layer == last block.
         let last = WeightSelection::Block(blocks.len() - 1).extract(&model);
         assert_eq!(last, WeightSelection::FinalLayer.extract(&model));
+    }
+
+    /// What round 0 slices out of a returned state is what `extract` takes
+    /// from the trained model, to the bit, for every selection and every
+    /// architecture — ResNet-9's batch-norm statistics sit after the
+    /// parameters in its state.
+    #[test]
+    fn selecting_from_a_state_is_extracting_from_its_model() {
+        use fedclust_nn::models::ModelSpec;
+        use fedclust_nn::optim::{Sgd, SgdConfig};
+        for spec in [
+            ModelSpec::Mlp { hidden: 16 },
+            ModelSpec::LeNet5,
+            ModelSpec::VggMini,
+            ModelSpec::ResNet9,
+        ] {
+            let mut rng = fedclust_tensor::rng::derive(5, &[1]);
+            let template = spec.build(3, 16, 16, 10, &mut rng);
+            let mut model = template.clone();
+            let mut opt = Sgd::new(SgdConfig {
+                lr: 0.05,
+                momentum: 0.9,
+                weight_decay: 1e-4,
+            });
+            for step in 0..3 {
+                let x = fedclust_tensor::init::randn([6, 3, 16, 16], &mut rng);
+                let y: Vec<usize> = (0..6).map(|i| (i * 3 + step) % 10).collect();
+                model.train_step(x, &y, &mut opt);
+            }
+            let state = model.state_vec();
+            let blocks = (0..template.param_blocks().len()).map(WeightSelection::Block);
+            let selections = [WeightSelection::FinalLayer, WeightSelection::FullModel];
+            for selection in selections.into_iter().chain(blocks) {
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(selection.select(&template, &state)),
+                    bits(&selection.extract(&model)),
+                    "{spec:?} {selection:?}"
+                );
+            }
+        }
     }
 
     #[test]

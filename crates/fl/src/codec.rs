@@ -23,10 +23,10 @@
 //! [-8..]   checksum: u64  FNV-1a over all preceding bytes
 //! ```
 //!
-//! `CodecSpec::none()` is special-cased by the transport: no header, no
-//! transform, no RNG draw — byte-identical pass-through with the legacy
-//! 4-bytes-per-scalar accounting, pinned the same way `FaultPlan::none()`
-//! is.
+//! `CodecSpec::none()` is special-cased by [`upload`], the client half of
+//! every upload: no header, no transform, no RNG draw — byte-identical
+//! pass-through with the legacy 4-bytes-per-scalar accounting, pinned the
+//! same way `FaultPlan::none()` is.
 //!
 //! # Determinism
 //!
@@ -112,7 +112,7 @@ impl CodecSpec {
         }
     }
 
-    /// Is this the identity codec (transport fast path)?
+    /// Is this the identity codec ([`upload`]'s raw path)?
     pub fn is_none(&self) -> bool {
         *self == CodecSpec::none()
     }
@@ -120,6 +120,11 @@ impl CodecSpec {
     /// Does encoding draw from the `streams::CODEC` RNG stream?
     pub fn draws_rng(&self) -> bool {
         self.stochastic && matches!(self.base, BaseCodec::Q8 | BaseCodec::Q4)
+    }
+
+    /// Does this codec keep a per-client error-feedback residual (top-k)?
+    pub fn keeps_residual(&self) -> bool {
+        matches!(self.base, BaseCodec::TopK(_))
     }
 
     /// Parse a `--codec` spec: `+`-joined tokens from `{none, delta, q8,
@@ -391,9 +396,9 @@ impl CodecSpec {
     /// upload's eventual fate on the wire); `rng` supplies stochastic
     /// rounding draws when [`CodecSpec::draws_rng`] says so.
     ///
-    /// Must not be called for the identity codec — the transport's `none`
-    /// fast path bypasses encoding entirely to stay byte-identical with
-    /// the legacy uncompressed behavior.
+    /// Must not be called for the identity codec — [`upload`] bypasses
+    /// encoding entirely under `none` to stay byte-identical with the
+    /// legacy uncompressed behavior.
     pub fn encode(
         &self,
         payload: &[f32],
@@ -558,10 +563,9 @@ fn reconstruct(values: &[f32], flags: u8, reference: Option<&[f32]>) -> Vec<f32>
 /// The client-side encode exactly as the transport performs it: the codec
 /// RNG derives from `(seed, streams::CODEC, round, client)`, the caller's
 /// error-feedback residual advances in place, and the result carries the
-/// wire bytes plus the server-side reconstruction. The in-process
-/// [`Transport::uplink`](crate::faults::Transport::uplink) and the remote
-/// worker fleet both route through this function, so a networked upload
-/// is bit-identical to its simulated twin by construction.
+/// wire bytes plus the server-side reconstruction. Every upload under a
+/// codec is encoded here, through [`upload`], so a networked upload is
+/// bit-identical to its simulated twin by construction.
 pub fn encode_for_upload(
     spec: CodecSpec,
     seed: u64,
@@ -585,6 +589,28 @@ pub fn encode_for_upload(
     };
     let enc = spec.encode(payload, reference, residual.as_mut(), rng.as_mut());
     (enc, residual)
+}
+
+/// The client half of every upload: `state` through `spec` against
+/// `reference`, from `residual` when the codec keeps one. Returns what the
+/// server reconstructs, the wire message and the advanced residual (`None`
+/// unless [`CodecSpec::keeps_residual`]). Under [`CodecSpec::none()`] — a
+/// warm-up's too — that is `state` itself, no message and no residual.
+pub fn upload(
+    spec: CodecSpec,
+    seed: u64,
+    round: usize,
+    client: usize,
+    state: Vec<f32>,
+    reference: Option<&[f32]>,
+    residual: Vec<f32>,
+) -> (Vec<f32>, Option<Vec<u8>>, Option<Vec<f32>>) {
+    if spec.is_none() {
+        return (state, None, None);
+    }
+    let residual = spec.keeps_residual().then_some(residual);
+    let (enc, residual) = encode_for_upload(spec, seed, round, client, &state, reference, residual);
+    (enc.decoded, Some(enc.wire), residual)
 }
 
 /// The fixed header of a verified message.

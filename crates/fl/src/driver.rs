@@ -8,14 +8,15 @@
 //! round's update rule, how it evaluates, and what it leaves behind.
 //!
 //! In-process vs networked is a value, not ambient state: the host passes
-//! an optional [`RemoteTrainer`], the driver carries it in [`RoundCtx`], and
-//! [`RoundCtx::train_groups`] (plus FedClust's warm-up) is the only place
-//! that consults it.
+//! an optional [`RemoteTrainer`], the driver puts an [`InProcessTrainer`]
+//! in its place when there is none and carries the one trainer in
+//! [`RoundCtx`], and [`RoundCtx::train_groups`] (plus FedClust's warm-up)
+//! is the only place that calls it.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, Checkpointer, MethodState};
 use crate::config::FlConfig;
 use crate::engine::{
-    average_accuracy, average_updates, init_model, sample_clients, train_jobs, ClientUpdate,
+    average_accuracy, average_updates, init_model, sample_clients, ClientUpdate, InProcessTrainer,
     LocalJob, RemoteRound, RemoteTrainer, MODE_TRAIN,
 };
 use crate::faults::Transport;
@@ -37,19 +38,19 @@ pub struct RoundCtx<'a> {
     pub template: Model,
     /// The server↔client link of this run.
     pub transport: Transport,
-    /// The worker fleet, when local training is farmed out.
-    pub trainer: Option<&'a dyn RemoteTrainer>,
+    /// Who trains the clients: the worker fleet, or this process.
+    pub trainer: &'a dyn RemoteTrainer,
 }
 
 impl RoundCtx<'_> {
     /// One full faulty round trip for the standard skeleton: broadcast
     /// `start_state` through the transport (charging every downlink
-    /// attempt), train the clients that were actually reached — on the
-    /// worker fleet when there is one — then push each update through the
-    /// uplink codec + fault + quarantine screen. The broadcast state
-    /// doubles as the codec's delta reference. The returned survivor set
-    /// may be empty; callers carry the previous model forward then. This is
-    /// [`RoundCtx::train_groups`] for a round with one model.
+    /// attempt), train the clients that were actually reached on the run's
+    /// trainer, then take each update through the uplink codec + fault +
+    /// quarantine screen. The broadcast state doubles as the codec's delta
+    /// reference. The returned survivor set may be empty; callers carry the
+    /// previous model forward then. This is [`RoundCtx::train_groups`] for a
+    /// round with one model.
     pub fn train_round(
         &mut self,
         start_state: &[f32],
@@ -65,8 +66,8 @@ impl RoundCtx<'_> {
     /// models: each group is `(start_state, members)` — non-empty, and no
     /// client in two groups — and comes back as its own survivor set.
     /// Groups share nothing, so all of them train as **one batch**: one
-    /// parallel call in process, one [`RemoteRound`] with every unit in
-    /// flight over the fleet. Only the training is flattened. Each group is
+    /// [`RemoteRound`] with every unit in flight, on this process's pool or
+    /// over the fleet. Only the training is flattened. Each group is
     /// broadcast, and later received, on its own and in group order — the
     /// liveness rule, the codec reference, the quarantine length and every
     /// `(seed, round, client)` fault stream are per group — so the meter,
@@ -95,19 +96,11 @@ impl RoundCtx<'_> {
             .iter()
             .flat_map(|(state, clients)| clients.iter().map(|c| job(*state, c)))
             .collect();
-        let Some(remote) = self.trainer else {
-            let mut updates = train_jobs(self.fd, self.cfg, &self.template, &jobs).into_iter();
-            let received = reached.iter().map(|(state, clients)| {
-                let updates = updates.by_ref().take(clients.len()).collect();
-                transport.receive(round, updates, Some(state), Some(state))
-            });
-            return received.collect();
-        };
         let residuals = jobs
             .iter()
             .map(|j| transport.residual_for(j.client))
             .collect();
-        let outcome = remote.train_remote(RemoteRound {
+        let outcome = self.trainer.train_remote(RemoteRound {
             mode: MODE_TRAIN,
             jobs,
             residuals,
@@ -304,7 +297,8 @@ impl CheckpointSink for &mut Checkpointer {
 /// continues from **bit-identically** (all engine RNG derives statelessly
 /// from `(seed, stream, round, client)`, so a resumed run matches an
 /// uninterrupted one byte for byte). `trainer` is the worker fleet local
-/// training is farmed out to; `None` trains in process.
+/// training is farmed out to; `None` trains in process, through an
+/// [`InProcessTrainer`].
 pub fn run_federation<M: Method, C: CheckpointSink>(
     method: &M,
     fd: &FederatedDataset,
@@ -312,6 +306,8 @@ pub fn run_federation<M: Method, C: CheckpointSink>(
     mut ckpt: C,
     trainer: Option<&dyn RemoteTrainer>,
 ) -> Result<(RunResult, M::Artifacts), C::Error> {
+    let in_process = InProcessTrainer::new(fd, cfg);
+    let trainer = trainer.unwrap_or(&in_process);
     let mut ctx = RoundCtx {
         fd,
         cfg,
@@ -468,7 +464,7 @@ mod tests {
             cfg: &cfg,
             template: init_model(&fd, &cfg),
             transport: Transport::new(&cfg),
-            trainer: None,
+            trainer: &InProcessTrainer::new(&fd, &cfg),
         };
         let s = ctx.template.state_vec();
         let kept = ctx.train_round(&s, &[0, 1, 2], 0, None);
@@ -511,12 +507,13 @@ mod tests {
         cfg.faults.downlink_loss = 0.4;
         cfg.faults.uplink_loss = 0.4;
         cfg.faults.corruption_rate = 0.2;
+        let trainer = InProcessTrainer::new(&fd, &cfg);
         let ctx = || RoundCtx {
             fd: &fd,
             cfg: &cfg,
             template: init_model(&fd, &cfg),
             transport: Transport::new(&cfg),
-            trainer: None,
+            trainer: &trainer,
         };
         let theta = ctx().template.state_vec();
 

@@ -5,7 +5,7 @@
 //! Every method implementation composes these primitives; they are the
 //! "FedAvg skeleton" the paper's Algorithm 1 shares with its baselines.
 
-use crate::codec::{self, BaseCodec};
+use crate::codec::{self, CodecSpec};
 use crate::config::FlConfig;
 use fedclust_data::{ClientData, FederatedDataset};
 use fedclust_nn::loss::cross_entropy;
@@ -18,7 +18,7 @@ use rand::seq::SliceRandom;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 
-/// One batch of remote work: every unit a round (or FedClust's warm-up)
+/// One batch of training: every unit a round (or FedClust's warm-up)
 /// trains, all in flight at once. A unit is a [`LocalJob`] and carries its
 /// own start state — a clustered round's units start from as many states as
 /// there are sampled clusters — which is also the reference its upload is
@@ -32,13 +32,13 @@ pub struct RemoteRound<'a> {
     /// The units, in the order results must come back. Jobs that share a
     /// start state share the slice, so a trainer can tell by address.
     pub jobs: Vec<LocalJob<'a>>,
-    /// Each job's canonical error-feedback residual for the worker-side
+    /// Each job's canonical error-feedback residual for the trainer-side
     /// codec, aligned with `jobs` (empty vectors for residual-free codecs);
     /// empty altogether for a warm-up, which encodes nothing.
     pub residuals: Vec<Vec<f32>>,
 }
 
-/// One client's update as delivered by a remote worker.
+/// One client's update as its trainer delivered it.
 pub struct RemoteUpdate {
     /// Client id.
     pub client: usize,
@@ -46,7 +46,7 @@ pub struct RemoteUpdate {
     pub steps: usize,
     /// Training-set size `n_i`.
     pub weight: f32,
-    /// The server-side reconstruction of the upload (the worker's encoder
+    /// The server-side reconstruction of the upload (the trainer's encoder
     /// pins it; raw state when no codec is active).
     pub state: Vec<f32>,
     /// Bytes that actually crossed the network under a codec; `None`
@@ -66,14 +66,91 @@ pub struct RemoteOutcome {
     pub lost: Vec<usize>,
 }
 
-/// A delegate that trains clients out-of-process (fedclustd's worker
-/// fleet). The host hands it to [`crate::driver::run_federation`], which
-/// carries it in [`crate::driver::RoundCtx`]; round training and the
-/// FedClust warmup collection route through it when present.
+/// Whoever trains a run's clients: fedclustd's worker fleet, or the
+/// [`InProcessTrainer`] [`crate::driver::run_federation`] uses when the host
+/// gives none. Round training and FedClust's warm-up both go through it.
 pub trait RemoteTrainer: Send + Sync {
-    /// Train `req.jobs` in `req.mode`, all at once, and return what the
-    /// fleet delivered, as [`settle`] reads it.
+    /// Train `req.jobs` in `req.mode`, all at once, and return what was
+    /// delivered, as [`settle`] reads it.
     fn train_remote(&self, req: RemoteRound) -> RemoteOutcome;
+}
+
+/// The fleet without the sockets: every unit trains on this process's pool
+/// through the unit body a worker runs, and none is lost. Like a worker, it
+/// builds its own template.
+pub struct InProcessTrainer<'a> {
+    fd: &'a FederatedDataset,
+    cfg: &'a FlConfig,
+    template: Model,
+}
+
+impl<'a> InProcessTrainer<'a> {
+    /// The trainer for a run on `fd` under `cfg`.
+    pub fn new(fd: &'a FederatedDataset, cfg: &'a FlConfig) -> Self {
+        InProcessTrainer {
+            fd,
+            cfg,
+            template: init_model(fd, cfg),
+        }
+    }
+}
+
+impl RemoteTrainer for InProcessTrainer<'_> {
+    /// One parallel map over the jobs, each with the residual the request
+    /// carries for it.
+    fn train_remote(&self, req: RemoteRound) -> RemoteOutcome {
+        let residuals = req
+            .residuals
+            .into_iter()
+            .chain(std::iter::repeat(Vec::new()));
+        let units: Vec<(LocalJob, Vec<f32>)> = req.jobs.iter().copied().zip(residuals).collect();
+        let updates = units.into_par_iter().map(|(job, residual)| {
+            let data = &self.fd.clients[job.client];
+            run_unit(data, self.cfg, &self.template, req.mode, job, residual).0
+        });
+        RemoteOutcome {
+            updates: updates.collect(),
+            lost: Vec::new(),
+        }
+    }
+}
+
+/// One unit, as a worker and [`InProcessTrainer`] both run it: train `job`
+/// on `data`, then send the state through the client half of the upload
+/// ([`codec::upload`]) — raw for a warm-up, whose partial weights the
+/// server slices out and uploads itself. Returns the update and its wire
+/// message, if it was encoded.
+fn run_unit(
+    data: &ClientData,
+    cfg: &FlConfig,
+    template: &Model,
+    mode: u8,
+    job: LocalJob,
+    residual: Vec<f32>,
+) -> (RemoteUpdate, Option<Vec<u8>>) {
+    let (model, steps) = train_replica(template, data, cfg, job);
+    let spec = match mode {
+        MODE_WARMUP => CodecSpec::none(),
+        _ => cfg.codec,
+    };
+    let (state, wire, residual) = codec::upload(
+        spec,
+        cfg.seed,
+        job.round,
+        job.client,
+        model.state_vec(),
+        Some(job.start_state),
+        residual,
+    );
+    let update = RemoteUpdate {
+        client: job.client,
+        steps,
+        weight: data.train_samples() as f32,
+        state,
+        wire_bytes: wire.as_ref().map(Vec::len),
+        residual,
+    };
+    (update, wire)
 }
 
 /// One client's local training: `epochs` epochs of the run's SGD from
@@ -94,16 +171,13 @@ pub struct LocalJob<'a> {
     pub prox_mu: Option<f32>,
 }
 
-/// The worker's half of one [`RemoteRound`] unit: train client `job.client`
-/// in `mode` and build its `Push` frame. A warm-up unit, or any unit without
-/// a codec, ships the raw full state; a training unit under a codec encodes
-/// through [`codec::encode_for_upload`] from `residual` exactly as
-/// [`Transport::uplink`](crate::faults::Transport::uplink) does in process.
-/// A unit this side cannot train — a client `fd` does not have, a state
-/// `template` has no room for: a server built from another commit, or a
-/// hostile peer — is an error, never a panic. A residual of any length is
-/// trainable: the codec discards one of a stale shape, and FedClust's first
-/// full-state round legitimately carries the warm-up's partial-weight one.
+/// The worker's half of one [`RemoteRound`] unit: the unit body
+/// [`InProcessTrainer`] runs too, in a `Push` frame. A unit this side
+/// cannot train — a client `fd` does not have, a state `template` has no
+/// room for: a server built from another commit, or a hostile peer — is an
+/// error, never a panic. A residual of any length is trainable: the codec
+/// discards one of a stale shape, and FedClust's first full-state round
+/// legitimately carries the warm-up's partial-weight one.
 pub fn train_unit(
     fd: &FederatedDataset,
     cfg: &FlConfig,
@@ -121,33 +195,20 @@ pub fn train_unit(
             job.start_state.len(),
         ));
     }
-    let data = &fd.clients[job.client];
-    let (model, steps) = train_replica(template, data, cfg, job);
-    let payload = model.state_vec();
-    let body = if mode == MODE_WARMUP || cfg.codec.is_none() {
-        PushBody::Raw(payload)
-    } else {
-        let residual = matches!(cfg.codec.base, BaseCodec::TopK(_)).then_some(residual);
-        let (enc, residual) = codec::encode_for_upload(
-            cfg.codec,
-            cfg.seed,
-            job.round,
-            job.client,
-            &payload,
-            Some(job.start_state),
-            residual,
-        );
-        PushBody::Encoded {
-            wire: enc.wire,
-            residual: residual.unwrap_or_default(),
-        }
+    let (update, wire) = run_unit(&fd.clients[job.client], cfg, template, mode, job, residual);
+    let body = match wire {
+        Some(wire) => PushBody::Encoded {
+            wire,
+            residual: update.residual.unwrap_or_default(),
+        },
+        None => PushBody::Raw(update.state),
     };
     Ok(Msg::Push {
         mode,
         round: job.round as u32,
         client: job.client as u32,
-        steps: steps as u32,
-        weight: data.train_samples() as f32,
+        steps: update.steps as u32,
+        weight: update.weight,
         body,
     })
 }
@@ -176,10 +237,11 @@ fn read_push(round_mode: u8, job: &LocalJob, frame: Msg) -> Option<RemoteUpdate>
     };
     let (state, wire_bytes, residual) = match body {
         PushBody::Raw(v) => (v, None, None),
+        // The frame spells "no residual" as an empty one.
         PushBody::Encoded { wire, residual } if round_mode == MODE_TRAIN => (
             codec::decode(&wire, Some(job.start_state)).ok()?,
             Some(wire.len()),
-            Some(residual),
+            (!residual.is_empty()).then_some(residual),
         ),
         PushBody::Encoded { .. } => return None,
     };
@@ -257,29 +319,40 @@ pub fn sample_clients(num_clients: usize, cfg: &FlConfig, round: usize) -> Vec<u
     ids
 }
 
+/// The minibatches every local pass walks, one `Vec` per epoch, drawn from
+/// the `(seed, client, round)` stream — so runs are reproducible
+/// regardless of thread schedule.
+pub(crate) fn epoch_batches<'a>(
+    data: &'a ClientData,
+    cfg: &'a FlConfig,
+    epochs: usize,
+    client: usize,
+    round: usize,
+) -> impl Iterator<Item = Vec<Vec<usize>>> + 'a {
+    let mut rng = derive(
+        cfg.seed,
+        &[streams::LOCAL_TRAIN, client as u64, round as u64],
+    );
+    (0..epochs).map(move |_| data.train.minibatch_indices(cfg.batch_size, &mut rng))
+}
+
 /// Train `model` on one client's local data for `epochs` epochs of
-/// minibatch SGD. Returns the number of optimizer steps taken (FedNova's
-/// τ_i). The minibatch order derives from `(seed, client, round)`, so runs
-/// are reproducible regardless of thread schedule.
-#[allow(clippy::too_many_arguments)]
+/// minibatch SGD over [`epoch_batches`]. Returns the number of optimizer
+/// steps taken (FedNova's τ_i).
 pub fn local_train(
     model: &mut Model,
     data: &ClientData,
     opt: &mut Sgd,
     epochs: usize,
-    batch_size: usize,
-    seed: u64,
+    cfg: &FlConfig,
     client: usize,
     round: usize,
 ) -> usize {
-    let mut rng = derive(seed, &[streams::LOCAL_TRAIN, client as u64, round as u64]);
     let mut steps = 0;
-    for _ in 0..epochs {
-        for batch in data.train.minibatch_indices(batch_size, &mut rng) {
-            let (x, y) = data.train.batch(&batch);
-            model.train_step(x, &y, opt);
-            steps += 1;
-        }
+    for batch in epoch_batches(data, cfg, epochs, client, round).flatten() {
+        let (x, y) = data.train.batch(&batch);
+        model.train_step(x, &y, opt);
+        steps += 1;
     }
     steps
 }
@@ -299,14 +372,7 @@ pub fn train_replica(
         opt.set_prox(mu, model.param_tensors());
     }
     let steps = local_train(
-        &mut model,
-        data,
-        &mut opt,
-        job.epochs,
-        cfg.batch_size,
-        cfg.seed,
-        job.client,
-        job.round,
+        &mut model, data, &mut opt, job.epochs, cfg, job.client, job.round,
     );
     (model, steps)
 }
@@ -323,29 +389,23 @@ pub fn local_train_corrected(
     round: usize,
     correct: impl Fn(usize, f32, f32) -> f32,
 ) -> usize {
-    let mut rng = derive(
-        cfg.seed,
-        &[streams::LOCAL_TRAIN, client as u64, round as u64],
-    );
     let mut steps = 0;
-    for _ in 0..cfg.local_epochs {
-        for batch in data.train.minibatch_indices(cfg.batch_size, &mut rng) {
-            let (x, y) = data.train.batch(&batch);
-            let logits = model.forward(x, true);
-            let (_, grad) = cross_entropy(&logits, &y);
-            model.backward_params(grad);
-            let mut off = 0;
-            for p in model.params_mut() {
-                let n = p.value.numel();
-                for j in 0..n {
-                    let w = p.value.data()[j];
-                    p.value.data_mut()[j] = w - cfg.lr * correct(off + j, w, p.grad.data()[j]);
-                }
-                p.zero_grad();
-                off += n;
+    for batch in epoch_batches(data, cfg, cfg.local_epochs, client, round).flatten() {
+        let (x, y) = data.train.batch(&batch);
+        let logits = model.forward(x, true);
+        let (_, grad) = cross_entropy(&logits, &y);
+        model.backward_params(grad);
+        let mut off = 0;
+        for p in model.params_mut() {
+            let n = p.value.numel();
+            for j in 0..n {
+                let w = p.value.data()[j];
+                p.value.data_mut()[j] = w - cfg.lr * correct(off + j, w, p.grad.data()[j]);
             }
-            steps += 1;
+            p.zero_grad();
+            off += n;
         }
+        steps += 1;
     }
     steps
 }
@@ -363,9 +423,10 @@ pub struct ClientUpdate {
     pub steps: usize,
 }
 
-/// Run local training on every sampled client in parallel, starting each
-/// from `start_state` for `cfg.local_epochs` epochs, and collect the
-/// updates: [`train_jobs`] for one shared start state.
+/// Run local training on every sampled client in parallel, each on a fresh
+/// replica of `template` starting from `start_state` for
+/// `cfg.local_epochs` epochs, and collect the raw updates in `sampled`
+/// order.
 pub fn train_sampled(
     fd: &FederatedDataset,
     cfg: &FlConfig,
@@ -375,33 +436,20 @@ pub fn train_sampled(
     round: usize,
     prox_mu: Option<f32>,
 ) -> Vec<ClientUpdate> {
-    let job = |&client| LocalJob {
-        start_state,
-        epochs: cfg.local_epochs,
-        client,
-        round,
-        prox_mu,
-    };
-    let jobs: Vec<LocalJob> = sampled.iter().map(job).collect();
-    train_jobs(fd, cfg, template, &jobs)
-}
-
-/// Run every job in one parallel batch — each on a fresh replica of
-/// `template` over its own client's data, from its own start state — and
-/// collect the updates in job order. One call per round is what lets the
-/// members of *different* clusters train side by side.
-pub fn train_jobs(
-    fd: &FederatedDataset,
-    cfg: &FlConfig,
-    template: &Model,
-    jobs: &[LocalJob],
-) -> Vec<ClientUpdate> {
-    jobs.par_iter()
-        .map(|&job| {
-            let data = &fd.clients[job.client];
+    sampled
+        .par_iter()
+        .map(|&client| {
+            let job = LocalJob {
+                start_state,
+                epochs: cfg.local_epochs,
+                client,
+                round,
+                prox_mu,
+            };
+            let data = &fd.clients[client];
             let (model, steps) = train_replica(template, data, cfg, job);
             ClientUpdate {
-                client: job.client,
+                client,
                 state: model.state_vec(),
                 weight: data.train_samples() as f32,
                 steps,
@@ -517,16 +565,7 @@ pub fn personalized_accuracy(
             momentum: 0.5,
             weight_decay: cfg.weight_decay,
         });
-        local_train(
-            &mut model,
-            data,
-            &mut opt,
-            epochs,
-            cfg.batch_size,
-            cfg.seed,
-            3_000_000 + id,
-            0,
-        );
+        local_train(&mut model, data, &mut opt, epochs, cfg, 3_000_000 + id, 0);
     }
     test_accuracy(&mut model, data)
 }

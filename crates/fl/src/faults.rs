@@ -42,19 +42,19 @@
 //!
 //! # Upload compression
 //!
-//! The transport also applies the run's [`CodecSpec`] to every upload it
-//! mediates: the payload is encoded against the shared reference state,
-//! the meter is charged the **encoded wire bytes** (header + payload +
-//! checksum), and the server-side aggregation sees the decoded
-//! reconstruction. Codec work happens *before* the fault plan draws the
-//! upload's fate, so loss and corruption act on what actually crossed the
-//! wire, and top-k error-feedback residuals (persistent per-client state,
-//! spilled through checkpoints) advance whether or not the message
-//! survives — the client cannot know. [`CodecSpec::none()`] bypasses all
-//! of it: no header, no transform, no RNG draw, byte-identical to the
-//! uncompressed path.
+//! Every upload goes through the run's [`CodecSpec`] in two halves: the
+//! client half ([`codec::upload`]) encodes it against the shared reference
+//! state wherever the client trained; the server half, here, charges the
+//! **encoded wire bytes** (header + payload + checksum) and hands
+//! aggregation the decoded reconstruction. Codec work happens *before* the
+//! fault plan draws the upload's fate, so loss and corruption act on what
+//! actually crossed the wire, and top-k error-feedback residuals
+//! (persistent per-client state, spilled through checkpoints) advance
+//! whether or not the message survives — the client cannot know.
+//! [`CodecSpec::none()`] bypasses all of it: no header, no transform, no
+//! RNG draw, byte-identical to the uncompressed path.
 
-use crate::codec::{self, BaseCodec, CodecSpec};
+use crate::codec::{self, CodecSpec};
 use crate::comm::CommMeter;
 use crate::config::FlConfig;
 use crate::engine::{ClientUpdate, RemoteUpdate};
@@ -197,16 +197,6 @@ pub struct FaultTelemetry {
     pub deadline_misses: usize,
 }
 
-/// What happened to one upload in flight.
-enum UplinkFate {
-    /// Arrived intact.
-    Arrived,
-    /// Lost (in flight, or past the deadline).
-    Lost,
-    /// Arrived corrupted; the payload has been mutated in place.
-    Corrupted,
-}
-
 /// The fault-injecting transport between the server's round loop and its
 /// clients. Owns the run's [`CommMeter`] and fault telemetry.
 #[derive(Debug, Clone)]
@@ -216,8 +206,8 @@ pub struct Transport {
     active: bool,
     codec: CodecSpec,
     /// Per-client top-k error-feedback residuals — persistent across
-    /// rounds, serialized into checkpoints, deterministic because every
-    /// upload is encoded on the server thread in client order.
+    /// rounds, serialized into checkpoints, deterministic because each is
+    /// advanced only by its own client's uploads, in round order.
     residuals: BTreeMap<usize, Vec<f32>>,
     meter: CommMeter,
     telemetry: FaultTelemetry,
@@ -341,17 +331,18 @@ impl Transport {
         delivered
     }
 
-    /// Decide the in-flight fate of one upload and apply corruption to
-    /// `payload` in place. `stale` is the corruption fallback payload (the
-    /// state the client started from); `None` restricts corruption to
-    /// NaN/Inf injection.
-    fn uplink_fate(
+    /// Decide the in-flight fate of one upload — lost (in flight, or past
+    /// the deadline) or arrived, then maybe corrupted in place. `stale` is
+    /// the corruption fallback payload (the state the client started from);
+    /// `None` restricts corruption to NaN/Inf injection. Returns whether the
+    /// upload arrived.
+    fn uplink_arrives(
         &mut self,
         round: usize,
         client: usize,
         payload: &mut [f32],
         stale: Option<&[f32]>,
-    ) -> UplinkFate {
+    ) -> bool {
         let mut rng = derive(
             self.seed,
             &[streams::FAULT_UPLINK, round as u64, client as u64],
@@ -371,20 +362,19 @@ impl Transport {
             if latency > self.plan.round_deadline {
                 self.telemetry.deadline_misses += 1;
                 self.telemetry.faults_injected += 1;
-                return UplinkFate::Lost;
+                return false;
             }
         }
         if lost < self.plan.uplink_loss {
             self.telemetry.uplink_losses += 1;
             self.telemetry.faults_injected += 1;
-            return UplinkFate::Lost;
+            return false;
         }
         if corrupt < self.plan.corruption_rate {
             self.corrupt(round, client, payload, stale);
             self.telemetry.faults_injected += 1;
-            return UplinkFate::Corrupted;
         }
-        UplinkFate::Arrived
+        true
     }
 
     /// Mutate `payload` the way a corrupted upload arrives: NaN scatter,
@@ -410,13 +400,10 @@ impl Transport {
         }
     }
 
-    /// Upload `payload` from `client`. Applies the run's codec against
-    /// `reference` (the state both ends share, e.g. the broadcast model),
-    /// charges the uplink — encoded wire bytes under a codec, the legacy
-    /// 4-bytes-per-scalar count under `none` — replaces `payload` with the
-    /// server-side reconstruction, may corrupt it in place, and returns
-    /// whether the upload reached the server at all. Top-k residuals
-    /// advance here regardless of the upload's fate.
+    /// Upload `payload` from `client`: the client half ([`codec::upload`]
+    /// against `reference`, the state both ends share), then the server
+    /// half. Replaces `payload` with the server-side reconstruction, maybe
+    /// corrupted, and returns whether the upload reached the server at all.
     pub fn uplink(
         &mut self,
         round: usize,
@@ -425,29 +412,36 @@ impl Transport {
         reference: Option<&[f32]>,
         stale: Option<&[f32]>,
     ) -> bool {
-        if self.codec.is_none() {
-            self.meter.up(payload.len());
-        } else {
-            let residual = match self.codec.base {
-                BaseCodec::TopK(_) => Some(self.residuals.remove(&client).unwrap_or_default()),
-                _ => None,
-            };
-            let (enc, residual) = codec::encode_for_upload(
-                self.codec, self.seed, round, client, payload, reference, residual,
-            );
-            self.meter.up_wire(enc.wire.len());
-            *payload = enc.decoded;
-            if let Some(r) = residual {
-                self.residuals.insert(client, r);
-            }
+        let (residual, state) = (self.residual_for(client), std::mem::take(payload));
+        let (state, wire, residual) = codec::upload(
+            self.codec, self.seed, round, client, state, reference, residual,
+        );
+        *payload = state;
+        let wire_bytes = wire.map(|w| w.len());
+        self.arrive(round, client, payload, wire_bytes, residual, stale)
+    }
+
+    /// The server half of one upload, wherever it was encoded: charge its
+    /// wire bytes (4 per scalar when raw), keep the advanced residual the
+    /// codec keeps — whatever the upload's fate — and draw the fate, which
+    /// may corrupt `state`. Returns whether the upload arrived.
+    fn arrive(
+        &mut self,
+        round: usize,
+        client: usize,
+        state: &mut [f32],
+        wire_bytes: Option<usize>,
+        residual: Option<Vec<f32>>,
+        stale: Option<&[f32]>,
+    ) -> bool {
+        match wire_bytes {
+            Some(n) => self.meter.up_wire(n),
+            None => self.meter.up(state.len()),
         }
-        if !self.active {
-            return true;
+        if let Some(r) = residual.filter(|_| self.codec.keeps_residual()) {
+            self.residuals.insert(client, r);
         }
-        !matches!(
-            self.uplink_fate(round, client, payload, stale),
-            UplinkFate::Lost
-        )
+        !self.active || self.uplink_arrives(round, client, state, stale)
     }
 
     /// Server-side pre-aggregation screen: accept only finite payloads of
@@ -478,35 +472,19 @@ impl Transport {
         reference: Option<&[f32]>,
         stale: Option<&[f32]>,
     ) -> Vec<ClientUpdate> {
-        if !self.active && self.codec.is_none() {
-            for u in &updates {
-                self.meter.up(u.state.len());
-            }
-            return updates;
-        }
         let expected_len = updates.first().map_or(0, |u| u.state.len());
-        let mut kept = Vec::with_capacity(updates.len());
-        for mut u in updates {
-            if self.uplink(round, u.client, &mut u.state, reference, stale)
-                && self.screen(&u.state, expected_len)
-            {
-                kept.push(u);
-            }
-        }
-        kept
+        let kept = updates.into_iter().filter_map(|mut u| {
+            let arrived = self.uplink(round, u.client, &mut u.state, reference, stale);
+            (arrived && self.screen(&u.state, expected_len)).then_some(u)
+        });
+        kept.collect()
     }
 
-    /// The error-feedback residual a remote worker must start `client`'s
-    /// encode from — a clone of the server's canonical copy (empty for
-    /// codecs without residual state). The worker returns the advanced
-    /// residual in its push and [`Transport::receive_remote`] absorbs it,
-    /// so the canonical state matches what the in-process encode would
-    /// have produced.
+    /// A clone of the error-feedback residual `client`'s next encode starts
+    /// from (empty when there is none); the advanced one comes back
+    /// through the server half.
     pub fn residual_for(&self, client: usize) -> Vec<f32> {
-        match self.codec.base {
-            BaseCodec::TopK(_) => self.residuals.get(&client).cloned().unwrap_or_default(),
-            _ => Vec::new(),
-        }
+        self.residuals.get(&client).cloned().unwrap_or_default()
     }
 
     /// Record clients whose uploads never arrived for *network* reasons
@@ -520,14 +498,11 @@ impl Transport {
         }
     }
 
-    /// The remote twin of [`Transport::receive`]: updates arrive already
-    /// codec-encoded by the worker fleet (`wire_bytes` = what actually
-    /// crossed the network, `state` = the reconstruction the worker's
-    /// encoder pinned), so the transport charges the reported wire size,
-    /// absorbs the advanced residuals, and applies the *same* fate and
-    /// quarantine draws as the in-process path — in the same per-update
-    /// order, so meters, telemetry, and survivor sets stay bit-identical
-    /// to the simulated run at the same seed.
+    /// [`Transport::receive`] for updates their trainer already encoded
+    /// (`wire_bytes` = what crossed the wire, `state` = the reconstruction
+    /// the encoder pinned): the server half and the quarantine screen of
+    /// each, in order, so meters, telemetry, residuals and survivor sets
+    /// are those of [`Transport::receive`] over the same uploads.
     pub fn receive_remote(
         &mut self,
         round: usize,
@@ -535,30 +510,18 @@ impl Transport {
         stale: Option<&[f32]>,
     ) -> Vec<ClientUpdate> {
         let expected_len = updates.first().map_or(0, |u| u.state.len());
-        let mut kept = Vec::with_capacity(updates.len());
-        for mut u in updates {
-            match u.wire_bytes {
-                Some(n) => self.meter.up_wire(n),
-                None => self.meter.up(u.state.len()),
-            }
-            if let (Some(r), BaseCodec::TopK(_)) = (u.residual.take(), self.codec.base) {
-                self.residuals.insert(u.client, r);
-            }
-            let arrived = !self.active
-                || !matches!(
-                    self.uplink_fate(round, u.client, &mut u.state, stale),
-                    UplinkFate::Lost
-                );
-            if arrived && self.screen(&u.state, expected_len) {
-                kept.push(ClientUpdate {
-                    client: u.client,
-                    state: u.state,
-                    weight: u.weight,
-                    steps: u.steps,
-                });
-            }
-        }
-        kept
+        let kept = updates.into_iter().filter_map(|mut u| {
+            let residual = u.residual.take();
+            let arrived = self.arrive(round, u.client, &mut u.state, u.wire_bytes, residual, stale);
+            let keep = arrived && self.screen(&u.state, expected_len);
+            keep.then_some(ClientUpdate {
+                client: u.client,
+                state: u.state,
+                weight: u.weight,
+                steps: u.steps,
+            })
+        });
+        kept.collect()
     }
 }
 
@@ -844,39 +807,24 @@ mod tests {
                 let remote: Vec<RemoteUpdate> = updates
                     .iter()
                     .map(|u| {
-                        if net.codec().is_none() {
-                            RemoteUpdate {
-                                client: u.client,
-                                steps: u.steps,
-                                weight: u.weight,
-                                state: u.state.clone(),
-                                wire_bytes: None,
-                                residual: None,
-                            }
-                        } else {
-                            // What the worker process does, via the same
-                            // shared encode entry point.
-                            let residual = match net.codec().base {
-                                BaseCodec::TopK(_) => Some(net.residual_for(u.client)),
-                                _ => None,
-                            };
-                            let (enc, residual) = codec::encode_for_upload(
-                                net.codec(),
-                                cfg.seed,
-                                round,
-                                u.client,
-                                &u.state,
-                                Some(&reference),
-                                residual,
-                            );
-                            RemoteUpdate {
-                                client: u.client,
-                                steps: u.steps,
-                                weight: u.weight,
-                                state: enc.decoded,
-                                wire_bytes: Some(enc.wire.len()),
-                                residual,
-                            }
+                        // What the worker process does, through the same
+                        // client half.
+                        let (state, wire, residual) = codec::upload(
+                            net.codec(),
+                            cfg.seed,
+                            round,
+                            u.client,
+                            u.state.clone(),
+                            Some(&reference),
+                            net.residual_for(u.client),
+                        );
+                        RemoteUpdate {
+                            client: u.client,
+                            steps: u.steps,
+                            weight: u.weight,
+                            state,
+                            wire_bytes: wire.map(|w| w.len()),
+                            residual,
                         }
                     })
                     .collect();

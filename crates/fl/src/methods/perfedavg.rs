@@ -11,11 +11,12 @@
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
 use crate::config::FlConfig;
 use crate::driver::{Method, RoundCtx};
-use crate::engine::{evaluate_models, local_train, sample_clients, weighted_average_or};
+use crate::engine::{
+    epoch_batches, evaluate_models, local_train, sample_clients, weighted_average_or,
+};
 use fedclust_nn::loss::cross_entropy;
 use fedclust_nn::optim::{Sgd, SgdConfig};
 use fedclust_nn::Model;
-use fedclust_tensor::rng::{derive, streams};
 use rayon::prelude::*;
 
 /// Per-FedAvg with FO-MAML inner/outer steps.
@@ -56,12 +57,7 @@ impl PerFedAvg {
     ) -> Vec<f32> {
         let mut model = template.clone();
         model.set_state_vec(start_state);
-        let mut rng = derive(
-            cfg.seed,
-            &[streams::LOCAL_TRAIN, client as u64, round as u64],
-        );
-        for _ in 0..cfg.local_epochs {
-            let batches = data.train.minibatch_indices(cfg.batch_size, &mut rng);
+        for batches in epoch_batches(data, cfg, cfg.local_epochs, client, round) {
             for pair in batches.chunks(2) {
                 if pair.len() < 2 {
                     continue; // need two independent batches per meta-step
@@ -162,8 +158,7 @@ impl Method for PerFedAvg {
                 &ctx.fd.clients[client],
                 &mut opt,
                 self.personalize_epochs,
-                ctx.cfg.batch_size,
-                ctx.cfg.seed,
+                ctx.cfg,
                 client,
                 usize::MAX - 1, // a dedicated rng stream for evaluation
             );

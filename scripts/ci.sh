@@ -23,6 +23,22 @@ if fnv_tests=$(grep -rlIE "$fnv_basis" crates/*/tests tests); then
     exit 1
 fi
 
+echo "== one upload rule =="
+# Whether an upload is raw and whether its codec keeps a residual are
+# decided once, in crates/fl/src/codec.rs (`upload`, `keeps_residual`);
+# every other non-test source asks it rather than matching on the codec.
+# Each file is cut at its first `#[cfg(test)]`, as `== one flag table ==` does.
+upload_rule=$(find crates/*/src -name '*.rs' -not -path crates/fl/src/codec.rs | LC_ALL=C sort | while read -r f; do
+    awk -v f="$f" '
+        /#\[cfg\(test\)\]/ { exit }
+        /BaseCodec::|codec(\(\))?\.is_none\(\)/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$upload_rule" ]; then
+    echo "ask fedclust_fl::codec (upload, CodecSpec::keeps_residual) instead:" >&2
+    echo "$upload_rule" >&2
+    exit 1
+fi
+
 echo "== no serde =="
 # JSON is written and read by hand in crates/fl/src/json.rs; no manifest
 # outside benchmark/ may pull serde back in, and no type may derive it.

@@ -1,11 +1,11 @@
 //! What only the one federation driver makes testable.
 //!
 //! * The trainer is a value the host passes down, so a "networked" and an
-//!   in-process federation can run side by side in one process. An
-//!   in-process stand-in for the worker fleet drives the remote branch of
-//!   the round trip — and FedClust's remote warm-up — without sockets, and
-//!   must be indistinguishable from local training in results and in
-//!   checkpoint bytes.
+//!   in-process federation can run side by side in one process. A stand-in
+//!   for the worker fleet — the worker's `train_unit` and the server's
+//!   `settle`, without sockets — trains rounds and FedClust's warm-up, and
+//!   must be indistinguishable from the `InProcessTrainer` the driver falls
+//!   back to, unit by unit and in results and checkpoint bytes.
 //! * Resume validation lives behind one `restore` per method, entered from
 //!   one place, so one table can feed every method every wrong checkpoint.
 
@@ -21,7 +21,8 @@ use fedclust_repro::fl::checkpoint::{
     generation_file, Checkpoint, FedDynState, LgState, MethodState, ScaffoldState,
 };
 use fedclust_repro::fl::engine::{
-    init_model, settle, train_unit, RemoteOutcome, RemoteRound, RemoteTrainer, MODE_WARMUP,
+    init_model, settle, train_unit, InProcessTrainer, LocalJob, RemoteOutcome, RemoteRound,
+    RemoteTrainer, MODE_TRAIN, MODE_WARMUP,
 };
 use fedclust_repro::fl::methods::{
     Cfl, FedAvg, FedDyn, FedNova, FedProx, Ifca, LgFedAvg, Pacfl, PerFedAvg, Scaffold,
@@ -65,6 +66,19 @@ struct InProcessFleet<'a> {
     warmup_calls: AtomicUsize,
     /// The most distinct start states one call's units carried.
     most_start_states: AtomicUsize,
+}
+
+impl<'a> InProcessFleet<'a> {
+    fn new(fd: &'a FederatedDataset, cfg: FlConfig) -> Self {
+        InProcessFleet {
+            fd,
+            cfg,
+            template: init_model(fd, &cfg),
+            train_calls: AtomicUsize::new(0),
+            warmup_calls: AtomicUsize::new(0),
+            most_start_states: AtomicUsize::new(0),
+        }
+    }
 }
 
 impl RemoteTrainer for InProcessFleet<'_> {
@@ -126,14 +140,7 @@ fn a_fleet_and_a_local_federation_in_one_process_agree_byte_for_byte() {
         for m in &methods {
             assert!(m.distributes(), "{} must be fleet-capable", m.name());
             let name = m.name().to_lowercase();
-            let fleet = InProcessFleet {
-                fd: &fd,
-                cfg,
-                template: init_model(&fd, &cfg),
-                train_calls: AtomicUsize::new(0),
-                warmup_calls: AtomicUsize::new(0),
-                most_start_states: AtomicUsize::new(0),
-            };
+            let fleet = InProcessFleet::new(&fd, cfg);
             let dir_fleet = tmpdir(&format!("fleet-{}-{}", tag, name));
             let dir_local = tmpdir(&format!("local-{}-{}", tag, name));
             // Both federations are in flight at once: each waits for the
@@ -204,6 +211,78 @@ fn a_fleet_and_a_local_federation_in_one_process_agree_byte_for_byte() {
         clustered_batches.contains("PACFL") && clustered_batches.contains("FedClust"),
         "trained two clusters in one call: only {clustered_batches:?}"
     );
+}
+
+/// Everything an update carries, with the floats as bits.
+type UpdateBits = (usize, usize, u32, Vec<u32>, Option<usize>, Option<Vec<u32>>);
+
+fn outcome_bits(outcome: RemoteOutcome) -> (Vec<UpdateBits>, Vec<usize>) {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let updates = outcome.updates.iter().map(|u| {
+        (
+            u.client,
+            u.steps,
+            u.weight.to_bits(),
+            bits(&u.state),
+            u.wire_bytes,
+            u.residual.as_deref().map(bits),
+        )
+    });
+    (updates.collect(), outcome.lost)
+}
+
+/// In-process training is the fleet without the sockets: for the same
+/// request — units from two start states, each with its own residual — the
+/// `InProcessTrainer` and the worker's `train_unit` + the server's `settle`
+/// return the same outcome, update for update, under every kind of codec,
+/// with no residual yet, one of a stale shape and one of the state's, and
+/// for a warm-up.
+#[test]
+fn the_in_process_trainer_is_the_fleet_without_sockets() {
+    let fd = fd(25);
+    let theta = init_model(&fd, &FlConfig::tiny(25)).state_vec();
+    let half: Vec<f32> = theta.iter().map(|v| v * 0.5).collect();
+    let runs = [
+        ("none", MODE_TRAIN),
+        ("q8+sr", MODE_TRAIN),
+        ("delta+topk:0.1", MODE_TRAIN),
+        ("delta+topk:0.1", MODE_WARMUP),
+    ];
+    for (codec, mode) in runs {
+        let cfg = FlConfig {
+            codec: CodecSpec::parse(codec).unwrap(),
+            ..FlConfig::tiny(25)
+        };
+        let fleet = InProcessFleet::new(&fd, cfg);
+        let in_process = InProcessTrainer::new(&fd, &cfg);
+        for residual_len in [0, 3, theta.len()] {
+            let request = || RemoteRound {
+                mode,
+                jobs: (0..fd.num_clients())
+                    .map(|client| LocalJob {
+                        start_state: if client < 3 { &theta } else { &half },
+                        epochs: 1,
+                        client,
+                        round: 2,
+                        prox_mu: None,
+                    })
+                    .collect(),
+                residuals: match mode {
+                    MODE_WARMUP => Vec::new(),
+                    _ => (0..fd.num_clients())
+                        .map(|c| vec![0.01 * c as f32; residual_len])
+                        .collect(),
+                },
+            };
+            let fleet_outcome = outcome_bits(fleet.train_remote(request()));
+            assert_eq!(fleet_outcome.0.len(), fd.num_clients());
+            assert_eq!(
+                outcome_bits(in_process.train_remote(request())),
+                fleet_outcome,
+                "{codec}, mode {mode}, residual of {residual_len}"
+            );
+        }
+    }
 }
 
 /// A checkpoint for `(method, seed)` carrying `state`, as the only
