@@ -3,7 +3,7 @@
 //! cluster count each λ heuristic would choose, and its agreement (ARI)
 //! with the ground-truth label-set groups.
 
-use fedclust::clustering::{cluster_clients, LambdaSelect};
+use fedclust::clustering::{outcome_from_dendrogram, LambdaSelect};
 use fedclust::proximity::{collect_partial_weights, proximity_matrix};
 use fedclust::FedClust;
 use fedclust_bench::scale::Knobs;
@@ -34,8 +34,7 @@ fn main() {
                 method.warmup_epochs,
                 method.selection,
             );
-            let matrix = proximity_matrix(&weights, method.metric);
-            let dendro = agglomerative(&matrix, method.linkage);
+            let dendro = agglomerative(&proximity_matrix(&weights, method.metric), method.linkage);
             println!(
                 "## {} — {} clients, {} ground-truth groups",
                 profile.name(),
@@ -60,7 +59,7 @@ fn main() {
                 ("auto-gap", LambdaSelect::AutoGap),
                 ("auto-relgap", LambdaSelect::Auto),
             ] {
-                let o = cluster_clients(&matrix, method.linkage, select);
+                let o = outcome_from_dendrogram(&dendro, select);
                 let ari = adjusted_rand_index(&o.labels, &truth);
                 println!(
                     "{}: λ={:.3} → {} clusters, ARI {:.3}",

@@ -61,15 +61,18 @@ pub fn print() {
         "Fig. 1: distance matrices from different layer weights (VGG-mini, 10 clients, 2 groups)"
     );
     println!("Ground-truth groups: clients 0-4 hold classes 0-4; clients 5-9 hold classes 5-9.\n");
+    // One warm-up; every plotted layer is a slice of the same trained weights.
+    let trained = collect_partial_weights(
+        &fd,
+        &cfg,
+        &template,
+        &init_state,
+        cfg.local_epochs,
+        WeightSelection::FullModel,
+    );
     for (block, label) in picks {
-        let weights = collect_partial_weights(
-            &fd,
-            &cfg,
-            &template,
-            &init_state,
-            cfg.local_epochs,
-            WeightSelection::Block(block),
-        );
+        let layer = |w: &Vec<f32>| WeightSelection::Block(block).select(&template, w).to_vec();
+        let weights: Vec<Vec<f32>> = trained.iter().map(layer).collect();
         let m = proximity_matrix(&weights, fedclust_tensor::distance::Metric::L2);
         let outcome = cluster_clients(&m, Linkage::Average, LambdaSelect::AutoGap);
         let ari = adjusted_rand_index(&outcome.labels, &truth);

@@ -7,7 +7,7 @@
 //! intermediate cluster count.
 
 use crate::scale::Knobs;
-use fedclust::lambda_sweep::{lambda_grid, sweep};
+use fedclust::lambda_sweep::{dendrogram, lambda_grid, sweep};
 use fedclust::FedClust;
 use fedclust_data::{DatasetProfile, FederatedDataset, Partition};
 
@@ -22,14 +22,14 @@ pub fn print(knobs: &Knobs) {
         let mut cfg = scale.fl;
         // The sweep retrains per λ; halve the rounds to keep it affordable.
         cfg.rounds = (cfg.rounds / 2).max(4);
-        let method = FedClust::default();
-        let grid = lambda_grid(&fd, &cfg, &method, 6);
+        let dendro = dendrogram(&fd, &cfg, &FedClust::default());
+        let grid = lambda_grid(&dendro, 6);
         eprintln!(
             "[fig4] {}: sweeping {} λ values",
             profile.name(),
             grid.len()
         );
-        let points = sweep(&fd, &cfg, &method, &grid);
+        let points = sweep(&fd, &cfg, &dendro, &grid);
         println!("## {}", profile.name());
         println!(
             "| {:>10} | {:>9} | {:>12} |",

@@ -2,6 +2,7 @@
 
 use crate::runner::GridResults;
 use fedclust_data::DatasetProfile;
+use fedclust_fl::metrics::SeedAggregate;
 
 /// Method ordering used by the paper's tables.
 pub const METHOD_ORDER: [&str; 10] = [
@@ -79,46 +80,41 @@ pub fn targets(grid: &GridResults) -> Vec<(String, f64)> {
 /// Render Table 4: communication rounds needed to reach the target
 /// accuracy ("--" if a method never reaches it).
 pub fn rounds_table(grid: &GridResults, title: &str) -> String {
-    let targets = targets(grid);
-    let mut out = String::new();
-    out.push_str(&format!("{}\n", title));
-    out.push_str(&format!(
-        "| {:<9} | {:>9} | {:>9} | {:>9} | {:>9} |\n",
-        "Method", "CIFAR-10", "CIFAR-100", "FMNIST", "SVHN"
-    ));
-    out.push_str(&format!("| {:<9} |", "Target"));
-    for (_, t) in &targets {
-        out.push_str(&format!(" {:>8.0}% |", t * 100.0));
-    }
-    out.push('\n');
-    for method in METHOD_ORDER {
-        out.push_str(&format!("| {:<9} |", method));
-        for (dataset, target) in &targets {
-            let cell = grid
-                .aggregate(dataset, method)
-                .and_then(|a| a.rounds_to_target(*target));
-            match cell {
-                Some(r) => out.push_str(&format!(" {:>9} |", r)),
-                None => out.push_str(&format!(" {:>9} |", "--")),
-            }
-        }
-        out.push('\n');
-    }
-    out
+    to_target_table(grid, title, 9, |a, target| {
+        a.rounds_to_target(target).map(|r| r.to_string())
+    })
 }
 
 /// Render Table 5: communication cost in Mb to reach the target accuracy.
 pub fn comm_table(grid: &GridResults, title: &str) -> String {
+    to_target_table(grid, title, 10, |a, target| {
+        a.mb_to_target(target).map(|mb| format!("{mb:.2}"))
+    })
+}
+
+/// Tables 4 and 5: a `Target` row, then one row per method of `cell`'s
+/// cost to reach each dataset's target, `width` characters a column.
+fn to_target_table(
+    grid: &GridResults,
+    title: &str,
+    width: usize,
+    cell: impl Fn(&SeedAggregate, f64) -> Option<String>,
+) -> String {
     let targets = targets(grid);
     let mut out = String::new();
     out.push_str(&format!("{}\n", title));
     out.push_str(&format!(
-        "| {:<9} | {:>10} | {:>10} | {:>10} | {:>10} |\n",
-        "Method", "CIFAR-10", "CIFAR-100", "FMNIST", "SVHN"
+        "| {:<9} | {:>w$} | {:>w$} | {:>w$} | {:>w$} |\n",
+        "Method",
+        "CIFAR-10",
+        "CIFAR-100",
+        "FMNIST",
+        "SVHN",
+        w = width
     ));
     out.push_str(&format!("| {:<9} |", "Target"));
     for (_, t) in &targets {
-        out.push_str(&format!(" {:>9.0}% |", t * 100.0));
+        out.push_str(&format!(" {:>w$.0}% |", t * 100.0, w = width - 1));
     }
     out.push('\n');
     for method in METHOD_ORDER {
@@ -126,11 +122,9 @@ pub fn comm_table(grid: &GridResults, title: &str) -> String {
         for (dataset, target) in &targets {
             let cell = grid
                 .aggregate(dataset, method)
-                .and_then(|a| a.mb_to_target(*target));
-            match cell {
-                Some(mb) => out.push_str(&format!(" {:>10.2} |", mb)),
-                None => out.push_str(&format!(" {:>10} |", "--")),
-            }
+                .and_then(|a| cell(&a, *target));
+            let cell = cell.as_deref().unwrap_or("--");
+            out.push_str(&format!(" {:>w$} |", cell, w = width));
         }
         out.push('\n');
     }

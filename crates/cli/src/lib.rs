@@ -11,7 +11,7 @@
 //! fedclust-cli methods
 //! ```
 
-use fedclust::FedClust;
+use fedclust::{lambda_sweep, FedClust};
 use fedclust_cluster::metrics::adjusted_rand_index;
 use fedclust_data::{DatasetProfile, FederatedDataset, Partition};
 use fedclust_fl::engine::RemoteTrainer;
@@ -192,9 +192,9 @@ pub fn execute(args: &Args, trainer: Option<&dyn RemoteTrainer>) -> Result<Strin
         Command::Sweep { points } => {
             let fd = build_dataset(args)?;
             let cfg = build_config(args);
-            let method = FedClust::default();
-            let grid = fedclust::lambda_sweep::lambda_grid(&fd, &cfg, &method, *points);
-            let sweep = fedclust::lambda_sweep::sweep(&fd, &cfg, &method, &grid);
+            let dendro = lambda_sweep::dendrogram(&fd, &cfg, &FedClust::default());
+            let grid = lambda_sweep::lambda_grid(&dendro, *points);
+            let sweep = lambda_sweep::sweep(&fd, &cfg, &dendro, &grid);
             let mut out = String::from("lambda     clusters   accuracy\n");
             for p in &sweep {
                 out.push_str(&format!(

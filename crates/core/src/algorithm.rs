@@ -6,7 +6,7 @@ use crate::proximity::{proximity_matrix, WeightSelection};
 use fedclust_cluster::hac::Linkage;
 use fedclust_fl::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
 use fedclust_fl::driver::{Method, RoundCtx};
-use fedclust_fl::engine::{evaluate_clients, weighted_average, LocalJob, RemoteRound, MODE_WARMUP};
+use fedclust_fl::engine::{evaluate_clients, weighted_average};
 use fedclust_nn::Model;
 
 /// FedClust configuration (Algorithm 1's inputs beyond the shared
@@ -77,32 +77,17 @@ impl Method for FedClust {
     /// partials: it runs over whatever uploads survive the uplink and the
     /// quarantine screen.
     fn init(&self, ctx: &mut RoundCtx<'_>) -> SavedFederation {
-        let (fd, template) = (ctx.fd, &ctx.template);
-        let init_state = template.state_vec();
-        let all_clients: Vec<usize> = (0..fd.num_clients()).collect();
-        let reached = ctx.transport.broadcast(0, &all_clients, init_state.len());
-        let warm_up = |&client| LocalJob {
-            start_state: &init_state,
-            epochs: self.warmup_epochs,
-            client,
-            round: 0,
-            prox_mu: None,
-        };
-        let warmed = ctx.trainer.train_remote(RemoteRound {
-            mode: MODE_WARMUP,
-            jobs: reached.iter().map(warm_up).collect(),
-            residuals: Vec::new(),
-        });
-        // Written-off clients count as uplink losses for telemetry.
-        ctx.transport.record_remote_losses(&warmed.lost);
+        let fd = ctx.fd;
+        let init_state = ctx.template.state_vec();
+        let warmed = ctx.warm_up(&init_state, self.warmup_epochs);
         // A stale round-0 corruption replays the untrained partial weights.
-        let init_partial = self.selection.extract(template);
-        let mut survivors: Vec<usize> = Vec::with_capacity(reached.len());
-        let mut partials: Vec<Vec<f32>> = Vec::with_capacity(reached.len());
+        let init_partial = self.selection.extract(&ctx.template);
+        let mut survivors: Vec<usize> = Vec::with_capacity(warmed.len());
+        let mut partials: Vec<Vec<f32>> = Vec::with_capacity(warmed.len());
         // Warm-ups come back as raw full states; the partial weights are
         // sliced out here, so the uplink path (codec, faults, screen) runs
         // over them wherever the clients trained.
-        for u in warmed.updates {
+        for u in warmed {
             let mut partial = self.selection.select(&ctx.template, &u.state).to_vec();
             if ctx.upload(0, u.client, &mut partial, Some(&init_partial)) {
                 survivors.push(u.client);

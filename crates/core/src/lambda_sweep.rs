@@ -1,7 +1,8 @@
 //! The λ sweep behind Fig. 4: the generalization ↔ personalization dial.
 //!
-//! One warm-up + clustering pass produces a dendrogram; every λ cut of that
-//! dendrogram is then trained and evaluated. Large λ merges everyone into
+//! One warm-up + clustering pass ([`dendrogram`]) produces a dendrogram;
+//! the λ grid is read off it, and every λ cut of it is then trained and
+//! evaluated. Large λ merges everyone into
 //! one cluster (FedAvg-like, fully global); tiny λ leaves every client in
 //! its own cluster (Local-like, fully personalized).
 
@@ -26,9 +27,9 @@ pub struct LambdaPoint {
     pub final_acc: f64,
 }
 
-/// The one warm-up + clustering pass: every client's partial weights
-/// (collected fault-free, outside any transport) into a dendrogram.
-fn dendrogram(fd: &FederatedDataset, cfg: &FlConfig, method: &FedClust) -> Dendrogram {
+/// The one warm-up + clustering pass of a sweep: every client's partial
+/// weights (collected fault-free, outside any transport) into a dendrogram.
+pub fn dendrogram(fd: &FederatedDataset, cfg: &FlConfig, method: &FedClust) -> Dendrogram {
     let template = init_model(fd, cfg);
     let partials = collect_partial_weights(
         fd,
@@ -44,13 +45,7 @@ fn dendrogram(fd: &FederatedDataset, cfg: &FlConfig, method: &FedClust) -> Dendr
 /// Evenly spaced λ values spanning the dendrogram's merge-distance range
 /// (plus a sub-minimum and a super-maximum point so the sweep reaches both
 /// the all-singleton and the single-cluster regimes).
-pub fn lambda_grid(
-    fd: &FederatedDataset,
-    cfg: &FlConfig,
-    method: &FedClust,
-    points: usize,
-) -> Vec<f32> {
-    let dendro = dendrogram(fd, cfg, method);
+pub fn lambda_grid(dendro: &Dendrogram, points: usize) -> Vec<f32> {
     let merges = dendro.merges();
     let (Some(first), Some(last)) = (merges.first(), merges.last()) else {
         return vec![1.0];
@@ -110,14 +105,13 @@ impl Method for Cut<'_> {
     fn finish(&self, _: Vec<Vec<f32>>, _: RoundCtx<'_>) {}
 }
 
-/// Run the sweep: cluster once, then train and evaluate each λ cut.
+/// Run the sweep: train and evaluate each λ cut of `dendro`.
 pub fn sweep(
     fd: &FederatedDataset,
     cfg: &FlConfig,
-    method: &FedClust,
+    dendro: &Dendrogram,
     lambdas: &[f32],
 ) -> Vec<LambdaPoint> {
-    let dendro = dendrogram(fd, cfg, method);
     // Only the final accuracy of a cut is reported: evaluate at the end.
     let cfg = FlConfig {
         eval_every: cfg.rounds.max(1),
@@ -126,7 +120,7 @@ pub fn sweep(
     lambdas
         .iter()
         .map(|&lambda| {
-            let outcome = outcome_from_dendrogram(&dendro, LambdaSelect::Fixed(lambda));
+            let outcome = outcome_from_dendrogram(dendro, LambdaSelect::Fixed(lambda));
             // Each λ cut trains under the same fault plan; the sweep only
             // reports accuracies, so the per-cut comm meter is discarded.
             let Ok((result, ())) = run_federation(&Cut(&outcome), fd, &cfg, NoCheckpoints, None);
@@ -171,10 +165,10 @@ mod tests {
         let fd = two_group_fd();
         let mut cfg = FlConfig::tiny(5);
         cfg.rounds = 2;
-        let method = FedClust::default();
-        let grid = lambda_grid(&fd, &cfg, &method, 4);
+        let dendro = dendrogram(&fd, &cfg, &FedClust::default());
+        let grid = lambda_grid(&dendro, 4);
         assert!(grid.len() >= 3);
-        let points = sweep(&fd, &cfg, &method, &grid);
+        let points = sweep(&fd, &cfg, &dendro, &grid);
         for w in points.windows(2) {
             assert!(
                 w[0].num_clusters >= w[1].num_clusters,

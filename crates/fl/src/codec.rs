@@ -435,49 +435,32 @@ impl CodecSpec {
                 let decoded = reconstruct(&values, flags, reference);
                 Encoded { wire, decoded }
             }
-            BaseCodec::Q8 => {
-                let (scale, zero_point) = quant_params(&values, Q8_LEVELS);
+            BaseCodec::Q8 | BaseCodec::Q4 => {
+                // q8 packs one code a byte; q4 two, the first in the low
+                // nibble (an odd count leaves the last high nibble 0).
+                let (tag, levels, bits) = match self.base {
+                    BaseCodec::Q8 => (TAG_Q8, Q8_LEVELS, 8),
+                    _ => (TAG_Q4, Q4_LEVELS, 4),
+                };
+                let (scale, zero_point) = quant_params(&values, levels);
                 let codes: Vec<u32> = values
                     .iter()
-                    .map(|&x| quant_code(x, Q8_LEVELS, scale, zero_point, &mut rng))
+                    .map(|&x| quant_code(x, levels, scale, zero_point, &mut rng))
                     .collect();
                 write_header(
                     &mut wire,
-                    TAG_Q8,
+                    tag,
                     flags,
                     n as u32,
                     scale.to_bits(),
                     zero_point.to_bits(),
                 );
-                for &c in &codes {
-                    wire.u8(c as u8);
-                }
-                let wire = bytes::seal(wire.into_bytes());
-                let dequant: Vec<f32> = codes
-                    .iter()
-                    .map(|&c| dequant_value(c, scale, zero_point))
-                    .collect();
-                let decoded = reconstruct(&dequant, flags, reference);
-                Encoded { wire, decoded }
-            }
-            BaseCodec::Q4 => {
-                let (scale, zero_point) = quant_params(&values, Q4_LEVELS);
-                let codes: Vec<u32> = values
-                    .iter()
-                    .map(|&x| quant_code(x, Q4_LEVELS, scale, zero_point, &mut rng))
-                    .collect();
-                write_header(
-                    &mut wire,
-                    TAG_Q4,
-                    flags,
-                    n as u32,
-                    scale.to_bits(),
-                    zero_point.to_bits(),
-                );
-                for pair in codes.chunks(2) {
-                    let lo = pair.first().copied().unwrap_or(0) as u8;
-                    let hi = pair.get(1).copied().unwrap_or(0) as u8;
-                    wire.u8(lo | (hi << 4));
+                for byte in codes.chunks(8 / bits) {
+                    let shifted = byte
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &c)| (c as u8) << (i * bits));
+                    wire.u8(shifted.fold(0, |packed, c| packed | c));
                 }
                 let wire = bytes::seal(wire.into_bytes());
                 let dequant: Vec<f32> = codes

@@ -7,22 +7,26 @@
 //! [`Method`] impl that supplies only what differs — its server state, one
 //! round's update rule, how it evaluates, and what it leaves behind.
 //!
-//! In-process vs networked is a value, not ambient state: the host passes
-//! an optional [`RemoteTrainer`], the driver puts an [`InProcessTrainer`]
-//! in its place when there is none and carries the one trainer in
-//! [`RoundCtx`], and [`RoundCtx::train_groups`] (plus FedClust's warm-up)
-//! is the only place that calls it.
+//! [`RoundCtx`] is a method's one door to its clients: sampling, every
+//! broadcast and every trainer call happen in its methods, so a method's
+//! `round` is `RoundCtx` calls plus its own arithmetic. In-process vs
+//! networked is a value, not ambient state: the host passes an optional
+//! [`RemoteTrainer`], the driver puts an [`InProcessTrainer`] in its place
+//! when there is none and carries the one trainer in [`RoundCtx`], and
+//! the training batch behind [`RoundCtx::train_groups`] and
+//! [`RoundCtx::warm_up`] are the only calls to it.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, Checkpointer, MethodState};
 use crate::config::FlConfig;
 use crate::engine::{
     average_accuracy, average_updates, init_model, sample_clients, ClientUpdate, InProcessTrainer,
-    LocalJob, RemoteRound, RemoteTrainer, MODE_TRAIN,
+    LocalJob, RemoteRound, RemoteTrainer, RemoteUpdate, MODE_TRAIN, MODE_WARMUP,
 };
 use crate::faults::Transport;
 use crate::metrics::{RoundRecord, RunResult};
 use fedclust_data::FederatedDataset;
 use fedclust_nn::Model;
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 
@@ -42,23 +46,23 @@ pub struct RoundCtx<'a> {
     pub trainer: &'a dyn RemoteTrainer,
 }
 
-impl RoundCtx<'_> {
-    /// One full faulty round trip for the standard skeleton: broadcast
-    /// `start_state` through the transport (charging every downlink
-    /// attempt), train the clients that were actually reached on the run's
-    /// trainer, then take each update through the uplink codec + fault +
-    /// quarantine screen. The broadcast state doubles as the codec's delta
-    /// reference. The returned survivor set may be empty; callers carry the
-    /// previous model forward then. This is [`RoundCtx::train_groups`] for a
-    /// round with one model.
+impl<'a> RoundCtx<'a> {
+    /// One full faulty round trip for the standard skeleton: sample at
+    /// `round`, broadcast `start_state` through the transport (charging
+    /// every downlink attempt), train the clients that were actually
+    /// reached on the run's trainer, then take each update through the
+    /// uplink codec + fault + quarantine screen. The broadcast state doubles
+    /// as the codec's delta reference. The returned survivor set may be
+    /// empty; callers carry the previous model forward then. This is
+    /// [`RoundCtx::train_groups`] for a round with one model.
     pub fn train_round(
         &mut self,
         start_state: &[f32],
-        sampled: &[usize],
         round: usize,
         prox_mu: Option<f32>,
     ) -> Vec<ClientUpdate> {
-        let mut trained = self.train_groups(&[(start_state, sampled)], round, prox_mu);
+        let sampled = sample_clients(self.fd.num_clients(), self.cfg, round);
+        let mut trained = self.train_groups(&[(start_state, &sampled)], round, prox_mu);
         trained.pop().unwrap_or_default()
     }
 
@@ -81,10 +85,24 @@ impl RoundCtx<'_> {
         prox_mu: Option<f32>,
     ) -> Vec<Vec<ClientUpdate>> {
         let transport = &mut self.transport;
-        let reached: Vec<(&[f32], Vec<usize>)> = groups
+        let reached = groups
             .iter()
             .map(|&(state, members)| (state, transport.broadcast(round, members, state.len())))
             .collect();
+        self.train_reached(reached, round, prox_mu)
+    }
+
+    /// [`RoundCtx::train_groups`] after its broadcast: every group is
+    /// `(start_state, clients the downlink reached)`, by whatever broadcast
+    /// reached them — IFCA's bundle of all k models reaches a client before
+    /// it picks the group it trains in.
+    pub(crate) fn train_reached(
+        &mut self,
+        reached: Vec<(&[f32], Vec<usize>)>,
+        round: usize,
+        prox_mu: Option<f32>,
+    ) -> Vec<Vec<ClientUpdate>> {
+        let transport = &mut self.transport;
         let job = |start_state, &client| LocalJob {
             start_state,
             epochs: self.cfg.local_epochs,
@@ -121,6 +139,80 @@ impl RoundCtx<'_> {
         received.collect()
     }
 
+    /// The sampled clients of each cluster that has any, trained from
+    /// `state_of(cluster)` — all clusters in one [`RoundCtx::train_groups`]
+    /// batch. `cluster_of` maps a client to its cluster. Returns, clusters
+    /// ascending, `(cluster, sampled members, their survivors)`.
+    pub fn train_clusters<'s>(
+        &mut self,
+        round: usize,
+        cluster_of: &[usize],
+        state_of: impl Fn(usize) -> &'s [f32],
+    ) -> Vec<(usize, Vec<usize>, Vec<ClientUpdate>)> {
+        let sampled = sample_clients(self.fd.num_clients(), self.cfg, round);
+        let members = members_by_cluster(sampled.iter().map(|&c| (c, cluster_of[c])));
+        let groups: Vec<(&[f32], &[usize])> = members
+            .iter()
+            .map(|(&ci, members)| (state_of(ci), &members[..]))
+            .collect();
+        let trained = self.train_groups(&groups, round, None);
+        let members = members.into_iter().zip(trained);
+        members.map(|((ci, m), u)| (ci, m, u)).collect()
+    }
+
+    /// One round of per-cluster FedAvg (Eq. 2; Algorithm 1 lines 9–14):
+    /// [`RoundCtx::train_clusters`] from the cluster models, then average
+    /// what survives, cluster by cluster. A cluster with no sampled member,
+    /// or whose every upload was lost, quarantined or weightless, carries
+    /// its model forward.
+    pub fn cluster_round(&mut self, states: &mut [Vec<f32>], labels: &[usize], round: usize) {
+        for (ci, _, updates) in self.train_clusters(round, labels, |ci| &states[ci]) {
+            states[ci] = average_updates(&updates, &states[ci]);
+        }
+    }
+
+    /// The round trip for methods that train clients themselves: sample at
+    /// `round`, broadcast `down` scalars to each sampled client (charging
+    /// every attempt, reaching at least one), and run `work(ctx, client)`
+    /// for every client the downlink reached, in one parallel map. Returns
+    /// `(client, work)` in client order; uploads go through
+    /// [`RoundCtx::upload`].
+    pub fn on_clients<T: Send>(
+        &mut self,
+        round: usize,
+        down: usize,
+        work: impl Fn(&RoundCtx<'a>, usize) -> T + Sync,
+    ) -> Vec<(usize, T)> {
+        let sampled = sample_clients(self.fd.num_clients(), self.cfg, round);
+        let reached = self.transport.broadcast(round, &sampled, down);
+        let ctx = &*self;
+        reached.par_iter().map(|&c| (c, work(ctx, c))).collect()
+    }
+
+    /// Round 0's warm-up (FedClust, Algorithm 1 lines 2–4): broadcast
+    /// `start_state` to every client and train each one the downlink
+    /// reached for `epochs` epochs, in one [`MODE_WARMUP`] batch on the
+    /// run's trainer. Clients whose trainer wrote them off count as uplink
+    /// losses. Returns the delivered raw full states, in client order.
+    pub fn warm_up(&mut self, start_state: &[f32], epochs: usize) -> Vec<RemoteUpdate> {
+        let everyone: Vec<usize> = (0..self.fd.num_clients()).collect();
+        let reached = self.transport.broadcast(0, &everyone, start_state.len());
+        let job = |&client| LocalJob {
+            start_state,
+            epochs,
+            client,
+            round: 0,
+            prox_mu: None,
+        };
+        let warmed = self.trainer.train_remote(RemoteRound {
+            mode: MODE_WARMUP,
+            jobs: reached.iter().map(job).collect(),
+            residuals: Vec::new(),
+        });
+        self.transport.record_remote_losses(&warmed.lost);
+        warmed.updates
+    }
+
     /// Upload `payload` from `client` for methods that train clients
     /// themselves: through the codec (against `reference`, the state both
     /// ends share, which is also what a stale corruption replays), the
@@ -139,33 +231,16 @@ impl RoundCtx<'_> {
             .uplink(round, client, payload, reference, reference)
             && self.transport.screen(payload, len)
     }
-
-    /// One round of per-cluster FedAvg (Eq. 2; Algorithm 1 lines 9–14):
-    /// sample at `round`, train every cluster's sampled members from the
-    /// cluster model — all clusters in one [`RoundCtx::train_groups`]
-    /// batch — and average what survives, cluster by cluster. A cluster
-    /// with no sampled member, or whose every upload was lost, quarantined
-    /// or weightless, carries its model forward.
-    pub fn cluster_round(&mut self, states: &mut [Vec<f32>], labels: &[usize], round: usize) {
-        let sampled = sample_clients(self.fd.num_clients(), self.cfg, round);
-        let members = members_by_cluster(&sampled, labels);
-        let groups: Vec<(&[f32], &[usize])> = members
-            .iter()
-            .map(|(&ci, members)| (&states[ci][..], &members[..]))
-            .collect();
-        let trained = self.train_groups(&groups, round, None);
-        for (&ci, updates) in members.keys().zip(&trained) {
-            states[ci] = average_updates(updates, &states[ci]);
-        }
-    }
 }
 
-/// The sampled clients of each cluster that has any, by cluster index:
-/// clusters ascending, members in sampling order.
-pub fn members_by_cluster(sampled: &[usize], cluster_of: &[usize]) -> BTreeMap<usize, Vec<usize>> {
+/// `(client, cluster)` pairs grouped by cluster: clusters ascending, each
+/// with its clients in the order given.
+pub(crate) fn members_by_cluster(
+    pairs: impl IntoIterator<Item = (usize, usize)>,
+) -> BTreeMap<usize, Vec<usize>> {
     let mut members: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for &client in sampled {
-        members.entry(cluster_of[client]).or_default().push(client);
+    for (client, cluster) in pairs {
+        members.entry(cluster).or_default().push(client);
     }
     members
 }
@@ -179,12 +254,13 @@ pub trait Method {
     /// Display name, matching the paper's tables (e.g. `"FedAvg"`); also
     /// the identity a checkpoint is matched against.
     const NAME: &'static str;
-    /// Whether *all* local training goes through
-    /// [`RoundCtx::train_groups`] — directly, or as [`RoundCtx::train_round`]
-    /// or [`RoundCtx::cluster_round`] — or, for a round-0 warm-up, the
-    /// [`RemoteTrainer`] itself, so a worker fleet can carry it. A
-    /// method that trains clients itself, e.g. to keep per-client state,
-    /// would silently train on the server, and must say `false`.
+    /// Whether *all* client work goes through [`RoundCtx::train_groups`] —
+    /// directly, or as [`RoundCtx::train_round`],
+    /// [`RoundCtx::train_clusters`] or [`RoundCtx::cluster_round`] — or,
+    /// for a round-0 warm-up, [`RoundCtx::warm_up`], so a worker fleet can
+    /// carry it. A method with work in [`RoundCtx::on_clients`], e.g. to
+    /// keep per-client state, would silently run it on the server, and
+    /// must say `false`.
     const DISTRIBUTES: bool = false;
     /// Whether [`Method::init`] computes one-shot state worth a
     /// checkpoint of its own (generation 0) before any round has run,
@@ -467,11 +543,64 @@ mod tests {
             trainer: &InProcessTrainer::new(&fd, &cfg),
         };
         let s = ctx.template.state_vec();
-        let kept = ctx.train_round(&s, &[0, 1, 2], 0, None);
+        let kept = ctx.train_groups(&[(&s, &[0, 1, 2])], 0, None).remove(0);
         assert!(kept.is_empty(), "total uplink loss must lose every update");
         let items: Vec<(&[f32], f32)> = kept.iter().map(|u| (&u.state[..], u.weight)).collect();
         assert_eq!(weighted_average_or(&items, &s), s, "model carried forward");
         assert!(ctx.transport.telemetry().uplink_losses >= 3);
+    }
+
+    /// Client work runs on exactly the clients the downlink reached — in a
+    /// round that missed some — and comes back in client order, and every
+    /// downlink attempt, retries and failures included, is billed `down`
+    /// scalars.
+    #[test]
+    fn on_clients_works_on_exactly_the_reached_clients() {
+        let fd = tiny_fd(8);
+        let mut cfg = FlConfig::tiny(8);
+        cfg.sample_rate = 1.0;
+        cfg.faults.downlink_loss = 0.6;
+        cfg.faults.max_downlink_retries = 1;
+        let trainer = InProcessTrainer::new(&fd, &cfg);
+        let ctx = || RoundCtx {
+            fd: &fd,
+            cfg: &cfg,
+            template: init_model(&fd, &cfg),
+            transport: Transport::new(&cfg),
+            trainer: &trainer,
+        };
+        let down = 7;
+        let sampled = |round| sample_clients(fd.num_clients(), &cfg, round);
+        let partly_reached = |round| {
+            let reached = ctx().transport.broadcast(round, &sampled(round), down);
+            (reached.len() >= 2 && reached.len() < sampled(round).len()).then_some((round, reached))
+        };
+        let (round, reached) = (0..64).find_map(partly_reached).unwrap();
+
+        let mut ctx = ctx();
+        let worked_on = std::sync::Mutex::new(Vec::new());
+        let worked = ctx.on_clients(round, down, |ctx, client| {
+            worked_on.lock().unwrap().push(client);
+            ctx.fd.clients[client].train_samples()
+        });
+        let mut worked_on = worked_on.into_inner().unwrap();
+        worked_on.sort_unstable();
+        assert_eq!(
+            worked_on, reached,
+            "work ran on exactly the reached clients"
+        );
+        let clients: Vec<usize> = worked.iter().map(|&(c, _)| c).collect();
+        assert_eq!(clients, reached, "in client order");
+        for (c, samples) in worked {
+            assert_eq!(
+                samples,
+                fd.clients[c].train_samples(),
+                "client {c}'s own work"
+            );
+        }
+        let attempts = sampled(round).len() + ctx.transport.telemetry().retries;
+        let billed = ctx.transport.meter().downlink_bytes();
+        assert_eq!(billed, (attempts * down * 4) as f64);
     }
 
     /// Everything a round trip leaves behind that a later byte could
@@ -524,7 +653,9 @@ mod tests {
         let fates = |round| {
             let mut probe = ctx();
             let reached = probe.transport.broadcast(round, &everyone, theta.len());
-            let arrived = probe.train_round(&theta, &reached, round, None);
+            let arrived = probe
+                .train_groups(&[(&theta, &reached)], round, None)
+                .remove(0);
             let arrived = |c: &usize| arrived.iter().any(|u| u.client == *c);
             let (unreached, rest): (Vec<usize>, Vec<usize>) =
                 everyone.iter().partition(|c| !reached.contains(c));
@@ -552,7 +683,7 @@ mod tests {
                 let together = batch.train_groups(&groups, r, None);
                 let in_turn: Vec<_> = groups
                     .iter()
-                    .map(|&(state, members)| turns.train_round(state, members, r, None))
+                    .map(|&group| turns.train_groups(&[group], r, None).remove(0))
                     .collect();
                 if r == round {
                     let clients = |g: &Vec<ClientUpdate>| g.iter().map(|u| u.client).collect();

@@ -18,8 +18,8 @@
 //!   never-sampled members follow the sub-cluster of the first split group.
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
-use crate::driver::{members_by_cluster, Method, RoundCtx};
-use crate::engine::{average_updates, evaluate_clients, sample_clients};
+use crate::driver::{Method, RoundCtx};
+use crate::engine::{average_updates, evaluate_clients};
 use fedclust_cluster::hac::{cluster_k, Linkage};
 use fedclust_cluster::ProximityMatrix;
 use fedclust_tensor::distance::cosine;
@@ -116,18 +116,11 @@ impl Method for Cfl {
 
     fn round(&self, s: &mut CflState, ctx: &mut RoundCtx<'_>, round: usize) {
         let num_params = ctx.template.num_params();
-        let sampled = sample_clients(ctx.fd.num_clients(), ctx.cfg, round);
-        // Group sampled clients by their cluster, and train every cluster's
-        // share of the round in one batch.
+        // Every cluster's share of the round, trained in one batch.
         let cluster_of = client_to_cluster(&s.clusters, ctx.fd.num_clients());
-        let members = members_by_cluster(&sampled, &cluster_of);
-        let groups: Vec<(&[f32], &[usize])> = members
-            .iter()
-            .map(|(&ci, members)| (&s.clusters[ci].state[..], &members[..]))
-            .collect();
-        let trained = ctx.train_groups(&groups, round, None);
+        let trained = ctx.train_clusters(round, &cluster_of, |ci| &s.clusters[ci].state);
         let mut split_requests: Vec<usize> = Vec::new();
-        for ((&ci, members), updates) in members.iter().zip(trained) {
+        for (ci, members, updates) in trained {
             let cluster = &mut s.clusters[ci];
             if updates.is_empty() {
                 // Every upload lost or quarantined: the cluster skips

@@ -19,8 +19,7 @@
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, FedDynState, MethodState};
 use crate::driver::{Method, RoundCtx};
-use crate::engine::{evaluate_clients, local_train_corrected, sample_clients, weighted_average_or};
-use rayon::prelude::*;
+use crate::engine::{evaluate_clients, local_train_corrected, weighted_average_or};
 
 /// FedDyn with regularization strength α.
 #[derive(Debug, Clone, Copy)]
@@ -90,12 +89,9 @@ impl Method for FedDyn {
     fn round(&self, s: &mut FedDynState, ctx: &mut RoundCtx<'_>, round: usize) {
         let num_params = ctx.template.num_params();
         let state_len = s.state.len();
-        let sampled = sample_clients(ctx.fd.num_clients(), ctx.cfg, round);
-        let delivered = ctx.transport.broadcast(round, &sampled, state_len);
-        let trained: Vec<(usize, Vec<f32>)> = delivered
-            .par_iter()
-            .map(|&client| (client, self.local_train(s, ctx, client, round)))
-            .collect();
+        let trained = ctx.on_clients(round, state_len, |ctx, client| {
+            self.local_train(s, ctx, client, round)
+        });
 
         // The dual update uses the client-side w and persists whether
         // or not the upload makes it; the server aggregates only the

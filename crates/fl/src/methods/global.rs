@@ -8,9 +8,7 @@
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
 use crate::driver::{Method, RoundCtx};
-use crate::engine::{
-    average_updates, evaluate_clients, sample_clients, weighted_average, ClientUpdate,
-};
+use crate::engine::{average_updates, evaluate_clients, weighted_average, ClientUpdate};
 
 /// A member of the FedAvg family: one global model, trained by the
 /// standard round trip and replaced each round by [`Global::aggregate`].
@@ -130,8 +128,7 @@ impl<G: Global> Method for G {
     }
 
     fn round(&self, global: &mut Vec<f32>, ctx: &mut RoundCtx<'_>, round: usize) {
-        let sampled = sample_clients(ctx.fd.num_clients(), ctx.cfg, round);
-        let updates = ctx.train_round(global, &sampled, round, self.prox_mu());
+        let updates = ctx.train_round(global, round, self.prox_mu());
         // With every update lost or quarantined the model carries forward.
         if !updates.is_empty() {
             *global = G::aggregate(global, &updates, ctx.template.num_params());

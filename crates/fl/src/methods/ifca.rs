@@ -8,13 +8,10 @@
 //! cluster. The server averages per cluster.
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
-use crate::driver::{Method, RoundCtx};
-use crate::engine::{
-    evaluate_models, sample_clients, train_replica, weighted_average_or, LocalJob,
-};
+use crate::driver::{members_by_cluster, Method, RoundCtx};
+use crate::engine::{average_updates, evaluate_models};
 use fedclust_nn::Model;
 use fedclust_tensor::rng::{derive, streams};
-use rayon::prelude::*;
 
 /// IFCA with `k` cluster models.
 #[derive(Debug, Clone, Copy)]
@@ -66,6 +63,11 @@ impl Ifca {
 /// unseen clients to them post-hoc).
 impl Method for Ifca {
     const NAME: &'static str = "IFCA";
+    /// IFCA trains in the round's one batch, but a client's choice of model
+    /// does not: it evaluates all k models on the client's own training
+    /// data, here, and a work unit carries one start state to train, not k
+    /// to choose from.
+    const DISTRIBUTES: bool = false;
     type State = Vec<Vec<f32>>;
     type Artifacts = Vec<Vec<f32>>;
 
@@ -99,42 +101,20 @@ impl Method for Ifca {
     }
 
     fn round(&self, states: &mut Vec<Vec<f32>>, ctx: &mut RoundCtx<'_>, round: usize) {
-        let (fd, cfg, template) = (ctx.fd, ctx.cfg, &ctx.template);
-        let state_len = template.state_len();
-        let sampled = sample_clients(fd.num_clients(), cfg, round);
-        // All k models go down in one bundle per client.
-        let delivered = ctx.transport.broadcast(round, &sampled, self.k * state_len);
-        let trained: Vec<(usize, usize, Vec<f32>, f32)> = delivered
-            .par_iter()
-            .map(|&client| {
-                let data = &fd.clients[client];
-                let ci = Self::best_cluster(template, states, data);
-                let job = LocalJob {
-                    start_state: &states[ci],
-                    epochs: cfg.local_epochs,
-                    client,
-                    round,
-                    prox_mu: None,
-                };
-                let (model, _) = train_replica(template, data, cfg, job);
-                (client, ci, model.state_vec(), data.train_samples() as f32)
-            })
-            .collect();
-        let mut updates: Vec<(usize, Vec<f32>, f32)> = Vec::with_capacity(trained.len());
-        for (client, ci, mut state, w) in trained {
-            // Stale corruption replays the cluster model the client
-            // started from (still unaggregated at upload time).
-            if ctx.upload(round, client, &mut state, Some(&states[ci])) {
-                updates.push((ci, state, w));
-            }
-        }
-        for (ci, state) in states.iter_mut().enumerate() {
-            let items: Vec<(&[f32], f32)> = updates
-                .iter()
-                .filter(|(c, _, _)| *c == ci)
-                .map(|(_, s, w)| (s.as_slice(), *w))
-                .collect();
-            *state = weighted_average_or(&items, state);
+        // All k models go down in one bundle per client, which picks one.
+        let down = self.k * ctx.template.state_len();
+        let chosen = ctx.on_clients(round, down, |ctx, client| {
+            Self::best_cluster(&ctx.template, states, &ctx.fd.clients[client])
+        });
+        // The clients of every chosen model train in one batch, each from
+        // (and coded and corrupted against) the model it chose.
+        let (clusters, reached): (Vec<usize>, Vec<_>) = members_by_cluster(chosen)
+            .into_iter()
+            .map(|(ci, members)| (ci, (&states[ci][..], members)))
+            .unzip();
+        let trained = ctx.train_reached(reached, round, None);
+        for (ci, updates) in clusters.into_iter().zip(trained) {
+            states[ci] = average_updates(&updates, &states[ci]);
         }
     }
 

@@ -8,11 +8,8 @@
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, LgState, MethodState};
 use crate::driver::{Method, RoundCtx};
-use crate::engine::{
-    evaluate_models, sample_clients, train_replica, weighted_average_or, LocalJob,
-};
+use crate::engine::{evaluate_models, train_replica, weighted_average_or, LocalJob};
 use fedclust_nn::Model;
-use rayon::prelude::*;
 
 /// LG-FedAvg with the paper's split: the last two parameter blocks are
 /// global (classifier head), everything below is local to each client.
@@ -81,31 +78,23 @@ impl Method for LgFedAvg {
     }
 
     fn round(&self, s: &mut LgState, ctx: &mut RoundCtx<'_>, round: usize) {
-        let (fd, cfg, template) = (ctx.fd, ctx.cfg, &ctx.template);
-        let split = self.split(template);
-        let sampled = sample_clients(fd.num_clients(), cfg, round);
+        let split = self.split(&ctx.template);
         // Only the global tail travels; clients the downlink never
         // reaches sit the round out entirely.
-        let delivered = ctx
-            .transport
-            .broadcast(round, &sampled, s.global_part.len());
-        let trained: Vec<(usize, Vec<f32>)> = delivered
-            .par_iter()
-            .map(|&client| {
-                let mut start = s.client_states[client].clone();
-                start[split..].copy_from_slice(&s.global_part);
-                let data = &fd.clients[client];
-                let job = LocalJob {
-                    start_state: &start,
-                    epochs: cfg.local_epochs,
-                    client,
-                    round,
-                    prox_mu: None,
-                };
-                let (model, _) = train_replica(template, data, cfg, job);
-                (client, model.state_vec())
-            })
-            .collect();
+        let trained = ctx.on_clients(round, s.global_part.len(), |ctx, client| {
+            let mut start = s.client_states[client].clone();
+            start[split..].copy_from_slice(&s.global_part);
+            let job = LocalJob {
+                start_state: &start,
+                epochs: ctx.cfg.local_epochs,
+                client,
+                round,
+                prox_mu: None,
+            };
+            let data = &ctx.fd.clients[client];
+            let (model, _) = train_replica(&ctx.template, data, ctx.cfg, job);
+            model.state_vec()
+        });
         // Clients persist their full new state (local part matters)
         // even when the upload is lost — losing the uplink does not
         // undo local training. The server averages only the global
@@ -114,7 +103,7 @@ impl Method for LgFedAvg {
         for (client, full) in trained {
             let mut tail = full[split..].to_vec();
             if ctx.upload(round, client, &mut tail, Some(&s.global_part)) {
-                tails.push((tail, fd.clients[client].train_samples() as f32));
+                tails.push((tail, ctx.fd.clients[client].train_samples() as f32));
             }
             s.client_states[client] = full;
         }

@@ -9,15 +9,10 @@
 //! data before testing.
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
-use crate::config::FlConfig;
 use crate::driver::{Method, RoundCtx};
-use crate::engine::{
-    epoch_batches, evaluate_models, local_train, sample_clients, weighted_average_or,
-};
+use crate::engine::{epoch_batches, evaluate_models, local_train, weighted_average_or};
 use fedclust_nn::loss::cross_entropy;
 use fedclust_nn::optim::{Sgd, SgdConfig};
-use fedclust_nn::Model;
-use rayon::prelude::*;
 
 /// Per-FedAvg with FO-MAML inner/outer steps.
 ///
@@ -48,14 +43,13 @@ impl PerFedAvg {
     /// One client's FO-MAML local pass; returns the new state.
     fn local_meta_train(
         &self,
-        template: &Model,
+        ctx: &RoundCtx<'_>,
         start_state: &[f32],
-        data: &fedclust_data::ClientData,
-        cfg: &FlConfig,
         client: usize,
         round: usize,
     ) -> Vec<f32> {
-        let mut model = template.clone();
+        let (data, cfg) = (&ctx.fd.clients[client], ctx.cfg);
+        let mut model = ctx.template.clone();
         model.set_state_vec(start_state);
         for batches in epoch_batches(data, cfg, cfg.local_epochs, client, round) {
             for pair in batches.chunks(2) {
@@ -116,21 +110,13 @@ impl Method for PerFedAvg {
     }
 
     fn round(&self, global: &mut Vec<f32>, ctx: &mut RoundCtx<'_>, round: usize) {
-        let (fd, cfg, template) = (ctx.fd, ctx.cfg, &ctx.template);
-        let sampled = sample_clients(fd.num_clients(), cfg, round);
-        let delivered = ctx.transport.broadcast(round, &sampled, global.len());
-        let trained: Vec<(usize, Vec<f32>, f32)> = delivered
-            .par_iter()
-            .map(|&client| {
-                let data = &fd.clients[client];
-                let state = self.local_meta_train(template, global, data, cfg, client, round);
-                (client, state, data.train_samples() as f32)
-            })
-            .collect();
+        let trained = ctx.on_clients(round, global.len(), |ctx, client| {
+            self.local_meta_train(ctx, global, client, round)
+        });
         let mut updates: Vec<(Vec<f32>, f32)> = Vec::with_capacity(trained.len());
-        for (client, mut state, w) in trained {
+        for (client, mut state) in trained {
             if ctx.upload(round, client, &mut state, Some(global)) {
-                updates.push((state, w));
+                updates.push((state, ctx.fd.clients[client].train_samples() as f32));
             }
         }
         let items: Vec<(&[f32], f32)> = updates.iter().map(|(s, w)| (s.as_slice(), *w)).collect();
@@ -178,6 +164,7 @@ impl Method for PerFedAvg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FlConfig;
     use crate::methods::FlMethod;
     use fedclust_data::{DatasetProfile, FederatedDataset, Partition};
 

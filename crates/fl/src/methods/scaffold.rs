@@ -13,8 +13,7 @@
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState, ScaffoldState};
 use crate::driver::{Method, RoundCtx};
-use crate::engine::{evaluate_clients, local_train_corrected, sample_clients, weighted_average_or};
-use rayon::prelude::*;
+use crate::engine::{evaluate_clients, local_train_corrected, weighted_average_or};
 
 /// SCAFFOLD with server learning rate `eta_g` (the paper's ηg; 1.0 keeps
 /// plain averaging of the client deltas).
@@ -31,7 +30,6 @@ impl Default for Scaffold {
 }
 
 struct LocalOutcome {
-    client: usize,
     delta_w: Vec<f32>,
     delta_c: Vec<f32>,
     new_ci: Vec<f32>,
@@ -63,7 +61,6 @@ impl Scaffold {
             .map(|j| c_i[j] - c_global[j] + (s.state[j] - w[j]) / k_eta)
             .collect();
         LocalOutcome {
-            client,
             delta_w: w.iter().zip(&s.state).map(|(a, b)| a - b).collect(),
             delta_c: new_ci.iter().zip(c_i).map(|(a, b)| a - b).collect(),
             new_ci,
@@ -114,27 +111,22 @@ impl Method for Scaffold {
         let state_len = s.state.len();
         // Down: model state + global control variate.
         // Up: Δw (+ extra state) + Δc, concatenated into one payload.
-        let sampled = sample_clients(ctx.fd.num_clients(), ctx.cfg, round);
-        let delivered = ctx
-            .transport
-            .broadcast(round, &sampled, state_len + num_params);
-        let trained: Vec<LocalOutcome> = delivered
-            .par_iter()
-            .map(|&client| self.local_train(s, ctx, client, round))
-            .collect();
+        let trained = ctx.on_clients(round, state_len + num_params, |ctx, client| {
+            self.local_train(s, ctx, client, round)
+        });
 
         // The client-side control variate refresh persists whether or
         // not the upload makes it; the server only sees survivors.
         let mut outcomes: Vec<LocalOutcome> = Vec::with_capacity(trained.len());
-        for mut o in trained {
-            s.c_clients[o.client] = o.new_ci.clone();
+        for (client, mut o) in trained {
+            s.c_clients[client] = o.new_ci.clone();
             let mut payload = o.delta_w.clone();
             payload.extend_from_slice(&o.extra_state);
             payload.extend_from_slice(&o.delta_c);
             // Deltas have no meaningful stale fallback: corruption is
             // NaN/Inf and therefore always quarantined. The payload is
             // already a delta, so no codec reference applies either.
-            if ctx.upload(round, o.client, &mut payload, None) {
+            if ctx.upload(round, client, &mut payload, None) {
                 o.delta_w.copy_from_slice(&payload[..num_params]);
                 o.extra_state
                     .copy_from_slice(&payload[num_params..state_len]);

@@ -9,7 +9,7 @@
 //! cargo run --release --example lambda_tradeoff
 //! ```
 
-use fedclust::lambda_sweep::{lambda_grid, sweep};
+use fedclust::lambda_sweep::{dendrogram, lambda_grid, sweep};
 use fedclust::FedClust;
 use fedclust_data::{DatasetProfile, FederatedDataset, Partition};
 use fedclust_fl::FlConfig;
@@ -41,14 +41,13 @@ fn main() {
         faults: fedclust_fl::FaultPlan::none(),
         codec: fedclust_fl::CodecSpec::none(),
     };
-    let method = FedClust::default();
-
-    let lambdas = lambda_grid(&fd, &cfg, &method, 6);
+    let dendro = dendrogram(&fd, &cfg, &FedClust::default());
+    let lambdas = lambda_grid(&dendro, 6);
     println!(
         "sweeping {} λ values on CIFAR-10-like / label skew 20%…\n",
         lambdas.len()
     );
-    let points = sweep(&fd, &cfg, &method, &lambdas);
+    let points = sweep(&fd, &cfg, &dendro, &lambdas);
 
     println!("{:>10} {:>10} {:>10}", "λ", "#clusters", "accuracy");
     for p in &points {

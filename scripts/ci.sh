@@ -39,6 +39,23 @@ if [ -n "$upload_rule" ]; then
     exit 1
 fi
 
+echo "== one door to clients =="
+# A method reaches its clients only through fl::driver::RoundCtx: sampling,
+# every broadcast and every trainer call live in crates/fl/src/driver.rs, and
+# a method's round is RoundCtx calls plus its own arithmetic. Each file is cut
+# at its first `#[cfg(test)]`; definitions and comment lines do not count.
+client_door=$(find crates/*/src -name '*.rs' -not -path crates/fl/src/driver.rs | LC_ALL=C sort | while read -r f; do
+    awk -v f="$f" '
+        /#\[cfg\(test\)\]/ { exit }
+        /^[[:space:]]*\/\// || /fn (sample_clients|broadcast|train_remote)\(/ { next }
+        /sample_clients\(|\.broadcast\(|\.train_remote\(/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$client_door" ]; then
+    echo "sample, broadcast and train through fedclust_fl::driver::RoundCtx (train_round, train_groups, train_clusters, cluster_round, on_clients, warm_up) instead:" >&2
+    echo "$client_door" >&2
+    exit 1
+fi
+
 echo "== no serde =="
 # JSON is written and read by hand in crates/fl/src/json.rs; no manifest
 # outside benchmark/ may pull serde back in, and no type may derive it.

@@ -107,9 +107,9 @@ impl RemoteTrainer for InProcessFleet<'_> {
     }
 }
 
-#[test]
-fn a_fleet_and_a_local_federation_in_one_process_agree_byte_for_byte() {
-    let fd = fd(21);
+/// The two configurations every fleet-vs-local comparison runs under: a
+/// plain one, and one with a residual-carrying codec and every fault kind.
+fn plain_and_hostile() -> [(&'static str, FlConfig); 2] {
     let plain = {
         let mut cfg = FlConfig::tiny(21);
         cfg.rounds = 3;
@@ -126,6 +126,88 @@ fn a_fleet_and_a_local_federation_in_one_process_agree_byte_for_byte() {
         },
         ..plain
     };
+    [("plain", plain), ("hostile", hostile)]
+}
+
+/// Host `m` on an `InProcessFleet` and in process at once, and require one
+/// trainer call per round (plus FedClust's one warm-up) and the same result
+/// and final checkpoint bytes from both. Returns the most distinct start
+/// states one of the fleet's calls carried.
+fn fleet_agrees_with_local(
+    fd: &FederatedDataset,
+    m: &dyn FlMethod,
+    tag: &str,
+    cfg: FlConfig,
+) -> usize {
+    let name = m.name().to_lowercase();
+    let fleet = InProcessFleet::new(fd, cfg);
+    let dir_fleet = tmpdir(&format!("fleet-{}-{}", tag, name));
+    let dir_local = tmpdir(&format!("local-{}-{}", tag, name));
+    // Both federations are in flight at once: each waits for the
+    // other before its first round.
+    let start = Barrier::new(2);
+    let host = |dir: &PathBuf, trainer: Option<&dyn RemoteTrainer>| {
+        let mut ckpt = Checkpointer::new(dir).keep(8);
+        start.wait();
+        let result = m.run_hosted(fd, &cfg, &mut ckpt, trainer);
+        let result = result.expect("hosted run succeeds");
+        let last = std::fs::read(dir.join(generation_file(cfg.rounds)));
+        (result, last.expect("final generation reads"))
+    };
+    let (networked, local) = std::thread::scope(|s| {
+        let networked = s.spawn(|| host(&dir_fleet, Some(&fleet)));
+        let local = s.spawn(|| host(&dir_local, None));
+        (networked.join().unwrap(), local.join().unwrap())
+    });
+    // One trainer call per round, whatever the number of clusters,
+    // plus FedClust's one warm-up.
+    let fedclust = m.name() == "FedClust";
+    assert_eq!(
+        (
+            fleet.train_calls.load(Ordering::Relaxed),
+            fleet.warmup_calls.load(Ordering::Relaxed)
+        ),
+        (cfg.rounds, fedclust as usize),
+        "{} ({}): (training, warm-up) calls",
+        m.name(),
+        tag
+    );
+    assert_eq!(
+        networked.0,
+        local.0,
+        "{} ({}): fleet result diverged",
+        m.name(),
+        tag
+    );
+    assert_eq!(
+        format!("{:?}", networked.0),
+        format!("{:?}", local.0),
+        "{} ({}): fleet result prints differently",
+        m.name(),
+        tag
+    );
+    assert_eq!(
+        networked.1,
+        local.1,
+        "{} ({}): final checkpoint bytes differ",
+        m.name(),
+        tag
+    );
+    if tag == "hostile" {
+        assert!(
+            local.0.faults.faults_injected > 0,
+            "{}: the hostile plan injected nothing",
+            m.name()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir_fleet);
+    let _ = std::fs::remove_dir_all(&dir_local);
+    fleet.most_start_states.load(Ordering::Relaxed)
+}
+
+#[test]
+fn a_fleet_and_a_local_federation_in_one_process_agree_byte_for_byte() {
+    let fd = fd(21);
     let methods: Vec<Box<dyn FlMethod>> = vec![
         Box::new(FedAvg),
         Box::new(FedProx::default()),
@@ -136,80 +218,33 @@ fn a_fleet_and_a_local_federation_in_one_process_agree_byte_for_byte() {
     // Methods some call of which carried units of several start states: the
     // members of different clusters in flight together.
     let mut clustered_batches = BTreeSet::new();
-    for (tag, cfg) in [("plain", plain), ("hostile", hostile)] {
+    for (tag, cfg) in plain_and_hostile() {
         for m in &methods {
             assert!(m.distributes(), "{} must be fleet-capable", m.name());
-            let name = m.name().to_lowercase();
-            let fleet = InProcessFleet::new(&fd, cfg);
-            let dir_fleet = tmpdir(&format!("fleet-{}-{}", tag, name));
-            let dir_local = tmpdir(&format!("local-{}-{}", tag, name));
-            // Both federations are in flight at once: each waits for the
-            // other before its first round.
-            let start = Barrier::new(2);
-            let host = |dir: &PathBuf, trainer: Option<&dyn RemoteTrainer>| {
-                let mut ckpt = Checkpointer::new(dir).keep(8);
-                start.wait();
-                let result = m.run_hosted(&fd, &cfg, &mut ckpt, trainer);
-                let result = result.expect("hosted run succeeds");
-                let last = std::fs::read(dir.join(generation_file(cfg.rounds)));
-                (result, last.expect("final generation reads"))
-            };
-            let (networked, local) = std::thread::scope(|s| {
-                let networked = s.spawn(|| host(&dir_fleet, Some(&fleet)));
-                let local = s.spawn(|| host(&dir_local, None));
-                (networked.join().unwrap(), local.join().unwrap())
-            });
-            // One trainer call per round, whatever the number of clusters,
-            // plus FedClust's one warm-up.
-            let fedclust = m.name() == "FedClust";
-            assert_eq!(
-                (
-                    fleet.train_calls.load(Ordering::Relaxed),
-                    fleet.warmup_calls.load(Ordering::Relaxed)
-                ),
-                (cfg.rounds, fedclust as usize),
-                "{} ({}): (training, warm-up) calls",
-                m.name(),
-                tag
-            );
-            if fleet.most_start_states.load(Ordering::Relaxed) >= 2 {
+            if fleet_agrees_with_local(&fd, m.as_ref(), tag, cfg) >= 2 {
                 clustered_batches.insert(m.name());
             }
-            assert_eq!(
-                networked.0,
-                local.0,
-                "{} ({}): fleet result diverged",
-                m.name(),
-                tag
-            );
-            assert_eq!(
-                format!("{:?}", networked.0),
-                format!("{:?}", local.0),
-                "{} ({}): fleet result prints differently",
-                m.name(),
-                tag
-            );
-            assert_eq!(
-                networked.1,
-                local.1,
-                "{} ({}): final checkpoint bytes differ",
-                m.name(),
-                tag
-            );
-            if tag == "hostile" {
-                assert!(
-                    local.0.faults.faults_injected > 0,
-                    "{}: the hostile plan injected nothing",
-                    m.name()
-                );
-            }
-            let _ = std::fs::remove_dir_all(&dir_fleet);
-            let _ = std::fs::remove_dir_all(&dir_local);
         }
     }
     assert!(
         clustered_batches.contains("PACFL") && clustered_batches.contains("FedClust"),
         "trained two clusters in one call: only {clustered_batches:?}"
+    );
+}
+
+/// IFCA is no fleet method — a client picks its model by evaluating all k
+/// on its own data, on the server — but what it trains goes through the
+/// trainer like any clustered round: one call per round, the clients of
+/// different models in flight together, and a fleet-backed run is the
+/// local one byte for byte.
+#[test]
+fn ifca_trains_each_round_in_one_trainer_call() {
+    let fd = fd(21);
+    let most_start_states = plain_and_hostile()
+        .map(|(tag, cfg)| fleet_agrees_with_local(&fd, &Ifca::default(), tag, cfg));
+    assert!(
+        most_start_states.iter().any(|&n| n >= 2),
+        "no call trained two of IFCA's models: {most_start_states:?}"
     );
 }
 
