@@ -24,4 +24,13 @@ pub fn unseal(bytes: &[u8]) -> Option<&[u8]> {
     r.take(8).map(|_| body)
 }
 
-// fedlint-fixture: covers codec-checked-arith
+/// The one FNV-1a: its offset basis may appear here and nowhere else.
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+// fedlint-fixture: covers codec-checked-arith, confinement

@@ -946,6 +946,7 @@ mod tests {
                     crate_name: &crate_name,
                     rel_path: rel,
                     is_bin: false,
+                    test_tree: false,
                 };
                 analyze_source(&ctx, src, &mut crate::Timings::default())
             })

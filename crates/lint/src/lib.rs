@@ -81,7 +81,7 @@ pub struct Finding {
 pub struct Report {
     /// Sorted findings.
     pub findings: Vec<Finding>,
-    /// Number of `.rs` files scanned.
+    /// Number of `.rs` files scanned, test trees included.
     pub files_scanned: usize,
 }
 
@@ -109,28 +109,32 @@ fn src_roots(parent: &Path) -> Result<Vec<PathBuf>, String> {
 
 /// Scan every `crates/*/src/**/*.rs` — plus `vendor/*/src/**/*.rs` when a
 /// `vendor/` directory exists (the thread pool's concurrency protocol is
-/// linted too) — under `root` and return the sorted report with the scan's
-/// wall-time accounting. `root` is the workspace root (the directory
-/// containing `crates/`).
+/// linted too), and for [`rules::Pass::FileAndTests`] the test trees — under
+/// `root`, the directory containing `crates/`, and return the sorted report
+/// with the scan's wall-time accounting.
 pub fn scan_workspace(root: &Path) -> Result<(Report, Timings), String> {
     let mut timings = Timings::default();
     let mut crate_dirs = src_roots(&root.join("crates"))?;
+    let mut tests: Vec<PathBuf> = crate_dirs.iter().map(|d| d.join("tests")).collect();
+    tests.push(root.join("tests"));
+    tests.retain(|d| d.is_dir());
     let vendor_dir = root.join("vendor");
     if vendor_dir.is_dir() {
         crate_dirs.extend(src_roots(&vendor_dir)?);
     }
+    let trees = crate_dirs.iter().map(|d| (d.join("src"), false));
 
     // Pass one: the per-file rules plus structure recovery.
-    let mut analyses = Vec::new();
-    for crate_dir in &crate_dirs {
-        let crate_name = crate_dir
-            .file_name()
+    let (mut analyses, mut findings, mut files_scanned) = (Vec::new(), Vec::new(), 0);
+    for (dir, test_tree) in trees.chain(tests.into_iter().map(|d| (d, true))) {
+        let crate_name = (dir.parent().filter(|p| *p != root))
+            .and_then(Path::file_name)
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
-        let src_dir = crate_dir.join("src");
         let mut files = Vec::new();
-        collect_rs_files(&src_dir, &mut files)?;
+        collect_rs_files(&dir, &mut files)?;
         files.sort();
+        files_scanned += files.len();
         for file in &files {
             let rel = rel_path(root, file);
             let is_bin = rel.ends_with("/main.rs") || rel.contains("/src/bin/");
@@ -140,17 +144,17 @@ pub fn scan_workspace(root: &Path) -> Result<(Report, Timings), String> {
                 crate_name: &crate_name,
                 rel_path: &rel,
                 is_bin,
+                test_tree,
             };
-            analyses.push(rules::analyze_source(&ctx, &src, &mut timings));
+            let mut analysis = rules::analyze_source(&ctx, &src, &mut timings);
+            findings.append(&mut analysis.findings);
+            if !test_tree {
+                analyses.push(analysis);
+            }
         }
     }
-    let files_scanned = analyses.len();
 
-    // Pass two: the workspace rules over every file's structure.
-    let mut findings: Vec<Finding> = analyses
-        .iter_mut()
-        .flat_map(|fa| std::mem::take(&mut fa.findings))
-        .collect();
+    // Pass two: the workspace rules over every source file's structure.
     findings.extend(callgraph::global_findings(&analyses, &mut timings));
     findings.sort();
     findings.dedup();

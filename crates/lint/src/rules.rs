@@ -4,11 +4,11 @@
 //! Every rule protects a named workspace invariant (DESIGN.md §8). A row of
 //! [`RULES`] states what a rule is, once: its name, its `--explain` text,
 //! and the function that runs it — per file ([`Pass::File`], from
-//! [`analyze_source`]) or over the whole workspace ([`Pass::Workspace`],
-//! from [`crate::callgraph::global_findings`]). The sorted name list, the
-//! pragma validator, the report's `counts` and `timings_ms` keys and both
-//! run loops are derived from the table; adding a rule is one row plus its
-//! fixtures.
+//! [`analyze_source`]; [`Pass::FileAndTests`]) or over the whole workspace
+//! ([`Pass::Workspace`], from [`crate::callgraph::global_findings`]). The
+//! sorted name list, the pragma validator, the report's `counts` and
+//! `timings_ms` keys and both run loops are derived from the table; adding a
+//! rule is one row plus its fixtures.
 //!
 //! Exemptions are granted per line by a pragma comment:
 //! `// fedlint::allow(<rule>): <reason>` — the reason is mandatory, and the
@@ -38,6 +38,8 @@ pub struct Rule {
 pub enum Pass {
     /// Once per source file, on that file's tokens, items and line facts.
     File(fn(&FileView<'_>, &mut Vec<Finding>)),
+    /// As `File`, and on the test trees (`tests/`, `crates/*/tests/`) too.
+    FileAndTests(fn(&FileView<'_>, &mut Vec<Finding>)),
     /// Once per scan, on every file's analysis, the call graph over them
     /// and the lock-set summaries.
     Workspace(fn(&Workspace<'_>, &mut Vec<Finding>)),
@@ -45,7 +47,7 @@ pub enum Pass {
 
 /// Every rule, sorted by name. The single source for `fedlint --explain`,
 /// and the README rule list is tested against it (`tests/explain.rs`).
-pub const RULES: [Rule; 16] = [
+pub const RULES: [Rule; 17] = [
     Rule {
         name: "atomic-ordering-pairing",
         doc: "Every Release/AcqRel store side on an atomic field must have a matching \
@@ -69,6 +71,13 @@ pub const RULES: [Rule; 16] = [
          checked arithmetic and checked indexing (`.get(…)`): attacker-controlled lengths must \
          not be able to overflow or panic.",
         pass: Pass::File(rule_codec_checked_arith),
+    },
+    Rule {
+        name: "confinement",
+        doc: "A token shape the architecture keeps in one place stays there: each `CONFINED` row \
+         names a shape of code tokens, the files it reads, its home (one file, once per `const` \
+         table, or nowhere) and whether test code counts; see DESIGN.md §8 for the six rows.",
+        pass: Pass::FileAndTests(rule_confinement),
     },
     Rule {
         name: "determinism-taint",
@@ -201,6 +210,8 @@ pub struct FileContext<'a> {
     /// Binary target (`src/main.rs` or under `src/bin/`): exempt from the
     /// library-code rules.
     pub is_bin: bool,
+    /// Under a test tree: only the [`Pass::FileAndTests`] rules run.
+    pub test_tree: bool,
 }
 
 /// A `fedlint::allow` pragma, parsed from a comment.
@@ -302,7 +313,8 @@ pub fn analyze_source(ctx: &FileContext<'_>, src: &str, timings: &mut Timings) -
 
     let mut findings = Vec::new();
     for rule in &RULES {
-        if let Pass::File(run) = rule.pass {
+        if let (Pass::File(run), false) | (Pass::FileAndTests(run), _) = (&rule.pass, ctx.test_tree)
+        {
             let view = FileView {
                 rule: rule.name,
                 ctx,
@@ -945,6 +957,104 @@ fn rule_atomic_write(f: &FileView<'_>, out: &mut Vec<Finding>) {
                         item.display_name()
                     ),
                 );
+            }
+        }
+    }
+}
+
+/// One row of `confinement`: a token shape that may sit only in its home.
+pub struct Confined {
+    /// The row's name, which prefixes its message.
+    pub name: &'static str,
+    /// Does the shape start at code token `i`?
+    pub pattern: fn(&[Token], usize) -> bool,
+    /// Path prefixes of the scanned files the row reads.
+    pub scope: &'static [&'static str],
+    /// Where the shape may sit.
+    pub home: Home,
+    /// Whether test code (`#[cfg(test)]` items, the test trees) counts.
+    pub tests: bool,
+    /// What to do instead.
+    pub message: &'static str,
+}
+
+/// Where a [`Confined`] shape may sit.
+pub enum Home {
+    /// Nowhere in scope.
+    Nowhere,
+    /// Anywhere in this one file.
+    File(&'static str),
+    /// Once per `const` whose name, or type, starts with this token run.
+    Const(&'static [&'static str]),
+}
+
+/// The `confinement` rows, one per invariant.
+#[rustfmt::skip]
+pub const CONFINED: [Confined; 6] = [
+    Confined { name: "one byte layer",
+        pattern: |c, i| c[i].kind == TokKind::Int && c[i].text.replace('_', "").contains("cbf29ce4"),
+        scope: &["crates/", "tests/"], home: Home::File("crates/proto/src/bytes.rs"), tests: true,
+        message: "the FNV-1a offset basis is proto::bytes' checksum; seal through `bytes::seal`" },
+    Confined { name: "one upload rule",
+        pattern: |c, i| runs(c, i, &[&["BaseCodec", "::"], &["codec", ".", "is_none", "("], &["codec", "(", ")", ".", "is_none", "("]]),
+        scope: &["crates/"], home: Home::File("crates/fl/src/codec.rs"), tests: false,
+        message: "ask `fl::codec` (`upload`, `CodecSpec::keeps_residual`) instead" },
+    Confined { name: "one door to clients",
+        pattern: |c, i| runs(c, i, &[&["sample_clients", "("], &[".", "broadcast", "("], &[".", "train_remote", "("]]),
+        scope: &["crates/"], home: Home::File("crates/fl/src/driver.rs"), tests: false,
+        message: "reach clients through `fl::driver::RoundCtx` (`train_round`, `train_groups`, `train_clusters`, `on_clients` …)" },
+    Confined { name: "no serde",
+        pattern: |c, i| runs(c, i, &[&["Serialize"], &["Deserialize"]]),
+        scope: &["crates/", "vendor/"], home: Home::Nowhere, tests: true,
+        message: "serde is gone; JSON is written and read by `fl::json`" },
+    Confined { name: "one rule table",
+        pattern: |c, i| c[i].kind == TokKind::Str && RULE_NAMES.contains(&c[i].text.trim_matches('"')),
+        scope: &["crates/lint/src/rules.rs", "crates/lint/src/lib.rs", "crates/lint/src/main.rs"], home: Home::Const(&["RULES"]), tests: false,
+        message: "a rule name is spelled once, in its `RULES` row; take names from the table" },
+    Confined { name: "one flag table",
+        pattern: |c, i| c[i].text.strip_prefix("\"--").and_then(|f| f.strip_suffix('"')).is_some_and(|f| f != "help"
+            && f.starts_with(|c: char| c.is_ascii_lowercase()) && f.bytes().all(|b| b.is_ascii_lowercase() || b == b'-')),
+        scope: &["crates/cli/src/"], home: Home::Const(&["&", "[", "Flag", "<"]), tests: false,
+        message: "a flag is spelled once per table, as its row in a `&[Flag<…>]` table" },
+];
+
+/// Does one of the token runs in `runs` start at code token `i`?
+fn runs(code: &[Token], i: usize, runs: &[&[&str]]) -> bool {
+    let at = |run: &&[&str]| run.iter().zip(i..).all(|(t, k)| text_at(code, k) == *t);
+    runs.iter().any(at)
+}
+
+/// `confinement`: every match of a [`CONFINED`] row outside its home (a
+/// match right after `fn` is a definition and never counts).
+fn rule_confinement(f: &FileView<'_>, out: &mut Vec<Finding>) {
+    let (code, path) = (f.code, f.ctx.rel_path);
+    let in_scope = |row: &&Confined| row.scope.iter().any(|s| path.starts_with(s));
+    for row in CONFINED.iter().filter(in_scope) {
+        let opens_home = |i| match row.home {
+            Home::Const(head) => runs(code, i + 1, &[head]) || runs(code, i + 3, &[head]),
+            _ => false,
+        };
+        // The home `const` being walked, as (its `const` token, its depth).
+        let (mut table, mut depth, mut spelled) = (None, 0, std::collections::BTreeSet::new());
+        for (i, t) in code.iter().enumerate() {
+            match t.text.as_str() {
+                "(" | "[" | "{" => depth += 1,
+                ")" | "]" | "}" => depth -= 1,
+                ";" if table.is_some_and(|(_, d)| d == depth) => table = None,
+                "const" if opens_home(i) => table = Some((i, depth)),
+                _ => {}
+            }
+            let counts = row.tests || !(f.ctx.test_tree || f.in_test(t.line));
+            if !counts || !(row.pattern)(code, i) || text_at(code, i.wrapping_sub(1)) == "fn" {
+                continue;
+            }
+            let home = match row.home {
+                Home::Nowhere => false,
+                Home::File(home) => home == path,
+                Home::Const(_) => table.is_some_and(|(k, _)| spelled.insert((k, &t.text))),
+            };
+            if !home {
+                f.push(out, t.line, format!("{}: {}", row.name, row.message));
             }
         }
     }

@@ -151,6 +151,7 @@ proptest! {
             crate_name: "fl",
             rel_path: "crates/fl/src/soup.rs",
             is_bin: false,
+            test_tree: false,
         };
         let fa = analyze_source(&ctx, &src, &mut Timings::default());
         let files = [fa];
@@ -198,6 +199,7 @@ proptest! {
             crate_name: "fl",
             rel_path: "crates/fl/src/soup.rs",
             is_bin: false,
+            test_tree: false,
         };
         let files = [analyze_source(&ctx, &src, &mut Timings::default())];
         let mut small = untrusted_input_spec();

@@ -107,7 +107,35 @@ fn positive_fixture_fires_every_rule() {
         vec![13],
         "the unjustified unsafe impl Send, reported once, under the rule that owns `unsafe`"
     );
-    assert_eq!(report.findings.len(), 47, "the whole positive tree");
+    // One pinned line per `confinement` row, named by its message prefix.
+    let confined: Vec<(&str, u32, &str)> = report
+        .findings
+        .iter()
+        .filter(|f| f.rule == "confinement")
+        .map(|f| {
+            (
+                f.file.as_str(),
+                f.line,
+                f.message.split(':').next().unwrap_or(""),
+            )
+        })
+        .collect();
+    assert_eq!(
+        confined,
+        vec![
+            ("crates/cli/src/args.rs", 6, "one flag table"),
+            ("crates/cli/src/args.rs", 10, "one flag table"),
+            ("crates/fl/src/confined.rs", 5, "one byte layer"),
+            ("crates/fl/src/confined.rs", 8, "one upload rule"),
+            ("crates/fl/src/confined.rs", 13, "one door to clients"),
+            ("crates/fl/src/confined.rs", 16, "no serde"),
+            ("crates/lint/src/main.rs", 5, "one rule table"),
+            ("tests/seal.rs", 5, "one byte layer"),
+        ],
+        "a flag twice in one table and one outside any; the door call sits past a doc comment \
+         naming `#[cfg(test)]`; the test trees are read"
+    );
+    assert_eq!(report.findings.len(), 55, "the whole positive tree");
     // v4 interprocedural concurrency rules.
     assert_eq!(
         lines_for(&report, "lock-order-global", "pool_bad.rs"),
@@ -257,7 +285,7 @@ fn negative_fixture_is_clean() {
         Vec::new(),
         "negative fixture must scan clean"
     );
-    assert_eq!(report.files_scanned, 13);
+    assert_eq!(report.files_scanned, 17);
 }
 
 #[test]

@@ -1,9 +1,12 @@
 //! The zero-finding state, pinned: `fedlint --deny` must pass on this
 //! workspace. Any PR that reintroduces a HashMap on a replayed path, an
 //! unjustified `unsafe`, or a panic in library code fails this test (and the
-//! `== fedlint ==` CI step) with a file:line diagnostic.
+//! `== fedlint ==` CI step) with a file:line diagnostic. And no
+//! `confinement` row may pass only because its home went missing.
 
-use std::path::PathBuf;
+use lint::rules::{analyze_source, Confined, FileContext, Home, CONFINED};
+use lint::Timings;
+use std::path::{Path, PathBuf};
 
 fn workspace_root() -> PathBuf {
     // crates/lint -> crates -> workspace root
@@ -28,6 +31,76 @@ fn workspace_is_finding_free() {
         "only {} files scanned — walker broke?",
         report.files_scanned
     );
+}
+
+/// Every `.rs` file under `dir`.
+fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for path in std::fs::read_dir(dir)
+        .expect("readable dir")
+        .flatten()
+        .map(|e| e.path())
+    {
+        if path.is_dir() {
+            rs_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The `confinement` findings in one source file, counted per `CONFINED` row.
+fn confined_per_row(rel_path: &str, src: &str) -> Vec<usize> {
+    let ctx = FileContext {
+        crate_name: "",
+        rel_path,
+        is_bin: false,
+        test_tree: false,
+    };
+    let analysis = analyze_source(&ctx, src, &mut Timings::default());
+    let count = |row: &Confined| {
+        let prefix = format!("{}: ", row.name);
+        analysis
+            .findings
+            .iter()
+            .filter(|f| f.message.starts_with(&prefix))
+            .count()
+    };
+    CONFINED.iter().map(count).collect()
+}
+
+/// No `confinement` row may guard nothing: each row with a home matches at
+/// least once inside it, so a renamed home file, method or flag table
+/// cannot empty a row silently. Each file is scanned twice: as it is, and
+/// homeless — moved off its path (a suffix keeps it in every scope) with
+/// its `const`s turned into `static`s. The findings only the homeless scan
+/// reports are the matches that sat in a home.
+#[test]
+fn every_confinement_home_holds_a_match() {
+    let root = workspace_root();
+    let mut files = Vec::new();
+    rs_files(&root.join("crates"), &mut files);
+    let mut in_home = vec![0; CONFINED.len()];
+    for file in &files {
+        let rel = file
+            .strip_prefix(&root)
+            .expect("under the root")
+            .to_string_lossy();
+        let src = std::fs::read_to_string(file).expect("readable source");
+        let here = confined_per_row(&rel, &src);
+        let homeless = confined_per_row(&format!("{rel}~"), &src.replace("const ", "static "));
+        for (hits, (away, at_home)) in in_home.iter_mut().zip(homeless.iter().zip(&here)) {
+            *hits += away - at_home;
+        }
+    }
+    for (row, hits) in CONFINED.iter().zip(in_home) {
+        if !matches!(row.home, Home::Nowhere) {
+            assert!(
+                hits > 0,
+                "`{}` matches nowhere in its home: it guards nothing",
+                row.name
+            );
+        }
+    }
 }
 
 #[test]

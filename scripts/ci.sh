@@ -7,124 +7,6 @@ cd "$(dirname "$0")/.."
 echo "== format =="
 cargo fmt --check
 
-echo "== one byte layer =="
-# The FNV-1a offset basis is the fingerprint of a hand-rolled checksum.
-# Exactly one source file may carry it (proto::bytes, the layer all three
-# byte formats are clients of) and no test may: tests seal through the
-# public `bytes::seal`, so a fourth copy cannot come back unnoticed.
-fnv_basis='cbf2_9ce4|cbf29ce4'
-fnv_src=$(grep -rlIE "$fnv_basis" crates/*/src || true)
-if [ "$fnv_src" != "crates/proto/src/bytes.rs" ]; then
-    echo "the FNV offset basis belongs in crates/proto/src/bytes.rs only, found in: ${fnv_src:-nothing}" >&2
-    exit 1
-fi
-if fnv_tests=$(grep -rlIE "$fnv_basis" crates/*/tests tests); then
-    echo "tests must seal through fedclust_proto::bytes::seal, not their own FNV: $fnv_tests" >&2
-    exit 1
-fi
-
-echo "== one upload rule =="
-# Whether an upload is raw and whether its codec keeps a residual are
-# decided once, in crates/fl/src/codec.rs (`upload`, `keeps_residual`);
-# every other non-test source asks it rather than matching on the codec.
-# Each file is cut at its first `#[cfg(test)]`, as `== one flag table ==` does.
-upload_rule=$(find crates/*/src -name '*.rs' -not -path crates/fl/src/codec.rs | LC_ALL=C sort | while read -r f; do
-    awk -v f="$f" '
-        /#\[cfg\(test\)\]/ { exit }
-        /BaseCodec::|codec(\(\))?\.is_none\(\)/ { print f ":" FNR ": " $0 }' "$f"
-done)
-if [ -n "$upload_rule" ]; then
-    echo "ask fedclust_fl::codec (upload, CodecSpec::keeps_residual) instead:" >&2
-    echo "$upload_rule" >&2
-    exit 1
-fi
-
-echo "== one door to clients =="
-# A method reaches its clients only through fl::driver::RoundCtx: sampling,
-# every broadcast and every trainer call live in crates/fl/src/driver.rs, and
-# a method's round is RoundCtx calls plus its own arithmetic. Each file is cut
-# at its first `#[cfg(test)]`; definitions and comment lines do not count.
-client_door=$(find crates/*/src -name '*.rs' -not -path crates/fl/src/driver.rs | LC_ALL=C sort | while read -r f; do
-    awk -v f="$f" '
-        /#\[cfg\(test\)\]/ { exit }
-        /^[[:space:]]*\/\// || /fn (sample_clients|broadcast|train_remote)\(/ { next }
-        /sample_clients\(|\.broadcast\(|\.train_remote\(/ { print f ":" FNR ": " $0 }' "$f"
-done)
-if [ -n "$client_door" ]; then
-    echo "sample, broadcast and train through fedclust_fl::driver::RoundCtx (train_round, train_groups, train_clusters, cluster_round, on_clients, warm_up) instead:" >&2
-    echo "$client_door" >&2
-    exit 1
-fi
-
-echo "== no serde =="
-# JSON is written and read by hand in crates/fl/src/json.rs; no manifest
-# outside benchmark/ may pull serde back in, and no type may derive it.
-serde_manifests=$(find . -name Cargo.toml -not -path './benchmark/*' -not -path './target/*' \
-    -exec grep -l serde {} + || true)
-if [ -n "$serde_manifests" ]; then
-    echo "serde is named in: $serde_manifests" >&2
-    exit 1
-fi
-if serde_derives=$(grep -rnE 'derive\([^)]*\b(Serialize|Deserialize)\b' crates/*/src); then
-    echo "serde derives are gone; write JSON through fedclust_fl::json: $serde_derives" >&2
-    exit 1
-fi
-
-echo "== one rule table =="
-# `rules::RULES` is the only list of fedlint's rules: every name is spelled
-# exactly once in the file that holds the table (a second list there — a
-# name array, a doc table, an unrolled run loop — would be a second
-# spelling), and not at all in the driver or the CLI, which derive what
-# they need from the table. Other files spell a name only where they raise
-# that rule's findings.
-rule_table=crates/lint/src/rules.rs
-rule_names=$(sed -n 's/^        name: "\([a-z-]*\)",$/\1/p' "$rule_table")
-if [ "$(wc -l <<<"$rule_names")" -ne 16 ] || [ "$rule_names" != "$(LC_ALL=C sort -u <<<"$rule_names")" ]; then
-    echo "$rule_table: RULES must hold 16 rows sorted by name, found: $(tr '\n' ' ' <<<"$rule_names")" >&2
-    exit 1
-fi
-for rule in $rule_names; do
-    if [ "$(grep -c "\"$rule\"" "$rule_table")" -ne 1 ]; then
-        echo "$rule_table: \"$rule\" must appear exactly once, as its RULES row" >&2
-        exit 1
-    fi
-    if grep -n "\"$rule\"" crates/lint/src/lib.rs crates/lint/src/main.rs; then
-        echo "the driver and the CLI take rule names from rules::RULES, not from a literal" >&2
-        exit 1
-    fi
-done
-
-echo "== one flag table =="
-# A flag is spelled once: as the name of its row in the table of each
-# binary that parses it (`RUN`, `SERVE`, `WORKER`, `CHAOS`). With every
-# `#[cfg(test)]` module cut off, crates/cli/src therefore holds 45 rows +
-# one `"--help"` = 46 exact-quoted `"--flag"` literals, none twice in one
-# table and only `"--help"` outside a table; a match arm, a `validate`
-# tuple or a second usage text would be a second spelling.
-flag_literals=$(find crates/cli/src -name '*.rs' | LC_ALL=C sort | while read -r f; do
-    awk -v f="$f" '
-        /^#\[cfg\(test\)\]/ { exit }
-        /const [A-Z]+: &\[Flag</ { table = $0; sub(/.*const /, "", table); sub(/:.*/, "", table) }
-        { line = $0; while (match(line, /"--[a-z][a-z-]*"/)) {
-              print f, (table == "" ? "-" : table), substr(line, RSTART, RLENGTH)
-              line = substr(line, RSTART + RLENGTH) } }
-        /^\];/ { table = "" }' "$f"
-done)
-if repeated=$(sort <<<"$flag_literals" | uniq -d | grep .); then
-    echo "a flag is spelled once per table (file, table, flag):" >&2
-    echo "$repeated" >&2
-    exit 1
-fi
-if stray=$(grep ' - ' <<<"$flag_literals" | grep -v ' "--help"$'); then
-    echo "flag literals belong in a table row, found outside one (file, -, flag):" >&2
-    echo "$stray" >&2
-    exit 1
-fi
-if [ "$(wc -l <<<"$flag_literals")" -ne 46 ]; then
-    echo "expected 46 flag literals (45 rows + \"--help\") in non-test crates/cli/src, found $(wc -l <<<"$flag_literals")" >&2
-    exit 1
-fi
-
 echo "== build (release) =="
 cargo build --release
 
@@ -132,9 +14,9 @@ echo "== lints =="
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== fedlint =="
-# Scans crates/*/src plus vendor/*/src (pool-discipline audits the
-# hand-rolled rayon pool); the crate's own suite then pins every fixture
-# line and proves every row of RULES has positive and negative fixtures.
+# Scans crates/*/src, vendor/*/src and, for confinement's one-place rows,
+# the test trees; the crate's own suite pins every fixture line, every RULES
+# row's fixtures, and a match in every confinement row's home.
 # The workspace-global lock-set fixpoint must stay cheap enough to gate
 # every PR, so the scan gets a generous-but-real wall-time budget.
 lint_budget_s=120
