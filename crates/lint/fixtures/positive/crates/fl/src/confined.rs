@@ -15,3 +15,7 @@ pub fn round(transport: &Transport, clients: &[usize]) {
 
 #[derive(Serialize)] // no serde @16
 pub struct Row;
+
+pub fn lower(batch: &[f32], geom: &Conv2dGeom, cols: &mut [f32]) {
+    conv::im2col_batch_into(batch, 1, geom, cols); // bench-only lowering @20
+}

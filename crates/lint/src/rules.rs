@@ -76,7 +76,7 @@ pub const RULES: [Rule; 17] = [
         name: "confinement",
         doc: "A token shape the architecture keeps in one place stays there: each `CONFINED` row \
          names a shape of code tokens, the files it reads, its home (one file, once per `const` \
-         table, or nowhere) and whether test code counts; see DESIGN.md §8 for the six rows.",
+         table, or nowhere) and whether test code counts; see DESIGN.md §8 for the seven rows.",
         pass: Pass::FileAndTests(rule_confinement),
     },
     Rule {
@@ -990,7 +990,7 @@ pub enum Home {
 
 /// The `confinement` rows, one per invariant.
 #[rustfmt::skip]
-pub const CONFINED: [Confined; 6] = [
+pub const CONFINED: [Confined; 7] = [
     Confined { name: "one byte layer",
         pattern: |c, i| c[i].kind == TokKind::Int && c[i].text.replace('_', "").contains("cbf29ce4"),
         scope: &["crates/", "tests/"], home: Home::File("crates/proto/src/bytes.rs"), tests: true,
@@ -1016,6 +1016,10 @@ pub const CONFINED: [Confined; 6] = [
             && f.starts_with(|c: char| c.is_ascii_lowercase()) && f.bytes().all(|b| b.is_ascii_lowercase() || b == b'-')),
         scope: &["crates/cli/src/"], home: Home::Const(&["&", "[", "Flag", "<"]), tests: false,
         message: "a flag is spelled once per table, as its row in a `&[Flag<…>]` table" },
+    Confined { name: "bench-only lowering",
+        pattern: |c, i| runs(c, i, &[&["im2col_batch_into", "("], &["col2im_batch_into", "("]]),
+        scope: &["crates/"], home: Home::Nowhere, tests: false,
+        message: "builds a tap table per call; lower through the layer's table" },
 ];
 
 /// Does one of the token runs in `runs` start at code token `i`?

@@ -129,13 +129,14 @@ fn positive_fixture_fires_every_rule() {
             ("crates/fl/src/confined.rs", 8, "one upload rule"),
             ("crates/fl/src/confined.rs", 13, "one door to clients"),
             ("crates/fl/src/confined.rs", 16, "no serde"),
+            ("crates/fl/src/confined.rs", 20, "bench-only lowering"),
             ("crates/lint/src/main.rs", 5, "one rule table"),
             ("tests/seal.rs", 5, "one byte layer"),
         ],
         "a flag twice in one table and one outside any; the door call sits past a doc comment \
          naming `#[cfg(test)]`; the test trees are read"
     );
-    assert_eq!(report.findings.len(), 55, "the whole positive tree");
+    assert_eq!(report.findings.len(), 56, "the whole positive tree");
     // v4 interprocedural concurrency rules.
     assert_eq!(
         lines_for(&report, "lock-order-global", "pool_bad.rs"),
@@ -285,7 +286,7 @@ fn negative_fixture_is_clean() {
         Vec::new(),
         "negative fixture must scan clean"
     );
-    assert_eq!(report.files_scanned, 17);
+    assert_eq!(report.files_scanned, 18);
 }
 
 #[test]

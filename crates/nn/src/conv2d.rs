@@ -1,8 +1,10 @@
 //! 2-d convolution layer via batched im2col + GEMM.
 
+use std::sync::Arc;
+
 use crate::layer::Layer;
 use crate::param::Param;
-use fedclust_tensor::conv::{col2im_batch_into, im2col_batch_into, Conv2dGeom};
+use fedclust_tensor::conv::{Conv2dGeom, TapTable};
 use fedclust_tensor::init::he_normal;
 use fedclust_tensor::matmul::{gemm_nn, gemm_nt, gemm_tn};
 use fedclust_tensor::Tensor;
@@ -21,7 +23,10 @@ use rand::Rng;
 pub struct Conv2d {
     weight: Param,
     bias: Param,
-    geom: Conv2dGeom,
+    /// The geometry and where each im2col entry reads from: built once by
+    /// [`Conv2d::new`] and shared by every clone, so per-client replicas
+    /// never rebuild it.
+    taps: Arc<TapTable>,
     out_channels: usize,
     /// im2col workspace, `(C_in·KH·KW) × (B·OH·OW)`. After a training
     /// forward it doubles as the cached activation for backward, and during
@@ -49,7 +54,7 @@ impl Conv2d {
         Conv2d {
             weight: Param::new(weight),
             bias: Param::new(Tensor::zeros([out_channels])),
-            geom,
+            taps: Arc::new(TapTable::new(&geom)),
             out_channels,
             cols: Vec::new(),
             stage: Vec::new(),
@@ -59,7 +64,7 @@ impl Conv2d {
 
     /// The convolution geometry.
     pub fn geom(&self) -> &Conv2dGeom {
-        &self.geom
+        self.taps.geom()
     }
 
     /// Number of output channels.
@@ -72,7 +77,7 @@ impl Conv2d {
     /// `stage` (left there for the input gradient), accumulates `dW` and
     /// `db`, and releases the activation cache. Returns the batch size.
     fn param_grads(&mut self, grad_out: &Tensor) -> usize {
-        let g = self.geom;
+        let g = *self.geom();
         let batch = grad_out.dims()[0];
         assert_eq!(
             self.cached_batch, batch,
@@ -116,15 +121,15 @@ impl Conv2d {
 }
 
 impl Clone for Conv2d {
-    /// Clones parameters and geometry but not the workspaces: cloned layers
-    /// (e.g. per-client model replicas in the FL engine) start with empty
-    /// scratch and grow it on their first forward, instead of copying
-    /// megabytes of transient buffers.
+    /// Clones parameters and shares the tap table but not the workspaces:
+    /// cloned layers (e.g. per-client model replicas in the FL engine)
+    /// start with empty scratch and grow it on their first forward, instead
+    /// of copying megabytes of transient buffers.
     fn clone(&self) -> Self {
         Conv2d {
             weight: self.weight.clone(),
             bias: self.bias.clone(),
-            geom: self.geom,
+            taps: Arc::clone(&self.taps),
             out_channels: self.out_channels,
             cols: Vec::new(),
             stage: Vec::new(),
@@ -135,7 +140,7 @@ impl Clone for Conv2d {
 
 impl Layer for Conv2d {
     fn forward(&mut self, x: Tensor, train: bool) -> Tensor {
-        let g = self.geom;
+        let g = *self.geom();
         assert_eq!(x.shape().ndim(), 4, "conv2d expects (batch, C, H, W)");
         assert_eq!(
             &x.dims()[1..],
@@ -151,7 +156,7 @@ impl Layer for Conv2d {
         // Lower the whole batch in one pass; every element is overwritten,
         // so the workspace needs no clearing.
         self.cols.resize(rows * n, 0.0);
-        im2col_batch_into(x.data(), batch, &g, &mut self.cols);
+        self.taps.im2col_into(x.data(), batch, &mut self.cols);
 
         // One GEMM for the batch: (C_out × rows) · (rows × n).
         self.stage.clear();
@@ -188,7 +193,7 @@ impl Layer for Conv2d {
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
         let batch = self.param_grads(&grad_out);
-        let g = self.geom;
+        let g = *self.geom();
         let n = batch * g.out_h() * g.out_w();
         let rows = g.col_rows();
 
@@ -207,7 +212,7 @@ impl Layer for Conv2d {
         // Scatter-add the column gradient back to image layout.
         let in_sz = g.in_channels * g.in_h * g.in_w;
         let mut dx = vec![0.0f32; batch * in_sz];
-        col2im_batch_into(&self.cols, batch, &g, &mut dx);
+        self.taps.col2im_into(&self.cols, batch, &mut dx);
         Tensor::from_vec([batch, g.in_channels, g.in_h, g.in_w], dx)
     }
 
@@ -383,6 +388,37 @@ mod tests {
         assert!(replica.cols.is_empty() && replica.stage.is_empty());
         assert_eq!(replica.cached_batch, 0);
         assert_eq!(replica.weight.value.data(), conv.weight.value.data());
+    }
+
+    /// A replica lowers through its original's tap table, and neither a
+    /// training step nor an evaluation forward replaces it.
+    #[test]
+    fn clones_share_the_tap_table_and_forward_never_rebuilds_it() {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
+        let g = Conv2dGeom {
+            in_channels: 2,
+            in_h: 5,
+            in_w: 5,
+            k_h: 3,
+            k_w: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let mut conv = Conv2d::new(g, 3, &mut rng);
+        let table = Arc::clone(&conv.taps);
+        let mut replica = conv.clone();
+        let x = fedclust_tensor::init::randn([2, 2, 5, 5], &mut rng);
+        for layer in [&mut conv, &mut replica] {
+            assert!(Arc::ptr_eq(&layer.taps, &table));
+            let y = layer.forward(x.clone(), true);
+            layer.backward(y);
+            layer.forward(x.clone(), false);
+            assert!(
+                Arc::ptr_eq(&layer.taps, &table),
+                "the tap table was rebuilt"
+            );
+        }
+        assert_eq!(Arc::strong_count(&table), 3);
     }
 
     #[test]

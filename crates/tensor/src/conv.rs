@@ -1,9 +1,12 @@
 //! `im2col` / `col2im` lowering for 2-d convolutions.
 //!
-//! Convolutions in `fedclust-nn` are computed as a single GEMM over an
-//! im2col patch matrix. For the forward pass, a `(C_in·KH·KW) × (OH·OW)`
-//! matrix is built per image; the backward pass for the input gradient uses
-//! the adjoint scatter `col2im`.
+//! Convolutions in `fedclust-nn` are computed as one GEMM per layer pass
+//! over a `(C_in·KH·KW) × (B·OH·OW)` column matrix that holds the whole
+//! batch. A [`TapTable`], built once per layer geometry, records which
+//! input pixel feeds each entry of one image's block of that matrix, so the
+//! batched lowering is a gather over the table and the input-gradient pass
+//! its adjoint scatter-add. The per-image [`im2col`] and [`col2im`] derive
+//! the same entries from the geometry directly; they are the oracle.
 
 use crate::tensor::Tensor;
 
@@ -154,182 +157,154 @@ pub fn col2im(cols: &Tensor, geom: &Conv2dGeom) -> Tensor {
     Tensor::from_vec([geom.in_channels, h, w], out)
 }
 
-/// Lower a whole batch `(B,C,H,W)` into one im2col matrix
-/// `(C·KH·KW, B·OH·OW)`, writing into a caller-provided workspace.
+/// The [`TapTable`] entry of a tap in the zero padding: past the end of
+/// every image the table accepts, so no image slice has an element there.
+const PAD: u32 = u32::MAX;
+
+/// Where each entry of one image's im2col block comes from.
 ///
-/// Column `b·OH·OW + oy·OW + ox` holds the patch for image `b` at output
-/// position `(oy, ox)`, so a single GEMM against the `(C_out, C·KH·KW)`
-/// weight matrix convolves the entire batch. Every element of `out` is
-/// written (out-of-bounds taps become zeros), so the workspace can be
-/// reused across calls without clearing.
+/// Entry `r·OH·OW + oy·OW + ox` is the offset, inside one `(C,H,W)` image,
+/// of the pixel that im2col row `r = (c, kh, kw)` reads at output position
+/// `(oy, ox)`, or [`PAD`] for a tap in the zero padding. The borders are
+/// resolved here, once per geometry, so lowering a batch is one gather per
+/// entry whatever the row length.
+#[derive(Debug)]
+pub struct TapTable {
+    geom: Conv2dGeom,
+    taps: Vec<u32>,
+}
+
+impl TapTable {
+    /// The table for `geom`.
+    ///
+    /// # Panics
+    /// Panics if one image holds `u32::MAX` or more elements.
+    pub fn new(geom: &Conv2dGeom) -> Self {
+        let (h, w) = (geom.in_h, geom.in_w);
+        assert!(
+            geom.in_channels * h * w < PAD as usize,
+            "conv image too large for a tap table"
+        );
+        let (oh, ow) = (geom.out_h(), geom.out_w());
+        // The input coordinate output `o` reads through kernel offset `k`,
+        // if it is inside an axis of length `len`.
+        let inside = |o: usize, k: usize, len: usize| {
+            (o * geom.stride + k)
+                .checked_sub(geom.pad)
+                .filter(|&i| i < len)
+        };
+        let mut taps = Vec::with_capacity(geom.col_rows() * oh * ow);
+        for c in 0..geom.in_channels {
+            for kh in 0..geom.k_h {
+                for kw in 0..geom.k_w {
+                    for oy in 0..oh {
+                        let iy = inside(oy, kh, h);
+                        taps.extend((0..ow).map(|ox| match (iy, inside(ox, kw, w)) {
+                            (Some(iy), Some(ix)) => ((c * h + iy) * w + ix) as u32,
+                            _ => PAD,
+                        }));
+                    }
+                }
+            }
+        }
+        TapTable { geom: *geom, taps }
+    }
+
+    /// The geometry the table was built for.
+    pub fn geom(&self) -> &Conv2dGeom {
+        &self.geom
+    }
+
+    /// `(C·H·W, OH·OW)`: one image's length, and one im2col row's columns
+    /// per image.
+    fn sizes(&self) -> (usize, usize) {
+        let g = &self.geom;
+        (g.in_channels * g.in_h * g.in_w, g.col_cols())
+    }
+
+    /// Lower a `(B,C,H,W)` batch into one `(C·KH·KW, B·OH·OW)` im2col
+    /// matrix, on the calling thread.
+    ///
+    /// Column `b·OH·OW + oy·OW + ox` holds the patch for image `b` at output
+    /// position `(oy, ox)`, so a single GEMM against the `(C_out, C·KH·KW)`
+    /// weight matrix convolves the entire batch. Every element of `out` is
+    /// written (padding taps become zeros), so the workspace can be reused
+    /// across calls without clearing.
+    ///
+    /// # Panics
+    /// Panics if `batch.len() != b · C·H·W` or `out.len() != col_rows · b·OH·OW`.
+    pub fn im2col_into(&self, batch: &[f32], b: usize, out: &mut [f32]) {
+        let (chw, ocols) = self.sizes();
+        let n = b * ocols;
+        assert_eq!(batch.len(), b * chw, "im2col_batch input length mismatch");
+        assert_eq!(
+            out.len(),
+            self.geom.col_rows() * n,
+            "im2col_batch output length mismatch"
+        );
+        if n == 0 {
+            return;
+        }
+        for (row, taps) in out.chunks_exact_mut(n).zip(self.taps.chunks_exact(ocols)) {
+            for (dst, img) in row.chunks_exact_mut(ocols).zip(batch.chunks_exact(chw)) {
+                for (d, &t) in dst.iter_mut().zip(taps) {
+                    *d = img.get(t as usize).copied().unwrap_or(0.0);
+                }
+            }
+        }
+    }
+
+    /// Adjoint of [`TapTable::im2col_into`]: scatter-add a `(C·KH·KW,
+    /// B·OH·OW)` column-gradient matrix back into batch image layout
+    /// `(B,C,H,W)`, on the calling thread.
+    ///
+    /// Accumulates into `out` (overlapping patches sum); the caller zeroes
+    /// the buffer first when a fresh gradient is wanted. Rows are walked in
+    /// ascending order and one row feeds a pixel at most once, so each
+    /// pixel sums its taps in the order the per-image [`col2im`] does.
+    ///
+    /// # Panics
+    /// Panics if `cols.len() != col_rows · b·OH·OW` or `out.len() != b · C·H·W`.
+    pub fn col2im_into(&self, cols: &[f32], b: usize, out: &mut [f32]) {
+        let (chw, ocols) = self.sizes();
+        let n = b * ocols;
+        assert_eq!(
+            cols.len(),
+            self.geom.col_rows() * n,
+            "col2im_batch input length mismatch"
+        );
+        assert_eq!(out.len(), b * chw, "col2im_batch output length mismatch");
+        if n == 0 {
+            return;
+        }
+        for (row, taps) in cols.chunks_exact(n).zip(self.taps.chunks_exact(ocols)) {
+            for (src, img) in row.chunks_exact(ocols).zip(out.chunks_exact_mut(chw)) {
+                for (&s, &t) in src.iter().zip(taps) {
+                    if let Some(x) = img.get_mut(t as usize) {
+                        *x += s;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`TapTable::im2col_into`] for a one-off geometry: builds the table on
+/// every call. A layer keeps its table and lowers through that instead.
 ///
 /// # Panics
-/// Panics if `batch.len() != b * C·H·W` or `out.len() != col_rows · b·OH·OW`.
+/// As [`TapTable::im2col_into`].
 pub fn im2col_batch_into(batch: &[f32], b: usize, geom: &Conv2dGeom, out: &mut [f32]) {
-    use rayon::prelude::*;
-
-    let (h, w) = (geom.in_h, geom.in_w);
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let chw = geom.in_channels * h * w;
-    let ocols = oh * ow;
-    let n = b * ocols;
-    assert_eq!(batch.len(), b * chw, "im2col_batch input length mismatch");
-    assert_eq!(
-        out.len(),
-        geom.col_rows() * n,
-        "im2col_batch output length mismatch"
-    );
-    if n == 0 {
-        return;
-    }
-    let (stride, pad) = (geom.stride, geom.pad);
-    let khw = geom.k_h * geom.k_w;
-
-    // Rows are independent gathers; each row reads one (channel, kh, kw) tap
-    // across every image and output position.
-    out.par_chunks_mut(n).enumerate().for_each(|(r, row)| {
-        let c = r / khw;
-        let kh = (r / geom.k_w) % geom.k_h;
-        let kw = r % geom.k_w;
-        // Output columns whose input x-coordinate is in bounds for this tap:
-        // 0 <= ox*stride + kw - pad < w.
-        let ox_lo = if pad > kw {
-            (pad - kw).div_ceil(stride).min(ow)
-        } else {
-            0
-        };
-        let ox_hi = if w + pad > kw {
-            ((w + pad - kw - 1) / stride + 1).min(ow)
-        } else {
-            0
-        };
-        for bi in 0..b {
-            let chan = &batch[bi * chw + c * h * w..bi * chw + (c + 1) * h * w];
-            for oy in 0..oh {
-                let dst = &mut row[bi * ocols + oy * ow..bi * ocols + oy * ow + ow];
-                let iy = (oy * stride + kh) as isize - pad as isize;
-                if iy < 0 || iy >= h as isize || ox_lo >= ox_hi {
-                    dst.fill(0.0);
-                    continue;
-                }
-                let src_row = &chan[iy as usize * w..(iy as usize + 1) * w];
-                dst[..ox_lo].fill(0.0);
-                dst[ox_hi..].fill(0.0);
-                if stride == 1 {
-                    let ix0 = ox_lo + kw - pad;
-                    dst[ox_lo..ox_hi].copy_from_slice(&src_row[ix0..ix0 + (ox_hi - ox_lo)]);
-                } else {
-                    for (ox, d) in dst[ox_lo..ox_hi].iter_mut().enumerate() {
-                        *d = src_row[(ox_lo + ox) * stride + kw - pad];
-                    }
-                }
-            }
-        }
-    });
+    TapTable::new(geom).im2col_into(batch, b, out);
 }
 
-/// Adjoint of [`im2col_batch_into`]: scatter-add a `(C·KH·KW, B·OH·OW)`
-/// column-gradient matrix back into batch image layout `(B,C,H,W)`.
-///
-/// Accumulates into `out` (overlapping patches sum); the caller zeroes the
-/// buffer first when a fresh gradient is wanted.
+/// [`TapTable::col2im_into`] for a one-off geometry: builds the table on
+/// every call. A layer keeps its table and scatters through that instead.
 ///
 /// # Panics
-/// Panics if `cols.len() != col_rows · b·OH·OW` or `out.len() != b · C·H·W`.
+/// As [`TapTable::col2im_into`].
 pub fn col2im_batch_into(cols: &[f32], b: usize, geom: &Conv2dGeom, out: &mut [f32]) {
-    use rayon::prelude::*;
-
-    let (h, w) = (geom.in_h, geom.in_w);
-    let (oh, ow) = (geom.out_h(), geom.out_w());
-    let chw = geom.in_channels * h * w;
-    let ocols = oh * ow;
-    let n = b * ocols;
-    assert_eq!(
-        cols.len(),
-        geom.col_rows() * n,
-        "col2im_batch input length mismatch"
-    );
-    assert_eq!(out.len(), b * chw, "col2im_batch output length mismatch");
-    if n == 0 {
-        return;
-    }
-    let (stride, pad) = (geom.stride, geom.pad);
-    let khw = geom.k_h * geom.k_w;
-
-    // Images scatter into disjoint output chunks, so parallelise over the
-    // batch; within an image, walk the rows like the per-image col2im.
-    out.par_chunks_mut(chw).enumerate().for_each(|(bi, img)| {
-        for r in 0..geom.col_rows() {
-            let c = r / khw;
-            let kh = (r / geom.k_w) % geom.k_h;
-            let kw = r % geom.k_w;
-            let ox_lo = if pad > kw {
-                (pad - kw).div_ceil(stride).min(ow)
-            } else {
-                0
-            };
-            let ox_hi = if w + pad > kw {
-                ((w + pad - kw - 1) / stride + 1).min(ow)
-            } else {
-                0
-            };
-            let chan = &mut img[c * h * w..(c + 1) * h * w];
-            let row = &cols[r * n + bi * ocols..r * n + (bi + 1) * ocols];
-            for oy in 0..oh {
-                let iy = (oy * stride + kh) as isize - pad as isize;
-                if iy < 0 || iy >= h as isize || ox_lo >= ox_hi {
-                    continue;
-                }
-                let dst_row = &mut chan[iy as usize * w..(iy as usize + 1) * w];
-                let src = &row[oy * ow..(oy + 1) * ow];
-                if stride == 1 {
-                    let ix0 = ox_lo + kw - pad;
-                    for (d, &s) in dst_row[ix0..ix0 + (ox_hi - ox_lo)]
-                        .iter_mut()
-                        .zip(&src[ox_lo..ox_hi])
-                    {
-                        *d += s;
-                    }
-                } else {
-                    for (ox, &s) in src[ox_lo..ox_hi].iter().enumerate() {
-                        dst_row[(ox_lo + ox) * stride + kw - pad] += s;
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// Lower a `(B,C,H,W)` batch tensor to its `(C·KH·KW, B·OH·OW)` im2col
-/// matrix. Allocating wrapper over [`im2col_batch_into`].
-///
-/// # Panics
-/// Panics if `batch` is not 4-d with trailing dims matching `geom`.
-pub fn im2col_batch(batch: &Tensor, geom: &Conv2dGeom) -> Tensor {
-    let dims = batch.dims();
-    assert_eq!(dims.len(), 4, "im2col_batch expects a (B,C,H,W) tensor");
-    assert_eq!(
-        &dims[1..],
-        &[geom.in_channels, geom.in_h, geom.in_w],
-        "im2col_batch image shape mismatch"
-    );
-    let b = dims[0];
-    let mut out = vec![0.0f32; geom.col_rows() * b * geom.col_cols()];
-    im2col_batch_into(batch.data(), b, geom, &mut out);
-    Tensor::from_vec([geom.col_rows(), b * geom.col_cols()], out)
-}
-
-/// Scatter a batched column matrix back to a `(B,C,H,W)` tensor. Allocating
-/// wrapper over [`col2im_batch_into`].
-pub fn col2im_batch(cols: &Tensor, b: usize, geom: &Conv2dGeom) -> Tensor {
-    assert_eq!(
-        cols.dims(),
-        &[geom.col_rows(), b * geom.col_cols()],
-        "col2im_batch input shape mismatch"
-    );
-    let mut out = vec![0.0f32; b * geom.in_channels * geom.in_h * geom.in_w];
-    col2im_batch_into(cols.data(), b, geom, &mut out);
-    Tensor::from_vec([b, geom.in_channels, geom.in_h, geom.in_w], out)
+    TapTable::new(geom).col2im_into(cols, b, out);
 }
 
 #[cfg(test)]
@@ -346,6 +321,31 @@ mod tests {
             stride,
             pad,
         }
+    }
+
+    /// Lower a `(B,C,H,W)` batch tensor to its `(C·KH·KW, B·OH·OW)` matrix.
+    fn im2col_batch(batch: &Tensor, geom: &Conv2dGeom) -> Tensor {
+        let b = batch.dims()[0];
+        let mut out = vec![0.0f32; geom.col_rows() * b * geom.col_cols()];
+        im2col_batch_into(batch.data(), b, geom, &mut out);
+        Tensor::from_vec([geom.col_rows(), b * geom.col_cols()], out)
+    }
+
+    /// Scatter a batched column matrix into a fresh `(B,C,H,W)` tensor.
+    fn col2im_batch(cols: &Tensor, b: usize, geom: &Conv2dGeom) -> Tensor {
+        let mut out = vec![0.0f32; b * geom.in_channels * geom.in_h * geom.in_w];
+        col2im_batch_into(cols.data(), b, geom, &mut out);
+        Tensor::from_vec([b, geom.in_channels, geom.in_h, geom.in_w], out)
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `Σ aᵢ·bᵢ` accumulated in f64, so summation error stays far below
+    /// the adjoint tests' tolerance at the models' batch-10 sizes.
+    fn dot64(a: &[f32], b: &[f32]) -> f64 {
+        a.iter().zip(b).map(|(&x, &y)| x as f64 * y as f64).sum()
     }
 
     #[test]
@@ -400,8 +400,10 @@ mod tests {
         assert_eq!(cols.at(&[4, 0]), 1.0);
     }
 
-    /// Shapes exercising stride 1 and 2, pad 0 and 1, odd sizes, and a
-    /// kernel wider than the unpadded input.
+    /// Shapes exercising stride 1 and 2, pad 0 and 1, odd sizes, a kernel
+    /// wider than the unpadded input and an empty batch, then the models'
+    /// own conv layers at batch 10: LeNet-5 on CIFAR-10 (3@16×16, 8@7×7)
+    /// and FMNIST (1@16×16), and ResNet-9's padded 3×3 at 8×8, 4×4, 2×2.
     const BATCH_SHAPES: &[(usize, usize, usize, usize, usize, usize, usize)] = &[
         // (b, c, h, w, k, stride, pad)
         (1, 1, 5, 5, 3, 1, 0),
@@ -410,6 +412,14 @@ mod tests {
         (4, 1, 7, 5, 3, 2, 0),
         (2, 2, 3, 3, 3, 1, 1),
         (1, 1, 2, 2, 3, 1, 1),
+        (0, 2, 5, 5, 3, 1, 1),
+        (10, 3, 16, 16, 3, 1, 0),
+        (10, 8, 7, 7, 3, 1, 0),
+        (10, 1, 16, 16, 3, 1, 0),
+        (10, 3, 8, 8, 3, 1, 1),
+        (10, 8, 8, 8, 3, 1, 1),
+        (10, 16, 4, 4, 3, 1, 1),
+        (10, 32, 2, 2, 3, 1, 1),
     ];
 
     fn random_tensor(dims: &[usize], seed: u64) -> Tensor {
@@ -426,61 +436,52 @@ mod tests {
             let batch = random_tensor(&[b, c, h, w], 100 + i as u64);
             let cols = im2col_batch(&batch, &g);
             let ocols = g.col_cols();
-            assert_eq!(cols.dims(), &[g.col_rows(), b * ocols]);
+            let n = b * ocols;
+            assert_eq!(cols.dims(), &[g.col_rows(), n]);
+            let chw = c * h * w;
             for bi in 0..b {
-                let chw = c * h * w;
                 let img =
                     Tensor::from_vec([c, h, w], batch.data()[bi * chw..(bi + 1) * chw].to_vec());
                 let single = im2col(&img, &g);
                 for r in 0..g.col_rows() {
-                    for j in 0..ocols {
-                        assert_eq!(
-                            cols.at(&[r, bi * ocols + j]),
-                            single.at(&[r, j]),
-                            "shape {:?} image {} row {} col {}",
-                            (b, c, h, w, k, s, p),
-                            bi,
-                            r,
-                            j
-                        );
-                    }
+                    assert_eq!(
+                        bits(&cols.data()[r * n + bi * ocols..][..ocols]),
+                        bits(&single.data()[r * ocols..][..ocols]),
+                        "shape {:?} image {} row {}",
+                        (b, c, h, w, k, s, p),
+                        bi,
+                        r
+                    );
                 }
             }
         }
     }
 
+    /// Bit for bit, not to a tolerance: a scatter-add that reordered a
+    /// pixel's sum would pass `< 1e-6` and still move result bytes.
     #[test]
     fn batched_col2im_matches_per_image() {
         for (i, &(b, c, h, w, k, s, p)) in BATCH_SHAPES.iter().enumerate() {
             let g = geom(c, h, w, k, s, p);
             let ocols = g.col_cols();
-            let cols = random_tensor(&[g.col_rows(), b * ocols], 200 + i as u64);
+            let n = b * ocols;
+            let cols = random_tensor(&[g.col_rows(), n], 200 + i as u64);
             let imgs = col2im_batch(&cols, b, &g);
             assert_eq!(imgs.dims(), &[b, c, h, w]);
+            let chw = c * h * w;
             for bi in 0..b {
-                let mut sub = vec![0.0f32; g.col_rows() * ocols];
-                for r in 0..g.col_rows() {
-                    for j in 0..ocols {
-                        sub[r * ocols + j] = cols.at(&[r, bi * ocols + j]);
-                    }
-                }
+                let sub: Vec<f32> = (0..g.col_rows())
+                    .flat_map(|r| &cols.data()[r * n + bi * ocols..][..ocols])
+                    .copied()
+                    .collect();
                 let single = col2im(&Tensor::from_vec([g.col_rows(), ocols], sub), &g);
-                let chw = c * h * w;
-                for (x, (&got, &want)) in imgs.data()[bi * chw..(bi + 1) * chw]
-                    .iter()
-                    .zip(single.data())
-                    .enumerate()
-                {
-                    assert!(
-                        (got - want).abs() < 1e-6,
-                        "shape {:?} image {} elem {}: {} vs {}",
-                        (b, c, h, w, k, s, p),
-                        bi,
-                        x,
-                        got,
-                        want
-                    );
-                }
+                assert_eq!(
+                    bits(&imgs.data()[bi * chw..(bi + 1) * chw]),
+                    bits(single.data()),
+                    "shape {:?} image {}",
+                    (b, c, h, w, k, s, p),
+                    bi
+                );
             }
         }
     }
@@ -504,18 +505,8 @@ mod tests {
             let g = geom(c, h, w, k, s, p);
             let x = random_tensor(&[b, c, h, w], 300 + i as u64);
             let y = random_tensor(&[g.col_rows(), b * g.col_cols()], 400 + i as u64);
-            let lhs: f32 = im2col_batch(&x, &g)
-                .data()
-                .iter()
-                .zip(y.data())
-                .map(|(&a, &b)| a * b)
-                .sum();
-            let rhs: f32 = x
-                .data()
-                .iter()
-                .zip(col2im_batch(&y, b, &g).data())
-                .map(|(&a, &b)| a * b)
-                .sum();
+            let lhs = dot64(im2col_batch(&x, &g).data(), y.data());
+            let rhs = dot64(x.data(), col2im_batch(&y, b, &g).data());
             assert!(
                 (lhs - rhs).abs() < 1e-3,
                 "adjoint mismatch: {} vs {}",

@@ -21,6 +21,7 @@ use fedclust_repro::fl::methods::{
     Cfl, FedAvg, FedDyn, FedNova, FedProx, Ifca, LgFedAvg, LocalOnly, Pacfl, PerFedAvg, Scaffold,
 };
 use fedclust_repro::fl::{Checkpointer, FaultPlan, FlConfig, FlMethod, RunResult};
+use fedclust_repro::nn::models::ModelSpec;
 
 /// Serialise tests in this binary: the thread count is process-global, so
 /// interleaved tests would blur which count a run used (results would
@@ -135,6 +136,48 @@ fn every_method_is_bit_identical_across_thread_counts() {
             reference.total_mb,
             run_at(4, m.as_ref(), &fd, &cfg).total_mb
         );
+    }
+}
+
+/// `FlConfig::tiny` is an MLP, so the test above never convolves. The
+/// pool must stay invisible on the paper's conv models too: LeNet-5 on
+/// 16×16 CIFAR-10-like images, and ResNet-9 (batch norm, padded 3×3 at
+/// 8×8, 4×4 and 2×2) on 8×8 CIFAR-100-like ones.
+#[test]
+fn conv_models_are_bit_identical_across_thread_counts() {
+    let _g = config_lock();
+    for (profile, model) in [
+        (DatasetProfile::Cifar10Like, ModelSpec::LeNet5),
+        (DatasetProfile::Cifar100Like, ModelSpec::ResNet9),
+    ] {
+        let fd = FederatedDataset::build(
+            profile,
+            Partition::LabelSkew { fraction: 0.3 },
+            &fedclust_repro::data::federated::FederatedConfig {
+                num_clients: 4,
+                samples_per_class: 4,
+                train_fraction: 0.8,
+                seed: 23,
+            },
+        );
+        let mut cfg = cfg(23, 2);
+        cfg.model = model;
+        for m in [
+            Box::new(FedAvg) as Box<dyn FlMethod>,
+            Box::new(FedClust::default()),
+        ] {
+            let reference = run_at(1, m.as_ref(), &fd, &cfg);
+            for threads in [2, 4] {
+                assert_eq!(
+                    reference,
+                    run_at(threads, m.as_ref(), &fd, &cfg),
+                    "{} on {}: RunResult diverged between threads=1 and threads={}",
+                    m.name(),
+                    model.tag(),
+                    threads
+                );
+            }
+        }
     }
 }
 
