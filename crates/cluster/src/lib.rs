@@ -11,6 +11,19 @@
 //! * [`metrics`] — adjusted Rand index, normalised mutual information and
 //!   purity, used to validate recovered clusters against ground truth.
 
+// Library code does not panic; binaries and tests are exempt (DESIGN.md §8).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 pub mod hac;
 pub mod metrics;
 pub mod proximity;

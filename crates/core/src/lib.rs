@@ -56,6 +56,19 @@
 //! assert!(result.num_clusters.unwrap() >= 1);
 //! ```
 
+// Library code does not panic; binaries and tests are exempt (DESIGN.md §8).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 pub mod algorithm;
 pub mod clustering;
 pub mod lambda_sweep;

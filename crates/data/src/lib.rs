@@ -20,6 +20,19 @@
 //! 4. obtain a [`federated::FederatedDataset`] of per-client train/test
 //!    splits.
 
+// Library code does not panic; binaries and tests are exempt (DESIGN.md §8).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 pub mod dataset;
 pub mod federated;
 pub mod partition;

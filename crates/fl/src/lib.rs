@@ -31,6 +31,19 @@
 //! FedClust itself lives in the `fedclust` crate and plugs into the same
 //! [`methods::FlMethod`] trait.
 
+// Library code does not panic; binaries and tests are exempt (DESIGN.md §8).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 pub mod checkpoint;
 pub mod codec;
 pub mod comm;

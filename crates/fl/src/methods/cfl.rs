@@ -235,7 +235,7 @@ fn split_cluster(cluster: &mut Cluster, last_update: &[Option<Vec<f32>>]) -> Opt
     }
     // BTreeSet, not HashSet: `members` retains its original order here, but
     // keeping hasher-ordered containers out of the aggregation path entirely
-    // is the workspace's deterministic-iteration invariant.
+    // is a workspace rule (clippy's `disallowed_types`, clippy.toml).
     let group1_set: std::collections::BTreeSet<usize> = group1.iter().copied().collect();
     cluster.members.retain(|c| !group1_set.contains(c));
     Some(Cluster {

@@ -18,43 +18,30 @@ pub fn strings_hide_everything() -> (usize, char, &'static str) {
     (s.len() + raw.len() + byte.len(), ch, "done")
 }
 
-pub fn pragma_justified(x: Option<u32>) -> u32 {
-    // fedlint::allow(no-panic-paths): fixture — invariant: caller always passes Some
-    x.unwrap()
+pub fn pragma_justified(x: f32) -> bool {
+    // fedlint::allow(float-eq): fixture — exact-zero sentinel semantics
+    x == 0.0
 }
 
-pub fn trailing_pragma(x: Option<u32>) -> u32 {
-    x.unwrap() // fedlint::allow(no-panic-paths): fixture — same-line pragma form
+pub fn trailing_pragma(x: f32) -> bool {
+    x == 0.0 // fedlint::allow(float-eq): fixture — same-line pragma form
 }
 
 pub fn good_rng(seed: u64) {
     let _rng = derive(seed, &[streams::SAMPLING, 3]); // named stream leads; round index after is fine
 }
 
-pub fn ordered() -> usize {
-    let m: std::collections::BTreeMap<u32, u32> = std::collections::BTreeMap::new();
-    m.len()
-}
-
 pub fn tolerant_compare(x: f32) -> bool {
     (x - 1.5).abs() < 1e-6
-}
-
-pub fn sentinel_compare(x: f32) -> bool {
-    // fedlint::allow(float-eq): fixture — exact-zero sentinel semantics
-    x == 0.0
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn tests_are_exempt() {
-        use std::collections::HashMap;
-        let m: HashMap<u32, f32> = HashMap::new();
-        assert!(m.get(&0).copied().unwrap_or(1.0) == 1.0);
-        let v: Option<u32> = Some(1);
-        assert_eq!(v.unwrap(), 1);
+        let v: Option<f32> = Some(1.0);
+        assert!(v.unwrap_or(0.0) == 1.0);
     }
 }
 
-// fedlint-fixture: covers deterministic-iteration, no-panic-paths, rng-stream-discipline, float-eq, pragma-syntax
+// fedlint-fixture: covers rng-stream-discipline, float-eq, pragma-syntax

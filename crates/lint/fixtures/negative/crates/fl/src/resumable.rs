@@ -1,5 +1,4 @@
-//! Negative fixture: a public entry point whose helper is Result-returning
-//! (no reachable panic), and distinct RNG streams per scope. The `streams`
+//! Negative fixture: distinct RNG streams per scope. The `streams`
 //! constants here must not collide with `clean.rs`'s. Zero findings.
 
 pub mod streams {
@@ -7,17 +6,9 @@ pub mod streams {
     pub const CLIENT: u64 = 2;
 }
 
-pub fn entry(x: Option<u32>) -> Result<u32, String> {
-    helper(x)
-}
-
-fn helper(x: Option<u32>) -> Result<u32, String> {
-    x.ok_or_else(|| "missing".to_string())
-}
-
 pub fn two_streams(seed: u64, round: u64) {
     let _a = derive(seed, &[streams::ROUND, round]);
     let _b = derive(seed, &[streams::CLIENT, round]);
 }
 
-// fedlint-fixture: covers rng-stream-collision, panic-reachability
+// fedlint-fixture: covers rng-stream-collision

@@ -6,7 +6,7 @@ pub const RULES: [Rule; 2] = [
         pass: Pass::File(rule_float_eq),
     },
     Rule {
-        name: "no-panic-paths",
-        pass: Pass::File(rule_no_panic_paths),
+        name: "pool-discipline",
+        pass: Pass::File(pool_discipline),
     },
 ];

@@ -2,38 +2,21 @@
 //! scanned as `fl` library code. The rule tests assert exact (rule, line)
 //! pairs — keep line numbers stable when editing.
 
-use std::collections::HashMap; // deterministic-iteration @5
-
-pub fn panics(x: Option<u32>) -> u32 {
-    let a = x.unwrap(); // no-panic-paths @8
-    let b = x.expect("present"); // no-panic-paths @9
-    if a == 0 {
-        panic!("boom"); // no-panic-paths @11
-    }
-    if b == 1 {
-        todo!(); // no-panic-paths @14
-    }
-    if b == 2 {
-        unimplemented!(); // no-panic-paths @17
-    }
-    a + b
-}
-
-pub fn nondeterministic() -> usize {
-    let m: HashMap<u32, u32> = HashMap::new(); // deterministic-iteration @23
-    m.len()
-}
-
 pub fn bad_rng(seed: u64) {
-    let _rng = derive(seed, &[42, 7]); // rng-stream-discipline @28
-    let _direct = SmallRng::seed_from_u64(1234); // rng-stream-discipline @29
+    let _rng = derive(seed, &[42, 7]); // rng-stream-discipline @6
+    let _direct = SmallRng::seed_from_u64(1234); // rng-stream-discipline @7
 }
 
 pub fn float_compare(x: f32) -> bool {
-    x == 1.5 // float-eq @33
+    x == 1.5 // float-eq @11
 }
 
-pub fn misuse(x: Option<u32>) -> u32 {
-    // fedlint::allow(no-panic-paths)
-    x.unwrap() // the pragma above has no reason: pragma-syntax @37, finding stays @38
+pub fn misuse(x: f32) -> bool {
+    // fedlint::allow(float-eq)
+    x == 2.5 // the pragma above has no reason: pragma-syntax @15, finding stays @16
+}
+
+pub fn retired(x: Option<u32>) -> u32 {
+    // fedlint::allow(no-panic-paths): clippy's `unwrap_used` checks this now
+    x.unwrap() // the pragma above names no rule of fedlint's: pragma-syntax @20
 }

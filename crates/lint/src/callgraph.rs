@@ -1,6 +1,6 @@
 //! The approximate intra-workspace call graph, the workspace pass that runs
-//! on it ([`global_findings`]), and the two rules that live here:
-//! `panic-reachability` and `rng-stream-collision`.
+//! on it ([`global_findings`]), and the rule that lives here:
+//! `rng-stream-collision`.
 //!
 //! Call resolution is identifier-based and deliberately conservative —
 //! anything ambiguous is *ignored* rather than guessed, so the graph
@@ -17,20 +17,17 @@
 //! * bare `f(…)` — to a unique free function: first in the same
 //!   file + module, then unique in the crate, then unique in the workspace.
 //!
-//! Determinism: nodes are numbered in (sorted file, declaration order),
-//! adjacency lists are sorted and deduplicated, and reachability is a BFS
-//! that visits callees in node order — repeated runs produce byte-identical
-//! findings and the reported chain is a shortest one.
+//! Determinism: nodes are numbered in (sorted file, declaration order) and
+//! each node's call sites are kept in token order, so repeated runs walk
+//! the graph identically and produce byte-identical findings.
 
 use crate::concurrency::LockSets;
 use crate::items::{Item, ItemKind};
 use crate::lexer::{text_at, TokKind, Token};
-use crate::rules::{panic_site_at, FileAnalysis, Pass, RULES};
+use crate::rules::{FileAnalysis, Pass, RULES};
 use crate::{Finding, Timings};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
-/// Crates whose non-test `pub fn`s must not transitively reach a panic.
-const PANIC_REACH_CRATES: [&str; 5] = ["cluster", "core", "fl", "nn", "tensor"];
 /// Crates where RNG stream consumption is scope-checked.
 const RNG_SCOPE_CRATES: [&str; 2] = ["core", "fl"];
 
@@ -62,27 +59,18 @@ pub(crate) struct FnNode {
     path: Vec<String>,
     name: String,
     pub(crate) display: String,
-    file: String,
     crate_name: String,
     module: Vec<String>,
     impl_type: Option<String>,
-    is_pub: bool,
     pub(crate) is_test: bool,
-    is_bin: bool,
-    decl_line: u32,
-    /// Sorted, deduplicated callee node indices.
-    calls: Vec<usize>,
     /// Resolved call sites in token order (unsorted, may repeat callees).
     pub(crate) sites: Vec<CallSite>,
-    /// Unsuppressed panic sites in this body, sorted by line.
-    panics: Vec<(u32, String)>,
 }
 
-/// What a workspace rule sees: every file's analysis, the call graph over
-/// them, and the lock-set summaries computed on that graph.
+/// What a workspace rule sees: every file's analysis and the lock-set
+/// summaries computed on the call graph over them.
 pub struct Workspace<'a> {
     pub(crate) files: &'a [FileAnalysis],
-    pub(crate) nodes: Vec<FnNode>,
     pub(crate) locksets: LockSets,
 }
 
@@ -94,11 +82,7 @@ pub fn global_findings(files: &[FileAnalysis], timings: &mut Timings) -> Vec<Fin
     let locksets = timings.time("infra:lockset-engine", || {
         crate::concurrency::build(files, &nodes)
     });
-    let ws = Workspace {
-        files,
-        nodes,
-        locksets,
-    };
+    let ws = Workspace { files, locksets };
     let mut out = Vec::new();
     for rule in &RULES {
         if let Pass::Workspace(run) = rule.pass {
@@ -194,17 +178,11 @@ pub(crate) fn build_graph(files: &[FileAnalysis]) -> Vec<FnNode> {
                 path,
                 name: item.name.clone(),
                 display: item.display_name(),
-                file: fa.rel_path.clone(),
                 crate_name: fa.crate_name.clone(),
                 module: item.module.clone(),
                 impl_type: item.impl_type.clone(),
-                is_pub: item.is_pub,
                 is_test: item.is_test,
-                is_bin: fa.is_bin,
-                decl_line: item.decl_line,
-                calls: Vec::new(),
                 sites: Vec::new(),
-                panics: Vec::new(),
             });
         }
     }
@@ -216,54 +194,36 @@ pub(crate) fn build_graph(files: &[FileAnalysis]) -> Vec<FnNode> {
         .map(|(k, v)| (k.to_string(), v))
         .collect();
 
-    // Second pass: extract call sites and panic sites from each body.
-    // (node, call sites, panic sites as (line, what)).
-    type NodeEdges = (usize, Vec<CallSite>, Vec<(u32, String)>);
-    let mut edges: Vec<NodeEdges> = Vec::new();
+    // Second pass: extract the call sites from each body.
+    let mut edges: Vec<(usize, Vec<CallSite>)> = Vec::new();
     for (fi, fa) in files.iter().enumerate() {
         for (ii, item) in fa.items.iter().enumerate() {
             let Some(&me) = node_of.get(&(fi, ii)) else {
                 continue;
             };
-            let (sites, panics) = scan_body(fa, item, &nodes, &by_name, me);
-            edges.push((me, sites, panics));
+            edges.push((me, scan_body(fa, item, &nodes, &by_name, me)));
         }
     }
-    for (me, sites, panics) in edges {
-        let mut calls: Vec<usize> = sites.iter().map(|s| s.callee).collect();
-        calls.sort_unstable();
-        calls.dedup();
-        nodes[me].calls = calls;
+    for (me, sites) in edges {
         nodes[me].sites = sites;
-        nodes[me].panics = panics;
     }
     nodes
 }
 
-/// Extract resolved call sites and unsuppressed panic sites from one body.
+/// Extract the resolved call sites from one body.
 fn scan_body(
     fa: &FileAnalysis,
     item: &Item,
     nodes: &[FnNode],
     by_name: &BTreeMap<String, Vec<usize>>,
     me: usize,
-) -> (Vec<CallSite>, Vec<(u32, String)>) {
+) -> Vec<CallSite> {
     let code = &fa.code;
     let mut sites: Vec<CallSite> = Vec::new();
-    let mut panics = Vec::new();
-    let site_suppressed = |line: u32| {
-        fa.suppressed("no-panic-paths", line) || fa.suppressed("panic-reachability", line)
-    };
     for k in body_indices(item, &fa.items) {
         let Some(t) = code.get(k).filter(|t| t.kind == TokKind::Ident) else {
             continue;
         };
-        if let Some(site) = panic_site_at(code, k) {
-            if !item.is_test && !site_suppressed(t.line) {
-                panics.push((t.line, site));
-            }
-            continue;
-        }
         if text_at(code, k + 1) != "(" {
             continue;
         }
@@ -340,9 +300,7 @@ fn scan_body(
             }
         }
     }
-    panics.sort_unstable();
-    panics.dedup();
-    (sites, panics)
+    sites
 }
 
 /// Resolve `a::b::f(…)`: qualifier segments must suffix-match exactly one
@@ -441,66 +399,6 @@ fn resolve_bare(
     match free.as_slice() {
         [one] => Some(*one),
         _ => None,
-    }
-}
-
-/// `panic-reachability`: BFS from every public library fn; report the
-/// shortest chain to a function containing an unsuppressed panic site.
-pub(crate) fn panic_reachability(ws: &Workspace<'_>, out: &mut Vec<Finding>) {
-    let nodes = &ws.nodes;
-    for (root, node) in nodes.iter().enumerate() {
-        if !node.is_pub
-            || node.is_test
-            || node.is_bin
-            || !PANIC_REACH_CRATES.contains(&node.crate_name.as_str())
-        {
-            continue;
-        }
-        let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut queue = VecDeque::new();
-        parent.insert(root, root);
-        queue.push_back(root);
-        let mut hit: Option<usize> = None;
-        while let Some(n) = queue.pop_front() {
-            // The root's own sites belong to `no-panic-paths`; a chain needs
-            // at least one call edge.
-            if n != root && !nodes[n].panics.is_empty() {
-                hit = Some(n);
-                break;
-            }
-            for &c in &nodes[n].calls {
-                parent.entry(c).or_insert_with(|| {
-                    queue.push_back(c);
-                    n
-                });
-            }
-        }
-        let Some(target) = hit else {
-            continue;
-        };
-        let mut chain = vec![target];
-        let mut cur = target;
-        while cur != root {
-            cur = parent[&cur];
-            chain.push(cur);
-        }
-        chain.reverse();
-        let names: Vec<&str> = chain.iter().map(|&n| nodes[n].display.as_str()).collect();
-        let (line, what) = &nodes[target].panics[0];
-        out.push(Finding {
-            file: node.file.clone(),
-            line: node.decl_line,
-            rule: "panic-reachability",
-            message: format!(
-                "`pub fn {}` can transitively panic via {}: {} at {}:{}; return a Result, make \
-                 the callee infallible, or pragma the panic site to stop propagation",
-                node.display,
-                names.join(" -> "),
-                what,
-                nodes[target].file,
-                line
-            ),
-        });
     }
 }
 

@@ -959,7 +959,6 @@ mod tests {
         let locksets = super::build(&files, &nodes);
         let ws = Workspace {
             files: &files,
-            nodes,
             locksets,
         };
         let mut out = Vec::new();

@@ -1,11 +1,11 @@
 //! A lightweight item parser on top of the lexer.
 //!
-//! `fedlint`'s structural rules (panic reachability, codec arithmetic
+//! `fedlint`'s call graph and structural rules (codec arithmetic
 //! discipline, atomic-write discipline) need to know *which function* a
 //! token belongs to, not just which line. This module recovers exactly that
 //! much structure from the token stream: `fn` / `mod` / `impl` boundaries,
-//! in-file module paths, the enclosing `impl` type of methods, `pub`-ness,
-//! and `#[cfg(test)]` membership. It is not a Rust parser — generics,
+//! in-file module paths, the enclosing `impl` type of methods, and
+//! `#[cfg(test)]` membership. It is not a Rust parser — generics,
 //! expressions, and patterns are skipped with brace/paren matching — and it
 //! shares the lexer's robustness contract: never panics, never loops
 //! forever, degrades to a best-effort item list on invalid input (pinned by
@@ -44,9 +44,6 @@ pub struct Item {
     pub module: Vec<String>,
     /// For `Fn` items inside an `impl` block: the self type's name.
     pub impl_type: Option<String>,
-    /// Carries a `pub` qualifier (any visibility flavour, including
-    /// `pub(crate)`).
-    pub is_pub: bool,
     /// Declared inside a `#[cfg(test)]` region or under `#[test]`.
     pub is_test: bool,
     /// 1-based line of the item's name (or of `impl`).
@@ -131,22 +128,6 @@ impl Parser<'_> {
         j.max(i + 2)
     }
 
-    /// Skip a parenthesized group; `i` sits on `(`. Returns the index past
-    /// the matching `)`.
-    fn skip_parens(&self, i: usize) -> usize {
-        let mut j = i + 1;
-        let mut depth = 1usize;
-        while j < self.code.len() && depth > 0 {
-            match self.text(j) {
-                "(" => depth += 1,
-                ")" => depth = depth.saturating_sub(1),
-                _ => {}
-            }
-            j += 1;
-        }
-        j.max(i + 1)
-    }
-
     fn open_item(&mut self, idx: usize) {
         self.stack.push(Frame { item: Some(idx) });
     }
@@ -176,20 +157,12 @@ impl Parser<'_> {
 
     fn run(mut self) -> Vec<Item> {
         let mut i = 0usize;
-        let mut pending_pub = false;
         while i < self.code.len() {
             let t = &self.code[i];
             let is_kw = t.kind == TokKind::Ident;
             match t.text.as_str() {
                 "#" if self.text(i + 1) == "[" => {
                     i = self.skip_attr(i);
-                }
-                "pub" if is_kw => {
-                    pending_pub = true;
-                    i += 1;
-                    if self.text(i) == "(" {
-                        i = self.skip_parens(i);
-                    }
                 }
                 "mod" if is_kw && self.is_ident(i + 1) => {
                     let name = self.text(i + 1).to_string();
@@ -201,7 +174,6 @@ impl Parser<'_> {
                             name: name.clone(),
                             module: self.mods.clone(),
                             impl_type: None,
-                            is_pub: pending_pub,
                             is_test: self.tested(decl_line),
                             decl_line,
                             body: Some((i + 2, i + 2)),
@@ -213,7 +185,6 @@ impl Parser<'_> {
                     } else {
                         i += 2;
                     }
-                    pending_pub = false;
                 }
                 "fn" if is_kw && self.is_ident(i + 1) => {
                     let name = self.text(i + 1).to_string();
@@ -237,7 +208,6 @@ impl Parser<'_> {
                         name,
                         module: self.mods.clone(),
                         impl_type: self.impls.last().cloned(),
-                        is_pub: pending_pub,
                         is_test: self.tested(decl_line),
                         decl_line,
                         body: None,
@@ -252,7 +222,6 @@ impl Parser<'_> {
                         self.items.push(item);
                     }
                     i = (j + 1).max(i + 2);
-                    pending_pub = false;
                 }
                 "impl" if is_kw => {
                     let decl_line = t.line;
@@ -268,7 +237,6 @@ impl Parser<'_> {
                             name: name.clone(),
                             module: self.mods.clone(),
                             impl_type: None,
-                            is_pub: false,
                             is_test: self.tested(decl_line),
                             decl_line,
                             body: Some((j, j)),
@@ -278,20 +246,13 @@ impl Parser<'_> {
                         self.impls.push(name);
                     }
                     i = (j + 1).max(i + 1);
-                    pending_pub = false;
                 }
                 "{" => {
                     self.stack.push(Frame { item: None });
                     i += 1;
-                    pending_pub = false;
                 }
                 "}" => {
                     self.close_frame(i, t.line);
-                    i += 1;
-                    pending_pub = false;
-                }
-                ";" | "=" => {
-                    pending_pub = false;
                     i += 1;
                 }
                 _ => {
@@ -402,12 +363,9 @@ mod tests {
         let fns: Vec<_> = items.iter().filter(|i| i.kind == ItemKind::Fn).collect();
         assert_eq!(fns.len(), 3);
         assert_eq!(fns[0].name, "free");
-        assert!(fns[0].is_pub);
         assert_eq!(fns[0].impl_type, None);
         assert_eq!(fns[1].name, "method");
-        assert!(!fns[1].is_pub);
         assert_eq!(fns[1].impl_type.as_deref(), Some("S"));
-        assert!(fns[2].is_pub);
         assert_eq!(fns[2].display_name(), "S::public");
     }
 
@@ -474,16 +432,6 @@ mod tests {
         assert_eq!((build.decl_line, build.end_line), (1, 4));
         let after = items.iter().find(|i| i.name == "after").unwrap();
         assert_eq!(after.decl_line, 5);
-    }
-
-    #[test]
-    fn pub_does_not_leak_past_semicolon_or_brace() {
-        let src = "pub struct S { pub x: u32 }\nfn private() {}\npub type A = u32;\nfn also_private() {}\n";
-        let items = items_of(src);
-        for name in ["private", "also_private"] {
-            let f = items.iter().find(|i| i.name == name).unwrap();
-            assert!(!f.is_pub, "{name} wrongly marked pub");
-        }
     }
 
     #[test]

@@ -1,14 +1,21 @@
 //! `fedlint` — the workspace invariant checker.
 //!
-//! PR 2 made bit-identical replay under fault injection a load-bearing
-//! guarantee; the invariants behind it (deterministic iteration order,
-//! disciplined RNG stream construction, panic-free library code, justified
-//! `unsafe`) previously lived only in review culture. This crate enforces
-//! them mechanically: a from-scratch, comment/string/char-literal-aware
+//! Bit-identical replay under fault injection is the workspace's
+//! load-bearing guarantee, and most invariants behind it (disciplined RNG
+//! stream construction, ordered parallel reductions, checked codec
+//! arithmetic, no clock or hasher state in replayed values, a cycle-free
+//! lock order) are nothing a stock linter knows. This crate enforces them
+//! mechanically: a from-scratch, comment/string/char-literal-aware
 //! lexer ([`lexer`]) feeds a set of named rules ([`rules`]) over every
 //! `crates/*/src` and `vendor/*/src` file, and the driver here renders
 //! deterministic, sorted human and JSON reports. `fedlint --deny` is a CI
 //! gate (`scripts/ci.sh`).
+//!
+//! What clippy checks stays with clippy (DESIGN.md §8): panic-free library
+//! code (`unwrap_used`, `expect_used`, `panic`, `todo`, `unimplemented`,
+//! `unreachable`, denied at each library crate's root), documented `unsafe`
+//! (`undocumented_unsafe_blocks`, `missing_safety_doc`) and hasher-ordered
+//! containers (`disallowed_types` in `clippy.toml`).
 //!
 //! Output determinism is part of the contract: files are walked in sorted
 //! order, findings are sorted by `(file, line, rule, message)`, and the JSON
@@ -20,8 +27,8 @@
 //! pragmas). Pass two ([`callgraph::global_findings`]) builds the
 //! approximate intra-workspace call graph and the [`concurrency`] lock-set
 //! summaries over every analysis and runs the workspace rules on them
-//! (reachability, stream collisions, the [`dataflow`] taint rules, lock
-//! order, guards, atomics). A justified finding is parked where it occurs,
+//! (stream collisions, the [`dataflow`] taint rules, lock order, guards,
+//! atomics). A justified finding is parked where it occurs,
 //! by a `fedlint::allow` pragma with a written reason; there is no other
 //! exemption mechanism.
 

@@ -14,8 +14,9 @@
 //! `// fedlint::allow(<rule>): <reason>` — the reason is mandatory, and the
 //! pragma covers its own line plus the next line (so it can sit directly
 //! above the flagged expression, including inside method chains). A
-//! malformed pragma is itself a finding (`pragma-syntax`) and suppresses
-//! nothing.
+//! malformed pragma — no reason, or a rule that is no row here, such as
+//! one clippy now checks (its sites carry `#[expect(clippy::…, reason)]`) —
+//! is itself a finding (`pragma-syntax`) and suppresses nothing.
 
 use crate::callgraph::{self, Workspace};
 use crate::concurrency;
@@ -40,14 +41,13 @@ pub enum Pass {
     File(fn(&FileView<'_>, &mut Vec<Finding>)),
     /// As `File`, and on the test trees (`tests/`, `crates/*/tests/`) too.
     FileAndTests(fn(&FileView<'_>, &mut Vec<Finding>)),
-    /// Once per scan, on every file's analysis, the call graph over them
-    /// and the lock-set summaries.
+    /// Once per scan, on every file's analysis and the lock-set summaries.
     Workspace(fn(&Workspace<'_>, &mut Vec<Finding>)),
 }
 
 /// Every rule, sorted by name. The single source for `fedlint --explain`,
 /// and the README rule list is tested against it (`tests/explain.rs`).
-pub const RULES: [Rule; 17] = [
+pub const RULES: [Rule; 13] = [
     Rule {
         name: "atomic-ordering-pairing",
         doc: "Every Release/AcqRel store side on an atomic field must have a matching \
@@ -87,12 +87,6 @@ pub const RULES: [Rule; 17] = [
         pass: Pass::Workspace(|ws, out| out.extend(taint_findings(ws.files, &determinism_spec()))),
     },
     Rule {
-        name: "deterministic-iteration",
-        doc: "No hasher-ordered containers (HashMap/HashSet iteration) on replayed paths in the \
-         deterministic crates; use BTreeMap/BTreeSet or sort first.",
-        pass: Pass::File(rule_deterministic_iteration),
-    },
-    Rule {
         name: "deterministic-reduction",
         doc: "No fold/reduce during parallel iteration: float addition is not associative, so \
          reduction order must be fixed (indexed writes, then a sequential fold).",
@@ -124,18 +118,6 @@ pub const RULES: [Rule; 17] = [
         pass: Pass::Workspace(concurrency::lock_order_global),
     },
     Rule {
-        name: "no-panic-paths",
-        doc: "Library code of the core crates must not panic: no unwrap/expect/panic!/indexing \
-         where a checked alternative exists. Binaries and tests are exempt.",
-        pass: Pass::File(rule_no_panic_paths),
-    },
-    Rule {
-        name: "panic-reachability",
-        doc: "Public library functions of the panic-free crates must not transitively reach a \
-         panic site through the workspace call graph.",
-        pass: Pass::Workspace(callgraph::panic_reachability),
-    },
-    Rule {
         name: "pool-discipline",
         doc: "The vendored thread pool's concurrency protocol: every Ordering::Relaxed on an \
          atomic needs a justification pragma stating why reordering is harmless; state-machine \
@@ -153,12 +135,6 @@ pub const RULES: [Rule; 17] = [
         doc: "RNGs must be constructed from named `streams::` label constants (not ad-hoc seeds) \
          so every random draw is attributable and replayable.",
         pass: Pass::File(rule_rng_stream_discipline),
-    },
-    Rule {
-        name: "unsafe-needs-safety-comment",
-        doc: "Every `unsafe` block or impl needs a `// SAFETY:` comment documenting the invariant \
-         that makes it sound.",
-        pass: Pass::File(rule_unsafe_safety),
     },
     Rule {
         name: "untrusted-input-taint",
@@ -190,16 +166,8 @@ pub const PRAGMA_SYNTAX: (&str, &str) = (
      rule.",
 );
 
-/// Crates whose library code must be panic-free (`no-panic-paths`).
-const PANIC_FREE_CRATES: [&str; 6] = ["cluster", "core", "data", "fl", "nn", "tensor"];
-/// Crates where iteration order reaches aggregation/clustering/telemetry.
-const DETERMINISTIC_CRATES: [&str; 3] = ["cluster", "core", "fl"];
 /// Crates whose RNGs must derive from named stream constants.
 const RNG_CRATES: [&str; 2] = ["core", "fl"];
-
-/// How far (in lines) the `SAFETY:` search walks up through comments,
-/// attributes, and blank lines before giving up.
-const SAFETY_WALK_LIMIT: u32 = 64;
 
 /// Everything the rules need to know about one source file.
 pub struct FileContext<'a> {
@@ -221,32 +189,15 @@ struct Pragma {
     valid: bool,
 }
 
-/// Per-line facts derived from the token stream (indices are 1-based lines).
-struct LineInfo {
-    /// Line carries at least one non-comment token.
-    has_code: Vec<bool>,
-    /// First non-comment token on the line is `#` (attribute line).
-    starts_attr: Vec<bool>,
-    /// Some comment covering this line contains `SAFETY:`.
-    has_safety: Vec<bool>,
-    /// Line is inside a `#[cfg(test)]` item (test module or function).
-    in_test: Vec<bool>,
-}
-
-impl LineInfo {
-    fn get(v: &[bool], line: u32) -> bool {
-        v.get(line as usize).copied().unwrap_or(false)
-    }
-}
-
-/// What a per-file rule sees: one file's comment-free tokens, its items and
-/// per-line facts, and the [`RULES`] name it is running under.
+/// What a per-file rule sees: one file's comment-free tokens, its items,
+/// which of its lines are test code, and the [`RULES`] name it is running
+/// under.
 pub struct FileView<'a> {
     rule: &'static str,
     pub(crate) ctx: &'a FileContext<'a>,
     pub(crate) code: &'a [Token],
     items: &'a [Item],
-    info: &'a LineInfo,
+    in_test: &'a [bool],
 }
 
 impl FileView<'_> {
@@ -262,7 +213,7 @@ impl FileView<'_> {
 
     /// Is `line` inside a `#[cfg(test)]` item (test module or function)?
     pub(crate) fn in_test(&self, line: u32) -> bool {
-        LineInfo::get(&self.info.in_test, line)
+        self.in_test.get(line as usize).copied().unwrap_or(false)
     }
 }
 
@@ -274,7 +225,7 @@ pub struct FileAnalysis {
     pub crate_name: String,
     /// Workspace-relative path, forward slashes.
     pub rel_path: String,
-    /// Binary target (exempt from library rules and reachability roots).
+    /// Binary target (exempt from the library-code rules).
     pub is_bin: bool,
     /// Comment-free token stream; [`Item`] body spans index into this.
     pub code: Vec<Token>,
@@ -299,16 +250,16 @@ impl FileAnalysis {
 /// analysis carries the findings plus the structure the workspace pass
 /// consumes.
 pub fn analyze_source(ctx: &FileContext<'_>, src: &str, timings: &mut Timings) -> FileAnalysis {
-    let (code, info, pragmas, items) = timings.time("infra:parse", || {
+    let (code, in_test, pragmas, items) = timings.time("infra:parse", || {
         let tokens = lex(src);
         let code: Vec<Token> = tokens
             .iter()
             .filter(|t| t.kind != TokKind::Comment)
             .cloned()
             .collect();
-        let info = line_info(src, &tokens, &code);
-        let items = parse_items(&code, &info.in_test);
-        (code, info, collect_pragmas(&tokens), items)
+        let in_test = test_regions(&code, src.lines().count().max(1) + 3);
+        let items = parse_items(&code, &in_test);
+        (code, in_test, collect_pragmas(&tokens), items)
     });
 
     let mut findings = Vec::new();
@@ -320,7 +271,7 @@ pub fn analyze_source(ctx: &FileContext<'_>, src: &str, timings: &mut Timings) -
                 ctx,
                 code: &code,
                 items: &items,
-                info: &info,
+                in_test: &in_test,
             };
             timings.time(rule.name, || run(&view, &mut findings));
         }
@@ -351,50 +302,6 @@ pub fn analyze_source(ctx: &FileContext<'_>, src: &str, timings: &mut Timings) -
     }
     analysis.findings = findings;
     analysis
-}
-
-/// Build the per-line fact tables.
-fn line_info(src: &str, tokens: &[Token], code: &[Token]) -> LineInfo {
-    let n_lines = src.lines().count().max(1) + 2;
-    let mut has_code = vec![false; n_lines + 1];
-    let mut starts_attr = vec![false; n_lines + 1];
-    let mut has_safety = vec![false; n_lines + 1];
-    let mut first_code_seen = vec![false; n_lines + 1];
-
-    for t in tokens {
-        let span = t.text.matches('\n').count() as u32;
-        match t.kind {
-            TokKind::Comment => {
-                if t.text.contains("SAFETY:") {
-                    for l in t.line..=t.line.saturating_add(span) {
-                        if let Some(slot) = has_safety.get_mut(l as usize) {
-                            *slot = true;
-                        }
-                    }
-                }
-            }
-            _ => {
-                for l in t.line..=t.line.saturating_add(span) {
-                    if let Some(slot) = has_code.get_mut(l as usize) {
-                        *slot = true;
-                    }
-                }
-                let li = t.line as usize;
-                if li < first_code_seen.len() && !first_code_seen[li] {
-                    first_code_seen[li] = true;
-                    starts_attr[li] = t.kind == TokKind::Op && t.text == "#";
-                }
-            }
-        }
-    }
-
-    let in_test = test_regions(code, n_lines + 1);
-    LineInfo {
-        has_code,
-        starts_attr,
-        has_safety,
-        in_test,
-    }
 }
 
 /// Mark every line inside a `#[cfg(test)]` item's braces (plus the attribute
@@ -511,71 +418,6 @@ fn collect_pragmas(tokens: &[Token]) -> Vec<Pragma> {
     out
 }
 
-/// Is a `SAFETY:` comment on `line` itself, or reachable by walking up
-/// through comment, attribute, and blank lines only?
-fn safety_reachable(info: &LineInfo, line: u32) -> bool {
-    if LineInfo::get(&info.has_safety, line) {
-        return true;
-    }
-    let mut l = line.saturating_sub(1);
-    let floor = line.saturating_sub(SAFETY_WALK_LIMIT);
-    while l > floor && l > 0 {
-        if LineInfo::get(&info.has_safety, l) {
-            return true;
-        }
-        if LineInfo::get(&info.has_code, l) && !LineInfo::get(&info.starts_attr, l) {
-            return false; // a real code line interrupts the comment run
-        }
-        l -= 1;
-    }
-    false
-}
-
-/// `unsafe-needs-safety-comment`: every `unsafe` token must have a comment
-/// containing `SAFETY:` on its own line or reachable by walking up through
-/// comment, attribute, and blank lines only.
-fn rule_unsafe_safety(f: &FileView<'_>, out: &mut Vec<Finding>) {
-    for t in f.code {
-        if !(t.kind == TokKind::Ident && t.text == "unsafe") {
-            continue;
-        }
-        if !safety_reachable(f.info, t.line) {
-            f.push(
-                out,
-                t.line,
-                "`unsafe` without a preceding `// SAFETY:` comment justifying the invariant"
-                    .to_string(),
-            );
-        }
-    }
-}
-
-/// `deterministic-iteration`: no `HashMap`/`HashSet` in library code of
-/// crates whose iteration order reaches aggregation, clustering, or
-/// telemetry.
-fn rule_deterministic_iteration(f: &FileView<'_>, out: &mut Vec<Finding>) {
-    let (ctx, code) = (f.ctx, f.code);
-    if ctx.is_bin || !DETERMINISTIC_CRATES.contains(&ctx.crate_name) {
-        return;
-    }
-    for t in code {
-        if t.kind == TokKind::Ident
-            && (t.text == "HashMap" || t.text == "HashSet")
-            && !f.in_test(t.line)
-        {
-            f.push(
-                out,
-                t.line,
-                format!(
-                    "`{}` is hasher-ordered; use `BTreeMap`/`BTreeSet` or a sorted Vec so replay \
-                     is independent of hasher state",
-                    t.text
-                ),
-            );
-        }
-    }
-}
-
 /// The parallel-iterator entry points whose downstream chain the
 /// `deterministic-reduction` rule audits.
 const PAR_ENTRY_POINTS: [&str; 5] = [
@@ -648,48 +490,6 @@ fn rule_deterministic_reduction(f: &FileView<'_>, out: &mut Vec<Finding>) {
             }
             j += 1;
         }
-    }
-}
-
-/// The panic site whose name token is `code[k]`, as messages spell it
-/// (`` `.unwrap()` ``, `` `panic!` ``): an `.unwrap()`/`.expect(…)` method
-/// call or a `panic!`/`todo!`/`unimplemented!`/`unreachable!` invocation.
-/// The one predicate behind both `no-panic-paths` (the site itself) and
-/// `panic-reachability` (the call chains that end in one).
-pub(crate) fn panic_site_at(code: &[Token], k: usize) -> Option<String> {
-    let t = code.get(k).filter(|t| t.kind == TokKind::Ident)?;
-    match (t.text.as_str(), text_at(code, k + 1)) {
-        ("unwrap" | "expect", "(") if text_at(code, k.wrapping_sub(1)) == "." => {
-            Some(format!("`.{}()`", t.text))
-        }
-        ("panic" | "todo" | "unimplemented" | "unreachable", "!") => Some(format!("`{}!`", t.text)),
-        _ => None,
-    }
-}
-
-/// `no-panic-paths`: every [`panic_site_at`] is banned in library code of
-/// the panic-free crates.
-fn rule_no_panic_paths(f: &FileView<'_>, out: &mut Vec<Finding>) {
-    let (ctx, code) = (f.ctx, f.code);
-    if ctx.is_bin || !PANIC_FREE_CRATES.contains(&ctx.crate_name) {
-        return;
-    }
-    for (i, t) in code.iter().enumerate() {
-        let Some(site) = panic_site_at(code, i) else {
-            continue;
-        };
-        if f.in_test(t.line) {
-            continue;
-        }
-        let message = if site.ends_with("()`") {
-            format!(
-                "{site} in library code can panic; return a `Result`, rewrite infallibly, or \
-                 justify with a fedlint::allow pragma"
-            )
-        } else {
-            format!("{site} in library code; the resilient server must not panic through here")
-        };
-        f.push(out, t.line, message);
     }
 }
 

@@ -1,8 +1,9 @@
 //! The zero-finding state, pinned: `fedlint --deny` must pass on this
-//! workspace. Any PR that reintroduces a HashMap on a replayed path, an
-//! unjustified `unsafe`, or a panic in library code fails this test (and the
-//! `== fedlint ==` CI step) with a file:line diagnostic. And no
-//! `confinement` row may pass only because its home went missing.
+//! workspace, so a change that breaks one of its invariants fails this test
+//! (and the `== fedlint ==` CI step) with a file:line diagnostic. No
+//! `confinement` row may pass only because its home went missing, and the
+//! clippy lints that check what fedlint leaves to clippy must stay switched
+//! on where they are.
 
 use lint::rules::{analyze_source, Confined, FileContext, Home, CONFINED};
 use lint::Timings;
@@ -110,4 +111,79 @@ fn workspace_scan_is_byte_identical_across_runs() {
     let (b, _) = lint::scan_workspace(&root).expect("scan 2");
     assert_eq!(lint::render_human(&a), lint::render_human(&b));
     assert_eq!(lint::render_json(&a, None), lint::render_json(&b, None));
+}
+
+/// What fedlint leaves to clippy is switched on where DESIGN.md §8 says:
+/// dropping one of these lines would drop its check without a finding.
+#[test]
+fn clippy_checks_are_switched_on() {
+    let root = workspace_root();
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect(rel);
+    // Library code does not panic: the six product libraries and the crates
+    // they call, so a panic site anywhere on their call chains is itself an
+    // error.
+    for krate in [
+        "crates/tensor",
+        "crates/nn",
+        "crates/data",
+        "crates/cluster",
+        "crates/fl",
+        "crates/core",
+        "crates/proto",
+        "vendor/rand",
+        "vendor/rayon",
+    ] {
+        let src: String = read(&format!("{krate}/src/lib.rs"))
+            .split_whitespace()
+            .collect();
+        let attr = src
+            .split_once("#![cfg_attr(not(test),deny(")
+            .and_then(|(_, rest)| rest.split_once("))]"))
+            .map(|(lints, _)| lints)
+            .unwrap_or_else(|| panic!("{krate}: no `cfg_attr(not(test), deny(…))` at the root"));
+        for lint in [
+            "unwrap_used",
+            "expect_used",
+            "panic",
+            "todo",
+            "unimplemented",
+            "unreachable",
+        ] {
+            assert!(
+                attr.split(',').any(|l| l == format!("clippy::{lint}")),
+                "{krate}: the root's deny is missing `clippy::{lint}`"
+            );
+        }
+    }
+    // Documented `unsafe`, in every member.
+    let workspace = read("Cargo.toml");
+    assert!(
+        workspace.contains("[workspace.lints.clippy]\n")
+            && workspace.contains("\nundocumented_unsafe_blocks = \"deny\"\n"),
+        "the workspace manifest must deny `undocumented_unsafe_blocks`"
+    );
+    let mut manifests = vec![root.join("Cargo.toml")];
+    for parent in ["crates", "vendor"] {
+        let dirs = std::fs::read_dir(root.join(parent))
+            .expect(parent)
+            .flatten();
+        manifests.extend(dirs.map(|dir| dir.path().join("Cargo.toml")));
+    }
+    for manifest in manifests {
+        let text = std::fs::read_to_string(&manifest).expect("member manifest");
+        assert!(
+            text.contains("\n[lints]\nworkspace = true\n"),
+            "{} does not take the workspace lints (`[lints] workspace = true`)",
+            manifest.display()
+        );
+    }
+    // Hasher-ordered containers, and `# Safety` on private `unsafe fn`s.
+    let clippy: String = read("clippy.toml").split_whitespace().collect();
+    for line in [
+        "{path=\"std::collections::HashMap\"",
+        "{path=\"std::collections::HashSet\"",
+        "check-private-items=true",
+    ] {
+        assert!(clippy.contains(line), "clippy.toml is missing `{line}`");
+    }
 }

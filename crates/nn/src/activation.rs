@@ -20,10 +20,13 @@ impl Layer for Relu {
     }
 
     fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
+        #[expect(
+            clippy::expect_used,
+            reason = "Layer contract — backward always follows a train-mode forward, which fills the cache"
+        )]
         let mask = self
             .mask
             .take()
-            // fedlint::allow(no-panic-paths): Layer contract — backward always follows a train-mode forward, which fills the cache
             .expect("relu backward called without cached forward");
         assert_eq!(mask.len(), grad_out.numel(), "relu mask/grad size mismatch");
         // A select, not a branch (the mask is about half set, so a branch
@@ -69,10 +72,13 @@ impl Layer for Tanh {
     }
 
     fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
+        #[expect(
+            clippy::expect_used,
+            reason = "Layer contract — backward always follows a train-mode forward, which fills the cache"
+        )]
         let y = self
             .cached_output
             .take()
-            // fedlint::allow(no-panic-paths): Layer contract — backward always follows a train-mode forward, which fills the cache
             .expect("tanh backward called without cached forward");
         for (g, &yv) in grad_out.data_mut().iter_mut().zip(y.data()) {
             *g *= 1.0 - yv * yv;

@@ -47,7 +47,10 @@ impl Conv2d {
     /// # Panics
     /// Panics if the geometry is invalid (kernel larger than padded input).
     pub fn new(geom: Conv2dGeom, out_channels: usize, rng: &mut impl Rng) -> Self {
-        // fedlint::allow(no-panic-paths): documented panic — the # Panics section makes geometry validity a constructor precondition
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic — the # Panics section makes geometry validity a constructor precondition"
+        )]
         geom.validate().expect("invalid conv geometry");
         let fan_in = geom.col_rows();
         let weight = he_normal([out_channels, fan_in], fan_in, rng);

@@ -47,10 +47,13 @@ impl Dense {
     /// [`Layer::backward_params`]: accumulates `dW` and `db` and releases
     /// the cached input.
     fn param_grads(&mut self, grad_out: &Tensor) {
+        #[expect(
+            clippy::expect_used,
+            reason = "Layer contract — backward always follows a train-mode forward, which fills the cache"
+        )]
         let x = self
             .cached_input
             .take()
-            // fedlint::allow(no-panic-paths): Layer contract — backward always follows a train-mode forward, which fills the cache
             .expect("dense backward called without cached forward");
         // dW += grad_out^T (out×B) * x (B×in), accumulated straight into the
         // weight gradient by the slice-level GEMM — no intermediate tensor.

@@ -19,6 +19,19 @@
 //! * [`models`] — the model zoo: MLP, LeNet-5-like, VGG-mini,
 //!   ResNet-9-like.
 
+// Library code does not panic; binaries and tests are exempt (DESIGN.md §8).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 pub mod activation;
 pub mod conv2d;
 pub mod dense;

@@ -216,7 +216,10 @@ impl Model {
     /// Panics if the model has no parameterised layer.
     pub fn final_layer_vec(&self) -> Vec<f32> {
         let blocks = self.param_blocks();
-        // fedlint::allow(no-panic-paths): documented panic — the # Panics section requires at least one parameterised layer
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic — the # Panics section requires at least one parameterised layer"
+        )]
         let last = blocks.last().expect("model has no parameterised layers");
         self.block_vec(last)
     }

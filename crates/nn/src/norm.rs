@@ -158,10 +158,13 @@ impl Layer for BatchNorm2d {
     }
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
+        #[expect(
+            clippy::expect_used,
+            reason = "Layer contract — backward always follows a train-mode forward, which fills the cache"
+        )]
         let cache = self
             .cache
             .take()
-            // fedlint::allow(no-panic-paths): Layer contract — backward always follows a train-mode forward, which fills the cache
             .expect("batchnorm backward called without cached forward");
         let dims = cache.dims;
         let (b, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);

@@ -77,10 +77,13 @@ impl Layer for MaxPool2d {
     }
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
+        #[expect(
+            clippy::expect_used,
+            reason = "Layer contract — backward always follows a train-mode forward, which fills the cache"
+        )]
         let (argmax, dims) = self
             .cached_argmax
             .take()
-            // fedlint::allow(no-panic-paths): Layer contract — backward always follows a train-mode forward, which fills the cache
             .expect("maxpool backward called without cached forward");
         let mut dx = Tensor::zeros(dims);
         let dxd = dx.data_mut();
@@ -133,10 +136,13 @@ impl Layer for GlobalAvgPool2d {
     }
 
     fn backward(&mut self, grad_out: Tensor) -> Tensor {
+        #[expect(
+            clippy::expect_used,
+            reason = "Layer contract — backward always follows a train-mode forward, which fills the cache"
+        )]
         let dims = self
             .cached_dims
             .take()
-            // fedlint::allow(no-panic-paths): Layer contract — backward always follows a train-mode forward, which fills the cache
             .expect("global avgpool backward called without cached forward");
         let (h, w) = (dims[2], dims[3]);
         let inv = 1.0 / (h * w) as f32;

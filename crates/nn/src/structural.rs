@@ -23,10 +23,13 @@ impl Layer for Flatten {
     }
 
     fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
+        #[expect(
+            clippy::expect_used,
+            reason = "Layer contract — backward always follows a train-mode forward, which fills the cache"
+        )]
         let dims = self
             .cached_dims
             .take()
-            // fedlint::allow(no-panic-paths): Layer contract — backward always follows a train-mode forward, which fills the cache
             .expect("flatten backward called without cached forward");
         grad_out.reshape_in_place(dims);
         grad_out

@@ -18,6 +18,19 @@
 //!    formats (documented per message) so `CommMeter` charges can be pinned
 //!    against actual frame sizes in tests.
 
+// Library code does not panic; binaries and tests are exempt (DESIGN.md §8).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 pub mod bytes;
 pub mod msg;
 pub mod retry;

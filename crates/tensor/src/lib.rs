@@ -17,6 +17,19 @@
 //! implemented layer-by-layer in `fedclust-nn`, which keeps this crate a
 //! plain, easily testable array toolkit.
 
+// Library code does not panic; binaries and tests are exempt (DESIGN.md §8).
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
+
 pub mod conv;
 pub mod distance;
 pub mod init;

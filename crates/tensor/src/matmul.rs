@@ -182,16 +182,18 @@ fn microkernel_body<const FMA: bool>(k: usize, ap: &[f32], bp: &[f32]) -> [[f32;
 /// `vfmadd` and the `NR`-wide rows to YMM lanes. rustc's baseline x86-64
 /// target is SSE2-only, so without this instantiation the kernel runs at a
 /// quarter of the machine's width.
-// SAFETY: `unsafe` here comes solely from `#[target_feature]` — callers must
-// guarantee the CPU supports AVX2 and FMA (checked at the single dispatch
-// site below via `is_x86_feature_detected!`), or the emitted VEX/FMA
-// instructions fault with SIGILL. The body itself is safe Rust: every read
-// of `ap`/`bp` goes through `chunks_exact(MR)`/`chunks_exact(NR)` bounded by
-// `.take(k)`, so packed buffers shorter than `k*MR`/`k*NR` truncate the
-// accumulation rather than read out of bounds. The packers
-// (`pack_a_strip`/`pack_b_panel`) always fill exactly `kc*MR`/`kc*NR`
-// elements, zero-padding the ragged edges, so in-tree callers satisfy the
-// length invariant by construction.
+///
+/// # Safety
+/// `unsafe` here comes solely from `#[target_feature]` — callers must
+/// guarantee the CPU supports AVX2 and FMA (checked at the single dispatch
+/// site below via `is_x86_feature_detected!`), or the emitted VEX/FMA
+/// instructions fault with SIGILL. The body itself is safe Rust: every read
+/// of `ap`/`bp` goes through `chunks_exact(MR)`/`chunks_exact(NR)` bounded by
+/// `.take(k)`, so packed buffers shorter than `k*MR`/`k*NR` truncate the
+/// accumulation rather than read out of bounds. The packers
+/// (`pack_a_strip`/`pack_b_panel`) always fill exactly `kc*MR`/`kc*NR`
+/// elements, zero-padding the ragged edges, so in-tree callers satisfy the
+/// length invariant by construction.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn microkernel_avx2(k: usize, ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
@@ -365,8 +367,11 @@ fn gemm_strided(
                             if w == NR {
                                 // Full-width tile: fixed-size loop so the
                                 // accumulate vectorises.
+                                #[expect(
+                                    clippy::unwrap_used,
+                                    reason = "`chunk[off..off + NR]` is exactly NR elements, so the array conversion is infallible"
+                                )]
                                 let orow: &mut [f32; NR] =
-                                    // fedlint::allow(no-panic-paths): `chunk[off..off + NR]` is exactly NR elements, so the array conversion is infallible
                                     (&mut chunk[off..off + NR]).try_into().unwrap();
                                 for (o, &v) in orow.iter_mut().zip(acc_row) {
                                     *o += v;

@@ -11,7 +11,12 @@ echo "== build (release) =="
 cargo build --release
 
 echo "== lints =="
+# Besides clippy's defaults: panic-free library code (each library root's
+# `deny`), documented `unsafe` ([workspace.lints]) and no HashMap/HashSet
+# (clippy.toml) — the checks DESIGN.md §8 leaves to clippy. The benchmark
+# package is its own workspace, so it gets its own run (one target dir).
 cargo clippy --workspace --all-targets -- -D warnings
+CARGO_TARGET_DIR="$PWD/target" cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
 echo "== fedlint =="
 # Scans crates/*/src, vendor/*/src and, for confinement's one-place rows,
