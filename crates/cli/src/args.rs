@@ -250,14 +250,13 @@ impl Args {
         Ok(())
     }
 
-    /// The thread count this invocation should run with: `--threads` wins,
-    /// then a strictly validated `FEDCLUST_THREADS`, then `None` (let the
-    /// pool default to available parallelism).
+    /// The thread count this invocation should run with, by
+    /// [`resolve_threads`] over `--threads` and `FEDCLUST_THREADS`.
     pub fn effective_threads(&self) -> Result<Option<usize>, ParseError> {
-        if self.threads.is_some() {
-            return Ok(self.threads);
-        }
-        threads_from_env(std::env::var("FEDCLUST_THREADS").ok().as_deref())
+        resolve_threads(
+            self.threads,
+            std::env::var("FEDCLUST_THREADS").ok().as_deref(),
+        )
     }
 }
 
@@ -278,12 +277,21 @@ fn validate_threads(source: &str, raw: &str, threads: usize) -> Result<(), Parse
     Ok(())
 }
 
-/// Strictly validate a `FEDCLUST_THREADS` value from the environment.
-/// (The rayon pool itself parses the variable leniently so library users
-/// are never broken by a stray export; the CLI refuses malformed values
-/// loudly so a typo'd job script cannot silently run sequentially.)
-pub fn threads_from_env(raw: Option<&str>) -> Result<Option<usize>, ParseError> {
-    let Some(raw) = raw else { return Ok(None) };
+/// The thread-count rule of `fedclust-cli` and `fedclust-worker` alike:
+/// `flag` (`--threads`) wins, then `env` (the value of `FEDCLUST_THREADS`,
+/// strictly validated), then `None` — the pool's default, available
+/// parallelism. (The rayon pool itself parses the variable leniently so
+/// library users are never broken by a stray export; the binaries refuse
+/// malformed values loudly so a typo'd job script cannot silently run
+/// sequentially.)
+pub fn resolve_threads(
+    flag: Option<usize>,
+    env: Option<&str>,
+) -> Result<Option<usize>, ParseError> {
+    if flag.is_some() {
+        return Ok(flag);
+    }
+    let Some(raw) = env else { return Ok(None) };
     let trimmed = raw.trim();
     if trimmed.is_empty() {
         return Ok(None);
@@ -404,36 +412,24 @@ mod tests {
 
     #[test]
     fn env_thread_counts_are_strictly_validated() {
-        assert_eq!(threads_from_env(None).unwrap(), None);
-        assert_eq!(threads_from_env(Some("")).unwrap(), None);
-        assert_eq!(threads_from_env(Some("  ")).unwrap(), None);
-        assert_eq!(threads_from_env(Some("4")).unwrap(), Some(4));
-        assert_eq!(threads_from_env(Some(" 2 ")).unwrap(), Some(2));
-
-        let err = threads_from_env(Some("banana")).unwrap_err();
-        assert!(
-            err.0.contains("FEDCLUST_THREADS") && err.0.contains("banana"),
-            "{}",
-            err
-        );
-        let err = threads_from_env(Some("0")).unwrap_err();
-        assert!(
-            err.0.contains("FEDCLUST_THREADS") && err.0.contains('0'),
-            "{}",
-            err
-        );
-        let err = threads_from_env(Some("99999")).unwrap_err();
-        assert!(
-            err.0.contains("FEDCLUST_THREADS") && err.0.contains("99999"),
-            "{}",
-            err
-        );
-        let err = threads_from_env(Some("-3")).unwrap_err();
-        assert!(
-            err.0.contains("FEDCLUST_THREADS") && err.0.contains("-3"),
-            "{}",
-            err
-        );
+        let env = |raw| resolve_threads(None, raw);
+        assert_eq!(env(None).unwrap(), None);
+        assert_eq!(env(Some("")).unwrap(), None);
+        assert_eq!(env(Some("  ")).unwrap(), None);
+        assert_eq!(env(Some("4")).unwrap(), Some(4));
+        assert_eq!(env(Some(" 2 ")).unwrap(), Some(2));
+        for raw in ["banana", "0", "99999", "-3"] {
+            let err = env(Some(raw)).unwrap_err();
+            assert!(
+                err.0.contains("FEDCLUST_THREADS") && err.0.contains(raw),
+                "{}",
+                err
+            );
+        }
+        // `--threads` wins over the variable, a malformed one included.
+        for raw in [None, Some("4"), Some("banana"), Some("0")] {
+            assert_eq!(resolve_threads(Some(3), raw).unwrap(), Some(3), "{raw:?}");
+        }
     }
 
     #[test]

@@ -127,7 +127,7 @@ pub(crate) const WORKER: &[Flag<WorkerArgs>] = &[
     flag("--reconnects", "<N>", "1000", "reconnect budget across the whole run", |a, g| g.num().map(|n| a.reconnects = n)),
     flag("--backoff-base", "<SECS>", "0.05", "base of the reconnect backoff, in (0, 3600]", |a, g| g.seconds(Some(0.0)).map(|v| a.backoff_base = v)),
     flag("--io-timeout", "<SECS>", "5", "redial a connection silent for this long, in (0.2, 3600]: an idle server speaks every 0.2 s", |a, g| g.seconds(Some(READ_TIMEOUT.as_secs_f64())).map(|v| a.io_timeout = v)),
-    flag("--threads", "<N>", "", "worker threads for local training (default: all cores)", |a, g| threads(g).map(|n| a.threads = Some(n))),
+    flag("--threads", "<N>", "", "worker threads for local training (default: FEDCLUST_THREADS, else all cores)", |a, g| threads(g).map(|n| a.threads = Some(n))),
     flag("--die-after", "<N>", "", "test hook: crash after the N-th acknowledged push", |a, g| g.num().map(|n| a.die_after = Some(n))),
     flag("--die-mid-push", "<N>", "", "test hook: crash halfway through the N-th push frame", |a, g| g.num().map(|n| a.die_mid_push = Some(n))),
 ];

@@ -24,7 +24,7 @@ use fedclust_fl::FlConfig;
 use fedclust_nn::Model;
 use fedclust_proto::{read_msg, write_msg, Msg, ProtoError, RetryPolicy, PROTO_VERSION};
 
-use crate::args::Args;
+use crate::args::{resolve_threads, Args};
 use crate::net_args::WorkerArgs;
 use crate::{build_config, build_dataset};
 
@@ -185,7 +185,8 @@ fn session(
 /// Worker main loop: dial, serve a session, redial under the shared
 /// backoff until `Done` or the reconnect budget is spent.
 pub fn run_worker(args: &WorkerArgs) -> Result<(), String> {
-    if let Some(t) = args.threads {
+    let env = std::env::var("FEDCLUST_THREADS").ok();
+    if let Some(t) = resolve_threads(args.threads, env.as_deref()).map_err(|e| e.to_string())? {
         rayon::set_num_threads(t);
     }
     let policy = RetryPolicy::from_retries(args.reconnects as u32)

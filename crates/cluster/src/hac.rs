@@ -297,6 +297,10 @@ pub fn agglomerative(matrix: &ProximityMatrix, linkage: Linkage) -> Dendrogram {
                 // Only entry (k, i) changed and it was not the minimum: it
                 // takes over if smaller, or equal and left of the cached one.
                 let nd = dist[k * n + i];
+                #[expect(
+                    clippy::float_cmp,
+                    reason = "an exact tie goes to the left column, as the full rescan's first minimum does"
+                )]
                 if nd < d || (nd == d && i < c) {
                     nn[k] = (nd, i);
                 }

@@ -11,7 +11,8 @@
 //! * [`metrics`] — adjusted Rand index, normalised mutual information and
 //!   purity, used to validate recovered clusters against ground truth.
 
-// Library code does not panic; binaries and tests are exempt (DESIGN.md §8).
+// Library code does not panic, and compares floats exactly only with a
+// stated reason; binaries and tests are exempt (DESIGN.md §8).
 #![cfg_attr(
     not(test),
     deny(
@@ -20,7 +21,8 @@
         clippy::panic,
         clippy::todo,
         clippy::unimplemented,
-        clippy::unreachable
+        clippy::unreachable,
+        clippy::float_cmp
     )
 )]
 

@@ -13,7 +13,7 @@ use fedclust_fl::engine::{train_replica, LocalJob};
 use fedclust_fl::FlConfig;
 use fedclust_nn::model::ParamBlock;
 use fedclust_nn::Model;
-use fedclust_tensor::distance::{pairwise_matrix, Metric};
+use fedclust_tensor::distance::Metric;
 use rayon::prelude::*;
 
 /// Which slice of the locally trained weights clients upload.
@@ -111,13 +111,25 @@ pub fn collect_partial_weights_for(
 }
 
 /// Eq. 3: the m×m proximity matrix of pairwise distances between clients'
-/// partial weight vectors, its rows computed in parallel on the pool.
+/// partial weight vectors. Row `i`'s upper triangle (`j > i`) is one pool
+/// task; every distance runs on the thread that claimed its row.
+///
+/// # Panics
+/// Panics if two of the vectors differ in length.
 pub fn proximity_matrix(weights: &[Vec<f32>], metric: Metric) -> ProximityMatrix {
     let n = weights.len();
-    let full = pairwise_matrix(weights, metric);
+    let rows: Vec<Vec<f32>> = (0..n)
+        .into_par_iter()
+        .map(|i| {
+            weights[i + 1..]
+                .iter()
+                .map(|w| metric.eval(&weights[i], w))
+                .collect()
+        })
+        .collect();
     // `from_fn` checks nothing: the NaN/∞ distances of non-finite weights
     // pass on, as they always have.
-    ProximityMatrix::from_fn(n, |i, j| full[i * n + j])
+    ProximityMatrix::from_fn(n, |i, j| rows[i][j - i - 1])
 }
 
 #[cfg(test)]
@@ -263,24 +275,31 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Every entry to the bit, the diagonal zero and the matrix symmetric,
+    /// on the empty input, a single vector and four vectors (two of them
+    /// non-finite), for both metrics.
     #[test]
     fn every_entry_is_the_metric_of_its_pair_non_finite_included() {
-        let weights = vec![
+        let four = vec![
             vec![0.0, 1.0, 2.0],
             vec![3.0, -1.0, 0.5],
             vec![f32::NAN, 0.0, 0.0],
             vec![f32::INFINITY, 0.0, 0.0],
         ];
-        for metric in [Metric::L2, Metric::Cosine] {
-            let m = proximity_matrix(&weights, metric);
-            for i in 0..4 {
-                for j in 0..4 {
-                    let want = if i == j {
-                        0.0
-                    } else {
-                        metric.eval(&weights[i.min(j)], &weights[i.max(j)])
-                    };
-                    assert_eq!(m.get(i, j).to_bits(), want.to_bits(), "({i}, {j})");
+        for weights in [vec![], four[..1].to_vec(), four] {
+            for metric in [Metric::L2, Metric::Cosine] {
+                let m = proximity_matrix(&weights, metric);
+                let n = weights.len();
+                assert_eq!(m.len(), n);
+                for i in 0..n {
+                    for j in 0..n {
+                        let want = if i == j {
+                            0.0
+                        } else {
+                            metric.eval(&weights[i.min(j)], &weights[i.max(j)])
+                        };
+                        assert_eq!(m.get(i, j).to_bits(), want.to_bits(), "({i}, {j})");
+                    }
                 }
             }
         }

@@ -20,7 +20,8 @@
 //! 4. obtain a [`federated::FederatedDataset`] of per-client train/test
 //!    splits.
 
-// Library code does not panic; binaries and tests are exempt (DESIGN.md §8).
+// Library code does not panic, and compares floats exactly only with a
+// stated reason; binaries and tests are exempt (DESIGN.md §8).
 #![cfg_attr(
     not(test),
     deny(
@@ -29,7 +30,8 @@
         clippy::panic,
         clippy::todo,
         clippy::unimplemented,
-        clippy::unreachable
+        clippy::unreachable,
+        clippy::float_cmp
     )
 )]
 

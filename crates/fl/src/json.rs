@@ -102,6 +102,10 @@ impl Writer {
 
     /// An f64 under the float rule (see the module docs).
     pub fn f64(&mut self, f: f64) {
+        #[expect(
+            clippy::float_cmp,
+            reason = "exactly integral values print with one decimal; a tolerance would round others"
+        )]
         if !f.is_finite() {
             self.null();
         } else if f == f.trunc() && f.abs() < 1e15 {

@@ -31,7 +31,8 @@
 //! FedClust itself lives in the `fedclust` crate and plugs into the same
 //! [`methods::FlMethod`] trait.
 
-// Library code does not panic; binaries and tests are exempt (DESIGN.md §8).
+// Library code does not panic, and compares floats exactly only with a
+// stated reason; binaries and tests are exempt (DESIGN.md §8).
 #![cfg_attr(
     not(test),
     deny(
@@ -40,7 +41,8 @@
         clippy::panic,
         clippy::todo,
         clippy::unimplemented,
-        clippy::unreachable
+        clippy::unreachable,
+        clippy::float_cmp
     )
 )]
 

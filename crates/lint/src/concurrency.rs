@@ -10,8 +10,8 @@
 //! * `guard-across-blocking` — no `Mutex`/`RwLock` guard may be live across
 //!   a blocking operation: socket read/write/accept, channel recv,
 //!   `thread::sleep`/`park`, pool job submission (`run_indexed`,
-//!   `run_pair`, `submit`), or a `Condvar` wait — except the wait's *own*
-//!   guard, which the condvar releases atomically.
+//!   `submit`), or a `Condvar` wait — except the wait's *own* guard, which
+//!   the condvar releases atomically.
 //! * `atomic-ordering-pairing` — a `Release`/`AcqRel` store side on an
 //!   atomic field must have a matching `Acquire`/`AcqRel`/`SeqCst` load
 //!   side on the same field at some *other* non-test site in the
@@ -82,7 +82,7 @@ const MAX_CHAIN: usize = 12;
 /// Operations that block the calling thread. Matched as `name(`, `.name(`
 /// or `::name(` when the call does not resolve to a workspace function
 /// (resolved calls are analysed precisely through their bodies instead).
-const BLOCKING_OPS: [&str; 16] = [
+const BLOCKING_OPS: [&str; 15] = [
     "accept",
     "flush",
     "park",
@@ -92,7 +92,6 @@ const BLOCKING_OPS: [&str; 16] = [
     "recv",
     "recv_timeout",
     "run_indexed",
-    "run_pair",
     "sleep",
     "submit",
     "wait",

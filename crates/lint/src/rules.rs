@@ -76,7 +76,7 @@ pub const RULES: [Rule; 13] = [
         name: "confinement",
         doc: "A token shape the architecture keeps in one place stays there: each `CONFINED` row \
          names a shape of code tokens, the files it reads, its home (one file, once per `const` \
-         table, or nowhere) and whether test code counts; see DESIGN.md §8 for the seven rows.",
+         table, or nowhere) and whether test code counts; see DESIGN.md §8 for the eight rows.",
         pass: Pass::FileAndTests(rule_confinement),
     },
     Rule {
@@ -418,8 +418,9 @@ fn collect_pragmas(tokens: &[Token]) -> Vec<Pragma> {
     out
 }
 
-/// The parallel-iterator entry points whose downstream chain the
-/// `deterministic-reduction` rule audits.
+/// The parallel-iterator entry points: `deterministic-reduction` audits
+/// their downstream chain, and `confinement`'s `kernels on the calling
+/// thread` row bans them from the kernel crates.
 const PAR_ENTRY_POINTS: [&str; 5] = [
     "into_par_iter",
     "par_chunks",
@@ -432,9 +433,9 @@ const PAR_ENTRY_POINTS: [&str; 5] = [
 /// directly on a `par_iter()`-family call accumulates floats in whatever
 /// order worker threads finish — nondeterministic across thread counts.
 /// Library code must collect into index order first and reduce the
-/// ordered buffer (`collect-then-reduce`); the vendored pool's own `sum`
-/// does exactly that, but fedlint bans the shape so a future swap to real
-/// rayon (tree reduction) cannot silently change bytes.
+/// ordered buffer (`collect-then-reduce`). The vendored pool has no folding
+/// consumer; the shape stays banned so a swap to real rayon (tree
+/// reduction) cannot silently change bytes.
 fn rule_deterministic_reduction(f: &FileView<'_>, out: &mut Vec<Finding>) {
     let (ctx, code) = (f.ctx, f.code);
     if ctx.is_bin {
@@ -790,7 +791,7 @@ pub enum Home {
 
 /// The `confinement` rows, one per invariant.
 #[rustfmt::skip]
-pub const CONFINED: [Confined; 7] = [
+pub const CONFINED: [Confined; 8] = [
     Confined { name: "one byte layer",
         pattern: |c, i| c[i].kind == TokKind::Int && c[i].text.replace('_', "").contains("cbf29ce4"),
         scope: &["crates/", "tests/"], home: Home::File("crates/proto/src/bytes.rs"), tests: true,
@@ -820,6 +821,11 @@ pub const CONFINED: [Confined; 7] = [
         pattern: |c, i| runs(c, i, &[&["im2col_batch_into", "("], &["col2im_batch_into", "("]]),
         scope: &["crates/"], home: Home::Nowhere, tests: false,
         message: "builds a tap table per call; lower through the layer's table" },
+    Confined { name: "kernels on the calling thread",
+        pattern: |c, i| runs(c, i, &[&["rayon", "::"]])
+            || (PAR_ENTRY_POINTS.contains(&c[i].text.as_str()) && text_at(c, i + 1) == "("),
+        scope: &["crates/tensor/src/", "crates/nn/src/", "crates/data/src/", "crates/cluster/src/"], home: Home::Nowhere, tests: false,
+        message: "a kernel runs on the thread that calls it; fork in the map over clients or proximity rows above it" },
 ];
 
 /// Does one of the token runs in `runs` start at code token `i`?

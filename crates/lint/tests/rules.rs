@@ -112,12 +112,23 @@ fn positive_fixture_fires_every_rule() {
             ("crates/fl/src/confined.rs", 16, "no serde"),
             ("crates/fl/src/confined.rs", 20, "bench-only lowering"),
             ("crates/lint/src/main.rs", 5, "one rule table"),
+            (
+                "crates/tensor/src/forks.rs",
+                4,
+                "kernels on the calling thread"
+            ),
+            (
+                "crates/tensor/src/forks.rs",
+                7,
+                "kernels on the calling thread"
+            ),
             ("tests/seal.rs", 5, "one byte layer"),
         ],
         "a flag twice in one table and one outside any; the door call sits past a doc comment \
-         naming `#[cfg(test)]`; the test trees are read"
+         naming `#[cfg(test)]`; the test trees are read; a kernel crate's `rayon` path and its \
+         fork both count, its test module does not"
     );
-    assert_eq!(report.findings.len(), 45, "the whole positive tree");
+    assert_eq!(report.findings.len(), 47, "the whole positive tree");
     // v4 interprocedural concurrency rules.
     assert_eq!(
         lines_for(&report, "lock-order-global", "pool_bad.rs"),
@@ -241,7 +252,7 @@ fn negative_fixture_is_clean() {
         Vec::new(),
         "negative fixture must scan clean"
     );
-    assert_eq!(report.files_scanned, 17);
+    assert_eq!(report.files_scanned, 18);
 }
 
 #[test]

@@ -119,9 +119,9 @@ fn workspace_scan_is_byte_identical_across_runs() {
 fn clippy_checks_are_switched_on() {
     let root = workspace_root();
     let read = |rel: &str| std::fs::read_to_string(root.join(rel)).expect(rel);
-    // Library code does not panic: the six product libraries and the crates
-    // they call, so a panic site anywhere on their call chains is itself an
-    // error.
+    // Library code does not panic, and compares floats exactly only with a
+    // stated reason: the six product libraries and the crates they call, so
+    // a panic site anywhere on their call chains is itself an error.
     for krate in [
         "crates/tensor",
         "crates/nn",
@@ -148,6 +148,7 @@ fn clippy_checks_are_switched_on() {
             "todo",
             "unimplemented",
             "unreachable",
+            "float_cmp",
         ] {
             assert!(
                 attr.split(',').any(|l| l == format!("clippy::{lint}")),

@@ -19,7 +19,8 @@
 //! * [`models`] — the model zoo: MLP, LeNet-5-like, VGG-mini,
 //!   ResNet-9-like.
 
-// Library code does not panic; binaries and tests are exempt (DESIGN.md §8).
+// Library code does not panic, and compares floats exactly only with a
+// stated reason; binaries and tests are exempt (DESIGN.md §8).
 #![cfg_attr(
     not(test),
     deny(
@@ -28,7 +29,8 @@
         clippy::panic,
         clippy::todo,
         clippy::unimplemented,
-        clippy::unreachable
+        clippy::unreachable,
+        clippy::float_cmp
     )
 )]
 

@@ -2,9 +2,7 @@
 //!
 //! These are the primitives Eq. 3 of the paper is built on: the server
 //! receives one flat vector of (partial) model weights per client and
-//! computes an `m×m` proximity matrix.
-
-use rayon::prelude::*;
+//! computes an `m×m` proximity matrix (`fedclust::proximity`).
 
 /// Euclidean (L2) distance between two equal-length vectors.
 ///
@@ -38,7 +36,7 @@ pub fn cosine(a: &[f32], b: &[f32]) -> f32 {
     (1.0 - dot / denom) as f32
 }
 
-/// Which metric a pairwise matrix should use.
+/// Which metric a proximity matrix uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Metric {
     /// Euclidean distance — the paper's Eq. 3.
@@ -55,37 +53,6 @@ impl Metric {
             Metric::Cosine => cosine(a, b),
         }
     }
-}
-
-/// Full symmetric `m×m` pairwise distance matrix (row-major, zero diagonal),
-/// computed in parallel across rows.
-///
-/// # Panics
-/// Panics if the vectors do not all have the same length.
-pub fn pairwise_matrix(vectors: &[Vec<f32>], metric: Metric) -> Vec<f32> {
-    let m = vectors.len();
-    if m == 0 {
-        return Vec::new();
-    }
-    let d = vectors[0].len();
-    assert!(
-        vectors.iter().all(|v| v.len() == d),
-        "all vectors must share one length"
-    );
-    let mut out = vec![0.0f32; m * m];
-    // Compute the strict upper triangle in parallel (one task per row), then
-    // mirror. Each row writes a disjoint slice, so no synchronisation needed.
-    out.par_chunks_mut(m).enumerate().for_each(|(i, row)| {
-        for j in (i + 1)..m {
-            row[j] = metric.eval(&vectors[i], &vectors[j]);
-        }
-    });
-    for i in 0..m {
-        for j in 0..i {
-            out[i * m + j] = out[j * m + i];
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -108,26 +75,6 @@ mod tests {
     #[test]
     fn cosine_zero_vector_is_max_distance() {
         assert_eq!(cosine(&[0.0, 0.0], &[1.0, 1.0]), 1.0);
-    }
-
-    #[test]
-    fn pairwise_is_symmetric_with_zero_diagonal() {
-        let vs = vec![vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 2.0]];
-        let m = pairwise_matrix(&vs, Metric::L2);
-        for i in 0..3 {
-            assert_eq!(m[i * 3 + i], 0.0);
-            for j in 0..3 {
-                assert_eq!(m[i * 3 + j], m[j * 3 + i]);
-            }
-        }
-        assert_eq!(m[1], 1.0); // d(0,1)
-        assert_eq!(m[2], 2.0); // d(0,2)
-        assert!((m[5] - 5.0f32.sqrt()).abs() < 1e-6); // d(1,2)
-    }
-
-    #[test]
-    fn pairwise_empty_input() {
-        assert!(pairwise_matrix(&[], Metric::L2).is_empty());
     }
 
     #[test]

@@ -5,19 +5,23 @@
 //! neural-network and clustering layers above it need:
 //!
 //! * row-major `f32` tensors with shape/stride bookkeeping ([`Tensor`]),
-//! * cache-blocked, rayon-parallel matrix multiplication ([`matmul`]),
+//! * cache-blocked matrix multiplication on the calling thread ([`matmul`]),
 //! * `im2col`/`col2im` lowering for convolutions ([`conv`]),
 //! * numerically stable softmax / log-softmax and reductions ([`ops`]),
 //! * one-sided Jacobi SVD and principal angles for PACFL ([`linalg`]),
-//! * pairwise L2 / cosine distance matrices ([`distance`]),
+//! * L2 / cosine distances between weight vectors ([`distance`]),
 //! * Xavier/He initialisation and deterministic RNG derivation ([`init`],
 //!   [`rng`]).
+//!
+//! Nothing here forks: every kernel runs on the thread that calls it, and
+//! the parallelism is the map over clients above (DESIGN.md §6).
 //!
 //! The library is deliberately *not* an autograd engine: backpropagation is
 //! implemented layer-by-layer in `fedclust-nn`, which keeps this crate a
 //! plain, easily testable array toolkit.
 
-// Library code does not panic; binaries and tests are exempt (DESIGN.md §8).
+// Library code does not panic, and compares floats exactly only with a
+// stated reason; binaries and tests are exempt (DESIGN.md §8).
 #![cfg_attr(
     not(test),
     deny(
@@ -26,7 +30,8 @@
         clippy::panic,
         clippy::todo,
         clippy::unimplemented,
-        clippy::unreachable
+        clippy::unreachable,
+        clippy::float_cmp
     )
 )]
 

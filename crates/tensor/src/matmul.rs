@@ -1,4 +1,4 @@
-//! Packed, register-blocked, rayon-parallel matrix multiplication.
+//! Packed, register-blocked matrix multiplication.
 //!
 //! All three layout variants (`NN`, `TN`, `NT`) funnel into one strided
 //! driver: the left operand is packed into `MR`-row strips and the right
@@ -14,9 +14,10 @@
 //! so batched-convolution-sized right-hand sides (thousands of columns) run
 //! at the same per-element cost as cache-sized ones.
 //!
-//! Parallelism is across `MC`-row blocks of the output: each block packs its
-//! own strip of `A` (into a thread-local scratch buffer, so steady-state
-//! training performs no allocations here) and walks the shared packed `B`.
+//! Every GEMM runs on the calling thread: the parallelism is the map over
+//! clients above it (DESIGN.md §6). The packed operands live in
+//! thread-local scratch buffers, so steady-state training performs no
+//! allocations here.
 //!
 //! The slice-level entry points [`gemm_nn`], [`gemm_tn`] and [`gemm_nt`]
 //! *accumulate* into `out` (`C += A·B`), which lets callers fold gradient
@@ -25,7 +26,6 @@
 //! the plain product.
 
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 use std::cell::RefCell;
 
 /// Micro-kernel tile rows: each kernel invocation produces `MR` output rows.
@@ -34,9 +34,6 @@ const MR: usize = 4;
 /// giving `MR·NR/8 = 8` independent FMA chains — enough to hide FMA latency
 /// on one core.
 const NR: usize = 16;
-/// Rows of `C` per parallel task; a block of packed `A` (`MC×KC`) plus one
-/// packed `B` panel stays comfortably in L2 at this workload's sizes.
-const MC: usize = 64;
 /// k-extent of one cache block: a `KC×NC` packed slab of `B` must stay
 /// L2-resident while every `A` strip streams over it.
 const KC: usize = 256;
@@ -45,12 +42,8 @@ const KC: usize = 256;
 /// columns) is packed whole and every strip pass misses cache.
 const NC: usize = 512;
 
-/// Outputs smaller than this (by element count) are multiplied on the
-/// calling thread: fork overhead would dominate.
-const PAR_THRESHOLD: usize = 64 * 64;
-
 thread_local! {
-    /// Per-thread scratch for packed `A` blocks (`MC×k`, k-major strips).
+    /// Calling-thread scratch for the packed `A` strips (k-major).
     static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Calling-thread scratch for the packed `B` panel matrix.
     static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
@@ -317,12 +310,8 @@ fn gemm_strided(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    let par = m * n >= PAR_THRESHOLD && m > MC;
-    // Take the scratch buffers out of their cells for the duration of the
-    // call (instead of holding a borrow) so re-entrant GEMMs on the same
-    // thread — possible under rayon work-stealing — fall back to a fresh
-    // allocation rather than a RefCell panic.
     let mut pb = PACK_B.with(|c| std::mem::take(&mut *c.borrow_mut()));
+    let mut pa = PACK_A.with(|c| std::mem::take(&mut *c.borrow_mut()));
 
     // Cache blocking: one `KC×NC` slab of `B` is packed at a time and stays
     // hot while every `A` strip streams over it; the accumulating output
@@ -342,61 +331,46 @@ fn gemm_strided(
                 let j0 = jc + jp * NR;
                 pack_b_panel(b, brs, bcs, pc, kc, j0, NR.min(jc + nc - j0), panel);
             }
-            let bp: &[f32] = &pb[..b_len];
-
-            let run_block = |row0: usize, chunk: &mut [f32]| {
-                let rows = chunk.len() / n;
-                let mut pa = PACK_A.with(|c| std::mem::take(&mut *c.borrow_mut()));
-                let a_len = rows.div_ceil(MR) * kc * MR;
-                if pa.len() < a_len {
-                    pa.resize(a_len, 0.0);
-                }
-                for (ip, strip) in pa[..a_len].chunks_mut(kc * MR).enumerate() {
-                    let i0 = ip * MR;
-                    pack_a_strip(a, ars, acs, pc, kc, row0 + i0, MR.min(rows - i0), strip);
-                }
-                for (ip, strip) in pa[..a_len].chunks(kc * MR).enumerate() {
-                    let i0 = ip * MR;
-                    let h = MR.min(rows - i0);
-                    for (jp, panel) in bp.chunks(kc * NR).enumerate() {
-                        let j0 = jc + jp * NR;
-                        let w = NR.min(jc + nc - j0);
-                        let acc = microkernel(kc, strip, panel);
-                        for (ii, acc_row) in acc.iter().enumerate().take(h) {
-                            let off = (i0 + ii) * n + j0;
-                            if w == NR {
-                                // Full-width tile: fixed-size loop so the
-                                // accumulate vectorises.
-                                #[expect(
-                                    clippy::unwrap_used,
-                                    reason = "`chunk[off..off + NR]` is exactly NR elements, so the array conversion is infallible"
-                                )]
-                                let orow: &mut [f32; NR] =
-                                    (&mut chunk[off..off + NR]).try_into().unwrap();
-                                for (o, &v) in orow.iter_mut().zip(acc_row) {
-                                    *o += v;
-                                }
-                            } else {
-                                for (o, &v) in chunk[off..off + w].iter_mut().zip(acc_row) {
-                                    *o += v;
-                                }
+            let a_len = m.div_ceil(MR) * kc * MR;
+            if pa.len() < a_len {
+                pa.resize(a_len, 0.0);
+            }
+            for (ip, strip) in pa[..a_len].chunks_mut(kc * MR).enumerate() {
+                let i0 = ip * MR;
+                pack_a_strip(a, ars, acs, pc, kc, i0, MR.min(m - i0), strip);
+            }
+            for (ip, strip) in pa[..a_len].chunks(kc * MR).enumerate() {
+                let i0 = ip * MR;
+                let h = MR.min(m - i0);
+                for (jp, panel) in pb[..b_len].chunks(kc * NR).enumerate() {
+                    let j0 = jc + jp * NR;
+                    let w = NR.min(jc + nc - j0);
+                    let acc = microkernel(kc, strip, panel);
+                    for (ii, acc_row) in acc.iter().enumerate().take(h) {
+                        let off = (i0 + ii) * n + j0;
+                        if w == NR {
+                            // Full-width tile: fixed-size loop so the
+                            // accumulate vectorises.
+                            #[expect(
+                                clippy::unwrap_used,
+                                reason = "`out[off..off + NR]` is exactly NR elements, so the array conversion is infallible"
+                            )]
+                            let orow: &mut [f32; NR] =
+                                (&mut out[off..off + NR]).try_into().unwrap();
+                            for (o, &v) in orow.iter_mut().zip(acc_row) {
+                                *o += v;
+                            }
+                        } else {
+                            for (o, &v) in out[off..off + w].iter_mut().zip(acc_row) {
+                                *o += v;
                             }
                         }
                     }
                 }
-                PACK_A.with(|c| *c.borrow_mut() = pa);
-            };
-
-            if par {
-                out[..m * n]
-                    .par_chunks_mut(MC * n)
-                    .enumerate()
-                    .for_each(|(blk, chunk)| run_block(blk * MC, chunk));
-            } else {
-                run_block(0, &mut out[..m * n]);
             }
         }
     }
+    PACK_A.with(|c| *c.borrow_mut() = pa);
     PACK_B.with(|c| *c.borrow_mut() = pb);
 }
 
@@ -454,7 +428,7 @@ mod tests {
     }
 
     /// The micro-kernel path must be exact for every edge-tile combination:
-    /// sizes below, at, and just past the `MR`/`NR`/`MC` boundaries.
+    /// sizes below, at, and just past the `MR`/`NR` boundaries.
     #[test]
     fn matches_naive_over_sizes() {
         for (m, k, n, seed) in [
@@ -463,7 +437,7 @@ mod tests {
             (3, 7, 5, 2),
             (4, 9, 8, 3),    // exact tile multiples
             (17, 9, 33, 4),  // ragged in both m and n
-            (70, 40, 90, 5), // multiple MC blocks + ragged edges
+            (70, 40, 90, 5), // ragged edges
             (130, 40, 90, 6),
             (2, 64, 2, 7),      // deep k, tiny tile
             (65, 1, 9, 8),      // k = 1
@@ -477,28 +451,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_matches_naive() {
-        let a = random([130, 40], 7);
-        let b = random([40, 90], 8);
-        assert_close(&matmul(&a, &b), &naive(&a, &b), 1e-3);
-    }
-
-    #[test]
     fn tn_matches_explicit_transpose() {
         let a = random([9, 6], 4); // stored k×m for matmul_tn: k=9, m=6
         let b = random([9, 5], 5);
         let expected = matmul(&a.transpose2(), &b);
         assert_close(&matmul_tn(&a, &b), &expected, 1e-4);
-    }
-
-    /// `matmul_tn` at a size large enough to take the parallel row-blocked
-    /// path (m·n ≥ threshold, m > MC).
-    #[test]
-    fn tn_parallel_path_matches_explicit_transpose() {
-        let a = random([40, 130], 9); // k=40, m=130
-        let b = random([40, 90], 10);
-        let expected = matmul(&a.transpose2(), &b);
-        assert_close(&matmul_tn(&a, &b), &expected, 1e-3);
     }
 
     #[test]
@@ -507,14 +464,6 @@ mod tests {
         let b = random([5, 9], 5); // stored n×k
         let expected = matmul(&a, &b.transpose2());
         assert_close(&matmul_nt(&a, &b), &expected, 1e-4);
-    }
-
-    #[test]
-    fn nt_parallel_path_matches_explicit_transpose() {
-        let a = random([130, 40], 11);
-        let b = random([90, 40], 12); // stored n×k
-        let expected = matmul(&a, &b.transpose2());
-        assert_close(&matmul_nt(&a, &b), &expected, 1e-3);
     }
 
     /// The slice-level entry points accumulate (`C += A·B`) rather than
@@ -596,8 +545,7 @@ mod tests {
 
     /// `gemm_strided` as it was with the reference packers and zero-filled
     /// scratch: the same blocking, micro-kernel and once-per-KC-block
-    /// accumulate, run serially (the row-blocked parallel path computes
-    /// every output element exactly as the serial one does).
+    /// accumulate.
     #[allow(clippy::too_many_arguments)]
     fn gemm_reference(
         m: usize,
@@ -760,7 +708,7 @@ mod tests {
     /// `gemm_{nn,tn,nt}` give the reference driver's output to the bit —
     /// accumulating into a non-zero `out` — on the model shapes at batch 10
     /// and at the ragged last batch of 8, and on shapes ragged in every
-    /// tile dimension or spanning the KC/NC/MC blocks.
+    /// tile dimension or spanning the KC/NC blocks.
     #[test]
     fn gemm_is_bit_identical_to_the_reference_packers() {
         let mut shapes = model_shapes(10);
@@ -774,7 +722,7 @@ mod tests {
                 (130, 40, 90),
                 (30, 300, 600),
                 (10, 257, 513),
-                (MC + 1, KC + 1, NC + 1),
+                (65, KC + 1, NC + 1),
             ] {
                 shapes.push((op, m, k, n));
             }

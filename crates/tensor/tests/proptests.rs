@@ -1,6 +1,6 @@
 //! Property-based tests of the tensor substrate's algebraic invariants.
 
-use fedclust_tensor::distance::{cosine, l2, pairwise_matrix, Metric};
+use fedclust_tensor::distance::{cosine, l2};
 use fedclust_tensor::linalg::svd;
 use fedclust_tensor::matmul::{matmul, matmul_nt, matmul_tn};
 use fedclust_tensor::ops::{log_softmax_rows, softmax_rows};
@@ -90,23 +90,6 @@ proptest! {
         prop_assert!((-1e-5..=2.0 + 1e-5).contains(&d));
         let scaled: Vec<f32> = a.iter().map(|&x| x * scale).collect();
         prop_assert!((cosine(&scaled, &b) - d).abs() < 1e-3);
-    }
-
-    /// Pairwise matrices are symmetric with zero diagonal for both metrics.
-    #[test]
-    fn pairwise_matrix_is_symmetric(
-        vecs in proptest::collection::vec(proptest::collection::vec(-5.0f32..5.0, 4), 2..8),
-    ) {
-        for metric in [Metric::L2, Metric::Cosine] {
-            let n = vecs.len();
-            let m = pairwise_matrix(&vecs, metric);
-            for i in 0..n {
-                prop_assert_eq!(m[i * n + i], 0.0);
-                for j in 0..n {
-                    prop_assert!((m[i * n + j] - m[j * n + i]).abs() < 1e-6);
-                }
-            }
-        }
     }
 
     /// SVD reconstructs the input and yields sorted nonnegative σ.
