@@ -9,9 +9,9 @@
 //!   self-deadlock finding.
 //! * `guard-across-blocking` — no `Mutex`/`RwLock` guard may be live across
 //!   a blocking operation: socket read/write/accept, channel recv,
-//!   `thread::sleep`/`park`, pool job submission (`run_indexed`,
-//!   `submit`), or a `Condvar` wait — except the wait's *own* guard, which
-//!   the condvar releases atomically.
+//!   `thread::sleep`/`park`, a parallel map's fork-join (`run_indexed`,
+//!   `thread::scope`), or a `Condvar` wait — except the wait's *own* guard,
+//!   which the condvar releases atomically.
 //! * `atomic-ordering-pairing` — a `Release`/`AcqRel` store side on an
 //!   atomic field must have a matching `Acquire`/`AcqRel`/`SeqCst` load
 //!   side on the same field at some *other* non-test site in the
@@ -92,8 +92,8 @@ const BLOCKING_OPS: [&str; 15] = [
     "recv",
     "recv_timeout",
     "run_indexed",
+    "scope",
     "sleep",
-    "submit",
     "wait",
     "wait_timeout",
     "wait_while",

@@ -1,5 +1,5 @@
 //! Per-function dataflow for `fedlint`: def-use chains over locals, an
-//! interprocedural taint engine, and the thread pool's `Relaxed` check.
+//! interprocedural taint engine, and the fork-join's `Relaxed` check.
 //!
 //! The engine recovers, for every `fn` body, its parameter names, its `let`
 //! bindings and plain reassignments (each with the token range of its
@@ -1137,7 +1137,7 @@ pub(crate) const ATOMIC_METHODS: [&str; 13] = [
     "swap",
 ];
 
-/// `pool-discipline`: in the vendored thread pool (`vendor/rayon/src`),
+/// `pool-discipline`: in the vendored fork-join (`vendor/rayon/src`),
 /// every non-test `Ordering::Relaxed` needs a justification pragma.
 pub(crate) fn pool_discipline(f: &FileView<'_>, out: &mut Vec<Finding>) {
     let code = f.code;

@@ -115,7 +115,7 @@ fn src_roots(parent: &Path) -> Result<Vec<PathBuf>, String> {
 }
 
 /// Scan every `crates/*/src/**/*.rs` — plus `vendor/*/src/**/*.rs` when a
-/// `vendor/` directory exists (the thread pool's concurrency protocol is
+/// `vendor/` directory exists (the fork-join's concurrency protocol is
 /// linted too), and for [`rules::Pass::FileAndTests`] the test trees — under
 /// `root`, the directory containing `crates/`, and return the sorted report
 /// with the scan's wall-time accounting.

@@ -119,7 +119,7 @@ pub const RULES: [Rule; 13] = [
     },
     Rule {
         name: "pool-discipline",
-        doc: "The vendored thread pool's concurrency protocol: every Ordering::Relaxed on an \
+        doc: "The vendored fork-join's concurrency protocol: every Ordering::Relaxed on an \
          atomic needs a justification pragma stating why reordering is harmless; state-machine \
          atomics want Acquire/Release.",
         pass: Pass::File(pool_discipline),

@@ -128,7 +128,7 @@ fn positive_fixture_fires_every_rule() {
          naming `#[cfg(test)]`; the test trees are read; a kernel crate's `rayon` path and its \
          fork both count, its test module does not"
     );
-    assert_eq!(report.findings.len(), 47, "the whole positive tree");
+    assert_eq!(report.findings.len(), 48, "the whole positive tree");
     // v4 interprocedural concurrency rules.
     assert_eq!(
         lines_for(&report, "lock-order-global", "pool_bad.rs"),
@@ -147,8 +147,9 @@ fn positive_fixture_fires_every_rule() {
     );
     assert_eq!(
         lines_for(&report, "guard-across-blocking", "conc_block.rs"),
-        vec![14, 20],
-        "direct sleep under a guard, and a call whose callee writes a socket"
+        vec![14, 20, 30],
+        "direct sleep under a guard, a call whose callee writes a socket, and a call whose \
+         callee forks and joins threads"
     );
     assert_eq!(
         lines_for(&report, "atomic-ordering-pairing", "conc_atomic.rs"),
@@ -194,6 +195,20 @@ fn concurrency_findings_carry_full_interprocedural_chains() {
         ),
         "blocking chain must reach the socket write with file:line hops: {}",
         blocked.message
+    );
+    let forked = report
+        .findings
+        .iter()
+        .find(|f| f.rule == "guard-across-blocking" && f.line == 30)
+        .expect("fork-join finding present");
+    assert!(
+        forked.message.contains(
+            "lock `journal` at vendor/rayon/src/conc_block.rs:29 -> \
+             call `fan_out` at vendor/rayon/src/conc_block.rs:30 -> \
+             `scope` at vendor/rayon/src/conc_block.rs:35"
+        ),
+        "a parallel map's fork-join blocks like any join: {}",
+        forked.message
     );
     let atomic = report
         .findings

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Best-effort ThreadSanitizer pass over the concurrency-heavy suites: the
-# hand-rolled pool (vendor/rayon, including the schedule-stress tests) and
-# the networked-federation wire tests. TSan needs a nightly toolchain with
-# `-Zsanitizer=thread` plus the rebuilt std (`-Zbuild-std`); the pinned CI
-# container ships stable only, so this script probes for support and exits
-# 0 with a skip message when it's absent. fedlint's static concurrency
-# rules (lock-order-global, guard-across-blocking, atomic-ordering-pairing)
-# remain the always-on gate; TSan is the dynamic double-check wherever the
-# toolchain allows it.
+# scoped fork-join behind every parallel map (vendor/rayon, including the
+# schedule-stress tests) and the networked-federation wire tests. TSan
+# needs a nightly toolchain with `-Zsanitizer=thread` plus the rebuilt std
+# (`-Zbuild-std`); the pinned CI container ships stable only, so this
+# script probes for support and exits 0 with a skip message when it's
+# absent. fedlint's static concurrency rules (lock-order-global,
+# guard-across-blocking, atomic-ordering-pairing) remain the always-on
+# gate; TSan is the dynamic double-check wherever the toolchain allows it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,7 +37,7 @@ if ! rustup component list --toolchain nightly 2>/dev/null | grep -q '^rust-src 
     skip "nightly rust-src component not installed (needed for -Zbuild-std)"
 fi
 
-echo "tsan: running pool + proto suites under ThreadSanitizer ($host)"
+echo "tsan: running rayon + proto suites under ThreadSanitizer ($host)"
 export RUSTFLAGS="-Zsanitizer=thread"
 export RUSTDOCFLAGS="-Zsanitizer=thread"
 # A dedicated target dir keeps sanitized artifacts out of the normal cache.

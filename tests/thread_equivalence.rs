@@ -1,6 +1,6 @@
-//! Cross-thread-count equivalence: the worker pool must be invisible.
+//! Cross-thread-count equivalence: the thread count must be invisible.
 //!
-//! The parallel engine's contract (DESIGN.md §9) is that a run's every
+//! The parallel engine's contract (DESIGN.md §6) is that a run's every
 //! observable — `RunResult` history, CommMeter totals, fault telemetry,
 //! and the final checkpoint bytes — is **bit-identical** at any thread
 //! count, because all randomness derives from `(seed, round, client)`
@@ -287,7 +287,7 @@ fn kill_and_resume_across_a_thread_count_switch_is_bit_identical() {
 fn compressed_runs_are_bit_identical_across_thread_counts() {
     // The codec path adds per-client rng draws (stochastic rounding) and
     // mutable residual state; both key on `(seed, round, client)` and are
-    // folded in client-index order, so the worker pool must stay
+    // folded in client-index order, so the thread count must stay
     // invisible under compression too.
     let _g = config_lock();
     let fd = fd(29);
