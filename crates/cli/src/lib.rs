@@ -177,7 +177,12 @@ pub fn execute(args: &Args, trainer: Option<&dyn RemoteTrainer>) -> Result<Strin
         }
         Command::Cluster => {
             let fd = build_dataset(args)?;
-            let cfg = build_config(args);
+            // Round 0 clusters once and no later round relabels a client,
+            // so the driver runs no training round.
+            let cfg = FlConfig {
+                rounds: 0,
+                ..build_config(args)
+            };
             let Ok((_, federation)) =
                 run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
             let truth = fd.ground_truth_groups();
@@ -383,6 +388,50 @@ mod tests {
         let out = execute(&args, None).unwrap();
         assert!(out.contains("final accuracy"), "{}", out);
         assert!(out.contains("faults:"), "{}", out);
+    }
+
+    #[test]
+    fn execute_cluster_prints_round_zero_whatever_the_round_count() {
+        let cluster = |rounds: &str| {
+            let argv = [
+                "cluster",
+                "--dataset",
+                "fmnist",
+                "--partition",
+                "skew50",
+                "--clients",
+                "6",
+                "--rounds",
+                rounds,
+                "--epochs",
+                "1",
+                "--samples-per-class",
+                "10",
+            ];
+            Args::parse(&argv.map(String::from)).unwrap()
+        };
+        let (one, eight) = (cluster("1"), cluster("8"));
+        let out = execute(&one, None).unwrap();
+        assert_eq!(out, execute(&eight, None).unwrap());
+        // The clustering a whole federation leaves behind, as trained.
+        let fd = build_dataset(&eight).unwrap();
+        let Ok((_, federation)) = run_federation(
+            &FedClust::default(),
+            &fd,
+            &build_config(&eight),
+            NoCheckpoints,
+            None,
+        );
+        let saved = &federation.saved;
+        let head = format!(
+            "one-shot clustering: {} clusters at λ = {:.4}",
+            saved.outcome.num_clusters, saved.outcome.lambda
+        );
+        assert!(out.starts_with(&head), "{out}");
+        assert!(
+            out.ends_with(&format!("\nassignment: {:?}", saved.labels)),
+            "{out}"
+        );
     }
 
     #[test]

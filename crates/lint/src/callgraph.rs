@@ -21,7 +21,8 @@
 //! each node's call sites are kept in token order, so repeated runs walk
 //! the graph identically and produce byte-identical findings.
 
-use crate::concurrency::LockSets;
+use crate::concurrency::{self, LockSets};
+use crate::dataflow::{fn_flows, FnFlow};
 use crate::items::{Item, ItemKind};
 use crate::lexer::{text_at, TokKind, Token};
 use crate::rules::{FileAnalysis, Pass, RULES};
@@ -67,22 +68,39 @@ pub(crate) struct FnNode {
     pub(crate) sites: Vec<CallSite>,
 }
 
-/// What a workspace rule sees: every file's analysis and the lock-set
-/// summaries computed on the call graph over them.
+/// What a workspace rule sees, each table built once per scan: every
+/// file's analysis, the call graph over them, every file's def-use
+/// ([`fn_flows`]) and the lock-set summaries.
 pub struct Workspace<'a> {
     pub(crate) files: &'a [FileAnalysis],
+    pub(crate) nodes: Vec<FnNode>,
+    /// Per file, the def-use of each `fn` body.
+    pub(crate) flows: Vec<Vec<FnFlow>>,
     pub(crate) locksets: LockSets,
+}
+
+impl<'a> Workspace<'a> {
+    /// Build the workspace tables over `files`, timing each stage.
+    pub fn new(files: &'a [FileAnalysis], timings: &mut Timings) -> Self {
+        let (nodes, flows) = timings.time("infra:callgraph", || {
+            let flows = files.iter().map(|fa| fn_flows(&fa.code, &fa.items));
+            (build_graph(files), flows.collect())
+        });
+        let locksets = timings.time("infra:lockset-engine", || concurrency::build(files, &nodes));
+        Workspace {
+            files,
+            nodes,
+            flows,
+            locksets,
+        }
+    }
 }
 
 /// Run every workspace rule of [`RULES`] over the per-file analyses.
 /// Findings are pragma-filtered here (the driver cannot: it no longer sees
 /// the pragmas) and returned unsorted.
 pub fn global_findings(files: &[FileAnalysis], timings: &mut Timings) -> Vec<Finding> {
-    let nodes = timings.time("infra:callgraph", || build_graph(files));
-    let locksets = timings.time("infra:lockset-engine", || {
-        crate::concurrency::build(files, &nodes)
-    });
-    let ws = Workspace { files, locksets };
+    let ws = Workspace::new(files, timings);
     let mut out = Vec::new();
     for rule in &RULES {
         if let Pass::Workspace(run) = rule.pass {
@@ -152,7 +170,7 @@ pub(crate) fn body_indices(item: &Item, all_items: &[Item]) -> Vec<usize> {
     out
 }
 
-pub(crate) fn build_graph(files: &[FileAnalysis]) -> Vec<FnNode> {
+fn build_graph(files: &[FileAnalysis]) -> Vec<FnNode> {
     let mut nodes: Vec<FnNode> = Vec::new();
     // (file_idx, item_idx) -> node idx, and name -> node idxs for resolution.
     let mut node_of: BTreeMap<(usize, usize), usize> = BTreeMap::new();

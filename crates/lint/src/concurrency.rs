@@ -40,10 +40,10 @@
 //!   `match`/`if let` scrutinee temporary correctly lives through the arm
 //!   body. Reassignment without `let` (`guard = cv.wait(guard)…`) keeps
 //!   the guard, matching condvar usage.
-//! * **Acquisitions.** `.lock()` (method form), free-fn `lock(&x)` (the
-//!   vendored pool's poison-shrugging helper — the *argument* names the
-//!   lock), and `.read()`/`.write()` only on receivers declared exactly
-//!   once as `RwLock` (anything else is file/socket I/O).
+//! * **Acquisitions.** `.lock()` (method form), free-fn `lock(&x)` (a
+//!   helper that takes a mutex, say shrugging off poison — the *argument*
+//!   names the lock), and `.read()`/`.write()` only on receivers declared
+//!   exactly once as `RwLock` (anything else is file/socket I/O).
 //! * **Interprocedural propagation.** Per function, the walk records the
 //!   held-lock set at every resolved call site ([`crate::callgraph`]
 //!   edges). A fixpoint then propagates two summaries up the graph:
@@ -67,10 +67,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{body_indices, FnNode, Workspace};
 use crate::dataflow::{
-    find_path, last_ident_in_group, let_bound_var, matching_close, receiver_name, ATOMIC_METHODS,
+    find_path, last_ident_in_group, let_bound_var, receiver_name, ATOMIC_METHODS,
 };
 use crate::items::{Item, ItemKind};
-use crate::lexer::{text_at, TokKind, Token};
+use crate::lexer::{group_end, text_at, TokKind, Token};
 use crate::rules::FileAnalysis;
 use crate::Finding;
 
@@ -305,8 +305,7 @@ fn acquisition_at(
 /// For a condvar wait at token `k` (name followed by `(`): the first
 /// identifier in the argument list — the guard the wait releases.
 fn wait_own_guard(code: &[Token], k: usize) -> Option<String> {
-    let close = matching_close(code, k + 1);
-    code[k + 2..close.min(code.len())]
+    code.get(k + 2..group_end(code, k + 1))?
         .iter()
         .find(|t| t.kind == TokKind::Ident)
         .map(|t| t.text.clone())
@@ -420,8 +419,8 @@ fn summarize_fn(
                         depth,
                         line: t.line,
                     });
-                    // A free-fn `lock(&x)` site also resolves as a call to
-                    // the pool's helper; the acquisition just recorded *is*
+                    // A free-fn `lock(&x)` site may also resolve as a call to
+                    // a workspace helper; the acquisition just recorded *is*
                     // that call's effect, so skip the call-site capture.
                     continue;
                 }
@@ -776,10 +775,10 @@ fn ordering_name(ord: &str) -> Option<&'static str> {
 
 /// The `Ordering::X` names inside a call's argument group, in order.
 fn orderings_in_call(code: &[Token], open: usize) -> Vec<&'static str> {
-    let close = matching_close(code, open);
+    let close = group_end(code, open);
     let mut out = Vec::new();
     let mut j = open + 1;
-    while j + 2 < close.min(code.len()) {
+    while j + 2 < close {
         if text_at(code, j) == "Ordering" && text_at(code, j + 1) == "::" {
             if let Some(ord) = ordering_name(text_at(code, j + 2)) {
                 out.push(ord);
@@ -933,7 +932,7 @@ pub(crate) fn atomic_ordering_pairing(ws: &Workspace<'_>, out: &mut Vec<Finding>
 
 #[cfg(test)]
 mod tests {
-    use crate::callgraph::{build_graph, Workspace};
+    use crate::callgraph::Workspace;
     use crate::rules::{analyze_source, FileAnalysis, FileContext};
 
     fn analyses(sources: &[(&str, &str)]) -> Vec<FileAnalysis> {
@@ -954,12 +953,7 @@ mod tests {
 
     fn findings(sources: &[(&str, &str)]) -> Vec<(String, u32, &'static str, String)> {
         let files = analyses(sources);
-        let nodes = build_graph(&files);
-        let locksets = super::build(&files, &nodes);
-        let ws = Workspace {
-            files: &files,
-            locksets,
-        };
+        let ws = Workspace::new(&files, &mut crate::Timings::default());
         let mut out = Vec::new();
         super::lock_order_global(&ws, &mut out);
         super::guard_across_blocking(&ws, &mut out);

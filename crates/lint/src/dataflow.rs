@@ -25,8 +25,9 @@
 //! total — arbitrary token soup must never panic or hang (every range is
 //! bounds-clamped, every loop advances, fixpoints are iteration-capped).
 
+use crate::callgraph::Workspace;
 use crate::items::{Item, ItemKind};
-use crate::lexer::{text_at, TokKind, Token};
+use crate::lexer::{group_end, text_at, TokKind, Token};
 use crate::rules::{FileAnalysis, FileView};
 use crate::Finding;
 use std::collections::{BTreeMap, BTreeSet};
@@ -95,36 +96,27 @@ fn is_local_name(name: &str) -> bool {
         )
 }
 
-/// Scan an expression starting at `from`: the range ends at the first `;`
-/// or top-level `else` at the starting delimiter depth, at a delimiter that
-/// closes past the start, or (for `if let`/`while let` scrutinees) at a `{`
-/// at the starting depth. Always returns `from <= end <= limit`.
+/// Scan an expression starting at `from`, jumping over each group it
+/// opens: the range ends at the first `;` or `else` outside those groups,
+/// at a closer of a group opened before `from`, or (for `if let`/`while
+/// let` scrutinees) at a `{` outside them. At most [`MAX_EXPR_TOKENS`]
+/// long; always returns `from <= end <= limit`.
 fn expr_range(code: &[Token], from: usize, limit: usize, stop_at_brace: bool) -> (usize, usize) {
-    let limit = limit.min(code.len());
-    let mut depth = 0i64;
+    let limit = limit
+        .min(code.len())
+        .min(from.saturating_add(MAX_EXPR_TOKENS))
+        .max(from);
     let mut j = from;
-    while j < limit && j - from < MAX_EXPR_TOKENS {
+    while j < limit {
         match text_at(code, j) {
-            "(" | "[" => depth += 1,
-            "{" => {
-                if depth == 0 && stop_at_brace {
-                    return (from, j);
-                }
-                depth += 1;
-            }
-            ")" | "]" | "}" => {
-                depth -= 1;
-                if depth < 0 {
-                    return (from, j);
-                }
-            }
-            ";" if depth == 0 => return (from, j),
-            "else" if depth == 0 => return (from, j),
+            "{" if stop_at_brace => break,
+            "(" | "[" | "{" => j = group_end(code, j),
+            ")" | "]" | "}" | ";" | "else" => break,
             _ => {}
         }
         j += 1;
     }
-    (from, j)
+    (from, j.min(limit))
 }
 
 /// Parse the parameter list of the `fn` whose keyword sits at `fn_tok`.
@@ -560,12 +552,8 @@ struct NodeTaint {
 
 /// Run one taint rule over the whole workspace and return its findings
 /// (unsorted, not pragma-filtered — the caller applies suppression).
-pub fn taint_findings(files: &[FileAnalysis], spec: &TaintSpec) -> Vec<Finding> {
-    let nodes = crate::callgraph::build_graph(files);
-    let file_flows: Vec<Vec<FnFlow>> = files
-        .iter()
-        .map(|fa| fn_flows(&fa.code, &fa.items))
-        .collect();
+pub fn taint_findings(ws: &Workspace<'_>, spec: &TaintSpec) -> Vec<Finding> {
+    let (files, nodes, file_flows) = (ws.files, &ws.nodes, &ws.flows);
     // node index -> flow, via (file_idx, item_idx).
     let mut flow_of: Vec<Option<usize>> = vec![None; nodes.len()];
     let mut by_item: BTreeMap<(usize, usize), usize> = BTreeMap::new();
@@ -606,7 +594,7 @@ pub fn taint_findings(files: &[FileAnalysis], spec: &TaintSpec) -> Vec<Finding> 
                     if vars.contains_key(&d.name) {
                         continue;
                     }
-                    if let Some(c) = expr_taint(fa, d.rhs, &vars, spec, &nodes, &st, ni) {
+                    if let Some(c) = expr_taint(fa, d.rhs, &vars, spec, nodes, &st, ni) {
                         vars.insert(d.name.clone(), c.hop(format!("`{}`", d.name)));
                         grew = true;
                     }
@@ -620,7 +608,7 @@ pub fn taint_findings(files: &[FileAnalysis], spec: &TaintSpec) -> Vec<Finding> 
             let ret = flow
                 .rets
                 .iter()
-                .find_map(|&r| expr_taint(fa, r, &vars, spec, &nodes, &st, ni));
+                .find_map(|&r| expr_taint(fa, r, &vars, spec, nodes, &st, ni));
             if st[ni].ret.is_none() {
                 if let Some(rc) = ret {
                     st[ni].ret = Some(rc);
@@ -640,7 +628,7 @@ pub fn taint_findings(files: &[FileAnalysis], spec: &TaintSpec) -> Vec<Finding> 
                     if st[site.callee].param_in.contains_key(&target) {
                         continue;
                     }
-                    if let Some(c) = expr_taint(fa, range, &vars, spec, &nodes, &st, ni) {
+                    if let Some(c) = expr_taint(fa, range, &vars, spec, nodes, &st, ni) {
                         pending.push((
                             site.callee,
                             target,
@@ -705,56 +693,43 @@ fn seed_mut_arg_sources(
         {
             continue;
         }
-        let mut depth = 0i64;
-        let mut j = k + 1;
-        while j < code.len() && j - k < 64 {
-            match text_at(code, j) {
-                "(" => depth += 1,
-                ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                "&" if text_at(code, j + 1) == "mut" => {
-                    if let Some(arg) = code.get(j + 2).filter(|a| {
-                        a.kind == TokKind::Ident
-                            && is_local_name(&a.text)
-                            && text_at(code, j + 3) != "."
-                    }) {
-                        vars.entry(arg.text.clone()).or_insert_with(|| {
-                            Chain::new(format!(
-                                "`{}(&mut {})` at {}:{}",
-                                t.text, arg.text, fa.rel_path, t.line
-                            ))
-                            .hop(format!("`{}`", arg.text))
-                        });
-                    }
-                }
-                _ => {}
+        // The argument group, cut at a 64-token window.
+        for j in k + 2..group_end(code, k + 1).min(k + 64) {
+            if text_at(code, j) != "&" || text_at(code, j + 1) != "mut" {
+                continue;
             }
-            j += 1;
+            if let Some(arg) = code.get(j + 2).filter(|a| {
+                a.kind == TokKind::Ident && is_local_name(&a.text) && text_at(code, j + 3) != "."
+            }) {
+                vars.entry(arg.text.clone()).or_insert_with(|| {
+                    Chain::new(format!(
+                        "`{}(&mut {})` at {}:{}",
+                        t.text, arg.text, fa.rel_path, t.line
+                    ))
+                    .hop(format!("`{}`", arg.text))
+                });
+            }
         }
     }
 }
 
 /// Split the argument list of the call whose name token is at `name_tok`
-/// into `(position, token range)` pairs; commas only split at depth 1.
+/// into `(position, token range)` pairs; only commas outside nested groups
+/// split.
 fn arg_ranges(code: &[Token], name_tok: usize) -> Vec<(usize, (usize, usize))> {
     let open = name_tok + 1;
     if text_at(code, open) != "(" {
         return Vec::new();
     }
-    let close = matching_close(code, open);
+    let close = group_end(code, open);
     let mut out = Vec::new();
-    let mut depth = 0i64;
     let mut pos = 0usize;
     let mut seg_start = open + 1;
-    for k in open..close.min(code.len()) {
+    let mut k = open + 1;
+    while k < close {
         match text_at(code, k) {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => depth -= 1,
-            "," if depth == 1 => {
+            "(" | "[" | "{" => k = group_end(code, k),
+            "," => {
                 if seg_start < k {
                     out.push((pos, (seg_start, k)));
                 }
@@ -763,6 +738,7 @@ fn arg_ranges(code: &[Token], name_tok: usize) -> Vec<(usize, (usize, usize))> {
             }
             _ => {}
         }
+        k += 1;
     }
     if seg_start < close {
         out.push((pos, (seg_start, close)));
@@ -903,35 +879,15 @@ fn source_call_origin(fa: &FileAnalysis, k: usize, spec: &TaintSpec) -> Option<S
     None
 }
 
-/// Find the matching close delimiter for the open delimiter at `open`.
-pub(crate) fn matching_close(code: &[Token], open: usize) -> usize {
-    let mut depth = 0i64;
-    let mut j = open;
-    while j < code.len() && j - open < MAX_EXPR_TOKENS {
-        match text_at(code, j) {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => {
-                depth -= 1;
-                if depth <= 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    j.min(code.len())
-}
-
-/// First tainted local use inside `[a, b)`, honoring the sanitizer launder.
+/// First tainted local use inside the group opened at `open`, honoring the
+/// sanitizer launder.
 fn group_taint<'a>(
     code: &[Token],
-    a: usize,
-    b: usize,
+    open: usize,
     vars: &'a BTreeMap<String, Chain>,
     spec: &TaintSpec,
 ) -> Option<(&'a str, &'a Chain)> {
-    let b = b.min(code.len());
+    let (a, b) = (open + 1, group_end(code, open).min(code.len()));
     if launders(code, a, b, spec) {
         return None;
     }
@@ -957,6 +913,12 @@ fn sink_untrusted(
     out: &mut Vec<Finding>,
 ) {
     let code = &fa.code;
+    let finding = |line, message| Finding {
+        file: fa.rel_path.clone(),
+        line,
+        rule: spec.rule,
+        message,
+    };
     for &k in idxs {
         let Some(t) = code.get(k) else { continue };
         if t.kind == TokKind::Op && matches!(t.text.as_str(), "+" | "-" | "*") {
@@ -975,76 +937,65 @@ fn sink_untrusted(
                     w.kind == TokKind::Ident && vars.contains_key(&w.text) && is_local_use(code, *i)
                 });
             if let Some((_, w)) = operand {
-                let chain = &vars[&w.text];
-                out.push(Finding {
-                    file: fa.rel_path.clone(),
-                    line: t.line,
-                    rule: spec.rule,
-                    message: format!(
+                out.push(finding(
+                    t.line,
+                    format!(
                         "unchecked `{}` on tainted value `{}` (tainted by {}); route \
                          input-derived lengths through checked_*/saturating_* arithmetic",
                         t.text,
                         w.text,
-                        chain.describe()
+                        vars[&w.text].describe()
                     ),
-                });
+                ));
             }
         } else if t.kind == TokKind::Ident && text_at(code, k + 1) == "[" {
-            let close = matching_close(code, k + 1);
-            if let Some((name, chain)) = group_taint(code, k + 2, close, vars, spec) {
-                out.push(Finding {
-                    file: fa.rel_path.clone(),
-                    line: t.line,
-                    rule: spec.rule,
-                    message: format!(
+            if let Some((name, chain)) = group_taint(code, k + 1, vars, spec) {
+                out.push(finding(
+                    t.line,
+                    format!(
                         "slice index derived from tainted value `{}` (tainted by {}); use \
                          `.get(…)` and propagate a decode error instead of panicking",
                         name,
                         chain.describe()
                     ),
-                });
+                ));
             }
         } else if t.kind == TokKind::Ident
             && t.text == "with_capacity"
             && text_at(code, k + 1) == "("
         {
-            let close = matching_close(code, k + 1);
-            if let Some((name, chain)) = group_taint(code, k + 2, close, vars, spec) {
-                out.push(Finding {
-                    file: fa.rel_path.clone(),
-                    line: t.line,
-                    rule: spec.rule,
-                    message: format!(
+            if let Some((name, chain)) = group_taint(code, k + 1, vars, spec) {
+                out.push(finding(
+                    t.line,
+                    format!(
                         "`with_capacity` sized by tainted value `{}` (tainted by {}); clamp or \
                          validate the length before allocating for hostile input",
                         name,
                         chain.describe()
                     ),
-                });
+                ));
             }
         } else if t.kind == TokKind::Ident
             && t.text == "vec"
             && text_at(code, k + 1) == "!"
             && text_at(code, k + 2) == "["
         {
-            let close = matching_close(code, k + 2);
+            let close = group_end(code, k + 2);
             // Only `vec![elem; n]` allocates by a length expression.
             let has_semi = (k + 3..close).any(|j| text_at(code, j) == ";");
             if !has_semi {
                 continue;
             }
-            if let Some((name, chain)) = group_taint(code, k + 3, close, vars, spec) {
-                out.push(Finding {
-                    file: fa.rel_path.clone(),
-                    line: t.line,
-                    rule: spec.rule,
-                    message: format!(
+            if let Some((name, chain)) = group_taint(code, k + 2, vars, spec) {
+                out.push(finding(
+                    t.line,
+                    format!(
                         "`vec![…; n]` sized by tainted value `{}` (tainted by {}); clamp or \
                          validate the length before allocating for hostile input",
                         name,
                         chain.describe()
                     ),
-                });
+                ));
             }
         }
     }
@@ -1096,8 +1047,7 @@ fn sink_determinism(
                 None
             };
             if let Some(open) = group_open {
-                let close = matching_close(code, open);
-                if let Some((name, chain)) = group_taint(code, open + 1, close, vars, spec) {
+                if let Some((name, chain)) = group_taint(code, open, vars, spec) {
                     push(t.line, &t.text, name, chain, out);
                 }
             }
@@ -1106,8 +1056,7 @@ fn sink_determinism(
             if k >= 2 && prev == "[" && text_at(code, k - 2) == "#" {
                 continue;
             }
-            let close = matching_close(code, k + 1);
-            if let Some((name, chain)) = group_taint(code, k + 2, close, vars, spec) {
+            if let Some((name, chain)) = group_taint(code, k + 1, vars, spec) {
                 push(t.line, &t.text, name, chain, out);
             }
         }
@@ -1220,22 +1169,8 @@ pub(crate) fn find_path<'a>(
 pub(crate) fn receiver_name(code: &[Token], dot: usize) -> Option<String> {
     let mut j = dot.checked_sub(1)?;
     if text_at(code, j) == "]" {
-        // Skip a balanced index group: `slots[i].lock()`.
-        let mut depth = 0i64;
-        loop {
-            match text_at(code, j) {
-                "]" => depth += 1,
-                "[" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        j = j.checked_sub(1)?;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            j = j.checked_sub(1)?;
-        }
+        // Skip the index group: `slots[i].lock()`.
+        j = code.get(j)?.pair?.checked_sub(1)?;
     }
     code.get(j)
         .filter(|t| t.kind == TokKind::Ident && t.text != "self")
@@ -1245,8 +1180,7 @@ pub(crate) fn receiver_name(code: &[Token], dot: usize) -> Option<String> {
 /// The last identifier inside a call's argument group — for the free-fn
 /// form `lock(&self.queue)`, that names the Mutex field.
 pub(crate) fn last_ident_in_group(code: &[Token], open: usize) -> Option<String> {
-    let close = matching_close(code, open);
-    code[open + 1..close.min(code.len())]
+    code.get(open + 1..group_end(code, open))?
         .iter()
         .rev()
         .find(|t| t.kind == TokKind::Ident && t.text != "self" && t.text != "mut")
@@ -1282,13 +1216,10 @@ pub(crate) fn let_bound_var(code: &[Token], k: usize) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
+    use crate::lexer::{code_stream, lex};
 
     fn flows_of(src: &str) -> (Vec<Token>, Vec<FnFlow>) {
-        let code: Vec<Token> = lex(src)
-            .into_iter()
-            .filter(|t| t.kind != TokKind::Comment)
-            .collect();
+        let code = code_stream(&lex(src));
         let in_test = vec![false; src.lines().count() + 3];
         let items = crate::items::parse_items(&code, &in_test);
         let flows = fn_flows(&code, &items);

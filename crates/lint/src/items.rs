@@ -18,7 +18,7 @@
 //! call-graph builder relies on to carve nested `fn` bodies out of their
 //! parent's span.
 
-use crate::lexer::{TokKind, Token};
+use crate::lexer::{group_end, TokKind, Token};
 
 /// What kind of item a record describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,22 +112,6 @@ impl Parser<'_> {
         self.in_test.get(line as usize).copied().unwrap_or(false)
     }
 
-    /// Skip an attribute; `i` sits on `#`, `i + 1` on `[`. Returns the index
-    /// past the matching `]`.
-    fn skip_attr(&self, i: usize) -> usize {
-        let mut j = i + 2;
-        let mut depth = 1usize;
-        while j < self.code.len() && depth > 0 {
-            match self.text(j) {
-                "[" => depth += 1,
-                "]" => depth = depth.saturating_sub(1),
-                _ => {}
-            }
-            j += 1;
-        }
-        j.max(i + 2)
-    }
-
     fn open_item(&mut self, idx: usize) {
         self.stack.push(Frame { item: Some(idx) });
     }
@@ -161,9 +145,8 @@ impl Parser<'_> {
             let t = &self.code[i];
             let is_kw = t.kind == TokKind::Ident;
             match t.text.as_str() {
-                "#" if self.text(i + 1) == "[" => {
-                    i = self.skip_attr(i);
-                }
+                // An attribute: skip past the `]` that closes its `[`.
+                "#" if self.text(i + 1) == "[" => i = group_end(self.code, i + 1) + 1,
                 "mod" if is_kw && self.is_ident(i + 1) => {
                     let name = self.text(i + 1).to_string();
                     if self.text(i + 2) == "{" {
@@ -343,13 +326,10 @@ fn impl_self_type(header: &[Token]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
+    use crate::lexer::{code_stream, lex};
 
     fn items_of(src: &str) -> Vec<Item> {
-        let code: Vec<Token> = lex(src)
-            .into_iter()
-            .filter(|t| t.kind != TokKind::Comment)
-            .collect();
+        let code = code_stream(&lex(src));
         let lines = src.lines().count() + 2;
         parse_items(&code, &vec![false; lines + 1])
     }

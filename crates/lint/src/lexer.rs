@@ -15,6 +15,11 @@
 //! input whatsoever (pinned by a property test over arbitrary byte soup).
 //! Every byte access is bounds-checked via [`Lexer::at`], and every loop
 //! iteration advances the cursor.
+//!
+//! The rules read [`code_stream`]: the tokens minus comments, with every
+//! `(`/`[`/`{` linked to the closer that ends its group, so a walk that
+//! skips a group jumps to its partner ([`group_end`]) instead of counting
+//! depth.
 
 /// What a token is, at the granularity the rules need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +52,11 @@ pub struct Token {
     pub text: String,
     /// 1-based line of the token's first byte.
     pub line: u32,
+    /// In a [`code_stream`], the index of the delimiter that pairs with
+    /// this one: an opener's closer (the stream's length when nothing
+    /// closes it) or a closer's opener. `None` on every other token, on a
+    /// closer with no open group, and on streams nobody paired.
+    pub pair: Option<usize>,
 }
 
 /// Lex `src` into a token stream. Never panics; invalid Rust degrades into
@@ -59,6 +69,45 @@ pub fn lex(src: &str) -> Vec<Token> {
         out: Vec::new(),
     }
     .run()
+}
+
+/// The comment-free stream every rule reads, paired: one stack of open
+/// groups, and any closer ends the innermost one (so `(]` is a group).
+pub fn code_stream(tokens: &[Token]) -> Vec<Token> {
+    let mut code: Vec<Token> = tokens
+        .iter()
+        .filter(|t| t.kind != TokKind::Comment)
+        .cloned()
+        .collect();
+    let mut open = Vec::new();
+    for i in 0..code.len() {
+        match code[i].text.as_str() {
+            "(" | "[" | "{" => open.push(i),
+            ")" | "]" | "}" => {
+                if let Some(o) = open.pop() {
+                    code[o].pair = Some(i);
+                    code[i].pair = Some(o);
+                }
+            }
+            _ => {}
+        }
+    }
+    let len = code.len();
+    for o in open {
+        code[o].pair = Some(len);
+    }
+    code
+}
+
+/// Where the group opened at `open` ends: its closer, or the stream's
+/// length when nothing closes it. Never before `open` (which it returns on
+/// a token that opens nothing, or on a stream nobody paired), so a walk
+/// that jumps to it always advances.
+pub(crate) fn group_end(code: &[Token], open: usize) -> usize {
+    code.get(open)
+        .and_then(|t| t.pair)
+        .unwrap_or(open)
+        .max(open)
 }
 
 /// The text of token `i`, or `""` past either end of the stream — so
@@ -115,8 +164,16 @@ impl Lexer<'_> {
     }
 
     fn push(&mut self, kind: TokKind, start: usize, line: u32) {
-        let text = self.text_from(start);
-        self.out.push(Token { kind, text, line });
+        self.push_text(kind, self.text_from(start), line);
+    }
+
+    fn push_text(&mut self, kind: TokKind, text: String, line: u32) {
+        self.out.push(Token {
+            kind,
+            text,
+            line,
+            pair: None,
+        });
     }
 
     fn run(mut self) -> Vec<Token> {
@@ -343,11 +400,7 @@ impl Lexer<'_> {
                         return;
                     }
                 }
-                self.out.push(Token {
-                    kind: TokKind::Ident,
-                    text,
-                    line,
-                });
+                self.push_text(TokKind::Ident, text, line);
             }
             // Cooked byte / C strings and byte chars.
             "b" | "c" => {
@@ -359,17 +412,9 @@ impl Lexer<'_> {
                     self.quote();
                     return;
                 }
-                self.out.push(Token {
-                    kind: TokKind::Ident,
-                    text,
-                    line,
-                });
+                self.push_text(TokKind::Ident, text, line);
             }
-            _ => self.out.push(Token {
-                kind: TokKind::Ident,
-                text,
-                line,
-            }),
+            _ => self.push_text(TokKind::Ident, text, line),
         }
     }
 
@@ -564,6 +609,37 @@ mod tests {
         for src in ["\"abc", "r#\"abc", "/* abc", "'", "b'", "r#"] {
             let _ = lex(src); // must not panic or hang
         }
+    }
+
+    #[test]
+    fn code_stream_drops_comments_and_pairs_each_group() {
+        let code = code_stream(&lex("f(a[0], /* ( */ {b}) ] ( x"));
+        let pairs: Vec<(&str, Option<usize>)> =
+            code.iter().map(|t| (t.text.as_str(), t.pair)).collect();
+        assert_eq!(
+            pairs,
+            vec![
+                ("f", None),
+                ("(", Some(10)),
+                ("a", None),
+                ("[", Some(5)),
+                ("0", None),
+                ("]", Some(3)),
+                (",", None),
+                ("{", Some(9)),
+                ("b", None),
+                ("}", Some(7)),
+                (")", Some(1)),
+                ("]", None),     // closes nothing
+                ("(", Some(14)), // nothing closes it: the stream's length
+                ("x", None),
+            ]
+        );
+        // Any closer ends the innermost open group.
+        let crossed: Vec<_> = code_stream(&lex("(]")).iter().map(|t| t.pair).collect();
+        assert_eq!(crossed, vec![Some(1), Some(0)]);
+        assert_eq!(group_end(&code, 3), 5);
+        assert_eq!(group_end(&code, 2), 2, "a token that opens nothing");
     }
 
     #[test]

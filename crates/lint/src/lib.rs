@@ -2,9 +2,9 @@
 //!
 //! Bit-identical replay under fault injection is the workspace's
 //! load-bearing guarantee, and most invariants behind it (disciplined RNG
-//! stream construction, ordered parallel reductions, checked codec
-//! arithmetic, no clock or hasher state in replayed values, a cycle-free
-//! lock order) are nothing a stock linter knows. This crate enforces them
+//! stream construction, checked codec arithmetic, no clock or hasher state
+//! in replayed values, a cycle-free lock order) are nothing a stock linter
+//! knows. This crate enforces them
 //! mechanically: a from-scratch, comment/string/char-literal-aware
 //! lexer ([`lexer`]) feeds a set of named rules ([`rules`]) over every
 //! `crates/*/src` and `vendor/*/src` file, and the driver here renders
@@ -15,7 +15,9 @@
 //! code (`unwrap_used`, `expect_used`, `panic`, `todo`, `unimplemented`,
 //! `unreachable`, denied at each library crate's root), documented `unsafe`
 //! (`undocumented_unsafe_blocks`, `missing_safety_doc`) and hasher-ordered
-//! containers (`disallowed_types` in `clippy.toml`).
+//! containers (`disallowed_types` in `clippy.toml`). Ordered parallel
+//! reductions are rustc's: the vendored `ParIter` has no folding consumer,
+//! and `vendor/rayon`'s doctests fail if one appears.
 //!
 //! Output determinism is part of the contract: files are walked in sorted
 //! order, findings are sorted by `(file, line, rule, message)`, and the JSON

@@ -22,7 +22,7 @@ use crate::callgraph::{self, Workspace};
 use crate::concurrency;
 use crate::dataflow::{determinism_spec, pool_discipline, taint_findings, untrusted_input_spec};
 use crate::items::{parse_items, Item, ItemKind};
-use crate::lexer::{lex, text_at, TokKind, Token};
+use crate::lexer::{code_stream, group_end, lex, text_at, TokKind, Token};
 use crate::{Finding, Timings};
 
 /// One rule: what it is called, what `--explain` says, and how it runs.
@@ -47,7 +47,7 @@ pub enum Pass {
 
 /// Every rule, sorted by name. The single source for `fedlint --explain`,
 /// and the README rule list is tested against it (`tests/explain.rs`).
-pub const RULES: [Rule; 13] = [
+pub const RULES: [Rule; 12] = [
     Rule {
         name: "atomic-ordering-pairing",
         doc: "Every Release/AcqRel store side on an atomic field must have a matching \
@@ -84,13 +84,7 @@ pub const RULES: [Rule; 13] = [
         doc: "Nondeterministic sources (wall clock, hasher state, thread ids, env) must not flow \
          into replayed state in the deterministic crates; bit-identical replay is the \
          workspace's core guarantee.",
-        pass: Pass::Workspace(|ws, out| out.extend(taint_findings(ws.files, &determinism_spec()))),
-    },
-    Rule {
-        name: "deterministic-reduction",
-        doc: "No fold/reduce during parallel iteration: float addition is not associative, so \
-         reduction order must be fixed (indexed writes, then a sequential fold).",
-        pass: Pass::File(rule_deterministic_reduction),
+        pass: Pass::Workspace(|ws, out| out.extend(taint_findings(ws, &determinism_spec()))),
     },
     Rule {
         name: "float-eq",
@@ -101,8 +95,8 @@ pub const RULES: [Rule; 13] = [
     Rule {
         name: "guard-across-blocking",
         doc: "No Mutex/RwLock guard may be live across a blocking operation — socket \
-         read/write/accept/flush, channel recv, thread::sleep/park, pool job submission, or a \
-         Condvar wait on a different mutex (the wait's own guard is exempt: the condvar \
+         read/write/accept/flush, channel recv, thread::sleep/park, a parallel map's fork-join \
+         (`run_indexed`, `thread::scope`), or a Condvar wait on a different mutex (the wait's own guard is exempt: the condvar \
          releases it atomically). Interprocedural: holding a guard across a call whose callee \
          (transitively) blocks is reported with the full file:line chain.",
         pass: Pass::Workspace(concurrency::guard_across_blocking),
@@ -140,9 +134,7 @@ pub const RULES: [Rule; 13] = [
         name: "untrusted-input-taint",
         doc: "Lengths and counts decoded from untrusted input must be bounds-checked before they \
          reach arithmetic, indexing, or allocation (dataflow taint over the decoder).",
-        pass: Pass::Workspace(|ws, out| {
-            out.extend(taint_findings(ws.files, &untrusted_input_spec()))
-        }),
+        pass: Pass::Workspace(|ws, out| out.extend(taint_findings(ws, &untrusted_input_spec()))),
     },
 ];
 
@@ -252,11 +244,7 @@ impl FileAnalysis {
 pub fn analyze_source(ctx: &FileContext<'_>, src: &str, timings: &mut Timings) -> FileAnalysis {
     let (code, in_test, pragmas, items) = timings.time("infra:parse", || {
         let tokens = lex(src);
-        let code: Vec<Token> = tokens
-            .iter()
-            .filter(|t| t.kind != TokKind::Comment)
-            .cloned()
-            .collect();
+        let code = code_stream(&tokens);
         let in_test = test_regions(&code, src.lines().count().max(1) + 3);
         let items = parse_items(&code, &in_test);
         (code, in_test, collect_pragmas(&tokens), items)
@@ -320,20 +308,11 @@ fn test_regions(code: &[Token], n_lines: usize) -> Vec<bool> {
         // (exactly one inner token) marks a test fn directly.
         let bare_test = code.get(i + 2).is_some_and(|t| t.text == "test")
             && code.get(i + 3).is_some_and(|t| t.text == "]");
-        let mut j = i + 2;
-        let mut depth = 1usize;
-        let (mut saw_cfg, mut saw_test) = (false, false);
-        while j < code.len() && depth > 0 {
-            match code[j].text.as_str() {
-                "[" => depth += 1,
-                "]" => depth -= 1,
-                "cfg" => saw_cfg = true,
-                "test" => saw_test = true,
-                _ => {}
-            }
-            j += 1;
-        }
-        if !((saw_cfg && saw_test) || bare_test) {
+        let close = group_end(code, i + 1);
+        let body = code.get(i + 2..close).unwrap_or_default();
+        let saw = |word: &str| body.iter().any(|t| t.text == word);
+        let j = close.saturating_add(1).min(code.len());
+        if !((saw("cfg") && saw("test")) || bare_test) {
             i = j.max(i + 1);
             continue;
         }
@@ -349,25 +328,9 @@ fn test_regions(code: &[Token], n_lines: usize) -> Vec<bool> {
             i = k.max(i + 1);
             continue;
         }
-        // Match braces to the item's end.
-        let mut brace = 0usize;
-        let mut end_line = code[k].line;
-        let mut m = k;
-        while m < code.len() {
-            match code[m].text.as_str() {
-                "{" => brace += 1,
-                "}" => {
-                    brace -= 1;
-                    if brace == 0 {
-                        end_line = code[m].line;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            end_line = code[m].line;
-            m += 1;
-        }
+        // The item ends at the brace's closer, or with the file.
+        let m = group_end(code, k).min(code.len());
+        let end_line = code.get(m).or(code.last()).map_or(attr_line, |t| t.line);
         for l in attr_line..=end_line {
             if let Some(slot) = in_test.get_mut(l as usize) {
                 *slot = true;
@@ -418,9 +381,8 @@ fn collect_pragmas(tokens: &[Token]) -> Vec<Pragma> {
     out
 }
 
-/// The parallel-iterator entry points: `deterministic-reduction` audits
-/// their downstream chain, and `confinement`'s `kernels on the calling
-/// thread` row bans them from the kernel crates.
+/// The parallel-iterator entry points, which `confinement`'s `kernels on
+/// the calling thread` row bans from the kernel crates.
 const PAR_ENTRY_POINTS: [&str; 5] = [
     "into_par_iter",
     "par_chunks",
@@ -428,71 +390,6 @@ const PAR_ENTRY_POINTS: [&str; 5] = [
     "par_iter",
     "par_iter_mut",
 ];
-
-/// `deterministic-reduction`: a `.sum()`/`.fold()`/`.reduce()` chained
-/// directly on a `par_iter()`-family call accumulates floats in whatever
-/// order worker threads finish — nondeterministic across thread counts.
-/// Library code must collect into index order first and reduce the
-/// ordered buffer (`collect-then-reduce`). The vendored pool has no folding
-/// consumer; the shape stays banned so a swap to real rayon (tree
-/// reduction) cannot silently change bytes.
-fn rule_deterministic_reduction(f: &FileView<'_>, out: &mut Vec<Finding>) {
-    let (ctx, code) = (f.ctx, f.code);
-    if ctx.is_bin {
-        return;
-    }
-    for (i, t) in code.iter().enumerate() {
-        if t.kind != TokKind::Ident
-            || !PAR_ENTRY_POINTS.contains(&t.text.as_str())
-            || code.get(i + 1).is_none_or(|n| n.text != "(")
-            || f.in_test(t.line)
-        {
-            continue;
-        }
-        // Walk the method chain at the entry point's delimiter depth.
-        // Anything inside `(…)`/`[…]`/`{…}` (closure bodies, arguments) is
-        // deeper and skipped; the chain ends at `;`, `,`, or a delimiter
-        // that closes past the entry depth.
-        let mut depth = 0isize;
-        let mut j = i + 1;
-        while let Some(tok) = code.get(j) {
-            match tok.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => {
-                    depth -= 1;
-                    if depth < 0 {
-                        break;
-                    }
-                }
-                ";" | "," if depth == 0 => break,
-                "." if depth == 0 => {
-                    if let Some(m) = code.get(j + 1) {
-                        if m.kind == TokKind::Ident {
-                            if m.text == "collect" {
-                                break; // ordered materialisation: chain is safe
-                            }
-                            if matches!(m.text.as_str(), "sum" | "fold" | "reduce") {
-                                f.push(
-                                    out,
-                                    m.line,
-                                    format!(
-                                        "`.{}()` directly on `{}()` accumulates in thread-completion \
-                                         order; collect into index order first, then reduce the \
-                                         ordered buffer (collect-then-reduce)",
-                                        m.text, t.text
-                                    ),
-                                );
-                                break;
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-    }
-}
 
 /// `rng-stream-discipline`: in `fl`/`core` library code, `derive(seed, &[…])`
 /// must lead its stream slice with a named constant (`streams::X`), never a
@@ -527,39 +424,20 @@ fn rule_rng_stream_discipline(f: &FileView<'_>, out: &mut Vec<Finding>) {
         if in_attr {
             continue;
         }
-        // Scan the call's argument list for `&[`, then inspect the slice's
-        // first element.
-        let mut depth = 0usize;
-        let mut j = i + 1;
-        while let Some(tok) = code.get(j) {
-            match tok.text.as_str() {
-                "(" => depth += 1,
-                ")" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                "&" if depth >= 1 && code.get(j + 1).is_some_and(|n| n.text == "[") => {
-                    if let Some(first) = code.get(j + 2) {
-                        if first.kind == TokKind::Int {
-                            f.push(
-                                out,
-                                first.line,
-                                format!(
-                                    "RNG stream starts with bare literal `{}`; lead with a named \
-                                     `streams::` constant so streams stay collision-free and \
-                                     greppable",
-                                    first.text
-                                ),
-                            );
-                        }
-                    }
-                    break;
-                }
-                _ => {}
-            }
-            j += 1;
+        // The first `&[` in the argument list: its slice's first element.
+        let mut args = i + 2..group_end(code, i + 1);
+        let slice = args.find(|&j| text_at(code, j) == "&" && text_at(code, j + 1) == "[");
+        let first = slice.and_then(|j| code.get(j + 2));
+        if let Some(first) = first.filter(|t| t.kind == TokKind::Int) {
+            f.push(
+                out,
+                first.line,
+                format!(
+                    "RNG stream starts with bare literal `{}`; lead with a named `streams::` \
+                     constant so streams stay collision-free and greppable",
+                    first.text
+                ),
+            );
         }
     }
 }

@@ -1,24 +1,65 @@
 //! Property tests for the fedlint lexer, item parser, and dataflow engine:
 //! arbitrary byte soup must never panic them, hang them, or make them
-//! nondeterministic; parsed item spans and def-use spans must always nest
+//! nondeterministic; delimiter pairing must agree with the depth counter it
+//! replaced; parsed item spans and def-use spans must always nest
 //! properly; and the taint lattice must be monotone (adding a source can
 //! only add findings, never remove one).
 
+use lint::callgraph::Workspace;
 use lint::dataflow::{fn_flows, taint_findings, untrusted_input_spec};
 use lint::items::parse_items;
-use lint::lexer::{lex, TokKind};
+use lint::lexer::{code_stream, lex, TokKind, Token};
 use lint::rules::{analyze_source, FileContext};
 use lint::Timings;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-/// Lex `src` and run the item parser the way `analyze_source` does:
-/// comment tokens stripped, every token treated as non-test code.
-fn parse(src: &str) -> Vec<lint::items::Item> {
-    let toks: Vec<_> = lex(src)
-        .into_iter()
-        .filter(|t| t.kind != TokKind::Comment)
+/// How far the depth counter below looked before giving up.
+const WINDOW: usize = 2000;
+
+/// The depth counter every walk ran before the lexer paired delimiters:
+/// from the opener at `open`, any closer ends the innermost group; the
+/// stream's length if nothing closes it, or `open + WINDOW` if the counter
+/// gave up first. The pairing's oracle.
+fn matching_close(code: &[Token], open: usize) -> usize {
+    let mut depth = 0i64;
+    let mut j = open;
+    while j < code.len() && j - open < WINDOW {
+        match code[j].text.as_str() {
+            "(" | "[" | "{" => depth += 1,
+            ")" | "]" | "}" => {
+                depth -= 1;
+                if depth <= 0 {
+                    return j;
+                }
+            }
+            _ => {}
+        }
+        j += 1;
+    }
+    j.min(code.len())
+}
+
+/// Byte soup where about three bytes in eight are delimiters, so groups
+/// nest, cross string and comment boundaries, and go unclosed.
+fn delimiter_soup(bytes: &[u8]) -> String {
+    let soup: Vec<u8> = bytes
+        .iter()
+        .map(|&b| {
+            if b % 8 < 3 {
+                b"()[]{}"[usize::from(b / 8 % 6)]
+            } else {
+                b
+            }
+        })
         .collect();
+    String::from_utf8_lossy(&soup).into_owned()
+}
+
+/// Lex `src` and run the item parser the way `analyze_source` does: on
+/// the paired code stream, every token treated as non-test code.
+fn parse(src: &str) -> Vec<lint::items::Item> {
+    let toks = code_stream(&lex(src));
     let in_test = vec![false; toks.len()];
     parse_items(&toks, &in_test)
 }
@@ -71,6 +112,58 @@ proptest! {
         prop_assert_eq!(ids, vec!["let".to_string(), "s".to_string()]);
     }
 
+    /// Pairs are mutual and in bounds, and each opener's closer is the
+    /// depth counter's answer wherever that falls inside its window.
+    #[test]
+    fn pairing_agrees_with_the_depth_counter(bytes in proptest::collection::vec(0u8..=255, 0..2048)) {
+        let code = code_stream(&lex(&delimiter_soup(&bytes)));
+        for (i, t) in code.iter().enumerate() {
+            let opener = matches!(t.text.as_str(), "(" | "[" | "{");
+            match t.pair {
+                None => prop_assert!(!opener, "opener {} unpaired", i),
+                Some(p) if opener => {
+                    prop_assert!(i < p && p <= code.len(), "opener {} pairs with {}", i, p);
+                    if let Some(c) = code.get(p) {
+                        prop_assert_eq!(c.pair, Some(i));
+                    }
+                    let want = matching_close(&code, i);
+                    if want < i + WINDOW {
+                        prop_assert_eq!(p, want, "opener {}", i);
+                    }
+                }
+                Some(p) => {
+                    prop_assert!(matches!(t.text.as_str(), ")" | "]" | "}"), "{:?} paired", t);
+                    prop_assert!(p < i, "closer {} pairs with {}", i, p);
+                    prop_assert_eq!(code[p].pair, Some(i));
+                }
+            }
+        }
+    }
+
+    /// The def-use extractor terminates whether or not the stream was
+    /// paired (a walk that jumps over a group still advances on a stream
+    /// nobody paired), and so does the whole analysis of the soup.
+    #[test]
+    fn walks_terminate_with_and_without_pairing(bytes in proptest::collection::vec(0u8..=255, 0..2048)) {
+        let src = delimiter_soup(&bytes);
+        let paired = code_stream(&lex(&src));
+        let unpaired: Vec<Token> = paired.iter().map(|t| Token { pair: None, ..t.clone() }).collect();
+        for code in [&paired, &unpaired] {
+            let items = parse_items(code, &vec![false; code.len()]);
+            let flows = fn_flows(code, &items);
+            prop_assert!(flows.iter().all(|f| f.defs.iter().all(|d| d.rhs.1 <= code.len())));
+        }
+        let ctx = FileContext {
+            crate_name: "fl",
+            rel_path: "crates/fl/src/soup.rs",
+            is_bin: false,
+            test_tree: false,
+        };
+        let files = [analyze_source(&ctx, &src, &mut Timings::default())];
+        let ws = Workspace::new(&files, &mut Timings::default());
+        let _ = taint_findings(&ws, &untrusted_input_spec());
+    }
+
     /// The item parser survives arbitrary byte soup and is deterministic.
     #[test]
     fn item_parser_never_panics_on_byte_soup(bytes in proptest::collection::vec(0u8..=255, 0..2048)) {
@@ -119,10 +212,7 @@ proptest! {
     #[test]
     fn dataflow_never_panics_on_byte_soup(bytes in proptest::collection::vec(0u8..=255, 0..2048)) {
         let src = String::from_utf8_lossy(&bytes).into_owned();
-        let toks: Vec<_> = lex(&src)
-            .into_iter()
-            .filter(|t| t.kind != TokKind::Comment)
-            .collect();
+        let toks = code_stream(&lex(&src));
         let in_test = vec![false; toks.len()];
         let items = parse_items(&toks, &in_test);
         let a = fn_flows(&toks, &items);
@@ -155,8 +245,9 @@ proptest! {
         };
         let fa = analyze_source(&ctx, &src, &mut Timings::default());
         let files = [fa];
-        let t1 = taint_findings(&files, &untrusted_input_spec());
-        let t2 = taint_findings(&files, &untrusted_input_spec());
+        let ws = Workspace::new(&files, &mut Timings::default());
+        let t1 = taint_findings(&ws, &untrusted_input_spec());
+        let t2 = taint_findings(&ws, &untrusted_input_spec());
         prop_assert_eq!(t1, t2);
         let flows = fn_flows(&files[0].code, &files[0].items);
         let spans: Vec<(usize, usize)> = flows
@@ -207,8 +298,9 @@ proptest! {
         small.source_mut_args = Vec::new();
         let big = untrusted_input_spec();
         let key = |f: &lint::Finding| (f.file.clone(), f.line);
-        let small_set: BTreeSet<_> = taint_findings(&files, &small).iter().map(key).collect();
-        let big_set: BTreeSet<_> = taint_findings(&files, &big).iter().map(key).collect();
+        let ws = Workspace::new(&files, &mut Timings::default());
+        let small_set: BTreeSet<_> = taint_findings(&ws, &small).iter().map(key).collect();
+        let big_set: BTreeSet<_> = taint_findings(&ws, &big).iter().map(key).collect();
         prop_assert!(
             small_set.is_subset(&big_set),
             "adding sources removed findings: {:?} not in {:?}",
