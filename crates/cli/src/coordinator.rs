@@ -24,10 +24,10 @@ use std::sync::Arc;
 
 use fedclust_proto::Msg;
 
-/// Delivered-but-unabsorbed uploads the server holds before a further push
-/// is told `Busy`: flow control in the protocol instead of in TCP buffers,
-/// so a fleet much faster than the trainer call cannot pile a whole round
-/// of full model states into server memory.
+/// Delivered-but-unabsorbed uploads the table holds before a further push
+/// is told `Busy`. It bounds the table, not the round: the trainer call
+/// keeps every upload until settled, and `net.rs` absorbs each as it lands,
+/// so there `Busy` is never sent (the schedule test's lazy absorber sees it).
 const MAX_INFLIGHT: usize = 64;
 
 /// `(round, client)`: what names a unit on the wire and in the table.

@@ -9,6 +9,7 @@ use std::io::{BufRead, BufReader, Read};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Exit code the crash hooks use (fedclust_fl::faults::CRASH_EXIT_CODE).
@@ -75,6 +76,8 @@ struct NetProc {
     child: Child,
     addr: String,
     stderr: Arc<Mutex<String>>,
+    /// The thread keeping `stderr`; it ends when the child's stderr closes.
+    reader: JoinHandle<()>,
 }
 
 /// Spawn `bin` and wait for its discovery line; `Err` carries its stderr
@@ -90,7 +93,7 @@ fn try_spawn_listener(bin: &str, args: &[String], prefix: &str) -> Result<NetPro
     let stderr = Arc::new(Mutex::new(String::new()));
     let (tx, rx) = mpsc::channel::<String>();
     let (prefix, kept) = (prefix.to_string(), Arc::clone(&stderr));
-    std::thread::spawn(move || {
+    let reader = std::thread::spawn(move || {
         for line in lines.map_while(Result::ok) {
             if let Some(rest) = line.strip_prefix(&prefix) {
                 // Chaos prints "ADDR -> upstream"; take the first word.
@@ -109,6 +112,7 @@ fn try_spawn_listener(bin: &str, args: &[String], prefix: &str) -> Result<NetPro
             child,
             addr,
             stderr,
+            reader,
         }),
         Err(_) => {
             let _ = child.kill();
@@ -155,9 +159,29 @@ fn spawn_worker(addr: &str, extra: &[&str]) -> Child {
         .expect("spawn worker")
 }
 
-/// Wait for the server to finish and return its stdout. A server still
-/// running at `DEADLINE` is killed and reported with its stderr.
-fn finish(mut server: NetProc) -> String {
+/// The server's one `net-stats` stderr line, in the exact shape
+/// `benchmark/` parses: `[connects, redispatched, written_off, busy, dup]`.
+fn net_stats(stderr: &str) -> [u64; 5] {
+    let lines: Vec<&str> = stderr.lines().filter(|l| l.contains("net-stats")).collect();
+    let [line] = lines[..] else {
+        panic!("expected one net-stats line:\n{stderr}");
+    };
+    let digitless: String = line.chars().filter(|c| !c.is_ascii_digit()).collect();
+    assert_eq!(
+        digitless, "fedclustd: net-stats connects= redispatched= written_off= busy= dup=",
+        "malformed net-stats line: {line:?}"
+    );
+    let digits = line
+        .split(|c: char| !c.is_ascii_digit())
+        .filter(|d| !d.is_empty());
+    let values: Vec<u64> = digits.map(|d| d.parse().expect("a counter")).collect();
+    values.try_into().expect("one value per counter")
+}
+
+/// Wait for the server to finish; return its stdout and its `net-stats`
+/// counters. A server still running at `DEADLINE` is killed and reported
+/// with its stderr.
+fn finish(mut server: NetProc) -> (String, [u64; 5]) {
     let mut stdout = server.child.stdout.take().expect("stdout piped");
     let (tx, rx) = mpsc::channel::<String>();
     std::thread::spawn(move || {
@@ -174,7 +198,12 @@ fn finish(mut server: NetProc) -> String {
     };
     let status = server.child.wait().expect("server exits");
     assert!(status.success(), "server failed with {}", status);
-    stdout
+    server.reader.join().expect("stderr reader");
+    let stats = net_stats(&server.stderr.lock().unwrap());
+    let [connects, _, _, busy, _] = stats;
+    // The owner absorbs each upload as it lands, so no push is ever `Busy`.
+    assert!(connects >= 1 && busy == 0, "net-stats {stats:?}");
+    (stdout, stats)
 }
 
 /// Reap workers with a bounded grace period. Workers normally exit on the
@@ -210,7 +239,7 @@ fn assert_networked_matches(method: &str, extra: &[&str], workers: usize) {
     let fleet: Vec<Child> = (0..workers)
         .map(|_| spawn_worker(&server.addr, &[]))
         .collect();
-    let out = finish(server);
+    let (out, _) = finish(server);
     reap(fleet);
     assert_eq!(
         reference, out,
@@ -302,7 +331,7 @@ fn chaos_proxy_run_is_bit_identical() {
         spawn_worker(&chaos.addr, &[]),
         spawn_worker(&chaos.addr, &[]),
     ];
-    let out = finish(server);
+    let (out, _) = finish(server);
     reap(workers);
     let _ = chaos.child.kill();
     let _ = chaos.child.wait();
@@ -382,7 +411,7 @@ fn server_sigkill_and_resume_is_byte_identical() {
     resume_args.push("--resume".into());
     let resumed = retry_spawn(&resume_args);
     workers.push(spawn_worker(&resumed.addr, &[]));
-    let out = finish(resumed);
+    let (out, _) = finish(resumed);
     reap(workers);
     assert_eq!(reference, out, "resumed networked run diverged");
 
@@ -435,7 +464,9 @@ fn retry_spawn(args: &[String]) -> NetProc {
 /// until the crash path is actually exercised, within a bounded attempt
 /// budget. What a lost lease does to the table — death, requeue, delivery
 /// by another connection, late duplicate — is pinned without a race by
-/// `coordinator::tests::failover_delivers_once_and_drops_the_late_duplicate`.
+/// `coordinator::tests::failover_delivers_once_and_drops_the_late_duplicate`,
+/// and what the server thread makes of it (`redispatched` counted) by
+/// `net::tests::a_dead_lease_holder_fails_over_to_the_other_connection`.
 #[test]
 fn worker_death_fails_over_without_perturbing_the_run() {
     let reference = in_process("fedavg", &[]);
@@ -444,13 +475,19 @@ fn worker_death_fails_over_without_perturbing_the_run() {
         let server = spawn_server("fedavg", &[], &["--min-workers", "2"]);
         let mut doomed = spawn_worker(&server.addr, &["--die-after", "1"]);
         let survivor = spawn_worker(&server.addr, &[]);
-        let out = finish(server);
+        let (out, [_, redispatched, written_off, ..]) = finish(server);
         let status = doomed.wait().expect("doomed worker exits");
         reap(vec![survivor]);
         assert_eq!(reference, out, "worker failover perturbed the run");
         match status.code() {
-            Some(CRASH_EXIT_CODE) => return, // hook fired: failover exercised
-            Some(0) => {}                    // doomed never won a lease; re-race
+            // Hook fired: failover exercised. The doomed worker died right
+            // after its `Ack`, holding no lease: net-stats reports nothing
+            // redispatched and nothing lost.
+            Some(CRASH_EXIT_CODE) => {
+                assert_eq!((redispatched, written_off), (0, 0), "net-stats");
+                return;
+            }
+            Some(0) => {} // doomed never won a lease; re-race
             other => panic!("doomed worker exited with unexpected status {:?}", other),
         }
     }
@@ -477,8 +514,9 @@ fn worker_torn_upload_degrades_gracefully_with_telemetry() {
     let status = doomed.wait().expect("doomed worker exits");
     assert_eq!(status.code(), Some(CRASH_EXIT_CODE));
     let survivor = spawn_worker(&server.addr, &[]);
-    let out = finish(server);
+    let (out, [_, _, written_off, ..]) = finish(server);
     reap(vec![survivor]);
+    assert!(written_off >= 1, "loss not reported in net-stats");
 
     // The loss is genuine (budget 0 ⇒ no redispatch), so it must appear
     // in the deterministic telemetry as an uplink loss + injected fault.

@@ -6,7 +6,7 @@ pub const RULES: [Rule; 2] = [
         pass: Pass::File(rule_float_eq),
     },
     Rule {
-        name: "pool-discipline",
-        pass: Pass::File(pool_discipline),
+        name: "rng-stream-discipline",
+        pass: Pass::File(rule_rng_stream_discipline),
     },
 ];

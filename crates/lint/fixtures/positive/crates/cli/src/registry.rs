@@ -1,7 +1,6 @@
-//! Positive fixture: a guard held across a socket write, taken through the
-//! two acquisition forms no other fixture uses — `.read()` on a field
-//! declared once as `RwLock` (@22), and the free-fn `lock(&x)` helper,
-//! whose argument names the lock (@27) (`guard-across-blocking`).
+//! Positive fixture: `confinement`'s `no locks` row — outside the row's two
+//! homes, each line naming a lock type is a finding: the import (@7), both
+//! fields (@10, @11) and the helper's parameter (@14); `MutexGuard` is none.
 
 use std::io::Write;
 use std::net::TcpStream;

@@ -19,3 +19,7 @@ pub struct Row;
 pub fn lower(batch: &[f32], geom: &Conv2dGeom, cols: &mut [f32]) {
     conv::im2col_batch_into(batch, 1, geom, cols); // bench-only lowering @20
 }
+
+pub fn claim(next: &AtomicUsize) -> usize {
+    next.fetch_add(1, Ordering::Relaxed) // one relaxed atomic @24
+}

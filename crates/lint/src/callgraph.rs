@@ -21,7 +21,6 @@
 //! each node's call sites are kept in token order, so repeated runs walk
 //! the graph identically and produce byte-identical findings.
 
-use crate::concurrency::{self, LockSets};
 use crate::dataflow::{fn_flows, FnFlow};
 use crate::items::{Item, ItemKind};
 use crate::lexer::{text_at, TokKind, Token};
@@ -69,14 +68,13 @@ pub(crate) struct FnNode {
 }
 
 /// What a workspace rule sees, each table built once per scan: every
-/// file's analysis, the call graph over them, every file's def-use
-/// ([`fn_flows`]) and the lock-set summaries.
+/// file's analysis, the call graph over them and every file's def-use
+/// ([`fn_flows`]).
 pub struct Workspace<'a> {
     pub(crate) files: &'a [FileAnalysis],
     pub(crate) nodes: Vec<FnNode>,
     /// Per file, the def-use of each `fn` body.
     pub(crate) flows: Vec<Vec<FnFlow>>,
-    pub(crate) locksets: LockSets,
 }
 
 impl<'a> Workspace<'a> {
@@ -86,12 +84,10 @@ impl<'a> Workspace<'a> {
             let flows = files.iter().map(|fa| fn_flows(&fa.code, &fa.items));
             (build_graph(files), flows.collect())
         });
-        let locksets = timings.time("infra:lockset-engine", || concurrency::build(files, &nodes));
         Workspace {
             files,
             nodes,
             flows,
-            locksets,
         }
     }
 }

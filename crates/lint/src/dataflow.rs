@@ -1,5 +1,5 @@
-//! Per-function dataflow for `fedlint`: def-use chains over locals, an
-//! interprocedural taint engine, and the fork-join's `Relaxed` check.
+//! Per-function dataflow for `fedlint`: def-use chains over locals and an
+//! interprocedural taint engine.
 //!
 //! The engine recovers, for every `fn` body, its parameter names, its `let`
 //! bindings and plain reassignments (each with the token range of its
@@ -28,9 +28,9 @@
 use crate::callgraph::Workspace;
 use crate::items::{Item, ItemKind};
 use crate::lexer::{group_end, text_at, TokKind, Token};
-use crate::rules::{FileAnalysis, FileView};
+use crate::rules::FileAnalysis;
 use crate::Finding;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Interprocedural fixpoint passes; taint deeper than this many call hops
 /// is dropped (ambiguity policy, and a termination backstop).
@@ -1061,156 +1061,6 @@ fn sink_determinism(
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// pool-discipline
-// ---------------------------------------------------------------------------
-
-/// Atomic RMW / load / store method names whose `Ordering::Relaxed` use
-/// needs a justification pragma. Shared with [`crate::concurrency`]'s
-/// atomic-ordering-pairing scan.
-pub(crate) const ATOMIC_METHODS: [&str; 13] = [
-    "compare_exchange",
-    "compare_exchange_weak",
-    "fetch_add",
-    "fetch_and",
-    "fetch_max",
-    "fetch_min",
-    "fetch_or",
-    "fetch_sub",
-    "fetch_update",
-    "fetch_xor",
-    "load",
-    "store",
-    "swap",
-];
-
-/// `pool-discipline`: in the vendored fork-join (`vendor/rayon/src`),
-/// every non-test `Ordering::Relaxed` needs a justification pragma.
-pub(crate) fn pool_discipline(f: &FileView<'_>, out: &mut Vec<Finding>) {
-    let code = f.code;
-    if !f.ctx.rel_path.starts_with("vendor/rayon/") {
-        return;
-    }
-    for k in 0..code.len() {
-        if !(text_at(code, k) == "Ordering"
-            && text_at(code, k + 1) == "::"
-            && text_at(code, k + 2) == "Relaxed")
-        {
-            continue;
-        }
-        let line = code[k + 2].line;
-        if f.in_test(line) {
-            continue;
-        }
-        // Name the atomic op for the message: walk back to the enclosing
-        // `field.method(` if it is nearby.
-        let mut what = String::from("an atomic operation");
-        for m in (k.saturating_sub(12)..k).rev() {
-            let t = &code[m];
-            if t.kind == TokKind::Ident
-                && ATOMIC_METHODS.contains(&t.text.as_str())
-                && text_at(code, m + 1) == "("
-            {
-                if m >= 2 && text_at(code, m - 1) == "." {
-                    if let Some(field) = code.get(m - 2).filter(|p| p.kind == TokKind::Ident) {
-                        what = format!("`{}.{}`", field.text, t.text);
-                        break;
-                    }
-                }
-                what = format!("`{}`", t.text);
-                break;
-            }
-        }
-        f.push(
-            out,
-            line,
-            format!(
-                "`Ordering::Relaxed` on {what} without a justification pragma; state-machine \
-                 atomics need Acquire/Release, or a `// fedlint::allow(pool-discipline): …` \
-                 stating why reordering is harmless"
-            ),
-        );
-    }
-}
-
-/// Deterministic DFS path from `from` to `to` in the lock graph. Used by
-/// [`crate::concurrency`]'s global cycle detection.
-pub(crate) fn find_path<'a>(
-    adj: &BTreeMap<&'a str, BTreeSet<&'a str>>,
-    from: &'a str,
-    to: &str,
-) -> Option<Vec<&'a str>> {
-    let mut stack = vec![vec![from]];
-    let mut seen: BTreeSet<&str> = BTreeSet::new();
-    while let Some(path) = stack.pop() {
-        let cur = *path.last()?;
-        if cur == to {
-            return Some(path);
-        }
-        if !seen.insert(cur) {
-            continue;
-        }
-        if let Some(nexts) = adj.get(cur) {
-            // Reverse so the lexicographically smallest neighbour pops first.
-            for n in nexts.iter().rev() {
-                let mut p = path.clone();
-                p.push(n);
-                stack.push(p);
-            }
-        }
-    }
-    None
-}
-
-/// The receiver field/local of a `.lock()` call: the identifier ending the
-/// postfix chain before the dot at `dot`.
-pub(crate) fn receiver_name(code: &[Token], dot: usize) -> Option<String> {
-    let mut j = dot.checked_sub(1)?;
-    if text_at(code, j) == "]" {
-        // Skip the index group: `slots[i].lock()`.
-        j = code.get(j)?.pair?.checked_sub(1)?;
-    }
-    code.get(j)
-        .filter(|t| t.kind == TokKind::Ident && t.text != "self")
-        .map(|t| t.text.clone())
-}
-
-/// The last identifier inside a call's argument group — for the free-fn
-/// form `lock(&self.queue)`, that names the Mutex field.
-pub(crate) fn last_ident_in_group(code: &[Token], open: usize) -> Option<String> {
-    code.get(open + 1..group_end(code, open))?
-        .iter()
-        .rev()
-        .find(|t| t.kind == TokKind::Ident && t.text != "self" && t.text != "mut")
-        .map(|t| t.text.clone())
-}
-
-/// Was the acquisition at token `k` bound by a `let` in the same statement?
-/// Returns the bound variable name.
-pub(crate) fn let_bound_var(code: &[Token], k: usize) -> Option<String> {
-    let floor = k.saturating_sub(16);
-    let mut j = k;
-    while j > floor {
-        j -= 1;
-        match text_at(code, j) {
-            ";" | "{" | "}" => return None,
-            "let" => {
-                let name = code
-                    .get(j + 1)
-                    .filter(|t| t.text == "mut")
-                    .map(|_| j + 2)
-                    .unwrap_or(j + 1);
-                return code
-                    .get(name)
-                    .filter(|t| t.kind == TokKind::Ident && is_local_name(&t.text))
-                    .map(|t| t.text.clone());
-            }
-            _ => {}
-        }
-    }
-    None
 }
 
 #[cfg(test)]

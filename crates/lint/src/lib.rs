@@ -3,8 +3,8 @@
 //! Bit-identical replay under fault injection is the workspace's
 //! load-bearing guarantee, and most invariants behind it (disciplined RNG
 //! stream construction, checked codec arithmetic, no clock or hasher state
-//! in replayed values, a cycle-free lock order) are nothing a stock linter
-//! knows. This crate enforces them
+//! in replayed values, each architectural shape in its one home) are
+//! nothing a stock linter knows. This crate enforces them
 //! mechanically: a from-scratch, comment/string/char-literal-aware
 //! lexer ([`lexer`]) feeds a set of named rules ([`rules`]) over every
 //! `crates/*/src` and `vendor/*/src` file, and the driver here renders
@@ -27,15 +27,15 @@
 //! in each. Pass one runs the per-file rules and records each file's
 //! structure ([`rules::FileAnalysis`]: items from [`items`], tokens,
 //! pragmas). Pass two ([`callgraph::global_findings`]) builds the
-//! approximate intra-workspace call graph and the [`concurrency`] lock-set
-//! summaries over every analysis and runs the workspace rules on them
-//! (stream collisions, the [`dataflow`] taint rules, lock order, guards,
-//! atomics). A justified finding is parked where it occurs,
-//! by a `fedlint::allow` pragma with a written reason; there is no other
-//! exemption mechanism.
+//! approximate intra-workspace call graph over every analysis and runs the
+//! workspace rules on it (stream collisions, the [`dataflow`] taint rules).
+//! Concurrency needs no rule: one thread owns `fedclustd`'s lease table, so
+//! the compiler's `Send`/`Sync` checks and two `confinement` rows (locks and
+//! `Relaxed` atomics only in their homes) are the whole gate. A justified
+//! finding is parked where it occurs, by a `fedlint::allow` pragma with a
+//! written reason; there is no other exemption mechanism.
 
 pub mod callgraph;
-pub mod concurrency;
 pub mod dataflow;
 pub mod items;
 pub mod lexer;
@@ -48,9 +48,9 @@ use std::time::{Duration, Instant};
 
 /// Per-rule and per-stage wall time of one scan (the JSON report's
 /// `timings_ms`). Keys are the [`rules::RULES`] names plus the `infra:*`
-/// stages (parse, callgraph, lock-set engine); durations accumulate across
-/// files. Always collected — a handful of clock reads per file — and kept
-/// apart from [`Report`], whose bytes must not depend on the clock.
+/// stages (parse, callgraph); durations accumulate across files. Always
+/// collected — a handful of clock reads per file — and kept apart from
+/// [`Report`], whose bytes must not depend on the clock.
 #[derive(Debug, Default)]
 pub struct Timings {
     /// Accumulated wall time per key, sorted by key.
@@ -117,8 +117,8 @@ fn src_roots(parent: &Path) -> Result<Vec<PathBuf>, String> {
 }
 
 /// Scan every `crates/*/src/**/*.rs` — plus `vendor/*/src/**/*.rs` when a
-/// `vendor/` directory exists (the fork-join's concurrency protocol is
-/// linted too), and for [`rules::Pass::FileAndTests`] the test trees — under
+/// `vendor/` directory exists (the vendored crates keep the workspace's
+/// invariants too), and for [`rules::Pass::FileAndTests`] the test trees — under
 /// `root`, the directory containing `crates/`, and return the sorted report
 /// with the scan's wall-time accounting.
 pub fn scan_workspace(root: &Path) -> Result<(Report, Timings), String> {

@@ -19,8 +19,7 @@
 //! is itself a finding (`pragma-syntax`) and suppresses nothing.
 
 use crate::callgraph::{self, Workspace};
-use crate::concurrency;
-use crate::dataflow::{determinism_spec, pool_discipline, taint_findings, untrusted_input_spec};
+use crate::dataflow::{determinism_spec, taint_findings, untrusted_input_spec};
 use crate::items::{parse_items, Item, ItemKind};
 use crate::lexer::{code_stream, group_end, lex, text_at, TokKind, Token};
 use crate::{Finding, Timings};
@@ -41,23 +40,13 @@ pub enum Pass {
     File(fn(&FileView<'_>, &mut Vec<Finding>)),
     /// As `File`, and on the test trees (`tests/`, `crates/*/tests/`) too.
     FileAndTests(fn(&FileView<'_>, &mut Vec<Finding>)),
-    /// Once per scan, on every file's analysis and the lock-set summaries.
+    /// Once per scan, on every file's analysis and the call graph over them.
     Workspace(fn(&Workspace<'_>, &mut Vec<Finding>)),
 }
 
 /// Every rule, sorted by name. The single source for `fedlint --explain`,
 /// and the README rule list is tested against it (`tests/explain.rs`).
-pub const RULES: [Rule; 12] = [
-    Rule {
-        name: "atomic-ordering-pairing",
-        doc: "Every Release/AcqRel store side on an atomic field must have a matching \
-         Acquire/AcqRel/SeqCst load side on the same field at some other non-test site in the \
-         workspace, and vice versa — a release edge with no acquire (or the reverse) \
-         synchronizes nothing and usually marks a missing or misordered partner. SeqCst \
-         satisfies either side without demanding one; Relaxed is pool-discipline's business \
-         (justification pragma).",
-        pass: Pass::Workspace(concurrency::atomic_ordering_pairing),
-    },
+pub const RULES: [Rule; 8] = [
     Rule {
         name: "atomic-write-discipline",
         doc: "Persisted state must be written atomically: tmp file, write, fsync, rename. A bare \
@@ -75,8 +64,8 @@ pub const RULES: [Rule; 12] = [
     Rule {
         name: "confinement",
         doc: "A token shape the architecture keeps in one place stays there: each `CONFINED` row \
-         names a shape of code tokens, the files it reads, its home (one file, once per `const` \
-         table, or nowhere) and whether test code counts; see DESIGN.md §8 for the eight rows.",
+         names a shape of code tokens, the files it reads, its home (some files, once per `const` \
+         table, or nowhere) and whether test code counts; see DESIGN.md §8 for the ten rows.",
         pass: Pass::FileAndTests(rule_confinement),
     },
     Rule {
@@ -91,32 +80,6 @@ pub const RULES: [Rule; 12] = [
         doc: "No exact float equality (`==`/`!=` on floats) without an explicit waiver; \
          almost-equal comparisons must use an epsilon or bit-exact intent must be documented.",
         pass: Pass::File(rule_float_eq),
-    },
-    Rule {
-        name: "guard-across-blocking",
-        doc: "No Mutex/RwLock guard may be live across a blocking operation — socket \
-         read/write/accept/flush, channel recv, thread::sleep/park, a parallel map's fork-join \
-         (`run_indexed`, `thread::scope`), or a Condvar wait on a different mutex (the wait's own guard is exempt: the condvar \
-         releases it atomically). Interprocedural: holding a guard across a call whose callee \
-         (transitively) blocks is reported with the full file:line chain.",
-        pass: Pass::Workspace(concurrency::guard_across_blocking),
-    },
-    Rule {
-        name: "lock-order-global",
-        doc: "The workspace-global lock acquisition-order graph must be cycle-free. Lock identity \
-         is tracked by declaration site; held-lock sets propagate along the call graph to a \
-         fixpoint, so a lock acquired in one file and held across calls into another still \
-         produces edges. Every edge on a cycle is reported with the full acquisition chain \
-         (lock A at file:line -> call f -> lock B at file:line), and re-acquiring a held lock \
-         (directly or through a call chain) is a self-deadlock finding.",
-        pass: Pass::Workspace(concurrency::lock_order_global),
-    },
-    Rule {
-        name: "pool-discipline",
-        doc: "The vendored fork-join's concurrency protocol: every Ordering::Relaxed on an \
-         atomic needs a justification pragma stating why reordering is harmless; state-machine \
-         atomics want Acquire/Release.",
-        pass: Pass::File(pool_discipline),
     },
     Rule {
         name: "rng-stream-collision",
@@ -661,26 +624,26 @@ pub struct Confined {
 pub enum Home {
     /// Nowhere in scope.
     Nowhere,
-    /// Anywhere in this one file.
-    File(&'static str),
+    /// Anywhere in these files.
+    Files(&'static [&'static str]),
     /// Once per `const` whose name, or type, starts with this token run.
     Const(&'static [&'static str]),
 }
 
 /// The `confinement` rows, one per invariant.
 #[rustfmt::skip]
-pub const CONFINED: [Confined; 8] = [
+pub const CONFINED: [Confined; 10] = [
     Confined { name: "one byte layer",
         pattern: |c, i| c[i].kind == TokKind::Int && c[i].text.replace('_', "").contains("cbf29ce4"),
-        scope: &["crates/", "tests/"], home: Home::File("crates/proto/src/bytes.rs"), tests: true,
+        scope: &["crates/", "tests/"], home: Home::Files(&["crates/proto/src/bytes.rs"]), tests: true,
         message: "the FNV-1a offset basis is proto::bytes' checksum; seal through `bytes::seal`" },
     Confined { name: "one upload rule",
         pattern: |c, i| runs(c, i, &[&["BaseCodec", "::"], &["codec", ".", "is_none", "("], &["codec", "(", ")", ".", "is_none", "("]]),
-        scope: &["crates/"], home: Home::File("crates/fl/src/codec.rs"), tests: false,
+        scope: &["crates/"], home: Home::Files(&["crates/fl/src/codec.rs"]), tests: false,
         message: "ask `fl::codec` (`upload`, `CodecSpec::keeps_residual`) instead" },
     Confined { name: "one door to clients",
         pattern: |c, i| runs(c, i, &[&["sample_clients", "("], &[".", "broadcast", "("], &[".", "train_remote", "("]]),
-        scope: &["crates/"], home: Home::File("crates/fl/src/driver.rs"), tests: false,
+        scope: &["crates/"], home: Home::Files(&["crates/fl/src/driver.rs"]), tests: false,
         message: "reach clients through `fl::driver::RoundCtx` (`train_round`, `train_groups`, `train_clusters`, `on_clients` …)" },
     Confined { name: "no serde",
         pattern: |c, i| runs(c, i, &[&["Serialize"], &["Deserialize"]]),
@@ -704,6 +667,14 @@ pub const CONFINED: [Confined; 8] = [
             || (PAR_ENTRY_POINTS.contains(&c[i].text.as_str()) && text_at(c, i + 1) == "("),
         scope: &["crates/tensor/src/", "crates/nn/src/", "crates/data/src/", "crates/cluster/src/"], home: Home::Nowhere, tests: false,
         message: "a kernel runs on the thread that calls it; fork in the map over clients or proximity rows above it" },
+    Confined { name: "no locks",
+        pattern: |c, i| c[i].kind == TokKind::Ident && matches!(c[i].text.as_str(), "Mutex" | "RwLock" | "Condvar"),
+        scope: &["crates/", "vendor/"], home: Home::Files(&["vendor/rayon/src/iter.rs", "crates/cli/src/chaos.rs"]), tests: false,
+        message: "one thread owns shared state and the others send it events on a channel, as `cli::net`'s lease table does" },
+    Confined { name: "one relaxed atomic",
+        pattern: |c, i| runs(c, i, &[&["Ordering", "::", "Relaxed"]]),
+        scope: &["crates/", "vendor/"], home: Home::Files(&["vendor/rayon/src/pool.rs"]), tests: false,
+        message: "`Relaxed` orders nothing; the fork-join's claim counter is its one site, with the reason beside it" },
 ];
 
 /// Does one of the token runs in `runs` start at code token `i`?
@@ -738,7 +709,7 @@ fn rule_confinement(f: &FileView<'_>, out: &mut Vec<Finding>) {
             }
             let home = match row.home {
                 Home::Nowhere => false,
-                Home::File(home) => home == path,
+                Home::Files(homes) => homes.contains(&path),
                 Home::Const(_) => table.is_some_and(|(k, _)| spelled.insert((k, &t.text))),
             };
             if !home {

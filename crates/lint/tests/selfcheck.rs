@@ -69,38 +69,52 @@ fn confined_per_row(rel_path: &str, src: &str) -> Vec<usize> {
     CONFINED.iter().map(count).collect()
 }
 
-/// No `confinement` row may guard nothing: each row with a home matches at
-/// least once inside it, so a renamed home file, method or flag table
-/// cannot empty a row silently. Each file is scanned twice: as it is, and
-/// homeless — moved off its path (a suffix keeps it in every scope) with
-/// its `const`s turned into `static`s. The findings only the homeless scan
-/// reports are the matches that sat in a home.
+/// No `confinement` row may guard nothing: each home holds at least one of
+/// its row's matches — every home file of a row, and at least one `const`
+/// table — so a renamed home file, method or flag table cannot empty a row
+/// silently. Each file of `crates/` and `vendor/` is scanned twice: as it
+/// is, and homeless — moved off its path (a suffix keeps it in every scope)
+/// with its `const`s turned into `static`s. The findings only the homeless
+/// scan reports are the matches that sat in a home.
 #[test]
 fn every_confinement_home_holds_a_match() {
     let root = workspace_root();
     let mut files = Vec::new();
     rs_files(&root.join("crates"), &mut files);
-    let mut in_home = vec![0; CONFINED.len()];
+    rs_files(&root.join("vendor"), &mut files);
+    // Per row, the files holding a match in a home.
+    let mut in_home = vec![Vec::new(); CONFINED.len()];
     for file in &files {
         let rel = file
             .strip_prefix(&root)
             .expect("under the root")
-            .to_string_lossy();
+            .to_string_lossy()
+            .into_owned();
         let src = std::fs::read_to_string(file).expect("readable source");
         let here = confined_per_row(&rel, &src);
         let homeless = confined_per_row(&format!("{rel}~"), &src.replace("const ", "static "));
-        for (hits, (away, at_home)) in in_home.iter_mut().zip(homeless.iter().zip(&here)) {
-            *hits += away - at_home;
+        for (homes, (away, at_home)) in in_home.iter_mut().zip(homeless.iter().zip(&here)) {
+            if away > at_home {
+                homes.push(rel.clone());
+            }
         }
     }
-    for (row, hits) in CONFINED.iter().zip(in_home) {
-        if !matches!(row.home, Home::Nowhere) {
-            assert!(
-                hits > 0,
-                "`{}` matches nowhere in its home: it guards nothing",
-                row.name
-            );
-        }
+    for (row, homes) in CONFINED.iter().zip(in_home) {
+        let missing: Vec<&str> = match row.home {
+            Home::Nowhere => Vec::new(),
+            Home::Const(_) if homes.is_empty() => vec!["its `const` table"],
+            Home::Const(_) => Vec::new(),
+            Home::Files(files) => files
+                .iter()
+                .copied()
+                .filter(|f| !homes.iter().any(|h| h == f))
+                .collect(),
+        };
+        assert!(
+            missing.is_empty(),
+            "`{}` matches nowhere in {missing:?}: that home guards nothing",
+            row.name
+        );
     }
 }
 

@@ -22,8 +22,9 @@ echo "== fedlint =="
 # Scans crates/*/src, vendor/*/src and, for confinement's one-place rows,
 # the test trees; the crate's own suite pins every fixture line, every RULES
 # row's fixtures, and a match in every confinement row's home.
-# The workspace-global lock-set fixpoint must stay cheap enough to gate
-# every PR, so the scan gets a generous-but-real wall-time budget. The
+# The workspace-global call graph and taint fixpoints must stay cheap
+# enough to gate every PR, so the scan gets a generous-but-real wall-time
+# budget. The
 # root build above does not build `lint`; build it first, off the clock,
 # so the budget times the scan alone.
 lint_budget_s=120
@@ -33,7 +34,7 @@ lint_start=$(date +%s)
 lint_elapsed=$(($(date +%s) - lint_start))
 echo "fedlint: --deny completed in ${lint_elapsed}s (budget ${lint_budget_s}s)"
 if [ "$lint_elapsed" -ge "$lint_budget_s" ]; then
-    echo "fedlint: workspace scan blew its ${lint_budget_s}s budget — the lock-set engine (or a rule) has a perf regression" >&2
+    echo "fedlint: workspace scan blew its ${lint_budget_s}s budget — the call graph, the taint engine or a rule has a perf regression" >&2
     exit 1
 fi
 cargo test -q -p lint
@@ -143,8 +144,9 @@ echo "== equivalence vs the parent commit (non-gating) =="
 scripts/equiv_vs.sh HEAD~1 || echo "equiv_vs: differs from HEAD~1 (non-gating)"
 
 echo "== thread sanitizer (best effort) =="
-# Dynamic double-check of the pool and wire suites when a nightly
-# toolchain with TSan support is available; exits 0 with a skip message
-# otherwise, and never gates the pipeline either way — fedlint's static
-# concurrency rules are the gate.
+# Dynamic double-check of the pool, wire and server-owner suites when a
+# nightly toolchain with TSan support is available; exits 0 with a skip
+# message otherwise, and never gates the pipeline either way — the gate is
+# the compiler (Send/Sync) plus fedlint's `no locks` and `one relaxed
+# atomic` confinement rows.
 scripts/tsan.sh || echo "tsan: failed (non-gating)"

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Best-effort ThreadSanitizer pass over the concurrency-heavy suites: the
 # scoped fork-join behind every parallel map (vendor/rayon, including the
-# schedule-stress tests) and the networked-federation wire tests. TSan
+# schedule-stress tests), the networked-federation wire tests, and the
+# fedclust-cli library suites (fedclustd's owner thread and its lease
+# table). TSan
 # needs a nightly toolchain with `-Zsanitizer=thread` plus the rebuilt std
 # (`-Zbuild-std`); the pinned CI container ships stable only, so this
 # script probes for support and exits 0 with a skip message when it's
-# absent. fedlint's static concurrency rules (lock-order-global,
-# guard-across-blocking, atomic-ordering-pairing) remain the always-on
-# gate; TSan is the dynamic double-check wherever the toolchain allows it.
+# absent. The always-on gate is the compiler (Send/Sync) plus fedlint's
+# `no locks` and `one relaxed atomic` confinement rows; TSan is the dynamic
+# double-check wherever the toolchain allows it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -37,7 +39,7 @@ if ! rustup component list --toolchain nightly 2>/dev/null | grep -q '^rust-src 
     skip "nightly rust-src component not installed (needed for -Zbuild-std)"
 fi
 
-echo "tsan: running rayon + proto suites under ThreadSanitizer ($host)"
+echo "tsan: running rayon + proto + cli suites under ThreadSanitizer ($host)"
 export RUSTFLAGS="-Zsanitizer=thread"
 export RUSTDOCFLAGS="-Zsanitizer=thread"
 # A dedicated target dir keeps sanitized artifacts out of the normal cache.
@@ -46,5 +48,6 @@ export TSAN_OPTIONS="halt_on_error=1"
 
 cargo +nightly test -Zbuild-std --target "$host" -q -p rayon
 cargo +nightly test -Zbuild-std --target "$host" -q -p fedclust-proto
+cargo +nightly test -Zbuild-std --target "$host" -q -p fedclust-cli --lib
 
 echo "tsan: clean"
