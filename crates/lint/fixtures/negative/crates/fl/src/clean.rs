@@ -4,10 +4,6 @@
 //! raw strings, char literals, comments, or test code, or carries a valid
 //! allow pragma.
 
-pub mod streams {
-    pub const SAMPLING: u64 = 5;
-}
-
 // Mentions in comments are fine: unwrap(), HashMap, unsafe, panic!, == 1.0
 
 pub fn strings_hide_everything() -> (usize, char, &'static str) {

@@ -1,10 +1,5 @@
-//! Negative fixture: distinct RNG streams per scope. The `streams`
-//! constants here must not collide with `clean.rs`'s. Zero findings.
-
-pub mod streams {
-    pub const ROUND: u64 = 1;
-    pub const CLIENT: u64 = 2;
-}
+//! Negative fixture: distinct RNG streams per scope, each a label of the
+//! one `streams` table (`tensor/src/rng.rs`). Zero findings.
 
 pub fn two_streams(seed: u64, round: u64) {
     let _a = derive(seed, &[streams::ROUND, round]);

@@ -1,7 +1,7 @@
 //! Positive fixture: RNG stream collisions — a duplicated constant value
 //! and a re-consumed stream slice in one scope.
 
-pub mod streams {
+pub mod streams { // confinement @4 (a `streams` table outside `tensor/src/rng.rs`)
     pub const ALPHA: u64 = 3;
     pub const BETA: u64 = 3; // rng-stream-collision @6 (value collides with ALPHA)
 }

@@ -1,5 +1,5 @@
-//! Seeded `untrusted-input-taint` violations: a length read from disk
-//! flows through two calls into allocation, arithmetic, and indexing.
+//! Seeded `two doors for hostile bytes` violation: bytes read from disk
+//! (line 5) outside the two decoders whose arithmetic is held checked.
 
 pub fn load_report(path: &std::path::Path) -> Vec<u8> {
     let raw = std::fs::read(path).unwrap_or_default();

@@ -1,5 +1,5 @@
-//! Seeded `determinism-taint` violations: wall-clock readings flow through
-//! a helper's return value into replayed state and a seed derivation.
+//! Seeded `no clocks` violations: wall-clock readings (lines 18 and 23)
+//! that would reach replayed state and a seed derivation.
 
 pub struct RunResult {
     pub wall_ms: u64,

@@ -1,22 +1,20 @@
 //! A lightweight item parser on top of the lexer.
 //!
-//! `fedlint`'s call graph and structural rules (codec arithmetic
-//! discipline, atomic-write discipline) need to know *which function* a
-//! token belongs to, not just which line. This module recovers exactly that
-//! much structure from the token stream: `fn` / `mod` / `impl` boundaries,
-//! in-file module paths, the enclosing `impl` type of methods, and
-//! `#[cfg(test)]` membership. It is not a Rust parser — generics,
-//! expressions, and patterns are skipped with brace/paren matching — and it
-//! shares the lexer's robustness contract: never panics, never loops
-//! forever, degrades to a best-effort item list on invalid input (pinned by
-//! property tests over byte soup).
+//! `fedlint`'s structural rules (codec arithmetic discipline, atomic-write
+//! discipline, RNG stream collisions) need to know *which function* a token
+//! belongs to, not just which line. This module recovers exactly that much
+//! structure from the token stream: `fn` / `mod` / `impl` boundaries, the
+//! enclosing `impl` type of methods, and `#[cfg(test)]` membership. It is
+//! not a Rust parser — generics, expressions, and patterns are skipped with
+//! brace/paren matching — and it shares the lexer's robustness contract:
+//! never panics, never loops forever, degrades to a best-effort item list
+//! on invalid input (pinned by property tests over byte soup).
 //!
 //! Body spans are expressed as indices into the *code* token slice (comments
 //! filtered out) that was parsed: `body = Some((open, close))` brackets the
 //! `{` and its matching `}`. Spans of distinct items never partially
-//! overlap: they are either disjoint or strictly nested, which the
-//! call-graph builder relies on to carve nested `fn` bodies out of their
-//! parent's span.
+//! overlap: they are either disjoint or strictly nested, which the rules
+//! rely on to carve nested `fn` bodies out of their parent's span.
 
 use crate::lexer::{group_end, TokKind, Token};
 
@@ -40,8 +38,6 @@ pub struct Item {
     pub kind: ItemKind,
     /// Function name, module name, or impl self-type name.
     pub name: String,
-    /// Names of the enclosing inline modules, outermost first.
-    pub module: Vec<String>,
     /// For `Fn` items inside an `impl` block: the self type's name.
     pub impl_type: Option<String>,
     /// Declared inside a `#[cfg(test)]` region or under `#[test]`.
@@ -74,7 +70,6 @@ pub fn parse_items(code: &[Token], in_test: &[bool]) -> Vec<Item> {
         in_test,
         items: Vec::new(),
         stack: Vec::new(),
-        mods: Vec::new(),
         impls: Vec::new(),
     }
     .run()
@@ -91,7 +86,6 @@ struct Parser<'a> {
     in_test: &'a [bool],
     items: Vec<Item>,
     stack: Vec<Frame>,
-    mods: Vec<String>,
     impls: Vec<String>,
 }
 
@@ -128,14 +122,8 @@ impl Parser<'_> {
             body.1 = close_idx;
         }
         self.items[idx].end_line = close_line;
-        match kind {
-            ItemKind::Mod => {
-                self.mods.pop();
-            }
-            ItemKind::Impl => {
-                self.impls.pop();
-            }
-            ItemKind::Fn => {}
+        if kind == ItemKind::Impl {
+            self.impls.pop();
         }
     }
 
@@ -154,8 +142,7 @@ impl Parser<'_> {
                         let idx = self.items.len();
                         self.items.push(Item {
                             kind: ItemKind::Mod,
-                            name: name.clone(),
-                            module: self.mods.clone(),
+                            name,
                             impl_type: None,
                             is_test: self.tested(decl_line),
                             decl_line,
@@ -163,7 +150,6 @@ impl Parser<'_> {
                             end_line: self.line(i + 2),
                         });
                         self.open_item(idx);
-                        self.mods.push(name);
                         i += 3;
                     } else {
                         i += 2;
@@ -189,7 +175,6 @@ impl Parser<'_> {
                     let mut item = Item {
                         kind: ItemKind::Fn,
                         name,
-                        module: self.mods.clone(),
                         impl_type: self.impls.last().cloned(),
                         is_test: self.tested(decl_line),
                         decl_line,
@@ -218,7 +203,6 @@ impl Parser<'_> {
                         self.items.push(Item {
                             kind: ItemKind::Impl,
                             name: name.clone(),
-                            module: self.mods.clone(),
                             impl_type: None,
                             is_test: self.tested(decl_line),
                             decl_line,
@@ -350,15 +334,21 @@ mod tests {
     }
 
     #[test]
-    fn module_paths_nest() {
-        let src = "mod outer {\n    pub mod inner {\n        fn deep() {}\n    }\n    fn shallow() {}\n}\nfn top() {}\n";
+    fn inline_modules_span_their_items() {
+        let src = "mod decl;\nmod outer {\n    pub mod inner {\n        fn deep() {}\n    }\n    fn shallow() {}\n}\nfn top() {}\n";
         let items = items_of(src);
-        let deep = items.iter().find(|i| i.name == "deep").unwrap();
-        assert_eq!(deep.module, vec!["outer", "inner"]);
-        let shallow = items.iter().find(|i| i.name == "shallow").unwrap();
-        assert_eq!(shallow.module, vec!["outer"]);
-        let top = items.iter().find(|i| i.name == "top").unwrap();
-        assert!(top.module.is_empty());
+        let span = |name: &str| items.iter().find(|i| i.name == name).unwrap().body.unwrap();
+        let inside = |inner: &str, outer: &str| {
+            let ((s1, e1), (s0, e0)) = (span(inner), span(outer));
+            s0 < s1 && e1 < e0
+        };
+        assert!(
+            items.iter().all(|i| i.name != "decl"),
+            "`mod decl;` is no item"
+        );
+        assert!(inside("deep", "inner") && inside("inner", "outer"));
+        assert!(inside("shallow", "outer") && !inside("shallow", "inner"));
+        assert!(!inside("top", "outer"));
     }
 
     #[test]

@@ -23,20 +23,16 @@
 //! order, findings are sorted by `(file, line, rule, message)`, and the JSON
 //! emitter is hand-rolled with sorted keys — repeated runs are byte-identical.
 //!
-//! Scanning is two-pass, and [`rules::RULES`] is the one list of what runs
-//! in each. Pass one runs the per-file rules and records each file's
-//! structure ([`rules::FileAnalysis`]: items from [`items`], tokens,
-//! pragmas). Pass two ([`callgraph::global_findings`]) builds the
-//! approximate intra-workspace call graph over every analysis and runs the
-//! workspace rules on it (stream collisions, the [`dataflow`] taint rules).
-//! Concurrency needs no rule: one thread owns `fedclustd`'s lease table, so
-//! the compiler's `Send`/`Sync` checks and two `confinement` rows (locks and
-//! `Relaxed` atomics only in their homes) are the whole gate. A justified
-//! finding is parked where it occurs, by a `fedlint::allow` pragma with a
-//! written reason; there is no other exemption mechanism.
+//! Scanning is one pass: each file is lexed once, its items recovered
+//! ([`items`]), and every rule of [`rules::RULES`] that reads its tree runs
+//! on it ([`rules::analyze_source`]); no rule needs a second file. What the
+//! workspace keeps in one place — clocks, the reads that take in hostile
+//! bytes, the RNG stream table, locks, `Relaxed` atomics and the rest — is
+//! a `confinement` row naming its home files, and the compiler's
+//! `Send`/`Sync` checks are the whole concurrency gate. A justified finding
+//! is parked where it occurs, by a `fedlint::allow` pragma with a written
+//! reason; there is no other exemption mechanism.
 
-pub mod callgraph;
-pub mod dataflow;
 pub mod items;
 pub mod lexer;
 pub mod rules;
@@ -47,8 +43,8 @@ use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Per-rule and per-stage wall time of one scan (the JSON report's
-/// `timings_ms`). Keys are the [`rules::RULES`] names plus the `infra:*`
-/// stages (parse, callgraph); durations accumulate across files. Always
+/// `timings_ms`). Keys are the [`rules::RULES`] names plus the
+/// `infra:parse` stage; durations accumulate across files. Always
 /// collected — a handful of clock reads per file — and kept apart from
 /// [`Report`], whose bytes must not depend on the clock.
 #[derive(Debug, Default)]
@@ -133,8 +129,7 @@ pub fn scan_workspace(root: &Path) -> Result<(Report, Timings), String> {
     }
     let trees = crate_dirs.iter().map(|d| (d.join("src"), false));
 
-    // Pass one: the per-file rules plus structure recovery.
-    let (mut analyses, mut findings, mut files_scanned) = (Vec::new(), Vec::new(), 0);
+    let (mut findings, mut files_scanned) = (Vec::new(), 0);
     for (dir, test_tree) in trees.chain(tests.into_iter().map(|d| (d, true))) {
         let crate_name = (dir.parent().filter(|p| *p != root))
             .and_then(Path::file_name)
@@ -155,16 +150,9 @@ pub fn scan_workspace(root: &Path) -> Result<(Report, Timings), String> {
                 is_bin,
                 test_tree,
             };
-            let mut analysis = rules::analyze_source(&ctx, &src, &mut timings);
-            findings.append(&mut analysis.findings);
-            if !test_tree {
-                analyses.push(analysis);
-            }
+            findings.extend(rules::analyze_source(&ctx, &src, &mut timings));
         }
     }
-
-    // Pass two: the workspace rules over every source file's structure.
-    findings.extend(callgraph::global_findings(&analyses, &mut timings));
     findings.sort();
     findings.dedup();
     let report = Report {

@@ -1,14 +1,13 @@
-//! The `fedlint` rules: [`RULES`] is the one table of them, and the
-//! per-file ones live here.
+//! The `fedlint` rules: [`RULES`] is the one table of them, and every rule
+//! lives here.
 //!
 //! Every rule protects a named workspace invariant (DESIGN.md §8). A row of
 //! [`RULES`] states what a rule is, once: its name, its `--explain` text,
-//! and the function that runs it — per file ([`Pass::File`], from
-//! [`analyze_source`]; [`Pass::FileAndTests`]) or over the whole workspace
-//! ([`Pass::Workspace`], from [`crate::callgraph::global_findings`]). The
-//! sorted name list, the pragma validator, the report's `counts` and
-//! `timings_ms` keys and both run loops are derived from the table; adding a
-//! rule is one row plus its fixtures.
+//! and the function that runs it on one file's tokens and items, from
+//! [`analyze_source`] — on the source trees ([`Pass::File`]) or on the test
+//! trees too ([`Pass::FileAndTests`]). The sorted name list, the pragma
+//! validator, the report's `counts` and `timings_ms` keys and the run loop
+//! are derived from the table; adding a rule is one row plus its fixtures.
 //!
 //! Exemptions are granted per line by a pragma comment:
 //! `// fedlint::allow(<rule>): <reason>` — the reason is mandatory, and the
@@ -18,11 +17,10 @@
 //! one clippy now checks (its sites carry `#[expect(clippy::…, reason)]`) —
 //! is itself a finding (`pragma-syntax`) and suppresses nothing.
 
-use crate::callgraph::{self, Workspace};
-use crate::dataflow::{determinism_spec, taint_findings, untrusted_input_spec};
 use crate::items::{parse_items, Item, ItemKind};
 use crate::lexer::{code_stream, group_end, lex, text_at, TokKind, Token};
 use crate::{Finding, Timings};
+use std::collections::BTreeMap;
 
 /// One rule: what it is called, what `--explain` says, and how it runs.
 pub struct Rule {
@@ -30,23 +28,22 @@ pub struct Rule {
     pub name: &'static str,
     /// The `--explain` text.
     pub doc: &'static str,
-    /// Which pass runs the rule, and the function that does.
+    /// Which trees the rule reads, and the function that runs it.
     pub pass: Pass,
 }
 
-/// When a rule runs, and on what.
+/// Which trees a rule reads; either way it runs once per file, on that
+/// file's tokens, items and line facts.
 pub enum Pass {
-    /// Once per source file, on that file's tokens, items and line facts.
+    /// The source trees (`crates/*/src`, `vendor/*/src`).
     File(fn(&FileView<'_>, &mut Vec<Finding>)),
-    /// As `File`, and on the test trees (`tests/`, `crates/*/tests/`) too.
+    /// As `File`, and the test trees (`tests/`, `crates/*/tests/`) too.
     FileAndTests(fn(&FileView<'_>, &mut Vec<Finding>)),
-    /// Once per scan, on every file's analysis and the call graph over them.
-    Workspace(fn(&Workspace<'_>, &mut Vec<Finding>)),
 }
 
 /// Every rule, sorted by name. The single source for `fedlint --explain`,
 /// and the README rule list is tested against it (`tests/explain.rs`).
-pub const RULES: [Rule; 8] = [
+pub const RULES: [Rule; 6] = [
     Rule {
         name: "atomic-write-discipline",
         doc: "Persisted state must be written atomically: tmp file, write, fsync, rename. A bare \
@@ -65,15 +62,8 @@ pub const RULES: [Rule; 8] = [
         name: "confinement",
         doc: "A token shape the architecture keeps in one place stays there: each `CONFINED` row \
          names a shape of code tokens, the files it reads, its home (some files, once per `const` \
-         table, or nowhere) and whether test code counts; see DESIGN.md §8 for the ten rows.",
+         table, or nowhere) and whether test code counts; see DESIGN.md §8 for the thirteen rows.",
         pass: Pass::FileAndTests(rule_confinement),
-    },
-    Rule {
-        name: "determinism-taint",
-        doc: "Nondeterministic sources (wall clock, hasher state, thread ids, env) must not flow \
-         into replayed state in the deterministic crates; bit-identical replay is the \
-         workspace's core guarantee.",
-        pass: Pass::Workspace(|ws, out| out.extend(taint_findings(ws, &determinism_spec()))),
     },
     Rule {
         name: "float-eq",
@@ -83,21 +73,16 @@ pub const RULES: [Rule; 8] = [
     },
     Rule {
         name: "rng-stream-collision",
-        doc: "RNG stream labels must be unique workspace-wide and each scope must draw from one \
-         stream; collisions correlate supposedly-independent randomness.",
-        pass: Pass::Workspace(callgraph::rng_stream_collision),
+        doc: "RNG stream labels must be unique in the one `streams` table (`confinement` keeps it \
+         in `tensor/src/rng.rs`) and each scope must draw from one stream; collisions correlate \
+         supposedly-independent randomness.",
+        pass: Pass::File(rule_rng_stream_collision),
     },
     Rule {
         name: "rng-stream-discipline",
         doc: "RNGs must be constructed from named `streams::` label constants (not ad-hoc seeds) \
          so every random draw is attributable and replayable.",
         pass: Pass::File(rule_rng_stream_discipline),
-    },
-    Rule {
-        name: "untrusted-input-taint",
-        doc: "Lengths and counts decoded from untrusted input must be bounds-checked before they \
-         reach arithmetic, indexing, or allocation (dataflow taint over the decoder).",
-        pass: Pass::Workspace(|ws, out| out.extend(taint_findings(ws, &untrusted_input_spec()))),
     },
 ];
 
@@ -121,7 +106,8 @@ pub const PRAGMA_SYNTAX: (&str, &str) = (
      rule.",
 );
 
-/// Crates whose RNGs must derive from named stream constants.
+/// Crates whose RNGs must derive from named stream constants, one stream
+/// per scope.
 const RNG_CRATES: [&str; 2] = ["core", "fl"];
 
 /// Everything the rules need to know about one source file.
@@ -149,15 +135,15 @@ struct Pragma {
 /// under.
 pub struct FileView<'a> {
     rule: &'static str,
-    pub(crate) ctx: &'a FileContext<'a>,
-    pub(crate) code: &'a [Token],
+    ctx: &'a FileContext<'a>,
+    code: &'a [Token],
     items: &'a [Item],
     in_test: &'a [bool],
 }
 
 impl FileView<'_> {
     /// Report `message` at `line` under the running rule's name.
-    pub(crate) fn push(&self, out: &mut Vec<Finding>, line: u32, message: String) {
+    fn push(&self, out: &mut Vec<Finding>, line: u32, message: String) {
         out.push(Finding {
             file: self.ctx.rel_path.to_string(),
             line,
@@ -167,44 +153,15 @@ impl FileView<'_> {
     }
 
     /// Is `line` inside a `#[cfg(test)]` item (test module or function)?
-    pub(crate) fn in_test(&self, line: u32) -> bool {
+    fn in_test(&self, line: u32) -> bool {
         self.in_test.get(line as usize).copied().unwrap_or(false)
     }
 }
 
-/// Everything the structural (cross-file) pass needs from one file, plus
-/// the file's local findings. Produced by [`analyze_source`]; consumed by
-/// [`crate::callgraph`].
-pub struct FileAnalysis {
-    /// Crate directory name under `crates/`.
-    pub crate_name: String,
-    /// Workspace-relative path, forward slashes.
-    pub rel_path: String,
-    /// Binary target (exempt from the library-code rules).
-    pub is_bin: bool,
-    /// Comment-free token stream; [`Item`] body spans index into this.
-    pub code: Vec<Token>,
-    /// Recovered `fn`/`mod`/`impl` items.
-    pub items: Vec<Item>,
-    pragmas: Vec<Pragma>,
-    /// Local-rule findings, pragma-filtered and unsorted.
-    pub findings: Vec<Finding>,
-}
-
-impl FileAnalysis {
-    /// Is a finding of `rule` at `line` suppressed by a valid pragma in this
-    /// file? (A pragma covers its own line and the next.)
-    pub(crate) fn suppressed(&self, rule: &str, line: u32) -> bool {
-        self.pragmas
-            .iter()
-            .any(|p| p.valid && p.rule == rule && (p.line == line || p.line + 1 == line))
-    }
-}
-
-/// Run every per-file rule of [`RULES`] over one file; the returned
-/// analysis carries the findings plus the structure the workspace pass
-/// consumes.
-pub fn analyze_source(ctx: &FileContext<'_>, src: &str, timings: &mut Timings) -> FileAnalysis {
+/// Run every rule of [`RULES`] that reads this file's tree over one file.
+/// Returns its findings unsorted: those no valid pragma allows, plus one
+/// `pragma-syntax` finding per malformed pragma.
+pub fn analyze_source(ctx: &FileContext<'_>, src: &str, timings: &mut Timings) -> Vec<Finding> {
     let (code, in_test, pragmas, items) = timings.time("infra:parse", || {
         let tokens = lex(src);
         let code = code_stream(&tokens);
@@ -227,19 +184,15 @@ pub fn analyze_source(ctx: &FileContext<'_>, src: &str, timings: &mut Timings) -
             timings.time(rule.name, || run(&view, &mut findings));
         }
     }
-    let mut analysis = FileAnalysis {
-        crate_name: ctx.crate_name.to_string(),
-        rel_path: ctx.rel_path.to_string(),
-        is_bin: ctx.is_bin,
-        code,
-        items,
-        pragmas,
-        findings: Vec::new(),
-    };
-    findings.retain(|f| !analysis.suppressed(f.rule, f.line));
+    // A valid pragma covers its own line and the next.
+    findings.retain(|f| {
+        !pragmas
+            .iter()
+            .any(|p| p.valid && p.rule == f.rule && (p.line == f.line || p.line + 1 == f.line))
+    });
 
     // Malformed pragmas are findings themselves and cannot be suppressed.
-    for p in analysis.pragmas.iter().filter(|p| !p.valid) {
+    for p in pragmas.iter().filter(|p| !p.valid) {
         findings.push(Finding {
             file: ctx.rel_path.to_string(),
             line: p.line,
@@ -251,8 +204,7 @@ pub fn analyze_source(ctx: &FileContext<'_>, src: &str, timings: &mut Timings) -
             ),
         });
     }
-    analysis.findings = findings;
-    analysis
+    findings
 }
 
 /// Mark every line inside a `#[cfg(test)]` item's braces (plus the attribute
@@ -403,6 +355,210 @@ fn rule_rng_stream_discipline(f: &FileView<'_>, out: &mut Vec<Finding>) {
             );
         }
     }
+}
+
+/// `rng-stream-collision`: (a) two constants of a `streams` module sharing
+/// a value, and (b) within one function in `fl`/`core` library code, two
+/// `derive(…, &[…])` calls consuming a token-identical stream slice — the
+/// same logical stream in the same `(round, client)` scope. `confinement`
+/// keeps the one `streams` table in one file, so (a) reads a file at a time.
+fn rule_rng_stream_collision(f: &FileView<'_>, out: &mut Vec<Finding>) {
+    stream_collisions(f, out);
+    if !f.ctx.is_bin && RNG_CRATES.contains(&f.ctx.crate_name) {
+        duplicate_derives(f, out);
+    }
+}
+
+/// `rng-stream-collision` (a): every `streams` constant whose value an
+/// earlier one in the file already holds.
+fn stream_collisions(f: &FileView<'_>, out: &mut Vec<Finding>) {
+    let (code, items) = (f.code, f.items);
+    // Value -> the constants holding it, as (line, name), in token order.
+    let mut by_value: BTreeMap<u128, Vec<(u32, &str)>> = BTreeMap::new();
+    for item in items {
+        if item.kind != ItemKind::Mod || item.name != "streams" {
+            continue;
+        }
+        let idxs = body_indices(item, items);
+        for (p, &k) in idxs.iter().enumerate() {
+            let Some(name) = code.get(k + 1).filter(|t| t.kind == TokKind::Ident) else {
+                continue;
+            };
+            if text_at(code, k) != "const" {
+                continue;
+            }
+            // `NAME : type = <int> ;` — the value is the token after the
+            // first `=`, unless a `;` comes first.
+            let rest = idxs.get(p + 2..).unwrap_or_default();
+            let eq = (rest.iter())
+                .position(|&j| matches!(text_at(code, j), "=" | ";"))
+                .filter(|&q| text_at(code, rest[q]) == "=");
+            let value = (eq.and_then(|q| rest.get(q + 1)))
+                .and_then(|&j| code.get(j))
+                .filter(|t| t.kind == TokKind::Int)
+                .and_then(|t| parse_int(&t.text));
+            if let Some(v) = value {
+                by_value.entry(v).or_default().push((name.line, &name.text));
+            }
+        }
+    }
+    for (value, defs) in &by_value {
+        let Some(((first_line, first), rest)) = defs.split_first() else {
+            continue;
+        };
+        for (line, name) in rest {
+            f.push(
+                out,
+                *line,
+                format!(
+                    "`streams::{name}` has value {value}, colliding with `streams::{first}` \
+                     ({}:{first_line}); stream labels must be unique or derived RNG streams \
+                     overlap",
+                    f.ctx.rel_path
+                ),
+            );
+        }
+    }
+}
+
+/// Parse an integer literal's text (decimal / hex / octal / binary, with
+/// `_` separators and a type suffix).
+fn parse_int(text: &str) -> Option<u128> {
+    let t: String = text.chars().filter(|&c| c != '_').collect();
+    let (digits, radix) = if let Some(h) = t.strip_prefix("0x").or_else(|| t.strip_prefix("0X")) {
+        (h, 16)
+    } else if let Some(o) = t.strip_prefix("0o").or_else(|| t.strip_prefix("0O")) {
+        (o, 8)
+    } else if let Some(b) = t.strip_prefix("0b").or_else(|| t.strip_prefix("0B")) {
+        (b, 2)
+    } else {
+        (t.as_str(), 10)
+    };
+    let end = digits
+        .char_indices()
+        .find(|(_, c)| !c.is_digit(radix))
+        .map(|(i, _)| i)
+        .unwrap_or(digits.len());
+    u128::from_str_radix(digits.get(..end).unwrap_or(""), radix).ok()
+}
+
+/// `rng-stream-collision` (b): a second `derive` of one stream slice in the
+/// same non-test function.
+fn duplicate_derives(f: &FileView<'_>, out: &mut Vec<Finding>) {
+    let (code, items) = (f.code, f.items);
+    for item in items {
+        if item.kind != ItemKind::Fn || item.is_test {
+            continue;
+        }
+        let mut seen: BTreeMap<String, u32> = BTreeMap::new();
+        let idxs = body_indices(item, items);
+        for (p, &k) in idxs.iter().enumerate() {
+            let Some(t) = code.get(k) else {
+                continue;
+            };
+            if t.kind != TokKind::Ident || t.text != "derive" || text_at(code, k + 1) != "(" {
+                continue;
+            }
+            // `#[derive(…)]` attributes are not calls.
+            if k >= 2 && text_at(code, k - 1) == "[" && text_at(code, k - 2) == "#" {
+                continue;
+            }
+            let Some(sig) = derive_signature(code, &idxs[p..]) else {
+                continue;
+            };
+            match seen.get(&sig) {
+                Some(&first) => f.push(
+                    out,
+                    t.line,
+                    format!(
+                        "`derive` re-consumes stream `[{}]` first consumed at line {} in `{}`; \
+                         one logical stream per (round, client) scope — derive a distinct \
+                         stream or pragma with justification",
+                        sig,
+                        first,
+                        item.display_name()
+                    ),
+                ),
+                None => {
+                    seen.insert(sig, t.line);
+                }
+            }
+        }
+    }
+}
+
+/// Token-text signature of the first `&[…]` slice inside a `derive(…)`
+/// call; `idxs` starts at the `derive` token and stays within the body.
+fn derive_signature(code: &[Token], idxs: &[usize]) -> Option<String> {
+    let mut paren = 0i64;
+    let mut p = 1usize; // past `derive`
+    while p < idxs.len() {
+        let k = idxs[p];
+        match text_at(code, k) {
+            "(" => paren += 1,
+            ")" => {
+                paren -= 1;
+                if paren <= 0 {
+                    return None;
+                }
+            }
+            "&" if paren >= 1 && text_at(code, k + 1) == "[" => {
+                let mut depth = 0i64;
+                let mut parts = Vec::new();
+                let mut q = p + 1;
+                while q < idxs.len() {
+                    let j = idxs[q];
+                    match text_at(code, j) {
+                        "[" => {
+                            depth += 1;
+                            if depth > 1 {
+                                parts.push("[".to_string());
+                            }
+                        }
+                        "]" => {
+                            depth -= 1;
+                            if depth <= 0 {
+                                return Some(parts.join(" "));
+                            }
+                            parts.push("]".to_string());
+                        }
+                        other => parts.push(other.to_string()),
+                    }
+                    q += 1;
+                }
+                return None;
+            }
+            _ => {}
+        }
+        p += 1;
+    }
+    None
+}
+
+/// The token indices of `item`'s body, skipping the bodies of other `fn`
+/// items nested inside it.
+fn body_indices(item: &Item, all_items: &[Item]) -> Vec<usize> {
+    let Some((start, end)) = item.body else {
+        return Vec::new();
+    };
+    let mut skips: Vec<(usize, usize)> = all_items
+        .iter()
+        .filter(|o| o.kind == ItemKind::Fn)
+        .filter_map(|o| o.body)
+        .filter(|&(s, e)| s > start && e < end)
+        .collect();
+    skips.sort_unstable();
+    let mut out = Vec::new();
+    let mut k = start.saturating_add(1);
+    while k < end {
+        if let Some(&(s, e)) = skips.iter().find(|&&(s, e)| s <= k && k <= e) {
+            k = e.max(s).saturating_add(1);
+            continue;
+        }
+        out.push(k);
+        k += 1;
+    }
+    out
 }
 
 /// `float-eq`: `==` / `!=` with a float literal operand. (A lexer cannot see
@@ -632,7 +788,7 @@ pub enum Home {
 
 /// The `confinement` rows, one per invariant.
 #[rustfmt::skip]
-pub const CONFINED: [Confined; 10] = [
+pub const CONFINED: [Confined; 13] = [
     Confined { name: "one byte layer",
         pattern: |c, i| c[i].kind == TokKind::Int && c[i].text.replace('_', "").contains("cbf29ce4"),
         scope: &["crates/", "tests/"], home: Home::Files(&["crates/proto/src/bytes.rs"]), tests: true,
@@ -675,6 +831,20 @@ pub const CONFINED: [Confined; 10] = [
         pattern: |c, i| runs(c, i, &[&["Ordering", "::", "Relaxed"]]),
         scope: &["crates/", "vendor/"], home: Home::Files(&["vendor/rayon/src/pool.rs"]), tests: false,
         message: "`Relaxed` orders nothing; the fork-join's claim counter is its one site, with the reason beside it" },
+    Confined { name: "no clocks",
+        pattern: |c, i| (c[i].kind == TokKind::Ident && matches!(c[i].text.as_str(), "Instant" | "SystemTime" | "available_parallelism"))
+            || runs(c, i, &[&["thread", "::", "current"], &["as_ptr", "(", ")", "as", "usize"]]),
+        scope: &["crates/", "vendor/"], home: Home::Files(&["crates/cli/src/net.rs", "crates/bench/src/runner.rs", "crates/lint/src/lib.rs", "vendor/rayon/src/pool.rs"]), tests: false,
+        message: "replay admits no clock, core count or thread id; one is read only where it times or sizes work and reaches no result" },
+    Confined { name: "two doors for hostile bytes",
+        pattern: |c, i| runs(c, i, &[&["fs", "::", "read", "("], &["fs", "::", "read_to_string", "("], &[".", "read_exact", "("], &[".", "read_to_end", "("],
+            &[".", "read_to_string", "("], &[".", "read", "(", "&", "mut"], &[".", "peek", "(", "&", "mut"], &[".", "recv_from", "("]]),
+        scope: &["crates/", "vendor/"], home: Home::Files(&["crates/proto/src/wire.rs", "crates/fl/src/checkpoint.rs", "crates/lint/src/lib.rs"]), tests: false,
+        message: "bytes come in through `proto::wire` (frames) or `fl::checkpoint` (images), whose decoders are held to checked arithmetic; read through them" },
+    Confined { name: "one streams table",
+        pattern: |c, i| runs(c, i, &[&["mod", "streams"]]),
+        scope: &["crates/", "vendor/"], home: Home::Files(&["crates/tensor/src/rng.rs"]), tests: false,
+        message: "every RNG stream label is a constant of `tensor::rng::streams`, where collisions show; add the label there" },
 ];
 
 /// Does one of the token runs in `runs` start at code token `i`?
@@ -716,5 +886,20 @@ fn rule_confinement(f: &FileView<'_>, out: &mut Vec<Finding>) {
                 f.push(out, t.line, format!("{}: {}", row.name, row.message));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_int;
+
+    #[test]
+    fn int_literal_parsing() {
+        assert_eq!(parse_int("10"), Some(10));
+        assert_eq!(parse_int("1_000"), Some(1000));
+        assert_eq!(parse_int("0xFFu64"), Some(255));
+        assert_eq!(parse_int("0b1010"), Some(10));
+        assert_eq!(parse_int("7u64"), Some(7));
+        assert_eq!(parse_int("xyz"), None);
     }
 }

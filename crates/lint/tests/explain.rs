@@ -14,7 +14,7 @@ fn rules_are_sorted_unique_and_substantive() {
     sorted.dedup();
     assert_eq!(names, sorted, "RULES must stay sorted by name, no repeats");
     assert_eq!(names, RULE_NAMES, "RULE_NAMES is RULES' name column");
-    assert_eq!(names.len(), 8, "no rule merged, renamed or dropped");
+    assert_eq!(names.len(), 6, "no rule merged, renamed or dropped");
     assert!(!names.contains(&PRAGMA_SYNTAX.0), "the built-in is no row");
     let docs = RULES.iter().map(|r| (r.name, r.doc)).chain([PRAGMA_SYNTAX]);
     for (name, doc) in docs {

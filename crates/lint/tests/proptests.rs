@@ -1,18 +1,13 @@
-//! Property tests for the fedlint lexer, item parser, and dataflow engine:
-//! arbitrary byte soup must never panic them, hang them, or make them
-//! nondeterministic; delimiter pairing must agree with the depth counter it
-//! replaced; parsed item spans and def-use spans must always nest
-//! properly; and the taint lattice must be monotone (adding a source can
-//! only add findings, never remove one).
+//! Property tests for the fedlint lexer and item parser: arbitrary byte
+//! soup must never panic them, hang them, or make them nondeterministic;
+//! delimiter pairing must agree with the depth counter it replaced; and
+//! parsed item spans must always nest properly.
 
-use lint::callgraph::Workspace;
-use lint::dataflow::{fn_flows, taint_findings, untrusted_input_spec};
 use lint::items::parse_items;
 use lint::lexer::{code_stream, lex, TokKind, Token};
 use lint::rules::{analyze_source, FileContext};
 use lint::Timings;
 use proptest::prelude::*;
-use std::collections::BTreeSet;
 
 /// How far the depth counter below looked before giving up.
 const WINDOW: usize = 2000;
@@ -140,9 +135,9 @@ proptest! {
         }
     }
 
-    /// The def-use extractor terminates whether or not the stream was
-    /// paired (a walk that jumps over a group still advances on a stream
-    /// nobody paired), and so does the whole analysis of the soup.
+    /// The item parser terminates whether or not the stream was paired (a
+    /// walk that jumps over a group still advances on a stream nobody
+    /// paired), and so does the whole analysis of the soup.
     #[test]
     fn walks_terminate_with_and_without_pairing(bytes in proptest::collection::vec(0u8..=255, 0..2048)) {
         let src = delimiter_soup(&bytes);
@@ -150,8 +145,7 @@ proptest! {
         let unpaired: Vec<Token> = paired.iter().map(|t| Token { pair: None, ..t.clone() }).collect();
         for code in [&paired, &unpaired] {
             let items = parse_items(code, &vec![false; code.len()]);
-            let flows = fn_flows(code, &items);
-            prop_assert!(flows.iter().all(|f| f.defs.iter().all(|d| d.rhs.1 <= code.len())));
+            prop_assert!(items.iter().filter_map(|i| i.body).all(|(_, end)| end <= code.len()));
         }
         let ctx = FileContext {
             crate_name: "fl",
@@ -159,9 +153,7 @@ proptest! {
             is_bin: false,
             test_tree: false,
         };
-        let files = [analyze_source(&ctx, &src, &mut Timings::default())];
-        let ws = Workspace::new(&files, &mut Timings::default());
-        let _ = taint_findings(&ws, &untrusted_input_spec());
+        let _ = analyze_source(&ctx, &src, &mut Timings::default());
     }
 
     /// The item parser survives arbitrary byte soup and is deterministic.
@@ -205,107 +197,5 @@ proptest! {
                 );
             }
         }
-    }
-
-    /// The dataflow extractor survives arbitrary byte soup and is
-    /// deterministic (runs on the same comment-free stream the scanner uses).
-    #[test]
-    fn dataflow_never_panics_on_byte_soup(bytes in proptest::collection::vec(0u8..=255, 0..2048)) {
-        let src = String::from_utf8_lossy(&bytes).into_owned();
-        let toks = code_stream(&lex(&src));
-        let in_test = vec![false; toks.len()];
-        let items = parse_items(&toks, &in_test);
-        let a = fn_flows(&toks, &items);
-        let b = fn_flows(&toks, &items);
-        prop_assert_eq!(a, b);
-    }
-
-    /// Structured soup biased toward dataflow-relevant shapes: half-written
-    /// `let`s, assignments, reads, calls, returns. The whole analysis —
-    /// per-file rules plus the interprocedural taint pass — must never
-    /// panic, and every def's right-hand-side span must stay in bounds and
-    /// nest-or-stay-disjoint with every other's.
-    #[test]
-    fn def_use_spans_nest_on_structured_soup(picks in proptest::collection::vec(0usize..16, 0..256)) {
-        const PIECES: [&str; 16] = [
-            "fn f(x: usize)", "{", "}", "let y =", "std::fs::read(p)",
-            "x + 1", "buf[i]", "Vec::with_capacity(n)", "return x", ";",
-            "f(x)", ".min(4)", "=", "if let Some(z)", "\n", "x",
-        ];
-        let src: String = picks
-            .iter()
-            .map(|&i| PIECES.get(i).copied().unwrap_or(""))
-            .map(|p| format!("{} ", p))
-            .collect();
-        let ctx = FileContext {
-            crate_name: "fl",
-            rel_path: "crates/fl/src/soup.rs",
-            is_bin: false,
-            test_tree: false,
-        };
-        let fa = analyze_source(&ctx, &src, &mut Timings::default());
-        let files = [fa];
-        let ws = Workspace::new(&files, &mut Timings::default());
-        let t1 = taint_findings(&ws, &untrusted_input_spec());
-        let t2 = taint_findings(&ws, &untrusted_input_spec());
-        prop_assert_eq!(t1, t2);
-        let flows = fn_flows(&files[0].code, &files[0].items);
-        let spans: Vec<(usize, usize)> = flows
-            .iter()
-            .flat_map(|f| f.defs.iter().map(|d| d.rhs))
-            .collect();
-        for (i, &(a0, a1)) in spans.iter().enumerate() {
-            prop_assert!(a0 <= a1, "inverted def span");
-            prop_assert!(a1 <= files[0].code.len(), "def span out of bounds");
-            for &(b0, b1) in spans.iter().skip(i + 1) {
-                let nested = (a0 <= b0 && b1 <= a1) || (b0 <= a0 && a1 <= b1);
-                let disjoint = a1 <= b0 || b1 <= a0;
-                prop_assert!(
-                    nested || disjoint,
-                    "overlapping def spans: {:?} vs {:?}",
-                    (a0, a1),
-                    (b0, b1)
-                );
-            }
-        }
-    }
-
-    /// Monotone taint lattice: running with a superset of sources can add
-    /// findings but never remove one — pinned as (file, line) set inclusion
-    /// (chains, and so messages, may legitimately differ).
-    #[test]
-    fn taint_lattice_is_monotone(picks in proptest::collection::vec(0usize..16, 0..192)) {
-        const PIECES: [&str; 16] = [
-            "fn g(buf: &[u8])", "{", "}", "let n =", "std::fs::read(p)",
-            "std::fs::read_to_string(p)", "f.read_to_end(&mut buf)", "n * 2",
-            "buf[n]", "Vec::with_capacity(n)", ";", "g(&n)", ".len()",
-            "=", "\n", "n",
-        ];
-        let src: String = picks
-            .iter()
-            .map(|&i| PIECES.get(i).copied().unwrap_or(""))
-            .map(|p| format!("{} ", p))
-            .collect();
-        let ctx = FileContext {
-            crate_name: "fl",
-            rel_path: "crates/fl/src/soup.rs",
-            is_bin: false,
-            test_tree: false,
-        };
-        let files = [analyze_source(&ctx, &src, &mut Timings::default())];
-        let mut small = untrusted_input_spec();
-        small.source_calls = vec![("fs", "read")];
-        small.source_mut_args = Vec::new();
-        let big = untrusted_input_spec();
-        let key = |f: &lint::Finding| (f.file.clone(), f.line);
-        let ws = Workspace::new(&files, &mut Timings::default());
-        let small_set: BTreeSet<_> = taint_findings(&ws, &small).iter().map(key).collect();
-        let big_set: BTreeSet<_> = taint_findings(&ws, &big).iter().map(key).collect();
-        prop_assert!(
-            small_set.is_subset(&big_set),
-            "adding sources removed findings: {:?} not in {:?}",
-            small_set.difference(&big_set).collect::<Vec<_>>(),
-            big_set
-        );
     }
 }

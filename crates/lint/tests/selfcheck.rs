@@ -57,11 +57,10 @@ fn confined_per_row(rel_path: &str, src: &str) -> Vec<usize> {
         is_bin: false,
         test_tree: false,
     };
-    let analysis = analyze_source(&ctx, src, &mut Timings::default());
+    let findings = analyze_source(&ctx, src, &mut Timings::default());
     let count = |row: &Confined| {
         let prefix = format!("{}: ", row.name);
-        analysis
-            .findings
+        findings
             .iter()
             .filter(|f| f.message.starts_with(&prefix))
             .count()

@@ -22,11 +22,10 @@ echo "== fedlint =="
 # Scans crates/*/src, vendor/*/src and, for confinement's one-place rows,
 # the test trees; the crate's own suite pins every fixture line, every RULES
 # row's fixtures, and a match in every confinement row's home.
-# The workspace-global call graph and taint fixpoints must stay cheap
-# enough to gate every PR, so the scan gets a generous-but-real wall-time
-# budget. The
-# root build above does not build `lint`; build it first, off the clock,
-# so the budget times the scan alone.
+# Each file is lexed once and every rule reads it in that one pass; the
+# scan must stay cheap enough to gate every PR, so it gets a
+# generous-but-real wall-time budget. The root build above does not build
+# `lint`; build it first, off the clock, so the budget times the scan alone.
 lint_budget_s=120
 cargo build -q -p lint --release
 lint_start=$(date +%s)
@@ -34,7 +33,7 @@ lint_start=$(date +%s)
 lint_elapsed=$(($(date +%s) - lint_start))
 echo "fedlint: --deny completed in ${lint_elapsed}s (budget ${lint_budget_s}s)"
 if [ "$lint_elapsed" -ge "$lint_budget_s" ]; then
-    echo "fedlint: workspace scan blew its ${lint_budget_s}s budget — the call graph, the taint engine or a rule has a perf regression" >&2
+    echo "fedlint: workspace scan blew its ${lint_budget_s}s budget — the lexer, the item parser or a rule has a perf regression" >&2
     exit 1
 fi
 cargo test -q -p lint
