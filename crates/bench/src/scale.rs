@@ -91,15 +91,8 @@ impl Knobs {
                     rounds: if f { 2 } else { 20 },
                     sample_rate: 0.25,
                     local_epochs: 3,
-                    batch_size: 10,
-                    lr: 0.05,
-                    momentum: 0.9,
-                    weight_decay: 0.0,
-                    eval_every: 2,
                     seed,
-                    dropout_rate: 0.0,
-                    faults: fedclust_fl::FaultPlan::none(),
-                    codec: fedclust_fl::CodecSpec::none(),
+                    ..FlConfig::default()
                 },
             },
             _ => Scale {
@@ -114,15 +107,8 @@ impl Knobs {
                     rounds: if f { 3 } else { 24 },
                     sample_rate: 0.2,
                     local_epochs: if f { 1 } else { 3 },
-                    batch_size: 10,
-                    lr: 0.05,
-                    momentum: 0.9,
-                    weight_decay: 0.0,
-                    eval_every: 2,
                     seed,
-                    dropout_rate: 0.0,
-                    faults: fedclust_fl::FaultPlan::none(),
-                    codec: fedclust_fl::CodecSpec::none(),
+                    ..FlConfig::default()
                 },
             },
         }

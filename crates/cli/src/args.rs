@@ -1,6 +1,6 @@
 //! `fedclust-cli`'s arguments: the struct, its flag table and the rules
 //! between flags (no external dependencies; the table machinery is in
-//! [`crate::flags`]).
+//! `crate::flags`).
 
 use crate::flags::{self, flag, under, Flag, Given};
 use crate::{parse_dataset, parse_partition};

@@ -246,11 +246,6 @@ pub fn build_config(args: &Args) -> FlConfig {
         rounds: args.rounds,
         sample_rate: args.sample_rate,
         local_epochs: args.epochs,
-        batch_size: 10,
-        lr: 0.05,
-        momentum: 0.9,
-        weight_decay: 0.0,
-        eval_every: 2,
         seed: args.seed,
         dropout_rate: args.dropout,
         faults: FaultPlan {
@@ -267,6 +262,7 @@ pub fn build_config(args: &Args) -> FlConfig {
         // mean a caller bypassed parsing; fall back to the identity codec.
         codec: fedclust_fl::CodecSpec::parse(&args.codec)
             .unwrap_or_else(|_| fedclust_fl::CodecSpec::none()),
+        ..FlConfig::default()
     }
 }
 

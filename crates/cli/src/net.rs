@@ -4,7 +4,7 @@
 //! injection, codec accounting, aggregation, evaluation, and
 //! checkpointing all run in-process exactly as the simulation does. Only
 //! the per-client SGD is delegated: [`serve`] hands a
-//! [`RemoteTrainer`](fedclust_fl::engine::RemoteTrainer) to [`crate::execute`],
+//! [`RemoteTrainer`] to [`crate::execute`],
 //! which passes it down to the federation driver, and it farms each unit out
 //! to a fleet of `fedclust-worker` processes speaking the `fedclust-proto`
 //! TCP protocol.
@@ -23,14 +23,14 @@
 //! (`weighted_average_or`, largest-cluster fallback). A per-round
 //! deadline backstops the case where no worker ever returns.
 //!
-//! Which unit is where is the [`Coordinator`]'s business: a plain value
+//! Which unit is where is the `Coordinator`'s business: a plain value
 //! whose methods are the protocol's transitions. One thread owns it (the
-//! [`Owner`]); every other thread only does I/O and sends the owner an
-//! [`Event`] on one channel. A connection thread forwards each frame and
+//! `Owner`); every other thread only does I/O and sends the owner an
+//! `Event` on one channel. A connection thread forwards each frame and
 //! writes back the one reply the owner sends it; the trainer call sends its
 //! units and blocks on its outcome. Nobody polls: a worker with nothing to
 //! do stays parked in its `PullWork` until there is work, the run is over,
-//! or [`READ_TIMEOUT`] asks for a keep-alive.
+//! or `READ_TIMEOUT` asks for a keep-alive.
 
 use std::collections::BTreeMap;
 use std::io::ErrorKind;

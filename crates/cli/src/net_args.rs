@@ -108,7 +108,7 @@ pub struct WorkerArgs {
     pub backoff_base: f64,
     /// `--io-timeout SECS`: read timeout while waiting for the server; a
     /// stalled connection (e.g. a chaos-dropped frame) is torn down and
-    /// redialled after this long. Above [`READ_TIMEOUT`]: an idle server
+    /// redialled after this long. Above `net::READ_TIMEOUT`: an idle server
     /// is only heard from that often.
     pub io_timeout: f64,
     /// `--threads N` for local training parallelism.

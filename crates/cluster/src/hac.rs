@@ -310,11 +310,6 @@ pub fn agglomerative(matrix: &ProximityMatrix, linkage: Linkage) -> Dendrogram {
     Dendrogram { n, merges }
 }
 
-/// Convenience: cluster and cut at λ in one call (the paper's `HC(M, λ)`).
-pub fn cluster_threshold(matrix: &ProximityMatrix, linkage: Linkage, lambda: f32) -> Vec<usize> {
-    agglomerative(matrix, linkage).cut_at(lambda)
-}
-
 /// Convenience: cluster and cut to `k` clusters.
 pub fn cluster_k(matrix: &ProximityMatrix, linkage: Linkage, k: usize) -> Vec<usize> {
     agglomerative(matrix, linkage).cut_k(k)
@@ -394,10 +389,10 @@ mod tests {
         let pos = [0.0f32, 1.0, 2.0, 3.0];
         let m = ProximityMatrix::from_fn(4, |i, j| (pos[i] - pos[j]).abs());
         // With λ=1, single linkage chains everything into one cluster.
-        let single = cluster_threshold(&m, Linkage::Single, 1.0);
+        let single = agglomerative(&m, Linkage::Single).cut_at(1.0);
         assert!(single.iter().all(|&l| l == single[0]));
         // Complete linkage keeps at least two clusters at the same λ.
-        let complete = cluster_threshold(&m, Linkage::Complete, 1.0);
+        let complete = agglomerative(&m, Linkage::Complete).cut_at(1.0);
         let k = complete.iter().copied().max().unwrap() + 1;
         assert!(k >= 2, "complete produced {} clusters", k);
     }

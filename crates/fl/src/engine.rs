@@ -258,7 +258,7 @@ fn read_push(round_mode: u8, job: &LocalJob, frame: Msg) -> Option<RemoteUpdate>
 
 /// The server's half of a [`RemoteRound`]: turn the frames that came back,
 /// keyed by client, into the outcome the driver absorbs. A frame
-/// [`read_push`] turns down joins `lost` exactly like a worker that never
+/// `read_push` turns down joins `lost` exactly like a worker that never
 /// answered: degrade, don't die.
 pub fn settle(
     req: &RemoteRound,
@@ -337,7 +337,7 @@ pub(crate) fn epoch_batches<'a>(
 }
 
 /// Train `model` on one client's local data for `epochs` epochs of
-/// minibatch SGD over [`epoch_batches`]. Returns the number of optimizer
+/// minibatch SGD over `epoch_batches`. Returns the number of optimizer
 /// steps taken (FedNova's τ_i).
 pub fn local_train(
     model: &mut Model,

@@ -59,6 +59,8 @@ impl FlMethod for LocalOnly {
 
         let mut per_client_states: Vec<Vec<f32>> = vec![init_state.clone(); fd.num_clients()];
         let mut history = Vec::new();
+        // `chunks >= 1`, so the last chunk's evaluation is the final one.
+        let mut per_client_acc = Vec::new();
 
         for chunk in 0..chunks {
             let epochs = if chunk + 1 == chunks {
@@ -81,17 +83,15 @@ impl FlMethod for LocalOnly {
                     train_replica(&template, data, cfg, job).0.state_vec()
                 })
                 .collect();
-            let per_client =
+            per_client_acc =
                 crate::engine::evaluate_clients(fd, &template, |c| per_client_states[c].as_slice());
             history.push(RoundRecord {
                 round: ((chunk + 1) * cfg.rounds) / chunks,
-                avg_acc: average_accuracy(&per_client),
+                avg_acc: average_accuracy(&per_client_acc),
                 cum_mb: 0.0,
             });
         }
 
-        let per_client_acc =
-            crate::engine::evaluate_clients(fd, &template, |c| per_client_states[c].as_slice());
         RunResult {
             method: self.name().to_string(),
             final_acc: average_accuracy(&per_client_acc),

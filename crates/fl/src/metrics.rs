@@ -86,54 +86,6 @@ impl RunResult {
     }
 }
 
-/// Fairness statistics over per-client accuracies — the dispersion view
-/// behind the paper's motivation that a single global model leaves some
-/// clients far behind.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fairness {
-    /// Mean per-client accuracy.
-    pub mean: f64,
-    /// Population standard deviation across clients.
-    pub std: f64,
-    /// Mean accuracy of the worst-off 10 % of clients (at least one).
-    pub worst_decile: f64,
-    /// Mean accuracy of the best-off 10 % of clients (at least one).
-    pub best_decile: f64,
-}
-
-impl Fairness {
-    /// Compute fairness statistics from per-client accuracies.
-    /// Returns all-zero stats for an empty slice.
-    pub fn from_accuracies(per_client: &[f32]) -> Fairness {
-        if per_client.is_empty() {
-            return Fairness {
-                mean: 0.0,
-                std: 0.0,
-                worst_decile: 0.0,
-                best_decile: 0.0,
-            };
-        }
-        let xs: Vec<f64> = per_client.iter().map(|&a| a as f64).collect();
-        let (mean, std) = mean_std(&xs);
-        let mut sorted = xs.clone();
-        sorted.sort_by(f64::total_cmp);
-        let k = (sorted.len() / 10).max(1);
-        let worst_decile = sorted[..k].iter().sum::<f64>() / k as f64;
-        let best_decile = sorted[sorted.len() - k..].iter().sum::<f64>() / k as f64;
-        Fairness {
-            mean,
-            std,
-            worst_decile,
-            best_decile,
-        }
-    }
-
-    /// The best-to-worst decile gap; 0 means perfectly even outcomes.
-    pub fn decile_gap(&self) -> f64 {
-        self.best_decile - self.worst_decile
-    }
-}
-
 /// Mean and (population) standard deviation of a sample.
 pub fn mean_std(xs: &[f64]) -> (f64, f64) {
     if xs.is_empty() {
@@ -263,35 +215,6 @@ mod tests {
         assert!(agg.std_acc > 0.0);
         assert_eq!(agg.rounds_to_target(0.55), Some(2));
         assert_eq!(agg.rounds_to_target(0.65), None, "only 1 of 3 reached");
-    }
-
-    #[test]
-    fn fairness_statistics() {
-        let accs = [0.1f32, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
-        let f = Fairness::from_accuracies(&accs);
-        assert!((f.mean - 0.55).abs() < 1e-6);
-        assert!((f.worst_decile - 0.1).abs() < 1e-6);
-        assert!((f.best_decile - 1.0).abs() < 1e-6);
-        assert!((f.decile_gap() - 0.9).abs() < 1e-6);
-        assert!(f.std > 0.0);
-    }
-
-    #[test]
-    fn fairness_uniform_accuracies_have_zero_gap() {
-        let f = Fairness::from_accuracies(&[0.5; 7]);
-        assert_eq!(f.std, 0.0);
-        assert_eq!(f.decile_gap(), 0.0);
-        assert_eq!(f.mean, 0.5);
-    }
-
-    #[test]
-    fn fairness_empty_and_singleton() {
-        let empty = Fairness::from_accuracies(&[]);
-        assert_eq!(empty.mean, 0.0);
-        let single = Fairness::from_accuracies(&[0.7]);
-        assert!((single.mean - 0.7).abs() < 1e-6);
-        assert!((single.worst_decile - 0.7).abs() < 1e-6);
-        assert!((single.best_decile - 0.7).abs() < 1e-6);
     }
 
     #[test]

@@ -22,3 +22,13 @@ pub fn unseal(bytes: &[u8]) -> &[u8] {
 pub fn sealed_len(body_len: usize) -> usize {
     body_len + 8 // write-side arithmetic: the read-path gate must stay silent
 }
+
+impl<'a> Reader<'a> {
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], ()> {
+        let rest = &self.buf[self.pos..]; // codec-checked-arith @28 (bare indexing; the header's `[u8; N]` holds a `;`)
+        let spare = rest.len() - N; // codec-checked-arith @29 (unchecked `-`)
+        let head = rest.get(..N).ok_or(())?;
+        self.pos = self.buf.len().saturating_sub(spare);
+        head.try_into().map_err(|_| ())
+    }
+}

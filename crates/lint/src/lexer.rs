@@ -13,12 +13,12 @@
 //!
 //! Robustness contract: `lex` never panics and never loops forever, for any
 //! input whatsoever (pinned by a property test over arbitrary byte soup).
-//! Every byte access is bounds-checked via [`Lexer::at`], and every loop
+//! Every byte access is bounds-checked via `Lexer::at`, and every loop
 //! iteration advances the cursor.
 //!
 //! The rules read [`code_stream`]: the tokens minus comments, with every
 //! `(`/`[`/`{` linked to the closer that ends its group, so a walk that
-//! skips a group jumps to its partner ([`group_end`]) instead of counting
+//! skips a group jumps to its partner (`group_end`) instead of counting
 //! depth.
 
 /// What a token is, at the granularity the rules need.

@@ -17,7 +17,7 @@
 //! one clippy now checks (its sites carry `#[expect(clippy::…, reason)]`) —
 //! is itself a finding (`pragma-syntax`) and suppresses nothing.
 
-use crate::items::{parse_items, Item, ItemKind};
+use crate::items::{header_end, scan_items, Item, Items};
 use crate::lexer::{code_stream, group_end, lex, text_at, TokKind, Token};
 use crate::{Finding, Timings};
 use std::collections::BTreeMap;
@@ -137,7 +137,7 @@ pub struct FileView<'a> {
     rule: &'static str,
     ctx: &'a FileContext<'a>,
     code: &'a [Token],
-    items: &'a [Item],
+    items: &'a Items,
     in_test: &'a [bool],
 }
 
@@ -166,7 +166,7 @@ pub fn analyze_source(ctx: &FileContext<'_>, src: &str, timings: &mut Timings) -
         let tokens = lex(src);
         let code = code_stream(&tokens);
         let in_test = test_regions(&code, src.lines().count().max(1) + 3);
-        let items = parse_items(&code, &in_test);
+        let items = scan_items(&code, &in_test);
         (code, in_test, collect_pragmas(&tokens), items)
     });
 
@@ -232,13 +232,10 @@ fn test_regions(code: &[Token], n_lines: usize) -> Vec<bool> {
             continue;
         }
         let attr_line = code[i].line;
-        // Find the item's opening brace (skipping over further attributes is
-        // implicit: their `[`/`]` don't open braces). A `;` first means a
+        // Find the item's opening brace (further attributes and an array
+        // type's `;` are groups the header jumps over). A `;` first means a
         // braceless item — no region.
-        let mut k = j;
-        while k < code.len() && code[k].text != "{" && code[k].text != ";" {
-            k += 1;
-        }
+        let k = header_end(code, j);
         if k >= code.len() || code[k].text == ";" {
             i = k.max(i + 1);
             continue;
@@ -375,11 +372,8 @@ fn stream_collisions(f: &FileView<'_>, out: &mut Vec<Finding>) {
     let (code, items) = (f.code, f.items);
     // Value -> the constants holding it, as (line, name), in token order.
     let mut by_value: BTreeMap<u128, Vec<(u32, &str)>> = BTreeMap::new();
-    for item in items {
-        if item.kind != ItemKind::Mod || item.name != "streams" {
-            continue;
-        }
-        let idxs = body_indices(item, items);
+    for &span in &items.streams {
+        let idxs = body_indices(span, &items.fns);
         for (p, &k) in idxs.iter().enumerate() {
             let Some(name) = code.get(k + 1).filter(|t| t.kind == TokKind::Ident) else {
                 continue;
@@ -446,12 +440,9 @@ fn parse_int(text: &str) -> Option<u128> {
 /// same non-test function.
 fn duplicate_derives(f: &FileView<'_>, out: &mut Vec<Finding>) {
     let (code, items) = (f.code, f.items);
-    for item in items {
-        if item.kind != ItemKind::Fn || item.is_test {
-            continue;
-        }
+    for (item, span) in items.code_fns() {
         let mut seen: BTreeMap<String, u32> = BTreeMap::new();
-        let idxs = body_indices(item, items);
+        let idxs = body_indices(span, &items.fns);
         for (p, &k) in idxs.iter().enumerate() {
             let Some(t) = code.get(k) else {
                 continue;
@@ -535,15 +526,11 @@ fn derive_signature(code: &[Token], idxs: &[usize]) -> Option<String> {
     None
 }
 
-/// The token indices of `item`'s body, skipping the bodies of other `fn`
-/// items nested inside it.
-fn body_indices(item: &Item, all_items: &[Item]) -> Vec<usize> {
-    let Some((start, end)) = item.body else {
-        return Vec::new();
-    };
-    let mut skips: Vec<(usize, usize)> = all_items
+/// The token indices inside the body span `(start, end)`, skipping the
+/// bodies of the `fns` nested inside it.
+fn body_indices((start, end): (usize, usize), fns: &[Item]) -> Vec<usize> {
+    let mut skips: Vec<(usize, usize)> = fns
         .iter()
-        .filter(|o| o.kind == ItemKind::Fn)
         .filter_map(|o| o.body)
         .filter(|&(s, e)| s > start && e < end)
         .collect();
@@ -619,10 +606,7 @@ fn rule_codec_checked_arith(f: &FileView<'_>, out: &mut Vec<Finding>) {
     if ctx.is_bin || !(in_bytes || in_checkpoint || in_persist || in_codec || in_proto) {
         return;
     }
-    for item in items {
-        if item.kind != ItemKind::Fn || item.is_test {
-            continue;
-        }
+    for (item, (start, end)) in items.code_fns() {
         let codec = (in_bytes
             && (item.impl_type.as_deref() == Some("Reader") || item.name == "unseal"))
             || (in_checkpoint
@@ -633,9 +617,6 @@ fn rule_codec_checked_arith(f: &FileView<'_>, out: &mut Vec<Finding>) {
         if !codec {
             continue;
         }
-        let Some((start, end)) = item.body else {
-            continue;
-        };
         for k in start + 1..end.min(code.len()) {
             let t = &code[k];
             let next_is = |txt: &str| code.get(k + 1).is_some_and(|n| n.text == txt);
@@ -703,13 +684,7 @@ fn rule_atomic_write(f: &FileView<'_>, out: &mut Vec<Finding>) {
     if (ctx.is_bin && !lint_cli) || !applies {
         return;
     }
-    for item in items {
-        if item.kind != ItemKind::Fn || item.is_test {
-            continue;
-        }
-        let Some((start, end)) = item.body else {
-            continue;
-        };
+    for (item, (start, end)) in items.code_fns() {
         let mut trigger: Option<(u32, &'static str)> = None;
         let mut has_sync = false;
         let mut has_rename = false;
@@ -891,7 +866,32 @@ fn rule_confinement(f: &FileView<'_>, out: &mut Vec<Finding>) {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_int;
+    use super::{body_indices, parse_int, scan_items, test_regions};
+    use crate::lexer::{code_stream, lex};
+
+    #[test]
+    fn an_array_in_a_test_items_header_keeps_its_region() {
+        let src = "#[cfg(test)]\nfn helper() -> [u8; 4] {\n    [0; 4]\n}\nfn product() {}\n";
+        let in_test = test_regions(&code_stream(&lex(src)), 6);
+        assert_eq!(in_test[1..=5], [true, true, true, true, false]);
+    }
+
+    #[test]
+    fn nested_fn_bodies_are_carved_out() {
+        let code = code_stream(&lex("fn outer() { a(); fn inner() { b() } c() }"));
+        let fns = scan_items(&code, &[]).fns;
+        let texts = |f: usize| -> Vec<&str> {
+            let span = fns[f].body.unwrap();
+            (body_indices(span, &fns).into_iter())
+                .map(|k| code[k].text.as_str())
+                .collect()
+        };
+        assert_eq!(
+            texts(0),
+            ["a", "(", ")", ";", "fn", "inner", "(", ")", "c", "(", ")"]
+        );
+        assert_eq!(texts(1), ["b", "(", ")"]);
+    }
 
     #[test]
     fn int_literal_parsing() {

@@ -1,9 +1,9 @@
-//! Property tests for the fedlint lexer and item parser: arbitrary byte
+//! Property tests for the fedlint lexer and item scan: arbitrary byte
 //! soup must never panic them, hang them, or make them nondeterministic;
 //! delimiter pairing must agree with the depth counter it replaced; and
-//! parsed item spans must always nest properly.
+//! scanned body spans must always nest properly.
 
-use lint::items::parse_items;
+use lint::items::{scan_items, Items};
 use lint::lexer::{code_stream, lex, TokKind, Token};
 use lint::rules::{analyze_source, FileContext};
 use lint::Timings;
@@ -51,12 +51,12 @@ fn delimiter_soup(bytes: &[u8]) -> String {
     String::from_utf8_lossy(&soup).into_owned()
 }
 
-/// Lex `src` and run the item parser the way `analyze_source` does: on
+/// Lex `src` and run the item scan the way `analyze_source` does: on
 /// the paired code stream, every token treated as non-test code.
-fn parse(src: &str) -> Vec<lint::items::Item> {
+fn scan(src: &str) -> Items {
     let toks = code_stream(&lex(src));
     let in_test = vec![false; toks.len()];
-    parse_items(&toks, &in_test)
+    scan_items(&toks, &in_test)
 }
 
 proptest! {
@@ -135,7 +135,7 @@ proptest! {
         }
     }
 
-    /// The item parser terminates whether or not the stream was paired (a
+    /// The item scan terminates whether or not the stream was paired (a
     /// walk that jumps over a group still advances on a stream nobody
     /// paired), and so does the whole analysis of the soup.
     #[test]
@@ -144,8 +144,9 @@ proptest! {
         let paired = code_stream(&lex(&src));
         let unpaired: Vec<Token> = paired.iter().map(|t| Token { pair: None, ..t.clone() }).collect();
         for code in [&paired, &unpaired] {
-            let items = parse_items(code, &vec![false; code.len()]);
-            prop_assert!(items.iter().filter_map(|i| i.body).all(|(_, end)| end <= code.len()));
+            let items = scan_items(code, &vec![false; code.len()]);
+            let spans = items.fns.iter().filter_map(|i| i.body).chain(items.streams);
+            prop_assert!(spans.into_iter().all(|(_, end)| end <= code.len()));
         }
         let ctx = FileContext {
             crate_name: "fl",
@@ -156,44 +157,44 @@ proptest! {
         let _ = analyze_source(&ctx, &src, &mut Timings::default());
     }
 
-    /// The item parser survives arbitrary byte soup and is deterministic.
+    /// The item scan survives arbitrary byte soup and is deterministic.
     #[test]
-    fn item_parser_never_panics_on_byte_soup(bytes in proptest::collection::vec(0u8..=255, 0..2048)) {
+    fn item_scan_never_panics_on_byte_soup(bytes in proptest::collection::vec(0u8..=255, 0..2048)) {
         let src = String::from_utf8_lossy(&bytes).into_owned();
-        let a = parse(&src);
-        let b = parse(&src);
+        let a = scan(&src);
+        let b = scan(&src);
         prop_assert_eq!(a, b);
     }
 
-    /// Structured soup biased toward item-parser-relevant keywords and
+    /// Structured soup biased toward item-scan-relevant keywords and
     /// delimiters: unbalanced braces, dangling attributes, half-written
-    /// fn/impl/mod headers. Must never panic, and every item's body span
-    /// must either nest inside or be disjoint from every other's.
+    /// fn/impl/mod headers, array types. Must never panic, and every body
+    /// span must either nest inside or be disjoint from every other's.
     #[test]
-    fn item_spans_nest_on_structured_soup(picks in proptest::collection::vec(0usize..16, 0..256)) {
-        const PIECES: [&str; 16] = [
-            "fn f", "mod m", "impl T", "{", "}", "(", ")", ";",
+    fn item_spans_nest_on_structured_soup(picks in proptest::collection::vec(0usize..18, 0..256)) {
+        const PIECES: [&str; 18] = [
+            "fn f", "mod streams", "impl T", "{", "}", "(", ")", ";",
             "#[cfg(test)]", "#[test]", "pub", "for U", "<'a>", "where T:",
-            "x", "\n",
+            "x", "\n", "[u8; 4]", "]",
         ];
         let src: String = picks
             .iter()
             .map(|&i| PIECES.get(i).copied().unwrap_or(""))
             .map(|p| format!("{} ", p))
             .collect();
-        let items = parse(&src);
-        for (i, a) in items.iter().enumerate() {
-            let Some((a0, a1)) = a.body else { continue };
-            prop_assert!(a0 <= a1, "inverted span on {:?}", a);
-            for b in items.iter().skip(i + 1) {
-                let Some((b0, b1)) = b.body else { continue };
+        let items = scan(&src);
+        let spans: Vec<(usize, usize)> =
+            items.fns.iter().filter_map(|i| i.body).chain(items.streams).collect();
+        for (i, &(a0, a1)) in spans.iter().enumerate() {
+            prop_assert!(a0 <= a1, "inverted span {:?}", (a0, a1));
+            for &(b0, b1) in spans.iter().skip(i + 1) {
                 let nested = (a0 <= b0 && b1 <= a1) || (b0 <= a0 && a1 <= b1);
                 let disjoint = a1 < b0 || b1 < a0;
                 prop_assert!(
                     nested || disjoint,
-                    "overlapping item spans: {:?} vs {:?}",
-                    a,
-                    b
+                    "overlapping body spans: {:?} vs {:?}",
+                    (a0, a1),
+                    (b0, b1)
                 );
             }
         }

@@ -55,54 +55,6 @@ impl Layer for Relu {
     }
 }
 
-/// Hyperbolic tangent activation (used by the LeNet-5-style model to stay
-/// close to the original architecture's character).
-#[derive(Clone, Default)]
-pub struct Tanh {
-    cached_output: Option<Tensor>,
-}
-
-impl Layer for Tanh {
-    fn forward(&mut self, mut x: Tensor, train: bool) -> Tensor {
-        x.map_in_place(f32::tanh);
-        if train {
-            self.cached_output = Some(x.clone());
-        }
-        x
-    }
-
-    fn backward(&mut self, mut grad_out: Tensor) -> Tensor {
-        #[expect(
-            clippy::expect_used,
-            reason = "Layer contract — backward always follows a train-mode forward, which fills the cache"
-        )]
-        let y = self
-            .cached_output
-            .take()
-            .expect("tanh backward called without cached forward");
-        for (g, &yv) in grad_out.data_mut().iter_mut().zip(y.data()) {
-            *g *= 1.0 - yv * yv;
-        }
-        grad_out
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
-
-    fn name(&self) -> &'static str {
-        "tanh"
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,19 +72,6 @@ mod tests {
         relu.forward(Tensor::from_vec([4], vec![-1.0, 1.0, 2.0, -2.0]), true);
         let dx = relu.backward(Tensor::ones([4]));
         assert_eq!(dx.data(), &[0.0, 1.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn tanh_gradient_check() {
-        let mut tanh = Tanh::default();
-        let x = Tensor::from_vec([3], vec![-0.7, 0.1, 1.3]);
-        tanh.forward(x.clone(), true);
-        let dx = tanh.backward(Tensor::ones([3]));
-        let eps = 1e-3f32;
-        for i in 0..3 {
-            let num = ((x.data()[i] + eps).tanh() - (x.data()[i] - eps).tanh()) / (2.0 * eps);
-            assert!((num - dx.data()[i]).abs() < 1e-3);
-        }
     }
 
     /// A blocked lane is `+0.0` whatever the gradient was — a negative one

@@ -165,7 +165,7 @@ const PAD: u32 = u32::MAX;
 ///
 /// Entry `r·OH·OW + oy·OW + ox` is the offset, inside one `(C,H,W)` image,
 /// of the pixel that im2col row `r = (c, kh, kw)` reads at output position
-/// `(oy, ox)`, or [`PAD`] for a tap in the zero padding. The borders are
+/// `(oy, ox)`, or `PAD` for a tap in the zero padding. The borders are
 /// resolved here, once per geometry, so lowering a batch is one gather per
 /// entry whatever the row length.
 #[derive(Debug)]

@@ -120,20 +120,6 @@ pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
     gemm_strided(m, k, n, a, k, 1, b, 1, k, out);
 }
 
-/// Matrix–vector product `y = A (m×k) * x (k)`.
-pub fn matvec(a: &Tensor, x: &Tensor) -> Tensor {
-    let (m, k) = mat_dims(a);
-    assert_eq!(x.numel(), k, "matvec dimension mismatch");
-    let ad = a.data();
-    let xd = x.data();
-    let mut y = vec![0.0f32; m];
-    for (i, yi) in y.iter_mut().enumerate() {
-        let row = &ad[i * k..(i + 1) * k];
-        *yi = row.iter().zip(xd).map(|(&a, &b)| a * b).sum();
-    }
-    Tensor::from_vec([m], y)
-}
-
 fn mat_dims(t: &Tensor) -> (usize, usize) {
     assert_eq!(
         t.shape().ndim(),
@@ -477,17 +463,6 @@ mod tests {
         gemm_nn(3, 4, 5, a.data(), b.data(), &mut out);
         for (o, e) in out.iter().zip(expected.data()) {
             assert!((o - (e + 1.0)).abs() < 1e-4, "{} vs {}", o, e + 1.0);
-        }
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = random([7, 4], 11);
-        let x = random([4, 1], 12);
-        let y = matvec(&a, &x.reshape([4]));
-        let expected = matmul(&a, &x);
-        for i in 0..7 {
-            assert!((y.data()[i] - expected.data()[i]).abs() < 1e-5);
         }
     }
 

@@ -68,23 +68,6 @@ pub fn argmax_rows(t: &Tensor) -> Vec<usize> {
         .collect()
 }
 
-/// Mean of each column of a `(rows, cols)` matrix.
-pub fn col_mean(t: &Tensor) -> Tensor {
-    assert_eq!(t.shape().ndim(), 2, "col_mean expects a matrix");
-    let (r, c) = (t.dims()[0], t.dims()[1]);
-    let mut out = vec![0.0f32; c];
-    for i in 0..r {
-        for (o, &x) in out.iter_mut().zip(&t.data()[i * c..(i + 1) * c]) {
-            *o += x;
-        }
-    }
-    let inv = 1.0 / r.max(1) as f32;
-    for o in &mut out {
-        *o *= inv;
-    }
-    Tensor::from_vec([c], out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,11 +107,5 @@ mod tests {
     fn argmax_rows_finds_peaks() {
         let t = Tensor::from_vec([3, 3], vec![1., 9., 2., 5., 1., 0., 0., 0., 7.]);
         assert_eq!(argmax_rows(&t), vec![1, 0, 2]);
-    }
-
-    #[test]
-    fn col_mean_averages_columns() {
-        let t = Tensor::from_vec([2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(col_mean(&t).data(), &[2.0, 3.0]);
     }
 }

@@ -18,6 +18,11 @@ echo "== lints =="
 cargo clippy --workspace --all-targets -- -D warnings
 CARGO_TARGET_DIR="$PWD/target" cargo clippy --manifest-path benchmark/Cargo.toml --all-targets -- -D warnings
 
+echo "== docs =="
+# Every crate's rustdoc builds without a warning: a link to an item the
+# public page cannot show, or one rustdoc cannot resolve, is an error.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== fedlint =="
 # Scans crates/*/src, vendor/*/src and, for confinement's one-place rows,
 # the test trees; the crate's own suite pins every fixture line, every RULES
@@ -33,7 +38,7 @@ lint_start=$(date +%s)
 lint_elapsed=$(($(date +%s) - lint_start))
 echo "fedlint: --deny completed in ${lint_elapsed}s (budget ${lint_budget_s}s)"
 if [ "$lint_elapsed" -ge "$lint_budget_s" ]; then
-    echo "fedlint: workspace scan blew its ${lint_budget_s}s budget — the lexer, the item parser or a rule has a perf regression" >&2
+    echo "fedlint: workspace scan blew its ${lint_budget_s}s budget — the lexer, the item scan or a rule has a perf regression" >&2
     exit 1
 fi
 cargo test -q -p lint
