@@ -4,13 +4,11 @@
 //! with the ground-truth label-set groups.
 
 use fedclust::clustering::{outcome_from_dendrogram, LambdaSelect};
-use fedclust::proximity::{collect_partial_weights, proximity_matrix};
+use fedclust::lambda_sweep;
 use fedclust::FedClust;
 use fedclust_bench::scale::Knobs;
-use fedclust_cluster::hac::agglomerative;
 use fedclust_cluster::metrics::adjusted_rand_index;
 use fedclust_data::{DatasetProfile, FederatedDataset, Partition};
-use fedclust_fl::engine::init_model;
 
 fn main() {
     let knobs = Knobs::from_env_or_exit();
@@ -20,21 +18,9 @@ fn main() {
             let scale = knobs.scale(profile, seed);
             let fd = FederatedDataset::build(profile, partition, &scale.federated);
             let cfg = scale.fl;
-            let method = FedClust::default();
-            let template = init_model(&fd, &cfg);
-            let init = template.state_vec();
+            let dendro = lambda_sweep::dendrogram(&fd, &cfg, &FedClust::default());
             let truth = fd.ground_truth_groups();
             let n_truth = truth.iter().copied().max().unwrap_or(0) + 1;
-
-            let weights = collect_partial_weights(
-                &fd,
-                &cfg,
-                &template,
-                &init,
-                method.warmup_epochs,
-                method.selection,
-            );
-            let dendro = agglomerative(&proximity_matrix(&weights, method.metric), method.linkage);
             println!(
                 "## {} — {} clients, {} ground-truth groups",
                 profile.name(),

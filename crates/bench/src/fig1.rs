@@ -9,7 +9,8 @@
 //! of clustering on that layer alone.
 
 use fedclust::clustering::{cluster_clients, LambdaSelect};
-use fedclust::proximity::{collect_partial_weights, proximity_matrix, WeightSelection};
+use fedclust::proximity::{proximity_matrix, WeightSelection};
+use fedclust::FedClust;
 use fedclust_cluster::hac::Linkage;
 use fedclust_cluster::metrics::adjusted_rand_index;
 use fedclust_data::{DatasetProfile, FederatedDataset};
@@ -45,7 +46,6 @@ pub fn print() {
         ..FlConfig::default()
     };
     let template = init_model(&fd, &cfg);
-    let init_state = template.state_vec();
     let truth = fd.ground_truth_groups();
 
     // VGG-mini parameter blocks: conv1 conv2 conv3 conv4 fc1 fc2(final).
@@ -62,14 +62,12 @@ pub fn print() {
     );
     println!("Ground-truth groups: clients 0-4 hold classes 0-4; clients 5-9 hold classes 5-9.\n");
     // One warm-up; every plotted layer is a slice of the same trained weights.
-    let trained = collect_partial_weights(
-        &fd,
-        &cfg,
-        &template,
-        &init_state,
-        cfg.local_epochs,
-        WeightSelection::FullModel,
-    );
+    let trained = FedClust {
+        warmup_epochs: cfg.local_epochs,
+        selection: WeightSelection::FullModel,
+        ..FedClust::default()
+    }
+    .clean_partials(&fd, &cfg);
     for (block, label) in picks {
         let layer = |w: &Vec<f32>| WeightSelection::Block(block).select(&template, w).to_vec();
         let weights: Vec<Vec<f32>> = trained.iter().map(layer).collect();

@@ -4,9 +4,11 @@ use crate::clustering::{cluster_clients, ClusteringOutcome, LambdaSelect};
 use crate::persist::SavedFederation;
 use crate::proximity::{proximity_matrix, WeightSelection};
 use fedclust_cluster::hac::Linkage;
+use fedclust_data::FederatedDataset;
 use fedclust_fl::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
 use fedclust_fl::driver::{Method, RoundCtx};
-use fedclust_fl::engine::{evaluate_clients, weighted_average};
+use fedclust_fl::engine::{evaluate_clients, weighted_average, InProcessTrainer};
+use fedclust_fl::{CodecSpec, FaultPlan, FlConfig};
 use fedclust_nn::Model;
 
 /// FedClust configuration (Algorithm 1's inputs beyond the shared
@@ -36,6 +38,47 @@ impl Default for FedClust {
             selection: WeightSelection::FinalLayer,
             metric: fedclust_tensor::distance::Metric::L2,
         }
+    }
+}
+
+impl FedClust {
+    /// Algorithm 1's warm-up and upload (lines 2–5): the server broadcasts
+    /// θ⁰ to all clients; each the downlink reaches trains briefly on the
+    /// run's trainer and uploads only the selected partial weights, through
+    /// the uplink's codec, faults and quarantine screen. Returns the clients
+    /// whose partials arrived and those partials, in client order.
+    pub fn round0(&self, ctx: &mut RoundCtx<'_>) -> (Vec<usize>, Vec<Vec<f32>>) {
+        let init_state = ctx.template.state_vec();
+        let warmed = ctx.warm_up(&init_state, self.warmup_epochs);
+        // A stale round-0 corruption replays the untrained partial weights.
+        let init_partial = self.selection.select(&ctx.template, &init_state);
+        let mut survivors: Vec<usize> = Vec::with_capacity(warmed.len());
+        let mut partials: Vec<Vec<f32>> = Vec::with_capacity(warmed.len());
+        // Warm-ups come back as raw full states; the partial weights are
+        // sliced out here, so the uplink path (codec, faults, screen) runs
+        // over them wherever the clients trained.
+        for u in warmed {
+            let mut partial = self.selection.select(&ctx.template, &u.state).to_vec();
+            if ctx.upload(0, u.client, &mut partial, Some(init_partial)) {
+                survivors.push(u.client);
+                partials.push(partial);
+            }
+        }
+        (survivors, partials)
+    }
+
+    /// Every client's round-0 partial weights, fault-free: [`FedClust::round0`]
+    /// in process on `cfg` without its faults and codec, so every client is
+    /// reached and every partial arrives as trained. What the λ sweep, Fig. 1
+    /// and the clustering diagnostics cluster.
+    pub fn clean_partials(&self, fd: &FederatedDataset, cfg: &FlConfig) -> Vec<Vec<f32>> {
+        let cfg = FlConfig {
+            faults: FaultPlan::none(),
+            codec: CodecSpec::none(),
+            ..*cfg
+        };
+        let trainer = InProcessTrainer::new(fd, &cfg);
+        self.round0(&mut RoundCtx::new(fd, &cfg, &trainer)).1
     }
 }
 
@@ -71,30 +114,13 @@ impl Method for FedClust {
     type State = SavedFederation;
     type Artifacts = TrainedFederation;
 
-    /// Round 0 (Algorithm 1, lines 2–7): the server broadcasts θ⁰ to all
-    /// clients; each the downlink reaches trains briefly and uploads only
-    /// the selected partial weights. Clustering must tolerate missing
-    /// partials: it runs over whatever uploads survive the uplink and the
-    /// quarantine screen.
+    /// Round 0 (Algorithm 1, lines 2–7): [`FedClust::round0`], then
+    /// `HC(M, λ)` over whatever partials survived. Clustering must tolerate
+    /// missing partials: clients without one join the largest cluster.
     fn init(&self, ctx: &mut RoundCtx<'_>) -> SavedFederation {
         let fd = ctx.fd;
+        let (survivors, partials) = self.round0(ctx);
         let init_state = ctx.template.state_vec();
-        let warmed = ctx.warm_up(&init_state, self.warmup_epochs);
-        // A stale round-0 corruption replays the untrained partial weights.
-        let init_partial = self.selection.extract(&ctx.template);
-        let mut survivors: Vec<usize> = Vec::with_capacity(warmed.len());
-        let mut partials: Vec<Vec<f32>> = Vec::with_capacity(warmed.len());
-        // Warm-ups come back as raw full states; the partial weights are
-        // sliced out here, so the uplink path (codec, faults, screen) runs
-        // over them wherever the clients trained.
-        for u in warmed {
-            let mut partial = self.selection.select(&ctx.template, &u.state).to_vec();
-            if ctx.upload(0, u.client, &mut partial, Some(&init_partial)) {
-                survivors.push(u.client);
-                partials.push(partial);
-            }
-        }
-
         let (outcome, representatives) = if survivors.len() >= 2 {
             let matrix = proximity_matrix(&partials, self.metric);
             let sub = cluster_clients(&matrix, self.linkage, self.lambda);
@@ -134,7 +160,10 @@ impl Method for FedClust {
         } else {
             // Degenerate round 0 (≤1 usable partial): fall back to a single
             // global cluster so training can still proceed.
-            let rep = partials.into_iter().next().unwrap_or(init_partial);
+            let rep = partials
+                .into_iter()
+                .next()
+                .unwrap_or_else(|| self.selection.select(&ctx.template, &init_state).to_vec());
             (
                 ClusteringOutcome {
                     labels: vec![0; fd.num_clients()],

@@ -8,12 +8,12 @@
 
 use crate::algorithm::FedClust;
 use crate::clustering::{outcome_from_dendrogram, ClusteringOutcome, LambdaSelect};
-use crate::proximity::{collect_partial_weights, proximity_matrix};
+use crate::proximity::proximity_matrix;
 use fedclust_cluster::hac::{agglomerative, Dendrogram};
 use fedclust_data::FederatedDataset;
 use fedclust_fl::checkpoint::{wrong_state, CheckpointError, MethodState};
 use fedclust_fl::driver::{run_federation, Method, NoCheckpoints, RoundCtx};
-use fedclust_fl::engine::{evaluate_clients, init_model};
+use fedclust_fl::engine::evaluate_clients;
 use fedclust_fl::FlConfig;
 
 /// One point of the λ sweep.
@@ -27,18 +27,10 @@ pub struct LambdaPoint {
     pub final_acc: f64,
 }
 
-/// The one warm-up + clustering pass of a sweep: every client's partial
-/// weights (collected fault-free, outside any transport) into a dendrogram.
+/// The one warm-up + clustering pass of a sweep: `method`'s fault-free
+/// round 0 ([`FedClust::clean_partials`]) into a dendrogram.
 pub fn dendrogram(fd: &FederatedDataset, cfg: &FlConfig, method: &FedClust) -> Dendrogram {
-    let template = init_model(fd, cfg);
-    let partials = collect_partial_weights(
-        fd,
-        cfg,
-        &template,
-        &template.state_vec(),
-        method.warmup_epochs,
-        method.selection,
-    );
+    let partials = method.clean_partials(fd, cfg);
     agglomerative(&proximity_matrix(&partials, method.metric), method.linkage)
 }
 
@@ -158,6 +150,39 @@ mod tests {
                 seed: 5,
             },
         )
+    }
+
+    /// The sweep's dendrogram is cut from the round 0 a run trains from:
+    /// at the method's own λ rule it gives the run's clustering.
+    #[test]
+    fn the_sweep_clusters_the_round_0_a_run_trains_from() {
+        let fd = two_group_fd();
+        let cfg = FlConfig::tiny(5);
+        let m = FedClust::default();
+        let round0_only = FlConfig { rounds: 0, ..cfg };
+        let Ok((_, federation)) = run_federation(&m, &fd, &round0_only, NoCheckpoints, None);
+        let swept = outcome_from_dendrogram(&dendrogram(&fd, &cfg, &m), m.lambda);
+        assert_eq!(swept, federation.saved.outcome);
+    }
+
+    /// The sweep's round 0 ignores the run's codec and fault flags: its
+    /// partials are the plain config's, though the same round 0 over the
+    /// lossy, quantizing link delivers others.
+    #[test]
+    fn clean_partials_ignore_the_codec_and_the_faults() {
+        let fd = two_group_fd();
+        let plain = FlConfig::tiny(5);
+        let mut faulty = plain;
+        faulty.codec = fedclust_fl::CodecSpec::parse("delta+q8").unwrap();
+        faulty.faults.uplink_loss = 0.3;
+        let m = FedClust::default();
+        let clean = m.clean_partials(&fd, &plain);
+        assert_eq!(clean.len(), fd.num_clients());
+        assert_eq!(m.clean_partials(&fd, &faulty), clean);
+
+        let trainer = fedclust_fl::engine::InProcessTrainer::new(&fd, &faulty);
+        let (_, delivered) = m.round0(&mut RoundCtx::new(&fd, &faulty, &trainer));
+        assert_ne!(delivered, clean, "the faulty link changes what arrives");
     }
 
     #[test]

@@ -19,13 +19,14 @@
 //!
 //! Crate layout:
 //!
-//! * [`proximity`] — warm-up training and partial-weight collection, and
-//!   the Eq. 3 proximity matrix;
+//! * [`proximity`] — which partial weights clients upload, and the Eq. 3
+//!   proximity matrix;
 //! * [`clustering`] — the λ-threshold hierarchical clustering step with
 //!   fixed or data-driven (plateau or largest-gap) λ selection;
 //! * [`algorithm`] — [`algorithm::FedClust`], the full method as an
-//!   [`fedclust_fl::FlMethod`], plus [`algorithm::TrainedFederation`] for
-//!   post-hoc use of the trained cluster models;
+//!   [`fedclust_fl::FlMethod`], whose round 0 ([`FedClust::round0`]) is the
+//!   one warm-up, plus [`algorithm::TrainedFederation`] for post-hoc use of
+//!   the trained cluster models;
 //! * [`newcomer`] — Algorithm 2: incorporating clients that join after
 //!   federation;
 //! * [`lambda_sweep`] — the generalization/personalization trade-off sweep

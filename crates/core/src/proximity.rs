@@ -1,5 +1,4 @@
-//! Warm-up training, partial-weight collection, and the Eq. 3 proximity
-//! matrix.
+//! Which partial weights clients upload, and the Eq. 3 proximity matrix.
 //!
 //! The key design choice of FedClust (paper §4.1): clients upload only the
 //! final layer's weights + bias, which are (a) tiny compared to the full
@@ -55,36 +54,12 @@ impl WeightSelection {
     }
 }
 
-/// Round-0 warm-up: every client trains the broadcast model θ⁰ for
-/// `warmup_epochs` local epochs and returns the selected partial weights.
-/// Runs clients in parallel; deterministic per `(cfg.seed, client)`.
-pub fn collect_partial_weights(
-    fd: &FederatedDataset,
-    cfg: &FlConfig,
-    template: &Model,
-    init_state: &[f32],
-    warmup_epochs: usize,
-    selection: WeightSelection,
-) -> Vec<Vec<f32>> {
-    let clients: Vec<usize> = (0..fd.num_clients()).collect();
-    collect_partial_weights_for(
-        fd,
-        cfg,
-        template,
-        init_state,
-        warmup_epochs,
-        selection,
-        &clients,
-    )
-    .into_iter()
-    .map(|(_, partial)| partial)
-    .collect()
-}
-
-/// [`collect_partial_weights`] restricted to an explicit client list — the
-/// fault-tolerant round 0 collects only from the clients the broadcast
-/// actually reached. Results are `(client, partial)` pairs in `clients`
-/// order, one for every requested client.
+/// Round 0's warm-up outside any transport: each of `clients` trains θ⁰
+/// (`init_state`) for `warmup_epochs` local epochs, and its selected partial
+/// weights come back as `(client, partial)` pairs in `clients` order.
+/// The product warms up through [`crate::FedClust::round0`]; this copy is
+/// kept only for `fedbench-trace`'s round-0 replay, its last caller, and
+/// goes with that replay.
 pub fn collect_partial_weights_for(
     fd: &FederatedDataset,
     cfg: &FlConfig,
@@ -175,16 +150,7 @@ mod tests {
         let fd = two_group_fd(1);
         let mut cfg = FlConfig::tiny(1);
         cfg.local_epochs = 2;
-        let template = init_model(&fd, &cfg);
-        let init_state = template.state_vec();
-        let weights = collect_partial_weights(
-            &fd,
-            &cfg,
-            &template,
-            &init_state,
-            2,
-            WeightSelection::FinalLayer,
-        );
+        let weights = crate::FedClust::default().clean_partials(&fd, &cfg);
         let m = proximity_matrix(&weights, Metric::L2);
         // Mean intra-group distance must be below mean inter-group distance:
         // the core empirical claim of the paper (§3.3).
@@ -268,10 +234,12 @@ mod tests {
     fn collection_is_deterministic() {
         let fd = two_group_fd(3);
         let cfg = FlConfig::tiny(3);
-        let template = init_model(&fd, &cfg);
-        let s = template.state_vec();
-        let a = collect_partial_weights(&fd, &cfg, &template, &s, 1, WeightSelection::FinalLayer);
-        let b = collect_partial_weights(&fd, &cfg, &template, &s, 1, WeightSelection::FinalLayer);
+        let method = crate::FedClust {
+            warmup_epochs: 1,
+            ..crate::FedClust::default()
+        };
+        let a = method.clean_partials(&fd, &cfg);
+        let b = method.clean_partials(&fd, &cfg);
         assert_eq!(a, b);
     }
 

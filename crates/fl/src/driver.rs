@@ -47,6 +47,22 @@ pub struct RoundCtx<'a> {
 }
 
 impl<'a> RoundCtx<'a> {
+    /// The context of a fresh run on `fd` under `cfg`: θ⁰ built from the
+    /// run's seed, a transport with nothing metered yet, and `trainer`.
+    pub fn new(
+        fd: &'a FederatedDataset,
+        cfg: &'a FlConfig,
+        trainer: &'a dyn RemoteTrainer,
+    ) -> Self {
+        RoundCtx {
+            fd,
+            cfg,
+            template: init_model(fd, cfg),
+            transport: Transport::new(cfg),
+            trainer,
+        }
+    }
+
     /// One full faulty round trip for the standard skeleton: sample at
     /// `round`, broadcast `start_state` through the transport (charging
     /// every downlink attempt), train the clients that were actually
@@ -383,14 +399,7 @@ pub fn run_federation<M: Method, C: CheckpointSink>(
     trainer: Option<&dyn RemoteTrainer>,
 ) -> Result<(RunResult, M::Artifacts), C::Error> {
     let in_process = InProcessTrainer::new(fd, cfg);
-    let trainer = trainer.unwrap_or(&in_process);
-    let mut ctx = RoundCtx {
-        fd,
-        cfg,
-        template: init_model(fd, cfg),
-        transport: Transport::new(cfg),
-        trainer,
-    };
+    let mut ctx = RoundCtx::new(fd, cfg, trainer.unwrap_or(&in_process));
     let snapshot =
         |state: &M::State, ctx: &RoundCtx<'_>, next_round, history: &[RoundRecord]| Checkpoint {
             method: M::NAME.to_string(),
@@ -535,13 +544,8 @@ mod tests {
         let fd = tiny_fd(6);
         let mut cfg = FlConfig::tiny(6);
         cfg.faults.uplink_loss = 1.0;
-        let mut ctx = RoundCtx {
-            fd: &fd,
-            cfg: &cfg,
-            template: init_model(&fd, &cfg),
-            transport: Transport::new(&cfg),
-            trainer: &InProcessTrainer::new(&fd, &cfg),
-        };
+        let trainer = InProcessTrainer::new(&fd, &cfg);
+        let mut ctx = RoundCtx::new(&fd, &cfg, &trainer);
         let s = ctx.template.state_vec();
         let kept = ctx.train_groups(&[(&s, &[0, 1, 2])], 0, None).remove(0);
         assert!(kept.is_empty(), "total uplink loss must lose every update");
@@ -562,13 +566,7 @@ mod tests {
         cfg.faults.downlink_loss = 0.6;
         cfg.faults.max_downlink_retries = 1;
         let trainer = InProcessTrainer::new(&fd, &cfg);
-        let ctx = || RoundCtx {
-            fd: &fd,
-            cfg: &cfg,
-            template: init_model(&fd, &cfg),
-            transport: Transport::new(&cfg),
-            trainer: &trainer,
-        };
+        let ctx = || RoundCtx::new(&fd, &cfg, &trainer);
         let down = 7;
         let sampled = |round| sample_clients(fd.num_clients(), &cfg, round);
         let partly_reached = |round| {
@@ -637,13 +635,7 @@ mod tests {
         cfg.faults.uplink_loss = 0.4;
         cfg.faults.corruption_rate = 0.2;
         let trainer = InProcessTrainer::new(&fd, &cfg);
-        let ctx = || RoundCtx {
-            fd: &fd,
-            cfg: &cfg,
-            template: init_model(&fd, &cfg),
-            transport: Transport::new(&cfg),
-            trainer: &trainer,
-        };
+        let ctx = || RoundCtx::new(&fd, &cfg, &trainer);
         let theta = ctx().template.state_vec();
 
         // Every client's fate at a round hangs on `(seed, round, client)`

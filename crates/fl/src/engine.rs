@@ -426,7 +426,9 @@ pub struct ClientUpdate {
 /// Run local training on every sampled client in parallel, each on a fresh
 /// replica of `template` starting from `start_state` for
 /// `cfg.local_epochs` epochs, and collect the raw updates in `sampled`
-/// order.
+/// order. No method trains through it (they go through
+/// [`RoundCtx`](crate::driver::RoundCtx)); `fedbench-trace`'s replay is its
+/// last caller outside tests, and it goes with that replay.
 pub fn train_sampled(
     fd: &FederatedDataset,
     cfg: &FlConfig,

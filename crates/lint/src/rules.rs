@@ -62,7 +62,7 @@ pub const RULES: [Rule; 6] = [
         name: "confinement",
         doc: "A token shape the architecture keeps in one place stays there: each `CONFINED` row \
          names a shape of code tokens, the files it reads, its home (some files, once per `const` \
-         table, or nowhere) and whether test code counts; see DESIGN.md §8 for the thirteen rows.",
+         table, or nowhere) and whether test code counts; see DESIGN.md §8 for the twelve rows.",
         pass: Pass::FileAndTests(rule_confinement),
     },
     Rule {
@@ -292,16 +292,6 @@ fn collect_pragmas(tokens: &[Token]) -> Vec<Pragma> {
     }
     out
 }
-
-/// The parallel-iterator entry points, which `confinement`'s `kernels on
-/// the calling thread` row bans from the kernel crates.
-const PAR_ENTRY_POINTS: [&str; 5] = [
-    "into_par_iter",
-    "par_chunks",
-    "par_chunks_mut",
-    "par_iter",
-    "par_iter_mut",
-];
 
 /// `rng-stream-discipline`: in `fl`/`core` library code, `derive(seed, &[…])`
 /// must lead its stream slice with a named constant (`streams::X`), never a
@@ -763,7 +753,7 @@ pub enum Home {
 
 /// The `confinement` rows, one per invariant.
 #[rustfmt::skip]
-pub const CONFINED: [Confined; 13] = [
+pub const CONFINED: [Confined; 12] = [
     Confined { name: "one byte layer",
         pattern: |c, i| c[i].kind == TokKind::Int && c[i].text.replace('_', "").contains("cbf29ce4"),
         scope: &["crates/", "tests/"], home: Home::Files(&["crates/proto/src/bytes.rs"]), tests: true,
@@ -793,11 +783,6 @@ pub const CONFINED: [Confined; 13] = [
         pattern: |c, i| runs(c, i, &[&["im2col_batch_into", "("], &["col2im_batch_into", "("]]),
         scope: &["crates/"], home: Home::Nowhere, tests: false,
         message: "builds a tap table per call; lower through the layer's table" },
-    Confined { name: "kernels on the calling thread",
-        pattern: |c, i| runs(c, i, &[&["rayon", "::"]])
-            || (PAR_ENTRY_POINTS.contains(&c[i].text.as_str()) && text_at(c, i + 1) == "("),
-        scope: &["crates/tensor/src/", "crates/nn/src/", "crates/data/src/", "crates/cluster/src/"], home: Home::Nowhere, tests: false,
-        message: "a kernel runs on the thread that calls it; fork in the map over clients or proximity rows above it" },
     Confined { name: "no locks",
         pattern: |c, i| c[i].kind == TokKind::Ident && matches!(c[i].text.as_str(), "Mutex" | "RwLock" | "Condvar"),
         scope: &["crates/", "vendor/"], home: Home::Files(&["vendor/rayon/src/iter.rs", "crates/cli/src/chaos.rs"]), tests: false,

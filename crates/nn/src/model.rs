@@ -9,11 +9,9 @@
 //!   state (batch-norm running statistics), the full payload a client
 //!   synchronises with its server model,
 //! * `param_blocks` — per-top-level-layer offsets into the parameter
-//!   vector, used by LG-FedAvg's local/global split and by the Fig. 1
-//!   layer-wise distance study,
-//! * `final_layer_vec` — the weights + bias of the last parameterised
-//!   layer: the "strategically selected partial weights" FedClust clusters
-//!   clients on.
+//!   vector, used by LG-FedAvg's local/global split, by the Fig. 1
+//!   layer-wise distance study and by FedClust's partial weights (the last
+//!   block).
 
 use crate::layer::{backward_stack, backward_stack_params, Layer};
 use crate::loss::{accuracy, cross_entropy};
@@ -203,27 +201,6 @@ impl Model {
         blocks
     }
 
-    /// Weights of one parameter block as a flat vector.
-    pub fn block_vec(&self, block: &ParamBlock) -> Vec<f32> {
-        let pv = self.param_vec();
-        pv[block.offset..block.offset + block.len].to_vec()
-    }
-
-    /// The final parameterised layer's weights + bias — the partial weights
-    /// FedClust transmits for clustering (Eq. 3 of the paper).
-    ///
-    /// # Panics
-    /// Panics if the model has no parameterised layer.
-    pub fn final_layer_vec(&self) -> Vec<f32> {
-        let blocks = self.param_blocks();
-        #[expect(
-            clippy::expect_used,
-            reason = "documented panic — the # Panics section requires at least one parameterised layer"
-        )]
-        let last = blocks.last().expect("model has no parameterised layers");
-        self.block_vec(last)
-    }
-
     /// One SGD training step on a batch; returns the batch loss.
     pub fn train_step(&mut self, x: Tensor, targets: &[usize], opt: &mut Sgd) -> f32 {
         let logits = self.forward(x, true);
@@ -290,15 +267,6 @@ mod tests {
         assert_eq!(blocks[1].offset, 40);
         assert_eq!(blocks[1].len, 8 * 3 + 3);
         assert_eq!(blocks[0].len + blocks[1].len, m.num_params());
-    }
-
-    #[test]
-    fn final_layer_vec_is_last_block() {
-        let m = tiny_model(3);
-        let f = m.final_layer_vec();
-        assert_eq!(f.len(), 8 * 3 + 3);
-        let pv = m.param_vec();
-        assert_eq!(&pv[40..], &f[..]);
     }
 
     #[test]

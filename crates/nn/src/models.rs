@@ -212,7 +212,7 @@ mod tests {
         // 2 conv + 3 fc parameter blocks.
         assert_eq!(m.param_blocks().len(), 5);
         // Final layer = classifier: 24 weights per class + bias.
-        assert_eq!(m.final_layer_vec().len(), 24 * 10 + 10);
+        assert_eq!(m.param_blocks().last().unwrap().len, 24 * 10 + 10);
     }
 
     #[test]
@@ -318,7 +318,7 @@ mod tests {
         // The premise of FedClust's communication saving: the classifier
         // head is much smaller than the full model.
         let m = lenet5(3, 16, 16, 10, &mut rng(10));
-        let fl = m.final_layer_vec().len();
+        let fl = m.param_blocks().last().unwrap().len;
         assert!(
             fl * 4 < m.num_params(),
             "final layer {} of {}",

@@ -12,7 +12,8 @@
 #              `--resume` to the end: --json stdout of both legs, the
 #              generation files left after each leg (names and bytes)
 #
-# between the two binaries. Same host, same kernel dispatch, so FMA vs
+# between the two binaries, and then round 0's other readers: the stdout of
+# `cluster` and `sweep --points 4`, plain and under the faulty link. Same host, same kernel dispatch, so FMA vs
 # scalar rounding cannot confuse it. Exits non-zero on the first differing
 # byte.
 #
@@ -57,12 +58,12 @@ same() { # same <what> <file-a> <file-b>
   compared=$((compared + 1))
 }
 
-# run <ours|theirs> <out-file> <args...>
-run() {
+# cli <ours|theirs> <out-file> <subcommand> <args...>
+cli() {
   local bin=$OURS
   [ "$1" = theirs ] && bin=$THEIRS
-  "$bin" run "${@:3}" > "$2" 2> "$2.err" || {
-    echo "FAILED ($1): run ${*:3}" >&2
+  "$bin" "${@:3}" > "$2" 2> "$2.err" || {
+    echo "FAILED ($1): ${*:3}" >&2
     cat "$2.err" >&2
     exit 1
   }
@@ -82,12 +83,12 @@ for m in "${METHODS[@]}"; do
   mkdir "$d"
   for side in ours theirs; do
     mkdir "$d/ckpt.$side" # `local` writes no generations and would not create it
-    run $side "$d/plain.$side" --method "$m" --rounds $ROUNDS "${BASE[@]}"
-    run $side "$d/faulty.$side" --method "$m" --rounds $ROUNDS "${BASE[@]}" "${FAULTY[@]}"
-    run $side "$d/half.$side" --method "$m" --rounds $((ROUNDS / 2)) "${BASE[@]}" \
+    cli $side "$d/plain.$side" run --method "$m" --rounds $ROUNDS "${BASE[@]}"
+    cli $side "$d/faulty.$side" run --method "$m" --rounds $ROUNDS "${BASE[@]}" "${FAULTY[@]}"
+    cli $side "$d/half.$side" run --method "$m" --rounds $((ROUNDS / 2)) "${BASE[@]}" \
       --checkpoint-dir "$d/ckpt.$side" --checkpoint-every 1
     cp -r "$d/ckpt.$side" "$d/ckpt-half.$side"
-    run $side "$d/resumed.$side" --method "$m" --rounds $ROUNDS "${BASE[@]}" \
+    cli $side "$d/resumed.$side" run --method "$m" --rounds $ROUNDS "${BASE[@]}" \
       --checkpoint-dir "$d/ckpt.$side" --checkpoint-every 1 --resume
   done
   same "$m plain" "$d/plain.ours" "$d/plain.theirs"
@@ -99,4 +100,18 @@ for m in "${METHODS[@]}"; do
   echo "   $m: identical"
 done
 
-echo "OK: ${#METHODS[@]} methods x {plain, codec+faults, checkpoint+resume}: $compared comparisons against $COMMIT, 0 differing bytes"
+d="$WORK/round0"
+mkdir "$d"
+for side in ours theirs; do
+  cli $side "$d/cluster.$side" cluster "${BASE[@]}"
+  cli $side "$d/cluster-faulty.$side" cluster "${BASE[@]}" "${FAULTY[@]}"
+  cli $side "$d/sweep.$side" sweep --points 4 "${BASE[@]}"
+  cli $side "$d/sweep-faulty.$side" sweep --points 4 "${BASE[@]}" "${FAULTY[@]}"
+done
+for what in cluster cluster-faulty sweep sweep-faulty; do
+  same "$what" "$d/$what.ours" "$d/$what.theirs"
+done
+echo "   cluster, sweep: identical"
+
+echo "OK: ${#METHODS[@]} methods x {plain, codec+faults, checkpoint+resume}, cluster and sweep x" \
+  "{plain, codec+faults}: $compared comparisons against $COMMIT, 0 differing bytes"

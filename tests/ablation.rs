@@ -7,11 +7,8 @@ use fedclust_repro::cluster::hac::Linkage;
 use fedclust_repro::cluster::metrics::adjusted_rand_index;
 use fedclust_repro::data::{DatasetProfile, FederatedDataset};
 use fedclust_repro::fedclust::clustering::{cluster_clients, LambdaSelect};
-use fedclust_repro::fedclust::proximity::{
-    collect_partial_weights, proximity_matrix, WeightSelection,
-};
+use fedclust_repro::fedclust::proximity::{proximity_matrix, WeightSelection};
 use fedclust_repro::fedclust::FedClust;
-use fedclust_repro::fl::engine::init_model;
 use fedclust_repro::fl::FlConfig;
 use fedclust_repro::fl::FlMethod;
 use fedclust_repro::tensor::distance::Metric;
@@ -49,9 +46,12 @@ fn weights(
 ) -> Vec<Vec<f32>> {
     let mut cfg = FlConfig::tiny(seed);
     cfg.local_epochs = epochs;
-    let template = init_model(fd, &cfg);
-    let init = template.state_vec();
-    collect_partial_weights(fd, &cfg, &template, &init, epochs, selection)
+    let method = FedClust {
+        warmup_epochs: epochs,
+        selection,
+        ..FedClust::default()
+    };
+    method.clean_partials(fd, &cfg)
 }
 
 #[test]

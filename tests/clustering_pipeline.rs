@@ -7,10 +7,8 @@ use fedclust_repro::cluster::hac::Linkage;
 use fedclust_repro::cluster::metrics::{adjusted_rand_index, normalized_mutual_info};
 use fedclust_repro::data::{DatasetProfile, FederatedDataset};
 use fedclust_repro::fedclust::clustering::{cluster_clients, LambdaSelect};
-use fedclust_repro::fedclust::proximity::{
-    collect_partial_weights, proximity_matrix, WeightSelection,
-};
-use fedclust_repro::fl::engine::init_model;
+use fedclust_repro::fedclust::proximity::{proximity_matrix, WeightSelection};
+use fedclust_repro::fedclust::FedClust;
 use fedclust_repro::fl::FlConfig;
 use fedclust_repro::tensor::distance::Metric;
 
@@ -45,9 +43,12 @@ fn ari_for_selection(
 ) -> f64 {
     let mut cfg = FlConfig::tiny(7);
     cfg.local_epochs = epochs;
-    let template = init_model(fd, &cfg);
-    let init = template.state_vec();
-    let weights = collect_partial_weights(fd, &cfg, &template, &init, epochs, selection);
+    let method = FedClust {
+        warmup_epochs: epochs,
+        selection,
+        ..FedClust::default()
+    };
+    let weights = method.clean_partials(fd, &cfg);
     let m = proximity_matrix(&weights, Metric::L2);
     let outcome = cluster_clients(&m, Linkage::Average, LambdaSelect::AutoGap);
     adjusted_rand_index(&outcome.labels, truth)
@@ -106,10 +107,7 @@ fn nmi_agrees_with_ari_on_good_clusterings() {
     let (fd, truth) = three_group_fd(4);
     let mut cfg = FlConfig::tiny(4);
     cfg.local_epochs = 2;
-    let template = init_model(&fd, &cfg);
-    let init = template.state_vec();
-    let weights =
-        collect_partial_weights(&fd, &cfg, &template, &init, 2, WeightSelection::FinalLayer);
+    let weights = FedClust::default().clean_partials(&fd, &cfg);
     let m = proximity_matrix(&weights, Metric::L2);
     let outcome = cluster_clients(&m, Linkage::Average, LambdaSelect::AutoGap);
     let ari = adjusted_rand_index(&outcome.labels, &truth);
