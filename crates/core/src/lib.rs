@@ -27,8 +27,8 @@
 //!   [`fedclust_fl::FlMethod`], whose round 0 ([`FedClust::round0`]) is the
 //!   one warm-up, plus [`algorithm::TrainedFederation`] for post-hoc use of
 //!   the trained cluster models;
-//! * [`newcomer`] — Algorithm 2: incorporating clients that join after
-//!   federation;
+//! * [`newcomer`] — Algorithm 2's Eq. 4 assignment of clients that join
+//!   after federation;
 //! * [`lambda_sweep`] — the generalization/personalization trade-off sweep
 //!   behind Fig. 4.
 //!

@@ -7,22 +7,16 @@
 //! for a few epochs. Warm-up epochs, weight selection and metric are those
 //! of the [`FedClust`](crate::FedClust) that trained the federation, so the
 //! newcomer's partial weights live where the representatives do.
+//!
+//! This module is the assignment ([`assign_newcomer`]). The tail is
+//! [`personalized_accuracy`](fedclust_fl::engine::personalized_accuracy)
+//! on the chosen cluster's state, which is how Table 6 scores every
+//! newcomer.
 
 use crate::algorithm::TrainedFederation;
 use fedclust_data::ClientData;
-use fedclust_fl::engine::{personalized_accuracy, train_replica, LocalJob};
+use fedclust_fl::engine::{train_replica, LocalJob};
 use fedclust_fl::FlConfig;
-use rayon::prelude::*;
-
-/// Result of incorporating one newcomer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NewcomerOutcome {
-    /// The cluster the newcomer was assigned to (Eq. 4's argmin).
-    pub cluster: usize,
-    /// Local test accuracy after receiving and personalizing the cluster
-    /// model.
-    pub accuracy: f32,
-}
 
 /// Assign a newcomer to the closest cluster by partial-weight distance,
 /// measured by the federation's own metric. Returns the chosen cluster id:
@@ -63,49 +57,13 @@ pub fn assign_newcomer(
     assign_cluster(federation, &federation.method.selection.extract(&probe))
 }
 
-/// Run Algorithm 2 end-to-end for one newcomer: [`assign_newcomer`], then
-/// receive that cluster's model, personalize it for `personalize_epochs`
-/// and evaluate on the newcomer's local test set
-/// ([`personalized_accuracy`], as every Table 6 newcomer is scored).
-pub fn incorporate(
-    federation: &TrainedFederation,
-    newcomer: &ClientData,
-    cfg: &FlConfig,
-    personalize_epochs: usize,
-    newcomer_id: usize,
-) -> NewcomerOutcome {
-    let cluster = assign_newcomer(federation, newcomer, cfg, newcomer_id);
-    let accuracy = personalized_accuracy(
-        &federation.template,
-        &federation.saved.cluster_states[cluster],
-        newcomer,
-        cfg,
-        personalize_epochs,
-        newcomer_id,
-    );
-    NewcomerOutcome { cluster, accuracy }
-}
-
-/// Incorporate a batch of newcomers in parallel and return their outcomes.
-pub fn incorporate_all(
-    federation: &TrainedFederation,
-    newcomers: &[ClientData],
-    cfg: &FlConfig,
-    personalize_epochs: usize,
-) -> Vec<NewcomerOutcome> {
-    newcomers
-        .par_iter()
-        .enumerate()
-        .map(|(i, nc)| incorporate(federation, nc, cfg, personalize_epochs, i))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithm::FedClust;
     use crate::proximity::WeightSelection;
     use fedclust_data::{DatasetProfile, FederatedDataset};
+    use fedclust_fl::engine::personalized_accuracy;
     use fedclust_fl::{run_federation, NoCheckpoints};
     use fedclust_tensor::distance::Metric;
 
@@ -141,40 +99,57 @@ mod tests {
         (federation, newcomers, newcomer_truth, cfg)
     }
 
+    /// Each newcomer's Eq. 4 cluster, newcomer `i` on stream `i` (as Table 6
+    /// assigns them).
+    fn assignments(
+        federation: &TrainedFederation,
+        newcomers: &[ClientData],
+        cfg: &FlConfig,
+    ) -> Vec<usize> {
+        newcomers
+            .iter()
+            .enumerate()
+            .map(|(i, nc)| assign_newcomer(federation, nc, cfg, i))
+            .collect()
+    }
+
     #[test]
     fn newcomers_land_in_matching_clusters() {
         let (federation, newcomers, newcomer_truth, cfg) = setup(FedClust::default());
         // Clustering of the 8 remaining clients must find the 2 groups for
         // this test to be meaningful.
         assert_eq!(federation.saved.outcome.num_clusters, 2);
-        let outcomes = incorporate_all(&federation, &newcomers, &cfg, 2);
+        let choice = assignments(&federation, &newcomers, &cfg);
         // The two newcomers come from different ground-truth groups, so
         // they must land in different clusters.
-        assert_ne!(outcomes[0].cluster, outcomes[1].cluster);
+        assert_ne!(choice[0], choice[1]);
         // And each must land in the cluster holding its own group: check
         // via the federation's label of a same-group original client.
         // Original clients alternate groups (even=group0, odd=group1);
         // after split_newcomers the remaining are clients 0..8.
         let labels = &federation.saved.labels;
         let cluster_of_group = [labels[0], labels[1]];
-        for (o, &g) in outcomes.iter().zip(&newcomer_truth) {
-            assert_eq!(o.cluster, cluster_of_group[g], "newcomer in wrong cluster");
+        for (&c, &g) in choice.iter().zip(&newcomer_truth) {
+            assert_eq!(c, cluster_of_group[g], "newcomer in wrong cluster");
         }
     }
 
     #[test]
     fn personalized_newcomer_accuracy_is_reasonable() {
         let (federation, newcomers, _, cfg) = setup(FedClust::default());
-        for o in &incorporate_all(&federation, &newcomers, &cfg, 3) {
+        let choice = assignments(&federation, &newcomers, &cfg);
+        let states = &federation.saved.cluster_states;
+        for (i, (nc, &c)) in newcomers.iter().zip(&choice).enumerate() {
+            let accuracy = personalized_accuracy(&federation.template, &states[c], nc, &cfg, 3, i);
             // Two-group FMNIST-like with 5 classes per client: even a few
             // rounds of cluster training + personalization beats chance (10%).
-            assert!(o.accuracy > 0.2, "newcomer accuracy {}", o.accuracy);
+            assert!(accuracy > 0.2, "newcomer accuracy {accuracy}");
         }
     }
 
     /// The warm-up epochs and the metric are the federation's own: with
     /// representatives planted so that only a 3-epoch warm-up measured by
-    /// cosine distance lands in cluster 1, `incorporate` lands there.
+    /// cosine distance lands in cluster 1, `assign_newcomer` lands there.
     #[test]
     fn newcomers_warm_up_and_compare_as_round_0_did() {
         let method = FedClust {
@@ -204,10 +179,7 @@ mod tests {
         federation.saved.representatives = representatives;
 
         assert_eq!(assign_cluster(&federation, &three), 1);
-        assert_eq!(
-            incorporate(&federation, &newcomers[0], &cfg, 0, 0).cluster,
-            1
-        );
+        assert_eq!(assign_newcomer(&federation, &newcomers[0], &cfg, 0), 1);
         federation.method.metric = Metric::L2;
         assert_eq!(assign_cluster(&federation, &three), 0);
     }

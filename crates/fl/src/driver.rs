@@ -484,16 +484,6 @@ pub trait FlMethod: Sync {
         ckpt: &mut Checkpointer,
         trainer: Option<&dyn RemoteTrainer>,
     ) -> Result<RunResult, CheckpointError>;
-
-    /// [`FlMethod::run_hosted`] in process.
-    fn run_resumable(
-        &self,
-        fd: &FederatedDataset,
-        cfg: &FlConfig,
-        ckpt: &mut Checkpointer,
-    ) -> Result<RunResult, CheckpointError> {
-        self.run_hosted(fd, cfg, ckpt, None)
-    }
 }
 
 impl<M: Method + Sync> FlMethod for M {

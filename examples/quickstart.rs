@@ -1,15 +1,16 @@
-//! Quickstart: run FedClust on a small synthetic federation and compare it
-//! against FedAvg.
+//! Quickstart: run FedClust and FedAvg on one small synthetic federation and
+//! print what each reached. One seed and ten rounds rank nothing; the
+//! paper's comparisons are `paper table1` and its `shape` claims.
 //!
 //! ```sh
 //! cargo run --release --example quickstart
 //! ```
 
 use fedclust::FedClust;
+use fedclust_data::federated::FederatedConfig;
 use fedclust_data::{DatasetProfile, FederatedDataset, Partition};
 use fedclust_fl::methods::FedAvg;
 use fedclust_fl::{run_federation, FlConfig, FlMethod, NoCheckpoints};
-use fedclust_nn::models::ModelSpec;
 
 fn main() {
     // 1. Build a federated dataset: 20 clients, each holding only 20 % of
@@ -17,11 +18,11 @@ fn main() {
     let dataset = FederatedDataset::build(
         DatasetProfile::Cifar10Like,
         Partition::LabelSkew { fraction: 0.2 },
-        &fedclust_data::federated::FederatedConfig {
+        &FederatedConfig {
             num_clients: 20,
             samples_per_class: 100,
-            train_fraction: 0.8,
             seed: 7,
+            ..Default::default()
         },
     );
     println!(
@@ -32,19 +33,10 @@ fn main() {
 
     // 2. Configure the FL loop (shared by both methods).
     let cfg = FlConfig {
-        model: ModelSpec::LeNet5,
         rounds: 10,
         sample_rate: 0.25,
-        local_epochs: 3,
-        batch_size: 10,
-        lr: 0.05,
-        momentum: 0.9,
-        weight_decay: 0.0,
-        eval_every: 2,
         seed: 7,
-        dropout_rate: 0.0,
-        faults: fedclust_fl::FaultPlan::none(),
-        codec: fedclust_fl::CodecSpec::none(),
+        ..FlConfig::default()
     };
 
     // 3. Run FedClust (one-shot weight-driven clustering, then per-cluster

@@ -57,6 +57,11 @@ echo "== tests =="
 #                       and tests/comm_accounting.rs pin the numbers
 cargo test -q
 
+echo "== quickstart =="
+# README's one entry point, run rather than only compiled (~0.4 s once
+# built). It prints numbers and ranks nothing, so nothing here reads them.
+cargo run -q --release --example quickstart
+
 echo "== kernels =="
 # The training kernels' own suites, which `cargo test -q` above does not
 # reach: GEMM edge tiles and the packers against their element-wise

@@ -206,7 +206,7 @@ fn error_feedback_residuals_stay_finite_over_twenty_rounds() {
     let dir = tmpdir("ef-horizon");
     let mut ckpt = Checkpointer::new(&dir).keep(2);
     let result = FedAvg
-        .run_resumable(&fd, &cfg, &mut ckpt)
+        .run_hosted(&fd, &cfg, &mut ckpt, None)
         .expect("compressed run succeeds");
     assert!(result.final_acc.is_finite());
 

@@ -67,7 +67,7 @@ fn run_checkpointed(
     resume: bool,
 ) -> (Result<RunResult, CheckpointError>, Checkpointer) {
     let mut ckpt = Checkpointer::new(dir).keep(8).resume(resume);
-    let result = m.run_resumable(fd, cfg, &mut ckpt);
+    let result = m.run_hosted(fd, cfg, &mut ckpt, None);
     (result, ckpt)
 }
 
@@ -257,7 +257,7 @@ fn seed_mismatch_is_rejected_not_silently_resumed() {
 
     let mut ckpt = Checkpointer::new(&dir).resume(true);
     let err = FedAvg
-        .run_resumable(&fd, &cfg(16, 2), &mut ckpt)
+        .run_hosted(&fd, &cfg(16, 2), &mut ckpt, None)
         .expect_err("resuming under a different seed must fail");
     assert!(
         matches!(err, CheckpointError::Mismatch(_)),
@@ -274,7 +274,7 @@ fn retention_keeps_only_the_newest_generations() {
     let dir = tmpdir("retention");
     let mut ckpt = Checkpointer::new(&dir).keep(2);
     FedAvg
-        .run_resumable(&fd, &full, &mut ckpt)
+        .run_hosted(&fd, &full, &mut ckpt, None)
         .expect("run succeeds");
     let mut names: Vec<String> = std::fs::read_dir(&dir)
         .expect("checkpoint dir readable")

@@ -343,7 +343,7 @@ fn resume_from(
         .expect("checkpoint writes");
     let mut ckpt = Checkpointer::new(&dir).resume(true);
     let err = m
-        .run_resumable(fd, cfg, &mut ckpt)
+        .run_hosted(fd, cfg, &mut ckpt, None)
         .expect_err("a wrong checkpoint must not resume");
     let _ = std::fs::remove_dir_all(&dir);
     err

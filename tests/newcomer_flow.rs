@@ -2,20 +2,15 @@
 //! Table 6 scenario in miniature, including the comparison against handing
 //! newcomers a plain global model.
 
-use fedclust_repro::data::{DatasetProfile, FederatedDataset};
-use fedclust_repro::fedclust::newcomer::{assign_cluster, incorporate_all};
-use fedclust_repro::fedclust::FedClust;
+use fedclust_repro::data::{ClientData, DatasetProfile, FederatedDataset};
+use fedclust_repro::fedclust::newcomer::{assign_cluster, assign_newcomer};
+use fedclust_repro::fedclust::{FedClust, TrainedFederation};
 use fedclust_repro::fl::engine::personalized_accuracy;
 use fedclust_repro::fl::methods::FedAvg;
 use fedclust_repro::fl::{run_federation, FlConfig, NoCheckpoints};
 
 /// 12 federating clients + 4 newcomers, two clean groups, alternating.
-fn setup() -> (
-    FederatedDataset,
-    Vec<fedclust_repro::data::ClientData>,
-    Vec<usize>,
-    FlConfig,
-) {
+fn setup() -> (FederatedDataset, Vec<ClientData>, Vec<usize>, FlConfig) {
     let groups: Vec<Vec<usize>> = (0..16)
         .map(|c| {
             if c % 2 == 0 {
@@ -44,6 +39,20 @@ fn setup() -> (
     (fd, newcomers, newcomer_truth, cfg)
 }
 
+/// Each newcomer's Eq. 4 cluster, newcomer `i` on stream `i` (as Table 6
+/// assigns them).
+fn assignments(
+    federation: &TrainedFederation,
+    newcomers: &[ClientData],
+    cfg: &FlConfig,
+) -> Vec<usize> {
+    newcomers
+        .iter()
+        .enumerate()
+        .map(|(i, nc)| assign_newcomer(federation, nc, cfg, i))
+        .collect()
+}
+
 #[test]
 fn newcomers_match_their_distribution_cluster() {
     let (fd, newcomers, newcomer_truth, cfg) = setup();
@@ -52,11 +61,11 @@ fn newcomers_match_their_distribution_cluster() {
         federation.saved.outcome.num_clusters, 2,
         "setup requires 2 clusters"
     );
-    let outcomes = incorporate_all(&federation, &newcomers, &cfg, 3);
+    let choice = assignments(&federation, &newcomers, &cfg);
     // Clients alternate groups; federation.saved.labels[0] is group 0's cluster.
     let cluster_of_group = [federation.saved.labels[0], federation.saved.labels[1]];
-    for (o, &g) in outcomes.iter().zip(&newcomer_truth) {
-        assert_eq!(o.cluster, cluster_of_group[g], "newcomer mis-assigned");
+    for (&c, &g) in choice.iter().zip(&newcomer_truth) {
+        assert_eq!(c, cluster_of_group[g], "newcomer mis-assigned");
     }
 }
 
@@ -64,9 +73,19 @@ fn newcomers_match_their_distribution_cluster() {
 fn cluster_model_beats_global_model_for_newcomers() {
     let (fd, newcomers, _, cfg) = setup();
     let Ok((_, federation)) = run_federation(&FedClust::default(), &fd, &cfg, NoCheckpoints, None);
-    let outcomes = incorporate_all(&federation, &newcomers, &cfg, 3);
-    let fedclust_avg: f64 =
-        outcomes.iter().map(|o| o.accuracy as f64).sum::<f64>() / outcomes.len() as f64;
+    // FedClust's newcomers receive their cluster's model and personalize
+    // it for 3 epochs (how the paper's Table 6 treats FedClust).
+    let choice = assignments(&federation, &newcomers, &cfg);
+    let states = &federation.saved.cluster_states;
+    let fedclust_avg = newcomers
+        .iter()
+        .zip(&choice)
+        .enumerate()
+        .map(|(i, (nc, &c))| {
+            personalized_accuracy(&federation.template, &states[c], nc, &cfg, 3, i) as f64
+        })
+        .sum::<f64>()
+        / newcomers.len() as f64;
 
     // Baseline: newcomers receive the FedAvg global model, unpersonalized
     // (how the paper's Table 6 treats global methods).

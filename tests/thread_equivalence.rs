@@ -104,7 +104,7 @@ fn run_checkpointed_at(
     rayon::set_num_threads(threads);
     let mut ckpt = Checkpointer::new(dir).keep(8).resume(resume);
     let result = m
-        .run_resumable(fd, cfg, &mut ckpt)
+        .run_hosted(fd, cfg, &mut ckpt, None)
         .expect("checkpointed run succeeds");
     rayon::set_num_threads(1);
     let newest = dir.join(generation_file(cfg.rounds));
