@@ -1,15 +1,15 @@
 //! The lease table of `fedclustd`: which work unit is where.
 //!
 //! A unit is born when a trainer call enqueues it and lives in exactly one
-//! [`Phase`] until the next call replaces the table. The methods of
-//! [`Coordinator`] are the only transitions:
+//! [`Phase`] until the call settles. The methods of [`Coordinator`] are the
+//! only transitions:
 //!
 //! ```text
-//!            pull(c)             push(c)               take_delivered()
-//!   Queued ----------> Leased(c) ----------> Delivered ----------------> Absorbed
+//!            pull(c)             push(c)              settle()
+//!   Queued ----------> Leased(c) ----------> Delivered ---------> handed to the call
 //!      ^                  |
-//!      |  disconnect(c),  |  disconnect(c), budget spent
-//!      +-- budget left ---+-------------------------------> WrittenOff
+//!      |  disconnect(c),  |  disconnect(c), budget spent            settle()
+//!      +-- budget left ---+-------------------------------> WrittenOff ---------> lost
 //!
 //!   Queued, Leased(_) ---- expire() ----------------------> WrittenOff
 //! ```
@@ -24,14 +24,12 @@ use std::sync::Arc;
 
 use fedclust_proto::Msg;
 
-/// Delivered-but-unabsorbed uploads the table holds before a further push
-/// is told `Busy`. It bounds the table, not the round: the trainer call
-/// keeps every upload until settled, and `net.rs` absorbs each as it lands,
-/// so there `Busy` is never sent (the schedule test's lazy absorber sees it).
-const MAX_INFLIGHT: usize = 64;
-
 /// `(round, client)`: what names a unit on the wire and in the table.
 pub(crate) type Key = (u32, u32);
+
+/// A settled trainer call: its delivered uploads, keyed by client, and the
+/// clients written off, ascending.
+pub(crate) type Outcome = (BTreeMap<usize, Msg>, Vec<usize>);
 
 /// One unit of leased work: train `client` at `round` from `state`.
 #[derive(Clone)]
@@ -70,10 +68,8 @@ enum Phase {
     /// Handed to this connection, which has not pushed it back yet.
     Leased(u64),
     /// Pushed back — the `Push` frame as it came — and held until the
-    /// trainer call takes it.
+    /// call settles.
     Delivered(Msg),
-    /// Taken by the trainer call.
-    Absorbed,
     /// Given up on: its lease-holders died `max_attempts` times, or the
     /// round deadline passed.
     WrittenOff,
@@ -108,12 +104,9 @@ pub(crate) enum Pushed {
     /// Recorded: `Ack`.
     Accept,
     /// Not (or no longer) this connection's to deliver — already
-    /// delivered, written off, or never leased to it: `Ack` and discard,
-    /// pushes are idempotent.
+    /// delivered, written off, settled, or never leased to it: `Ack` and
+    /// discard, pushes are idempotent.
     Duplicate,
-    /// [`MAX_INFLIGHT`] uploads wait to be absorbed: typed `Busy`, the
-    /// worker resends the same push.
-    Busy,
 }
 
 /// Counters reported on stderr at shutdown. Deliberately *not* part of
@@ -123,7 +116,6 @@ pub(crate) enum Pushed {
 pub(crate) struct NetStats {
     pub redispatched: u64,
     pub written_off: u64,
-    pub busy_replies: u64,
     pub duplicate_pushes: u64,
 }
 
@@ -177,12 +169,9 @@ impl Coordinator {
         }
     }
 
-    /// Start a trainer call: its units replace the previous call's, which
-    /// are all settled by now (a late push for one finds no slot and is a
-    /// duplicate).
+    /// Start a trainer call. The table is empty: settling the previous call
+    /// cleared it.
     pub fn enqueue(&mut self, units: impl IntoIterator<Item = Unit>) {
-        self.table.clear();
-        self.queue.clear();
         for unit in units {
             self.queue.push_back(unit.key());
             let slot = Slot {
@@ -209,13 +198,7 @@ impl Coordinator {
 
     /// `conn` pushes `upload` for the unit `key`.
     pub fn push(&mut self, conn: u64, key: Key, upload: Msg) -> Pushed {
-        let delivered = |s: &&Slot| matches!(s.phase, Phase::Delivered(_));
-        let full = self.table.values().filter(delivered).count() >= MAX_INFLIGHT;
         match self.table.get_mut(&key) {
-            Some(slot) if slot.held_by(conn) && full => {
-                self.stats.busy_replies += 1;
-                Pushed::Busy
-            }
             Some(slot) if slot.held_by(conn) => {
                 slot.phase = Phase::Delivered(upload);
                 Pushed::Accept
@@ -239,30 +222,24 @@ impl Coordinator {
         }
     }
 
-    /// Hand every delivered upload to the trainer call, keyed by client.
-    pub fn take_delivered(&mut self) -> Vec<(usize, Msg)> {
-        let mut out = Vec::new();
-        for (key, slot) in &mut self.table {
-            match std::mem::replace(&mut slot.phase, Phase::Absorbed) {
-                Phase::Delivered(upload) => out.push((key.1 as usize, upload)),
-                other => slot.phase = other,
-            }
+    /// Once every unit of the call was delivered or written off: hand the
+    /// call its outcome and clear the table, so a late push finds no slot.
+    pub fn settle(&mut self) -> Option<Outcome> {
+        let open = |s: &Slot| matches!(s.phase, Phase::Queued | Phase::Leased(_));
+        if self.table.values().any(open) {
+            return None;
         }
-        out
-    }
-
-    /// Once every unit of the call was absorbed or written off: the
-    /// clients written off, ascending.
-    pub fn settled(&self) -> Option<Vec<usize>> {
-        let mut lost = Vec::new();
-        for (key, slot) in &self.table {
+        let mut outcome = Outcome::default();
+        for ((_, client), slot) in std::mem::take(&mut self.table) {
             match slot.phase {
-                Phase::Absorbed => {}
-                Phase::WrittenOff => lost.push(key.1 as usize),
-                _ => return None,
+                Phase::Delivered(upload) => {
+                    outcome.0.insert(client as usize, upload);
+                }
+                // Written off: nothing is open any more.
+                _ => outcome.1.push(client as usize),
             }
         }
-        Some(lost)
+        Some(outcome)
     }
 
     /// The run is over: every pull from now on is answered `Done`.
@@ -333,33 +310,23 @@ mod tests {
     #[test]
     fn push_truth_table() {
         use Pushed::*;
-        let mut c = coordinator(0, 2, MAX_INFLIGHT as u32 + 3);
+        let mut c = coordinator(0, 2, 3);
         let first = pull_key(&mut c, 1);
         let other = pull_key(&mut c, 2);
         // Never enqueued, still queued, or someone else's lease: not this
-        // connection's to deliver, whatever room there is.
+        // connection's to deliver.
         assert_eq!(c.push(1, (9, 9), upload()), Duplicate);
-        assert_eq!(c.push(1, (0, 5), upload()), Duplicate);
+        assert_eq!(c.push(1, (0, 2), upload()), Duplicate);
         assert_eq!(c.push(1, other, upload()), Duplicate);
-        // Its own lease, with room: accepted once, idempotent afterwards —
-        // also once absorbed.
+        // Its own lease: accepted once, idempotent afterwards — also once
+        // the call settled.
         assert_eq!(c.push(1, first, upload()), Accept);
         assert_eq!(c.push(1, first, upload()), Duplicate);
-        assert_eq!(c.take_delivered().len(), 1);
+        assert_eq!(c.push(2, other, upload()), Accept);
+        c.expire();
+        assert!(c.settle().is_some());
         assert_eq!(c.push(1, first, upload()), Duplicate);
-        // MAX_INFLIGHT uploads waiting: typed backpressure, the lease is
-        // kept, and the same push goes through once the trainer made room.
-        for _ in 0..MAX_INFLIGHT {
-            let key = pull_key(&mut c, 1);
-            assert_eq!(c.push(1, key, upload()), Accept);
-        }
-        let held = pull_key(&mut c, 1);
-        assert_eq!(c.push(1, held, upload()), Busy);
-        assert_eq!(c.push(1, held, upload()), Busy);
-        assert_eq!(c.push(1, (9, 9), upload()), Duplicate, "stale beats busy");
-        assert_eq!(c.take_delivered().len(), MAX_INFLIGHT);
-        assert_eq!(c.push(1, held, upload()), Accept);
-        assert_eq!((c.stats.busy_replies, c.stats.duplicate_pushes), (2, 6));
+        assert_eq!(c.stats.duplicate_pushes, 5);
     }
 
     #[test]
@@ -374,7 +341,7 @@ mod tests {
         assert_eq!(pull_key(&mut c, 2), (0, 0));
         c.disconnect(2);
         assert!(queued(&c).is_empty(), "budget exhausted");
-        assert_eq!(c.settled(), Some(vec![0]));
+        assert_eq!(c.settle(), Some((BTreeMap::new(), vec![0])));
         assert_eq!((c.stats.redispatched, c.stats.written_off), (1, 1));
     }
 
@@ -385,9 +352,8 @@ mod tests {
         assert_eq!(c.push(1, key, upload()), Pushed::Accept);
         c.disconnect(1);
         assert!(queued(&c).is_empty());
-        assert_eq!(c.settled(), None, "delivered, not yet absorbed");
-        assert_eq!(c.take_delivered().len(), 1);
-        assert_eq!(c.settled(), Some(Vec::new()));
+        let (pushes, lost) = c.settle().expect("delivered");
+        assert_eq!((pushes.len(), lost), (1, vec![]));
     }
 
     #[test]
@@ -414,9 +380,11 @@ mod tests {
         assert_eq!(c.push(2, other, upload()), Pushed::Accept);
         assert_eq!(c.push(2, doomed, upload()), Pushed::Accept);
         assert_eq!(c.push(1, doomed, upload()), Pushed::Duplicate);
-        let clients = c.take_delivered().into_iter().map(|(client, _)| client);
-        assert_eq!(clients.collect::<Vec<_>>(), vec![0, 1]);
-        assert_eq!(c.settled(), Some(Vec::new()));
+        let (pushes, lost) = c.settle().expect("both delivered");
+        assert_eq!(
+            (pushes.into_keys().collect::<Vec<_>>(), lost),
+            (vec![0, 1], vec![])
+        );
         assert_eq!(c.push(1, doomed, upload()), Pushed::Duplicate);
         assert_eq!((c.stats.redispatched, c.stats.duplicate_pushes), (1, 2));
         c.finish();
@@ -433,13 +401,8 @@ mod tests {
         assert_eq!(written_off(&c), vec![1, 2], "leased and queued alike");
         assert!(matches!(c.pull(1), Pull::Parked));
         assert_eq!(c.push(1, late, upload()), Pushed::Duplicate);
-        assert_eq!(
-            c.settled(),
-            None,
-            "the delivered one is still to be absorbed"
-        );
-        assert_eq!(c.take_delivered().len(), 1);
-        assert_eq!(c.settled(), Some(vec![1, 2]));
+        let (pushes, lost) = c.settle().expect("nothing open");
+        assert_eq!((pushes.len(), lost), (1, vec![1, 2]));
     }
 
     /// What a schedule knows apart from the coordinator, to hold it to.
@@ -453,7 +416,6 @@ mod tests {
         parked: BTreeSet<u64>,
         leases: BTreeMap<Key, u32>,
         accepted: BTreeSet<Key>,
-        absorbed: BTreeSet<Key>,
     }
 
     impl Model {
@@ -479,29 +441,19 @@ mod tests {
         }
 
         /// `conn` pushes the oldest unit it holds, if it holds any.
-        fn push(&mut self, c: &mut Coordinator, conn: u64) -> Option<Pushed> {
+        fn push(&mut self, c: &mut Coordinator, conn: u64) -> Option<()> {
             let key = *self.holding.get(&conn)?.first()?;
-            let inflight = self.accepted.len() - self.absorbed.len();
-            let pushed = c.push(conn, key, upload());
-            match pushed {
-                Pushed::Accept => {
-                    assert!(inflight < MAX_INFLIGHT, "accepted over the cap");
-                    assert!(self.accepted.insert(key), "{key:?} accepted twice");
-                    self.holding.get_mut(&conn)?.remove(0);
-                }
-                Pushed::Busy => assert_eq!(inflight, MAX_INFLIGHT, "busy below the cap"),
+            match c.push(conn, key, upload()) {
+                Pushed::Accept => assert!(self.accepted.insert(key), "{key:?} accepted twice"),
                 Pushed::Duplicate => panic!("{key:?} is leased to {conn}, not a duplicate"),
             }
-            Some(pushed)
+            self.holding.get_mut(&conn)?.remove(0);
+            Some(())
         }
 
         /// `conn` pushes everything it holds.
-        fn drain(&mut self, c: &mut Coordinator, conn: u64, round: u32) {
-            while let Some(pushed) = self.push(c, conn) {
-                if pushed == Pushed::Busy {
-                    self.absorb(c, round);
-                }
-            }
+        fn drain(&mut self, c: &mut Coordinator, conn: u64) {
+            while self.push(c, conn).is_some() {}
         }
 
         fn kill(&mut self, c: &mut Coordinator, conn: u64) {
@@ -509,17 +461,6 @@ mod tests {
             self.live.retain(|&l| l != conn);
             self.holding.remove(&conn);
             self.parked.remove(&conn);
-        }
-
-        fn absorb(&mut self, c: &mut Coordinator, round: u32) {
-            for (client, _) in c.take_delivered() {
-                let key = (round, client as u32);
-                assert!(
-                    self.accepted.contains(&key),
-                    "{key:?} absorbed, never pushed"
-                );
-                assert!(self.absorbed.insert(key), "{key:?} absorbed twice");
-            }
         }
 
         /// The coordinator and the model agree, and the table is sound.
@@ -537,10 +478,7 @@ mod tests {
                 assert!(slot.attempts <= c.max_attempts);
                 match slot.phase {
                     Phase::Leased(_) => leased += 1,
-                    Phase::Delivered(_) => {
-                        assert!(self.accepted.contains(key) && !self.absorbed.contains(key))
-                    }
-                    Phase::Absorbed => assert!(self.absorbed.contains(key)),
+                    Phase::Delivered(_) => assert!(self.accepted.contains(key), "{key:?}"),
                     Phase::Queued | Phase::WrittenOff => {}
                 }
             }
@@ -550,8 +488,6 @@ mod tests {
                 assert!(keys.iter().all(|key| c.table[key].held_by(conn)), "{conn}");
             }
             assert_eq!(leased, 0, "a lease nobody holds");
-            let inflight = self.accepted.len() - self.absorbed.len();
-            assert!(inflight <= MAX_INFLIGHT, "{inflight} uploads held");
             assert_eq!(c.workers_alive, self.live.len());
         }
     }
@@ -559,9 +495,9 @@ mod tests {
     /// One seeded schedule: a few trainer calls of random size against a
     /// changing set of connections that pull, push, misbehave and die in
     /// random order, with the invariants checked after every step. Returns
-    /// `(busy replies, units written off)` so the suite can tell the rare
-    /// paths were walked.
-    fn run_schedule(seed: u64) -> (u64, u64) {
+    /// the units written off, so the suite can tell the rare paths were
+    /// walked.
+    fn run_schedule(seed: u64) -> u64 {
         let mut rng = SmallRng::seed_from_u64(seed);
         let retries = rng.gen_range(0..=3u32);
         let mut c = Coordinator::new(retries + 1);
@@ -569,15 +505,10 @@ mod tests {
         for _ in 0..rng.gen_range(1..=4) {
             m.connect(&mut c);
         }
-        // How eagerly the trainer call absorbs: one that only wakes when it
-        // must lets uploads pile up to the cap.
-        let absorb_p = [0.0, 0.1, 0.5][rng.gen_range(0..3usize)];
         for round in 0..rng.gen_range(1..=3u32) {
-            // Mostly small rounds; some larger than the cap, or nobody
-            // could ever be told Busy.
+            // Mostly small rounds, some of up to 64 units.
             let units = match rng.gen_range(0..16u32) {
-                0 => rng.gen_range(65..=96u32),
-                1 | 2 => rng.gen_range(1..=64u32),
+                0..=2 => rng.gen_range(1..=64u32),
                 _ => rng.gen_range(1..=16u32),
             };
             c.enqueue((0..units).map(|client| unit(round, client)));
@@ -624,9 +555,6 @@ mod tests {
                     }
                     _ => {}
                 }
-                if rng.gen_bool(absorb_p) {
-                    m.absorb(&mut c, round);
-                }
                 m.check(&c);
             }
             // Whatever the schedule left behind: once every other
@@ -634,32 +562,38 @@ mod tests {
             // that keeps pulling settles the call.
             for conn in m.live.clone() {
                 if rng.gen_bool(0.5) {
-                    m.drain(&mut c, conn, round);
+                    m.drain(&mut c, conn);
                 } else {
                     m.kill(&mut c, conn);
                 }
             }
             let closer = m.connect(&mut c);
             let mut steps = 0;
-            while c.settled().is_none() {
-                m.pull(&mut c, closer);
-                let accepted = m.push(&mut c, closer) == Some(Pushed::Accept);
-                if !accepted || rng.gen_bool(absorb_p) {
-                    m.absorb(&mut c, round);
+            let (pushes, lost) = loop {
+                if let Some(outcome) = c.settle() {
+                    break outcome;
                 }
+                m.pull(&mut c, closer);
+                m.push(&mut c, closer);
                 m.check(&c);
                 steps += 1;
                 assert!(
                     steps <= 2 * units + 2,
                     "a pulling connection settles the call"
                 );
-            }
+            };
             // Every unit resolved exactly once, within its lease budget.
-            let lost = c.settled().expect("just settled");
+            assert_eq!(pushes.len() + lost.len(), units as usize);
             for client in 0..units {
                 let key = (round, client);
+                let delivered = pushes.contains_key(&(client as usize));
+                assert_eq!(
+                    delivered,
+                    m.accepted.contains(&key),
+                    "{key:?} delivered iff accepted"
+                );
                 assert!(
-                    m.absorbed.contains(&key) ^ lost.contains(&(client as usize)),
+                    delivered ^ lost.contains(&(client as usize)),
                     "{key:?} must be delivered xor written off"
                 );
                 let leases = m.leases.get(&key).copied().unwrap_or(0);
@@ -675,23 +609,22 @@ mod tests {
                 "finish answers a parked pull"
             );
         }
-        (c.stats.busy_replies, c.stats.written_off)
+        c.stats.written_off
     }
 
     #[test]
     fn seeded_schedules_keep_every_invariant() {
-        let (mut busy, mut written_off) = (0, 0);
+        let mut written_off = 0;
         for seed in 0..2000 {
             let outcome = std::panic::catch_unwind(|| run_schedule(seed));
-            let Ok((b, w)) = outcome else {
+            let Ok(w) = outcome else {
                 panic!("schedule failed, seed {seed}");
             };
-            busy += b;
             written_off += w;
         }
         assert!(
-            busy > 0 && written_off > 0,
-            "rare paths not walked: busy {busy}, written off {written_off}"
+            written_off > 0,
+            "rare paths not walked: written off {written_off}"
         );
     }
 }

@@ -299,7 +299,7 @@ mod tests {
         (&["--backoff-base"], &["0.001", "3600"],
             &[("0", "must be > 0 and <= 3600 seconds, got 0"), ("-0.5", "must be > 0 and <= 3600 seconds, got -0.5"),
               ("1e9", "must be > 0 and <= 3600 seconds, got 1000000000"), ("NaN", "must not be NaN"), ("zero", "?")]),
-        // Above the server's keep-alive period (`net::READ_TIMEOUT`), or an idle park reads as a dead server.
+        // Above the server's keep-alive period (`net::KEEP_ALIVE`), or an idle park reads as a dead server.
         (&["--io-timeout"], &["0.201", "3600"],
             &[("0.2", "must be > 0.2 and <= 3600 seconds, got 0.2"), ("0.1", "must be > 0.2 and <= 3600 seconds, got 0.1"),
               ("0", "must be > 0.2 and <= 3600 seconds, got 0"), ("3601", "must be > 0.2 and <= 3600 seconds, got 3601"),

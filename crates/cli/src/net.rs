@@ -26,36 +26,30 @@
 //! Which unit is where is the `Coordinator`'s business: a plain value
 //! whose methods are the protocol's transitions. One thread owns it (the
 //! `Owner`); every other thread only does I/O and sends the owner an
-//! `Event` on one channel. A connection thread forwards each frame and
-//! writes back the one reply the owner sends it; the trainer call sends its
-//! units and blocks on its outcome. Nobody polls: a worker with nothing to
-//! do stays parked in its `PullWork` until there is work, the run is over,
-//! or `READ_TIMEOUT` asks for a keep-alive.
+//! `Event` on one channel. A connection thread reads each frame whole,
+//! blocking for as long as its bytes take, forwards it, and writes back the
+//! one reply the owner sends it; the trainer call sends its units and
+//! blocks on its outcome, which the owner sends once the table settles.
+//! Nobody polls: a worker with nothing to do stays parked in its `PullWork`
+//! until there is work, the run is over, or `KEEP_ALIVE` has passed.
 
 use std::collections::BTreeMap;
-use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fedclust_fl::engine::{settle, RemoteOutcome, RemoteRound, RemoteTrainer};
-use fedclust_proto::{read_msg, write_msg, Msg, ProtoError, RetryPolicy, PROTO_VERSION};
+use fedclust_proto::{read_msg, write_msg, Msg, RetryPolicy, PROTO_VERSION};
 
-use crate::coordinator::{Coordinator, Pull, Pushed, Unit};
+use crate::coordinator::{Coordinator, Outcome, Pull, Unit};
 use crate::net_args::ServeArgs;
 
-/// How long a `Busy` worker is told to hold its push.
-const BUSY_MILLIS: u32 = 50;
-/// Server-side read timeout, which bounds how stale a dead connection can
-/// be — and the longest a parked `PullWork` goes unanswered: a worker
-/// hears from the server at least this often, so `fedclust-worker` takes
-/// no `--io-timeout` that is not above it.
-pub(crate) const READ_TIMEOUT: Duration = Duration::from_millis(200);
-
-/// A trainer call's delivered uploads, keyed by client, and the clients
-/// written off.
-type Outcome = (BTreeMap<usize, Msg>, Vec<usize>);
+/// The longest a parked `PullWork` goes unanswered: after this long the
+/// owner sends the keep-alive `Wait{millis: 0}`. An idle worker hears from
+/// the server at least this often, so it is also the floor of
+/// `fedclust-worker --io-timeout`, which must be above it.
+pub(crate) const KEEP_ALIVE: Duration = Duration::from_millis(200);
 
 /// What the other threads tell the [`Owner`].
 enum Event {
@@ -82,7 +76,6 @@ enum Event {
 /// The pending trainer call.
 struct Call {
     deadline: Option<Instant>,
-    pushes: BTreeMap<usize, Msg>,
     reply: Sender<Outcome>,
 }
 
@@ -131,18 +124,14 @@ impl Owner {
                 self.replies.insert(conn, reply);
             }
             Event::Frame { conn, msg } => match msg {
+                // Accepted or a duplicate, the push is acknowledged.
                 Msg::Push { round, client, .. } => {
-                    let reply = match self.table.push(conn, (round, client), msg) {
-                        Pushed::Accept | Pushed::Duplicate => Msg::Ack { round, client },
-                        Pushed::Busy => Msg::Busy {
-                            millis: BUSY_MILLIS,
-                        },
-                    };
-                    self.reply(conn, reply);
+                    self.table.push(conn, (round, client), msg);
+                    self.reply(conn, Msg::Ack { round, client });
                 }
                 // A `PullWork`: answered below, now or once it can be.
                 _ => {
-                    self.parked.insert(conn, Instant::now() + READ_TIMEOUT);
+                    self.parked.insert(conn, Instant::now() + KEEP_ALIVE);
                 }
             },
             Event::Down { conn } => {
@@ -156,11 +145,7 @@ impl Owner {
                 reply,
             } => {
                 self.table.enqueue(units);
-                self.call = Some(Call {
-                    deadline,
-                    pushes: BTreeMap::new(),
-                    reply,
-                });
+                self.call = Some(Call { deadline, reply });
             }
             Event::Finish(grace) => {
                 self.table.finish();
@@ -169,20 +154,18 @@ impl Owner {
         }
     }
 
-    /// Absorb every delivered upload into the call and hand the call its
-    /// outcome once settled, writing off what is left past its deadline;
-    /// then answer each parked pull that has work, `Done`, or a keep-alive
-    /// due.
+    /// Hand the call its outcome once the table settles, writing off what
+    /// is left past its deadline; then answer each parked pull that has
+    /// work, `Done`, or a keep-alive due.
     fn answer(&mut self) {
         let now = Instant::now();
-        if let Some(mut call) = self.call.take() {
-            call.pushes.extend(self.table.take_delivered());
+        if let Some(call) = &self.call {
             if call.deadline.is_some_and(|at| now >= at) {
                 self.table.expire();
             }
-            match self.table.settled() {
-                Some(lost) => drop(call.reply.send((call.pushes, lost))),
-                None => self.call = Some(call),
+            if let Some(outcome) = self.table.settle() {
+                let _ = call.reply.send(outcome);
+                self.call = None;
             }
         }
         let parked = std::mem::take(&mut self.parked);
@@ -209,29 +192,18 @@ impl Owner {
     }
 }
 
-/// The next message on `stream`, however many read timeouts it takes;
-/// `None` once the connection is dead or hostile.
-fn next_msg(stream: &mut TcpStream) -> Option<Msg> {
-    loop {
-        match read_msg(stream) {
-            Ok(msg) => return Some(msg),
-            Err(ProtoError::Io(ErrorKind::WouldBlock | ErrorKind::TimedOut)) => continue,
-            Err(_) => return None,
-        }
-    }
-}
-
 /// Serve one worker connection: shake hands, then write the owner's
 /// replies and forward the worker's frames, one for one, until the
-/// connection dies or the owner is gone.
+/// connection dies or the owner is gone. Reads block: a frame is read
+/// whole however its bytes are spaced, and only the worker's death or a
+/// hostile frame ends the connection.
 fn handle_conn(events: &Sender<Event>, mut stream: TcpStream, conn: u64) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
 
     // Handshake: exact version match or a typed rejection.
-    match next_msg(&mut stream) {
-        Some(Msg::Hello { version }) if version == PROTO_VERSION => {}
-        Some(Msg::Hello { version }) => {
+    match read_msg(&mut stream) {
+        Ok(Msg::Hello { version }) if version == PROTO_VERSION => {}
+        Ok(Msg::Hello { version }) => {
             let _ = write_msg(
                 &mut stream,
                 &Msg::Reject {
@@ -248,8 +220,8 @@ fn handle_conn(events: &Sender<Event>, mut stream: TcpStream, conn: u64) {
         if write_msg(&mut stream, &reply).is_err() {
             break;
         }
-        match next_msg(&mut stream) {
-            Some(msg @ (Msg::PullWork | Msg::Push { .. })) => {
+        match read_msg(&mut stream) {
+            Ok(msg @ (Msg::PullWork | Msg::Push { .. })) => {
                 let _ = events.send(Event::Frame { conn, msg });
             }
             // Dead, hostile, or a protocol violation.
@@ -361,9 +333,12 @@ pub fn serve(args: &ServeArgs) -> Result<String, String> {
     let _ = events.send(Event::Finish(Instant::now() + Duration::from_secs(2)));
     let table = owner.join().expect("the lease table's owner thread died");
     let s = &table.stats;
+    // Nobody is told `Busy`; `busy=0` keeps the line's shape until the
+    // protocol's next version retires the kind (`net_cli` and `fedbench`
+    // parse it).
     eprintln!(
-        "fedclustd: net-stats connects={} redispatched={} written_off={} busy={} dup={}",
-        table.workers_seen, s.redispatched, s.written_off, s.busy_replies, s.duplicate_pushes
+        "fedclustd: net-stats connects={} redispatched={} written_off={} busy=0 dup={}",
+        table.workers_seen, s.redispatched, s.written_off, s.duplicate_pushes
     );
     result
 }
@@ -518,7 +493,7 @@ mod tests {
         h.pull(1);
         h.owner.step(&h.inbox);
         assert_eq!(replies.try_recv(), Ok(Msg::Wait { millis: 0 }));
-        assert!(start.elapsed() >= READ_TIMEOUT);
+        assert!(start.elapsed() >= KEEP_ALIVE);
     }
 
     #[test]
@@ -540,5 +515,41 @@ mod tests {
         assert!(!h.owner.finished(), "a worker is still connected");
         h.send(Event::Down { conn: 1 });
         assert!(h.owner.finished());
+    }
+
+    /// A frame is read whole however its bytes are spaced: a `Hello`
+    /// written in two halves 2 × `KEEP_ALIVE` apart still reaches the owner
+    /// as `Up`, and the worker hears `Welcome`.
+    #[test]
+    fn a_frame_split_in_time_is_read_whole() {
+        use std::io::Write;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let worker = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            let hello = Msg::Hello {
+                version: PROTO_VERSION,
+            }
+            .encode();
+            let (first, second) = hello.split_at(hello.len() / 2);
+            stream.write_all(first).unwrap();
+            std::thread::sleep(2 * KEEP_ALIVE);
+            stream.write_all(second).unwrap();
+            read_msg(&mut stream)
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let (events, inbox) = mpsc::channel();
+        std::thread::spawn(move || handle_conn(&events, stream, 1));
+        let Ok(Event::Up { conn: 1, reply }) = inbox.recv_timeout(Duration::from_secs(10)) else {
+            panic!("the split `Hello` never reached the owner as `Up`");
+        };
+        let argv = Vec::new();
+        reply.send(Msg::Welcome { worker_id: 1, argv }).unwrap();
+        assert!(matches!(worker.join().unwrap(), Ok(Msg::Welcome { .. })));
+        let down = inbox.recv_timeout(Duration::from_secs(10));
+        assert!(
+            matches!(down, Ok(Event::Down { conn: 1 })),
+            "the worker left"
+        );
     }
 }

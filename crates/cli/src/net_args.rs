@@ -13,7 +13,7 @@
 
 use crate::args::{bad, threads, Args, Command, ParseError, RUN};
 use crate::flags::{self, flag, under, Flag};
-use crate::net::READ_TIMEOUT;
+use crate::net::KEEP_ALIVE;
 use crate::{all_methods, find_method};
 
 /// Arguments for the `fedclustd` federation server.
@@ -108,7 +108,7 @@ pub struct WorkerArgs {
     pub backoff_base: f64,
     /// `--io-timeout SECS`: read timeout while waiting for the server; a
     /// stalled connection (e.g. a chaos-dropped frame) is torn down and
-    /// redialled after this long. Above `net::READ_TIMEOUT`: an idle server
+    /// redialled after this long. Above `net::KEEP_ALIVE`: an idle server
     /// is only heard from that often.
     pub io_timeout: f64,
     /// `--threads N` for local training parallelism.
@@ -126,7 +126,7 @@ pub(crate) const WORKER: &[Flag<WorkerArgs>] = &[
     under("OPTIONS", flag("--connect", "<HOST:PORT>", "", "the server (or chaos proxy) to dial; required", |a, g| g.addr().map(|v| a.connect = v))),
     flag("--reconnects", "<N>", "1000", "reconnect budget across the whole run", |a, g| g.num().map(|n| a.reconnects = n)),
     flag("--backoff-base", "<SECS>", "0.05", "base of the reconnect backoff, in (0, 3600]", |a, g| g.seconds(Some(0.0)).map(|v| a.backoff_base = v)),
-    flag("--io-timeout", "<SECS>", "5", "redial a connection silent for this long, in (0.2, 3600]: an idle server speaks every 0.2 s", |a, g| g.seconds(Some(READ_TIMEOUT.as_secs_f64())).map(|v| a.io_timeout = v)),
+    flag("--io-timeout", "<SECS>", "5", "redial a connection silent for this long, in (0.2, 3600]: an idle server speaks every 0.2 s", |a, g| g.seconds(Some(KEEP_ALIVE.as_secs_f64())).map(|v| a.io_timeout = v)),
     flag("--threads", "<N>", "", "worker threads for local training (default: FEDCLUST_THREADS, else all cores)", |a, g| threads(g).map(|n| a.threads = Some(n))),
     flag("--die-after", "<N>", "", "test hook: crash after the N-th acknowledged push", |a, g| g.num().map(|n| a.die_after = Some(n))),
     flag("--die-mid-push", "<N>", "", "test hook: crash halfway through the N-th push frame", |a, g| g.num().map(|n| a.die_mid_push = Some(n))),

@@ -160,3 +160,24 @@ fn resume_with_a_different_seed_is_refused() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn local_refuses_the_checkpoint_flags_it_would_ignore() {
+    let dir = tmpdir("local");
+    let dir_s = dir.to_string_lossy().into_owned();
+
+    let mut args = base_args("local");
+    args.extend(
+        ["--checkpoint-dir", &dir_s, "--crash-after", "0"]
+            .iter()
+            .map(|s| s.to_string()),
+    );
+    let out = run(&args);
+    assert_eq!(out.status.code(), Some(1), "{}", out.status);
+    assert!(out.stdout.is_empty(), "a result was printed");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: wrong checkpoint state: Local keeps no server state to checkpoint or resume\n"
+    );
+    assert!(!dir.exists(), "{} was created", dir.display());
+}

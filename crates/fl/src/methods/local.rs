@@ -11,23 +11,15 @@ use rayon::prelude::*;
 /// Each client independently trains a model on its local data; there is no
 /// server and no communication. Under heavy label skew this is a strong
 /// baseline (each client only has to separate a few classes), which is
-/// exactly the paper's motivation for clustering.
-#[derive(Debug, Clone, Copy)]
-pub struct LocalOnly {
-    /// Total local epochs each client trains, expressed as a multiple of
-    /// the *expected* per-client training a federated client receives
-    /// (`rounds × sample_rate × local_epochs`). 1.0 = compute-matched.
-    pub budget_factor: f32,
-}
-
-impl Default for LocalOnly {
-    fn default() -> Self {
-        LocalOnly { budget_factor: 1.0 }
-    }
-}
+/// exactly the paper's motivation for clustering. Each client trains the
+/// epochs a federated client is expected to get
+/// (`rounds × sample_rate × local_epochs`), so the compute is matched.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct LocalOnly;
 
 /// No server and no rounds, so not a [`crate::driver::Method`]: there is
-/// nothing to checkpoint, resume or distribute.
+/// nothing to checkpoint, resume or distribute, and an enabled
+/// [`Checkpointer`] is refused rather than silently ignored.
 impl FlMethod for LocalOnly {
     fn name(&self) -> &'static str {
         "Local"
@@ -41,9 +33,14 @@ impl FlMethod for LocalOnly {
         &self,
         fd: &FederatedDataset,
         cfg: &FlConfig,
-        _: &mut Checkpointer,
+        ckpt: &mut Checkpointer,
         _: Option<&dyn RemoteTrainer>,
     ) -> Result<RunResult, CheckpointError> {
+        if ckpt.is_enabled() {
+            return Err(CheckpointError::WrongState(
+                "Local keeps no server state to checkpoint or resume".into(),
+            ));
+        }
         Ok(self.run(fd, cfg))
     }
 
@@ -51,7 +48,7 @@ impl FlMethod for LocalOnly {
         let template = init_model(fd, cfg);
         let init_state = template.state_vec();
         let expected = cfg.rounds as f32 * cfg.sample_rate * cfg.local_epochs as f32;
-        let total_epochs = ((expected * self.budget_factor).round() as usize).max(1);
+        let total_epochs = (expected.round() as usize).max(1);
         // Evaluate a handful of times along the way so Local has a history
         // to plot in Fig. 3 (mapped onto the round axis proportionally).
         let chunks = 4.min(total_epochs);
@@ -124,7 +121,7 @@ mod tests {
         let mut cfg = FlConfig::tiny(0);
         cfg.rounds = 8;
         cfg.sample_rate = 0.5;
-        let r = LocalOnly::default().run(&fd, &cfg);
+        let r = LocalOnly.run(&fd, &cfg);
         assert_eq!(r.total_mb, 0.0);
         // Clients hold ≤2–3 labels: local training should do far better
         // than the 10-class random baseline.

@@ -30,7 +30,7 @@ pub use scaffold::Scaffold;
 /// (FedClust itself is provided by the `fedclust` crate.)
 pub fn baselines() -> Vec<Box<dyn FlMethod>> {
     vec![
-        Box::new(LocalOnly::default()),
+        Box::new(LocalOnly),
         Box::new(FedAvg),
         Box::new(FedProx::default()),
         Box::new(FedNova),

@@ -22,17 +22,11 @@ use rayon::prelude::*;
 pub struct Pacfl {
     /// Number of principal vectors each client transmits (paper: p = 3).
     pub p: usize,
-    /// Optional fixed clustering threshold (degrees of summed principal
-    /// angle). `None` uses the largest-gap heuristic on the dendrogram.
-    pub threshold_deg: Option<f32>,
 }
 
 impl Default for Pacfl {
     fn default() -> Self {
-        Pacfl {
-            p: 3,
-            threshold_deg: None,
-        }
+        Pacfl { p: 3 }
     }
 }
 
@@ -61,16 +55,13 @@ impl Pacfl {
             .collect()
     }
 
-    /// Cluster clients from their subspace bases. Returns labels.
+    /// Cluster clients from their subspace bases, cutting the dendrogram
+    /// at its largest gap. Returns labels.
     pub fn cluster(&self, bases: &[Tensor]) -> Vec<usize> {
         let matrix = ProximityMatrix::from_fn(bases.len(), |i, j| {
             subspace_distance_deg(&bases[i], &bases[j])
         });
-        let dendro = agglomerative(&matrix, Linkage::Average);
-        match self.threshold_deg {
-            Some(t) => dendro.cut_at(t),
-            None => dendro.largest_gap_cut().0,
-        }
+        agglomerative(&matrix, Linkage::Average).largest_gap_cut().0
     }
 }
 

@@ -92,8 +92,9 @@ pub enum Msg {
     /// Server → worker: nothing to do right now, poll again in
     /// `millis`.
     Wait { millis: u32 },
-    /// Server → worker: backpressure — too many un-consumed uploads in
-    /// flight; retry the *same* push after `millis`.
+    /// Server → worker: retry the *same* push after `millis`. `fedclustd`
+    /// never sends it (its lease table has no cap); the kind stays until
+    /// the protocol's next version.
     Busy { millis: u32 },
     /// Worker → server: finished unit of work.
     Push {

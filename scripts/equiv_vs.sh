@@ -8,11 +8,13 @@
 #   plain      --json stdout
 #   faulty     --json stdout under `--codec delta+topk:0.1` and a lossy,
 #              straggling, corrupting link
-#   resumed    per-round checkpoints, run to half the rounds, then
-#              `--resume` to the end: --json stdout of both legs, the
+#   resumed    (not `local`) per-round checkpoints, run to half the rounds,
+#              then `--resume` to the end: --json stdout of both legs, the
 #              generation files left after each leg (names and bytes)
 #
-# between the two binaries, and then round 0's other readers: the stdout of
+# between the two binaries; checks that this tree refuses `local` with
+# `--checkpoint-dir` (Local keeps no server state, and an older build may
+# have ignored the flag); and then round 0's other readers: the stdout of
 # `cluster` and `sweep --points 4`, plain and under the faulty link. Same host, same kernel dispatch, so FMA vs
 # scalar rounding cannot confuse it. Exits non-zero on the first differing
 # byte.
@@ -50,6 +52,7 @@ FAULTY=(--codec delta+topk:0.1 --uplink-loss 0.2 --downlink-loss 0.3 --retries 1
   --corrupt-rate 0.15 --straggler-rate 0.3 --straggler-delay 1.0 --deadline 1.5)
 
 compared=0
+resumed=0
 same() { # same <what> <file-a> <file-b>
   if ! cmp "$2" "$3"; then
     echo "DIFFERENT: $1" >&2
@@ -82,9 +85,9 @@ for m in "${METHODS[@]}"; do
   d="$WORK/$m"
   mkdir "$d"
   for side in ours theirs; do
-    mkdir "$d/ckpt.$side" # `local` writes no generations and would not create it
     cli $side "$d/plain.$side" run --method "$m" --rounds $ROUNDS "${BASE[@]}"
     cli $side "$d/faulty.$side" run --method "$m" --rounds $ROUNDS "${BASE[@]}" "${FAULTY[@]}"
+    [ "$m" = local ] && continue # no server state: refused below
     cli $side "$d/half.$side" run --method "$m" --rounds $((ROUNDS / 2)) "${BASE[@]}" \
       --checkpoint-dir "$d/ckpt.$side" --checkpoint-every 1
     cp -r "$d/ckpt.$side" "$d/ckpt-half.$side"
@@ -93,12 +96,27 @@ for m in "${METHODS[@]}"; do
   done
   same "$m plain" "$d/plain.ours" "$d/plain.theirs"
   same "$m faulty" "$d/faulty.ours" "$d/faulty.theirs"
-  same "$m half" "$d/half.ours" "$d/half.theirs"
-  same "$m resumed" "$d/resumed.ours" "$d/resumed.theirs"
-  same_generations "$m after half" "$d/ckpt-half.ours" "$d/ckpt-half.theirs"
-  same_generations "$m after resume" "$d/ckpt.ours" "$d/ckpt.theirs"
+  if [ "$m" != local ]; then
+    same "$m half" "$d/half.ours" "$d/half.theirs"
+    same "$m resumed" "$d/resumed.ours" "$d/resumed.theirs"
+    same_generations "$m after half" "$d/ckpt-half.ours" "$d/ckpt-half.theirs"
+    same_generations "$m after resume" "$d/ckpt.ours" "$d/ckpt.theirs"
+    resumed=$((resumed + 1))
+  fi
   echo "   $m: identical"
 done
+
+d="$WORK/local"
+status=0
+"$OURS" run --method local --rounds $ROUNDS "${BASE[@]}" --checkpoint-dir "$d/ckpt" \
+  > "$d/refused.out" 2> "$d/refused.err" || status=$?
+if [ $status -ne 1 ] || [ -s "$d/refused.out" ] || [ -e "$d/ckpt" ] ||
+  ! grep -q "Local keeps no server state" "$d/refused.err"; then
+  echo "NOT REFUSED: local --checkpoint-dir (exit $status)" >&2
+  cat "$d/refused.err" >&2
+  exit 1
+fi
+echo "   local --checkpoint-dir: refused"
 
 d="$WORK/round0"
 mkdir "$d"
@@ -113,5 +131,6 @@ for what in cluster cluster-faulty sweep sweep-faulty; do
 done
 echo "   cluster, sweep: identical"
 
-echo "OK: ${#METHODS[@]} methods x {plain, codec+faults, checkpoint+resume}, cluster and sweep x" \
-  "{plain, codec+faults}: $compared comparisons against $COMMIT, 0 differing bytes"
+echo "OK: ${#METHODS[@]} methods x {plain, codec+faults}, $resumed x checkpoint+resume, cluster and" \
+  "sweep x {plain, codec+faults}: $compared comparisons against $COMMIT, 0 differing bytes;" \
+  "local --checkpoint-dir refused"

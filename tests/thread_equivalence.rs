@@ -74,7 +74,7 @@ fn resumable_methods() -> Vec<Box<dyn FlMethod>> {
 /// Everything, for plain-run equivalence (Local has no server state).
 fn all_methods() -> Vec<Box<dyn FlMethod>> {
     let mut ms = resumable_methods();
-    ms.push(Box::new(LocalOnly::default()));
+    ms.push(Box::new(LocalOnly));
     ms
 }
 
