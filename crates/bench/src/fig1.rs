@@ -36,7 +36,6 @@ pub fn print() {
         &fedclust_data::federated::FederatedConfig {
             num_clients: 10,
             samples_per_class: 100,
-            train_fraction: 0.8,
             seed: 42,
         },
     );

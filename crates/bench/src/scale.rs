@@ -83,7 +83,6 @@ impl Knobs {
                 federated: FederatedConfig {
                     num_clients: if f { 10 } else { 40 },
                     samples_per_class: if f { 20 } else { 50 },
-                    train_fraction: 0.8,
                     seed,
                 },
                 fl: FlConfig {
@@ -99,7 +98,6 @@ impl Knobs {
                 federated: FederatedConfig {
                     num_clients: if f { 10 } else { 50 },
                     samples_per_class: if f { 20 } else { 120 },
-                    train_fraction: 0.8,
                     seed,
                 },
                 fl: FlConfig {

@@ -128,15 +128,15 @@ pub fn run(knobs: &Knobs) -> Newcomers {
             );
 
             let fedavg = artifacts(&FedAvg, &fd, &cfg);
-            let fedprox = artifacts(&FedProx { mu: 0.01 }, &fd, &cfg);
+            let fedprox = artifacts(&FedProx, &fd, &cfg);
             let fednova = artifacts(&FedNova, &fd, &cfg);
             // LG: fresh local layers under the trained global head.
-            let lg = artifacts(&LgFedAvg::default(), &fd, &cfg);
+            let lg = artifacts(&LgFedAvg, &fd, &cfg);
             let mut lg_state = init_state.clone();
             lg_state[lg.split..].copy_from_slice(&lg.global_part);
-            let meta = artifacts(&PerFedAvg::default(), &fd, &cfg);
+            let meta = artifacts(&PerFedAvg, &fd, &cfg);
             let ifca = artifacts(&Ifca::default(), &fd, &cfg);
-            let pacfl = Pacfl::default();
+            let pacfl = Pacfl;
             let pacfl_art = artifacts(&pacfl, &fd, &cfg);
             let federation = artifacts(&FedClust::default(), &fd, &cfg);
 

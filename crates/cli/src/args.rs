@@ -84,10 +84,10 @@ pub struct Args {
     /// Crash-injection: die halfway through the checkpoint write (torn
     /// write), exercising the atomic-rename recovery path.
     pub crash_mid_write: bool,
-    /// Worker threads for parallel client training. `None` defers to
-    /// `FEDCLUST_THREADS` or the machine's available parallelism; `1` is
-    /// the exact-sequential escape hatch (results are bit-identical at
-    /// every thread count regardless).
+    /// Worker threads for parallel client training. `None` leaves the pool
+    /// at its default, the machine's available parallelism; `1` is the
+    /// exact-sequential escape hatch (results are bit-identical at every
+    /// thread count regardless).
     pub threads: Option<usize>,
 }
 
@@ -147,7 +147,7 @@ pub(crate) const RUN: &[Flag<Args>] = &[
         with '+' (delta+q8, delta+q4+sr, ...); 'sr'\n\
         selects stochastic rounding for q8/q4", set_codec),
     flag("--threads", "<N>", "", "worker threads for client training\n\
-        (default: FEDCLUST_THREADS, else all cores;\n\
+        (default: all cores, at most 256;\n\
         \x201 = exact-sequential escape hatch — results\n\
         \x20are bit-identical at any thread count)", |a, g| threads(g).map(|n| a.threads = Some(n))),
     flag("--json", "", "", "machine-readable output (run)", |a, _| { a.json = true; Ok(()) }),
@@ -188,10 +188,18 @@ fn set_codec(args: &mut Args, given: Given) -> Result<(), ParseError> {
     Ok(())
 }
 
-/// `--threads`, for `fedclust-cli` and `fedclust-worker` alike.
+/// `--threads`, for `fedclust-cli` and `fedclust-worker` alike: the
+/// thread count's one source.
 pub(crate) fn threads(given: Given) -> Result<usize, ParseError> {
+    let (flag, max) = (given.flag, rayon::MAX_THREADS);
     let threads: usize = given.num()?;
-    validate_threads(given.flag, &threads.to_string(), threads)?;
+    if threads == 0 {
+        let hint = "(use 1 for the exact-sequential path)";
+        return bad(format!("{} must be at least 1, got 0 {}", flag, hint));
+    }
+    if threads > max {
+        return bad(format!("{} must be at most {}, got {}", flag, max, threads));
+    }
     Ok(threads)
 }
 
@@ -250,61 +258,12 @@ impl Args {
         Ok(())
     }
 
-    /// The thread count this invocation should run with, by
-    /// [`resolve_threads`] over `--threads` and `FEDCLUST_THREADS`.
+    /// `--threads`, as [`Args::threads`] holds it. It cannot fail; the
+    /// benchmark's replay (`benchmark/README.md`, "Measured surface")
+    /// links it by this name and signature.
     pub fn effective_threads(&self) -> Result<Option<usize>, ParseError> {
-        resolve_threads(
-            self.threads,
-            std::env::var("FEDCLUST_THREADS").ok().as_deref(),
-        )
+        Ok(self.threads)
     }
-}
-
-/// Shared range check for thread counts: zero and absurd values are
-/// rejected with the offending source (flag or env var) and value named.
-fn validate_threads(source: &str, raw: &str, threads: usize) -> Result<(), ParseError> {
-    if threads == 0 {
-        let hint = "(use 1 for the exact-sequential path)";
-        return bad(format!(
-            "{} must be at least 1, got {} {}",
-            source, raw, hint
-        ));
-    }
-    if threads > rayon::MAX_THREADS {
-        let max = rayon::MAX_THREADS;
-        return bad(format!("{} must be at most {}, got {}", source, max, raw));
-    }
-    Ok(())
-}
-
-/// The thread-count rule of `fedclust-cli` and `fedclust-worker` alike:
-/// `flag` (`--threads`) wins, then `env` (the value of `FEDCLUST_THREADS`,
-/// strictly validated), then `None` — the pool's default, available
-/// parallelism. (The rayon pool itself parses the variable leniently so
-/// library users are never broken by a stray export; the binaries refuse
-/// malformed values loudly so a typo'd job script cannot silently run
-/// sequentially.)
-pub fn resolve_threads(
-    flag: Option<usize>,
-    env: Option<&str>,
-) -> Result<Option<usize>, ParseError> {
-    if flag.is_some() {
-        return Ok(flag);
-    }
-    let Some(raw) = env else { return Ok(None) };
-    let trimmed = raw.trim();
-    if trimmed.is_empty() {
-        return Ok(None);
-    }
-    let threads: usize = trimmed.parse().map_err(|_| {
-        ParseError(format!(
-            "invalid value '{}' for FEDCLUST_THREADS; expected a thread count in [1, {}]",
-            raw,
-            rayon::MAX_THREADS
-        ))
-    })?;
-    validate_threads("FEDCLUST_THREADS", trimmed, threads)?;
-    Ok(Some(threads))
 }
 
 #[cfg(test)]
@@ -408,28 +367,6 @@ mod tests {
         let mut parts = vec!["run", "--method", "fedavg"];
         parts.extend_from_slice(extra);
         Args::parse(&argv(&parts))
-    }
-
-    #[test]
-    fn env_thread_counts_are_strictly_validated() {
-        let env = |raw| resolve_threads(None, raw);
-        assert_eq!(env(None).unwrap(), None);
-        assert_eq!(env(Some("")).unwrap(), None);
-        assert_eq!(env(Some("  ")).unwrap(), None);
-        assert_eq!(env(Some("4")).unwrap(), Some(4));
-        assert_eq!(env(Some(" 2 ")).unwrap(), Some(2));
-        for raw in ["banana", "0", "99999", "-3"] {
-            let err = env(Some(raw)).unwrap_err();
-            assert!(
-                err.0.contains("FEDCLUST_THREADS") && err.0.contains(raw),
-                "{}",
-                err
-            );
-        }
-        // `--threads` wins over the variable, a malformed one included.
-        for raw in [None, Some("4"), Some("banana"), Some("0")] {
-            assert_eq!(resolve_threads(Some(3), raw).unwrap(), Some(3), "{raw:?}");
-        }
     }
 
     #[test]

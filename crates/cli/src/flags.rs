@@ -280,8 +280,12 @@ mod tests {
         (&["--retries"], &["0", "16"], &[("17", "must be <= 16, got 17"), ("1000", "must be <= 16, got 1000"), ("4294967296", "must be <= 16, got 4294967296"), ("-1", "?")]),
         (&["--delay-ms"], &["0", "60000"], &[("60001", "must be <= 60000, got 60001"), ("120000", "must be <= 60000, got 120000"), ("NaN", "?")]),
         (&["--min-workers"], &["1", "1024"], &[("0", "must be in [1, 1024], got 0"), ("1025", "must be in [1, 1024], got 1025"), ("NaN", "?")]),
-        (&["--seed", "--chaos-seed", "--crash-after", "--reconnects", "--die-after", "--die-mid-push"], &["0", "4294967296"],
+        (&["--seed", "--chaos-seed", "--crash-after", "--die-after", "--die-mid-push"], &["0", "4294967296"],
             &[("zero", "?"), ("NaN", "?"), ("-1", "?")]),
+        // One attempt more than the budget is a `RetryPolicy`'s `u32`.
+        (&["--reconnects"], &["0", "4294967294"],
+            &[("4294967295", "must be <= 4294967294, got 4294967295"), ("4294967296", "must be <= 4294967294, got 4294967296"),
+              ("zero", "?"), ("-1", "?")]),
         (&["--threads"], &["1", "256"],
             &[("0", "must be at least 1, got 0 (use 1 for the exact-sequential path)"), ("257", "must be at most 256, got 257"),
               ("1000", "must be at most 256, got 1000"), ("many", "?"), ("-2", "?")]),

@@ -109,11 +109,10 @@ pub fn shell<A>(
 /// worker fleet `run`'s local training is farmed out to (`fedclustd`);
 /// `None` trains in process.
 pub fn execute(args: &Args, trainer: Option<&dyn RemoteTrainer>) -> Result<String, String> {
-    // Pin the worker-pool size before any training starts: `--threads`
-    // wins, then a strictly validated `FEDCLUST_THREADS`, else the pool's
-    // own default (available parallelism). Results are bit-identical at
-    // every thread count; this only changes wall-clock.
-    if let Some(threads) = args.effective_threads().map_err(|e| e.to_string())? {
+    // Pin the worker-pool size before any training starts: `--threads`,
+    // else the pool's own default (available parallelism). Results are
+    // bit-identical at every thread count; this only changes wall-clock.
+    if let Some(threads) = args.threads {
         rayon::set_num_threads(threads);
     }
     match &args.command {
@@ -228,7 +227,6 @@ pub fn build_dataset(args: &Args) -> Result<FederatedDataset, String> {
         &fedclust_data::federated::FederatedConfig {
             num_clients: args.clients,
             samples_per_class: args.samples_per_class,
-            train_fraction: 0.8,
             seed: args.seed,
         },
     ))

@@ -121,13 +121,17 @@ pub struct WorkerArgs {
     pub die_mid_push: Option<usize>,
 }
 
+/// The most `--reconnects` a `RetryPolicy` holds exactly: one attempt
+/// more must still fit its `u32`.
+const MAX_RECONNECTS: usize = u32::MAX as usize - 1;
+
 #[rustfmt::skip]
 pub(crate) const WORKER: &[Flag<WorkerArgs>] = &[
     under("OPTIONS", flag("--connect", "<HOST:PORT>", "", "the server (or chaos proxy) to dial; required", |a, g| g.addr().map(|v| a.connect = v))),
-    flag("--reconnects", "<N>", "1000", "reconnect budget across the whole run", |a, g| g.num().map(|n| a.reconnects = n)),
+    flag("--reconnects", "<N>", "1000", "reconnect budget across the whole run", |a, g| g.count(0, MAX_RECONNECTS).map(|n| a.reconnects = n)),
     flag("--backoff-base", "<SECS>", "0.05", "base of the reconnect backoff, in (0, 3600]", |a, g| g.seconds(Some(0.0)).map(|v| a.backoff_base = v)),
     flag("--io-timeout", "<SECS>", "5", "redial a connection silent for this long, in (0.2, 3600]: an idle server speaks every 0.2 s", |a, g| g.seconds(Some(KEEP_ALIVE.as_secs_f64())).map(|v| a.io_timeout = v)),
-    flag("--threads", "<N>", "", "worker threads for local training (default: FEDCLUST_THREADS, else all cores)", |a, g| threads(g).map(|n| a.threads = Some(n))),
+    flag("--threads", "<N>", "", "worker threads for local training (default: all cores, at most 256)", |a, g| threads(g).map(|n| a.threads = Some(n))),
     flag("--die-after", "<N>", "", "test hook: crash after the N-th acknowledged push", |a, g| g.num().map(|n| a.die_after = Some(n))),
     flag("--die-mid-push", "<N>", "", "test hook: crash halfway through the N-th push frame", |a, g| g.num().map(|n| a.die_mid_push = Some(n))),
 ];

@@ -24,7 +24,7 @@ use fedclust_fl::FlConfig;
 use fedclust_nn::Model;
 use fedclust_proto::{read_msg, write_msg, Msg, ProtoError, RetryPolicy, PROTO_VERSION};
 
-use crate::args::{resolve_threads, Args};
+use crate::args::Args;
 use crate::net_args::WorkerArgs;
 use crate::{build_config, build_dataset};
 
@@ -185,10 +185,10 @@ fn session(
 /// Worker main loop: dial, serve a session, redial under the shared
 /// backoff until `Done` or the reconnect budget is spent.
 pub fn run_worker(args: &WorkerArgs) -> Result<(), String> {
-    let env = std::env::var("FEDCLUST_THREADS").ok();
-    if let Some(t) = resolve_threads(args.threads, env.as_deref()).map_err(|e| e.to_string())? {
+    if let Some(t) = args.threads {
         rayon::set_num_threads(t);
     }
+    // Lossless: the flag's row bounds it by `MAX_RECONNECTS`.
     let policy = RetryPolicy::from_retries(args.reconnects as u32)
         .with_backoff_base(Duration::from_secs_f64(args.backoff_base));
     let die = DiePlan {
@@ -221,7 +221,7 @@ pub fn run_worker(args: &WorkerArgs) -> Result<(), String> {
     }
     Err(format!(
         "fedclust-worker: gave up after {} reconnect attempts",
-        args.reconnects + 1
+        policy.max_attempts
     ))
 }
 

@@ -181,3 +181,14 @@ fn local_refuses_the_checkpoint_flags_it_would_ignore() {
     );
     assert!(!dir.exists(), "{} was created", dir.display());
 }
+
+/// `--threads` is the thread count's one source: an exported
+/// `FEDCLUST_THREADS`, malformed or not, is read by nothing.
+#[test]
+fn a_stray_thread_variable_changes_nothing() {
+    let args = base_args("fedavg");
+    let without = bin().args(&args).env_remove("FEDCLUST_THREADS").output();
+    let with = bin().args(&args).env("FEDCLUST_THREADS", "banana").output();
+    let (without, with) = (without.expect("binary runs"), with.expect("binary runs"));
+    assert_eq!(stdout_of(&with), stdout_of(&without));
+}

@@ -263,7 +263,6 @@ mod tests {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: clients,
                 samples_per_class: 40,
-                train_fraction: 0.8,
                 seed,
             },
         )

@@ -46,7 +46,6 @@
 //!     &fedclust_data::federated::FederatedConfig {
 //!         num_clients: 8,
 //!         samples_per_class: 30,
-//!         train_fraction: 0.8,
 //!         seed: 1,
 //!     },
 //! );

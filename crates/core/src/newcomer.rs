@@ -85,7 +85,6 @@ mod tests {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: 10,
                 samples_per_class: 40,
-                train_fraction: 0.8,
                 seed: 11,
             },
         );

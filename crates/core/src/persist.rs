@@ -197,7 +197,6 @@ mod tests {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: 6,
                 samples_per_class: 30,
-                train_fraction: 0.8,
                 seed: 13,
             },
         );

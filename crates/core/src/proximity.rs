@@ -129,7 +129,6 @@ mod tests {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: 6,
                 samples_per_class: 30,
-                train_fraction: 0.8,
                 seed,
             },
         )
@@ -209,7 +208,6 @@ mod tests {
             let mut opt = Sgd::new(SgdConfig {
                 lr: 0.05,
                 momentum: 0.9,
-                weight_decay: 1e-4,
             });
             for step in 0..3 {
                 let x = fedclust_tensor::init::randn([6, 3, 16, 16], &mut rng);

@@ -36,22 +36,8 @@ pub struct FederatedConfig {
     pub num_clients: usize,
     /// Pool samples generated per class.
     pub samples_per_class: usize,
-    /// Fraction of each client's samples used for training (rest is the
-    /// local test set).
-    pub train_fraction: f32,
     /// Root seed for synthesis and partitioning.
     pub seed: u64,
-}
-
-impl Default for FederatedConfig {
-    fn default() -> Self {
-        FederatedConfig {
-            num_clients: 100,
-            samples_per_class: 1000,
-            train_fraction: 0.8,
-            seed: 42,
-        }
-    }
 }
 
 impl FederatedDataset {
@@ -65,7 +51,7 @@ impl FederatedDataset {
 
         let clients = assignment
             .iter()
-            .map(|indices| split_client(&pool, indices, cfg.train_fraction, &mut rng))
+            .map(|indices| split_client(&pool, indices, &mut rng))
             .collect();
 
         FederatedDataset {
@@ -117,7 +103,7 @@ impl FederatedDataset {
         }
         let clients = assignment
             .iter()
-            .map(|indices| split_client(&pool, indices, cfg.train_fraction, &mut rng))
+            .map(|indices| split_client(&pool, indices, &mut rng))
             .collect();
         FederatedDataset {
             clients,
@@ -181,15 +167,14 @@ impl FederatedDataset {
     }
 }
 
+/// Fraction of each client's samples used for training (the rest is its
+/// local test set).
+const TRAIN_FRACTION: f32 = 0.8;
+
 /// Split one client's sample indices into train/test datasets,
 /// stratified per class so the local test set mirrors the local
 /// distribution.
-fn split_client(
-    pool: &Dataset,
-    indices: &[usize],
-    train_fraction: f32,
-    rng: &mut impl Rng,
-) -> ClientData {
+fn split_client(pool: &Dataset, indices: &[usize], rng: &mut impl Rng) -> ClientData {
     // Group by label for a stratified split.
     let mut by_label: std::collections::BTreeMap<usize, Vec<usize>> =
         std::collections::BTreeMap::new();
@@ -200,7 +185,7 @@ fn split_client(
     let mut test_idx = Vec::new();
     for (_, mut group) in by_label {
         group.shuffle(rng);
-        let n_train = ((group.len() as f32) * train_fraction).round() as usize;
+        let n_train = ((group.len() as f32) * TRAIN_FRACTION).round() as usize;
         // Keep at least one sample in each split when possible.
         let n_train = n_train.clamp(
             if group.len() > 1 { 1 } else { 0 },
@@ -228,7 +213,6 @@ mod tests {
         FederatedConfig {
             num_clients: 10,
             samples_per_class: 50,
-            train_fraction: 0.8,
             seed: 1,
         }
     }
@@ -318,7 +302,6 @@ mod tests {
             &FederatedConfig {
                 num_clients: 5,
                 samples_per_class: 100,
-                train_fraction: 0.8,
                 seed: 3,
             },
         );

@@ -41,7 +41,7 @@ proptest! {
         let fd = FederatedDataset::build(
             DatasetProfile::FmnistLike,
             partition,
-            &FederatedConfig { num_clients, samples_per_class: spc, train_fraction: 0.8, seed },
+            &FederatedConfig { num_clients, samples_per_class: spc, seed },
         );
         let total: usize = fd.clients.iter().map(|c| c.total_samples()).sum();
         prop_assert_eq!(total, 10 * spc);
@@ -58,7 +58,6 @@ proptest! {
         let cfg = FederatedConfig {
             num_clients: 4,
             samples_per_class: 10,
-            train_fraction: 0.8,
             seed,
         };
         let a = FederatedDataset::build(DatasetProfile::SvhnLike, Partition::Dirichlet { alpha: 0.5 }, &cfg);
@@ -80,7 +79,7 @@ proptest! {
         let fd = FederatedDataset::build(
             DatasetProfile::FmnistLike,
             Partition::LabelSkew { fraction },
-            &FederatedConfig { num_clients, samples_per_class: 40, train_fraction: 0.8, seed },
+            &FederatedConfig { num_clients, samples_per_class: 40, seed },
         );
         let per_client = (fraction * 10.0).ceil() as usize;
         let sets = fd.client_label_sets();

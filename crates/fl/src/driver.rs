@@ -523,7 +523,6 @@ mod tests {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: 6,
                 samples_per_class: 30,
-                train_fraction: 0.8,
                 seed,
             },
         )
@@ -615,7 +614,6 @@ mod tests {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: 16,
                 samples_per_class: 20,
-                train_fraction: 0.8,
                 seed: 9,
             },
         );

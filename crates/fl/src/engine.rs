@@ -565,7 +565,6 @@ pub fn personalized_accuracy(
         let mut opt = Sgd::new(SgdConfig {
             lr: cfg.lr,
             momentum: 0.5,
-            weight_decay: cfg.weight_decay,
         });
         local_train(&mut model, data, &mut opt, epochs, cfg, 3_000_000 + id, 0);
     }
@@ -593,7 +592,6 @@ mod tests {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: 6,
                 samples_per_class: 30,
-                train_fraction: 0.8,
                 seed,
             },
         )

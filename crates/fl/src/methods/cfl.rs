@@ -26,25 +26,16 @@ use fedclust_tensor::distance::cosine;
 
 /// Sattler-style clustered federated learning.
 #[derive(Debug, Clone, Copy)]
-pub struct Cfl {
-    /// Mean-update-norm threshold ε₁ (relative to the round-1 mean norm).
-    pub eps1: f32,
-    /// Max-update-norm threshold ε₂ (relative to the round-1 mean norm).
-    pub eps2: f32,
-    /// Rounds to wait before allowing any split.
-    pub warmup_rounds: usize,
-}
+pub struct Cfl;
 
-impl Default for Cfl {
-    fn default() -> Self {
-        // The paper's CFL configuration: ε₁ = 0.4, ε₂ = 0.6.
-        Cfl {
-            eps1: 0.4,
-            eps2: 0.6,
-            warmup_rounds: 2,
-        }
-    }
-}
+/// Mean-update-norm threshold ε₁ (relative to the round-1 mean norm; the
+/// paper's CFL configuration).
+const EPS1: f32 = 0.4;
+/// Max-update-norm threshold ε₂ (relative to the round-1 mean norm; the
+/// paper's CFL configuration).
+const EPS2: f32 = 0.6;
+/// Rounds to wait before allowing any split.
+const WARMUP_ROUNDS: usize = 2;
 
 struct Cluster {
     state: Vec<f32>,
@@ -155,11 +146,11 @@ impl Method for Cfl {
             cluster.state = average_updates(&updates, &cluster.state);
 
             // Split condition (relative thresholds).
-            if round >= self.warmup_rounds
+            if round >= WARMUP_ROUNDS
                 && cluster.members.len() >= 2
                 && members.len() >= 2
-                && mean_norm < self.eps1 as f64 * r
-                && max_norm > self.eps2 as f64 * r
+                && mean_norm < EPS1 as f64 * r
+                && max_norm > EPS2 as f64 * r
             {
                 split_requests.push(ci);
             }
@@ -259,14 +250,13 @@ mod tests {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: 8,
                 samples_per_class: 30,
-                train_fraction: 0.8,
                 seed: 0,
             },
         );
         let mut cfg = FlConfig::tiny(0);
         cfg.rounds = 6;
         cfg.sample_rate = 1.0; // full participation helps splits in a tiny test
-        let r = Cfl::default().run(&fd, &cfg);
+        let r = Cfl.run(&fd, &cfg);
         assert!(r.final_acc.is_finite());
         let k = r.num_clusters.unwrap();
         assert!((1..=8).contains(&k), "clusters {}", k);

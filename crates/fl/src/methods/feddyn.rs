@@ -21,18 +21,12 @@ use crate::checkpoint::{check_len, wrong_state, CheckpointError, FedDynState, Me
 use crate::driver::{Method, RoundCtx};
 use crate::engine::{evaluate_clients, local_train_corrected, weighted_average_or};
 
-/// FedDyn with regularization strength α.
+/// FedDyn with regularization strength `ALPHA`.
 #[derive(Debug, Clone, Copy)]
-pub struct FedDyn {
-    /// Dynamic-regularizer coefficient α (the paper of FedDyn uses 0.01–0.1).
-    pub alpha: f32,
-}
+pub struct FedDyn;
 
-impl Default for FedDyn {
-    fn default() -> Self {
-        FedDyn { alpha: 0.1 }
-    }
-}
+/// Dynamic-regularizer coefficient α (the paper of FedDyn uses 0.01–0.1).
+const ALPHA: f32 = 0.1;
 
 impl FedDyn {
     /// One client's regularized local pass; returns its new full state.
@@ -48,7 +42,7 @@ impl FedDyn {
         let lambda_i = &s.lambdas[client];
         let data = &ctx.fd.clients[client];
         local_train_corrected(&mut model, data, ctx.cfg, client, round, |i, w, g| {
-            g - lambda_i[i] + self.alpha * (w - s.state[i])
+            g - lambda_i[i] + ALPHA * (w - s.state[i])
         });
         model.state_vec()
     }
@@ -99,7 +93,7 @@ impl Method for FedDyn {
         let mut results: Vec<(Vec<f32>, f32)> = Vec::with_capacity(trained.len());
         for (client, mut payload) in trained {
             for ((l, &w), &g) in s.lambdas[client].iter_mut().zip(&payload).zip(&s.state) {
-                *l -= self.alpha * (w - g);
+                *l -= ALPHA * (w - g);
             }
             // The payload is the client's state vector, so a "stale"
             // corruption replays the broadcast global state.
@@ -120,10 +114,10 @@ impl Method for FedDyn {
             }
         }
         for ((h, &m), &g) in s.h.iter_mut().zip(&mean_w).zip(&s.state) {
-            *h -= self.alpha * (m as f32 - g);
+            *h -= ALPHA * (m as f32 - g);
         }
         for ((g, &m), &h) in s.state.iter_mut().zip(&mean_w).zip(&s.h) {
-            *g = m as f32 - h / self.alpha;
+            *g = m as f32 - h / ALPHA;
         }
         if state_len > num_params {
             let items: Vec<(&[f32], f32)> = results
@@ -164,7 +158,6 @@ mod tests {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: 6,
                 samples_per_class: 30,
-                train_fraction: 0.8,
                 seed,
             },
         )
@@ -175,7 +168,7 @@ mod tests {
         let fd = tiny_fd(0);
         let mut cfg = FlConfig::tiny(0);
         cfg.rounds = 5;
-        let r = FedDyn::default().run(&fd, &cfg);
+        let r = FedDyn.run(&fd, &cfg);
         assert!(r.final_acc > 0.15, "acc {}", r.final_acc);
         let fedavg = crate::methods::FedAvg.run(&fd, &cfg);
         assert!(
@@ -188,8 +181,8 @@ mod tests {
     fn feddyn_is_deterministic_and_finite() {
         let fd = tiny_fd(1);
         let cfg = FlConfig::tiny(1);
-        let a = FedDyn::default().run(&fd, &cfg);
-        let b = FedDyn::default().run(&fd, &cfg);
+        let a = FedDyn.run(&fd, &cfg);
+        let b = FedDyn.run(&fd, &cfg);
         assert_eq!(a.per_client_acc, b.per_client_acc);
         assert!(a.final_acc.is_finite());
     }

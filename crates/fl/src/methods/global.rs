@@ -40,21 +40,15 @@ impl Global for FedAvg {
 /// FedProx (Li et al. 2020): FedAvg with a proximal term μ/2·‖w − w_g‖² in
 /// every client's local objective.
 #[derive(Debug, Clone, Copy)]
-pub struct FedProx {
-    /// Proximal coefficient μ.
-    pub mu: f32,
-}
+pub struct FedProx;
 
-impl Default for FedProx {
-    fn default() -> Self {
-        FedProx { mu: 0.01 }
-    }
-}
+/// FedProx's proximal coefficient μ (the paper's 0.01).
+const MU: f32 = 0.01;
 
 impl Global for FedProx {
     const NAME: &'static str = "FedProx";
     fn prox_mu(&self) -> Option<f32> {
-        Some(self.mu)
+        Some(MU)
     }
 }
 
@@ -170,7 +164,6 @@ mod tests {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: 6,
                 samples_per_class: 40,
-                train_fraction: 0.8,
                 seed,
             },
         )
@@ -193,7 +186,7 @@ mod tests {
     fn history_rounds_are_ascending_with_monotone_mb() {
         let fd = tiny_fd(1, 0.5);
         let cfg = FlConfig::tiny(1);
-        let result = FedProx::default().run(&fd, &cfg);
+        let result = FedProx.run(&fd, &cfg);
         for w in result.history.windows(2) {
             assert!(w[0].round < w[1].round);
             assert!(w[0].cum_mb <= w[1].cum_mb);
@@ -214,7 +207,7 @@ mod tests {
         let fd = tiny_fd(3, 0.5);
         let cfg = FlConfig::tiny(3);
         let a = FedAvg.run(&fd, &cfg);
-        let b = FedProx::default().run(&fd, &cfg);
+        let b = FedProx.run(&fd, &cfg);
         let c = FedNova.run(&fd, &cfg);
         assert!((a.total_mb - b.total_mb).abs() < 1e-9);
         assert!((a.total_mb - c.total_mb).abs() < 1e-9);
@@ -242,7 +235,6 @@ mod tests {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: 4,
                 samples_per_class: 20,
-                train_fraction: 0.8,
                 seed: 5,
             },
         );

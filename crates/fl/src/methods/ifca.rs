@@ -17,7 +17,9 @@ use fedclust_tensor::rng::{derive, streams};
 #[derive(Debug, Clone, Copy)]
 pub struct Ifca {
     /// Number of cluster models (must be fixed in advance — the
-    /// inflexibility the paper criticises).
+    /// inflexibility the paper criticises). The one baseline setting that
+    /// stays a field: its downlink cost grows with `k`, and
+    /// `tests/comm_accounting.rs` sweeps it to pin that.
     pub k: usize,
 }
 
@@ -157,7 +159,6 @@ mod tests {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: 6,
                 samples_per_class: 30,
-                train_fraction: 0.8,
                 seed: 0,
             },
         );
@@ -179,7 +180,6 @@ mod tests {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: 2,
                 samples_per_class: 10,
-                train_fraction: 0.8,
                 seed: 1,
             },
         );

@@ -11,19 +11,14 @@ use crate::driver::{Method, RoundCtx};
 use crate::engine::{evaluate_models, train_replica, weighted_average_or, LocalJob};
 use fedclust_nn::Model;
 
-/// LG-FedAvg with the paper's split: the last two parameter blocks are
-/// global (classifier head), everything below is local to each client.
+/// LG-FedAvg with the paper's split: the last `GLOBAL_BLOCKS` parameter
+/// blocks are global (classifier head), everything below is local to each
+/// client.
 #[derive(Debug, Clone, Copy)]
-pub struct LgFedAvg {
-    /// Number of trailing parameter blocks treated as global.
-    pub global_blocks: usize,
-}
+pub struct LgFedAvg;
 
-impl Default for LgFedAvg {
-    fn default() -> Self {
-        LgFedAvg { global_blocks: 2 }
-    }
-}
+/// Number of trailing parameter blocks treated as global.
+const GLOBAL_BLOCKS: usize = 2;
 
 /// What an LG-FedAvg run leaves behind: the trained global head and where
 /// it sits in the parameter/state vector. Newcomers combine it with their
@@ -40,10 +35,10 @@ impl LgFedAvg {
     fn split(&self, template: &Model) -> usize {
         let blocks = template.param_blocks();
         assert!(
-            self.global_blocks < blocks.len(),
+            GLOBAL_BLOCKS < blocks.len(),
             "need at least one local block"
         );
-        blocks[blocks.len() - self.global_blocks].offset
+        blocks[blocks.len() - GLOBAL_BLOCKS].offset
     }
 }
 
@@ -153,12 +148,11 @@ mod tests {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: 6,
                 samples_per_class: 30,
-                train_fraction: 0.8,
                 seed: 0,
             },
         );
         let cfg = FlConfig::tiny(0);
-        let lg = LgFedAvg::default().run(&fd, &cfg);
+        let lg = LgFedAvg.run(&fd, &cfg);
         let fedavg = crate::methods::FedAvg.run(&fd, &cfg);
         assert!(
             lg.total_mb < fedavg.total_mb * 0.8,

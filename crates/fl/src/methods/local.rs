@@ -114,7 +114,6 @@ mod tests {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: 5,
                 samples_per_class: 40,
-                train_fraction: 0.8,
                 seed: 0,
             },
         );

@@ -32,13 +32,13 @@ pub fn baselines() -> Vec<Box<dyn FlMethod>> {
     vec![
         Box::new(LocalOnly),
         Box::new(FedAvg),
-        Box::new(FedProx::default()),
+        Box::new(FedProx),
         Box::new(FedNova),
-        Box::new(LgFedAvg::default()),
-        Box::new(PerFedAvg::default()),
-        Box::new(Cfl::default()),
+        Box::new(LgFedAvg),
+        Box::new(PerFedAvg),
+        Box::new(Cfl),
         Box::new(Ifca::default()),
-        Box::new(Pacfl::default()),
+        Box::new(Pacfl),
     ]
 }
 
@@ -46,5 +46,5 @@ pub fn baselines() -> Vec<Box<dyn FlMethod>> {
 /// not put in its tables: SCAFFOLD (variance reduction via control
 /// variates) and FedDyn (dynamic regularization).
 pub fn extended_baselines() -> Vec<Box<dyn FlMethod>> {
-    vec![Box::new(Scaffold::default()), Box::new(FedDyn::default())]
+    vec![Box::new(Scaffold), Box::new(FedDyn)]
 }

@@ -17,18 +17,12 @@ use fedclust_tensor::linalg::{subspace_distance_deg, truncated_left_singular_vec
 use fedclust_tensor::Tensor;
 use rayon::prelude::*;
 
-/// PACFL with `p` principal vectors per client.
+/// PACFL with `P` principal vectors per client.
 #[derive(Debug, Clone, Copy)]
-pub struct Pacfl {
-    /// Number of principal vectors each client transmits (paper: p = 3).
-    pub p: usize,
-}
+pub struct Pacfl;
 
-impl Default for Pacfl {
-    fn default() -> Self {
-        Pacfl { p: 3 }
-    }
-}
+/// Number of principal vectors each client transmits (paper: p = 3).
+const P: usize = 3;
 
 impl Pacfl {
     /// One client's data subspace basis: top-`p` left singular vectors of
@@ -44,7 +38,7 @@ impl Pacfl {
                 m[f * n + s] = train.images.data()[s * d + f];
             }
         }
-        truncated_left_singular_vectors(&Tensor::from_vec([d, n], m), self.p)
+        truncated_left_singular_vectors(&Tensor::from_vec([d, n], m), P)
     }
 
     /// Every client's [`Pacfl::client_basis`].
@@ -195,7 +189,6 @@ mod tests {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: 8,
                 samples_per_class: 40,
-                train_fraction: 0.8,
                 seed: 7,
             },
         )
@@ -219,11 +212,10 @@ mod tests {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: 8,
                 samples_per_class: 40,
-                train_fraction: 0.8,
                 seed: 7,
             },
         );
-        let pacfl = Pacfl::default();
+        let pacfl = Pacfl;
         let bases = pacfl.client_bases(&fd);
         assert_eq!(bases.len(), 8);
         let labels = pacfl.cluster(&bases);
@@ -246,7 +238,7 @@ mod tests {
         let art = PacflArtifacts {
             states: vec![Vec::new(); 3],
             labels: (0..8).map(|c| 2 * (c % 2)).collect(),
-            bases: Pacfl::default().client_bases(&fd()),
+            bases: Pacfl.client_bases(&fd()),
         };
         for basis in &art.bases {
             assert_ne!(art.nearest_cluster(basis), 1);
@@ -258,7 +250,7 @@ mod tests {
         let fd = fd();
         let mut cfg = FlConfig::tiny(1);
         cfg.rounds = 3;
-        let r = Pacfl::default().run(&fd, &cfg);
+        let r = Pacfl.run(&fd, &cfg);
         assert!(r.final_acc.is_finite());
         assert!(r.num_clusters.unwrap() >= 1);
         assert!(r.total_mb > 0.0);

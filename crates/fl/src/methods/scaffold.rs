@@ -15,19 +15,13 @@ use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState, Sc
 use crate::driver::{Method, RoundCtx};
 use crate::engine::{evaluate_clients, local_train_corrected, weighted_average_or};
 
-/// SCAFFOLD with server learning rate `eta_g` (the paper's ηg; 1.0 keeps
-/// plain averaging of the client deltas).
+/// SCAFFOLD with server learning rate `ETA_G`.
 #[derive(Debug, Clone, Copy)]
-pub struct Scaffold {
-    /// Server step size applied to the averaged client delta.
-    pub eta_g: f32,
-}
+pub struct Scaffold;
 
-impl Default for Scaffold {
-    fn default() -> Self {
-        Scaffold { eta_g: 1.0 }
-    }
-}
+/// Server step size applied to the averaged client delta (the paper's ηg;
+/// 1.0 keeps plain averaging of the client deltas).
+const ETA_G: f32 = 1.0;
 
 struct LocalOutcome {
     delta_w: Vec<f32>,
@@ -150,7 +144,7 @@ impl Method for Scaffold {
             }
         }
         for j in 0..num_params {
-            s.state[j] += self.eta_g * mean_dw[j] as f32;
+            s.state[j] += ETA_G * mean_dw[j] as f32;
             s.c_global[j] += scale_c * mean_dc[j] as f32;
         }
         // Extra state (batch-norm stats): sample-size-weighted average.
@@ -193,7 +187,6 @@ mod tests {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: 6,
                 samples_per_class: 30,
-                train_fraction: 0.8,
                 seed,
             },
         )
@@ -204,7 +197,7 @@ mod tests {
         let fd = tiny_fd(0);
         let mut cfg = FlConfig::tiny(0);
         cfg.rounds = 5;
-        let r = Scaffold::default().run(&fd, &cfg);
+        let r = Scaffold.run(&fd, &cfg);
         assert!(r.final_acc > 0.15, "acc {}", r.final_acc);
         // SCAFFOLD moves control variates alongside the model: roughly 2×
         // FedAvg's bytes per round (exact factor depends on extra state).
@@ -217,8 +210,8 @@ mod tests {
     fn scaffold_is_deterministic() {
         let fd = tiny_fd(1);
         let cfg = FlConfig::tiny(1);
-        let a = Scaffold::default().run(&fd, &cfg);
-        let b = Scaffold::default().run(&fd, &cfg);
+        let a = Scaffold.run(&fd, &cfg);
+        let b = Scaffold.run(&fd, &cfg);
         assert_eq!(a.per_client_acc, b.per_client_acc);
     }
 
@@ -230,7 +223,7 @@ mod tests {
         let fd = tiny_fd(2);
         let mut cfg = FlConfig::tiny(2);
         cfg.rounds = 1;
-        let r = Scaffold::default().run(&fd, &cfg);
+        let r = Scaffold.run(&fd, &cfg);
         assert!(r.final_acc.is_finite());
         assert!(!r.history.is_empty());
     }

@@ -190,7 +190,6 @@ proptest! {
             &fedclust_data::federated::FederatedConfig {
                 num_clients: 4,
                 samples_per_class: 10,
-                train_fraction: 0.8,
                 seed,
             },
         );

@@ -11,8 +11,7 @@
 //! * layers: dense, conv2d (im2col), max/avg pooling, ReLU, batch-norm,
 //!   flatten, residual blocks, and [`layer::Sequential`] composition,
 //! * [`loss`] — softmax cross-entropy with fused gradient,
-//! * [`optim::Sgd`] — SGD with momentum, weight decay and the FedProx
-//!   proximal term,
+//! * [`optim::Sgd`] — SGD with momentum and the FedProx proximal term,
 //! * [`model::Model`] — a parameter-addressable network wrapper (flatten /
 //!   unflatten of all weights, per-layer weight views, final-layer
 //!   extraction — the object FedClust clusters on),

@@ -275,7 +275,6 @@ mod tests {
         let mut opt = Sgd::new(crate::optim::SgdConfig {
             lr: 0.1,
             momentum: 0.9,
-            weight_decay: 0.0,
         });
         // Three trivially separable one-hot-ish inputs.
         let x = Tensor::from_vec(

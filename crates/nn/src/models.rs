@@ -292,7 +292,6 @@ mod tests {
             let cfg = crate::optim::SgdConfig {
                 lr: 0.05,
                 momentum: 0.9,
-                weight_decay: 1e-4,
             };
             let (mut opt_fast, mut opt_full) =
                 (crate::optim::Sgd::new(cfg), crate::optim::Sgd::new(cfg));

@@ -1,5 +1,4 @@
-//! Stochastic gradient descent with momentum, weight decay, and the FedProx
-//! proximal term.
+//! Stochastic gradient descent with momentum and the FedProx proximal term.
 
 use crate::param::Param;
 use fedclust_tensor::Tensor;
@@ -11,8 +10,6 @@ pub struct SgdConfig {
     pub lr: f32,
     /// Momentum coefficient (0 disables momentum).
     pub momentum: f32,
-    /// L2 weight decay added to the gradient.
-    pub weight_decay: f32,
 }
 
 impl Default for SgdConfig {
@@ -20,7 +17,6 @@ impl Default for SgdConfig {
         SgdConfig {
             lr: 0.01,
             momentum: 0.9,
-            weight_decay: 0.0,
         }
     }
 }
@@ -50,11 +46,6 @@ impl Sgd {
             velocity: Vec::new(),
             prox: None,
         }
-    }
-
-    /// Current hyper-parameters.
-    pub fn config(&self) -> &SgdConfig {
-        &self.config
     }
 
     /// Attach a FedProx proximal term anchored at `reference` weights
@@ -95,17 +86,12 @@ impl Sgd {
                 p.value.shape(),
                 "parameter shape changed between optimizer steps"
             );
-            let wd = self.config.weight_decay;
             let mu_ref = self.prox.as_ref().map(|pr| (pr.mu, &pr.reference[i]));
             let m = self.config.momentum;
             let lr = self.config.lr;
             let n = p.value.numel();
             for j in 0..n {
                 let mut g = p.grad.data()[j];
-                // fedlint::allow(float-eq): exact-zero sentinel — wd == 0.0 means "weight decay disabled", set only from the literal default
-                if wd != 0.0 {
-                    g += wd * p.value.data()[j];
-                }
                 if let Some((mu, r)) = mu_ref {
                     g += mu * (p.value.data()[j] - r.data()[j]);
                 }
@@ -131,7 +117,6 @@ mod tests {
         let mut sgd = Sgd::new(SgdConfig {
             lr: 0.1,
             momentum: 0.0,
-            weight_decay: 0.0,
         });
         let mut p = param(&[1.0]);
         p.grad.data_mut()[0] = 2.0;
@@ -145,7 +130,6 @@ mod tests {
         let mut sgd = Sgd::new(SgdConfig {
             lr: 0.1,
             momentum: 0.5,
-            weight_decay: 0.0,
         });
         let mut p = param(&[0.0]);
         // Two steps with constant gradient 1: v1=1, v2=1.5.
@@ -157,23 +141,10 @@ mod tests {
     }
 
     #[test]
-    fn weight_decay_shrinks_weights_without_gradient() {
-        let mut sgd = Sgd::new(SgdConfig {
-            lr: 0.1,
-            momentum: 0.0,
-            weight_decay: 0.1,
-        });
-        let mut p = param(&[1.0]);
-        sgd.step(&mut [&mut p]);
-        assert!((p.value.data()[0] - 0.99).abs() < 1e-6);
-    }
-
-    #[test]
     fn proximal_term_pulls_toward_reference() {
         let mut sgd = Sgd::new(SgdConfig {
             lr: 0.1,
             momentum: 0.0,
-            weight_decay: 0.0,
         });
         sgd.set_prox(1.0, vec![Tensor::from_vec([1], vec![0.0])]);
         let mut p = param(&[1.0]);
@@ -188,7 +159,6 @@ mod tests {
         let mut sgd = Sgd::new(SgdConfig {
             lr: 0.2,
             momentum: 0.9,
-            weight_decay: 0.0,
         });
         let mut p = param(&[0.0]);
         for _ in 0..100 {

@@ -82,11 +82,11 @@ proptest! {
         let x = fedclust_tensor::init::randn([4, 6], &mut rng);
         let before = m.param_vec();
 
-        let mut opt0 = Sgd::new(SgdConfig { lr: 0.0, momentum: 0.0, weight_decay: 0.0 });
+        let mut opt0 = Sgd::new(SgdConfig { lr: 0.0, momentum: 0.0 });
         m.train_step(x.clone(), &[0, 1, 2, 0], &mut opt0);
         prop_assert_eq!(m.param_vec(), before.clone());
 
-        let mut opt = Sgd::new(SgdConfig { lr: 0.1, momentum: 0.0, weight_decay: 0.0 });
+        let mut opt = Sgd::new(SgdConfig { lr: 0.1, momentum: 0.0 });
         m.train_step(x, &[0, 1, 2, 0], &mut opt);
         prop_assert_ne!(m.param_vec(), before);
     }

@@ -22,7 +22,6 @@ fn main() {
             num_clients: 20,
             samples_per_class: 100,
             seed: 7,
-            ..Default::default()
         },
     );
     println!(

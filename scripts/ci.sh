@@ -47,8 +47,9 @@ echo "== tests =="
 # Every root integration suite, once. Among them, by the stage names this
 # script used to run them a second time under:
 #   fault tolerance   — tests/fault_tolerance.rs
-#   crash recovery    — tests/crash_recovery.rs (the smoke below does the
-#                       same dance with a real SIGKILL)
+#   crash recovery    — tests/crash_recovery.rs (the fedclust-cli suite
+#                       below does it through the real binary, and net_cli
+#                       with a real SIGKILL of a checkpointing server)
 #   codec conformance — tests/golden_bytes.rs pins every format against
 #                       images generated before the byte layer was last
 #                       touched; tests/hostile_bytes.rs runs truncations,
@@ -101,38 +102,34 @@ else
 fi
 echo "paper record: stage took $((($(date +%s%N) - paper_start) / 1000000)) ms"
 
-echo "== crash recovery =="
-scripts/kill_resume_smoke.sh
-
 echo "== networked federation =="
 # Wire-protocol unit tests; every `fedclust-cli` library test — the lease
 # table's own suite (its transition cases plus 2,000 seeded schedules of
 # connections pulling, pushing, misbehaving and dying), the worker's
 # untrainable-`Work` case and the flag tables' contracts, which no other
 # stage runs — and the settle rule for what workers push (in fl::engine's);
-# then the real binaries end to end: server + worker fleet over localhost
-# TCP (plain, codec-compressed, through the chaos proxy, across a server
-# SIGKILL + resume, and under worker crashes) must be byte-identical to the
-# in-process simulation.
+# then the real binaries end to end: a crash after a round, a torn
+# checkpoint write and a seed mismatch through `fedclust-cli`
+# (crash_recovery_cli), and server + worker fleet over localhost TCP
+# (plain, codec-compressed, through the chaos proxy, across a server
+# SIGKILL + resume, and under worker crashes) byte-identical to the
+# in-process simulation (net_cli).
 net_start=$(date +%s%N)
 cargo test -q -p fedclust-proto
 cargo test -q -p fedclust-cli --lib
 cargo test -q -p fedclust-fl --lib engine
+cargo test -q -p fedclust-cli --test crash_recovery_cli
 # Every wait inside the suite has its own deadline and fails with the
 # server's stderr; `timeout` is the backstop that turns any hang those miss
 # into a failed stage (built first, so the limit is on the tests alone).
 cargo test -q -p fedclust-cli --test net_cli --no-run
 timeout 300 cargo test -q -p fedclust-cli --test net_cli
-scripts/net_smoke.sh
 echo "networked federation: stage took $((($(date +%s%N) - net_start) / 1000000)) ms"
 
 echo "== thread equivalence =="
-# The suite sweeps thread counts inside each test: every run goes through
-# `rayon::set_num_threads` first, so FEDCLUST_THREADS is never read there
-# and one invocation is the whole check. The variable's lenient default is
-# pinned by the vendored rayon crate's unit tests (with its panic and
-# nesting tests), the CLI's strict rule by
-# `args::tests::env_thread_counts_are_strictly_validated`.
+# The suite sweeps thread counts inside each test, so one invocation is
+# the whole check. The pool's default and its clamp are pinned by the
+# vendored rayon crate's unit tests, with its panic and nesting tests.
 cargo test -q --test thread_equivalence
 cargo test -q -p rayon
 

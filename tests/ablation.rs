@@ -30,7 +30,6 @@ fn fd(seed: u64) -> (FederatedDataset, Vec<usize>) {
         &fedclust_repro::data::federated::FederatedConfig {
             num_clients: 12,
             samples_per_class: 50,
-            train_fraction: 0.8,
             seed,
         },
     );

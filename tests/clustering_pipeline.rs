@@ -27,7 +27,6 @@ fn three_group_fd(seed: u64) -> (FederatedDataset, Vec<usize>) {
         &fedclust_repro::data::federated::FederatedConfig {
             num_clients: 12,
             samples_per_class: 60,
-            train_fraction: 0.8,
             seed,
         },
     );

@@ -20,7 +20,6 @@ fn fd(seed: u64) -> FederatedDataset {
         &fedclust_repro::data::federated::FederatedConfig {
             num_clients: 6,
             samples_per_class: 12,
-            train_fraction: 0.8,
             seed,
         },
     )

@@ -15,7 +15,6 @@ fn fd(seed: u64, clients: usize) -> FederatedDataset {
         &fedclust_repro::data::federated::FederatedConfig {
             num_clients: clients,
             samples_per_class: 30,
-            train_fraction: 0.8,
             seed,
         },
     )
@@ -71,7 +70,7 @@ fn lg_cost_counts_only_global_blocks() {
     let blocks = template.param_blocks();
     let split = blocks[blocks.len() - 2].offset;
     let comm_len = (template.num_params() - split) + template.extra_state_len();
-    let r = LgFedAvg::default().run(&fd, &cfg);
+    let r = LgFedAvg.run(&fd, &cfg);
     let expected = 3.0 * 4.0 * 2.0 * comm_len as f64 * BYTES / MB;
     assert!(
         (r.total_mb - expected).abs() < 1e-9,
@@ -107,7 +106,7 @@ fn pacfl_upfront_cost_is_p_vectors_per_client() {
     let mut cfg = FlConfig::tiny(4);
     cfg.rounds = 0; // isolate the pre-federation cost
     let feature_dim = fd.channels * fd.height * fd.width;
-    let r = Pacfl::default().run(&fd, &cfg);
+    let r = Pacfl.run(&fd, &cfg);
     let expected = 6.0 * 3.0 * feature_dim as f64 * BYTES / MB;
     assert!(
         (r.total_mb - expected).abs() < 1e-9,

@@ -23,7 +23,6 @@ fn fd(seed: u64) -> FederatedDataset {
         &fedclust_repro::data::federated::FederatedConfig {
             num_clients: 6,
             samples_per_class: 12,
-            train_fraction: 0.8,
             seed,
         },
     )
@@ -45,15 +44,15 @@ fn tmpdir(tag: &str) -> PathBuf {
 fn all_methods() -> Vec<Box<dyn FlMethod>> {
     vec![
         Box::new(FedAvg),
-        Box::new(FedProx::default()),
+        Box::new(FedProx),
         Box::new(FedNova),
-        Box::new(LgFedAvg::default()),
-        Box::new(PerFedAvg::default()),
-        Box::new(Cfl::default()),
+        Box::new(LgFedAvg),
+        Box::new(PerFedAvg),
+        Box::new(Cfl),
         Box::new(Ifca::default()),
-        Box::new(Pacfl::default()),
-        Box::new(Scaffold::default()),
-        Box::new(FedDyn::default()),
+        Box::new(Pacfl),
+        Box::new(Scaffold),
+        Box::new(FedDyn),
         Box::new(FedClust::default()),
     ]
 }
@@ -200,7 +199,7 @@ fn truncated_newest_generation_falls_back_to_the_previous_one() {
     let fd = fd(11);
     let full = cfg(11, 3);
     let dir = tmpdir("fallback-truncate");
-    let (reference, _) = run_checkpointed(&Scaffold::default(), &fd, &full, &dir, false);
+    let (reference, _) = run_checkpointed(&Scaffold, &fd, &full, &dir, false);
     let reference = reference.expect("reference run succeeds");
 
     // A torn write that the atomic rename would normally prevent: the
@@ -209,7 +208,7 @@ fn truncated_newest_generation_falls_back_to_the_previous_one() {
     let bytes = std::fs::read(&newest).expect("newest generation readable");
     std::fs::write(&newest, &bytes[..bytes.len() / 2]).expect("truncate generation");
 
-    let (resumed, ckpt) = run_checkpointed(&Scaffold::default(), &fd, &full, &dir, true);
+    let (resumed, ckpt) = run_checkpointed(&Scaffold, &fd, &full, &dir, true);
     let resumed = resumed.expect("resume after truncation succeeds");
     assert_eq!(reference, resumed);
     assert!(

@@ -40,7 +40,6 @@ fn fd(seed: u64) -> FederatedDataset {
         &fedclust_repro::data::federated::FederatedConfig {
             num_clients: 6,
             samples_per_class: 12,
-            train_fraction: 0.8,
             seed,
         },
     )
@@ -210,9 +209,9 @@ fn a_fleet_and_a_local_federation_in_one_process_agree_byte_for_byte() {
     let fd = fd(21);
     let methods: Vec<Box<dyn FlMethod>> = vec![
         Box::new(FedAvg),
-        Box::new(FedProx::default()),
-        Box::new(Cfl::default()),
-        Box::new(Pacfl::default()),
+        Box::new(FedProx),
+        Box::new(Cfl),
+        Box::new(Pacfl),
         Box::new(FedClust::default()),
     ];
     // Methods some call of which carried units of several start states: the
@@ -428,7 +427,7 @@ fn every_method_rejects_every_checkpoint_that_is_not_its_own() {
             mismatch("global state", state_len + 1, state_len),
         ),
         (
-            Box::new(FedProx::default()),
+            Box::new(FedProx),
             "Global",
             mismatch("global state", state_len + 1, state_len),
         ),
@@ -438,22 +437,22 @@ fn every_method_rejects_every_checkpoint_that_is_not_its_own() {
             mismatch("global state", state_len + 1, state_len),
         ),
         (
-            Box::new(PerFedAvg::default()),
+            Box::new(PerFedAvg),
             "Global",
             mismatch("meta state", state_len + 1, state_len),
         ),
-        (Box::new(LgFedAvg::default()), "Lg", {
+        (Box::new(LgFedAvg), "Lg", {
             let blocks = template.param_blocks();
             let tail = state_len - blocks[blocks.len() - 2].offset;
             mismatch("global tail", state_len + 1, tail)
         }),
         (
-            Box::new(Scaffold::default()),
+            Box::new(Scaffold),
             "Scaffold",
             mismatch("global control variate", num_params + 1, num_params),
         ),
         (
-            Box::new(FedDyn::default()),
+            Box::new(FedDyn),
             "FedDyn",
             mismatch("client duals", clients + 1, clients),
         ),
@@ -463,12 +462,12 @@ fn every_method_rejects_every_checkpoint_that_is_not_its_own() {
             mismatch("cluster models", 3, 4),
         ),
         (
-            Box::new(Cfl::default()),
+            Box::new(Cfl),
             "Cfl",
             mismatch("cached update", num_params + 1, num_params),
         ),
         (
-            Box::new(Pacfl::default()),
+            Box::new(Pacfl),
             "Clustered",
             CheckpointError::Mismatch("cluster label 2 out of range for 2 clusters".into()),
         ),

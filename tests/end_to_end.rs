@@ -14,7 +14,6 @@ fn small_fd(seed: u64) -> FederatedDataset {
         &fedclust_repro::data::federated::FederatedConfig {
             num_clients: 8,
             samples_per_class: 40,
-            train_fraction: 0.8,
             seed,
         },
     )
@@ -72,7 +71,6 @@ fn empty_clients_contribute_nothing_and_break_no_method() {
         &fedclust_repro::data::federated::FederatedConfig {
             num_clients: 200,
             samples_per_class: 2,
-            train_fraction: 0.8,
             seed: 3,
         },
     );
@@ -136,7 +134,6 @@ fn clustered_beats_global_under_strong_skew() {
         &fedclust_repro::data::federated::FederatedConfig {
             num_clients: 8,
             samples_per_class: 60,
-            train_fraction: 0.8,
             seed: 2,
         },
     );

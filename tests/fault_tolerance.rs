@@ -14,7 +14,6 @@ fn fd(seed: u64) -> FederatedDataset {
         &fedclust_repro::data::federated::FederatedConfig {
             num_clients: 8,
             samples_per_class: 20,
-            train_fraction: 0.8,
             seed,
         },
     )

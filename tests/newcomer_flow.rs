@@ -26,7 +26,6 @@ fn setup() -> (FederatedDataset, Vec<ClientData>, Vec<usize>, FlConfig) {
         &fedclust_repro::data::federated::FederatedConfig {
             num_clients: 16,
             samples_per_class: 60,
-            train_fraction: 0.8,
             seed: 21,
         },
     );

@@ -42,7 +42,6 @@ fn fd(seed: u64) -> FederatedDataset {
         &fedclust_repro::data::federated::FederatedConfig {
             num_clients: 6,
             samples_per_class: 12,
-            train_fraction: 0.8,
             seed,
         },
     )
@@ -58,15 +57,15 @@ fn cfg(seed: u64, rounds: usize) -> FlConfig {
 fn resumable_methods() -> Vec<Box<dyn FlMethod>> {
     vec![
         Box::new(FedAvg),
-        Box::new(FedProx::default()),
+        Box::new(FedProx),
         Box::new(FedNova),
-        Box::new(LgFedAvg::default()),
-        Box::new(PerFedAvg::default()),
-        Box::new(Cfl::default()),
+        Box::new(LgFedAvg),
+        Box::new(PerFedAvg),
+        Box::new(Cfl),
         Box::new(Ifca::default()),
-        Box::new(Pacfl::default()),
-        Box::new(Scaffold::default()),
-        Box::new(FedDyn::default()),
+        Box::new(Pacfl),
+        Box::new(Scaffold),
+        Box::new(FedDyn),
         Box::new(FedClust::default()),
     ]
 }
@@ -156,7 +155,6 @@ fn conv_models_are_bit_identical_across_thread_counts() {
             &fedclust_repro::data::federated::FederatedConfig {
                 num_clients: 4,
                 samples_per_class: 4,
-                train_fraction: 0.8,
                 seed: 23,
             },
         );
@@ -199,7 +197,7 @@ fn faulty_runs_are_bit_identical_across_thread_counts() {
     for m in [
         Box::new(FedAvg) as Box<dyn FlMethod>,
         Box::new(FedClust::default()),
-        Box::new(Scaffold::default()),
+        Box::new(Scaffold),
     ] {
         let reference = run_at(1, m.as_ref(), &fd, &cfg);
         let parallel = run_at(4, m.as_ref(), &fd, &cfg);
@@ -250,7 +248,7 @@ fn kill_and_resume_across_a_thread_count_switch_is_bit_identical() {
     for m in [
         Box::new(FedAvg) as Box<dyn FlMethod>,
         Box::new(FedClust::default()),
-        Box::new(FedDyn::default()),
+        Box::new(FedDyn),
     ] {
         let name = m.name().to_lowercase();
         let dir_ref = tmpdir(&format!("resume-ref-{name}"));
