@@ -20,6 +20,7 @@
 //! thousands of interleavings that real connections could only race for.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 
 use fedclust_proto::Msg;
@@ -31,14 +32,15 @@ pub(crate) type Key = (u32, u32);
 /// clients written off, ascending.
 pub(crate) type Outcome = (BTreeMap<usize, Msg>, Vec<usize>);
 
-/// One unit of leased work: train `client` at `round` from `state`.
+/// One unit of leased work: train `client` at `round` from `state`, and
+/// upload the slice `upload` of the trained state.
 #[derive(Clone)]
 pub(crate) struct Unit {
-    pub mode: u8,
     pub round: u32,
     pub client: u32,
     pub epochs: u32,
     pub prox_mu: Option<f32>,
+    pub upload: Range<u32>,
     pub state: Arc<Vec<f32>>,
     pub residual: Vec<f32>,
 }
@@ -50,11 +52,11 @@ impl Unit {
 
     pub fn to_msg(&self) -> Msg {
         Msg::Work {
-            mode: self.mode,
             round: self.round,
             client: self.client,
             epochs: self.epochs,
             prox_mu: self.prox_mu,
+            upload: self.upload.clone(),
             state: (*self.state).clone(),
             residual: self.residual.clone(),
         }
@@ -251,18 +253,18 @@ impl Coordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedclust_proto::{PushBody, MODE_TRAIN};
+    use fedclust_proto::PushBody;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::collections::BTreeSet;
 
     fn unit(round: u32, client: u32) -> Unit {
         Unit {
-            mode: MODE_TRAIN,
             round,
             client,
             epochs: 1,
             prox_mu: None,
+            upload: 0..1,
             state: Arc::new(vec![0.0]),
             residual: Vec::new(),
         }
@@ -270,7 +272,7 @@ mod tests {
 
     fn upload() -> Msg {
         Msg::Push {
-            mode: MODE_TRAIN,
+            mode: 0,
             round: 0,
             client: 0,
             steps: 1,

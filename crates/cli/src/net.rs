@@ -46,7 +46,7 @@ use crate::coordinator::{Coordinator, Outcome, Pull, Unit};
 use crate::net_args::ServeArgs;
 
 /// The longest a parked `PullWork` goes unanswered: after this long the
-/// owner sends the keep-alive `Wait{millis: 0}`. An idle worker hears from
+/// owner sends the keep-alive `Wait`. An idle worker hears from
 /// the server at least this often, so it is also the floor of
 /// `fedclust-worker --io-timeout`, which must be above it.
 pub(crate) const KEEP_ALIVE: Duration = Duration::from_millis(200);
@@ -175,7 +175,7 @@ impl Owner {
                 Pull::Done => Msg::Done,
                 // Parked long enough: the worker hears `Wait`, pulls again
                 // at once, and knows the server is alive.
-                Pull::Parked if now >= keep_alive => Msg::Wait { millis: 0 },
+                Pull::Parked if now >= keep_alive => Msg::Wait,
                 Pull::Parked => {
                     self.parked.insert(conn, keep_alive);
                     continue;
@@ -243,6 +243,8 @@ impl RemoteTrainer for NetTrainer {
     /// Consecutive jobs that start from the same slice share one copy of it.
     fn train_remote(&self, mut req: RemoteRound) -> RemoteOutcome {
         let mut residuals = std::mem::take(&mut req.residuals).into_iter();
+        // Lossless: a state's length fits the wire's u32 count.
+        let upload = req.upload.start as u32..req.upload.end as u32;
         let mut shared: Option<(&[f32], Arc<Vec<f32>>)> = None;
         let units: Vec<Unit> = req
             .jobs
@@ -257,11 +259,11 @@ impl RemoteTrainer for NetTrainer {
                     }
                 };
                 Unit {
-                    mode: req.mode,
                     round: job.round as u32,
                     client: job.client as u32,
                     epochs: job.epochs as u32,
                     prox_mu: job.prox_mu,
+                    upload: upload.clone(),
                     state,
                     residual: residuals.next().unwrap_or_default(),
                 }
@@ -333,9 +335,8 @@ pub fn serve(args: &ServeArgs) -> Result<String, String> {
     let _ = events.send(Event::Finish(Instant::now() + Duration::from_secs(2)));
     let table = owner.join().expect("the lease table's owner thread died");
     let s = &table.stats;
-    // Nobody is told `Busy`; `busy=0` keeps the line's shape until the
-    // protocol's next version retires the kind (`net_cli` and `fedbench`
-    // parse it).
+    // The protocol has no `Busy` kind; `busy=0` keeps the line's shape
+    // because `fedbench` parses it.
     eprintln!(
         "fedclustd: net-stats connects={} redispatched={} written_off={} busy=0 dup={}",
         table.workers_seen, s.redispatched, s.written_off, s.duplicate_pushes
@@ -346,7 +347,7 @@ pub fn serve(args: &ServeArgs) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedclust_proto::{PushBody, MODE_TRAIN};
+    use fedclust_proto::PushBody;
 
     /// An [`Owner`] and both ends of its channel, stepped by the test
     /// thread: each event is applied, and its replies are waiting, by the
@@ -392,7 +393,7 @@ mod tests {
 
         fn push(&mut self, conn: u64, client: u32) {
             let msg = Msg::Push {
-                mode: MODE_TRAIN,
+                mode: 0,
                 round: 0,
                 client,
                 steps: 1,
@@ -406,11 +407,11 @@ mod tests {
         /// the result.
         fn round(&mut self, clients: &[u32], deadline: Option<Instant>) -> Receiver<Outcome> {
             let units = clients.iter().map(|&client| Unit {
-                mode: MODE_TRAIN,
                 round: 0,
                 client,
                 epochs: 1,
                 prox_mu: None,
+                upload: 0..1,
                 state: Arc::new(vec![0.0]),
                 residual: Vec::new(),
             });
@@ -492,7 +493,7 @@ mod tests {
         let start = Instant::now();
         h.pull(1);
         h.owner.step(&h.inbox);
-        assert_eq!(replies.try_recv(), Ok(Msg::Wait { millis: 0 }));
+        assert_eq!(replies.try_recv(), Ok(Msg::Wait));
         assert!(start.elapsed() >= KEEP_ALIVE);
     }
 

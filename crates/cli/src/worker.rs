@@ -71,9 +71,9 @@ struct DiePlan {
     mid_push: Option<usize>,
 }
 
-/// Send a push, honouring `Busy` backpressure and the die-mid-push test
-/// hook. Returns `Ok(())` when acked.
-fn push_with_backpressure(
+/// Send a push, honouring the die-mid-push test hook. Returns `Ok(())`
+/// when acked.
+fn send_push(
     stream: &mut TcpStream,
     push: &Msg,
     pushes_done: usize,
@@ -88,16 +88,10 @@ fn push_with_backpressure(
         let _ = stream.flush();
         std::process::exit(CRASH_EXIT_CODE);
     }
-    loop {
-        write_msg(stream, push)?;
-        match read_msg(stream)? {
-            Msg::Ack { .. } => return Ok(()),
-            Msg::Busy { millis } => {
-                std::thread::sleep(Duration::from_millis(millis as u64));
-                continue;
-            }
-            _ => return Err(ProtoError::Io(std::io::ErrorKind::InvalidData)),
-        }
+    write_msg(stream, push)?;
+    match read_msg(stream)? {
+        Msg::Ack { .. } => Ok(()),
+        _ => Err(ProtoError::Io(std::io::ErrorKind::InvalidData)),
     }
 }
 
@@ -146,11 +140,11 @@ fn session(
         }
         match read_msg(&mut stream) {
             Ok(Msg::Work {
-                mode,
                 round,
                 client,
                 epochs,
                 prox_mu,
+                upload,
                 state,
                 residual,
             }) => {
@@ -161,8 +155,9 @@ fn session(
                     round: round as usize,
                     prox_mu,
                 };
-                let push = train_unit(&ctx.fd, &ctx.cfg, &ctx.template, mode, job, residual)?;
-                match push_with_backpressure(&mut stream, &push, *pushes_done, die) {
+                let upload = upload.start as usize..upload.end as usize;
+                let push = train_unit(&ctx.fd, &ctx.cfg, &ctx.template, upload, job, residual)?;
+                match send_push(&mut stream, &push, *pushes_done, die) {
                     Ok(()) => {
                         *pushes_done += 1;
                         if die.after == Some(*pushes_done) {
@@ -172,9 +167,7 @@ fn session(
                     Err(_) => return Ok(SessionEnd::Lost),
                 }
             }
-            Ok(Msg::Wait { millis }) => {
-                std::thread::sleep(Duration::from_millis(millis as u64));
-            }
+            Ok(Msg::Wait) => {}
             Ok(Msg::Done) => return Ok(SessionEnd::Done),
             Ok(_) => return Ok(SessionEnd::Lost),
             Err(_) => return Ok(SessionEnd::Lost),
@@ -228,7 +221,6 @@ pub fn run_worker(args: &WorkerArgs) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fedclust_proto::MODE_TRAIN;
 
     /// A checksum-valid `Work` frame can still name a client or carry a
     /// state this worker's dataset and model do not have. A residual of any
@@ -249,7 +241,7 @@ mod tests {
                 prox_mu: None,
             };
             let residual = vec![0.0; residual_len];
-            train_unit(&ctx.fd, &ctx.cfg, &ctx.template, MODE_TRAIN, job, residual)
+            train_unit(&ctx.fd, &ctx.cfg, &ctx.template, 0..len, job, residual)
         };
         let rejected = |client, state_len| run(client, state_len, 0).expect_err("must be rejected");
         assert!(rejected(2, len).contains("client 2 with a state of"));

@@ -201,7 +201,7 @@ fn finish(mut server: NetProc) -> (String, [u64; 5]) {
     server.reader.join().expect("stderr reader");
     let stats = net_stats(&server.stderr.lock().unwrap());
     let [connects, _, _, busy, _] = stats;
-    // The owner absorbs each upload as it lands, so no push is ever `Busy`.
+    // The protocol has no `Busy`; the field stays for `fedbench`'s parser.
     assert!(connects >= 1 && busy == 0, "net-stats {stats:?}");
     (stdout, stats)
 }
@@ -283,10 +283,13 @@ fn networked_fedclust_with_four_workers_matches_in_process() {
 
 /// A codec-compressed networked run: the worker-side encoder and the
 /// in-process transport share one encode entry point, so wire bytes,
-/// decoded states, and comm accounting must agree exactly.
+/// decoded states, and comm accounting must agree exactly — also for
+/// FedClust under top-k, whose workers encode the warm-up's final-layer
+/// slice and carry its residual into the first full-state round.
 #[test]
 fn networked_codec_run_matches_in_process() {
     assert_networked_matches("fedavg", &["--codec", "delta+q8+sr"], 2);
+    assert_networked_matches("fedclust", &["--codec", "delta+topk:0.1"], 2);
 }
 
 /// FedClust end-to-end through the chaos proxy at a fixed chaos seed:

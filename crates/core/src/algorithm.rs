@@ -49,22 +49,9 @@ impl FedClust {
     /// whose partials arrived and those partials, in client order.
     pub fn round0(&self, ctx: &mut RoundCtx<'_>) -> (Vec<usize>, Vec<Vec<f32>>) {
         let init_state = ctx.template.state_vec();
-        let warmed = ctx.warm_up(&init_state, self.warmup_epochs);
-        // A stale round-0 corruption replays the untrained partial weights.
-        let init_partial = self.selection.select(&ctx.template, &init_state);
-        let mut survivors: Vec<usize> = Vec::with_capacity(warmed.len());
-        let mut partials: Vec<Vec<f32>> = Vec::with_capacity(warmed.len());
-        // Warm-ups come back as raw full states; the partial weights are
-        // sliced out here, so the uplink path (codec, faults, screen) runs
-        // over them wherever the clients trained.
-        for u in warmed {
-            let mut partial = self.selection.select(&ctx.template, &u.state).to_vec();
-            if ctx.upload(0, u.client, &mut partial, Some(init_partial)) {
-                survivors.push(u.client);
-                partials.push(partial);
-            }
-        }
-        (survivors, partials)
+        let upload = self.selection.range(&ctx.template);
+        let warmed = ctx.warm_up(&init_state, self.warmup_epochs, upload);
+        warmed.into_iter().map(|u| (u.client, u.state)).unzip()
     }
 
     /// Every client's round-0 partial weights, fault-free: [`FedClust::round0`]

@@ -14,6 +14,7 @@ use fedclust_nn::model::ParamBlock;
 use fedclust_nn::Model;
 use fedclust_tensor::distance::Metric;
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Which slice of the locally trained weights clients upload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,23 +35,29 @@ impl WeightSelection {
         self.select(model, &model.param_vec()).to_vec()
     }
 
-    /// The selected weights inside `state`, a state (or parameter) vector
-    /// of `model`'s architecture, whose parameters are its prefix: the last
+    /// Where the selected weights sit in a state (or parameter) vector of
+    /// `model`'s architecture, whose parameters are its prefix: the last
     /// parameter block, the whole prefix, or block `i`. A model without
     /// parameters has an empty final layer.
-    pub fn select<'s>(&self, model: &Model, state: &'s [f32]) -> &'s [f32] {
+    pub fn range(&self, model: &Model) -> Range<usize> {
         let blocks = model.param_blocks();
-        let block = |b: &ParamBlock| &state[b.offset..b.offset + b.len];
+        let block = |b: &ParamBlock| b.offset..b.offset + b.len;
         match self {
-            WeightSelection::FinalLayer => blocks.last().map_or(&[], block),
-            WeightSelection::FullModel => &state[..model.num_params()],
+            WeightSelection::FinalLayer => blocks.last().map_or(0..0, block),
+            WeightSelection::FullModel => 0..model.num_params(),
             WeightSelection::Block(i) => block(&blocks[*i]),
         }
     }
 
+    /// The selected weights inside `state`, a state (or parameter) vector
+    /// of `model`'s architecture: `state[self.range(model)]`.
+    pub fn select<'s>(&self, model: &Model, state: &'s [f32]) -> &'s [f32] {
+        &state[self.range(model)]
+    }
+
     /// Number of scalars this selection uploads, for a given model.
     pub fn upload_len(&self, model: &Model) -> usize {
-        self.select(model, &model.param_vec()).len()
+        self.range(model).len()
     }
 }
 

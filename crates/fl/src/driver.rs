@@ -13,14 +13,14 @@
 //! networked is a value, not ambient state: the host passes an optional
 //! [`RemoteTrainer`], the driver puts an [`InProcessTrainer`] in its place
 //! when there is none and carries the one trainer in [`RoundCtx`], and
-//! the training batch behind [`RoundCtx::train_groups`] and
-//! [`RoundCtx::warm_up`] are the only calls to it.
+//! one training batch, behind both [`RoundCtx::train_groups`] and
+//! [`RoundCtx::warm_up`], is the only call to it.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, Checkpointer, MethodState};
 use crate::config::FlConfig;
 use crate::engine::{
     average_accuracy, average_updates, init_model, sample_clients, ClientUpdate, InProcessTrainer,
-    LocalJob, RemoteRound, RemoteTrainer, RemoteUpdate, MODE_TRAIN, MODE_WARMUP,
+    LocalJob, RemoteRound, RemoteTrainer,
 };
 use crate::faults::Transport;
 use crate::metrics::{RoundRecord, RunResult};
@@ -29,6 +29,7 @@ use fedclust_nn::Model;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
+use std::ops::Range;
 
 /// What a method sees of the run it is part of: the federation, the
 /// config, the shared model template, the fault-injecting transport (which
@@ -118,10 +119,27 @@ impl<'a> RoundCtx<'a> {
         round: usize,
         prox_mu: Option<f32>,
     ) -> Vec<Vec<ClientUpdate>> {
+        let (epochs, upload) = (self.cfg.local_epochs, 0..self.template.state_len());
+        self.train_batch(reached, round, epochs, upload, prox_mu)
+    }
+
+    /// One batch on the run's trainer: every reached client of every group
+    /// trains `epochs` epochs from its group's start state and uploads the
+    /// slice `upload` of its trained state. Each group's uploads then go
+    /// through the server half of the uplink (charge, faults, screen), the
+    /// same slice of its start state being a corrupted upload's stale one.
+    fn train_batch(
+        &mut self,
+        reached: Vec<(&[f32], Vec<usize>)>,
+        round: usize,
+        epochs: usize,
+        upload: Range<usize>,
+        prox_mu: Option<f32>,
+    ) -> Vec<Vec<ClientUpdate>> {
         let transport = &mut self.transport;
         let job = |start_state, &client| LocalJob {
             start_state,
-            epochs: self.cfg.local_epochs,
+            epochs,
             client,
             round,
             prox_mu,
@@ -135,7 +153,7 @@ impl<'a> RoundCtx<'a> {
             .map(|j| transport.residual_for(j.client))
             .collect();
         let outcome = self.trainer.train_remote(RemoteRound {
-            mode: MODE_TRAIN,
+            upload: upload.clone(),
             jobs,
             residuals,
         });
@@ -150,7 +168,7 @@ impl<'a> RoundCtx<'a> {
                 .iter()
                 .filter_map(|&c| updates.next_if(|u| u.client == c))
                 .collect();
-            transport.receive_remote(round, delivered, Some(state))
+            transport.receive_remote(round, delivered, Some(&state[upload.clone()]))
         });
         received.collect()
     }
@@ -205,28 +223,23 @@ impl<'a> RoundCtx<'a> {
         reached.par_iter().map(|&c| (c, work(ctx, c))).collect()
     }
 
-    /// Round 0's warm-up (FedClust, Algorithm 1 lines 2–4): broadcast
-    /// `start_state` to every client and train each one the downlink
-    /// reached for `epochs` epochs, in one [`MODE_WARMUP`] batch on the
-    /// run's trainer. Clients whose trainer wrote them off count as uplink
-    /// losses. Returns the delivered raw full states, in client order.
-    pub fn warm_up(&mut self, start_state: &[f32], epochs: usize) -> Vec<RemoteUpdate> {
+    /// Round 0's warm-up (FedClust, Algorithm 1 lines 2–5): broadcast
+    /// `start_state` to every client, train each one the downlink reached
+    /// for `epochs` epochs in one batch on the run's trainer, and upload the
+    /// slice `upload` of each trained state by the uplink of every round:
+    /// coded against the same slice of `start_state`, charged, faulted and
+    /// screened. Clients whose trainer wrote them off count as uplink losses.
+    /// Returns the slices that survived, in client order.
+    pub fn warm_up(
+        &mut self,
+        start_state: &[f32],
+        epochs: usize,
+        upload: Range<usize>,
+    ) -> Vec<ClientUpdate> {
         let everyone: Vec<usize> = (0..self.fd.num_clients()).collect();
         let reached = self.transport.broadcast(0, &everyone, start_state.len());
-        let job = |&client| LocalJob {
-            start_state,
-            epochs,
-            client,
-            round: 0,
-            prox_mu: None,
-        };
-        let warmed = self.trainer.train_remote(RemoteRound {
-            mode: MODE_WARMUP,
-            jobs: reached.iter().map(job).collect(),
-            residuals: Vec::new(),
-        });
-        self.transport.record_remote_losses(&warmed.lost);
-        warmed.updates
+        let mut warmed = self.train_batch(vec![(start_state, reached)], 0, epochs, upload, None);
+        warmed.pop().unwrap_or_default()
     }
 
     /// Upload `payload` from `client` for methods that train clients

@@ -5,36 +5,36 @@
 //! Every method implementation composes these primitives; they are the
 //! "FedAvg skeleton" the paper's Algorithm 1 shares with its baselines.
 
-use crate::codec::{self, CodecSpec};
+use crate::codec;
 use crate::config::FlConfig;
 use fedclust_data::{ClientData, FederatedDataset};
 use fedclust_nn::loss::cross_entropy;
 use fedclust_nn::optim::{Sgd, SgdConfig};
 use fedclust_nn::Model;
 use fedclust_proto::{Msg, PushBody};
-pub use fedclust_proto::{MODE_TRAIN, MODE_WARMUP};
 use fedclust_tensor::rng::{derive, streams};
 use rand::seq::SliceRandom;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// One batch of training: every unit a round (or FedClust's warm-up)
 /// trains, all in flight at once. A unit is a [`LocalJob`] and carries its
 /// own start state — a clustered round's units start from as many states as
-/// there are sampled clusters — which is also the reference its upload is
-/// decoded and length-checked against. The fleet names a unit by `(round,
-/// client)`, so a client appears in at most one job of a batch.
+/// there are sampled clusters — whose `upload` slice is also the reference
+/// its upload is decoded and length-checked against. The fleet names a
+/// unit by `(round, client)`, so a client appears in at most one job of a
+/// batch.
 pub struct RemoteRound<'a> {
-    /// [`MODE_TRAIN`], or [`MODE_WARMUP`] for FedClust's round 0, whose
-    /// uploads are always raw full states: the server extracts the
-    /// partial weights and runs its own uplink path over them.
-    pub mode: u8,
+    /// The slice of each trained state that its unit uploads: all of it in
+    /// a training round, the selected partial weights in FedClust's
+    /// warm-up (Algorithm 1 line 5).
+    pub upload: Range<usize>,
     /// The units, in the order results must come back. Jobs that share a
     /// start state share the slice, so a trainer can tell by address.
     pub jobs: Vec<LocalJob<'a>>,
     /// Each job's canonical error-feedback residual for the trainer-side
-    /// codec, aligned with `jobs` (empty vectors for residual-free codecs);
-    /// empty altogether for a warm-up, which encodes nothing.
+    /// codec, aligned with `jobs` (empty vectors for residual-free codecs).
     pub residuals: Vec<Vec<f32>>,
 }
 
@@ -70,8 +70,8 @@ pub struct RemoteOutcome {
 /// [`InProcessTrainer`] [`crate::driver::run_federation`] uses when the host
 /// gives none. Round training and FedClust's warm-up both go through it.
 pub trait RemoteTrainer: Send + Sync {
-    /// Train `req.jobs` in `req.mode`, all at once, and return what was
-    /// delivered, as [`settle`] reads it.
+    /// Train `req.jobs`, all at once, and return what was delivered, as
+    /// [`settle`] reads it.
     fn train_remote(&self, req: RemoteRound) -> RemoteOutcome;
 }
 
@@ -106,7 +106,7 @@ impl RemoteTrainer for InProcessTrainer<'_> {
         let units: Vec<(LocalJob, Vec<f32>)> = req.jobs.iter().copied().zip(residuals).collect();
         let updates = units.into_par_iter().map(|(job, residual)| {
             let data = &self.fd.clients[job.client];
-            run_unit(data, self.cfg, &self.template, req.mode, job, residual).0
+            run_unit(data, self.cfg, &self.template, &req.upload, job, residual).0
         });
         RemoteOutcome {
             updates: updates.collect(),
@@ -116,30 +116,32 @@ impl RemoteTrainer for InProcessTrainer<'_> {
 }
 
 /// One unit, as a worker and [`InProcessTrainer`] both run it: train `job`
-/// on `data`, then send the state through the client half of the upload
-/// ([`codec::upload`]) — raw for a warm-up, whose partial weights the
-/// server slices out and uploads itself. Returns the update and its wire
-/// message, if it was encoded.
+/// on `data`, then send the `upload` slice of the trained state through the
+/// client half of the upload ([`codec::upload`]), against the same slice of
+/// the start state. `upload` must fit the start state. Returns the update
+/// and its wire message, if it was encoded.
 fn run_unit(
     data: &ClientData,
     cfg: &FlConfig,
     template: &Model,
-    mode: u8,
+    upload: &Range<usize>,
     job: LocalJob,
     residual: Vec<f32>,
 ) -> (RemoteUpdate, Option<Vec<u8>>) {
     let (model, steps) = train_replica(template, data, cfg, job);
-    let spec = match mode {
-        MODE_WARMUP => CodecSpec::none(),
-        _ => cfg.codec,
-    };
+    let mut state = model.state_vec();
+    if upload.len() < state.len() {
+        // A copy, not the trained state cut down in place: a warm-up keeps
+        // every client's slice, and each would hold a whole state's memory.
+        state = state[upload.clone()].to_vec();
+    }
     let (state, wire, residual) = codec::upload(
-        spec,
+        cfg.codec,
         cfg.seed,
         job.round,
         job.client,
-        model.state_vec(),
-        Some(job.start_state),
+        state,
+        Some(&job.start_state[upload.clone()]),
         residual,
     );
     let update = RemoteUpdate {
@@ -171,18 +173,20 @@ pub struct LocalJob<'a> {
     pub prox_mu: Option<f32>,
 }
 
-/// The worker's half of one [`RemoteRound`] unit: the unit body
-/// [`InProcessTrainer`] runs too, in a `Push` frame. A unit this side
-/// cannot train — a client `fd` does not have, a state `template` has no
-/// room for: a server built from another commit, or a hostile peer — is an
-/// error, never a panic. A residual of any length is trainable: the codec
-/// discards one of a stale shape, and FedClust's first full-state round
-/// legitimately carries the warm-up's partial-weight one.
+/// The worker's half of one [`RemoteRound`] unit, uploading the slice
+/// `upload` of the trained state: the unit body [`InProcessTrainer`] runs
+/// too, in a `Push` frame. A unit this side cannot train — a client `fd`
+/// does not have, a state `template` has no room for, an upload slice the
+/// state does not hold: a server built from another commit, or a hostile
+/// peer — is an error, never a panic. A residual of any length is
+/// trainable: the codec discards one of a stale shape, and FedClust's
+/// first full-state round legitimately carries the warm-up's
+/// partial-weight one.
 pub fn train_unit(
     fd: &FederatedDataset,
     cfg: &FlConfig,
     template: &Model,
-    mode: u8,
+    upload: Range<usize>,
     job: LocalJob,
     residual: Vec<f32>,
 ) -> Result<Msg, String> {
@@ -195,7 +199,13 @@ pub fn train_unit(
             job.start_state.len(),
         ));
     }
-    let (update, wire) = run_unit(&fd.clients[job.client], cfg, template, mode, job, residual);
+    if upload.start > upload.end || upload.end > state_len {
+        return Err(format!(
+            "server asked for the upload slice {upload:?} of a state of {state_len} values"
+        ));
+    }
+    let data = &fd.clients[job.client];
+    let (update, wire) = run_unit(data, cfg, template, &upload, job, residual);
     let body = match wire {
         Some(wire) => PushBody::Encoded {
             wire,
@@ -204,7 +214,7 @@ pub fn train_unit(
         None => PushBody::Raw(update.state),
     };
     Ok(Msg::Push {
-        mode,
+        mode: 0,
         round: job.round as u32,
         client: job.client as u32,
         steps: update.steps as u32,
@@ -213,20 +223,18 @@ pub fn train_unit(
     })
 }
 
-/// What the server makes of the frame pushed for `job`: its update, or
-/// `None` for one to write off. A frame that passed every checksum can
-/// still be no `Push`, be run in another mode than `round_mode`, carry a
-/// body that does not fit the mode (only a training unit may be
-/// codec-encoded) or cannot be decoded against the job's own start state, a
-/// state (raw or decoded) of another length than the server sent *that*
-/// job, or a negative or non-finite weight — a worker-side bug or a hostile
-/// peer — and the aggregation arithmetic downstream assumes none of it.
-/// Weight zero is valid: it is the client's training-set size (Eq. 2), and
-/// an in-process client with no data uploads exactly that: received,
-/// billed, contributing nothing.
-fn read_push(round_mode: u8, job: &LocalJob, frame: Msg) -> Option<RemoteUpdate> {
+/// What the server makes of the frame pushed for `job`, whose upload is the
+/// slice `upload` of its state: its update, or `None` for one to write off.
+/// A frame that passed every checksum can still be no `Push`, carry a body
+/// that cannot be decoded against the same slice of the job's own start
+/// state, an upload (raw or decoded) of another length than that slice, or
+/// a negative or non-finite weight — a worker-side bug or a hostile peer —
+/// and the aggregation arithmetic downstream assumes none of it. Weight
+/// zero is valid: it is the client's training-set size (Eq. 2), and an
+/// in-process client with no data uploads exactly that: received, billed,
+/// contributing nothing.
+fn read_push(upload: &Range<usize>, job: &LocalJob, frame: Msg) -> Option<RemoteUpdate> {
     let Msg::Push {
-        mode,
         steps,
         weight,
         body,
@@ -238,14 +246,13 @@ fn read_push(round_mode: u8, job: &LocalJob, frame: Msg) -> Option<RemoteUpdate>
     let (state, wire_bytes, residual) = match body {
         PushBody::Raw(v) => (v, None, None),
         // The frame spells "no residual" as an empty one.
-        PushBody::Encoded { wire, residual } if round_mode == MODE_TRAIN => (
-            codec::decode(&wire, Some(job.start_state)).ok()?,
+        PushBody::Encoded { wire, residual } => (
+            codec::decode(&wire, job.start_state.get(upload.clone())).ok()?,
             Some(wire.len()),
             (!residual.is_empty()).then_some(residual),
         ),
-        PushBody::Encoded { .. } => return None,
     };
-    let sized = mode == round_mode && state.len() == job.start_state.len();
+    let sized = state.len() == upload.len();
     (sized && weight.is_finite() && weight >= 0.0).then_some(RemoteUpdate {
         client: job.client,
         steps: steps as usize,
@@ -269,7 +276,7 @@ pub fn settle(
     for job in &req.jobs {
         match pushes
             .remove(&job.client)
-            .map(|f| read_push(req.mode, job, f))
+            .map(|f| read_push(&req.upload, job, f))
         {
             Some(Some(update)) => updates.push(update),
             Some(None) => lost.push(job.client),
@@ -783,17 +790,17 @@ mod tests {
         }
     }
 
-    fn remote_round(mode: u8, clients: &[usize]) -> RemoteRound<'static> {
+    fn remote_round(upload: Range<usize>, clients: &[usize]) -> RemoteRound<'static> {
         RemoteRound {
-            mode,
+            upload,
             jobs: clients.iter().map(|&c| job(&START, c)).collect(),
             residuals: Vec::new(),
         }
     }
 
-    fn push(client: u32, mode: u8, weight: f32, body: PushBody) -> Msg {
+    fn push(client: u32, weight: f32, body: PushBody) -> Msg {
         Msg::Push {
-            mode,
+            mode: 0,
             round: 0,
             client,
             steps: 3,
@@ -802,35 +809,35 @@ mod tests {
         }
     }
 
-    /// Client 0 pushes a sound update in the round's mode, client 1 pushes
-    /// `(mode, weight, body)`.
-    fn pushes(req: &RemoteRound, mode: u8, weight: f32, body: PushBody) -> BTreeMap<usize, Msg> {
-        let sound = push(0, req.mode, 2.0, PushBody::Raw(vec![1.0; 4]));
-        BTreeMap::from([(0, sound), (1, push(1, mode, weight, body))])
+    /// Client 0 pushes a sound raw upload of the round's slice, client 1
+    /// pushes `(weight, body)`.
+    fn pushes(req: &RemoteRound, weight: f32, body: PushBody) -> BTreeMap<usize, Msg> {
+        let sound = push(0, 2.0, PushBody::Raw(vec![1.0; req.upload.len()]));
+        BTreeMap::from([(0, sound), (1, push(1, weight, body))])
     }
 
-    /// Settle a round of `round_mode` in which client 1 pushed `(mode,
-    /// weight, body)`, require it written off, and finish the round the way
-    /// the driver would.
-    fn assert_written_off_in(round_mode: u8, mode: u8, weight: f32, body: PushBody) {
-        let req = remote_round(round_mode, &[0, 1]);
-        let outcome = settle(&req, pushes(&req, mode, weight, body), Vec::new());
+    /// Settle a round uploading the slice `upload` in which client 1 pushed
+    /// `(weight, body)`, require it written off, and finish the round the
+    /// way the driver would.
+    fn assert_written_off_in(upload: Range<usize>, weight: f32, body: PushBody) {
+        let req = remote_round(upload.clone(), &[0, 1]);
+        let outcome = settle(&req, pushes(&req, weight, body), Vec::new());
         assert_eq!(outcome.lost, vec![1]);
         let mut transport = crate::Transport::new(&FlConfig::tiny(7));
         transport.record_remote_losses(&outcome.lost);
-        let kept = transport.receive_remote(0, outcome.updates, Some(&START));
+        let kept = transport.receive_remote(0, outcome.updates, Some(&START[upload.clone()]));
         let items: Vec<(&[f32], f32)> = kept.iter().map(|u| (&u.state[..], u.weight)).collect();
-        assert_eq!(weighted_average(&items), vec![1.0; 4]);
+        assert_eq!(weighted_average(&items), vec![1.0; upload.len()]);
         assert_eq!(transport.telemetry().uplink_losses, 1);
     }
 
-    fn assert_written_off(mode: u8, weight: f32, body: PushBody) {
-        assert_written_off_in(MODE_TRAIN, mode, weight, body);
+    fn assert_written_off(weight: f32, body: PushBody) {
+        assert_written_off_in(0..START.len(), weight, body);
     }
 
     #[test]
     fn short_raw_state_is_written_off() {
-        assert_written_off(MODE_TRAIN, 2.0, PushBody::Raw(vec![9.0; 3]));
+        assert_written_off(2.0, PushBody::Raw(vec![9.0; 3]));
     }
 
     #[test]
@@ -840,61 +847,27 @@ mod tests {
             wire: spec.encode(&[9.0; 5], None, None, None).wire,
             residual: Vec::new(),
         };
-        assert_written_off(MODE_TRAIN, 2.0, body);
+        assert_written_off(2.0, body);
     }
 
     #[test]
     fn nan_weight_is_written_off() {
-        assert_written_off(MODE_TRAIN, f32::NAN, PushBody::Raw(vec![9.0; 4]));
+        assert_written_off(f32::NAN, PushBody::Raw(vec![9.0; 4]));
     }
 
     #[test]
     fn infinite_and_negative_weights_are_written_off() {
-        assert_written_off(MODE_TRAIN, f32::INFINITY, PushBody::Raw(vec![9.0; 4]));
-        assert_written_off(MODE_TRAIN, -1.0, PushBody::Raw(vec![9.0; 4]));
-    }
-
-    /// A sound body pushed in another mode than its unit was leased in.
-    #[test]
-    fn push_in_the_wrong_mode_is_written_off() {
-        assert_written_off(MODE_WARMUP, 2.0, PushBody::Raw(vec![9.0; 4]));
+        assert_written_off(f32::INFINITY, PushBody::Raw(vec![9.0; 4]));
+        assert_written_off(-1.0, PushBody::Raw(vec![9.0; 4]));
     }
 
     /// `fedclustd` only ever hands over `Push` frames; any other kind is
     /// written off, not skipped.
     #[test]
     fn a_frame_that_is_no_push_is_written_off() {
-        let req = remote_round(MODE_TRAIN, &[0]);
+        let req = remote_round(0..START.len(), &[0]);
         let outcome = settle(&req, BTreeMap::from([(0, Msg::PullWork)]), Vec::new());
         assert_eq!((outcome.updates.len(), outcome.lost), (0, vec![0]));
-    }
-
-    /// A batch whose units start from states of different lengths: each
-    /// push is measured against its own job's state, so one that would fit
-    /// its neighbour's is written off all the same.
-    #[test]
-    fn a_state_sized_for_another_job_is_written_off() {
-        let other = [0.25f32; 6];
-        let req = RemoteRound {
-            mode: MODE_TRAIN,
-            jobs: vec![job(&START, 0), job(&other, 1)],
-            residuals: Vec::new(),
-        };
-        let raw = |client, len| push(client, MODE_TRAIN, 2.0, PushBody::Raw(vec![1.0; len]));
-        let sound = settle(
-            &req,
-            BTreeMap::from([(0, raw(0, 4)), (1, raw(1, 6))]),
-            vec![],
-        );
-        let lens = sound.updates.iter().map(|u| (u.client, u.state.len()));
-        assert_eq!(lens.collect::<Vec<_>>(), vec![(0, 4), (1, 6)]);
-        assert!(sound.lost.is_empty());
-        let swapped = settle(
-            &req,
-            BTreeMap::from([(0, raw(0, 6)), (1, raw(1, 4))]),
-            vec![],
-        );
-        assert_eq!((swapped.updates.len(), swapped.lost), (0, vec![0, 1]));
     }
 
     /// A delta-coded body means nothing without its reference: each is
@@ -905,7 +878,7 @@ mod tests {
         let starts = [[0.5f32; 4], [-3.0f32; 4]];
         let trained = [[0.75f32, 0.5, 0.25, 0.5], [-2.5f32, -3.0, -3.5, -3.0]];
         let req = RemoteRound {
-            mode: MODE_TRAIN,
+            upload: 0..4,
             jobs: vec![job(&starts[0], 0), job(&starts[1], 1)],
             residuals: vec![Vec::new(); 2],
         };
@@ -917,7 +890,7 @@ mod tests {
                 wire: enc.wire.clone(),
                 residual: Vec::new(),
             };
-            (i, push(i as u32, MODE_TRAIN, 2.0, body))
+            (i, push(i as u32, 2.0, body))
         });
         let outcome = settle(&req, frames.collect(), Vec::new());
         assert!(outcome.lost.is_empty());
@@ -932,8 +905,8 @@ mod tests {
     /// is received like any other and moves the average by nothing.
     #[test]
     fn zero_weight_is_kept_and_contributes_nothing() {
-        let req = remote_round(MODE_TRAIN, &[0, 1]);
-        let pushed = pushes(&req, MODE_TRAIN, 0.0, PushBody::Raw(vec![9.0; 4]));
+        let req = remote_round(0..START.len(), &[0, 1]);
+        let pushed = pushes(&req, 0.0, PushBody::Raw(vec![9.0; 4]));
         let outcome = settle(&req, pushed, Vec::new());
         assert_eq!(outcome.lost, Vec::<usize>::new());
         let updates = outcome.updates.iter();
@@ -942,32 +915,84 @@ mod tests {
         assert_eq!(weighted_average_or(&items, &START), vec![1.0; 4]);
     }
 
-    /// Warm-up uploads are raw full states of the broadcast length with a
-    /// sound weight, pushed in warm-up mode; anything else is written off
-    /// and counted like a training push would be.
+    /// A warm-up uploads a slice of the state: its pushes are measured, and
+    /// a delta-coded one decoded, against that slice of the start state,
+    /// by the rule every push settles by.
     #[test]
-    fn warmup_settles_by_the_same_rule() {
-        let q8 = codec::CodecSpec::parse("q8").unwrap();
-        let encoded = PushBody::Encoded {
-            wire: q8.encode(&[9.0; 4], None, None, None).wire,
+    fn a_slice_upload_settles_by_the_same_rule() {
+        let slice = 1..3;
+        let delta = codec::CodecSpec::parse("delta+q8").unwrap();
+        let encoded = |values: &[f32], reference: &[f32]| PushBody::Encoded {
+            wire: delta.encode(values, Some(reference), None, None).wire,
             residual: Vec::new(),
         };
         let raw = |len| PushBody::Raw(vec![9.0; len]);
-        assert_written_off_in(MODE_WARMUP, MODE_WARMUP, 2.0, raw(5));
-        assert_written_off_in(MODE_WARMUP, MODE_WARMUP, f32::NAN, raw(4));
-        assert_written_off_in(MODE_WARMUP, MODE_WARMUP, 2.0, encoded);
-        assert_written_off_in(MODE_WARMUP, MODE_TRAIN, 2.0, raw(4));
+        assert_written_off_in(slice.clone(), 2.0, raw(4));
+        assert_written_off_in(slice.clone(), 2.0, raw(1));
+        assert_written_off_in(slice.clone(), f32::NAN, raw(2));
+        // Coded against the whole state, not the slice: no reference fits.
+        assert_written_off_in(slice.clone(), 2.0, encoded(&[9.0; 4], &START));
 
-        // A sound one comes back as the raw state, billed per scalar.
-        let req = remote_round(MODE_WARMUP, &[0, 1]);
-        let outcome = settle(&req, pushes(&req, MODE_WARMUP, 2.0, raw(4)), Vec::new());
+        // Sound ones come back as the slice, raw or decoded against it.
+        let req = remote_round(slice.clone(), &[0, 1]);
+        let body = encoded(&[0.75, 0.25], &START[slice]);
+        let outcome = settle(&req, pushes(&req, 2.0, body), Vec::new());
         assert!(outcome.lost.is_empty());
-        let states = outcome.updates.iter().map(|u| (u.client, &u.state[..]));
-        assert_eq!(
-            states.collect::<Vec<_>>(),
-            vec![(0, &[1.0; 4][..]), (1, &[9.0; 4][..])]
-        );
-        let billing = |u: &RemoteUpdate| u.wire_bytes.is_none() && u.residual.is_none();
-        assert!(outcome.updates.iter().all(billing));
+        let states = outcome.updates.iter().map(|u| (u.client, u.state.len()));
+        assert_eq!(states.collect::<Vec<_>>(), vec![(0, 2), (1, 2)]);
+        assert_eq!(outcome.updates[0].wire_bytes, None);
+        assert!(outcome.updates[1].wire_bytes.is_some());
+    }
+
+    /// A `Work` frame's upload slice is the server's word, so a worker
+    /// checks it. Trains a unit of client 1 uploading `upload`; returns
+    /// `upload`'s length in the state it pushed, or the error.
+    fn train_slice(upload: Range<usize>) -> Result<usize, String> {
+        let fd = tiny_fd(8);
+        let cfg = FlConfig::tiny(8);
+        let template = init_model(&fd, &cfg);
+        let start = template.state_vec();
+        match train_unit(&fd, &cfg, &template, upload, job(&start, 1), Vec::new())? {
+            Msg::Push {
+                body: PushBody::Raw(state),
+                ..
+            } => Ok(state.len()),
+            other => panic!("a raw push, not {other:?}"),
+        }
+    }
+
+    fn assert_slice_rejected(upload: Range<usize>) {
+        let len = init_model(&tiny_fd(8), &FlConfig::tiny(8)).state_len();
+        let err = train_slice(upload.clone()).expect_err("must be rejected");
+        let expected = format!("upload slice {upload:?} of a state of {len} values");
+        assert!(err.contains(&expected), "{err}");
+    }
+
+    #[test]
+    fn an_upload_slice_that_runs_backwards_is_an_error() {
+        assert_slice_rejected(Range { start: 3, end: 2 });
+    }
+
+    #[test]
+    fn an_upload_slice_past_the_state_is_an_error() {
+        let len = init_model(&tiny_fd(8), &FlConfig::tiny(8)).state_len();
+        assert_slice_rejected(0..len + 1);
+        assert_slice_rejected(len..len + 1);
+    }
+
+    /// Where an `offset + len` would wrap: the slice is checked as it came,
+    /// without arithmetic on it.
+    #[test]
+    fn an_upload_slice_at_the_end_of_the_address_space_is_an_error() {
+        assert_slice_rejected(2..usize::MAX);
+        assert_slice_rejected(usize::MAX..usize::MAX);
+    }
+
+    #[test]
+    fn an_upload_slice_inside_the_state_trains() {
+        let len = init_model(&tiny_fd(8), &FlConfig::tiny(8)).state_len();
+        for upload in [0..len, 2..5, len..len] {
+            assert_eq!(train_slice(upload.clone()), Ok(upload.len()), "{upload:?}");
+        }
     }
 }

@@ -40,7 +40,6 @@ pub mod wire;
 
 pub use msg::{
     frame_keys, read_msg, write_msg, Msg, PushBody, MAX_ARGV, MAX_STR_BYTES, MAX_VEC_ELEMS,
-    MODE_TRAIN, MODE_WARMUP,
 };
 pub use retry::RetryPolicy;
 pub use wire::{

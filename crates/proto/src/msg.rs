@@ -7,45 +7,40 @@
 //! Welcome  (2): u32 worker_id, u32 argc, argc × { u32 len, utf-8 bytes }
 //! Reject   (3): u32 len, utf-8 bytes
 //! PullWork (4): empty
-//! Work     (5): u8 mode, u32 round, u32 client, u32 epochs,
+//! Work     (5): u32 round, u32 client, u32 epochs,
 //!               u8 has_prox, f32 prox_mu (zero bits when absent),
+//!               u32 upload_start, u32 upload_end,
 //!               vec_f32 state, vec_f32 residual
-//! Wait     (6): u32 millis
-//! Busy     (7): u32 millis
-//! Push     (8): u8 mode, u32 round, u32 client, u32 steps, f32 weight,
-//!               u8 encoding, raw: vec_f32 state
-//!                            codec: bytes wire, vec_f32 residual
+//! Wait     (6): empty
+//! Push     (8): u8 mode (always 0), u32 round, u32 client, u32 steps,
+//!               f32 weight, u8 encoding, raw: vec_f32 state
+//!                                        codec: bytes wire, vec_f32 residual
 //! Ack      (9): u32 round, u32 client
 //! Done    (10): empty
 //! ```
 //!
 //! where `vec_f32` = `u32 count` + `count × f32` and `bytes` =
-//! `u32 len` + `len` raw bytes. `Work` and `Push` deliberately place
-//! `round` at payload offset 1 and `client` at offset 5 (and `Ack` at
-//! 0/4) so the chaos proxy can key its per-frame fate draws on
-//! `(round, client)` without a full decode — see [`frame_keys`].
+//! `u32 len` + `len` raw bytes. `Work` and `Ack` place `round` at payload
+//! offset 0 and `client` at offset 4, `Push` at 1 and 5, so the chaos
+//! proxy can key its per-frame fate draws on `(round, client)` without a
+//! full decode — see [`frame_keys`].
 
 use crate::bytes::{Reader, Writer};
 use crate::wire::{self, Frame, ProtoError};
 use std::io::{Read, Write};
+use std::ops::Range;
 
-/// Message kind bytes. Dense from 1; 0 is reserved as "never valid".
+/// Message kind bytes, from 1: 0 is reserved as "never valid", and 7 is
+/// unassigned.
 pub const KIND_HELLO: u8 = 1;
 pub const KIND_WELCOME: u8 = 2;
 pub const KIND_REJECT: u8 = 3;
 pub const KIND_PULL_WORK: u8 = 4;
 pub const KIND_WORK: u8 = 5;
 pub const KIND_WAIT: u8 = 6;
-pub const KIND_BUSY: u8 = 7;
 pub const KIND_PUSH: u8 = 8;
 pub const KIND_ACK: u8 = 9;
 pub const KIND_DONE: u8 = 10;
-
-/// `Work`/`Push` mode: a normal local-training round.
-pub const MODE_TRAIN: u8 = 0;
-/// `Work`/`Push` mode: FedClust round-0 warmup; the worker returns its
-/// raw full state and the server extracts the partial-weight slice.
-pub const MODE_WARMUP: u8 = 1;
 
 /// Cap on f32 vector element counts (16 Mi elements = 64 MiB).
 pub const MAX_VEC_ELEMS: usize = wire::MAX_PAYLOAD_BYTES / 4;
@@ -54,9 +49,9 @@ pub const MAX_STR_BYTES: usize = 1 << 16;
 /// Cap on `Welcome` argv entries.
 pub const MAX_ARGV: usize = 128;
 
-/// The update a worker pushes back: either the raw state vector
-/// (codec "none" and warmup mode) or the codec wire bytes plus the
-/// worker's updated error-feedback residual.
+/// The upload a worker pushes back: either the raw slice (codec "none")
+/// or the codec wire bytes plus the worker's updated error-feedback
+/// residual.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PushBody {
     Raw(Vec<f32>),
@@ -79,25 +74,24 @@ pub enum Msg {
     Reject { reason: String },
     /// Worker → server: give me a unit of work.
     PullWork,
-    /// Server → worker: train `client` at `round` from `state`.
+    /// Server → worker: train `client` at `round` from `state`, then
+    /// upload the slice `upload` of the trained state (all of it in a
+    /// training round, the selected partial weights in FedClust's warm-up).
     Work {
-        mode: u8,
         round: u32,
         client: u32,
         epochs: u32,
         prox_mu: Option<f32>,
+        upload: Range<u32>,
         state: Vec<f32>,
         residual: Vec<f32>,
     },
-    /// Server → worker: nothing to do right now, poll again in
-    /// `millis`.
-    Wait { millis: u32 },
-    /// Server → worker: retry the *same* push after `millis`. `fedclustd`
-    /// never sends it (its lease table has no cap); the kind stays until
-    /// the protocol's next version.
-    Busy { millis: u32 },
+    /// Server → worker: the keep-alive answer to a `PullWork` that found
+    /// nothing to do; pull again.
+    Wait,
     /// Worker → server: finished unit of work.
     Push {
+        /// Always 0: decoded only as that, so each push has one encoding.
         mode: u8,
         round: u32,
         client: u32,
@@ -121,8 +115,7 @@ impl Msg {
             Msg::Reject { .. } => KIND_REJECT,
             Msg::PullWork => KIND_PULL_WORK,
             Msg::Work { .. } => KIND_WORK,
-            Msg::Wait { .. } => KIND_WAIT,
-            Msg::Busy { .. } => KIND_BUSY,
+            Msg::Wait => KIND_WAIT,
             Msg::Push { .. } => KIND_PUSH,
             Msg::Ack { .. } => KIND_ACK,
             Msg::Done => KIND_DONE,
@@ -142,26 +135,26 @@ impl Msg {
                 }
             }
             Msg::Reject { reason } => put_str(&mut w, reason),
-            Msg::PullWork | Msg::Done => {}
+            Msg::PullWork | Msg::Wait | Msg::Done => {}
             Msg::Work {
-                mode,
                 round,
                 client,
                 epochs,
                 prox_mu,
+                upload,
                 state,
                 residual,
             } => {
-                w.u8(*mode);
                 w.u32(*round);
                 w.u32(*client);
                 w.u32(*epochs);
                 w.u8(u8::from(prox_mu.is_some()));
                 w.f32(prox_mu.unwrap_or(0.0));
+                w.u32(upload.start);
+                w.u32(upload.end);
                 put_f32s(&mut w, state);
                 put_f32s(&mut w, residual);
             }
-            Msg::Wait { millis } | Msg::Busy { millis } => w.u32(*millis),
             Msg::Push {
                 mode,
                 round,
@@ -215,7 +208,6 @@ impl Msg {
             },
             KIND_PULL_WORK => Msg::PullWork,
             KIND_WORK => {
-                let mode = decode_mode(r.u8()?)?;
                 let round = r.u32()?;
                 let client = r.u32()?;
                 let epochs = r.u32()?;
@@ -230,19 +222,24 @@ impl Msg {
                     return Err(ProtoError::BadField("prox_mu"));
                 }
                 Msg::Work {
-                    mode,
                     round,
                     client,
                     epochs,
                     prox_mu: (has_prox == 1).then_some(prox_raw),
+                    upload: {
+                        let start = r.u32()?;
+                        start..r.u32()?
+                    },
                     state: decode_f32s(&mut r)?,
                     residual: decode_f32s(&mut r)?,
                 }
             }
-            KIND_WAIT => Msg::Wait { millis: r.u32()? },
-            KIND_BUSY => Msg::Busy { millis: r.u32()? },
+            KIND_WAIT => Msg::Wait,
             KIND_PUSH => {
-                let mode = decode_mode(r.u8()?)?;
+                let mode = r.u8()?;
+                if mode != 0 {
+                    return Err(ProtoError::BadField("mode"));
+                }
                 let round = r.u32()?;
                 let client = r.u32()?;
                 let steps = r.u32()?;
@@ -277,14 +274,6 @@ impl Msg {
     }
 }
 
-fn decode_mode(mode: u8) -> Result<u8, ProtoError> {
-    if mode == MODE_TRAIN || mode == MODE_WARMUP {
-        Ok(mode)
-    } else {
-        Err(ProtoError::BadField("mode"))
-    }
-}
-
 /// Write one message to a stream as a frame.
 pub fn write_msg<W: Write>(w: &mut W, msg: &Msg) -> Result<(), ProtoError> {
     wire::write_frame_bytes(w, &msg.encode())
@@ -302,8 +291,8 @@ pub fn read_msg<R: Read>(r: &mut R) -> Result<Msg, ProtoError> {
 /// carry no key or payloads too short to hold one.
 pub fn frame_keys(kind: u8, payload: &[u8]) -> Option<(u32, u32)> {
     let at = match kind {
-        KIND_WORK | KIND_PUSH => 1usize,
-        KIND_ACK => 0usize,
+        KIND_PUSH => 1usize,
+        KIND_WORK | KIND_ACK => 0usize,
         _ => return None,
     };
     let mut r = Reader::new(payload);
@@ -380,27 +369,26 @@ mod tests {
             },
             Msg::PullWork,
             Msg::Work {
-                mode: MODE_TRAIN,
                 round: 4,
                 client: 17,
                 epochs: 3,
                 prox_mu: Some(0.01),
+                upload: 0..3,
                 state: vec![1.0, -2.5, 0.0],
                 residual: vec![0.125],
             },
             Msg::Work {
-                mode: MODE_WARMUP,
                 round: 0,
                 client: 2,
                 epochs: 1,
                 prox_mu: None,
+                upload: Range { start: 7, end: 2 },
                 state: vec![],
                 residual: vec![],
             },
-            Msg::Wait { millis: 50 },
-            Msg::Busy { millis: 120 },
+            Msg::Wait,
             Msg::Push {
-                mode: MODE_TRAIN,
+                mode: 0,
                 round: 4,
                 client: 17,
                 steps: 12,
@@ -411,7 +399,7 @@ mod tests {
                 },
             },
             Msg::Push {
-                mode: MODE_WARMUP,
+                mode: 0,
                 round: 0,
                 client: 2,
                 steps: 5,
@@ -433,11 +421,11 @@ mod tests {
     fn stream_read_write_roundtrip() {
         let mut buf = Vec::new();
         let work = Msg::Work {
-            mode: MODE_TRAIN,
             round: 1,
             client: 2,
             epochs: 3,
             prox_mu: None,
+            upload: 0..1,
             state: vec![1.0],
             residual: vec![],
         };
@@ -459,16 +447,16 @@ mod tests {
         // layout change must show up here, not as silent mis-keying.
         for msg in [
             Msg::Work {
-                mode: MODE_TRAIN,
                 round: 7,
                 client: 13,
                 epochs: 1,
                 prox_mu: None,
+                upload: 0..0,
                 state: vec![],
                 residual: vec![],
             },
             Msg::Push {
-                mode: MODE_TRAIN,
+                mode: 0,
                 round: 7,
                 client: 13,
                 steps: 1,
@@ -502,23 +490,22 @@ mod tests {
         };
         assert_eq!(Msg::decode_frame(&frame), Err(ProtoError::BadKind(99)));
 
-        // Bad mode byte in Work.
-        let bytes = Msg::Work {
-            mode: MODE_TRAIN,
+        // A mode byte other than 0 in Push.
+        let bytes = Msg::Push {
+            mode: 0,
             round: 0,
             client: 0,
-            epochs: 1,
-            prox_mu: None,
-            state: vec![],
-            residual: vec![],
+            steps: 1,
+            weight: 1.0,
+            body: PushBody::Raw(vec![]),
         }
         .encode();
-        let mut work = decode_frame(&bytes).unwrap();
-        work.payload[0] = 2;
-        assert_eq!(Msg::decode_frame(&work), Err(ProtoError::BadField("mode")));
+        let mut push = decode_frame(&bytes).unwrap();
+        push.payload[0] = 1;
+        assert_eq!(Msg::decode_frame(&push), Err(ProtoError::BadField("mode")));
 
         // Hostile vector count in Push: claims u32::MAX elements.
-        let mut payload = vec![MODE_TRAIN];
+        let mut payload = vec![0];
         payload.extend_from_slice(&0u32.to_le_bytes()); // round
         payload.extend_from_slice(&0u32.to_le_bytes()); // client
         payload.extend_from_slice(&1u32.to_le_bytes()); // steps

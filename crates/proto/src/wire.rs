@@ -29,7 +29,7 @@ pub const MAGIC: [u8; 4] = *b"FCLP";
 /// Protocol version carried in every frame. Version negotiation is
 /// exact-match: a `Hello` with a different version is answered with
 /// `Reject` and the connection closed.
-pub const PROTO_VERSION: u16 = 1;
+pub const PROTO_VERSION: u16 = 2;
 
 /// Fixed header size: magic + version + kind + flags + payload length.
 pub const HEADER_BYTES: usize = 12;

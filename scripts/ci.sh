@@ -107,17 +107,20 @@ echo "== networked federation =="
 # table's own suite (its transition cases plus 2,000 seeded schedules of
 # connections pulling, pushing, misbehaving and dying), the worker's
 # untrainable-`Work` case and the flag tables' contracts, which no other
-# stage runs — and the settle rule for what workers push (in fl::engine's);
-# then the real binaries end to end: a crash after a round, a torn
-# checkpoint write and a seed mismatch through `fedclust-cli`
-# (crash_recovery_cli), and server + worker fleet over localhost TCP
-# (plain, codec-compressed, through the chaos proxy, across a server
-# SIGKILL + resume, and under worker crashes) byte-identical to the
-# in-process simulation (net_cli).
+# stage runs — and every `fedclust-fl` and `fedclust-data` test, which
+# `cargo test -q` at the root does not reach either: the settle rule for
+# what workers push and `train_unit`'s checks (fl::engine), the driver,
+# faults, codec, checkpoint and every method, their proptests and the
+# stream audit, and the partitioners; then the real binaries end to end: a
+# crash after a round, a torn checkpoint write and a seed mismatch through
+# `fedclust-cli` (crash_recovery_cli), and server + worker fleet over
+# localhost TCP (plain, codec-compressed, through the chaos proxy, across
+# a server SIGKILL + resume, and under worker crashes) byte-identical to
+# the in-process simulation (net_cli).
 net_start=$(date +%s%N)
 cargo test -q -p fedclust-proto
 cargo test -q -p fedclust-cli --lib
-cargo test -q -p fedclust-fl --lib engine
+cargo test -q -p fedclust-fl -p fedclust-data
 cargo test -q -p fedclust-cli --test crash_recovery_cli
 # Every wait inside the suite has its own deadline and fails with the
 # server's stderr; `timeout` is the backstop that turns any hang those miss

@@ -5,7 +5,8 @@
 //!   for the worker fleet — the worker's `train_unit` and the server's
 //!   `settle`, without sockets — trains rounds and FedClust's warm-up, and
 //!   must be indistinguishable from the `InProcessTrainer` the driver falls
-//!   back to, unit by unit and in results and checkpoint bytes.
+//!   back to, unit by unit and in results and checkpoint bytes; and what
+//!   its warm-up pushes carry is what the meter bills.
 //! * Resume validation lives behind one `restore` per method, entered from
 //!   one place, so one table can feed every method every wrong checkpoint.
 
@@ -16,13 +17,15 @@ use std::sync::Barrier;
 
 use fedclust_repro::data::{DatasetProfile, FederatedDataset, Partition};
 use fedclust_repro::fedclust::clustering::ClusteringOutcome;
+use fedclust_repro::fedclust::proximity::WeightSelection;
 use fedclust_repro::fedclust::{FedClust, SavedFederation};
 use fedclust_repro::fl::checkpoint::{
     generation_file, Checkpoint, FedDynState, LgState, MethodState, ScaffoldState,
 };
+use fedclust_repro::fl::driver::{Method, RoundCtx};
 use fedclust_repro::fl::engine::{
     init_model, settle, train_unit, InProcessTrainer, LocalJob, RemoteOutcome, RemoteRound,
-    RemoteTrainer, MODE_TRAIN, MODE_WARMUP,
+    RemoteTrainer,
 };
 use fedclust_repro::fl::methods::{
     Cfl, FedAvg, FedDyn, FedNova, FedProx, Ifca, LgFedAvg, Pacfl, PerFedAvg, Scaffold,
@@ -32,6 +35,7 @@ use fedclust_repro::fl::{
     FlMethod,
 };
 use fedclust_repro::nn::Model;
+use fedclust_repro::proto::{Msg, PushBody};
 
 fn fd(seed: u64) -> FederatedDataset {
     FederatedDataset::build(
@@ -59,10 +63,14 @@ struct InProcessFleet<'a> {
     fd: &'a FederatedDataset,
     cfg: FlConfig,
     template: Model,
-    /// Trainer calls in training mode and in warm-up mode: a round is one
-    /// call, however many clusters it trains.
+    /// Trainer calls that upload whole states and those that upload a
+    /// slice (FedClust's warm-up): a round is one call, however many
+    /// clusters it trains.
     train_calls: AtomicUsize,
     warmup_calls: AtomicUsize,
+    /// Bytes the warm-up pushes' bodies carry: 4 per raw scalar, or the
+    /// codec message.
+    warmup_push_bytes: AtomicUsize,
     /// The most distinct start states one call's units carried.
     most_start_states: AtomicUsize,
 }
@@ -75,6 +83,7 @@ impl<'a> InProcessFleet<'a> {
             template: init_model(fd, &cfg),
             train_calls: AtomicUsize::new(0),
             warmup_calls: AtomicUsize::new(0),
+            warmup_push_bytes: AtomicUsize::new(0),
             most_start_states: AtomicUsize::new(0),
         }
     }
@@ -83,9 +92,11 @@ impl<'a> InProcessFleet<'a> {
 impl RemoteTrainer for InProcessFleet<'_> {
     fn train_remote(&self, mut req: RemoteRound) -> RemoteOutcome {
         assert!(!req.jobs.is_empty(), "a call with nothing to train");
-        let calls = match req.mode {
-            MODE_WARMUP => &self.warmup_calls,
-            _ => &self.train_calls,
+        let warm_up = req.upload != (0..self.template.state_len());
+        let calls = if warm_up {
+            &self.warmup_calls
+        } else {
+            &self.train_calls
         };
         calls.fetch_add(1, Ordering::Relaxed);
         let start_states: BTreeSet<_> = req.jobs.iter().map(|j| j.start_state.as_ptr()).collect();
@@ -94,13 +105,29 @@ impl RemoteTrainer for InProcessFleet<'_> {
         let mut residuals = std::mem::take(&mut req.residuals).into_iter();
         let pushes = req.jobs.iter().map(|&job| {
             let residual = residuals.next().unwrap_or_default();
-            let push = train_unit(self.fd, &self.cfg, &self.template, req.mode, job, residual);
+            let upload = req.upload.clone();
+            let push = train_unit(self.fd, &self.cfg, &self.template, upload, job, residual);
             (
                 job.client,
                 push.expect("the server's own units are trainable"),
             )
         });
         let pushes: BTreeMap<usize, _> = pushes.collect();
+        if warm_up {
+            let body_bytes = |push: &Msg| match push {
+                Msg::Push {
+                    body: PushBody::Raw(state),
+                    ..
+                } => 4 * state.len(),
+                Msg::Push {
+                    body: PushBody::Encoded { wire, .. },
+                    ..
+                } => wire.len(),
+                other => panic!("train_unit returned {other:?}"),
+            };
+            let bytes = pushes.values().map(body_bytes).sum();
+            self.warmup_push_bytes.fetch_add(bytes, Ordering::Relaxed);
+        }
         assert_eq!(pushes.len(), req.jobs.len(), "a client in two units");
         settle(&req, pushes, Vec::new())
     }
@@ -247,6 +274,28 @@ fn ifca_trains_each_round_in_one_trainer_call() {
     );
 }
 
+/// Round 0 over the fleet is the round 0 the meter bills (Algorithm 1
+/// line 5): each warm-up push carries only the selected partial weights,
+/// raw or coded, so its bodies' bytes on the wire sum to FedClust's uplink
+/// bill after `init` — with a residual-carrying codec and faults too.
+#[test]
+fn round0_wire_bytes_are_what_the_meter_bills() {
+    let fd = fd(21);
+    for (tag, cfg) in plain_and_hostile() {
+        let fleet = InProcessFleet::new(&fd, cfg);
+        let mut ctx = RoundCtx::new(&fd, &cfg, &fleet);
+        FedClust::default().init(&mut ctx);
+        let billed = ctx.transport.meter().uplink_bytes();
+        let pushed = fleet.warmup_push_bytes.load(Ordering::Relaxed);
+        assert_eq!(fleet.warmup_calls.load(Ordering::Relaxed), 1, "{tag}");
+        assert!(pushed > 0, "{tag}: nothing pushed");
+        assert_eq!(
+            pushed as f64, billed,
+            "{tag}: round-0 wire bytes vs the meter"
+        );
+    }
+}
+
 /// Everything an update carries, with the floats as bits.
 type UpdateBits = (usize, usize, u32, Vec<u32>, Option<usize>, Option<Vec<u32>>);
 
@@ -269,29 +318,32 @@ fn outcome_bits(outcome: RemoteOutcome) -> (Vec<UpdateBits>, Vec<usize>) {
 /// request — units from two start states, each with its own residual — the
 /// `InProcessTrainer` and the worker's `train_unit` + the server's `settle`
 /// return the same outcome, update for update, under every kind of codec,
-/// with no residual yet, one of a stale shape and one of the state's, and
-/// for a warm-up.
+/// with no residual yet, one of a stale shape and one of the upload's, for
+/// whole-state uploads and for a warm-up's final-layer slice.
 #[test]
 fn the_in_process_trainer_is_the_fleet_without_sockets() {
     let fd = fd(25);
-    let theta = init_model(&fd, &FlConfig::tiny(25)).state_vec();
+    let template = init_model(&fd, &FlConfig::tiny(25));
+    let theta = template.state_vec();
     let half: Vec<f32> = theta.iter().map(|v| v * 0.5).collect();
+    let (whole, slice) = (0..theta.len(), WeightSelection::FinalLayer.range(&template));
     let runs = [
-        ("none", MODE_TRAIN),
-        ("q8+sr", MODE_TRAIN),
-        ("delta+topk:0.1", MODE_TRAIN),
-        ("delta+topk:0.1", MODE_WARMUP),
+        ("none", whole.clone()),
+        ("q8+sr", whole.clone()),
+        ("delta+topk:0.1", whole),
+        ("none", slice.clone()),
+        ("delta+topk:0.1", slice),
     ];
-    for (codec, mode) in runs {
+    for (codec, upload) in runs {
         let cfg = FlConfig {
             codec: CodecSpec::parse(codec).unwrap(),
             ..FlConfig::tiny(25)
         };
         let fleet = InProcessFleet::new(&fd, cfg);
         let in_process = InProcessTrainer::new(&fd, &cfg);
-        for residual_len in [0, 3, theta.len()] {
+        for residual_len in [0, 3, upload.len()] {
             let request = || RemoteRound {
-                mode,
+                upload: upload.clone(),
                 jobs: (0..fd.num_clients())
                     .map(|client| LocalJob {
                         start_state: if client < 3 { &theta } else { &half },
@@ -301,19 +353,16 @@ fn the_in_process_trainer_is_the_fleet_without_sockets() {
                         prox_mu: None,
                     })
                     .collect(),
-                residuals: match mode {
-                    MODE_WARMUP => Vec::new(),
-                    _ => (0..fd.num_clients())
-                        .map(|c| vec![0.01 * c as f32; residual_len])
-                        .collect(),
-                },
+                residuals: (0..fd.num_clients())
+                    .map(|c| vec![0.01 * c as f32; residual_len])
+                    .collect(),
             };
             let fleet_outcome = outcome_bits(fleet.train_remote(request()));
             assert_eq!(fleet_outcome.0.len(), fd.num_clients());
             assert_eq!(
                 outcome_bits(in_process.train_remote(request())),
                 fleet_outcome,
-                "{codec}, mode {mode}, residual of {residual_len}"
+                "{codec}, upload {upload:?}, residual of {residual_len}"
             );
         }
     }

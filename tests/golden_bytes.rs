@@ -16,7 +16,7 @@ use fedclust_repro::fl::{
     Checkpoint, CommMeter, FaultTelemetry, MethodState, RoundRecord, RunResult,
 };
 use fedclust_repro::nn::models::ModelSpec;
-use fedclust_repro::proto::{decode_frame, Msg, PushBody, MODE_TRAIN, MODE_WARMUP};
+use fedclust_repro::proto::{decode_frame, Msg, PushBody};
 use std::path::PathBuf;
 
 /// A quiet NaN with a non-default payload: survives only bit-pattern I/O.
@@ -149,21 +149,20 @@ fn frames() -> Vec<(&'static str, Msg)> {
         (
             "frame_work",
             Msg::Work {
-                mode: MODE_TRAIN,
                 round: 4,
                 client: 17,
                 epochs: 3,
                 prox_mu: Some(0.01),
+                upload: 1..3,
                 state: vec![1.0, -2.5, 0.0],
                 residual: vec![0.125],
             },
         ),
-        ("frame_wait", Msg::Wait { millis: 50 }),
-        ("frame_busy", Msg::Busy { millis: 120 }),
+        ("frame_wait", Msg::Wait),
         (
             "frame_push_raw",
             Msg::Push {
-                mode: MODE_WARMUP,
+                mode: 0,
                 round: 0,
                 client: 2,
                 steps: 5,
@@ -174,7 +173,7 @@ fn frames() -> Vec<(&'static str, Msg)> {
         (
             "frame_push_encoded",
             Msg::Push {
-                mode: MODE_TRAIN,
+                mode: 0,
                 round: 4,
                 client: 17,
                 steps: 12,

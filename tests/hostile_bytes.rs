@@ -310,3 +310,32 @@ fn frame_stream_reader_agrees_with_the_slice_decoder() {
         }
     }
 }
+
+/// Kind 7 was `Busy` until protocol version 2 and is unassigned now: a
+/// checksum-valid frame of it is an unknown kind, whatever it carries.
+#[test]
+fn the_retired_busy_kind_is_unknown() {
+    for payload in [&[][..], &120u32.to_le_bytes()[..]] {
+        assert_eq!(
+            Frames::decode(&encode_frame(7, payload)),
+            Err(ProtoError::BadKind(7))
+        );
+    }
+}
+
+/// `Wait` carries nothing since protocol version 2: the millis it used to
+/// carry, or a single byte, are trailing bytes, not a second encoding.
+#[test]
+fn a_wait_with_a_payload_is_rejected() {
+    let wait = Msg::Wait.encode();
+    let kind = decode_frame(&wait).expect("own frame decodes").kind;
+    assert_eq!(Frames::decode(&wait), Ok(Msg::Wait));
+    assert_eq!(
+        Frames::decode(&encode_frame(kind, &[0])),
+        Err(ProtoError::TrailingBytes(1))
+    );
+    assert_eq!(
+        Frames::decode(&encode_frame(kind, &50u32.to_le_bytes())),
+        Err(ProtoError::TrailingBytes(4))
+    );
+}
