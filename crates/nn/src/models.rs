@@ -104,10 +104,10 @@ pub fn lenet5(c: usize, h: usize, w: usize, num_classes: usize, rng: &mut impl R
     let layers: Vec<Box<dyn Layer>> = vec![
         Box::new(Conv2d::new(g1, 8, rng)),
         Box::new(Relu::default()),
-        Box::new(MaxPool2d::new(2)),
+        Box::new(MaxPool2d::default()),
         Box::new(Conv2d::new(g2, 16, rng)),
         Box::new(Relu::default()),
-        Box::new(MaxPool2d::new(2)),
+        Box::new(MaxPool2d::default()),
         Box::new(Flatten::default()),
         Box::new(Dense::new(flat, 48, rng)),
         Box::new(Relu::default()),
@@ -134,12 +134,12 @@ pub fn vgg_mini(c: usize, h: usize, w: usize, num_classes: usize, rng: &mut impl
         Box::new(Relu::default()),
         Box::new(Conv2d::new(g2, 8, rng)),
         Box::new(Relu::default()),
-        Box::new(MaxPool2d::new(2)),
+        Box::new(MaxPool2d::default()),
         Box::new(Conv2d::new(g3, 16, rng)),
         Box::new(Relu::default()),
         Box::new(Conv2d::new(g4, 16, rng)),
         Box::new(Relu::default()),
-        Box::new(MaxPool2d::new(2)),
+        Box::new(MaxPool2d::default()),
         Box::new(Flatten::default()),
         Box::new(Dense::new(flat, 32, rng)),
         Box::new(Relu::default()),
@@ -165,7 +165,7 @@ pub fn resnet9(c: usize, h: usize, w: usize, num_classes: usize, rng: &mut impl 
     layers.push(Box::new(conv_bn_relu(c, 8, h, w, rng)));
     // Stage 1: 8 → 16, then pool to h/2.
     layers.push(Box::new(conv_bn_relu(8, 16, h, w, rng)));
-    layers.push(Box::new(MaxPool2d::new(2)));
+    layers.push(Box::new(MaxPool2d::default()));
     let (h1, w1) = (h / 2, w / 2);
     // Residual block at 16 channels.
     let res1 = Sequential::new()
@@ -174,7 +174,7 @@ pub fn resnet9(c: usize, h: usize, w: usize, num_classes: usize, rng: &mut impl 
     layers.push(Box::new(Residual::new(res1)));
     // Stage 2: 16 → 32, pool to h/4.
     layers.push(Box::new(conv_bn_relu(16, 32, h1, w1, rng)));
-    layers.push(Box::new(MaxPool2d::new(2)));
+    layers.push(Box::new(MaxPool2d::default()));
     let (h2, w2) = (h1 / 2, w1 / 2);
     // Residual block at 32 channels.
     let res2 = Sequential::new()

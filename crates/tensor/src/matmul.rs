@@ -2,17 +2,20 @@
 //!
 //! All three layout variants (`NN`, `TN`, `NT`) funnel into one strided
 //! driver: the left operand is packed into `MR`-row strips and the right
-//! operand into `NR`-column panels (both k-major, zero-padded at the edges),
-//! and a fixed-size `MR×NR` register-tile micro-kernel accumulates the
-//! product with a fully unrolled inner loop. Packing makes the kernel's
-//! memory traffic unit-stride regardless of the logical transpose, so the
-//! transposed variants cost the same as the plain one and there is no
-//! per-element zero-skip branch on the hot path.
+//! operand is read as `NR`-column panels (k-major, zero-padded at the
+//! edges), and a fixed-size `MR×NR` register-tile micro-kernel accumulates
+//! the product with a fully unrolled inner loop. A full panel of a `B`
+//! whose rows are contiguous (`NN`, `TN`) is already `NR` contiguous values
+//! per k-step, so the kernel reads it where it lies; every other panel is
+//! packed. So the kernel's loads are unit-stride within a row whatever the
+//! logical transpose, and there is no per-element zero-skip branch on the
+//! hot path.
 //!
-//! Around the register tiling sits `KC×NC` cache blocking: one packed slab
-//! of `B` at a time stays L2-resident while every `A` strip streams over it,
-//! so batched-convolution-sized right-hand sides (thousands of columns) run
-//! at the same per-element cost as cache-sized ones.
+//! Around the register tiling sits `KC×NC` cache blocking: one slab of `B`
+//! at a time stays L2-resident, and each of its panels stays in L1 while
+//! every `A` strip streams over it, so batched-convolution-sized right-hand
+//! sides (thousands of columns) run at the same per-element cost as
+//! cache-sized ones.
 //!
 //! Every GEMM runs on the calling thread: the parallelism is the map over
 //! clients above it (DESIGN.md §6). The packed operands live in
@@ -41,6 +44,11 @@ const KC: usize = 256;
 /// this bound, a batched-conv-sized `B` (hundreds of rows × thousands of
 /// columns) is packed whole and every strip pass misses cache.
 const NC: usize = 512;
+/// Columns of an `NT` panel transposed together. Writing 8 adjacent panel
+/// values per k-step, instead of one value per 64-byte panel row per pass
+/// over a single column, took LeNet-5 conv1's dW pack at batch 10 from 15.0
+/// to 9.2 µs (one thread, AVX2+FMA x86-64).
+const GATHER: usize = 8;
 
 thread_local! {
     /// Calling-thread scratch for the packed `A` strips (k-major).
@@ -97,7 +105,7 @@ pub fn gemm_nn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
         a.len() >= m * k && b.len() >= k * n && out.len() >= m * n,
         "gemm_nn slice too short"
     );
-    gemm_strided(m, k, n, a, k, 1, b, n, 1, out);
+    gemm_strided(microkernel, m, k, n, a, k, 1, b, n, 1, out);
 }
 
 /// `C += A^T * B` where `a` is stored `k×m` row-major (so logical `A` is
@@ -107,7 +115,7 @@ pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
         a.len() >= k * m && b.len() >= k * n && out.len() >= m * n,
         "gemm_tn slice too short"
     );
-    gemm_strided(m, k, n, a, 1, m, b, n, 1, out);
+    gemm_strided(microkernel, m, k, n, a, 1, m, b, n, 1, out);
 }
 
 /// `C += A * B^T` where `a` is `m×k` row-major and `b` is stored `n×k`
@@ -117,7 +125,7 @@ pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f3
         a.len() >= m * k && b.len() >= n * k && out.len() >= m * n,
         "gemm_nt slice too short"
     );
-    gemm_strided(m, k, n, a, k, 1, b, 1, k, out);
+    gemm_strided(microkernel, m, k, n, a, k, 1, b, 1, k, out);
 }
 
 fn mat_dims(t: &Tensor) -> (usize, usize) {
@@ -131,30 +139,56 @@ fn mat_dims(t: &Tensor) -> (usize, usize) {
 }
 
 /// The register-tile micro-kernel: multiply one packed `MR`-row strip of `A`
-/// against one packed `NR`-column panel of `B` over the full `k` extent,
-/// returning the `MR×NR` accumulator tile.
+/// against one `NR`-column panel of `B` over the full `k` extent, returning
+/// the `MR×NR` accumulator tile.
 ///
-/// `ap` holds `k` groups of `MR` values (one per output row); `bp` holds `k`
-/// groups of `NR` values (one per output column). Fixed `MR`/`NR` let the
-/// compiler keep the whole tile in registers and unroll/vectorise the body;
-/// each `acc[i][j]` is an independent FMA chain, so vectorisation needs no
-/// float reassociation.
+/// `ap` holds `k` groups of `MR` values (one per output row). The panel's
+/// k-th row is `b[off + p·rs..][..NR]`: a packed panel is the `rs == NR`
+/// case, and a full panel of a row-contiguous `B` is read where it lies, at
+/// `B`'s row stride. Fixed `MR`/`NR` let the compiler keep the whole tile in
+/// registers and unroll/vectorise the body; each `acc[i][j]` is an
+/// independent FMA chain, so vectorisation needs no float reassociation.
+///
+/// The last row is taken on its own, because `B` may end `NR` values past
+/// its start, short of a whole stride. Every other row is a `chunks_exact`
+/// chunk of `rs` values, so its `..NR` bounds check does not depend on the
+/// row and the compiler takes it out of the loop; a check per row cost
+/// 10–20 % of a tile.
 #[inline(always)]
-fn microkernel_body<const FMA: bool>(k: usize, ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
+fn microkernel_body<const FMA: bool>(
+    k: usize,
+    ap: &[f32],
+    b: &[f32],
+    off: usize,
+    rs: usize,
+) -> [[f32; NR]; MR] {
     let mut acc = [[0.0f32; NR]; MR];
-    for (a_strip, b_panel) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(k) {
-        for i in 0..MR {
-            let ai = a_strip[i];
-            for j in 0..NR {
-                acc[i][j] = if FMA {
-                    ai.mul_add(b_panel[j], acc[i][j])
-                } else {
-                    acc[i][j] + ai * b_panel[j]
-                };
-            }
+    let Some(last) = k.checked_sub(1) else {
+        return acc;
+    };
+    let (head, tail) = ap[..k * MR].split_at(last * MR);
+    let rows = b[off..off + last * rs].chunks_exact(rs);
+    for (a_strip, b_row) in head.chunks_exact(MR).zip(rows) {
+        fma_step::<FMA>(&mut acc, a_strip, b_row);
+    }
+    fma_step::<FMA>(&mut acc, tail, &b[off + last * rs..]);
+    acc
+}
+
+/// One k-step of the micro-kernel: `acc[i][j] += a_strip[i] · b_row[j]`.
+#[inline(always)]
+fn fma_step<const FMA: bool>(acc: &mut [[f32; NR]; MR], a_strip: &[f32], b_row: &[f32]) {
+    let b_row = &b_row[..NR];
+    for i in 0..MR {
+        let ai = a_strip[i];
+        for j in 0..NR {
+            acc[i][j] = if FMA {
+                ai.mul_add(b_row[j], acc[i][j])
+            } else {
+                acc[i][j] + ai * b_row[j]
+            };
         }
     }
-    acc
 }
 
 /// The same body compiled with AVX2+FMA codegen: `mul_add` lowers to a real
@@ -166,21 +200,28 @@ fn microkernel_body<const FMA: bool>(k: usize, ap: &[f32], bp: &[f32]) -> [[f32;
 /// `unsafe` here comes solely from `#[target_feature]` — callers must
 /// guarantee the CPU supports AVX2 and FMA (checked at the single dispatch
 /// site below via `is_x86_feature_detected!`), or the emitted VEX/FMA
-/// instructions fault with SIGILL. The body itself is safe Rust: every read
-/// of `ap`/`bp` goes through `chunks_exact(MR)`/`chunks_exact(NR)` bounded by
-/// `.take(k)`, so packed buffers shorter than `k*MR`/`k*NR` truncate the
-/// accumulation rather than read out of bounds. The packers
-/// (`pack_a_strip`/`pack_b_panel`) always fill exactly `kc*MR`/`kc*NR`
-/// elements, zero-padding the ragged edges, so in-tree callers satisfy the
-/// length invariant by construction.
+/// instructions fault with SIGILL. The body itself is safe Rust: `ap` and
+/// every row of `b` are read through range-checked slices, so a short
+/// operand panics rather than reads out of bounds. The driver passes strips
+/// of exactly `kc·MR` values, packed panels of exactly `kc·NR` and in-place
+/// panels of `kc` rows lying inside `B`, so in-tree callers never trip
+/// those checks.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn microkernel_avx2(k: usize, ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
-    microkernel_body::<true>(k, ap, bp)
+unsafe fn microkernel_avx2(
+    k: usize,
+    ap: &[f32],
+    b: &[f32],
+    off: usize,
+    rs: usize,
+) -> [[f32; NR]; MR] {
+    microkernel_body::<true>(k, ap, b, off, rs)
 }
 
+/// The body this host runs, chosen per tile: the AVX2+FMA one where the
+/// CPU has both features, the portable one elsewhere.
 #[inline(always)]
-fn microkernel(k: usize, ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
+fn microkernel(k: usize, ap: &[f32], b: &[f32], off: usize, rs: usize) -> [[f32; NR]; MR] {
     #[cfg(target_arch = "x86_64")]
     {
         // The detection macro caches its answer, so this is an atomic load
@@ -191,10 +232,10 @@ fn microkernel(k: usize, ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
             // support immediately above, which is `microkernel_avx2`'s only
             // safety precondition (its slice reads are bounds-checked; see
             // the SAFETY comment on its definition).
-            return unsafe { microkernel_avx2(k, ap, bp) };
+            return unsafe { microkernel_avx2(k, ap, b, off, rs) };
         }
     }
-    microkernel_body::<false>(k, ap, bp)
+    microkernel_body::<false>(k, ap, b, off, rs)
 }
 
 /// Pack `B`'s `[p0,p0+kc)×[j0,j0+w)` slab into a k-major `NR`-column
@@ -202,9 +243,12 @@ fn microkernel(k: usize, ap: &[f32], bp: &[f32]) -> [[f32; NR]; MR] {
 /// zeroed first, so the columns past `w` are padding.
 ///
 /// `B` has exactly two layouts. Rows contiguous (`bcs == 1`, the `NN` and
-/// `TN` variants): each k-step is one row run, copied whole. Columns
-/// contiguous (`brs == 1`, the `NT` variant, `B` stored `n×k`): each panel
-/// column is gathered from its contiguous k-run.
+/// `TN` variants): each k-step is one row run, copied whole; the driver
+/// packs only a ragged panel this way and reads full ones in place.
+/// Columns contiguous (`brs == 1`, the `NT` variant, `B` stored `n×k`): a
+/// transpose. `GATHER` columns' k-runs are walked together, so each k-step
+/// writes `GATHER` adjacent values of one panel row; columns past the last
+/// whole group are copied one k-run at a time.
 #[allow(clippy::too_many_arguments)]
 fn pack_b_panel(
     b: &[f32],
@@ -227,9 +271,18 @@ fn pack_b_panel(
         }
     } else {
         debug_assert_eq!(brs, 1, "B must have a contiguous dimension");
-        for jj in 0..w {
-            let col = &b[(j0 + jj) * bcs + p0..][..kc];
-            for (dst, &v) in panel.chunks_exact_mut(NR).zip(col) {
+        let col = |jj: usize| &b[(j0 + jj) * bcs + p0..][..kc];
+        let grouped = w - w % GATHER;
+        for jj in (0..grouped).step_by(GATHER) {
+            let runs: [&[f32]; GATHER] = std::array::from_fn(|g| col(jj + g));
+            for (p, dst) in panel.chunks_exact_mut(NR).enumerate() {
+                for (d, run) in dst[jj..jj + GATHER].iter_mut().zip(&runs) {
+                    *d = run[p];
+                }
+            }
+        }
+        for jj in grouped..w {
+            for (dst, &v) in panel.chunks_exact_mut(NR).zip(col(jj)) {
                 dst[jj] = v;
             }
         }
@@ -279,9 +332,11 @@ fn pack_a_strip(
 }
 
 /// The shared driver: `C += op(A) * op(B)` for arbitrary row/column strides
-/// of the logical `m×k` / `k×n` operands. `out` is `m×n` row-major.
+/// of the logical `m×k` / `k×n` operands, every tile on `kernel`
+/// ([`microkernel`] outside the tests). `out` is `m×n` row-major.
 #[allow(clippy::too_many_arguments)]
 fn gemm_strided(
+    kernel: impl Fn(usize, &[f32], &[f32], usize, usize) -> [[f32; NR]; MR],
     m: usize,
     k: usize,
     n: usize,
@@ -299,9 +354,13 @@ fn gemm_strided(
     let mut pb = PACK_B.with(|c| std::mem::take(&mut *c.borrow_mut()));
     let mut pa = PACK_A.with(|c| std::mem::take(&mut *c.borrow_mut()));
 
-    // Cache blocking: one `KC×NC` slab of `B` is packed at a time and stays
-    // hot while every `A` strip streams over it; the accumulating output
-    // (`C +=`) makes looping the k blocks outside the kernel sound.
+    // Cache blocking: one `KC×NC` slab of `B` at a time stays hot, each
+    // panel of it in L1 while every `A` strip streams over it; the
+    // accumulating output (`C +=`) makes looping the k blocks outside the
+    // kernel sound, and each output element belongs to one tile per block,
+    // so the order of the tiles does not change a bit. A full panel of a
+    // row-contiguous `B` is read in place; every other panel is packed.
+    let in_place = |w: usize| bcs == 1 && w == NR;
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
         let n_panels = nc.div_ceil(NR);
@@ -315,7 +374,10 @@ fn gemm_strided(
             }
             for (jp, panel) in pb[..b_len].chunks_mut(kc * NR).enumerate() {
                 let j0 = jc + jp * NR;
-                pack_b_panel(b, brs, bcs, pc, kc, j0, NR.min(jc + nc - j0), panel);
+                let w = NR.min(jc + nc - j0);
+                if !in_place(w) {
+                    pack_b_panel(b, brs, bcs, pc, kc, j0, w, panel);
+                }
             }
             let a_len = m.div_ceil(MR) * kc * MR;
             if pa.len() < a_len {
@@ -325,13 +387,17 @@ fn gemm_strided(
                 let i0 = ip * MR;
                 pack_a_strip(a, ars, acs, pc, kc, i0, MR.min(m - i0), strip);
             }
-            for (ip, strip) in pa[..a_len].chunks(kc * MR).enumerate() {
-                let i0 = ip * MR;
-                let h = MR.min(m - i0);
-                for (jp, panel) in pb[..b_len].chunks(kc * NR).enumerate() {
-                    let j0 = jc + jp * NR;
-                    let w = NR.min(jc + nc - j0);
-                    let acc = microkernel(kc, strip, panel);
+            for (jp, panel) in pb[..b_len].chunks(kc * NR).enumerate() {
+                let j0 = jc + jp * NR;
+                let w = NR.min(jc + nc - j0);
+                for (ip, strip) in pa[..a_len].chunks(kc * MR).enumerate() {
+                    let i0 = ip * MR;
+                    let h = MR.min(m - i0);
+                    let acc = if in_place(w) {
+                        kernel(kc, strip, b, pc * brs + j0, brs)
+                    } else {
+                        kernel(kc, strip, panel, 0, NR)
+                    };
                     for (ii, acc_row) in acc.iter().enumerate().take(h) {
                         let off = (i0 + ii) * n + j0;
                         if w == NR {
@@ -519,10 +585,11 @@ mod tests {
     }
 
     /// `gemm_strided` as it was with the reference packers and zero-filled
-    /// scratch: the same blocking, micro-kernel and once-per-KC-block
-    /// accumulate.
+    /// scratch, on the micro-kernel body `kernel`: the same blocking and
+    /// once-per-KC-block accumulate, with every `B` panel packed.
     #[allow(clippy::too_many_arguments)]
     fn gemm_reference(
+        kernel: Kernel,
         m: usize,
         k: usize,
         n: usize,
@@ -553,7 +620,7 @@ mod tests {
                     for (jp, panel) in pb.chunks(kc * NR).enumerate() {
                         let j0 = jc + jp * NR;
                         let w = NR.min(jc + nc - j0);
-                        let acc = microkernel(kc, strip, panel);
+                        let acc = kernel(kc, strip, panel, 0, NR);
                         for (ii, acc_row) in acc.iter().enumerate().take(MR.min(m - i0)) {
                             let orow = &mut out[(i0 + ii) * n + j0..][..w];
                             for (o, &v) in orow.iter_mut().zip(acc_row) {
@@ -567,7 +634,7 @@ mod tests {
     }
 
     /// The three stored layouts of the slice-level entry points.
-    #[derive(Clone, Copy, Debug)]
+    #[derive(Clone, Copy, Debug, PartialEq)]
     enum Op {
         Nn,
         Tn,
@@ -680,12 +747,30 @@ mod tests {
         }
     }
 
-    /// `gemm_{nn,tn,nt}` give the reference driver's output to the bit —
-    /// accumulating into a non-zero `out` — on the model shapes at batch 10
-    /// and at the ragged last batch of 8, and on shapes ragged in every
-    /// tile dimension or spanning the KC/NC blocks.
-    #[test]
-    fn gemm_is_bit_identical_to_the_reference_packers() {
+    /// A micro-kernel body, as the tests hand it to the drivers.
+    type Kernel = fn(usize, &[f32], &[f32], usize, usize) -> [[f32; NR]; MR];
+
+    /// The bodies a host runs: the portable one, and the one this host
+    /// dispatches, which is the AVX2+FMA body where the CPU has it and the
+    /// portable one again elsewhere.
+    const BODIES: [(&str, Kernel); 2] = [
+        ("portable", microkernel_body::<false>),
+        ("dispatched", microkernel),
+    ];
+
+    /// Whether the dispatched body fuses its multiply-add. With
+    /// `x = 1 + 2⁻¹²`, `x² − (1 + 2⁻¹¹)` is exactly 2⁻²⁴, which a separate
+    /// multiply rounds away (`x²` rounds to `1 + 2⁻¹¹`).
+    fn dispatched_body_fuses() -> bool {
+        let x = 1.0 + 2f32.powi(-12);
+        let mut out = [0.0f32];
+        gemm_nn(1, 2, 1, &[1.0, x], &[-(1.0 + 2f32.powi(-11)), x], &mut out);
+        out[0] != 0.0
+    }
+
+    /// The model shapes at batch 10 and at the ragged last batch of 8, and
+    /// shapes ragged in every tile dimension or spanning the KC/NC blocks.
+    fn identity_shapes() -> Vec<(Op, usize, usize, usize)> {
         let mut shapes = model_shapes(10);
         shapes.extend(model_shapes(8));
         for op in Op::ALL {
@@ -702,17 +787,90 @@ mod tests {
                 shapes.push((op, m, k, n));
             }
         }
+        shapes
+    }
+
+    /// Each micro-kernel body the host supports, under `gemm_strided`,
+    /// gives the reference driver on that same body to the bit,
+    /// accumulating into a non-zero `out`; so does `gemm_{nn,tn,nt}`, on
+    /// the dispatched body. The portable body runs here on every host,
+    /// though an AVX2+FMA host never dispatches it. The reference packs
+    /// every `B` panel, so under `NN` and `TN` this pins the full panels
+    /// `gemm_strided` reads in place as well as the ragged ones it packs.
+    #[test]
+    fn gemm_is_bit_identical_to_the_reference_packers() {
+        let shapes = identity_shapes();
+        for op in [Op::Nn, Op::Tn] {
+            let mut ns = shapes.iter().filter(|s| s.0 == op).map(|s| s.3);
+            assert!(ns.clone().any(|n| n >= NR), "{op:?}: no full panel");
+            assert!(ns.any(|n| n % NR != 0), "{op:?}: no ragged panel");
+        }
         for (seed, &(op, m, k, n)) in shapes.iter().enumerate() {
             let seed = seed as u64 * 3;
             let (ars, acs, brs, bcs) = op.strides(m, k, n);
             let a = random_vec(m * k, seed);
             let b = random_vec(k * n, seed + 1);
             let start = random_vec(m * n, seed + 2);
+            for (name, body) in BODIES {
+                let mut got = start.clone();
+                let mut want = start.clone();
+                gemm_strided(body, m, k, n, &a, ars, acs, &b, brs, bcs, &mut got);
+                gemm_reference(body, m, k, n, &a, ars, acs, &b, brs, bcs, &mut want);
+                assert_eq!(bits(&got), bits(&want), "{name} {op:?} m={m} k={k} n={n}");
+            }
             let mut got = start.clone();
             let mut want = start;
             op.gemm(m, k, n, &a, &b, &mut got);
-            gemm_reference(m, k, n, &a, ars, acs, &b, brs, bcs, &mut want);
+            gemm_reference(microkernel, m, k, n, &a, ars, acs, &b, brs, bcs, &mut want);
             assert_eq!(bits(&got), bits(&want), "{op:?} m={m} k={k} n={n}");
         }
+    }
+
+    /// The portable body and the AVX2+FMA one differ only in rounding: a
+    /// fused multiply-add rounds once per k-step where the portable body
+    /// rounds twice. Every output element of the two lies within
+    /// `(2k + 1)·ε·(|c| + Σ_p |a_ip·b_pj|)` of each other (ε =
+    /// `f32::EPSILON`, `c` the value accumulated into): each is within
+    /// `(k + blocks)·ε/2` of that magnitude of the exact sum, one rounding
+    /// per k-step plus one per KC block's accumulate, and `blocks ≤ k`. The
+    /// largest gap on these shapes is about a ninth of the bound. The two
+    /// differ somewhere exactly when the dispatched body fuses; on a host
+    /// without FMA both are the portable body.
+    #[test]
+    fn portable_and_fma_bodies_agree_within_the_rounding_bound() {
+        let mut differ = 0;
+        for (seed, &(op, m, k, n)) in identity_shapes().iter().enumerate() {
+            let seed = seed as u64 * 3;
+            let (ars, acs, brs, bcs) = op.strides(m, k, n);
+            let a = random_vec(m * k, seed);
+            let b = random_vec(k * n, seed + 1);
+            let start = random_vec(m * n, seed + 2);
+            let mut portable = start.clone();
+            let mut fused = start.clone();
+            let body = microkernel_body::<false>;
+            gemm_strided(body, m, k, n, &a, ars, acs, &b, brs, bcs, &mut portable);
+            gemm_strided(microkernel, m, k, n, &a, ars, acs, &b, brs, bcs, &mut fused);
+            for i in 0..m {
+                for j in 0..n {
+                    let o = i * n + j;
+                    let magnitude = f64::from(start[o].abs())
+                        + (0..k)
+                            .map(|p| f64::from((a[i * ars + p * acs] * b[p * brs + j * bcs]).abs()))
+                            .sum::<f64>();
+                    let bound = (2 * k + 1) as f64 * f64::from(f32::EPSILON) * magnitude;
+                    let gap = f64::from((portable[o] - fused[o]).abs());
+                    assert!(
+                        gap <= bound,
+                        "{op:?} m={m} k={k} n={n} ({i},{j}): {gap} > {bound}"
+                    );
+                    differ += usize::from(portable[o].to_bits() != fused[o].to_bits());
+                }
+            }
+        }
+        assert_eq!(
+            differ > 0,
+            dispatched_body_fuses(),
+            "{differ} elements differ between the portable and the dispatched body"
+        );
     }
 }

@@ -66,9 +66,14 @@ cargo run -q --release --example quickstart
 echo "== kernels =="
 # The training kernels' own suites, which `cargo test -q` above does not
 # reach: GEMM edge tiles and the packers against their element-wise
-# references (bit for bit), im2col/col2im, the conv/dense/batch-norm
-# gradient checks, and `train_step` against forward + backward + step to
-# the bit for every architecture.
+# references (bit for bit), each GEMM micro-kernel body the host has (the
+# portable one on every host, AVX2+FMA where present) against a reference
+# driver on that same body, bit for bit, and the two bodies' agreement
+# within a stated rounding bound; max-pool against its runtime-window
+# reference loop (output bits and argmax, ties, NaN, odd sizes);
+# im2col/col2im, the conv/dense/batch-norm gradient checks, and
+# `train_step` against forward + backward + step to the bit for every
+# architecture.
 kernels_start=$(date +%s%N)
 cargo test -q -p fedclust-tensor -p fedclust-nn
 echo "kernels: stage took $((($(date +%s%N) - kernels_start) / 1000000)) ms"
