@@ -1,12 +1,13 @@
 //! `fedclust-worker` — a networked client-fleet process.
 //!
-//! A worker is stateless between units of work: it connects, replays the
-//! `run` argv the server ships in `Welcome` to rebuild the *identical*
-//! dataset, config, and model template, then pulls `(round, client)`
-//! units, trains them, and pushes the results back. All training
-//! randomness is keyed by `(seed, round, client)` — never by worker
-//! identity — so any worker can compute any unit at any attempt and the
-//! result is bit-identical to the in-process simulation.
+//! A worker carries nothing from one unit of work to the next that could
+//! reach a result: it connects, replays the `run` argv the server ships in
+//! `Welcome` to rebuild the *identical* dataset, config, and model, then
+//! pulls `(round, client)` units, trains each on that one model replica
+//! from the unit's own start state, and pushes the results back. All
+//! training randomness is keyed by `(seed, round, client)` — never by
+//! worker identity — so any worker can compute any unit at any attempt and
+//! the result is bit-identical to the in-process simulation.
 //!
 //! Workers are built to outlive the server: a dead or stalled connection
 //! (including a SIGKILLed server mid-round) is redialled under the shared
@@ -30,12 +31,14 @@ use crate::{build_config, build_dataset};
 
 /// Everything a worker derives from the server's `Welcome` argv. Cached
 /// across reconnects: the argv is canonical, so an unchanged argv means
-/// the dataset and template are still valid.
+/// the dataset and model are still valid.
 struct RunContext {
     argv: Vec<String>,
     fd: FederatedDataset,
     cfg: FlConfig,
-    template: Model,
+    /// The one model every unit of the session trains on: `train_unit`
+    /// loads each unit's start state into it.
+    replica: Model,
 }
 
 impl RunContext {
@@ -43,12 +46,12 @@ impl RunContext {
         let args = Args::parse(&argv).map_err(|e| format!("bad server argv: {}", e))?;
         let fd = build_dataset(&args)?;
         let cfg = build_config(&args);
-        let template = init_model(&fd, &cfg);
+        let replica = init_model(&fd, &cfg);
         Ok(RunContext {
             argv,
             fd,
             cfg,
-            template,
+            replica,
         })
     }
 }
@@ -132,7 +135,7 @@ fn session(
     if rebuild {
         *ctx_cache = Some(RunContext::build(argv)?);
     }
-    let ctx = ctx_cache.as_ref().expect("context just built");
+    let ctx = ctx_cache.as_mut().expect("context just built");
 
     loop {
         if write_msg(&mut stream, &Msg::PullWork).is_err() {
@@ -156,7 +159,7 @@ fn session(
                     prox_mu,
                 };
                 let upload = upload.start as usize..upload.end as usize;
-                let push = train_unit(&ctx.fd, &ctx.cfg, &ctx.template, upload, job, residual)?;
+                let push = train_unit(&ctx.fd, &ctx.cfg, &mut ctx.replica, upload, job, residual)?;
                 match send_push(&mut stream, &push, *pushes_done, die) {
                     Ok(()) => {
                         *pushes_done += 1;
@@ -230,9 +233,9 @@ mod tests {
         let argv = "run --method fedavg --clients 2 --samples-per-class 4 --rounds 1 --epochs 1 \
                     --codec delta+topk:0.1";
         let argv = argv.split_whitespace().map(String::from).collect();
-        let ctx = RunContext::build(argv).expect("a tiny run builds");
-        let len = ctx.template.state_len();
-        let run = |client, state_len: usize, residual_len: usize| {
+        let mut ctx = RunContext::build(argv).expect("a tiny run builds");
+        let len = ctx.replica.state_len();
+        let mut run = |client, state_len: usize, residual_len: usize| {
             let job = LocalJob {
                 start_state: &vec![0.0; state_len],
                 epochs: 1,
@@ -241,9 +244,10 @@ mod tests {
                 prox_mu: None,
             };
             let residual = vec![0.0; residual_len];
-            train_unit(&ctx.fd, &ctx.cfg, &ctx.template, 0..len, job, residual)
+            train_unit(&ctx.fd, &ctx.cfg, &mut ctx.replica, 0..len, job, residual)
         };
-        let rejected = |client, state_len| run(client, state_len, 0).expect_err("must be rejected");
+        let mut rejected =
+            |client, state_len| run(client, state_len, 0).expect_err("must be rejected");
         assert!(rejected(2, len).contains("client 2 with a state of"));
         assert!(rejected(2, len).contains("the dataset has 2 clients"));
         for state_len in [len - 1, len + 1, 0] {

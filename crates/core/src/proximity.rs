@@ -12,7 +12,7 @@ use fedclust_fl::engine::{train_replica, LocalJob};
 use fedclust_fl::FlConfig;
 use fedclust_nn::model::ParamBlock;
 use fedclust_nn::Model;
-use fedclust_tensor::distance::Metric;
+use fedclust_tensor::distance::{Metric, Pairwise};
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -93,22 +93,17 @@ pub fn collect_partial_weights_for(
 }
 
 /// Eq. 3: the m×m proximity matrix of pairwise distances between clients'
-/// partial weight vectors. Row `i`'s upper triangle (`j > i`) is one pool
-/// task; every distance runs on the thread that claimed its row.
+/// partial weight vectors, each entry the bits of [`Metric::eval`] on its
+/// pair. The vectors are copied once into [`Pairwise`]'s lane panels; row
+/// `i`'s upper triangle (`j > i`) is one pool task, run on the thread that
+/// claimed it.
 ///
 /// # Panics
 /// Panics if two of the vectors differ in length.
 pub fn proximity_matrix(weights: &[Vec<f32>], metric: Metric) -> ProximityMatrix {
     let n = weights.len();
-    let rows: Vec<Vec<f32>> = (0..n)
-        .into_par_iter()
-        .map(|i| {
-            weights[i + 1..]
-                .iter()
-                .map(|w| metric.eval(&weights[i], w))
-                .collect()
-        })
-        .collect();
+    let pairwise = Pairwise::new(metric, weights);
+    let rows: Vec<Vec<f32>> = (0..n).into_par_iter().map(|i| pairwise.row(i)).collect();
     // `from_fn` checks nothing: the NaN/∞ distances of non-finite weights
     // pass on, as they always have.
     ProximityMatrix::from_fn(n, |i, j| rows[i][j - i - 1])

@@ -77,7 +77,8 @@ pub trait RemoteTrainer: Send + Sync {
 
 /// The fleet without the sockets: every unit trains on this process's pool
 /// through the unit body a worker runs, and none is lost. Like a worker, it
-/// builds its own template.
+/// builds its own template, and each pool participant trains its units on
+/// one replica of it.
 pub struct InProcessTrainer<'a> {
     fd: &'a FederatedDataset,
     cfg: &'a FlConfig,
@@ -97,17 +98,20 @@ impl<'a> InProcessTrainer<'a> {
 
 impl RemoteTrainer for InProcessTrainer<'_> {
     /// One parallel map over the jobs, each with the residual the request
-    /// carries for it.
+    /// carries for it, on its participant's replica.
     fn train_remote(&self, req: RemoteRound) -> RemoteOutcome {
         let residuals = req
             .residuals
             .into_iter()
             .chain(std::iter::repeat(Vec::new()));
         let units: Vec<(LocalJob, Vec<f32>)> = req.jobs.iter().copied().zip(residuals).collect();
-        let updates = units.into_par_iter().map(|(job, residual)| {
-            let data = &self.fd.clients[job.client];
-            run_unit(data, self.cfg, &self.template, &req.upload, job, residual).0
-        });
+        let updates = units.into_par_iter().map_init(
+            || self.template.clone(),
+            |replica, (job, residual)| {
+                let data = &self.fd.clients[job.client];
+                run_unit(data, self.cfg, replica, &req.upload, job, residual).0
+            },
+        );
         RemoteOutcome {
             updates: updates.collect(),
             lost: Vec::new(),
@@ -116,20 +120,21 @@ impl RemoteTrainer for InProcessTrainer<'_> {
 }
 
 /// One unit, as a worker and [`InProcessTrainer`] both run it: train `job`
-/// on `data`, then send the `upload` slice of the trained state through the
-/// client half of the upload ([`codec::upload`]), against the same slice of
-/// the start state. `upload` must fit the start state. Returns the update
-/// and its wire message, if it was encoded.
+/// on `data` on `replica` ([`train_on`]), then send the `upload` slice of
+/// the trained state through the client half of the upload
+/// ([`codec::upload`]), against the same slice of the start state. `upload`
+/// must fit the start state. Returns the update and its wire message, if it
+/// was encoded.
 fn run_unit(
     data: &ClientData,
     cfg: &FlConfig,
-    template: &Model,
+    replica: &mut Model,
     upload: &Range<usize>,
     job: LocalJob,
     residual: Vec<f32>,
 ) -> (RemoteUpdate, Option<Vec<u8>>) {
-    let (model, steps) = train_replica(template, data, cfg, job);
-    let mut state = model.state_vec();
+    let steps = train_on(replica, data, cfg, job);
+    let mut state = replica.state_vec();
     if upload.len() < state.len() {
         // A copy, not the trained state cut down in place: a warm-up keeps
         // every client's slice, and each would hold a whole state's memory.
@@ -175,22 +180,23 @@ pub struct LocalJob<'a> {
 
 /// The worker's half of one [`RemoteRound`] unit, uploading the slice
 /// `upload` of the trained state: the unit body [`InProcessTrainer`] runs
-/// too, in a `Push` frame. A unit this side cannot train — a client `fd`
-/// does not have, a state `template` has no room for, an upload slice the
-/// state does not hold: a server built from another commit, or a hostile
-/// peer — is an error, never a panic. A residual of any length is
-/// trainable: the codec discards one of a stale shape, and FedClust's
-/// first full-state round legitimately carries the warm-up's
+/// too, in a `Push` frame, trained on `replica` (a worker keeps one for
+/// its session; each unit overwrites its state). A unit this side cannot
+/// train — a client `fd` does not have, a state `replica` has no room for,
+/// an upload slice the state does not hold: a server built from another
+/// commit, or a hostile peer — is an error, never a panic. A residual of
+/// any length is trainable: the codec discards one of a stale shape, and
+/// FedClust's first full-state round legitimately carries the warm-up's
 /// partial-weight one.
 pub fn train_unit(
     fd: &FederatedDataset,
     cfg: &FlConfig,
-    template: &Model,
+    replica: &mut Model,
     upload: Range<usize>,
     job: LocalJob,
     residual: Vec<f32>,
 ) -> Result<Msg, String> {
-    let (clients, state_len) = (fd.num_clients(), template.state_len());
+    let (clients, state_len) = (fd.num_clients(), replica.state_len());
     if job.client >= clients || job.start_state.len() != state_len {
         return Err(format!(
             "server sent client {} with a state of {} values, \
@@ -205,7 +211,7 @@ pub fn train_unit(
         ));
     }
     let data = &fd.clients[job.client];
-    let (update, wire) = run_unit(data, cfg, template, &upload, job, residual);
+    let (update, wire) = run_unit(data, cfg, replica, &upload, job, residual);
     let body = match wire {
         Some(wire) => PushBody::Encoded {
             wire,
@@ -373,15 +379,23 @@ pub fn train_replica(
     job: LocalJob,
 ) -> (Model, usize) {
     let mut model = template.clone();
-    model.set_state_vec(job.start_state);
+    let steps = train_on(&mut model, data, cfg, job);
+    (model, steps)
+}
+
+/// Train `replica` on `data` as `job` says, from `job.start_state` whatever
+/// it held before; returns the steps taken. What a model keeps besides its
+/// state is scratch (workspaces, caches, zeroed gradients), so a replica
+/// that trained or evaluated before trains to the bits a fresh clone does.
+fn train_on(replica: &mut Model, data: &ClientData, cfg: &FlConfig, job: LocalJob) -> usize {
+    replica.set_state_vec(job.start_state);
     let mut opt = Sgd::new(cfg.sgd());
     if let Some(mu) = job.prox_mu {
-        opt.set_prox(mu, model.param_tensors());
+        opt.set_prox(mu, replica.param_tensors());
     }
-    let steps = local_train(
-        &mut model, data, &mut opt, job.epochs, cfg, job.client, job.round,
-    );
-    (model, steps)
+    local_train(
+        replica, data, &mut opt, job.epochs, cfg, job.client, job.round,
+    )
 }
 
 /// [`local_train`] for methods that correct the gradient themselves
@@ -515,16 +529,23 @@ pub fn average_updates(updates: &[ClientUpdate], previous: &[f32]) -> Vec<f32> {
 }
 
 /// Evaluate every client's local test accuracy in parallel, with the state
-/// vector for client `i` provided by `state_of(i)`.
+/// vector for client `i` provided by `state_of(i)`. Each pool participant
+/// clones `template` once and loads each of its clients' states into that
+/// replica.
 pub fn evaluate_clients<'a, F>(fd: &FederatedDataset, template: &Model, state_of: F) -> Vec<f32>
 where
     F: Fn(usize) -> &'a [f32] + Sync,
 {
-    evaluate_models(fd, |client| {
-        let mut model = template.clone();
-        model.set_state_vec(state_of(client));
-        model
-    })
+    (0..fd.num_clients())
+        .into_par_iter()
+        .map_init(
+            || template.clone(),
+            |replica, client| {
+                replica.set_state_vec(state_of(client));
+                test_accuracy(replica, &fd.clients[client])
+            },
+        )
+        .collect()
 }
 
 /// [`evaluate_clients`] for methods whose per-client model is more than a
@@ -778,6 +799,127 @@ mod tests {
         );
     }
 
+    /// The thread-equivalence suite's conv shapes: LeNet-5 on CIFAR-10-like
+    /// data and ResNet-9 (batch norm, whose running statistics are state
+    /// too) on CIFAR-100-like data; four clients, the last with no training
+    /// data.
+    fn conv_setups() -> Vec<(FederatedDataset, FlConfig)> {
+        use fedclust_nn::models::ModelSpec;
+        [
+            (DatasetProfile::Cifar10Like, ModelSpec::LeNet5),
+            (DatasetProfile::Cifar100Like, ModelSpec::ResNet9),
+        ]
+        .into_iter()
+        .map(|(profile, model)| {
+            let mut fd = FederatedDataset::build(
+                profile,
+                Partition::LabelSkew { fraction: 0.3 },
+                &fedclust_data::federated::FederatedConfig {
+                    num_clients: 4,
+                    samples_per_class: 4,
+                    seed: 23,
+                },
+            );
+            fd.clients[3].train = fd.clients[3].train.subset(&[]);
+            let mut cfg = FlConfig::tiny(23);
+            cfg.model = model;
+            (fd, cfg)
+        })
+        .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A replica that has just trained from another state, loaded with a
+    /// client's state, gives that client's test split the logits (and so
+    /// the accuracy) a fresh clone gives it, to the bit; and
+    /// `evaluate_clients`, whose participants each load every client they
+    /// claim into one replica, equals fresh-clone evaluation.
+    #[test]
+    fn a_dirty_replica_evaluates_like_a_fresh_clone() {
+        for (fd, cfg) in conv_setups() {
+            let template = init_model(&fd, &cfg);
+            let theta = template.state_vec();
+            let n = fd.num_clients();
+            let states: Vec<Vec<f32>> = (0..n)
+                .map(|c| train_replica(&template, &fd.clients[c], &cfg, job(&theta, c)).0)
+                .map(|model| model.state_vec())
+                .collect();
+            let fresh = |c: usize| {
+                let mut model = template.clone();
+                model.set_state_vec(&states[c]);
+                model
+            };
+            let logits = |model: &mut Model, data: &ClientData| {
+                let indices: Vec<usize> = (0..data.test.len()).collect();
+                let (x, _) = data.test.batch(&indices);
+                bits(model.forward(x, false).data())
+            };
+            let mut dirty = template.clone();
+            for c in (0..n).filter(|&c| !fd.clients[c].test.is_empty()) {
+                let (from, on) = (&states[(c + 2) % n], (c + 1) % n);
+                train_on(&mut dirty, &fd.clients[on], &cfg, job(from, on));
+                dirty.set_state_vec(&states[c]);
+                let data = &fd.clients[c];
+                let tag = cfg.model.tag();
+                assert_eq!(
+                    logits(&mut dirty, data),
+                    logits(&mut fresh(c), data),
+                    "{tag} {c}"
+                );
+            }
+            let want: Vec<f32> = (0..n)
+                .map(|c| test_accuracy(&mut fresh(c), &fd.clients[c]))
+                .collect();
+            let got = evaluate_clients(&fd, &template, |c| &states[c]);
+            assert_eq!(bits(&got), bits(&want), "{}", cfg.model.tag());
+        }
+    }
+
+    /// `InProcessTrainer` trains all the units a participant claims on one
+    /// replica. A batch in which a FedProx unit and a client with no
+    /// training data follow units from other start states returns, unit by
+    /// unit, the states fresh replicas train: at one thread (one replica
+    /// for the whole batch) and at two.
+    #[test]
+    fn in_process_units_on_one_replica_equal_fresh_replicas() {
+        for (fd, cfg) in conv_setups() {
+            let template = init_model(&fd, &cfg);
+            let theta = template.state_vec();
+            let (other, _) = train_replica(&template, &fd.clients[1], &cfg, job(&theta, 1));
+            let other = other.state_vec();
+            let jobs = vec![
+                job(&theta, 0),
+                job(&other, 1),
+                LocalJob {
+                    prox_mu: Some(0.5),
+                    ..job(&theta, 2)
+                },
+                job(&other, 3),
+            ];
+            assert_eq!(fd.clients[3].train_samples(), 0);
+            let want: Vec<Vec<u32>> = jobs
+                .iter()
+                .map(|&j| train_replica(&template, &fd.clients[j.client], &cfg, j).0)
+                .map(|model| bits(&model.state_vec()))
+                .collect();
+            let trainer = InProcessTrainer::new(&fd, &cfg);
+            for threads in [1, 2] {
+                rayon::set_num_threads(threads);
+                let outcome = trainer.train_remote(RemoteRound {
+                    upload: 0..theta.len(),
+                    jobs: jobs.clone(),
+                    residuals: Vec::new(),
+                });
+                let got: Vec<Vec<u32>> = outcome.updates.iter().map(|u| bits(&u.state)).collect();
+                assert_eq!(got, want, "{} at {threads} threads", cfg.model.tag());
+            }
+            rayon::set_num_threads(1);
+        }
+    }
+
     const START: [f32; 4] = [0.5; 4];
 
     fn job(start_state: &[f32], client: usize) -> LocalJob<'_> {
@@ -950,9 +1092,9 @@ mod tests {
     fn train_slice(upload: Range<usize>) -> Result<usize, String> {
         let fd = tiny_fd(8);
         let cfg = FlConfig::tiny(8);
-        let template = init_model(&fd, &cfg);
-        let start = template.state_vec();
-        match train_unit(&fd, &cfg, &template, upload, job(&start, 1), Vec::new())? {
+        let mut replica = init_model(&fd, &cfg);
+        let start = replica.state_vec();
+        match train_unit(&fd, &cfg, &mut replica, upload, job(&start, 1), Vec::new())? {
             Msg::Push {
                 body: PushBody::Raw(state),
                 ..

@@ -22,7 +22,7 @@ use crate::driver::{Method, RoundCtx};
 use crate::engine::{average_updates, evaluate_clients};
 use fedclust_cluster::hac::{cluster_k, Linkage};
 use fedclust_cluster::ProximityMatrix;
-use fedclust_tensor::distance::cosine;
+use fedclust_tensor::distance::{Metric, Pairwise};
 
 /// Sattler-style clustered federated learning.
 #[derive(Debug, Clone, Copy)]
@@ -201,25 +201,23 @@ fn client_to_cluster(clusters: &[Cluster], num_clients: usize) -> Vec<usize> {
 /// updates. Members without a cached update follow group 0. Returns the
 /// new (split-off) cluster, or `None` if no usable bi-partition exists.
 fn split_cluster(cluster: &mut Cluster, last_update: &[Option<Vec<f32>>]) -> Option<Cluster> {
-    // Pair each member with its cached update up front, so the proximity
-    // closure below indexes proven-present updates instead of unwrapping.
-    let with_updates: Vec<(usize, &Vec<f32>)> = cluster
+    let (with_updates, updates): (Vec<usize>, Vec<&Vec<f32>>) = cluster
         .members
         .iter()
         .filter_map(|&c| last_update[c].as_ref().map(|u| (c, u)))
-        .collect();
-    if with_updates.len() < 2 {
+        .unzip();
+    if updates.len() < 2 {
         return None;
     }
-    let matrix = ProximityMatrix::from_fn(with_updates.len(), |i, j| {
-        cosine(with_updates[i].1, with_updates[j].1)
-    });
+    let pairwise = Pairwise::new(Metric::Cosine, &updates);
+    let rows: Vec<Vec<f32>> = (0..updates.len()).map(|i| pairwise.row(i)).collect();
+    let matrix = ProximityMatrix::from_fn(updates.len(), |i, j| rows[i][j - i - 1]);
     let labels = cluster_k(&matrix, Linkage::Complete, 2);
     let group1: Vec<usize> = with_updates
         .iter()
         .zip(&labels)
         .filter(|(_, &l)| l == 1)
-        .map(|(&(c, _), _)| c)
+        .map(|(&c, _)| c)
         .collect();
     if group1.is_empty() || group1.len() == with_updates.len() {
         return None;

@@ -73,7 +73,11 @@ echo "== kernels =="
 # reference loop (output bits and argmax, ties, NaN, odd sizes);
 # im2col/col2im, the conv/dense/batch-norm gradient checks, and
 # `train_step` against forward + backward + step to the bit for every
-# architecture.
+# architecture; and the pairwise oracle: Eq. 3's 16-lane builder
+# (`distance::Pairwise`) against `Metric::eval` on every pair, `to_bits`,
+# on both of its bodies (the portable one on every host, AVX2 where
+# present), L2 and cosine, NaN/±∞/−0.0/zero rows, with a rounding probe
+# that fails any reordered sum.
 kernels_start=$(date +%s%N)
 cargo test -q -p fedclust-tensor -p fedclust-nn
 echo "kernels: stage took $((($(date +%s%N) - kernels_start) / 1000000)) ms"
@@ -83,7 +87,9 @@ echo "== clustering =="
 # in the crates: the HAC oracle (the cached-minimum `agglomerative` against
 # the full-rescan reference, whole dendrograms, exact f32, ties included),
 # the non-finite-matrix pins and the cut properties in fedclust-cluster;
-# warm-up, proximity matrix, the λ rule and Algorithm 1/2 in fedclust.
+# warm-up, proximity matrix (every entry `Metric::eval`'s bits, through the
+# lane builder whose pairwise oracle on both bodies runs in "kernels"), the
+# λ rule and Algorithm 1/2 in fedclust.
 cluster_start=$(date +%s%N)
 cargo test -q -p fedclust-cluster -p fedclust
 echo "clustering: stage took $((($(date +%s%N) - cluster_start) / 1000000)) ms"
@@ -137,7 +143,11 @@ echo "networked federation: stage took $((($(date +%s%N) - net_start) / 1000000)
 echo "== thread equivalence =="
 # The suite sweeps thread counts inside each test, so one invocation is
 # the whole check. The pool's default and its clamp are pinned by the
-# vendored rayon crate's unit tests, with its panic and nesting tests.
+# vendored rayon crate's unit tests, with its panic and nesting tests and
+# `map_init`'s: index order at 1, 2, 4 and 7 threads, `init` at most once
+# per participant and never for an empty range, a panic's own payload
+# re-raised. (That a dirty replica evaluates and trains like a fresh
+# clone is fedclust-fl's engine suite, in "networked federation".)
 cargo test -q --test thread_equivalence
 cargo test -q -p rayon
 

@@ -15,7 +15,9 @@
 # between the two binaries; checks that this tree refuses `local` with
 # `--checkpoint-dir` (Local keeps no server state, and an older build may
 # have ignored the flag); and then round 0's other readers: the stdout of
-# `cluster` and `sweep --points 4`, plain and under the faulty link. Same host, same kernel dispatch, so FMA vs
+# `cluster` and `sweep --points 4`, plain and under the faulty link, at the
+# methods' 8 clients and at 40 (two full 16-pair lane blocks of the
+# proximity matrix and a ragged third). Same host, same kernel dispatch, so FMA vs
 # scalar rounding cannot confuse it. Exits non-zero on the first differing
 # byte.
 #
@@ -48,6 +50,8 @@ METHODS=(local fedavg fedprox fednova lg perfedavg cfl ifca pacfl scaffold feddy
 ROUNDS=6
 BASE=(--dataset fmnist --partition skew30 --clients 8 --epochs 1
   --samples-per-class 20 --seed 7 --threads 1 --json)
+WIDE=(--dataset fmnist --partition skew30 --clients 40 --epochs 1
+  --samples-per-class 100 --seed 7 --threads 1 --json)
 FAULTY=(--codec delta+topk:0.1 --uplink-loss 0.2 --downlink-loss 0.3 --retries 1
   --corrupt-rate 0.15 --straggler-rate 0.3 --straggler-delay 1.0 --deadline 1.5)
 
@@ -125,12 +129,17 @@ for side in ours theirs; do
   cli $side "$d/cluster-faulty.$side" cluster "${BASE[@]}" "${FAULTY[@]}"
   cli $side "$d/sweep.$side" sweep --points 4 "${BASE[@]}"
   cli $side "$d/sweep-faulty.$side" sweep --points 4 "${BASE[@]}" "${FAULTY[@]}"
+  cli $side "$d/cluster-40.$side" cluster "${WIDE[@]}"
+  cli $side "$d/cluster-40-faulty.$side" cluster "${WIDE[@]}" "${FAULTY[@]}"
+  cli $side "$d/sweep-40.$side" sweep --points 4 "${WIDE[@]}"
+  cli $side "$d/sweep-40-faulty.$side" sweep --points 4 "${WIDE[@]}" "${FAULTY[@]}"
 done
-for what in cluster cluster-faulty sweep sweep-faulty; do
+for what in cluster cluster-faulty sweep sweep-faulty \
+  cluster-40 cluster-40-faulty sweep-40 sweep-40-faulty; do
   same "$what" "$d/$what.ours" "$d/$what.theirs"
 done
-echo "   cluster, sweep: identical"
+echo "   cluster, sweep at 8 and 40 clients: identical"
 
 echo "OK: ${#METHODS[@]} methods x {plain, codec+faults}, $resumed x checkpoint+resume, cluster and" \
-  "sweep x {plain, codec+faults}: $compared comparisons against $COMMIT, 0 differing bytes;" \
-  "local --checkpoint-dir refused"
+  "sweep x {plain, codec+faults} x {8, 40} clients: $compared comparisons against $COMMIT," \
+  "0 differing bytes; local --checkpoint-dir refused"

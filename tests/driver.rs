@@ -103,10 +103,12 @@ impl RemoteTrainer for InProcessFleet<'_> {
         self.most_start_states
             .fetch_max(start_states.len(), Ordering::Relaxed);
         let mut residuals = std::mem::take(&mut req.residuals).into_iter();
+        // One replica for the whole call, as a worker keeps one for its session.
+        let mut replica = self.template.clone();
         let pushes = req.jobs.iter().map(|&job| {
             let residual = residuals.next().unwrap_or_default();
             let upload = req.upload.clone();
-            let push = train_unit(self.fd, &self.cfg, &self.template, upload, job, residual);
+            let push = train_unit(self.fd, &self.cfg, &mut replica, upload, job, residual);
             (
                 job.client,
                 push.expect("the server's own units are trainable"),
