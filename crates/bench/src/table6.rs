@@ -143,9 +143,11 @@ pub fn run(knobs: &Knobs) -> Newcomers {
             // Each clustered method's choice for every newcomer, by its own
             // rule. IFCA keeps no membership, so its federated clients are
             // placed the way it evaluates them.
-            let ifca_of = |data| Ifca::best_cluster(&template, &ifca, data);
-            let ifca_labels: Vec<usize> = fd.clients.par_iter().map(ifca_of).collect();
-            let ifca_choice: Vec<usize> = newcomers.par_iter().map(ifca_of).collect();
+            let ifca_of = |replica: &mut _, data| Ifca::best_cluster(replica, &ifca, data);
+            let replica = || template.clone();
+            let ifca_labels: Vec<usize> =
+                fd.clients.par_iter().map_init(replica, ifca_of).collect();
+            let ifca_choice: Vec<usize> = newcomers.par_iter().map_init(replica, ifca_of).collect();
             let pacfl_choice: Vec<usize> = newcomers
                 .par_iter()
                 .map(|nc| pacfl_art.nearest_cluster(&pacfl.client_basis(nc)))

@@ -39,7 +39,7 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use fedclust_fl::engine::{settle, RemoteOutcome, RemoteRound, RemoteTrainer};
+use fedclust_fl::engine::{settle, LocalRule, RemoteOutcome, RemoteRound, RemoteTrainer};
 use fedclust_proto::{read_msg, write_msg, Msg, RetryPolicy, PROTO_VERSION};
 
 use crate::coordinator::{Coordinator, Outcome, Pull, Unit};
@@ -258,11 +258,14 @@ impl RemoteTrainer for NetTrainer {
                         state
                     }
                 };
+                let LocalRule::Sgd(prox_mu) = job.rule else {
+                    unreachable!("`serve` refuses every method that trains by {:?}", job.rule)
+                };
                 Unit {
                     round: job.round as u32,
                     client: job.client as u32,
                     epochs: job.epochs as u32,
-                    prox_mu: job.prox_mu,
+                    prox_mu,
                     upload: upload.clone(),
                     state,
                     residual: residuals.next().unwrap_or_default(),

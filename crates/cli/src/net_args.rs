@@ -76,9 +76,10 @@ impl ServeArgs {
         let Some(m) = find_method(method) else {
             return bad(format!("unknown method '{}'", method));
         };
-        // A method that trains clients itself (to keep per-client state,
-        // e.g. SCAFFOLD's control variates) would silently train on the
-        // server, so it is rejected up front.
+        // A `Work` frame carries plain SGD only: a method with another
+        // local rule (SCAFFOLD's control variates, LG's kept state, …) or
+        // client work outside its units is rejected here, before any of
+        // its units can reach the fleet.
         if !m.distributes() {
             let networked: Vec<String> = all_methods()
                 .iter()

@@ -19,7 +19,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use fedclust_data::FederatedDataset;
-use fedclust_fl::engine::{init_model, train_unit, LocalJob};
+use fedclust_fl::engine::{init_model, train_unit, LocalJob, LocalRule};
 use fedclust_fl::faults::CRASH_EXIT_CODE;
 use fedclust_fl::FlConfig;
 use fedclust_nn::Model;
@@ -156,7 +156,7 @@ fn session(
                     epochs: epochs as usize,
                     client: client as usize,
                     round: round as usize,
-                    prox_mu,
+                    rule: LocalRule::Sgd(prox_mu),
                 };
                 let upload = upload.start as usize..upload.end as usize;
                 let push = train_unit(&ctx.fd, &ctx.cfg, &mut ctx.replica, upload, job, residual)?;
@@ -241,7 +241,7 @@ mod tests {
                 epochs: 1,
                 client,
                 round: 0,
-                prox_mu: None,
+                rule: LocalRule::Sgd(None),
             };
             let residual = vec![0.0; residual_len];
             train_unit(&ctx.fd, &ctx.cfg, &mut ctx.replica, 0..len, job, residual)

@@ -15,7 +15,7 @@
 
 use crate::algorithm::TrainedFederation;
 use fedclust_data::ClientData;
-use fedclust_fl::engine::{train_replica, LocalJob};
+use fedclust_fl::engine::{train_replica, LocalJob, LocalRule};
 use fedclust_fl::FlConfig;
 
 /// Assign a newcomer to the closest cluster by partial-weight distance,
@@ -51,7 +51,7 @@ pub fn assign_newcomer(
         epochs: federation.method.warmup_epochs,
         client: 1_000_000 + newcomer_id, // distinct rng stream from federation clients
         round: 0,
-        prox_mu: None,
+        rule: LocalRule::Sgd(None),
     };
     let (probe, _) = train_replica(&federation.template, newcomer, cfg, warmup);
     assign_cluster(federation, &federation.method.selection.extract(&probe))
@@ -165,7 +165,7 @@ mod tests {
                 epochs,
                 client: 1_000_000,
                 round: 0,
-                prox_mu: None,
+                rule: LocalRule::Sgd(None),
             };
             let (probe, _) = train_replica(&federation.template, &newcomers[0], &cfg, warmup);
             WeightSelection::FinalLayer.extract(&probe)

@@ -8,7 +8,7 @@
 
 use fedclust_cluster::ProximityMatrix;
 use fedclust_data::FederatedDataset;
-use fedclust_fl::engine::{train_replica, LocalJob};
+use fedclust_fl::engine::{train_replica, LocalJob, LocalRule};
 use fedclust_fl::FlConfig;
 use fedclust_nn::model::ParamBlock;
 use fedclust_nn::Model;
@@ -84,7 +84,7 @@ pub fn collect_partial_weights_for(
                 epochs: warmup_epochs,
                 client,
                 round: 0, // warm-up is round 0
-                prox_mu: None,
+                rule: LocalRule::Sgd(None),
             };
             let (model, _) = train_replica(template, &fd.clients[client], cfg, job);
             (client, selection.extract(&model))

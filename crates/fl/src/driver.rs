@@ -9,24 +9,25 @@
 //!
 //! [`RoundCtx`] is a method's one door to its clients: sampling, every
 //! broadcast and every trainer call happen in its methods, so a method's
-//! `round` is `RoundCtx` calls plus its own arithmetic. In-process vs
-//! networked is a value, not ambient state: the host passes an optional
+//! `round` is `RoundCtx` calls plus its own arithmetic. Every client of
+//! every method trains as a unit, by the method's [`LocalRule`], and every
+//! upload is received by [`crate::Transport::receive_remote`]. In-process
+//! vs networked is a value, not ambient state: the host passes an optional
 //! [`RemoteTrainer`], the driver puts an [`InProcessTrainer`] in its place
 //! when there is none and carries the one trainer in [`RoundCtx`], and
-//! one training batch, behind both [`RoundCtx::train_groups`] and
+//! one training batch, behind both [`RoundCtx::train_reached`] and
 //! [`RoundCtx::warm_up`], is the only call to it.
 
 use crate::checkpoint::{Checkpoint, CheckpointError, Checkpointer, MethodState};
 use crate::config::FlConfig;
 use crate::engine::{
     average_accuracy, average_updates, init_model, sample_clients, ClientUpdate, InProcessTrainer,
-    LocalJob, RemoteRound, RemoteTrainer,
+    LocalJob, LocalRule, RemoteRound, RemoteTrainer,
 };
 use crate::faults::Transport;
 use crate::metrics::{RoundRecord, RunResult};
 use fedclust_data::FederatedDataset;
 use fedclust_nn::Model;
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::ops::Range;
@@ -67,86 +68,102 @@ impl<'a> RoundCtx<'a> {
     /// One full faulty round trip for the standard skeleton: sample at
     /// `round`, broadcast `start_state` through the transport (charging
     /// every downlink attempt), train the clients that were actually
-    /// reached on the run's trainer, then take each update through the
-    /// uplink codec + fault + quarantine screen. The broadcast state doubles
-    /// as the codec's delta reference. The returned survivor set may be
-    /// empty; callers carry the previous model forward then. This is
-    /// [`RoundCtx::train_groups`] for a round with one model.
+    /// reached by `rule` on the run's trainer, then take each update through
+    /// the uplink codec + fault + quarantine screen. The broadcast state
+    /// doubles as the codec's delta reference. The returned survivor set may
+    /// be empty; callers carry the previous model forward then.
     pub fn train_round(
         &mut self,
         start_state: &[f32],
         round: usize,
-        prox_mu: Option<f32>,
+        rule: LocalRule<'_>,
     ) -> Vec<ClientUpdate> {
-        let sampled = sample_clients(self.fd.num_clients(), self.cfg, round);
-        let mut trained = self.train_groups(&[(start_state, &sampled)], round, prox_mu);
+        let reached = self.reach(round, start_state.len());
+        let upload = 0..start_state.len();
+        let (mut trained, _) =
+            self.train_reached(vec![(start_state, reached)], round, upload, |_| rule);
         trained.pop().unwrap_or_default()
     }
 
     /// The round trip of [`RoundCtx::train_round`] for a round with several
-    /// models: each group is `(start_state, members)` — non-empty, and no
-    /// client in two groups — and comes back as its own survivor set.
-    /// Groups share nothing, so all of them train as **one batch**: one
-    /// [`RemoteRound`] with every unit in flight, on this process's pool or
-    /// over the fleet. Only the training is flattened. Each group is
-    /// broadcast, and later received, on its own and in group order — the
-    /// liveness rule, the codec reference, the quarantine length and every
-    /// `(seed, round, client)` fault stream are per group — so the meter,
-    /// telemetry and residuals read exactly as if the groups had taken
-    /// turns (down and up bytes accumulate apart, the rest are counters and
-    /// a per-client map, so doing every broadcast first moves no byte).
+    /// models, all trained by plain SGD: each group is `(start_state,
+    /// members)` — non-empty, and no client in two groups — and comes back
+    /// as its own survivor set. Each group is broadcast on its own and in
+    /// group order (the liveness rule counts a group's members), then all
+    /// train in one [`RoundCtx::train_reached`] batch. Doing every broadcast
+    /// first moves no byte: down and up bytes accumulate apart, the rest are
+    /// counters and a per-client map.
     pub fn train_groups(
         &mut self,
         groups: &[(&[f32], &[usize])],
         round: usize,
-        prox_mu: Option<f32>,
     ) -> Vec<Vec<ClientUpdate>> {
         let transport = &mut self.transport;
         let reached = groups
             .iter()
             .map(|&(state, members)| (state, transport.broadcast(round, members, state.len())))
             .collect();
-        self.train_reached(reached, round, prox_mu)
+        let upload = 0..self.template.state_len();
+        let (trained, _) = self.train_reached(reached, round, upload, |_| LocalRule::Sgd(None));
+        trained
     }
 
-    /// [`RoundCtx::train_groups`] after its broadcast: every group is
-    /// `(start_state, clients the downlink reached)`, by whatever broadcast
-    /// reached them — IFCA's bundle of all k models reaches a client before
-    /// it picks the group it trains in.
-    pub(crate) fn train_reached(
+    /// Sample the clients of `round` and broadcast `down` scalars to each
+    /// (charging every attempt, reaching at least one): the clients the
+    /// downlink reached, in client order. For methods whose downlink is not
+    /// one start state — SCAFFOLD's model and control variate, LG's global
+    /// tail, IFCA's k models — before [`RoundCtx::train_reached`].
+    pub fn reach(&mut self, round: usize, down: usize) -> Vec<usize> {
+        let sampled = sample_clients(self.fd.num_clients(), self.cfg, round);
+        self.transport.broadcast(round, &sampled, down)
+    }
+
+    /// Train every group `(start_state, clients the downlink reached)` as
+    /// **one batch** — one [`RemoteRound`] with every unit in flight, on
+    /// this process's pool or over the fleet — client `c` by `rule_of(c)`,
+    /// each uploading the slice `upload` of its state (or what its rule
+    /// uploads instead). Only the training is flattened: each group is
+    /// received on its own and in group order — the codec reference, the
+    /// quarantine length and every `(seed, round, client)` fault stream are
+    /// per group — so the meter, telemetry and residuals read exactly as if
+    /// the groups had taken turns. Returns each group's survivor set, and
+    /// `(client, what it keeps)` for every client whose trainer delivered,
+    /// whatever its upload's fate: the client cannot know it.
+    pub fn train_reached<'r>(
         &mut self,
-        reached: Vec<(&[f32], Vec<usize>)>,
+        groups: Vec<(&[f32], Vec<usize>)>,
         round: usize,
-        prox_mu: Option<f32>,
-    ) -> Vec<Vec<ClientUpdate>> {
-        let (epochs, upload) = (self.cfg.local_epochs, 0..self.template.state_len());
-        self.train_batch(reached, round, epochs, upload, prox_mu)
+        upload: Range<usize>,
+        rule_of: impl Fn(usize) -> LocalRule<'r>,
+    ) -> Trained {
+        let epochs = self.cfg.local_epochs;
+        self.train_batch(groups, round, epochs, upload, rule_of)
     }
 
-    /// One batch on the run's trainer: every reached client of every group
-    /// trains `epochs` epochs from its group's start state and uploads the
-    /// slice `upload` of its trained state. Each group's uploads then go
-    /// through the server half of the uplink (charge, faults, screen), the
-    /// same slice of its start state being a corrupted upload's stale one.
-    fn train_batch(
+    /// [`RoundCtx::train_reached`] for `epochs` epochs. Each group's
+    /// uploads go through the server half of the uplink (charge, faults,
+    /// screen), the rule's reference — the same slice of the group's start
+    /// state, or none — being a corrupted upload's stale one.
+    fn train_batch<'r>(
         &mut self,
-        reached: Vec<(&[f32], Vec<usize>)>,
+        groups: Vec<(&[f32], Vec<usize>)>,
         round: usize,
         epochs: usize,
         upload: Range<usize>,
-        prox_mu: Option<f32>,
-    ) -> Vec<Vec<ClientUpdate>> {
+        rule_of: impl Fn(usize) -> LocalRule<'r>,
+    ) -> Trained {
         let transport = &mut self.transport;
-        let job = |start_state, &client| LocalJob {
-            start_state,
-            epochs,
-            client,
-            round,
-            prox_mu,
-        };
-        let jobs: Vec<LocalJob> = reached
+        let jobs: Vec<LocalJob> = groups
             .iter()
-            .flat_map(|(state, clients)| clients.iter().map(|c| job(*state, c)))
+            .flat_map(|(start_state, clients)| {
+                clients.iter().map(|&client| LocalJob {
+                    start_state,
+                    epochs,
+                    client,
+                    round,
+                    rule: rule_of(client),
+                })
+            })
             .collect();
         let residuals = jobs
             .iter()
@@ -157,10 +174,15 @@ impl<'a> RoundCtx<'a> {
             jobs,
             residuals,
         });
+        let mut updates = outcome.updates;
+        let kept = updates
+            .iter_mut()
+            .map(|u| (u.client, std::mem::take(&mut u.kept)))
+            .collect();
         // What was delivered is a subsequence of the jobs, which run group
         // by group: each group takes its own off the front.
-        let mut updates = outcome.updates.into_iter().peekable();
-        let received = reached.iter().map(|(state, clients)| {
+        let mut updates = updates.into_iter().peekable();
+        let received = groups.iter().map(|(state, clients)| {
             let lost = outcome.lost.iter().copied();
             let lost: Vec<usize> = lost.filter(|c| clients.contains(c)).collect();
             transport.record_remote_losses(&lost);
@@ -168,9 +190,14 @@ impl<'a> RoundCtx<'a> {
                 .iter()
                 .filter_map(|&c| updates.next_if(|u| u.client == c))
                 .collect();
-            transport.receive_remote(round, delivered, Some(&state[upload.clone()]))
+            // A method trains a round by one kind of rule: any member's
+            // tells the group's reference.
+            let stale = clients
+                .first()
+                .and_then(|&c| rule_of(c).reference(state, &upload));
+            transport.receive_remote(round, delivered, stale)
         });
-        received.collect()
+        (received.collect(), kept)
     }
 
     /// The sampled clients of each cluster that has any, trained from
@@ -189,7 +216,7 @@ impl<'a> RoundCtx<'a> {
             .iter()
             .map(|(&ci, members)| (state_of(ci), &members[..]))
             .collect();
-        let trained = self.train_groups(&groups, round, None);
+        let trained = self.train_groups(&groups, round);
         let members = members.into_iter().zip(trained);
         members.map(|((ci, m), u)| (ci, m, u)).collect()
     }
@@ -203,24 +230,6 @@ impl<'a> RoundCtx<'a> {
         for (ci, _, updates) in self.train_clusters(round, labels, |ci| &states[ci]) {
             states[ci] = average_updates(&updates, &states[ci]);
         }
-    }
-
-    /// The round trip for methods that train clients themselves: sample at
-    /// `round`, broadcast `down` scalars to each sampled client (charging
-    /// every attempt, reaching at least one), and run `work(ctx, client)`
-    /// for every client the downlink reached, in one parallel map. Returns
-    /// `(client, work)` in client order; uploads go through
-    /// [`RoundCtx::upload`].
-    pub fn on_clients<T: Send>(
-        &mut self,
-        round: usize,
-        down: usize,
-        work: impl Fn(&RoundCtx<'a>, usize) -> T + Sync,
-    ) -> Vec<(usize, T)> {
-        let sampled = sample_clients(self.fd.num_clients(), self.cfg, round);
-        let reached = self.transport.broadcast(round, &sampled, down);
-        let ctx = &*self;
-        reached.par_iter().map(|&c| (c, work(ctx, c))).collect()
     }
 
     /// Round 0's warm-up (FedClust, Algorithm 1 lines 2–5): broadcast
@@ -238,29 +247,16 @@ impl<'a> RoundCtx<'a> {
     ) -> Vec<ClientUpdate> {
         let everyone: Vec<usize> = (0..self.fd.num_clients()).collect();
         let reached = self.transport.broadcast(0, &everyone, start_state.len());
-        let mut warmed = self.train_batch(vec![(start_state, reached)], 0, epochs, upload, None);
+        let rule = |_| LocalRule::Sgd(None);
+        let (mut warmed, _) =
+            self.train_batch(vec![(start_state, reached)], 0, epochs, upload, rule);
         warmed.pop().unwrap_or_default()
     }
-
-    /// Upload `payload` from `client` for methods that train clients
-    /// themselves: through the codec (against `reference`, the state both
-    /// ends share, which is also what a stale corruption replays), the
-    /// fault model and the quarantine screen. Replaces `payload` with what
-    /// the server reconstructs; `false` means it never arrived or was
-    /// quarantined.
-    pub fn upload(
-        &mut self,
-        round: usize,
-        client: usize,
-        payload: &mut Vec<f32>,
-        reference: Option<&[f32]>,
-    ) -> bool {
-        let len = payload.len();
-        self.transport
-            .uplink(round, client, payload, reference, reference)
-            && self.transport.screen(payload, len)
-    }
 }
+
+/// What [`RoundCtx::train_reached`] returns: each group's survivor set, and
+/// `(client, what it keeps)` for every client whose trainer delivered.
+pub type Trained = (Vec<Vec<ClientUpdate>>, Vec<(usize, Vec<f32>)>);
 
 /// `(client, cluster)` pairs grouped by cluster: clusters ascending, each
 /// with its clients in the order given.
@@ -283,13 +279,12 @@ pub trait Method {
     /// Display name, matching the paper's tables (e.g. `"FedAvg"`); also
     /// the identity a checkpoint is matched against.
     const NAME: &'static str;
-    /// Whether *all* client work goes through [`RoundCtx::train_groups`] —
-    /// directly, or as [`RoundCtx::train_round`],
-    /// [`RoundCtx::train_clusters`] or [`RoundCtx::cluster_round`] — or,
-    /// for a round-0 warm-up, [`RoundCtx::warm_up`], so a worker fleet can
-    /// carry it. A method with work in [`RoundCtx::on_clients`], e.g. to
-    /// keep per-client state, would silently run it on the server, and
-    /// must say `false`.
+    /// Whether a worker fleet can carry *all* of the method's client work:
+    /// every unit it trains is [`LocalRule::Sgd`], the one rule a `Work`
+    /// frame carries, and it does no client work outside the units. A
+    /// method whose clients keep state (SCAFFOLD's `c_i`, FedDyn's `λ_i`,
+    /// LG's local layers), take another step (Per-FedAvg) or choose their
+    /// model first (IFCA) says `false`, and `fedclustd` refuses it.
     const DISTRIBUTES: bool = false;
     /// Whether [`Method::init`] computes one-shot state worth a
     /// checkpoint of its own (generation 0) before any round has run,
@@ -549,58 +544,11 @@ mod tests {
         let trainer = InProcessTrainer::new(&fd, &cfg);
         let mut ctx = RoundCtx::new(&fd, &cfg, &trainer);
         let s = ctx.template.state_vec();
-        let kept = ctx.train_groups(&[(&s, &[0, 1, 2])], 0, None).remove(0);
+        let kept = ctx.train_groups(&[(&s, &[0, 1, 2])], 0).remove(0);
         assert!(kept.is_empty(), "total uplink loss must lose every update");
         let items: Vec<(&[f32], f32)> = kept.iter().map(|u| (&u.state[..], u.weight)).collect();
         assert_eq!(weighted_average_or(&items, &s), s, "model carried forward");
         assert!(ctx.transport.telemetry().uplink_losses >= 3);
-    }
-
-    /// Client work runs on exactly the clients the downlink reached — in a
-    /// round that missed some — and comes back in client order, and every
-    /// downlink attempt, retries and failures included, is billed `down`
-    /// scalars.
-    #[test]
-    fn on_clients_works_on_exactly_the_reached_clients() {
-        let fd = tiny_fd(8);
-        let mut cfg = FlConfig::tiny(8);
-        cfg.sample_rate = 1.0;
-        cfg.faults.downlink_loss = 0.6;
-        cfg.faults.max_downlink_retries = 1;
-        let trainer = InProcessTrainer::new(&fd, &cfg);
-        let ctx = || RoundCtx::new(&fd, &cfg, &trainer);
-        let down = 7;
-        let sampled = |round| sample_clients(fd.num_clients(), &cfg, round);
-        let partly_reached = |round| {
-            let reached = ctx().transport.broadcast(round, &sampled(round), down);
-            (reached.len() >= 2 && reached.len() < sampled(round).len()).then_some((round, reached))
-        };
-        let (round, reached) = (0..64).find_map(partly_reached).unwrap();
-
-        let mut ctx = ctx();
-        let worked_on = std::sync::Mutex::new(Vec::new());
-        let worked = ctx.on_clients(round, down, |ctx, client| {
-            worked_on.lock().unwrap().push(client);
-            ctx.fd.clients[client].train_samples()
-        });
-        let mut worked_on = worked_on.into_inner().unwrap();
-        worked_on.sort_unstable();
-        assert_eq!(
-            worked_on, reached,
-            "work ran on exactly the reached clients"
-        );
-        let clients: Vec<usize> = worked.iter().map(|&(c, _)| c).collect();
-        assert_eq!(clients, reached, "in client order");
-        for (c, samples) in worked {
-            assert_eq!(
-                samples,
-                fd.clients[c].train_samples(),
-                "client {c}'s own work"
-            );
-        }
-        let attempts = sampled(round).len() + ctx.transport.telemetry().retries;
-        let billed = ctx.transport.meter().downlink_bytes();
-        assert_eq!(billed, (attempts * down * 4) as f64);
     }
 
     /// Everything a round trip leaves behind that a later byte could
@@ -646,9 +594,7 @@ mod tests {
         let fates = |round| {
             let mut probe = ctx();
             let reached = probe.transport.broadcast(round, &everyone, theta.len());
-            let arrived = probe
-                .train_groups(&[(&theta, &reached)], round, None)
-                .remove(0);
+            let arrived = probe.train_groups(&[(&theta, &reached)], round).remove(0);
             let arrived = |c: &usize| arrived.iter().any(|u| u.client == *c);
             let (unreached, rest): (Vec<usize>, Vec<usize>) =
                 everyone.iter().partition(|c| !reached.contains(c));
@@ -673,10 +619,10 @@ mod tests {
             rayon::set_num_threads(threads);
             let (mut batch, mut turns) = (ctx(), ctx());
             for r in rounds {
-                let together = batch.train_groups(&groups, r, None);
+                let together = batch.train_groups(&groups, r);
                 let in_turn: Vec<_> = groups
                     .iter()
-                    .map(|&group| turns.train_groups(&[group], r, None).remove(0))
+                    .map(|&group| turns.train_groups(&[group], r).remove(0))
                     .collect();
                 if r == round {
                     let clients = |g: &Vec<ClientUpdate>| g.iter().map(|u| u.client).collect();

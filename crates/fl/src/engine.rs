@@ -54,6 +54,9 @@ pub struct RemoteUpdate {
     pub wire_bytes: Option<usize>,
     /// The advanced error-feedback residual (top-k codecs only).
     pub residual: Option<Vec<f32>>,
+    /// What the client keeps from its training, whatever the upload's
+    /// fate (its [`LocalRule`] says what; empty for most rules).
+    pub kept: Vec<f32>,
 }
 
 /// What came back from a remote round: updates in request-client order,
@@ -120,11 +123,12 @@ impl RemoteTrainer for InProcessTrainer<'_> {
 }
 
 /// One unit, as a worker and [`InProcessTrainer`] both run it: train `job`
-/// on `data` on `replica` ([`train_on`]), then send the `upload` slice of
-/// the trained state through the client half of the upload
-/// ([`codec::upload`]), against the same slice of the start state. `upload`
-/// must fit the start state. Returns the update and its wire message, if it
-/// was encoded.
+/// on `data` on `replica` ([`train_on`]), then send what its rule uploads —
+/// the `upload` slice of the trained state, which must fit the start state,
+/// unless the rule says otherwise — through the client half of the upload
+/// ([`codec::upload`]), against [`LocalRule::reference`]. What the client
+/// keeps and uploads is made from the raw trained state, before the codec.
+/// Returns the update and its wire message, if it was encoded.
 fn run_unit(
     data: &ClientData,
     cfg: &FlConfig,
@@ -134,20 +138,39 @@ fn run_unit(
     residual: Vec<f32>,
 ) -> (RemoteUpdate, Option<Vec<u8>>) {
     let steps = train_on(replica, data, cfg, job);
-    let mut state = replica.state_vec();
-    if upload.len() < state.len() {
-        // A copy, not the trained state cut down in place: a warm-up keeps
-        // every client's slice, and each would hold a whole state's memory.
-        state = state[upload.clone()].to_vec();
-    }
+    let (start, mut state) = (job.start_state, replica.state_vec());
+    // A copy, not the trained state cut down in place: a warm-up keeps
+    // every client's slice, and each would hold a whole state's memory.
+    let cut = |state: Vec<f32>| {
+        if upload.len() < state.len() {
+            state[upload.clone()].to_vec()
+        } else {
+            state
+        }
+    };
+    let (state, kept) = match job.rule {
+        LocalRule::Sgd(_) | LocalRule::Maml { .. } => (cut(state), Vec::new()),
+        LocalRule::SgdKept => (state[upload.clone()].to_vec(), state),
+        LocalRule::FedDyn { alpha, lambda_i } => {
+            let duals = lambda_i.iter().zip(state.iter().zip(start));
+            let kept = duals.map(|(l, (w, g))| l - alpha * (w - g)).collect();
+            (cut(state), kept)
+        }
+        LocalRule::Scaffold { c, c_i } => {
+            let k_eta = (steps.max(1) as f32) * cfg.lr;
+            let new_ci: Vec<f32> = (0..c.len())
+                .map(|j| c_i[j] - c[j] + (start[j] - state[j]) / k_eta)
+                .collect();
+            for (w, s) in state[..c.len()].iter_mut().zip(start) {
+                *w -= s;
+            }
+            state.extend(new_ci.iter().zip(c_i).map(|(a, b)| a - b));
+            (state, new_ci)
+        }
+    };
+    let reference = job.rule.reference(start, upload);
     let (state, wire, residual) = codec::upload(
-        cfg.codec,
-        cfg.seed,
-        job.round,
-        job.client,
-        state,
-        Some(&job.start_state[upload.clone()]),
-        residual,
+        cfg.codec, cfg.seed, job.round, job.client, state, reference, residual,
     );
     let update = RemoteUpdate {
         client: job.client,
@@ -156,13 +179,14 @@ fn run_unit(
         state,
         wire_bytes: wire.as_ref().map(Vec::len),
         residual,
+        kept,
     };
     (update, wire)
 }
 
-/// One client's local training: `epochs` epochs of the run's SGD from
-/// `start_state` (with FedProx's proximal term when `prox_mu` is set), its
-/// minibatches drawn from [`local_train`]'s `(client, round)` stream.
+/// One client's local training: `epochs` epochs of `rule`'s local step
+/// from `start_state`, its minibatches drawn from [`local_train`]'s
+/// `(client, round)` stream.
 #[derive(Clone, Copy)]
 pub struct LocalJob<'a> {
     /// The state the replica starts from.
@@ -174,8 +198,57 @@ pub struct LocalJob<'a> {
     pub client: usize,
     /// Keys the minibatch stream.
     pub round: usize,
-    /// FedProx proximal coefficient, when the method uses one.
-    pub prox_mu: Option<f32>,
+    /// The method's client step.
+    pub rule: LocalRule<'a>,
+}
+
+/// A method's client step: how a unit trains, what it uploads and what the
+/// client keeps ([`RemoteUpdate::kept`]), from vectors the server keeps on
+/// the client's behalf. Only `Sgd` crosses the wire (a `Work` frame carries
+/// its μ); `fedclustd` refuses every method that uses another rule.
+#[derive(Clone, Copy, Debug)]
+pub enum LocalRule<'a> {
+    /// The run's SGD, with FedProx's proximal term when μ is set.
+    Sgd(Option<f32>),
+    /// LG-FedAvg: `Sgd(None)`, and the client keeps its whole trained state.
+    SgdKept,
+    /// SCAFFOLD (option II): plain SGD on `g + c − c_i`; uploads Δw ++ extra
+    /// state ++ Δc and keeps `c_i⁺ = c_i − c + (x − w)/(K·η)`.
+    Scaffold {
+        /// The server's control variate, one entry per parameter.
+        c: &'a [f32],
+        /// The client's control variate.
+        c_i: &'a [f32],
+    },
+    /// FedDyn: plain SGD on `g − λ_i + α(w − θ)`; keeps `λ_i − α(w − θ)`.
+    FedDyn {
+        /// The regularizer strength α.
+        alpha: f32,
+        /// The client's dual λ_i, one entry per parameter.
+        lambda_i: &'a [f32],
+    },
+    /// Per-FedAvg's first-order MAML step on each pair of minibatches.
+    Maml {
+        /// The inner (adaptation) rate, on the first of a pair.
+        alpha: f32,
+        /// The outer (meta) rate, applying the second's gradient.
+        beta: f32,
+    },
+}
+
+impl LocalRule<'_> {
+    /// An upload's codec reference, which a stale corruption replays: the
+    /// `upload` slice of the start state, or none for SCAFFOLD's deltas.
+    pub(crate) fn reference<'s>(
+        &self,
+        start_state: &'s [f32],
+        upload: &Range<usize>,
+    ) -> Option<&'s [f32]> {
+        match self {
+            LocalRule::Scaffold { .. } => None,
+            _ => Some(&start_state[upload.clone()]),
+        }
+    }
 }
 
 /// The worker's half of one [`RemoteRound`] unit, uploading the slice
@@ -266,6 +339,7 @@ fn read_push(upload: &Range<usize>, job: &LocalJob, frame: Msg) -> Option<Remote
         state,
         wire_bytes,
         residual,
+        kept: Vec::new(),
     })
 }
 
@@ -335,7 +409,7 @@ pub fn sample_clients(num_clients: usize, cfg: &FlConfig, round: usize) -> Vec<u
 /// The minibatches every local pass walks, one `Vec` per epoch, drawn from
 /// the `(seed, client, round)` stream — so runs are reproducible
 /// regardless of thread schedule.
-pub(crate) fn epoch_batches<'a>(
+fn epoch_batches<'a>(
     data: &'a ClientData,
     cfg: &'a FlConfig,
     epochs: usize,
@@ -389,29 +463,41 @@ pub fn train_replica(
 /// that trained or evaluated before trains to the bits a fresh clone does.
 fn train_on(replica: &mut Model, data: &ClientData, cfg: &FlConfig, job: LocalJob) -> usize {
     replica.set_state_vec(job.start_state);
-    let mut opt = Sgd::new(cfg.sgd());
-    if let Some(mu) = job.prox_mu {
-        opt.set_prox(mu, replica.param_tensors());
+    let start = job.start_state;
+    match job.rule {
+        LocalRule::Sgd(_) | LocalRule::SgdKept => {
+            let mut opt = Sgd::new(cfg.sgd());
+            if let LocalRule::Sgd(Some(mu)) = job.rule {
+                opt.set_prox(mu, replica.param_tensors());
+            }
+            let (epochs, client, round) = (job.epochs, job.client, job.round);
+            local_train(replica, data, &mut opt, epochs, cfg, client, round)
+        }
+        LocalRule::Scaffold { c, c_i } => {
+            local_train_corrected(replica, data, cfg, job, |i, _, g| g + c[i] - c_i[i])
+        }
+        LocalRule::FedDyn { alpha, lambda_i } => {
+            local_train_corrected(replica, data, cfg, job, |i, w, g| {
+                g - lambda_i[i] + alpha * (w - start[i])
+            })
+        }
+        LocalRule::Maml { alpha, beta } => local_train_maml(replica, data, cfg, job, alpha, beta),
     }
-    local_train(
-        replica, data, &mut opt, job.epochs, cfg, job.client, job.round,
-    )
 }
 
-/// [`local_train`] for methods that correct the gradient themselves
+/// [`local_train`] for rules that correct the gradient themselves
 /// (SCAFFOLD's control variates, FedDyn's dynamic regularizer): plain SGD
 /// where parameter `i` (flat index) steps by `w ← w − lr·correct(i, w, g)`.
 /// Same minibatch stream as [`local_train`]; returns the steps taken.
-pub fn local_train_corrected(
+fn local_train_corrected(
     model: &mut Model,
     data: &ClientData,
     cfg: &FlConfig,
-    client: usize,
-    round: usize,
+    job: LocalJob,
     correct: impl Fn(usize, f32, f32) -> f32,
 ) -> usize {
     let mut steps = 0;
-    for batch in epoch_batches(data, cfg, cfg.local_epochs, client, round).flatten() {
+    for batch in epoch_batches(data, cfg, job.epochs, job.client, job.round).flatten() {
         let (x, y) = data.train.batch(&batch);
         let logits = model.forward(x, true);
         let (_, grad) = cross_entropy(&logits, &y);
@@ -427,6 +513,44 @@ pub fn local_train_corrected(
             off += n;
         }
         steps += 1;
+    }
+    steps
+}
+
+/// [`LocalRule::Maml`]'s pass: one first-order MAML step per pair of an
+/// epoch's minibatches (an odd one out is skipped: a meta-step needs two
+/// independent batches). Returns the meta-steps taken.
+fn local_train_maml(
+    model: &mut Model,
+    data: &ClientData,
+    cfg: &FlConfig,
+    job: LocalJob,
+    alpha: f32,
+    beta: f32,
+) -> usize {
+    let mut steps = 0;
+    for batches in epoch_batches(data, cfg, job.epochs, job.client, job.round) {
+        for pair in batches.chunks_exact(2) {
+            let w = model.param_vec();
+            // Inner step on B₁ with rate α (no momentum, as in MAML).
+            let mut inner = Sgd::new(SgdConfig {
+                lr: alpha,
+                momentum: 0.0,
+            });
+            let (x1, y1) = data.train.batch(&pair[0]);
+            model.train_step(x1, &y1, &mut inner);
+            // Gradient on B₂ at the adapted weights.
+            let (x2, y2) = data.train.batch(&pair[1]);
+            let logits = model.forward(x2, true);
+            let (_, grad) = cross_entropy(&logits, &y2);
+            model.backward_params(grad);
+            // Apply ∇f(w′) to the original w with rate β.
+            let grads = model.params().into_iter().flat_map(|p| p.grad.data());
+            let new_w: Vec<f32> = w.iter().zip(grads).map(|(&wi, &g)| wi - beta * g).collect();
+            model.zero_grad();
+            model.set_param_vec(&new_w);
+            steps += 1;
+        }
     }
     steps
 }
@@ -467,7 +591,7 @@ pub fn train_sampled(
                 epochs: cfg.local_epochs,
                 client,
                 round,
-                prox_mu,
+                rule: LocalRule::Sgd(prox_mu),
             };
             let data = &fd.clients[client];
             let (model, steps) = train_replica(template, data, cfg, job);
@@ -529,35 +653,36 @@ pub fn average_updates(updates: &[ClientUpdate], previous: &[f32]) -> Vec<f32> {
 }
 
 /// Evaluate every client's local test accuracy in parallel, with the state
-/// vector for client `i` provided by `state_of(i)`. Each pool participant
-/// clones `template` once and loads each of its clients' states into that
-/// replica.
+/// vector for client `i` provided by `state_of(i)`: [`evaluate_models`]
+/// loading each client's state.
 pub fn evaluate_clients<'a, F>(fd: &FederatedDataset, template: &Model, state_of: F) -> Vec<f32>
 where
     F: Fn(usize) -> &'a [f32] + Sync,
 {
+    evaluate_models(fd, template, |replica, client| {
+        replica.set_state_vec(state_of(client))
+    })
+}
+
+/// Every client's local test accuracy, in parallel, with the model
+/// `load(replica, i)` makes of a replica for client `i` — a state lookup,
+/// one chosen by loss, or one personalised first. Each pool participant
+/// clones `template` once and loads each of its clients into that replica,
+/// so `load` must set the whole state it tests.
+pub fn evaluate_models(
+    fd: &FederatedDataset,
+    template: &Model,
+    load: impl Fn(&mut Model, usize) + Sync,
+) -> Vec<f32> {
     (0..fd.num_clients())
         .into_par_iter()
         .map_init(
             || template.clone(),
             |replica, client| {
-                replica.set_state_vec(state_of(client));
+                load(replica, client);
                 test_accuracy(replica, &fd.clients[client])
             },
         )
-        .collect()
-}
-
-/// [`evaluate_clients`] for methods whose per-client model is more than a
-/// state lookup (chosen by loss, personalized first): `model_of(i)` builds
-/// the model client `i` is tested with.
-pub fn evaluate_models(
-    fd: &FederatedDataset,
-    model_of: impl Fn(usize) -> Model + Sync,
-) -> Vec<f32> {
-    (0..fd.num_clients())
-        .into_par_iter()
-        .map(|client| test_accuracy(&mut model_of(client), &fd.clients[client]))
         .collect()
 }
 
@@ -875,14 +1000,42 @@ mod tests {
                 .collect();
             let got = evaluate_clients(&fd, &template, |c| &states[c]);
             assert_eq!(bits(&got), bits(&want), "{}", cfg.model.tag());
+
+            // A loader that personalises first, as Per-FedAvg's does: a
+            // replica that trained for the clients before it equals a fresh
+            // clone trained the same way.
+            let personalise = |model: &mut Model, c: usize| {
+                model.set_state_vec(&states[(c + 1) % n]);
+                let mut opt = Sgd::new(SgdConfig {
+                    lr: 0.01,
+                    momentum: 0.0,
+                });
+                local_train(model, &fd.clients[c], &mut opt, 1, &cfg, c, usize::MAX - 1);
+            };
+            let want: Vec<f32> = (0..n)
+                .map(|c| {
+                    let mut model = template.clone();
+                    personalise(&mut model, c);
+                    test_accuracy(&mut model, &fd.clients[c])
+                })
+                .collect();
+            for threads in [1, 2] {
+                rayon::set_num_threads(threads);
+                let got = evaluate_models(&fd, &template, personalise);
+                let tag = cfg.model.tag();
+                assert_eq!(bits(&got), bits(&want), "{tag} at {threads} threads");
+            }
+            rayon::set_num_threads(1);
         }
     }
 
     /// `InProcessTrainer` trains all the units a participant claims on one
-    /// replica. A batch in which a FedProx unit and a client with no
-    /// training data follow units from other start states returns, unit by
-    /// unit, the states fresh replicas train: at one thread (one replica
-    /// for the whole batch) and at two.
+    /// replica. A batch in which units of every `LocalRule` and a client
+    /// with no training data follow units from other start states returns,
+    /// unit by unit, the update (payload, steps, what the client keeps) a
+    /// fresh replica gives: at one thread (one replica for the whole batch)
+    /// and at two. On ResNet-9 the state is longer than the parameters, so
+    /// SCAFFOLD's and FedDyn's batch-norm branches run too.
     #[test]
     fn in_process_units_on_one_replica_equal_fresh_replicas() {
         for (fd, cfg) in conv_setups() {
@@ -890,30 +1043,64 @@ mod tests {
             let theta = template.state_vec();
             let (other, _) = train_replica(&template, &fd.clients[1], &cfg, job(&theta, 1));
             let other = other.state_vec();
-            let jobs = vec![
-                job(&theta, 0),
-                job(&other, 1),
-                LocalJob {
-                    prox_mu: Some(0.5),
-                    ..job(&theta, 2)
+            let num_params = template.num_params();
+            let small = |scale: f32, period: usize| -> Vec<f32> {
+                (0..num_params)
+                    .map(|i| (i % period) as f32 * scale)
+                    .collect()
+            };
+            let (c, c_i, lambda_i) = (small(1e-3, 7), small(-2e-3, 5), small(1e-3, 3));
+            let rules = [
+                LocalRule::Sgd(Some(0.5)),
+                LocalRule::SgdKept,
+                LocalRule::Scaffold { c: &c, c_i: &c_i },
+                LocalRule::FedDyn {
+                    alpha: 0.1,
+                    lambda_i: &lambda_i,
                 },
-                job(&other, 3),
+                LocalRule::Maml {
+                    alpha: 0.01,
+                    beta: 0.05,
+                },
             ];
+            let mut jobs = vec![job(&theta, 0), job(&other, 1)];
+            // Client 0 has two minibatches an epoch: one MAML pair.
+            for (i, (&rule, client)) in rules.iter().zip([2, 1, 0, 2, 0]).enumerate() {
+                let start = if i % 2 == 0 { &theta } else { &other };
+                jobs.push(LocalJob {
+                    rule,
+                    ..job(start, client)
+                });
+            }
+            // Each rule's unit is followed by one that trains.
+            jobs.extend([job(&theta, 1), job(&other, 3)]);
             assert_eq!(fd.clients[3].train_samples(), 0);
-            let want: Vec<Vec<u32>> = jobs
+            let resnet = cfg.model == fedclust_nn::models::ModelSpec::ResNet9;
+            assert_eq!(template.state_len() > num_params, resnet);
+            let upload = 0..theta.len();
+            let key = |u: &RemoteUpdate| (u.client, u.steps, bits(&u.state), bits(&u.kept));
+            let want: Vec<_> = jobs
                 .iter()
-                .map(|&j| train_replica(&template, &fd.clients[j.client], &cfg, j).0)
-                .map(|model| bits(&model.state_vec()))
+                .map(|&j| {
+                    let data = &fd.clients[j.client];
+                    let fresh = &mut template.clone();
+                    key(&run_unit(data, &cfg, fresh, &upload, j, Vec::new()).0)
+                })
                 .collect();
+            // Every unit with data steps, the MAML one included.
+            let trains = |&(client, steps, ..): &(usize, usize, _, _)| {
+                (steps > 0) == (fd.clients[client].train_samples() > 0)
+            };
+            assert!(want.iter().all(trains));
             let trainer = InProcessTrainer::new(&fd, &cfg);
             for threads in [1, 2] {
                 rayon::set_num_threads(threads);
                 let outcome = trainer.train_remote(RemoteRound {
-                    upload: 0..theta.len(),
+                    upload: upload.clone(),
                     jobs: jobs.clone(),
                     residuals: Vec::new(),
                 });
-                let got: Vec<Vec<u32>> = outcome.updates.iter().map(|u| bits(&u.state)).collect();
+                let got: Vec<_> = outcome.updates.iter().map(key).collect();
                 assert_eq!(got, want, "{} at {threads} threads", cfg.model.tag());
             }
             rayon::set_num_threads(1);
@@ -928,7 +1115,7 @@ mod tests {
             epochs: 1,
             client,
             round: 0,
-            prox_mu: None,
+            rule: LocalRule::Sgd(None),
         }
     }
 

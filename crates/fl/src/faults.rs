@@ -400,27 +400,6 @@ impl Transport {
         }
     }
 
-    /// Upload `payload` from `client`: the client half ([`codec::upload`]
-    /// against `reference`, the state both ends share), then the server
-    /// half. Replaces `payload` with the server-side reconstruction, maybe
-    /// corrupted, and returns whether the upload reached the server at all.
-    pub fn uplink(
-        &mut self,
-        round: usize,
-        client: usize,
-        payload: &mut Vec<f32>,
-        reference: Option<&[f32]>,
-        stale: Option<&[f32]>,
-    ) -> bool {
-        let (residual, state) = (self.residual_for(client), std::mem::take(payload));
-        let (state, wire, residual) = codec::upload(
-            self.codec, self.seed, round, client, state, reference, residual,
-        );
-        *payload = state;
-        let wire_bytes = wire.map(|w| w.len());
-        self.arrive(round, client, payload, wire_bytes, residual, stale)
-    }
-
     /// The server half of one upload, wherever it was encoded: charge its
     /// wire bytes (4 per scalar when raw), keep the advanced residual the
     /// codec keeps — whatever the upload's fate — and draw the fate, which
@@ -448,7 +427,7 @@ impl Transport {
     /// the expected size. Inactive (always accepts, no scan) under
     /// [`FaultPlan::none()`] so fault-free runs stay byte-identical even
     /// when training itself diverges.
-    pub fn screen(&mut self, payload: &[f32], expected_len: usize) -> bool {
+    fn screen(&mut self, payload: &[f32], expected_len: usize) -> bool {
         if !self.active {
             return true;
         }
@@ -460,11 +439,12 @@ impl Transport {
         }
     }
 
-    /// The standard skeleton's uplink path: encode, charge, fault, and
-    /// quarantine every [`ClientUpdate`], returning the survivors in input
-    /// order. `reference` is the state both ends share (the round's
-    /// broadcast model, the codec's delta base); `stale` is the corruption
-    /// fallback.
+    /// Encode, charge, fault, and quarantine every [`ClientUpdate`] as
+    /// trained elsewhere, returning the survivors in input order: the client
+    /// half of each upload ([`codec::upload`] against `reference`, the state
+    /// both ends share), then [`Transport::receive_remote`] with `stale` as
+    /// the corruption fallback. No method trains this way; benchmarks and
+    /// tests that hold raw updates do.
     pub fn receive(
         &mut self,
         round: usize,
@@ -472,12 +452,23 @@ impl Transport {
         reference: Option<&[f32]>,
         stale: Option<&[f32]>,
     ) -> Vec<ClientUpdate> {
-        let expected_len = updates.first().map_or(0, |u| u.state.len());
-        let kept = updates.into_iter().filter_map(|mut u| {
-            let arrived = self.uplink(round, u.client, &mut u.state, reference, stale);
-            (arrived && self.screen(&u.state, expected_len)).then_some(u)
+        let encoded = updates.into_iter().map(|u| {
+            let residual = self.residual_for(u.client);
+            let (state, wire, residual) = codec::upload(
+                self.codec, self.seed, round, u.client, u.state, reference, residual,
+            );
+            RemoteUpdate {
+                client: u.client,
+                steps: u.steps,
+                weight: u.weight,
+                state,
+                wire_bytes: wire.map(|w| w.len()),
+                residual,
+                kept: Vec::new(),
+            }
         });
-        kept.collect()
+        let encoded = encoded.collect();
+        self.receive_remote(round, encoded, stale)
     }
 
     /// A clone of the error-feedback residual `client`'s next encode starts
@@ -498,11 +489,10 @@ impl Transport {
         }
     }
 
-    /// [`Transport::receive`] for updates their trainer already encoded
+    /// The server half of every upload, as its trainer encoded it
     /// (`wire_bytes` = what crossed the wire, `state` = the reconstruction
-    /// the encoder pinned): the server half and the quarantine screen of
-    /// each, in order, so meters, telemetry, residuals and survivor sets
-    /// are those of [`Transport::receive`] over the same uploads.
+    /// the encoder pinned): charge, fault and screen each, in order, and
+    /// return the survivors. The one receiver of every method's uploads.
     pub fn receive_remote(
         &mut self,
         round: usize,
@@ -675,15 +665,16 @@ mod tests {
     #[test]
     fn codec_uplink_charges_encoded_wire_bytes() {
         let mut t = Transport::new(&cfg_with_codec("q8", 0));
-        let mut payload: Vec<f32> = (0..100).map(|i| i as f32 * 0.1).collect();
-        assert!(t.uplink(0, 3, &mut payload, None, None));
+        let payload: Vec<f32> = (0..100).map(|i| i as f32 * 0.1).collect();
+        let kept = t.receive(0, vec![update(3, payload)], None, None);
+        assert_eq!(kept.len(), 1);
         let expected = t.codec().wire_len(100);
         assert_eq!(t.meter().uplink_bytes(), expected as f64);
         assert!(
             t.meter().uplink_bytes() < 100.0 * 4.0,
             "q8 must be cheaper than raw f32"
         );
-        assert_eq!(payload.len(), 100, "server sees the reconstruction");
+        assert_eq!(kept[0].state.len(), 100, "server sees the reconstruction");
     }
 
     #[test]
@@ -707,8 +698,8 @@ mod tests {
     #[test]
     fn codec_residuals_persist_and_restore() {
         let mut t = Transport::new(&cfg_with_codec("topk:0.25", 2));
-        let mut payload = vec![4.0f32, 0.1, 0.2, 0.3];
-        assert!(t.uplink(0, 5, &mut payload, None, None));
+        let payload = vec![4.0f32, 0.1, 0.2, 0.3];
+        assert_eq!(t.receive(0, vec![update(5, payload)], None, None).len(), 1);
         let residuals = t.codec_residuals();
         assert_eq!(residuals.len(), 1);
         assert_eq!(residuals[0].0, 5);
@@ -718,11 +709,10 @@ mod tests {
         // bit-identically.
         let mut fresh = Transport::new(&cfg_with_codec("topk:0.25", 2));
         fresh.restore_comm_state(t.meter().clone(), t.telemetry(), residuals);
-        let mut a = vec![0.0f32; 4];
-        let mut b = a.clone();
-        assert!(t.uplink(1, 5, &mut a, None, None));
-        assert!(fresh.uplink(1, 5, &mut b, None, None));
-        assert_eq!(a, b);
+        let a = t.receive(1, vec![update(5, vec![0.0f32; 4])], None, None);
+        let b = fresh.receive(1, vec![update(5, vec![0.0f32; 4])], None, None);
+        assert_eq!((a.len(), b.len()), (1, 1));
+        assert_eq!(a[0].state, b[0].state);
         assert_eq!(t.codec_residuals(), fresh.codec_residuals());
     }
 
@@ -825,6 +815,7 @@ mod tests {
                             state,
                             wire_bytes: wire.map(|w| w.len()),
                             residual,
+                            kept: Vec::new(),
                         }
                     })
                     .collect();

@@ -19,7 +19,7 @@
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, FedDynState, MethodState};
 use crate::driver::{Method, RoundCtx};
-use crate::engine::{evaluate_clients, local_train_corrected, weighted_average_or};
+use crate::engine::{evaluate_clients, weighted_average_or, LocalRule};
 
 /// FedDyn with regularization strength `ALPHA`.
 #[derive(Debug, Clone, Copy)]
@@ -27,26 +27,6 @@ pub struct FedDyn;
 
 /// Dynamic-regularizer coefficient α (the paper of FedDyn uses 0.01–0.1).
 const ALPHA: f32 = 0.1;
-
-impl FedDyn {
-    /// One client's regularized local pass; returns its new full state.
-    fn local_train(
-        &self,
-        s: &FedDynState,
-        ctx: &RoundCtx<'_>,
-        client: usize,
-        round: usize,
-    ) -> Vec<f32> {
-        let mut model = ctx.template.clone();
-        model.set_state_vec(&s.state);
-        let lambda_i = &s.lambdas[client];
-        let data = &ctx.fd.clients[client];
-        local_train_corrected(&mut model, data, ctx.cfg, client, round, |i, w, g| {
-            g - lambda_i[i] + ALPHA * (w - s.state[i])
-        });
-        model.state_vec()
-    }
-}
 
 impl Method for FedDyn {
     const NAME: &'static str = "FedDyn";
@@ -83,24 +63,23 @@ impl Method for FedDyn {
     fn round(&self, s: &mut FedDynState, ctx: &mut RoundCtx<'_>, round: usize) {
         let num_params = ctx.template.num_params();
         let state_len = s.state.len();
-        let trained = ctx.on_clients(round, state_len, |ctx, client| {
-            self.local_train(s, ctx, client, round)
-        });
-
-        // The dual update uses the client-side w and persists whether
-        // or not the upload makes it; the server aggregates only the
-        // uploads that survive the uplink and the quarantine screen.
-        let mut results: Vec<(Vec<f32>, f32)> = Vec::with_capacity(trained.len());
-        for (client, mut payload) in trained {
-            for ((l, &w), &g) in s.lambdas[client].iter_mut().zip(&payload).zip(&s.state) {
-                *l -= ALPHA * (w - g);
-            }
-            // The payload is the client's state vector, so a "stale"
-            // corruption replays the broadcast global state.
-            if ctx.upload(round, client, &mut payload, Some(&s.state)) {
-                results.push((payload, ctx.fd.clients[client].train_samples() as f32));
-            }
+        let reached = ctx.reach(round, state_len);
+        let lambdas = &s.lambdas;
+        let rule = |client: usize| LocalRule::FedDyn {
+            alpha: ALPHA,
+            lambda_i: &lambdas[client],
+        };
+        // The payload is the client's state vector, so a "stale" corruption
+        // replays the broadcast global state.
+        let groups = vec![(&s.state[..], reached)];
+        let (mut trained, kept) = ctx.train_reached(groups, round, 0..state_len, rule);
+        // The dual update uses the client-side w and persists whether or
+        // not the upload makes it; the server aggregates only the uploads
+        // that survive the uplink and the quarantine screen.
+        for (client, lambda) in kept {
+            s.lambdas[client] = lambda;
         }
+        let results = trained.pop().unwrap_or_default();
         // An empty survivor set leaves θ, h and the duals as they are.
         if results.is_empty() {
             return;
@@ -108,8 +87,8 @@ impl Method for FedDyn {
         // Server state from the surviving uploads.
         let n = results.len() as f64;
         let mut mean_w = vec![0.0f64; num_params];
-        for (w, _) in &results {
-            for (m, &wj) in mean_w.iter_mut().zip(w) {
+        for u in &results {
+            for (m, &wj) in mean_w.iter_mut().zip(&u.state) {
                 *m += wj as f64 / n;
             }
         }
@@ -122,7 +101,7 @@ impl Method for FedDyn {
         if state_len > num_params {
             let items: Vec<(&[f32], f32)> = results
                 .iter()
-                .map(|(w, weight)| (&w[num_params..], *weight))
+                .map(|u| (&u.state[num_params..], u.weight))
                 .collect();
             let avg = weighted_average_or(&items, &s.state[num_params..]);
             s.state[num_params..].copy_from_slice(&avg);

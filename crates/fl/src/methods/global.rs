@@ -8,7 +8,7 @@
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
 use crate::driver::{Method, RoundCtx};
-use crate::engine::{average_updates, evaluate_clients, weighted_average, ClientUpdate};
+use crate::engine::{average_updates, evaluate_clients, weighted_average, ClientUpdate, LocalRule};
 
 /// A member of the FedAvg family: one global model, trained by the
 /// standard round trip and replaced each round by [`Global::aggregate`].
@@ -122,7 +122,7 @@ impl<G: Global> Method for G {
     }
 
     fn round(&self, global: &mut Vec<f32>, ctx: &mut RoundCtx<'_>, round: usize) {
-        let updates = ctx.train_round(global, round, self.prox_mu());
+        let updates = ctx.train_round(global, round, LocalRule::Sgd(self.prox_mu()));
         // With every update lost or quarantined the model carries forward.
         if !updates.is_empty() {
             *global = G::aggregate(global, &updates, ctx.template.num_params());

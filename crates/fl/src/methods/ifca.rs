@@ -9,9 +9,10 @@
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
 use crate::driver::{members_by_cluster, Method, RoundCtx};
-use crate::engine::{average_updates, evaluate_models};
+use crate::engine::{average_updates, evaluate_models, LocalRule};
 use fedclust_nn::Model;
 use fedclust_tensor::rng::{derive, streams};
+use rayon::prelude::*;
 
 /// IFCA with `k` cluster models.
 #[derive(Debug, Clone, Copy)]
@@ -35,9 +36,10 @@ impl Ifca {
     /// federation. A client with no training data has no loss to compare
     /// and is not scored: it stays with the first model (and, at weight 0,
     /// moves none). A model whose loss is NaN is never picked over one
-    /// whose loss is a number.
+    /// whose loss is a number. Each state is loaded into `replica` in turn,
+    /// whatever it held before (a model's other contents are scratch).
     pub fn best_cluster(
-        template: &Model,
+        replica: &mut Model,
         states: &[Vec<f32>],
         data: &fedclust_data::ClientData,
     ) -> usize {
@@ -49,9 +51,8 @@ impl Ifca {
         let mut best = 0usize;
         let mut best_loss = f32::INFINITY;
         for (ci, state) in states.iter().enumerate() {
-            let mut model = template.clone();
-            model.set_state_vec(state);
-            let (loss, _) = model.evaluate(x.clone(), &y);
+            replica.set_state_vec(state);
+            let (loss, _) = replica.evaluate(x.clone(), &y);
             if loss < best_loss {
                 best_loss = loss;
                 best = ci;
@@ -104,17 +105,22 @@ impl Method for Ifca {
 
     fn round(&self, states: &mut Vec<Vec<f32>>, ctx: &mut RoundCtx<'_>, round: usize) {
         // All k models go down in one bundle per client, which picks one.
-        let down = self.k * ctx.template.state_len();
-        let chosen = ctx.on_clients(round, down, |ctx, client| {
-            Self::best_cluster(&ctx.template, states, &ctx.fd.clients[client])
-        });
+        let reached = ctx.reach(round, self.k * ctx.template.state_len());
+        let (fd, template) = (ctx.fd, &ctx.template);
+        let choose = |replica: &mut Model, c: usize| {
+            (c, Self::best_cluster(replica, states, &fd.clients[c]))
+        };
+        let chosen = reached
+            .into_par_iter()
+            .map_init(|| template.clone(), choose);
         // The clients of every chosen model train in one batch, each from
         // (and coded and corrupted against) the model it chose.
-        let (clusters, reached): (Vec<usize>, Vec<_>) = members_by_cluster(chosen)
+        let (clusters, groups): (Vec<usize>, Vec<_>) = members_by_cluster(chosen.collect())
             .into_iter()
             .map(|(ci, members)| (ci, (&states[ci][..], members)))
             .unzip();
-        let trained = ctx.train_reached(reached, round, None);
+        let upload = 0..ctx.template.state_len();
+        let (trained, _) = ctx.train_reached(groups, round, upload, |_| LocalRule::Sgd(None));
         for (ci, updates) in clusters.into_iter().zip(trained) {
             states[ci] = average_updates(&updates, &states[ci]);
         }
@@ -127,11 +133,9 @@ impl Method for Ifca {
     }
 
     fn evaluate(&self, states: &Vec<Vec<f32>>, ctx: &RoundCtx<'_>) -> Vec<f32> {
-        evaluate_models(ctx.fd, |client| {
-            let ci = Self::best_cluster(&ctx.template, states, &ctx.fd.clients[client]);
-            let mut model = ctx.template.clone();
-            model.set_state_vec(&states[ci]);
-            model
+        evaluate_models(ctx.fd, &ctx.template, |replica, client| {
+            let ci = Self::best_cluster(replica, states, &ctx.fd.clients[client]);
+            replica.set_state_vec(&states[ci]);
         })
     }
 
@@ -183,13 +187,13 @@ mod tests {
                 seed: 1,
             },
         );
-        let template = crate::engine::init_model(&fd, &FlConfig::tiny(1));
-        let finite = template.state_vec();
+        let mut replica = crate::engine::init_model(&fd, &FlConfig::tiny(1));
+        let finite = replica.state_vec();
         let nan = vec![f32::NAN; finite.len()];
         let data = &fd.clients[0];
         let states = [nan.clone(), finite.clone()];
-        assert_eq!(Ifca::best_cluster(&template, &states, data), 1);
+        assert_eq!(Ifca::best_cluster(&mut replica, &states, data), 1);
         let states = [finite, nan];
-        assert_eq!(Ifca::best_cluster(&template, &states, data), 0);
+        assert_eq!(Ifca::best_cluster(&mut replica, &states, data), 0);
     }
 }

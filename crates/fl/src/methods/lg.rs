@@ -8,7 +8,7 @@
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, LgState, MethodState};
 use crate::driver::{Method, RoundCtx};
-use crate::engine::{evaluate_models, train_replica, weighted_average_or, LocalJob};
+use crate::engine::{average_updates, evaluate_models, LocalRule};
 use fedclust_nn::Model;
 
 /// LG-FedAvg with the paper's split: the last `GLOBAL_BLOCKS` parameter
@@ -76,34 +76,32 @@ impl Method for LgFedAvg {
         let split = self.split(&ctx.template);
         // Only the global tail travels; clients the downlink never
         // reaches sit the round out entirely.
-        let trained = ctx.on_clients(round, s.global_part.len(), |ctx, client| {
-            let mut start = s.client_states[client].clone();
-            start[split..].copy_from_slice(&s.global_part);
-            let job = LocalJob {
-                start_state: &start,
-                epochs: ctx.cfg.local_epochs,
-                client,
-                round,
-                prox_mu: None,
-            };
-            let data = &ctx.fd.clients[client];
-            let (model, _) = train_replica(&ctx.template, data, ctx.cfg, job);
-            model.state_vec()
-        });
+        let reached = ctx.reach(round, s.global_part.len());
+        let starts: Vec<Vec<f32>> = reached
+            .iter()
+            .map(|&client| {
+                let mut start = s.client_states[client].clone();
+                start[split..].copy_from_slice(&s.global_part);
+                start
+            })
+            .collect();
+        // One group per client: each starts from its own local layers.
+        let groups = starts
+            .iter()
+            .zip(reached)
+            .map(|(start, c)| (&start[..], vec![c]));
+        let upload = split..ctx.template.state_len();
+        let rule = |_| LocalRule::SgdKept;
+        let (trained, kept) = ctx.train_reached(groups.collect(), round, upload, rule);
         // Clients persist their full new state (local part matters)
         // even when the upload is lost — losing the uplink does not
         // undo local training. The server averages only the global
         // tails that survive the uplink and the quarantine screen.
-        let mut tails: Vec<(Vec<f32>, f32)> = Vec::with_capacity(trained.len());
-        for (client, full) in trained {
-            let mut tail = full[split..].to_vec();
-            if ctx.upload(round, client, &mut tail, Some(&s.global_part)) {
-                tails.push((tail, ctx.fd.clients[client].train_samples() as f32));
-            }
+        for (client, full) in kept {
             s.client_states[client] = full;
         }
-        let items: Vec<(&[f32], f32)> = tails.iter().map(|(t, w)| (t.as_slice(), *w)).collect();
-        s.global_part = weighted_average_or(&items, &s.global_part);
+        let tails: Vec<_> = trained.into_iter().flatten().collect();
+        s.global_part = average_updates(&tails, &s.global_part);
     }
 
     fn snapshot(&self, s: &LgState) -> MethodState {
@@ -112,12 +110,10 @@ impl Method for LgFedAvg {
 
     fn evaluate(&self, s: &LgState, ctx: &RoundCtx<'_>) -> Vec<f32> {
         let split = self.split(&ctx.template);
-        evaluate_models(ctx.fd, |client| {
+        evaluate_models(ctx.fd, &ctx.template, |replica, client| {
             let mut full = s.client_states[client].clone();
             full[split..].copy_from_slice(&s.global_part);
-            let mut model = ctx.template.clone();
-            model.set_state_vec(&full);
-            model
+            replica.set_state_vec(&full);
         })
     }
 

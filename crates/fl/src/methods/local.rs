@@ -2,7 +2,9 @@
 
 use crate::checkpoint::{CheckpointError, Checkpointer};
 use crate::config::FlConfig;
-use crate::engine::{average_accuracy, init_model, train_replica, LocalJob, RemoteTrainer};
+use crate::engine::{
+    average_accuracy, init_model, train_replica, LocalJob, LocalRule, RemoteTrainer,
+};
 use crate::methods::FlMethod;
 use crate::metrics::{RoundRecord, RunResult};
 use fedclust_data::FederatedDataset;
@@ -75,7 +77,7 @@ impl FlMethod for LocalOnly {
                         epochs,
                         client,
                         round: chunk,
-                        prox_mu: None,
+                        rule: LocalRule::Sgd(None),
                     };
                     train_replica(&template, data, cfg, job).0.state_vec()
                 })

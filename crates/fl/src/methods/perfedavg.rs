@@ -10,8 +10,7 @@
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState};
 use crate::driver::{Method, RoundCtx};
-use crate::engine::{epoch_batches, evaluate_models, local_train, weighted_average_or};
-use fedclust_nn::loss::cross_entropy;
+use crate::engine::{average_updates, evaluate_models, local_train, LocalRule};
 use fedclust_nn::optim::{Sgd, SgdConfig};
 
 /// Per-FedAvg with FO-MAML inner/outer steps.
@@ -26,55 +25,6 @@ const ALPHA: f32 = 0.01;
 const BETA: f32 = 0.05;
 /// Personalization epochs at evaluation time.
 const PERSONALIZE_EPOCHS: usize = 1;
-
-impl PerFedAvg {
-    /// One client's FO-MAML local pass; returns the new state.
-    fn local_meta_train(
-        &self,
-        ctx: &RoundCtx<'_>,
-        start_state: &[f32],
-        client: usize,
-        round: usize,
-    ) -> Vec<f32> {
-        let (data, cfg) = (&ctx.fd.clients[client], ctx.cfg);
-        let mut model = ctx.template.clone();
-        model.set_state_vec(start_state);
-        for batches in epoch_batches(data, cfg, cfg.local_epochs, client, round) {
-            for pair in batches.chunks(2) {
-                if pair.len() < 2 {
-                    continue; // need two independent batches per meta-step
-                }
-                let w = model.param_vec();
-                // Inner step on B₁ with rate α (no momentum, as in MAML).
-                let mut inner = Sgd::new(SgdConfig {
-                    lr: ALPHA,
-                    momentum: 0.0,
-                });
-                let (x1, y1) = data.train.batch(&pair[0]);
-                model.train_step(x1, &y1, &mut inner);
-                // Gradient on B₂ at the adapted weights.
-                let (x2, y2) = data.train.batch(&pair[1]);
-                let logits = model.forward(x2, true);
-                let (_, grad) = cross_entropy(&logits, &y2);
-                model.backward_params(grad);
-                // Collect ∇f(w′) and apply it to the original w with rate β.
-                let meta_grad: Vec<f32> = model
-                    .params()
-                    .iter()
-                    .flat_map(|p| p.grad.data().iter().copied())
-                    .collect::<Vec<f32>>();
-                model.zero_grad();
-                let new_w: Vec<f32> = w
-                    .iter()
-                    .zip(&meta_grad)
-                    .map(|(&wi, &g)| wi - BETA * g)
-                    .collect();
-                model.set_param_vec(&new_w);
-            }
-        }
-        model.state_vec()
-    }
-}
 
 /// The meta-state has the single-global-model shape, so it shares the
 /// `Global` checkpoint variant. The artifact is the trained meta-state,
@@ -97,17 +47,12 @@ impl Method for PerFedAvg {
     }
 
     fn round(&self, global: &mut Vec<f32>, ctx: &mut RoundCtx<'_>, round: usize) {
-        let trained = ctx.on_clients(round, global.len(), |ctx, client| {
-            self.local_meta_train(ctx, global, client, round)
-        });
-        let mut updates: Vec<(Vec<f32>, f32)> = Vec::with_capacity(trained.len());
-        for (client, mut state) in trained {
-            if ctx.upload(round, client, &mut state, Some(global)) {
-                updates.push((state, ctx.fd.clients[client].train_samples() as f32));
-            }
-        }
-        let items: Vec<(&[f32], f32)> = updates.iter().map(|(s, w)| (s.as_slice(), *w)).collect();
-        *global = weighted_average_or(&items, global);
+        let rule = LocalRule::Maml {
+            alpha: ALPHA,
+            beta: BETA,
+        };
+        let updates = ctx.train_round(global, round, rule);
+        *global = average_updates(&updates, global);
     }
 
     fn snapshot(&self, global: &Vec<f32>) -> MethodState {
@@ -118,15 +63,14 @@ impl Method for PerFedAvg {
 
     /// Personalize from the global state, then test each client.
     fn evaluate(&self, global: &Vec<f32>, ctx: &RoundCtx<'_>) -> Vec<f32> {
-        evaluate_models(ctx.fd, |client| {
-            let mut model = ctx.template.clone();
-            model.set_state_vec(global);
+        evaluate_models(ctx.fd, &ctx.template, |replica, client| {
+            replica.set_state_vec(global);
             let mut opt = Sgd::new(SgdConfig {
                 lr: ALPHA,
                 momentum: 0.0,
             });
             local_train(
-                &mut model,
+                replica,
                 &ctx.fd.clients[client],
                 &mut opt,
                 PERSONALIZE_EPOCHS,
@@ -134,7 +78,6 @@ impl Method for PerFedAvg {
                 client,
                 usize::MAX - 1, // a dedicated rng stream for evaluation
             );
-            model
         })
     }
 

@@ -13,7 +13,7 @@
 
 use crate::checkpoint::{check_len, wrong_state, CheckpointError, MethodState, ScaffoldState};
 use crate::driver::{Method, RoundCtx};
-use crate::engine::{evaluate_clients, local_train_corrected, weighted_average_or};
+use crate::engine::{evaluate_clients, weighted_average_or, LocalRule};
 
 /// SCAFFOLD with server learning rate `ETA_G`.
 #[derive(Debug, Clone, Copy)]
@@ -22,47 +22,6 @@ pub struct Scaffold;
 /// Server step size applied to the averaged client delta (the paper's ηg;
 /// 1.0 keeps plain averaging of the client deltas).
 const ETA_G: f32 = 1.0;
-
-struct LocalOutcome {
-    delta_w: Vec<f32>,
-    delta_c: Vec<f32>,
-    new_ci: Vec<f32>,
-    extra_state: Vec<f32>,
-    weight: f32,
-}
-
-impl Scaffold {
-    /// One client's controlled local training pass.
-    fn local_train(
-        &self,
-        s: &ScaffoldState,
-        ctx: &RoundCtx<'_>,
-        client: usize,
-        round: usize,
-    ) -> LocalOutcome {
-        let (c_global, c_i) = (&s.c_global, &s.c_clients[client]);
-        let mut model = ctx.template.clone();
-        model.set_state_vec(&s.state);
-        let data = &ctx.fd.clients[client];
-        // Corrected step: w ← w − η (g + c − c_i), plain SGD.
-        let steps = local_train_corrected(&mut model, data, ctx.cfg, client, round, |i, _, g| {
-            g + c_global[i] - c_i[i]
-        });
-        let w = model.param_vec();
-        let k_eta = (steps.max(1) as f32) * ctx.cfg.lr;
-        // Option II control-variate refresh.
-        let new_ci: Vec<f32> = (0..w.len())
-            .map(|j| c_i[j] - c_global[j] + (s.state[j] - w[j]) / k_eta)
-            .collect();
-        LocalOutcome {
-            delta_w: w.iter().zip(&s.state).map(|(a, b)| a - b).collect(),
-            delta_c: new_ci.iter().zip(c_i).map(|(a, b)| a - b).collect(),
-            new_ci,
-            extra_state: model.state_vec()[w.len()..].to_vec(),
-            weight: data.train_samples() as f32,
-        }
-    }
-}
 
 impl Method for Scaffold {
     const NAME: &'static str = "SCAFFOLD";
@@ -103,31 +62,22 @@ impl Method for Scaffold {
     fn round(&self, s: &mut ScaffoldState, ctx: &mut RoundCtx<'_>, round: usize) {
         let num_params = ctx.template.num_params();
         let state_len = s.state.len();
-        // Down: model state + global control variate.
-        // Up: Δw (+ extra state) + Δc, concatenated into one payload.
-        let trained = ctx.on_clients(round, state_len + num_params, |ctx, client| {
-            self.local_train(s, ctx, client, round)
-        });
-
+        // Down: model state + global control variate. Up: Δw (+ extra
+        // state) + Δc, concatenated into one payload (`LocalRule::Scaffold`).
+        let reached = ctx.reach(round, state_len + num_params);
+        let (c, c_clients) = (&s.c_global, &s.c_clients);
+        let rule = |client: usize| LocalRule::Scaffold {
+            c,
+            c_i: &c_clients[client],
+        };
+        let groups = vec![(&s.state[..], reached)];
+        let (mut trained, kept) = ctx.train_reached(groups, round, 0..state_len, rule);
         // The client-side control variate refresh persists whether or
         // not the upload makes it; the server only sees survivors.
-        let mut outcomes: Vec<LocalOutcome> = Vec::with_capacity(trained.len());
-        for (client, mut o) in trained {
-            s.c_clients[client] = o.new_ci.clone();
-            let mut payload = o.delta_w.clone();
-            payload.extend_from_slice(&o.extra_state);
-            payload.extend_from_slice(&o.delta_c);
-            // Deltas have no meaningful stale fallback: corruption is
-            // NaN/Inf and therefore always quarantined. The payload is
-            // already a delta, so no codec reference applies either.
-            if ctx.upload(round, client, &mut payload, None) {
-                o.delta_w.copy_from_slice(&payload[..num_params]);
-                o.extra_state
-                    .copy_from_slice(&payload[num_params..state_len]);
-                o.delta_c.copy_from_slice(&payload[state_len..]);
-                outcomes.push(o);
-            }
+        for (client, new_ci) in kept {
+            s.c_clients[client] = new_ci;
         }
+        let outcomes = trained.pop().unwrap_or_default();
         // An empty survivor set carries the server state forward.
         if outcomes.is_empty() {
             return;
@@ -138,9 +88,10 @@ impl Method for Scaffold {
         let mut mean_dw = vec![0.0f64; num_params];
         let mut mean_dc = vec![0.0f64; num_params];
         for o in &outcomes {
+            let (delta_w, delta_c) = (&o.state[..num_params], &o.state[state_len..]);
             for j in 0..num_params {
-                mean_dw[j] += o.delta_w[j] as f64 / n as f64;
-                mean_dc[j] += o.delta_c[j] as f64 / n as f64;
+                mean_dw[j] += delta_w[j] as f64 / n as f64;
+                mean_dc[j] += delta_c[j] as f64 / n as f64;
             }
         }
         for j in 0..num_params {
@@ -151,7 +102,7 @@ impl Method for Scaffold {
         if state_len > num_params {
             let items: Vec<(&[f32], f32)> = outcomes
                 .iter()
-                .map(|o| (o.extra_state.as_slice(), o.weight))
+                .map(|o| (&o.state[num_params..state_len], o.weight))
                 .collect();
             let extra = weighted_average_or(&items, &s.state[num_params..]);
             s.state[num_params..].copy_from_slice(&extra);

@@ -765,7 +765,7 @@ pub const CONFINED: [Confined; 12] = [
     Confined { name: "one door to clients",
         pattern: |c, i| runs(c, i, &[&["sample_clients", "("], &[".", "broadcast", "("], &[".", "train_remote", "("]]),
         scope: &["crates/"], home: Home::Files(&["crates/fl/src/driver.rs"]), tests: false,
-        message: "reach clients through `fl::driver::RoundCtx` (`train_round`, `train_groups`, `train_clusters`, `on_clients` …)" },
+        message: "reach clients through `fl::driver::RoundCtx` (`train_round`, `train_groups`, `reach` + `train_reached` …)" },
     Confined { name: "no serde",
         pattern: |c, i| runs(c, i, &[&["Serialize"], &["Deserialize"]]),
         scope: &["crates/", "vendor/"], home: Home::Nowhere, tests: true,

@@ -12,7 +12,10 @@
 #              then `--resume` to the end: --json stdout of both legs, the
 #              generation files left after each leg (names and bytes)
 #
-# between the two binaries; checks that this tree refuses `local` with
+# between the two binaries; compares scaffold, feddyn, lg, perfedavg and
+# ifca on `--dataset cifar100` (ResNet-9, whose batch-norm statistics make
+# the state longer than the parameters), plain and faulty; checks that
+# this tree refuses `local` with
 # `--checkpoint-dir` (Local keeps no server state, and an older build may
 # have ignored the flag); and then round 0's other readers: the stdout of
 # `cluster` and `sweep --points 4`, plain and under the faulty link, at the
@@ -52,6 +55,9 @@ BASE=(--dataset fmnist --partition skew30 --clients 8 --epochs 1
   --samples-per-class 20 --seed 7 --threads 1 --json)
 WIDE=(--dataset fmnist --partition skew30 --clients 40 --epochs 1
   --samples-per-class 100 --seed 7 --threads 1 --json)
+RESNET_METHODS=(scaffold feddyn lg perfedavg ifca)
+RESNET=(--dataset cifar100 --partition skew30 --clients 10 --epochs 1
+  --samples-per-class 3 --seed 7 --threads 1 --json)
 FAULTY=(--codec delta+topk:0.1 --uplink-loss 0.2 --downlink-loss 0.3 --retries 1
   --corrupt-rate 0.15 --straggler-rate 0.3 --straggler-delay 1.0 --deadline 1.5)
 
@@ -110,6 +116,18 @@ for m in "${METHODS[@]}"; do
   echo "   $m: identical"
 done
 
+for m in "${RESNET_METHODS[@]}"; do
+  d="$WORK/resnet-$m"
+  mkdir "$d"
+  for side in ours theirs; do
+    cli $side "$d/plain.$side" run --method "$m" --rounds $ROUNDS "${RESNET[@]}"
+    cli $side "$d/faulty.$side" run --method "$m" --rounds $ROUNDS "${RESNET[@]}" "${FAULTY[@]}"
+  done
+  same "$m cifar100 plain" "$d/plain.ours" "$d/plain.theirs"
+  same "$m cifar100 faulty" "$d/faulty.ours" "$d/faulty.theirs"
+done
+echo "   ${RESNET_METHODS[*]} on cifar100 (ResNet-9): identical"
+
 d="$WORK/local"
 status=0
 "$OURS" run --method local --rounds $ROUNDS "${BASE[@]}" --checkpoint-dir "$d/ckpt" \
@@ -140,6 +158,7 @@ for what in cluster cluster-faulty sweep sweep-faulty \
 done
 echo "   cluster, sweep at 8 and 40 clients: identical"
 
-echo "OK: ${#METHODS[@]} methods x {plain, codec+faults}, $resumed x checkpoint+resume, cluster and" \
+echo "OK: ${#METHODS[@]} methods x {plain, codec+faults}, $resumed x checkpoint+resume," \
+  "${#RESNET_METHODS[@]} on ResNet-9 x {plain, codec+faults}, cluster and" \
   "sweep x {plain, codec+faults} x {8, 40} clients: $compared comparisons against $COMMIT," \
   "0 differing bytes; local --checkpoint-dir refused"

@@ -144,9 +144,17 @@ fn none_codec_is_a_byte_identical_pass_through() {
     cfg.codec = CodecSpec::none();
     let mut t = Transport::new(&cfg);
     let original = payload(50);
-    let mut up = original.clone();
     let reference = vec![0.25f32; 50];
-    assert!(t.uplink(0, 3, &mut up, Some(&reference), None));
+    let one = ClientUpdate {
+        client: 3,
+        state: original.clone(),
+        weight: 1.0,
+        steps: 1,
+    };
+    let up = t
+        .receive(0, vec![one], Some(&reference), None)
+        .remove(0)
+        .state;
     let bits: Vec<u32> = up.iter().map(|v| v.to_bits()).collect();
     let orig_bits: Vec<u32> = original.iter().map(|v| v.to_bits()).collect();
     assert_eq!(bits, orig_bits, "payload bytes changed under codec none");

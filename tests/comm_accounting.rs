@@ -5,8 +5,9 @@ use fedclust_repro::data::{DatasetProfile, FederatedDataset, Partition};
 use fedclust_repro::fedclust::proximity::WeightSelection;
 use fedclust_repro::fedclust::FedClust;
 use fedclust_repro::fl::engine::init_model;
-use fedclust_repro::fl::methods::{FedAvg, Ifca, LgFedAvg, Pacfl};
+use fedclust_repro::fl::methods::{FedAvg, Ifca, LgFedAvg, Pacfl, Scaffold};
 use fedclust_repro::fl::{FaultPlan, FlConfig, FlMethod};
+use fedclust_repro::nn::models::ModelSpec;
 
 fn fd(seed: u64, clients: usize) -> FederatedDataset {
     FederatedDataset::build(
@@ -239,4 +240,46 @@ fn compression_strictly_shrinks_the_bill() {
             exact_clust.total_mb
         );
     }
+}
+
+#[test]
+fn scaffold_bills_model_and_control_variate_both_ways() {
+    // SCAFFOLD's downlink is the model state plus the server's control
+    // variate, and its upload Δw ++ extra state ++ Δc: `state_len +
+    // num_params` scalars each way, on every downlink attempt (retries and
+    // failures included) and on every upload of a client the downlink
+    // reached. ResNet-9's batch-norm statistics keep the two lengths apart.
+    let fd = FederatedDataset::build(
+        DatasetProfile::Cifar100Like,
+        Partition::LabelSkew { fraction: 0.3 },
+        &fedclust_repro::data::federated::FederatedConfig {
+            num_clients: 8,
+            samples_per_class: 1,
+            seed: 8,
+        },
+    );
+    let mut cfg = FlConfig::tiny(8);
+    cfg.model = ModelSpec::ResNet9;
+    cfg.rounds = 3;
+    cfg.sample_rate = 0.5; // 4 clients per round
+    cfg.faults = FaultPlan {
+        downlink_loss: 0.5,
+        max_downlink_retries: 1,
+        ..FaultPlan::none()
+    };
+    let template = init_model(&fd, &cfg);
+    let (state_len, num_params) = (template.state_len(), template.num_params());
+    assert!(state_len > num_params);
+    let r = Scaffold.run(&fd, &cfg);
+    let (retries, unreached) = (r.faults.retries, r.faults.downlink_failures);
+    assert!(retries > 0 && unreached > 0, "{:?}", r.faults);
+    let attempts = 3 * 4 + retries;
+    let uploads = 3 * 4 - unreached;
+    let expected = ((attempts + uploads) * (state_len + num_params)) as f64 * BYTES / MB;
+    assert!(
+        (r.total_mb - expected).abs() < 1e-9,
+        "reported {} expected {}",
+        r.total_mb,
+        expected
+    );
 }

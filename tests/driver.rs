@@ -24,8 +24,8 @@ use fedclust_repro::fl::checkpoint::{
 };
 use fedclust_repro::fl::driver::{Method, RoundCtx};
 use fedclust_repro::fl::engine::{
-    init_model, settle, train_unit, InProcessTrainer, LocalJob, RemoteOutcome, RemoteRound,
-    RemoteTrainer,
+    init_model, settle, train_unit, InProcessTrainer, LocalJob, LocalRule, RemoteOutcome,
+    RemoteRound, RemoteTrainer,
 };
 use fedclust_repro::fl::methods::{
     Cfl, FedAvg, FedDyn, FedNova, FedProx, Ifca, LgFedAvg, Pacfl, PerFedAvg, Scaffold,
@@ -352,7 +352,7 @@ fn the_in_process_trainer_is_the_fleet_without_sockets() {
                         epochs: 1,
                         client,
                         round: 2,
-                        prox_mu: None,
+                        rule: LocalRule::Sgd(None),
                     })
                     .collect(),
                 residuals: (0..fd.num_clients())
